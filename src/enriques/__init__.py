@@ -6,7 +6,7 @@ from the cluster of base points shared by its polar curves, with exact
 rational arithmetic throughout.
 """
 
-from .arena import ArenaTree, PointId, PointRecord
+from .arena import ArenaTree, PointFacts, PointId, PointRecord
 from .cluster import (
     WeightKind,
     WeightedCluster,

@@ -11,6 +11,9 @@ the earlier point whose exceptional divisor the point also lies on.  A point
 is *free* when it is proximate to its parent only, *satellite* when it is
 proximate to exactly two points; no other arrangement occurs.
 
+Because the arena only grows, the facts a point's proximities fix (see
+:class:`PointFacts`) are computed once, when the point is appended.
+
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
 """
@@ -18,9 +21,10 @@ ids only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
+    ArenaError,
     Diagnostic,
     DuplicateOrigin,
     DuplicateSatellite,
@@ -42,13 +46,30 @@ class PointRecord:
     label: Optional[str] = None
 
 
+class PointFacts(NamedTuple):
+    """What a point's proximities fix once and for all.
+
+    ``n`` and ``k`` are the weights at the origin and at the defining free
+    point of the unibranch chain ending at the point, so ``k/n`` is the
+    point's position in the satellite cone of its defining free point.
+    ``ordered_proximities`` is a satellite's proximity pair, smaller first,
+    and ``None`` for the origin and free points.
+    """
+
+    defining_free_point: PointId
+    n: int
+    k: int
+    ordered_proximities: Optional[tuple[PointId, PointId]]
+
+
 class ArenaTree:
     """Append-only arena of :class:`PointRecord`.
 
     Records are topologically sorted: every referenced id precedes its
     referrer.  Construction through :meth:`add_point` enforces all structural
     invariants eagerly; :meth:`from_records` admits raw (possibly broken)
-    data so that :meth:`validate` can report problems as diagnostics.
+    data so that :meth:`validate` can report problems as diagnostics.  A
+    record that breaks a rule gets no :class:`PointFacts`.
 
     A fully built arena is safe to share read-only between threads; the
     operations that extend it (satellite creation during recovery) require
@@ -59,6 +80,7 @@ class ArenaTree:
         self._records: list[PointRecord] = []
         self._children: list[list[PointId]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
+        self._facts: list[Optional[PointFacts]] = []
         self._ancestor_cache: dict[PointId, tuple[PointId, ...]] = {}
 
     # -- construction --------------------------------------------------
@@ -80,7 +102,7 @@ class ArenaTree:
         if parent is None:
             if second_proximity is not None:
                 raise IllegalProximity("the origin has no proximities")
-            if any(r.parent is None for r in self._records):
+            if self.origin is not None:
                 raise DuplicateOrigin("arena already has an origin")
         else:
             if not self._has(parent):
@@ -118,6 +140,7 @@ class ArenaTree:
         return tree
 
     def _append(self, record: PointRecord) -> None:
+        self._facts.append(self._derive_facts(record))
         self._records.append(record)
         self._children.append([])
         p = record.parent
@@ -128,12 +151,49 @@ class ArenaTree:
                 (record.parent, record.second_proximity), record.id
             )
 
+    def _derive_facts(self, r: PointRecord) -> Optional[PointFacts]:
+        """Facts of a point about to be appended; None if it breaks a rule.
+
+        Let q be a satellite with parent a and second proximity s.  Its
+        pair is (a's parent, a) when a is free; when a is a satellite with
+        pair (lo, hi) it is (lo, a) for s = lo and (a, hi) for s = hi.
+        n adds up over both proximities; k adds s's share only when s lies
+        in q's own cone.
+        """
+        a, s = r.parent, r.second_proximity
+        if a is None:
+            return PointFacts(0, 1, 1, None) if r.id == 0 and s is None else None
+        if not 0 <= a < r.id or self._facts[a] is None:
+            return None
+        fa = self._facts[a]
+        if s is None:
+            return PointFacts(r.id, fa.n, 1, None)
+        if (a, s) in self._satellite_index:
+            return None
+        if fa.ordered_proximities is None:
+            pair = (self._records[a].parent, a)
+            if s != pair[0]:
+                return None
+        else:
+            lo, hi = fa.ordered_proximities
+            if s == lo:
+                pair = (lo, a)
+            elif s == hi:
+                pair = (a, hi)
+            else:
+                return None
+        fs = self._facts[s]
+        k = fa.k + (fs.k if fs.defining_free_point == fa.defining_free_point
+                    else 0)
+        return PointFacts(fa.defining_free_point, fa.n + fs.n, k, pair)
+
     def clone(self) -> "ArenaTree":
         """Independent copy sharing no mutable state (records are frozen)."""
         tree = ArenaTree()
         tree._records = list(self._records)
         tree._children = [list(c) for c in self._children]
         tree._satellite_index = dict(self._satellite_index)
+        tree._facts = list(self._facts)
         return tree
 
     # -- basic queries --------------------------------------------------
@@ -169,9 +229,13 @@ class ArenaTree:
 
     @property
     def origin(self) -> Optional[PointId]:
-        for r in self._records:
-            if r.parent is None:
-                return r.id
+        """Id 0 when the first point is the origin.
+
+        :meth:`validate` reports every arena whose first point has a parent,
+        so a valid arena always has its origin at id 0.
+        """
+        if self._records and self._records[0].parent is None:
+            return 0
         return None
 
     def is_origin(self, p: PointId) -> bool:
@@ -205,12 +269,8 @@ class ArenaTree:
         self._check(p)
         return p == r.parent or p == r.second_proximity
 
-    def children(self, p: PointId) -> set[PointId]:
-        self._check(p)
-        return set(self._children[p])
-
     def child_list(self, p: PointId) -> list[PointId]:
-        """Children in arena order (cheaper than :meth:`children`)."""
+        """Children in arena order."""
         self._check(p)
         return self._children[p]
 
@@ -220,6 +280,14 @@ class ArenaTree:
             c for c in self._children[p]
             if self._records[c].second_proximity is not None
         }
+
+    def facts(self, p: PointId) -> PointFacts:
+        """The point's cached facts; a broken raw record has none."""
+        self._check(p)
+        facts = self._facts[p]
+        if facts is None:
+            raise ArenaError(f"point {p} breaks an arena rule; see validate()")
+        return facts
 
     def find_satellite(
         self, parent: PointId, second_proximity: PointId

@@ -154,10 +154,6 @@ class NonIntegralValue(RecoveryError):
     pass
 
 
-class ShortcutAssertionFailed(RecoveryError):
-    pass
-
-
 # --- oracle ----------------------------------------------------------------
 
 class OracleError(EnriquesError):

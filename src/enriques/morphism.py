@@ -20,8 +20,10 @@ Only the recursion producing them survives into this artifact:
 
 where w_p is the bp-weight of p, taken as 0 for points outside the cluster
 (a generic polar is non-singular away from its base points, which is also
-why created satellites never carry weight).  The table grows lazily: asking
-for a point outside the current domain extends it along the point's chain.
+why created satellites never carry weight).  The n recursion depends on
+the arena alone, so n is read from the arena's cached point facts; m is
+tabulated here, and the table grows lazily: asking for a point outside the
+current domain extends it along the point's chain.
 
 ``m_p/n_p`` is the *height quotient*; its comparisons against dicritical
 invariants drive the satellite walk of the recovery algorithm.  As an
@@ -39,7 +41,7 @@ from .errors import InconsistentCluster
 
 
 class MorphismInvariants:
-    """Lazily extendable table of (n_p, m_p) over an arena.
+    """Lazily extendable table of m_p over an arena; n_p comes from the arena.
 
     Created by :func:`compute`; reads are cheap dict lookups, extension
     follows the exclusive-writer contract of the arena.
@@ -47,7 +49,6 @@ class MorphismInvariants:
 
     def __init__(self, bp: WeightedCluster):
         self.bp = bp
-        self.n: dict[PointId, int] = {}
         self.m: dict[PointId, int] = {}
 
     @property
@@ -59,24 +60,25 @@ class MorphismInvariants:
         w = self.bp.get(p, 0)
         parent = tree.parent(p)
         if parent is None:
-            self.n[p] = 1
-            self.m[p] = self.bp.get(p, 0) + 1
+            self.m[p] = w + 1
             return
         second = tree.second_proximity(p)
         if second is None:
-            self.n[p] = self.n[parent]
             self.m[p] = self.m[parent] + w + 1
         else:
-            self.n[p] = self.n[parent] + self.n[second]
             self.m[p] = self.m[parent] + self.m[second] + w
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
-        """Ensure (n, m) are defined on the chain of ``p``; return its pair."""
-        if p not in self.n:
-            for q in self.tree.ancestors(p):
-                if q not in self.n:
-                    self._compute_point(q)
-        return self.n[p], self.m[p]
+        """Ensure m is defined on the chain of ``p``; return its (n, m)."""
+        missing = []
+        q = p
+        while q is not None and q not in self.m:
+            missing.append(q)
+            q = self.tree.parent(q)
+        # the domain holds whole chains, so it holds each second proximity
+        for q in reversed(missing):
+            self._compute_point(q)
+        return self.tree.facts(p).n, self.m[p]
 
     def height_quotient(self, p: PointId) -> Fraction:
         n, m = self.extend_to(p)

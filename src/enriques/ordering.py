@@ -6,10 +6,11 @@ defining free point p is pinned down by one exact fraction,
 
     weight of the unibranch chain of q at p  /  weight at the origin,
 
-which lies in (0, 1] and equals 1 exactly for free points.  Distinct points
-sharing the same defining free point always get distinct fractions: walking
-from p into the satellite tree refines the fraction like a mediant
-(Stern-Brocot) search, one side per step.
+which lies in (0, 1]; for a free point it is 1/n_p, with n_p the origin
+weight of its own chain.  Distinct points sharing the same defining free
+point always get distinct fractions: walking from p into the satellite tree
+refines the fraction like a mediant (Stern-Brocot) search, one side per
+step.
 
 A point q1 with defining free point p1 is *smaller* than q2 (written q1 < q2
 here, "prec" in code) when p1 lies on the chain of q2's defining free point
@@ -28,6 +29,12 @@ functions here find the requested neighbour in the arena, creating it when
 it does not exist yet (find-or-create), since the recovery walk routinely
 visits points that carry no weight in the input cluster.
 
+The defining free point, the fraction within its cone and a satellite's
+ordered proximities are fixed when a point is appended, so they are read
+from the arena's :class:`~enriques.arena.PointFacts`.  :func:`fraction_at`
+rebuilds a fraction from the whole chain; it measures a point at any free
+point of its chain and serves as the reference for the cached facts.
+
 All comparisons use exact integer cross-multiplication; no floats anywhere.
 """
 
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .arena import ArenaTree, PointId
+from .arena import ArenaTree, PointFacts, PointId
 from .cluster import WeightedCluster, WeightKind, unibranch_chain
 from .errors import (
     EmptySet,
@@ -66,10 +73,7 @@ class SatelliteQuotient:
 
 def defining_free_point(tree: ArenaTree, q: PointId) -> PointId:
     """The last free point on the chain of ``q`` (``q`` itself when free)."""
-    p = q
-    while tree.is_satellite(p):
-        p = tree.parent(p)  # satellites are never the origin
-    return p
+    return tree.facts(q).defining_free_point
 
 
 def fraction_at(tree: ArenaTree, p: PointId, q: PointId) -> Fraction:
@@ -82,8 +86,14 @@ def fraction_at(tree: ArenaTree, p: PointId, q: PointId) -> Fraction:
 
 
 def satellite_quotient(tree: ArenaTree, q: PointId) -> SatelliteQuotient:
-    p = defining_free_point(tree, q)
-    return SatelliteQuotient(p, fraction_at(tree, p, q))
+    facts = tree.facts(q)
+    return SatelliteQuotient(
+        facts.defining_free_point, Fraction(facts.k, facts.n))
+
+
+def _below(f1: PointFacts, f2: PointFacts) -> bool:
+    """Whether the first fraction k/n is at most the second."""
+    return f1.k * f2.n <= f2.k * f1.n
 
 
 def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
@@ -94,11 +104,12 @@ def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
     q1 at p1 is at most the fraction of q2 measured at p1 (and symmetrically
     for greater).
     """
-    tree.record(q1), tree.record(q2)
+    f1, f2 = tree.facts(q1), tree.facts(q2)
     if q1 == q2:
         return PrecComparison.EQUAL
-    p1 = defining_free_point(tree, q1)
-    p2 = defining_free_point(tree, q2)
+    p1, p2 = f1.defining_free_point, f2.defining_free_point
+    if p1 == p2:
+        return PrecComparison.LESS if _below(f1, f2) else PrecComparison.GREATER
     if tree.precedes(p1, p2):
         if fraction_at(tree, p1, q1) <= fraction_at(tree, p1, q2):
             return PrecComparison.LESS
@@ -106,15 +117,6 @@ def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
         if fraction_at(tree, p2, q2) <= fraction_at(tree, p2, q1):
             return PrecComparison.GREATER
     return PrecComparison.INCOMPARABLE
-
-
-def _ordered_proximities(tree: ArenaTree, q: PointId) -> tuple[PointId, PointId]:
-    """The two proximities of a satellite, smaller first."""
-    a = tree.parent(q)
-    b = tree.second_proximity(q)
-    if prec_compare(tree, a, b) is PrecComparison.LESS:
-        return a, b
-    return b, a
 
 
 def _find_or_create(tree: ArenaTree, parent: PointId, second: PointId) -> PointId:
@@ -132,20 +134,17 @@ def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
     """
     if tree.is_origin(q):
         raise OriginHasNoSatellite("the origin has no satellite points")
-    if tree.is_free(q):
-        return _find_or_create(tree, q, tree.parent(q))
-    smaller, _ = _ordered_proximities(tree, q)
-    return _find_or_create(tree, q, smaller)
+    pair = tree.facts(q).ordered_proximities
+    return _find_or_create(tree, q, tree.parent(q) if pair is None else pair[0])
 
 
 def second_satellite(tree: ArenaTree, q: PointId) -> PointId:
     """The bigger satellite in the first neighbourhood of a satellite ``q``."""
-    if not (q in tree and tree.is_satellite(q)):
-        tree.record(q)
+    pair = tree.facts(q).ordered_proximities
+    if pair is None:
         raise SecondSatelliteOfFreePoint(
             f"point {q} is free; only satellites have a second satellite")
-    _, bigger = _ordered_proximities(tree, q)
-    return _find_or_create(tree, q, bigger)
+    return _find_or_create(tree, q, pair[1])
 
 
 def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:
@@ -153,16 +152,15 @@ def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:
     pts = list(points)
     if not pts:
         raise EmptySet("cannot take the maximum of no points")
-    base = defining_free_point(tree, pts[0])
     best = pts[0]
-    best_fraction = fraction_at(tree, base, best)
+    best_facts = tree.facts(best)
     for q in pts[1:]:
-        if defining_free_point(tree, q) != base:
+        facts = tree.facts(q)
+        if facts.defining_free_point != best_facts.defining_free_point:
             raise NotComparable(
                 f"points {best} and {q} have different defining free points")
-        f = fraction_at(tree, base, q)
-        if f > best_fraction:
-            best, best_fraction = q, f
+        if not _below(facts, best_facts):
+            best, best_facts = q, facts
     return best
 
 

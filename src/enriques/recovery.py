@@ -33,18 +33,20 @@ point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  Multiplicities
 follow by the value/multiplicity conversion, and the result is checked for
 consistency.
 
-:func:`recover_grouped` is an equivalent scheduling of part one that sorts
-dicriticals by descending invariant, reuses the rupture point when the same
-(p, I) pair recurs, and short-cuts the walk along the chain of d when p
-reappears with a strictly smaller invariant.  Its result must equal
-:func:`recover` exactly; the shortcut therefore re-verifies every bisection
-decision against the chain and falls back to the plain walk on any
-mismatch.
+:func:`recover_grouped` runs the same topology loop with another schedule:
+it visits dicriticals by descending invariant and walks once per distinct
+(base free point, invariant) pair, reusing that walk's rupture point for
+every dicritical that repeats the pair.  The walk is deterministic and
+finds the points an earlier walk created, so its result equals
+:func:`recover` exactly.
+
+The walk and the value rules read each point's defining free point, chain
+weights and ordered proximities from the arena's cached point facts, so
+neither rebuilds a unibranch chain.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -67,13 +69,11 @@ from .errors import (
     NonIntegralValue,
     NotDicritical,
     RecoveryError,
-    ShortcutAssertionFailed,
     WalkDiverged,
 )
 from .morphism import MorphismInvariants, compute
 from .ordering import (
     PrecComparison,
-    defining_free_point,
     first_satellite,
     max_under_prec,
     prec_compare,
@@ -185,57 +185,14 @@ def satellite_walk(
         f" {cap} steps below point {p}")
 
 
-def _chain_guided_walk(
-    tree: ArenaTree,
-    inv: MorphismInvariants,
-    p: PointId,
-    invariant: Fraction,
-    d: PointId,
-) -> PointId:
-    """Replay the walk along the chain of ``d`` without creating points.
-
-    Succeeds when every bisection decision points at the next chain point,
-    so the outcome provably equals :func:`satellite_walk`.  Raises
-    :class:`ShortcutAssertionFailed` otherwise.
-    """
-    chain = tree.ancestors(d)
-    try:
-        i = chain.index(p)
-    except ValueError:
-        raise ShortcutAssertionFailed(
-            f"free point {p} is not on the chain of {d}")
-    q = p
-    while True:
-        n, m = inv.extend_to(q)
-        quotient = Fraction(m, n)
-        if quotient == invariant:
-            return q
-        i += 1
-        if i >= len(chain):
-            raise ShortcutAssertionFailed(
-                f"chain of {d} exhausted before reaching invariant"
-                f" {invariant}")
-        nxt = chain[i]
-        if tree.is_satellite(nxt):
-            expected = (
-                first_satellite(tree, q) if quotient > invariant
-                else second_satellite(tree, q))
-        else:
-            expected = None  # walk never moves to a free point
-        if nxt != expected:
-            raise ShortcutAssertionFailed(
-                f"bisection decision at {q} leaves the chain of {d}")
-        q = nxt
-
-
-def _satellites_of(tree: ArenaTree, p: PointId, pool) -> list[PointId]:
-    """Members of ``pool`` equal to ``p`` or satellite with defining point ``p``."""
-    out = []
-    for q in pool:
-        if q == p or (tree.is_satellite(q)
-                      and defining_free_point(tree, q) == p):
-            out.append(q)
-    return out
+def _biggest_rupture_by_cone(
+    tree: ArenaTree, rupture: frozenset[PointId]
+) -> dict[PointId, PointId]:
+    """For each defining free point, the biggest rupture point of its cone."""
+    cones: dict[PointId, list[PointId]] = {}
+    for q in rupture:
+        cones.setdefault(tree.facts(q).defining_free_point, []).append(q)
+    return {p: max_under_prec(tree, cone) for p, cone in cones.items()}
 
 
 def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
@@ -245,82 +202,55 @@ def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
     return frozenset(closed)
 
 
+def _topology(
+    bp: WeightedCluster,
+    inv: MorphismInvariants,
+    trace: Optional[Callable[[TraceEntry], None]],
+    grouped: bool,
+) -> tuple[frozenset[PointId], frozenset[PointId], dict[PointId, DicriticalAssociation]]:
+    """The topology loop under either schedule.
+
+    The basic schedule walks every dicritical in ascending id.  The grouped
+    schedule visits them by descending invariant and walks each
+    (base free point, invariant) pair once.
+    """
+    tree = bp.tree
+    rupture: set[PointId] = set()
+    association: dict[PointId, DicriticalAssociation] = {}
+    walked: dict[tuple[PointId, Fraction], PointId] = {}
+    try:
+        dicriticals = sorted(dicritical_points(bp))
+        origin = tree.origin
+        if origin in dicriticals:
+            rupture.add(origin)
+            association[origin] = DicriticalAssociation(
+                dicritical_invariant(bp, inv, origin), origin, origin)
+            dicriticals.remove(origin)
+        schedule = [(dicritical_invariant(bp, inv, d), d) for d in dicriticals]
+        if grouped:
+            schedule.sort(key=lambda pair: (-pair[0], pair[1]))
+        for invariant, d in schedule:
+            _, p = base_free_point(bp, inv, d, invariant)
+            q = walked.get((p, invariant)) if grouped else None
+            if q is None:
+                q = satellite_walk(tree, inv, p, invariant, trace)
+                walked[p, invariant] = q
+            rupture.add(q)
+            association[d] = DicriticalAssociation(invariant, p, q)
+    except RecoveryError as err:
+        err.association = dict(association)
+        raise
+    return frozenset(rupture), _downward_closure(tree, rupture), association
+
+
 def recover_topology(
     bp: WeightedCluster,
     inv: Optional[MorphismInvariants] = None,
     trace: Optional[Callable[[TraceEntry], None]] = None,
 ) -> tuple[frozenset[PointId], frozenset[PointId], dict[PointId, DicriticalAssociation]]:
     """Rupture set, singular set and dicritical table, walking every dicritical."""
-    if inv is None:
-        inv = compute(bp)
-    tree = bp.tree
-    rupture: set[PointId] = set()
-    association: dict[PointId, DicriticalAssociation] = {}
-    try:
-        dicriticals = sorted(dicritical_points(bp))
-        origin = tree.origin
-        if origin in dicriticals:
-            rupture.add(origin)
-            association[origin] = DicriticalAssociation(
-                dicritical_invariant(bp, inv, origin), origin, origin)
-            dicriticals.remove(origin)
-        for d in dicriticals:
-            invariant = dicritical_invariant(bp, inv, d)
-            _, p = base_free_point(bp, inv, d, invariant)
-            q = satellite_walk(tree, inv, p, invariant, trace)
-            rupture.add(q)
-            association[d] = DicriticalAssociation(invariant, p, q)
-    except RecoveryError as err:
-        err.association = dict(association)
-        raise
-    return frozenset(rupture), _downward_closure(tree, rupture), association
-
-
-def recover_grouped_topology(
-    bp: WeightedCluster,
-    inv: Optional[MorphismInvariants] = None,
-    trace: Optional[Callable[[TraceEntry], None]] = None,
-) -> tuple[frozenset[PointId], frozenset[PointId], dict[PointId, DicriticalAssociation]]:
-    """Topology part with descending-invariant scheduling and shortcuts."""
-    if inv is None:
-        inv = compute(bp)
-    tree = bp.tree
-    rupture: set[PointId] = set()
-    association: dict[PointId, DicriticalAssociation] = {}
-    seen: dict[PointId, tuple[Fraction, PointId]] = {}
-    try:
-        dicriticals = sorted(dicritical_points(bp))
-        origin = tree.origin
-        if origin in dicriticals:
-            rupture.add(origin)
-            association[origin] = DicriticalAssociation(
-                dicritical_invariant(bp, inv, origin), origin, origin)
-            dicriticals.remove(origin)
-        with_invariants = sorted(
-            ((dicritical_invariant(bp, inv, d), d) for d in dicriticals),
-            key=lambda pair: (-pair[0], pair[1]))
-        for invariant, d in with_invariants:
-            _, p = base_free_point(bp, inv, d, invariant)
-            cached = seen.get(p)
-            if cached is not None and cached[0] == invariant:
-                q = cached[1]
-            elif cached is not None and cached[0] > invariant:
-                try:
-                    q = _chain_guided_walk(tree, inv, p, invariant, d)
-                except ShortcutAssertionFailed as err:
-                    warnings.warn(
-                        f"shortcut failed for dicritical {d}: {err};"
-                        " falling back to the walk", RuntimeWarning)
-                    q = satellite_walk(tree, inv, p, invariant, trace)
-            else:
-                q = satellite_walk(tree, inv, p, invariant, trace)
-            rupture.add(q)
-            association[d] = DicriticalAssociation(invariant, p, q)
-            seen[p] = (invariant, q)
-    except RecoveryError as err:
-        err.association = dict(association)
-        raise
-    return frozenset(rupture), _downward_closure(tree, rupture), association
+    return _topology(
+        bp, compute(bp) if inv is None else inv, trace, grouped=False)
 
 
 # -- part two: values ---------------------------------------------------------
@@ -351,21 +281,14 @@ def recover_values(
                  if p not in rupture and tree.is_free(p)]
     satellite_rest = [p for p in singular
                       if p not in rupture and tree.is_satellite(p)]
-    biggest_rupture: dict[PointId, Optional[PointId]] = {}
-
-    def biggest_rupture_at(p: PointId) -> Optional[PointId]:
-        if p not in biggest_rupture:
-            cone = _satellites_of(tree, p, rupture)
-            biggest_rupture[p] = (
-                max_under_prec(tree, cone) if cone else None)
-        return biggest_rupture[p]
+    biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
 
     for p in free_rest:
         if any(s in singular and tree.is_free(s)
                for s in tree.child_list(p)):
             values[p] = inv.extend_to(p)[1]
             continue
-        q = biggest_rupture_at(p)
+        q = biggest_rupture.get(p)
         if q is None:
             raise EmptyRuptureSet(
                 f"free singular point {p} has no rupture point in its"
@@ -374,8 +297,8 @@ def recover_values(
         n_q, m_q = inv.extend_to(q)
         values[p] = _only_integer_in_unit_interval(Fraction(n_p * m_q, n_q))
     for p in satellite_rest:
-        p_free = defining_free_point(tree, p)
-        q = biggest_rupture_at(p_free)
+        p_free = tree.facts(p).defining_free_point
+        q = biggest_rupture.get(p_free)
         if q is None:
             raise EmptyRuptureSet(
                 f"satellite point {p} has no rupture point in the cone"
@@ -399,14 +322,15 @@ def recover_values(
 # -- full runs ----------------------------------------------------------------
 
 
-def _finish(
+def _recover(
     bp: WeightedCluster,
-    inv: MorphismInvariants,
-    rupture: frozenset[PointId],
-    singular: frozenset[PointId],
-    association: dict[PointId, DicriticalAssociation],
-    created: frozenset[PointId],
+    trace: Optional[Callable[[TraceEntry], None]],
+    grouped: bool,
 ) -> RecoveryResult:
+    before = len(bp.tree)
+    inv = compute(bp)
+    rupture, singular, association = _topology(bp, inv, trace, grouped)
+    created = frozenset(range(before, len(bp.tree)))
     try:
         values = recover_values(bp, inv, rupture, singular)
         multiplicities = multiplicities_from_values(values)
@@ -438,23 +362,19 @@ def recover(
     trace: Optional[Callable[[TraceEntry], None]] = None,
 ) -> RecoveryResult:
     """Full recovery, one walk per dicritical point."""
-    before = len(bp.tree)
-    inv = compute(bp)
-    rupture, singular, association = recover_topology(bp, inv, trace)
-    created = frozenset(range(before, len(bp.tree)))
-    return _finish(bp, inv, rupture, singular, association, created)
+    return _recover(bp, trace, grouped=False)
 
 
 def recover_grouped(
     bp: WeightedCluster,
     trace: Optional[Callable[[TraceEntry], None]] = None,
 ) -> RecoveryResult:
-    """Full recovery with the descending-invariant scheduling."""
-    before = len(bp.tree)
-    inv = compute(bp)
-    rupture, singular, association = recover_grouped_topology(bp, inv, trace)
-    created = frozenset(range(before, len(bp.tree)))
-    return _finish(bp, inv, rupture, singular, association, created)
+    """Full recovery with the descending-invariant scheduling.
+
+    Walks once per distinct (base free point, invariant) pair, so ``trace``
+    sees one ``stop`` entry per walk rather than per dicritical.
+    """
+    return _recover(bp, trace, grouped=True)
 
 
 def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
@@ -466,6 +386,7 @@ def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
     passes and is non-singular immediately after.
     """
     tree = result.values.tree
+    biggest_rupture = _biggest_rupture_by_cone(tree, result.rupture)
     out: dict[PointId, bool] = {}
     for p in result.singular:
         if not tree.is_free(p):
@@ -473,13 +394,11 @@ def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
         if p in result.rupture:
             out[p] = True
             continue
-        cone = _satellites_of(tree, p, result.rupture)
-        if not cone:
+        q = biggest_rupture.get(p)
+        if q is None:
             out[p] = False
             continue
-        q = max_under_prec(tree, cone)
-        n_p = unibranch_chain(tree, p)[tree.origin]
-        n_q = unibranch_chain(tree, q)[tree.origin]
+        n_p, n_q = tree.facts(p).n, tree.facts(q).n
         m_q = result.values[q]  # value equals height at rupture points
         out[p] = result.values[p] * n_q != n_p * m_q
     return out

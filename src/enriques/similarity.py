@@ -40,14 +40,20 @@ def _role_tag(tree: ArenaTree, p: PointId) -> bytes:
     return _VIA_SECOND
 
 
-def _encode(cluster: WeightedCluster, p: PointId) -> bytes:
-    children = sorted(
-        _encode(cluster, c)
-        for c in cluster.tree.child_list(p)
-        if c in cluster
-    )
-    return b"%b:%d(%b)" % (
-        _role_tag(cluster.tree, p), cluster.weight[p], b"".join(children))
+def _encode(cluster: WeightedCluster, origin: PointId) -> bytes:
+    """Encode every point after its children, so depth costs no recursion.
+
+    Arena ids are topologically sorted, so descending ids visit children
+    first; each child's encoding is dropped once its parent has used it.
+    """
+    tree = cluster.tree
+    encoded: dict[PointId, bytes] = {}
+    for p in sorted(cluster.points, reverse=True):
+        children = sorted(
+            encoded.pop(c) for c in tree.child_list(p) if c in cluster)
+        encoded[p] = b"%b:%d(%b)" % (
+            _role_tag(tree, p), cluster.weight[p], b"".join(children))
+    return encoded[origin]
 
 
 def canonical_form(cluster: WeightedCluster) -> bytes:

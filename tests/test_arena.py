@@ -2,6 +2,7 @@ import pytest
 
 from enriques import ArenaTree
 from enriques.errors import (
+    ArenaError,
     DuplicateOrigin,
     DuplicateSatellite,
     IllegalProximity,
@@ -26,7 +27,7 @@ def test_free_child():
     p1 = tree.add_point(o, label="p1")
     assert tree.is_free(p1)
     assert tree.proximities(p1) == {o}
-    assert tree.children(o) == {p1}
+    assert tree.child_list(o) == [p1]
 
 
 def test_satellite_requires_legal_second_proximity():
@@ -80,35 +81,60 @@ def test_validate_clean_on_example_arena():
     assert tree.validate() == []
 
 
+ILLEGAL_PROXIMITY = [
+    (None, None, "O"),
+    (0, None, "p1"),
+    (1, None, "p2"),
+    (2, 0, "bad"),  # prox(p2) = {p1}, not the origin
+]
+DUPLICATE_ORIGIN = [
+    (None, None, "O"),
+    (None, None, "O2"),
+]
+SELF_REFERENCE_AND_ORDER = [
+    (None, None, "O"),
+    (1, None, "self"),
+    (3, None, "forward"),
+]
+
+
 def test_validate_reports_illegal_proximity():
     # second proximity points at an ancestor the parent is not proximate to
-    tree = ArenaTree.from_records([
-        (None, None, "O"),
-        (0, None, "p1"),
-        (1, None, "p2"),
-        (2, 0, "bad"),  # prox(p2) = {p1}, not the origin
-    ])
+    tree = ArenaTree.from_records(ILLEGAL_PROXIMITY)
     codes = [d.code for d in tree.validate()]
     assert codes == ["IllegalProximity"]
 
 
 def test_validate_reports_duplicate_origin():
-    tree = ArenaTree.from_records([
-        (None, None, "O"),
-        (None, None, "O2"),
-    ])
+    tree = ArenaTree.from_records(DUPLICATE_ORIGIN)
     codes = [d.code for d in tree.validate()]
     assert codes == ["DuplicateOrigin"]
 
 
 def test_validate_reports_self_reference_and_order():
-    tree = ArenaTree.from_records([
-        (None, None, "O"),
-        (1, None, "self"),
-        (3, None, "forward"),
-    ])
+    tree = ArenaTree.from_records(SELF_REFERENCE_AND_ORDER)
     codes = {d.code for d in tree.validate()}
     assert codes == {"SelfReference", "UnknownParent"}
+
+
+@pytest.mark.parametrize("records, codes, broken", [
+    (ILLEGAL_PROXIMITY, {"IllegalProximity"}, {3}),
+    (ILLEGAL_PROXIMITY + [(3, None, "after bad")], {"IllegalProximity"}, {3, 4}),
+    (DUPLICATE_ORIGIN, {"DuplicateOrigin"}, {1}),
+    (SELF_REFERENCE_AND_ORDER, {"SelfReference", "UnknownParent"}, {1, 2}),
+    ([(1, None, "p1"), (None, None, "O")], {"UnknownParent"}, {0, 1}),
+    ([(None, None, "O"), (0, None, "p1"), (1, None, "p2"), (2, 1, "s"),
+      (2, 1, "again")], {"DuplicateSatellite"}, {4}),
+])
+def test_broken_records_get_no_facts(records, codes, broken):
+    tree = ArenaTree.from_records(records)
+    assert {d.code for d in tree.validate()} == codes
+    for p in tree.points():
+        if p in broken:
+            with pytest.raises(ArenaError):
+                tree.facts(p)
+        else:
+            tree.facts(p)
 
 
 def test_ancestors_follow_parent_chain():
@@ -125,7 +151,7 @@ def test_proximity_queries():
     assert not tree.is_proximate(names["p5"], names["p2"])
     assert tree.is_proximate(names["p5"], names["p4"])
     assert tree.is_proximate(names["p5"], names["p3"])
-    assert tree.children(names["O"]) == {names["p1"]}
+    assert tree.child_list(names["O"]) == [names["p1"]]
 
 
 def test_precedes():
@@ -141,7 +167,7 @@ def test_queries_do_not_mutate():
     size = len(tree)
     tree.validate()
     tree.ancestors(names["p9"])
-    tree.children(names["p3"])
+    tree.child_list(names["p3"])
     tree.satellite_children(names["p3"])
     assert len(tree) == size
 

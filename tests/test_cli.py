@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import enriques
 from enriques.cli import main
 
 
@@ -159,3 +164,23 @@ def test_render_weights(fixture_dir, capsys):
 def test_missing_file(capsys):
     code, out, err = run(capsys, "validate", "no_such_file.json")
     assert code == 2
+
+
+def test_compare_deep_free_chain(tmp_path):
+    points = [{"id": "p0", "weight": 1}] + [
+        {"id": f"p{i}", "parent": f"p{i - 1}", "weight": 1}
+        for i in range(1, 5000)]
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps({
+        "format_version": 1, "weight_kind": "multiplicity",
+        "points": points}))
+    src = str(Path(enriques.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "enriques.cli", "compare", str(doc), str(doc)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    digests = proc.stdout.splitlines()
+    assert len(digests) == 2 and digests[0] == digests[1]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from enriques import (
     prec_compare,
     satellite_quotient,
     second_satellite,
+    unibranch_chain,
 )
-from enriques.ordering import PrecComparison
+from enriques.oracle import random_proximity_tree
+from enriques.ordering import PrecComparison, fraction_at
 from enriques.errors import (
     EmptySet,
     NotComparable,
@@ -45,6 +48,12 @@ def test_satellite_quotients():
     assert (q5.defining_free_point, q5.fraction) == (names["p3"], Fraction(2, 3))
     q_free = satellite_quotient(tree, names["p2"])
     assert (q_free.defining_free_point, q_free.fraction) == (names["p2"], Fraction(1))
+    # a free point's own fraction is 1/n, below 1 past a satellite
+    tree6, _, names6 = fb.ex06_bp()
+    q15 = satellite_quotient(tree6, names6["p15"])
+    assert (q15.defining_free_point, q15.fraction) == (names6["p15"], Fraction(1, 3))
+    tree7, _, names7 = fb.ex07_bp()
+    assert satellite_quotient(tree7, names7["p9"]).fraction == Fraction(1, 4)
 
 
 def test_prec_compare_examples():
@@ -141,3 +150,45 @@ def test_satellite_sandwich_of_proximities():
             lo, hi = (a, b) if prec_compare(tree, a, b) is L else (b, a)
             assert prec_compare(tree, lo, p) is L
             assert prec_compare(tree, p, hi) is L
+
+
+def _chain_defining_free_point(tree, q):
+    while tree.is_satellite(q):
+        q = tree.parent(q)
+    return q
+
+
+def _chain_less(tree, q1, q2):
+    """q1 < q2 by the definition, with fractions rebuilt from chains."""
+    p1 = _chain_defining_free_point(tree, q1)
+    p2 = _chain_defining_free_point(tree, q2)
+    return tree.precedes(p1, p2) and (
+        fraction_at(tree, p1, q1) <= fraction_at(tree, p1, q2))
+
+
+def test_cached_facts_match_chain_reference():
+    checked = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        tree = random_proximity_tree(rng, 12)
+        for _ in range(4):
+            q = rng.randrange(1, len(tree)) if len(tree) > 1 else None
+            for _ in range(rng.randint(0, 8) if q is not None else 0):
+                if tree.is_satellite(q) and rng.random() < 0.5:
+                    q = second_satellite(tree, q)
+                else:
+                    q = first_satellite(tree, q)
+        for q in tree.points():
+            facts = tree.facts(q)
+            p = _chain_defining_free_point(tree, q)
+            assert facts.defining_free_point == p
+            assert facts.n == unibranch_chain(tree, q)[tree.origin]
+            assert Fraction(facts.k, facts.n) == fraction_at(tree, p, q)
+            if tree.is_satellite(q):
+                a, b = tree.parent(q), tree.second_proximity(q)
+                assert facts.ordered_proximities == (
+                    (a, b) if _chain_less(tree, a, b) else (b, a))
+            else:
+                assert facts.ordered_proximities is None
+            checked += 1
+    assert checked > 20000

@@ -202,14 +202,21 @@ def test_grouped_matches_basic_on_fixtures():
         assert grouped.created == frozenset()  # finds what basic created
 
 
-def test_grouped_shortcut_reuses_and_walks_chain():
-    # four of the seven dicriticals resolve through the chain shortcut and
-    # one through the equal-invariant cache; no walk may create points
+def test_grouped_walks_each_pair_once():
+    # after recover has created the walk points, the grouped run walks each
+    # distinct (base free point, invariant) pair once and creates nothing
     tree, bp, names = fb.ex07_bp()
-    recover(bp)  # materialize any walk points first
+    recover(bp)
     size = len(tree)
-    result = recover_grouped(bp)
+    steps = []
+    result = recover_grouped(bp, steps.append)
     assert len(tree) == size
+    assert result.created == frozenset()
+    assert len(result.association) == 7
+    assert sum(entry[3] == "stop" for entry in steps) == 6
+    pairs = {(a.base_free_point, a.invariant)
+             for a in result.association.values()}
+    assert len(pairs) == 6  # one dicritical repeats a pair: one memo hit
     r = rev(names)
     assert {r[a.rupture_point] for a in result.association.values()} == \
         {"p4", "p5", "p7", "p8", "p13", "p14"}

@@ -110,3 +110,14 @@ def test_recovery_canonical_form_stable_under_relabeling():
         _, bp2, _ = fb.build(shuffled_copy(fb.EX04_BP, seed),
                              WeightKind.VIRTUAL)
         assert canonical_form(recover(bp2).values) == reference
+
+
+def test_deep_free_chain_has_canonical_form():
+    # a 5,000-point chain is far deeper than the interpreter's recursion limit
+    tree = ArenaTree()
+    p = tree.add_point()
+    for _ in range(4999):
+        p = tree.add_point(p)
+    chain = WeightedCluster(
+        tree, WeightKind.MULTIPLICITY, dict.fromkeys(tree.points(), 1))
+    assert canonical_form(chain) == b"f:1(" * 5000 + b")" * 5000
