@@ -178,13 +178,30 @@ def excesses(cluster: WeightedCluster) -> dict[PointId, int]:
 
 
 def excess(cluster: WeightedCluster, p: PointId) -> int:
-    if p not in cluster:
+    """Excess at one point, visiting only the points proximate to ``p``.
+
+    The points proximate to p are its children c and the satellites with
+    second proximity p.  Such a satellite's parent is itself proximate to
+    p, so every one of them sits on a chain c, find_satellite(c, p),
+    find_satellite(that, p), ... starting at a child; the arena's satellite
+    index holds at most one point per proximity pair, so each chain is a
+    single line and the chase finds every proximate point once.  Each link
+    is the parent of the next and clusters are ancestor-closed, so a chain
+    stops at its first point outside the cluster.  The cost is the number
+    of points proximate to p, not the cluster size.
+
+    Assumes an arena that :meth:`ArenaTree.validate` accepts (``parse``
+    rejects any other); :func:`excesses` is the one-pass definition.
+    """
+    weight = cluster.weight
+    if p not in weight:
         raise PointNotInCluster(f"point {p} is not in the cluster")
     tree = cluster.tree
-    rho = cluster.weight[p]
-    for q in cluster.points:
-        if tree.is_proximate(q, p):
-            rho -= cluster.weight[q]
+    rho = weight[p]
+    for q in tree.child_list(p):
+        while q in weight:
+            rho -= weight[q]
+            q = tree.find_satellite(q, p)
     return rho
 
 

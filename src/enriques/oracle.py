@@ -38,6 +38,7 @@ from .arena import ArenaTree, PointId
 from .cluster import (
     WeightedCluster,
     WeightKind,
+    excess,
     excesses,
     is_consistent,
     noether_pairing,
@@ -69,8 +70,7 @@ def validate_curve_cluster(curve: WeightedCluster) -> list[Diagnostic]:
                 "simple free point with no satellite above it"))
     origin = tree.origin
     if origin is not None and origin in curve:
-        if curve.weight[origin] < 2 and not any(
-                tree.is_satellite(p) for p in curve.points):
+        if curve.weight[origin] < 2 and not has_satellite[origin]:
             out.append(Diagnostic(
                 "NotSingular", origin,
                 "cluster describes a smooth curve"))
@@ -80,22 +80,23 @@ def validate_curve_cluster(curve: WeightedCluster) -> list[Diagnostic]:
 def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
     """Number of free points of the curve in the first neighbourhood of p.
 
-    Free cluster children plus the excess at p; the excess counts the
+    Free cluster children of p plus the excess at p; the excess counts the
     branches continuing to free non-singular points outside the cluster.
+    Both read only p's children and the satellites proximate to p (see
+    :func:`excess`), so the cost does not grow with the curve.
+
+    Raises :class:`UnknownPoint` when p is not in the curve and
+    :class:`NegativeResidual` when the excess at p is negative.
     """
     if p not in curve:
         raise UnknownPoint(f"point {p} is not in the curve cluster")
-    tree = curve.tree
-    residual = curve.weight[p]
-    free_children = 0
-    for q in curve.points:
-        if tree.is_proximate(q, p):
-            residual -= curve.weight[q]
-        if tree.parent(q) == p and tree.is_free(q):
-            free_children += 1
+    residual = excess(curve, p)
     if residual < 0:
         raise NegativeResidual(
             f"multiplicity bookkeeping at point {p} is negative")
+    tree = curve.tree
+    free_children = sum(
+        1 for c in tree.child_list(p) if c in curve and tree.is_free(c))
     return free_children + residual
 
 

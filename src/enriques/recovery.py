@@ -56,6 +56,7 @@ from .cluster import (
     WeightedCluster,
     WeightKind,
     dicritical_points,
+    excess,
     multiplicities_from_values,
     is_consistent,
     noether_pairing,
@@ -121,7 +122,7 @@ def dicritical_invariant(
     bp: WeightedCluster, inv: MorphismInvariants, d: PointId
 ) -> Fraction:
     """Exact invariant pairing(bp, chain of d) / n_d + 1."""
-    if d not in dicritical_points(bp):
+    if d not in bp or excess(bp, d) <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
     n_d, _ = inv.extend_to(d)
     return Fraction(noether_pairing(bp, unibranch_chain(bp.tree, d)), n_d) + 1

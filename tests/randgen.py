@@ -4,12 +4,34 @@ from __future__ import annotations
 
 import random
 
-from enriques import ArenaTree, WeightKind, WeightedCluster
+from enriques import (
+    ArenaTree,
+    WeightKind,
+    WeightedCluster,
+    first_satellite,
+    second_satellite,
+)
 from enriques.oracle import random_proximity_tree, _random_weights_from_excesses
 
 
 def random_tree(seed: int, max_points: int = 10) -> ArenaTree:
     return random_proximity_tree(random.Random(seed), max_points)
+
+
+def grow_by_satellite_walks(tree: ArenaTree, rng: random.Random,
+                            walks: int, max_steps: int) -> None:
+    """Random first/second-satellite walks from random non-origin points.
+
+    Repeated first satellites stack long chains of points proximate to one
+    point, which random trees alone rarely contain.
+    """
+    for _ in range(walks if len(tree) > 1 else 0):
+        q = rng.randrange(1, len(tree))
+        for _ in range(rng.randint(0, max_steps)):
+            if tree.is_satellite(q) and rng.random() < 0.5:
+                q = second_satellite(tree, q)
+            else:
+                q = first_satellite(tree, q)
 
 
 def random_multiplicity_cluster(seed: int, max_points: int = 10,

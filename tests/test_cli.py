@@ -166,21 +166,40 @@ def test_missing_file(capsys):
     assert code == 2
 
 
-def test_compare_deep_free_chain(tmp_path):
-    points = [{"id": "p0", "weight": 1}] + [
-        {"id": f"p{i}", "parent": f"p{i - 1}", "weight": 1}
+def _deep_free_chain(tmp_path, weight):
+    points = [{"id": "p0", "weight": weight}] + [
+        {"id": f"p{i}", "parent": f"p{i - 1}", "weight": weight}
         for i in range(1, 5000)]
     doc = tmp_path / "chain.json"
     doc.write_text(json.dumps({
         "format_version": 1, "weight_kind": "multiplicity",
         "points": points}))
+    return str(doc)
+
+
+def _run_module(*argv, timeout):
     src = str(Path(enriques.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "enriques.cli", "compare", str(doc), str(doc)],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run(
+        [sys.executable, "-m", "enriques.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_compare_deep_free_chain(tmp_path):
+    doc = _deep_free_chain(tmp_path, 1)
+    proc = _run_module("compare", doc, doc, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     digests = proc.stdout.splitlines()
     assert len(digests) == 2 and digests[0] == digests[1]
+
+
+def test_invariants_deep_free_chain(tmp_path):
+    # the only rupture point is the top, where two smooth branches leave;
+    # the bound is several times the run's own time (under a second)
+    doc = _deep_free_chain(tmp_path, 2)
+    proc = _run_module("invariants", doc, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "p4999\t10000\n"

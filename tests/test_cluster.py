@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from enriques import (
@@ -6,6 +8,7 @@ from enriques import (
     WeightedCluster,
     dicritical_points,
     excess,
+    excesses,
     is_consistent,
     multiplicities_from_values,
     noether_pairing,
@@ -20,8 +23,10 @@ from enriques.errors import (
     PointNotInCluster,
     WrongKind,
 )
+from enriques.oracle import random_proximity_tree
 
 import fixture_builders as fb
+import randgen
 
 
 def weights_by_label(cluster, names, labels):
@@ -104,6 +109,29 @@ def test_excess_single_point():
     assert excess(c, o) == 7
     with pytest.raises(PointNotInCluster):
         excess(c, 5)
+
+
+def test_local_excess_matches_one_pass_definition():
+    checked = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        tree = random_proximity_tree(rng, 16)
+        randgen.grow_by_satellite_walks(tree, rng, walks=4, max_steps=10)
+        weights = {}
+        for p in tree.points():
+            parent = tree.parent(p)
+            if parent is None or (parent in weights and rng.random() < 0.95):
+                weights[p] = rng.randint(0, 5)
+        cluster = WeightedCluster(tree, WeightKind.VIRTUAL, weights)
+        reference = excesses(cluster)
+        for p in tree.points():
+            if p in cluster:
+                assert excess(cluster, p) == reference[p], (seed, p)
+                checked += 1
+            else:
+                with pytest.raises(PointNotInCluster):
+                    excess(cluster, p)
+    assert checked > 40000
 
 
 def test_unibranch_chain_free_chain_is_all_ones():

@@ -1,4 +1,8 @@
+import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from enriques import (
     ArenaTree,
@@ -15,9 +19,86 @@ from enriques import (
     rupture_points,
     validate_curve_cluster,
 )
+from enriques.errors import NegativeResidual, UnknownPoint
 from enriques.oracle import branch_clusters, chain_inside, has_bigger_branch
 
 import fixture_builders as fb
+import randgen
+
+
+def _free_count_by_scan(curve, p):
+    """Reference: free count from a scan over every curve point."""
+    tree = curve.tree
+    residual = curve.weight[p]
+    free_children = 0
+    for q in curve.points:
+        if tree.is_proximate(q, p):
+            residual -= curve.weight[q]
+        if tree.parent(q) == p and tree.is_free(q):
+            free_children += 1
+    if residual < 0:
+        raise NegativeResidual(
+            f"multiplicity bookkeeping at point {p} is negative")
+    return free_children + residual
+
+
+def _rupture_points_by_scan(curve):
+    return {
+        p for p in curve.points
+        if _free_count_by_scan(curve, p)
+        >= (1 if curve.tree.is_satellite(p) else 2)
+    }
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NegativeResidual:
+        return NegativeResidual
+
+
+def _perturbed(curve, rng):
+    """An ancestor-closed cluster near ``curve`` that need not be consistent.
+
+    Grows the arena by a few satellite walks, then keeps most curve points
+    and some points outside the curve, with weights moved by up to 2.
+    """
+    tree = curve.tree
+    randgen.grow_by_satellite_walks(tree, rng, walks=2, max_steps=6)
+    weights = {}
+    for p in tree.points():
+        parent = tree.parent(p)
+        keep = 0.95 if p in curve else 0.5
+        if parent is None or (parent in weights and rng.random() < keep):
+            weights[p] = max(1, curve.get(p, 1) + rng.randint(-2, 2))
+    return WeightedCluster(tree, WeightKind.MULTIPLICITY, weights)
+
+
+def test_free_counts_and_rupture_points_match_scan_reference():
+    checked = negative = 0
+    for seed in range(1000):
+        curve = random_curve(seed)
+        for cluster in (curve, _perturbed(curve, random.Random(seed))):
+            for p in cluster.tree.points():
+                if p not in cluster:
+                    with pytest.raises(UnknownPoint):
+                        free_count_first_neighbourhood(cluster, p)
+                    continue
+                got = _outcome(free_count_first_neighbourhood, cluster, p)
+                assert got == _outcome(_free_count_by_scan, cluster, p), \
+                    (seed, p)
+                checked += 1
+            got = _outcome(rupture_points, cluster)
+            assert got == _outcome(_rupture_points_by_scan, cluster), seed
+            negative += got is NegativeResidual
+    assert checked > 12000 and negative > 500
+
+
+def test_free_count_outside_curve_is_unknown_point():
+    tree, curve, names = fb.ex04_curve()
+    stray = tree.add_point(names["p5"])
+    with pytest.raises(UnknownPoint):
+        free_count_first_neighbourhood(curve, stray)
 
 
 def test_free_counts_ex04():
@@ -212,3 +293,39 @@ def test_oracle_closes_the_loop_with_recovery():
         for assoc in result.association.values():
             assert invariant_quotient(curve, assoc.rupture_point) == \
                 assoc.invariant
+
+
+def _timed_rupture_points(curve):
+    start = time.perf_counter()
+    ruptures = rupture_points(curve)
+    return ruptures, time.perf_counter() - start
+
+
+def test_rupture_points_on_deep_free_chain():
+    tree = ArenaTree()
+    chain = [tree.add_point()]
+    for _ in range(4999):
+        chain.append(tree.add_point(chain[-1]))
+    curve = WeightedCluster(
+        tree, WeightKind.MULTIPLICITY, {p: 2 for p in chain})
+    ruptures, elapsed = _timed_rupture_points(curve)
+    assert ruptures == {chain[-1]}
+    assert elapsed < 2.0
+
+
+def test_rupture_points_on_wide_fan():
+    # 1,000 free chains of three points on one origin
+    tree = ArenaTree()
+    o = tree.add_point()
+    weights = {o: 2000}
+    tops = set()
+    for _ in range(1000):
+        p = o
+        for _ in range(3):
+            p = tree.add_point(p)
+            weights[p] = 2
+        tops.add(p)
+    curve = WeightedCluster(tree, WeightKind.MULTIPLICITY, weights)
+    ruptures, elapsed = _timed_rupture_points(curve)
+    assert ruptures == tops | {o}
+    assert elapsed < 2.0

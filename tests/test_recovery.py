@@ -36,6 +36,14 @@ def test_dicritical_invariants():
     with pytest.raises(NotDicritical):
         dicritical_invariant(bp, inv, names["p3"])
 
+    tree5, bp5, _ = fb.ex05_bp()
+    inv5 = compute(bp5)
+    created = recover(bp5).created
+    assert created
+    for q in created:  # satellites the walk added, outside bp
+        with pytest.raises(NotDicritical):
+            dicritical_invariant(bp5, inv5, q)
+
     tree6, bp6, names6 = fb.ex06_bp()
     inv6 = compute(bp6)
     assert dicritical_invariant(bp6, inv6, names6["p20"]) == Fraction(694, 9)
