@@ -52,12 +52,17 @@ class PointFacts(NamedTuple):
     ``n`` and ``k`` are the weights at the origin and at the defining free
     point of the unibranch chain ending at the point, so ``k/n`` is the
     point's position in the satellite cone of its defining free point.
+    ``m0`` is the height m of :mod:`~enriques.morphism` over the empty
+    cluster: 1 at the origin, the parent's m0 + 1 at a free point and the
+    sum of both proximities' m0 at a satellite.  The m recursion is linear
+    in the cluster weights, so m - m0 at a point is what the weights add.
     ``ordered_proximities`` is a satellite's proximity pair, smaller first,
     and ``None`` for the origin and free points.
     """
 
     defining_free_point: PointId
     n: int
+    m0: int
     k: int
     ordered_proximities: Optional[tuple[PointId, PointId]]
 
@@ -105,12 +110,13 @@ class ArenaTree:
             if self.origin is not None:
                 raise DuplicateOrigin("arena already has an origin")
         else:
-            if not self._has(parent):
+            if parent not in self:
                 raise UnknownParent(f"no point with id {parent}")
             if second_proximity is not None:
-                if not self._has(second_proximity):
+                if second_proximity not in self:
                     raise UnknownPoint(f"no point with id {second_proximity}")
-                if second_proximity not in self.proximities(parent):
+                a = self._records[parent]
+                if second_proximity not in (a.parent, a.second_proximity):
                     raise IllegalProximity(
                         f"point {second_proximity} is not among the"
                         f" proximities of parent {parent}"
@@ -157,17 +163,18 @@ class ArenaTree:
         Let q be a satellite with parent a and second proximity s.  Its
         pair is (a's parent, a) when a is free; when a is a satellite with
         pair (lo, hi) it is (lo, a) for s = lo and (a, hi) for s = hi.
-        n adds up over both proximities; k adds s's share only when s lies
-        in q's own cone.
+        n and m0 add up over both proximities; k adds s's share only when s
+        lies in q's own cone.
         """
         a, s = r.parent, r.second_proximity
         if a is None:
-            return PointFacts(0, 1, 1, None) if r.id == 0 and s is None else None
+            origin = r.id == 0 and s is None
+            return PointFacts(0, 1, 1, 1, None) if origin else None
         if not 0 <= a < r.id or self._facts[a] is None:
             return None
         fa = self._facts[a]
         if s is None:
-            return PointFacts(r.id, fa.n, 1, None)
+            return PointFacts(r.id, fa.n, fa.m0 + 1, 1, None)
         if (a, s) in self._satellite_index:
             return None
         if fa.ordered_proximities is None:
@@ -185,7 +192,8 @@ class ArenaTree:
         fs = self._facts[s]
         k = fa.k + (fs.k if fs.defining_free_point == fa.defining_free_point
                     else 0)
-        return PointFacts(fa.defining_free_point, fa.n + fs.n, k, pair)
+        return PointFacts(
+            fa.defining_free_point, fa.n + fs.n, fa.m0 + fs.m0, k, pair)
 
     def clone(self) -> "ArenaTree":
         """Independent copy sharing no mutable state (records are frozen)."""
@@ -198,14 +206,6 @@ class ArenaTree:
 
     # -- basic queries --------------------------------------------------
 
-    def _has(self, p: PointId) -> bool:
-        return isinstance(p, int) and 0 <= p < len(self._records)
-
-    def _check(self, p: PointId) -> PointRecord:
-        if not self._has(p):
-            raise UnknownPoint(f"no point with id {p}")
-        return self._records[p]
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -216,16 +216,19 @@ class ArenaTree:
         return iter(range(len(self._records)))
 
     def record(self, p: PointId) -> PointRecord:
-        return self._check(p)
+        """The point's record; every checked query goes through here."""
+        if isinstance(p, int) and 0 <= p < len(self._records):
+            return self._records[p]
+        raise UnknownPoint(f"no point with id {p}")
 
     def parent(self, p: PointId) -> Optional[PointId]:
-        return self._check(p).parent
+        return self.record(p).parent
 
     def second_proximity(self, p: PointId) -> Optional[PointId]:
-        return self._check(p).second_proximity
+        return self.record(p).second_proximity
 
     def label(self, p: PointId) -> Optional[str]:
-        return self._check(p).label
+        return self.record(p).label
 
     @property
     def origin(self) -> Optional[PointId]:
@@ -239,7 +242,7 @@ class ArenaTree:
         return None
 
     def is_origin(self, p: PointId) -> bool:
-        return self._check(p).parent is None
+        return self.record(p).parent is None
 
     def is_free(self, p: PointId) -> bool:
         """True for non-origin points proximate to their parent only.
@@ -247,16 +250,16 @@ class ArenaTree:
         The origin is counted as free: it is not satellite, and every rule
         that branches on freeness treats it like a free point.
         """
-        return self._check(p).second_proximity is None
+        return self.record(p).second_proximity is None
 
     def is_satellite(self, p: PointId) -> bool:
-        return self._check(p).second_proximity is not None
+        return self.record(p).second_proximity is not None
 
     # -- proximity structure ---------------------------------------------
 
     def proximities(self, q: PointId) -> set[PointId]:
         """The one or two points ``q`` is proximate to."""
-        r = self._check(q)
+        r = self.record(q)
         out: set[PointId] = set()
         if r.parent is not None:
             out.add(r.parent)
@@ -265,17 +268,17 @@ class ArenaTree:
         return out
 
     def is_proximate(self, q: PointId, p: PointId) -> bool:
-        r = self._check(q)
-        self._check(p)
+        r = self.record(q)
+        self.record(p)
         return p == r.parent or p == r.second_proximity
 
     def child_list(self, p: PointId) -> list[PointId]:
         """Children in arena order."""
-        self._check(p)
+        self.record(p)
         return self._children[p]
 
     def satellite_children(self, p: PointId) -> set[PointId]:
-        self._check(p)
+        self.record(p)
         return {
             c for c in self._children[p]
             if self._records[c].second_proximity is not None
@@ -283,7 +286,8 @@ class ArenaTree:
 
     def facts(self, p: PointId) -> PointFacts:
         """The point's cached facts; a broken raw record has none."""
-        self._check(p)
+        if not (isinstance(p, int) and 0 <= p < len(self._facts)):
+            raise UnknownPoint(f"no point with id {p}")
         facts = self._facts[p]
         if facts is None:
             raise ArenaError(f"point {p} breaks an arena rule; see validate()")
@@ -297,7 +301,7 @@ class ArenaTree:
 
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:
         """The chain from the origin up to and including ``p``."""
-        self._check(p)
+        self.record(p)
         cached = self._ancestor_cache.get(p)
         if cached is not None:
             return cached
@@ -313,12 +317,12 @@ class ArenaTree:
 
     def precedes(self, p: PointId, q: PointId) -> bool:
         """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""
-        self._check(p)
+        self.record(p)
         if p == q:
             return True
         if p > q:
             return False
-        r: Optional[PointId] = self._check(q).parent
+        r: Optional[PointId] = self.record(q).parent
         while r is not None and r >= p:
             if r == p:
                 return True

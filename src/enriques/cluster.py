@@ -72,7 +72,7 @@ class WeightedCluster:
                 raise InvalidWeight(
                     f"weight {w!r} at point {p} below {floor}"
                     f" for kind {self.kind.value}")
-            parent = self.tree.parent(p)
+            parent = self.tree.record(p).parent
             if parent is not None and parent not in weights:
                 raise NotDownwardClosed(
                     f"point {p} is in the cluster but its parent"
@@ -136,9 +136,12 @@ def values_from_multiplicities(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     values: dict[PointId, int] = {}
     for p in cluster.ordered_points():
+        r = tree.record(p)
         v = cluster.weight[p]
-        for q in tree.proximities(p):
-            v += values[q]
+        if r.parent is not None:
+            v += values[r.parent]
+        if r.second_proximity is not None:
+            v += values[r.second_proximity]
         values[p] = v
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
@@ -153,9 +156,12 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     mults: dict[PointId, int] = {}
     for p in cluster.ordered_points():
+        r = tree.record(p)
         e = cluster.weight[p]
-        for q in tree.proximities(p):
-            e -= cluster.weight[q]
+        if r.parent is not None:
+            e -= cluster.weight[r.parent]
+        if r.second_proximity is not None:
+            e -= cluster.weight[r.second_proximity]
         if e < 1:
             raise NonPositiveMultiplicity(
                 f"values force multiplicity {e} at point {p}")
@@ -171,9 +177,11 @@ def excesses(cluster: WeightedCluster) -> dict[PointId, int]:
     tree = cluster.tree
     rho = dict(cluster.weight)
     for q, w in cluster.weight.items():
-        for p in tree.proximities(q):
-            if p in rho:
-                rho[p] -= w
+        r = tree.record(q)
+        if r.parent in rho:
+            rho[r.parent] -= w
+        if r.second_proximity in rho:
+            rho[r.second_proximity] -= w
     return rho
 
 

@@ -23,10 +23,20 @@ where w_p is the bp-weight of p, taken as 0 for points outside the cluster
 why created satellites never carry weight).  The n recursion depends on
 the arena alone, so n is read from the arena's cached point facts; m is
 tabulated here, and the table grows lazily: asking for a point outside the
-current domain extends it along the point's chain.
+current domain extends it along the point's chain.  Each lookup reads the
+point's arena record once, and a point already in the table costs one
+facts read.
+
+The m recursion is linear in the weights.  With all weights 0 it gives
+``m0``, which the arena caches next to n; the weights add to it, at p,
+their pairing with the unibranch chain cluster of p (the value of bp along
+that chain, by Noether's formula), so
+
+    m_p = m0_p + pairing(bp, chain cluster of p).
 
 ``m_p/n_p`` is the *height quotient*; its comparisons against dicritical
-invariants drive the satellite walk of the recovery algorithm.  As an
+invariants, made by integer cross-multiplication, drive the satellite walk
+of the recovery algorithm.  As an
 internal cross-check, :meth:`MorphismInvariants.jacobian_multiplicity_check`
 recomputes the cluster weight at any domain point from m and n alone.
 """
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arena import ArenaTree, PointId
+from .arena import ArenaTree, PointId, PointRecord
 from .cluster import WeightedCluster, WeightKind, is_consistent
 from .errors import InconsistentCluster
 
@@ -55,30 +65,30 @@ class MorphismInvariants:
     def tree(self) -> ArenaTree:
         return self.bp.tree
 
-    def _compute_point(self, p: PointId) -> None:
-        tree = self.tree
-        w = self.bp.get(p, 0)
-        parent = tree.parent(p)
-        if parent is None:
-            self.m[p] = w + 1
-            return
-        second = tree.second_proximity(p)
-        if second is None:
-            self.m[p] = self.m[parent] + w + 1
+    def _compute_point(self, r: PointRecord) -> None:
+        m = self.m
+        w = self.bp.get(r.id, 0)
+        if r.parent is None:
+            m[r.id] = w + 1
+        elif r.second_proximity is None:
+            m[r.id] = m[r.parent] + w + 1
         else:
-            self.m[p] = self.m[parent] + self.m[second] + w
+            m[r.id] = m[r.parent] + m[r.second_proximity] + w
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
         """Ensure m is defined on the chain of ``p``; return its (n, m)."""
-        missing = []
-        q = p
-        while q is not None and q not in self.m:
-            missing.append(q)
-            q = self.tree.parent(q)
-        # the domain holds whole chains, so it holds each second proximity
-        for q in reversed(missing):
-            self._compute_point(q)
-        return self.tree.facts(p).n, self.m[p]
+        tree = self.tree
+        if p not in self.m:
+            missing = []
+            q = p
+            while q is not None and q not in self.m:
+                r = tree.record(q)
+                missing.append(r)
+                q = r.parent
+            # the domain holds whole chains, so it holds each second proximity
+            for r in reversed(missing):
+                self._compute_point(r)
+        return tree.facts(p).n, self.m[p]
 
     def height_quotient(self, p: PointId) -> Fraction:
         n, m = self.extend_to(p)
@@ -121,5 +131,5 @@ def compute(bp: WeightedCluster) -> MorphismInvariants:
             "base-point cluster has a point of negative excess")
     inv = MorphismInvariants(bp)
     for p in bp.ordered_points():
-        inv._compute_point(p)
+        inv._compute_point(bp.tree.record(p))
     return inv

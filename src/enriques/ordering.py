@@ -132,10 +132,11 @@ def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
     For a free point this is its only first-neighbourhood satellite.  The
     point is created if the arena does not contain it yet.
     """
-    if tree.is_origin(q):
+    parent = tree.record(q).parent
+    if parent is None:
         raise OriginHasNoSatellite("the origin has no satellite points")
     pair = tree.facts(q).ordered_proximities
-    return _find_or_create(tree, q, tree.parent(q) if pair is None else pair[0])
+    return _find_or_create(tree, q, parent if pair is None else pair[0])
 
 
 def second_satellite(tree: ArenaTree, q: PointId) -> PointId:

@@ -12,14 +12,21 @@ Part one, topology.  Every dicritical point d of ``bp`` (positive excess)
 contributes one rupture point:
 
 1. its *dicritical invariant* is I_d = pairing(bp, chain cluster of d) / n_d
-   + 1, an exact rational;
-2. scanning the chain of d, the last link (p', p) with p free and
-   m_{p'}/n_{p'} < I_d names the free point p below the rupture point;
+   + 1, an exact rational.  The pairing is the part of m_d that the bp
+   weights add to m0_d, the height over the empty cluster that the arena
+   caches (see :mod:`~enriques.morphism`), so I_d = (m_d - m0_d + n_d) / n_d
+   costs O(1) and builds no chain cluster;
+2. the last link (p', p) of d's chain with p free and m_{p'}/n_{p'} < I_d
+   names the free point p below the rupture point.  The scan runs from d
+   down to the origin and stops at the first qualifying link;
 3. from p, a bisection walk moves to the first satellite while the height
    quotient m/n exceeds I_d and to the second satellite while it falls
    short, stopping at the unique point q_d with m/n = I_d.  The walk visits
    at most numerator + denominator of I_d points and creates the ones the
    arena does not contain yet.
+
+Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
+builds a fraction.
 
 The singular set S is the downward closure of the rupture set R.
 
@@ -40,9 +47,9 @@ every dicritical that repeats the pair.  The walk is deterministic and
 finds the points an earlier walk created, so its result equals
 :func:`recover` exactly.
 
-The walk and the value rules read each point's defining free point, chain
-weights and ordered proximities from the arena's cached point facts, so
-neither rebuilds a unibranch chain.
+The invariant, the walk and the value rules read each point's defining
+free point, chain weights, m0 and ordered proximities from the arena's
+cached point facts, so none of them rebuilds a unibranch chain.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arena import ArenaTree, PointId
+from .arena import ArenaTree, PointFacts, PointId
 from .cluster import (
     WeightedCluster,
     WeightKind,
@@ -59,8 +66,6 @@ from .cluster import (
     excess,
     multiplicities_from_values,
     is_consistent,
-    noether_pairing,
-    unibranch_chain,
 )
 from .errors import (
     EmptyRuptureSet,
@@ -121,11 +126,16 @@ class RecoveryResult:
 def dicritical_invariant(
     bp: WeightedCluster, inv: MorphismInvariants, d: PointId
 ) -> Fraction:
-    """Exact invariant pairing(bp, chain of d) / n_d + 1."""
+    """Exact invariant pairing(bp, chain of d) / n_d + 1.
+
+    The pairing equals m_d - m0_d (see :mod:`~enriques.morphism`), so the
+    invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
+    and the arena's cached facts.
+    """
     if d not in bp or excess(bp, d) <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
-    n_d, _ = inv.extend_to(d)
-    return Fraction(noether_pairing(bp, unibranch_chain(bp.tree, d)), n_d) + 1
+    n_d, m_d = inv.extend_to(d)
+    return Fraction(m_d - bp.tree.facts(d).m0 + n_d, n_d)
 
 
 def base_free_point(
@@ -133,21 +143,24 @@ def base_free_point(
 ) -> tuple[PointId, PointId]:
     """Locate the free point whose satellite cone holds the rupture point.
 
-    Scans consecutive chain links (p', p) of d with p free and returns the
-    last one whose height quotient at p' stays below the invariant.
+    Returns the last chain link (p', p) of d, in order from the origin,
+    with p free and the height quotient at p' below the invariant.  The
+    scan runs from d down to the origin, so it stops at the first such
+    link it meets.
     """
     tree = bp.tree
-    chain = tree.ancestors(d)
-    found: Optional[tuple[PointId, PointId]] = None
-    for p_prev, p in zip(chain, chain[1:]):
-        if tree.is_satellite(p):
-            continue
-        if inv.height_quotient(p_prev) < invariant:
-            found = (p_prev, p)
-    if found is None:
-        raise NoQualifyingPair(
-            f"no chain link of point {d} qualifies for invariant {invariant}")
-    return found
+    num, den = invariant.numerator, invariant.denominator
+    p = d
+    record = tree.record(d)
+    while record.parent is not None:
+        p_prev = record.parent
+        if record.second_proximity is None:
+            n, m = inv.extend_to(p_prev)
+            if m * den < num * n:
+                return p_prev, p
+        p, record = p_prev, tree.record(p_prev)
+    raise NoQualifyingPair(
+        f"no chain link of point {d} qualifies for invariant {invariant}")
 
 
 def satellite_walk(
@@ -164,16 +177,17 @@ def satellite_walk(
     numerator + denominator of the invariant; exceeding the cap means the
     input was not a genuine cluster of polar base points.
     """
-    cap = invariant.numerator + invariant.denominator
+    num, den = invariant.numerator, invariant.denominator
+    cap = num + den
     q = p
     for _ in range(cap + 1):
         n, m = inv.extend_to(q)
-        quotient = Fraction(m, n)
-        if quotient == invariant:
+        gap = m * den - num * n
+        if gap == 0:
             if trace:
                 trace((q, m, n, "stop"))
             return q
-        if quotient > invariant:
+        if gap > 0:
             if trace:
                 trace((q, m, n, "first"))
             q = first_satellite(tree, q)
@@ -257,9 +271,9 @@ def recover_topology(
 # -- part two: values ---------------------------------------------------------
 
 
-def _only_integer_in_unit_interval(x: Fraction) -> int:
-    """The single integer in [x, x+1): x itself if integral, else ceil(x)."""
-    return -((-x.numerator) // x.denominator)
+def _only_integer_in_unit_interval(num: int, den: int) -> int:
+    """The single integer in [x, x+1) for x = num/den, den > 0: ceil(x)."""
+    return -(-num // den)
 
 
 def recover_values(
@@ -278,10 +292,15 @@ def recover_values(
     values: dict[PointId, int] = {}
     for q in rupture:
         values[q] = inv.extend_to(q)[1]
-    free_rest = [p for p in singular
-                 if p not in rupture and tree.is_free(p)]
-    satellite_rest = [p for p in singular
-                      if p not in rupture and tree.is_satellite(p)]
+    free_rest: list[PointId] = []
+    satellite_rest: list[tuple[PointId, PointFacts]] = []
+    for p in singular:
+        if p not in rupture:
+            facts = tree.facts(p)
+            if facts.ordered_proximities is None:
+                free_rest.append(p)
+            else:
+                satellite_rest.append((p, facts))
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
 
     for p in free_rest:
@@ -296,27 +315,26 @@ def recover_values(
                 " satellite cone")
         n_p, _ = inv.extend_to(p)
         n_q, m_q = inv.extend_to(q)
-        values[p] = _only_integer_in_unit_interval(Fraction(n_p * m_q, n_q))
-    for p in satellite_rest:
-        p_free = tree.facts(p).defining_free_point
+        values[p] = _only_integer_in_unit_interval(n_p * m_q, n_q)
+    for p, facts in satellite_rest:
+        p_free = facts.defining_free_point
         q = biggest_rupture.get(p_free)
         if q is None:
             raise EmptyRuptureSet(
                 f"satellite point {p} has no rupture point in the cone"
                 f" of its defining free point {p_free}")
-        n_p, m_p = inv.extend_to(p)
         n_q, m_q = inv.extend_to(q)
         n_pf, _ = inv.extend_to(p_free)
         v_pf = values[p_free]
         if (prec_compare(tree, p, q) is PrecComparison.GREATER
                 and v_pf * n_q == n_pf * m_q):
-            numerator = n_p * v_pf
+            numerator = facts.n * v_pf
             if numerator % n_pf:
                 raise NonIntegralValue(
                     f"value at satellite {p} would be {numerator}/{n_pf}")
             values[p] = numerator // n_pf
         else:
-            values[p] = m_p
+            values[p] = inv.extend_to(p)[1]
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 

@@ -64,6 +64,11 @@ def test_unknown_references_rejected():
         tree.add_point(parent=99)
     with pytest.raises(UnknownPoint):
         tree.ancestors(42)
+    for bad in (42, -1, "0", None):
+        with pytest.raises(UnknownPoint):
+            tree.record(bad)
+        with pytest.raises(UnknownPoint):
+            tree.facts(bad)
 
 
 def test_duplicate_satellite_pair_rejected():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from enriques import (
+    MorphismInvariants,
     WeightKind,
     WeightedCluster,
     compare_point_to_branch,
@@ -178,11 +179,15 @@ def test_cached_facts_match_chain_reference():
                     q = second_satellite(tree, q)
                 else:
                     q = first_satellite(tree, q)
+        # the m recursion over the empty cluster
+        zero_weight = MorphismInvariants(
+            WeightedCluster(tree, WeightKind.VIRTUAL, {}))
         for q in tree.points():
             facts = tree.facts(q)
             p = _chain_defining_free_point(tree, q)
             assert facts.defining_free_point == p
             assert facts.n == unibranch_chain(tree, q)[tree.origin]
+            assert facts.m0 == zero_weight.extend_to(q)[1]
             assert Fraction(facts.k, facts.n) == fraction_at(tree, p, q)
             if tree.is_satellite(q):
                 a, b = tree.parent(q), tree.second_proximity(q)

@@ -1,8 +1,11 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from enriques import (
+    ArenaTree,
     WeightKind,
     WeightedCluster,
     base_free_point,
@@ -10,18 +13,24 @@ from enriques import (
     compute,
     dicritical_invariant,
     dicritical_points,
+    invariant_quotient,
+    noether_pairing,
     recover,
     recover_grouped,
     recover_topology,
+    rupture_points,
     satellite_walk,
+    unibranch_chain,
     values_from_multiplicities,
 )
 from enriques.errors import (
+    NoQualifyingPair,
     NotDicritical,
     WalkDiverged,
 )
 
 import fixture_builders as fb
+import randgen
 
 
 def rev(names):
@@ -321,3 +330,125 @@ def test_values_on_recovered_cluster_match_forward_conversion():
     tree, bp, _ = fb.ex06_bp()
     result = recover(bp)
     assert values_from_multiplicities(result.multiplicities) == result.values
+
+
+# -- O(1) invariant and backward base-free-point scan against references ------
+
+
+def _pairing_invariant(bp, d):
+    """The invariant's definition: pairing(bp, chain of d) / n_d + 1."""
+    chain = unibranch_chain(bp.tree, d)
+    return Fraction(noether_pairing(bp, chain), chain[bp.tree.origin]) + 1
+
+
+def _forward_base_free_point(bp, inv, d, invariant):
+    """The last qualifying link, scanning d's chain from the origin."""
+    tree = bp.tree
+    chain = tree.ancestors(d)
+    found = None
+    for p_prev, p in zip(chain, chain[1:]):
+        if tree.is_satellite(p):
+            continue
+        if inv.height_quotient(p_prev) < invariant:
+            found = (p_prev, p)
+    if found is None:
+        raise NoQualifyingPair(f"no chain link of point {d} qualifies")
+    return found
+
+
+def _grown_bp(seed):
+    """A consistent base-point cluster over an arena grown past it.
+
+    The satellite walks add points outside bp, so the suites below see
+    weightless points as well as weighted ones.
+    """
+    bp = randgen.random_consistent_bp(seed)
+    randgen.grow_by_satellite_walks(
+        bp.tree, random.Random(seed), walks=6, max_steps=12)
+    return bp
+
+
+def _call(f, *args):
+    try:
+        return f(*args)
+    except NoQualifyingPair:
+        return NoQualifyingPair
+
+
+def test_o1_invariant_matches_pairing_reference():
+    points = dicriticals = outside = 0
+    for seed in range(1000):
+        bp = _grown_bp(seed)
+        tree = bp.tree
+        inv = compute(bp)
+        dicritical = dicritical_points(bp)
+        for d in tree.points():
+            _, m_d = inv.extend_to(d)
+            assert m_d - tree.facts(d).m0 == noether_pairing(
+                bp, unibranch_chain(tree, d))
+            points += 1
+            if d in dicritical:
+                assert dicritical_invariant(bp, inv, d) == \
+                    _pairing_invariant(bp, d)
+                dicriticals += 1
+            else:
+                with pytest.raises(NotDicritical):
+                    dicritical_invariant(bp, inv, d)
+                outside += d not in bp
+    assert points > 30000 and dicriticals > 4000 and outside > 25000
+
+
+def test_base_free_point_matches_forward_scan_reference():
+    calls = raised = 0
+    for seed in range(1000):
+        bp = _grown_bp(seed)
+        tree = bp.tree
+        inv = compute(bp)
+        dicritical = dicritical_points(bp)
+        for d in tree.points():
+            # the height quotient at each free link's lower end, and just
+            # above it, hits the strict comparison at each link
+            quotients = {inv.height_quotient(tree.parent(p))
+                         for p in tree.ancestors(d)[1:] if tree.is_free(p)}
+            candidates = {Fraction(1, 2)} | {
+                x + delta for x in quotients
+                for delta in (0, Fraction(1, 7))}
+            if d in dicritical:
+                candidates.add(dicritical_invariant(bp, inv, d))
+            for invariant in candidates:
+                got = _call(base_free_point, bp, inv, d, invariant)
+                assert got == _call(
+                    _forward_base_free_point, bp, inv, d, invariant)
+                calls += 1
+                raised += got is NoQualifyingPair
+    assert calls > 100000 and raised > 50000
+
+
+# -- deep walks (polar base points of y^n = x^(1 + j(n-1))) -------------------
+
+
+def _polar_bp(n, j):
+    """A chain of j free points from the origin, each of weight n - 1."""
+    tree = ArenaTree()
+    p = tree.add_point()
+    weights = {p: n - 1}
+    for _ in range(j - 1):
+        p = tree.add_point(p)
+        weights[p] = n - 1
+    return WeightedCluster(tree, WeightKind.VIRTUAL, weights)
+
+
+@pytest.mark.parametrize("j, created", [(2, 3999), (3, 1999)])
+def test_deep_polar_walk(j, created):
+    bp = _polar_bp(4000, j)
+    start = time.perf_counter()
+    result = recover(bp)
+    elapsed = time.perf_counter() - start
+    assert len(result.created) == created
+    assert elapsed < 2.0, f"recover took {elapsed:.2f} s"
+    curve = result.multiplicities
+    assert rupture_points(curve) == result.rupture
+    for assoc in result.association.values():
+        assert invariant_quotient(curve, assoc.rupture_point) == \
+            assoc.invariant
+    assert recover_grouped(bp).same_result(result)
