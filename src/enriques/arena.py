@@ -21,7 +21,7 @@ ids only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     ArenaError,
@@ -36,9 +36,21 @@ from .errors import (
 PointId = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointRecord:
-    """One infinitely near point: identity, parent link, proximity."""
+    """One infinitely near point: identity, parent link, proximity, label.
+
+    ``id`` is the record's index in its arena; ``parent`` is None only for
+    the origin and ``second_proximity`` is None for the origin and free
+    points.  Records are frozen: the arena creates one per point (the
+    recovery walk too, for every point it adds) and never changes it.
+    Records from :meth:`ArenaTree.from_records` may break arena rules;
+    :meth:`ArenaTree.validate` reports them.
+
+    A slotted dataclass, not a ``NamedTuple``: the library reads records
+    far more often than it creates them, and on CPython 3.11 a slot read
+    is several times cheaper than a named-tuple field read.
+    """
 
     id: PointId
     parent: Optional[PointId]
@@ -65,6 +77,37 @@ class PointFacts(NamedTuple):
     m0: int
     k: int
     ordered_proximities: Optional[tuple[PointId, PointId]]
+
+
+#: Builds a facts tuple from its fields without the NamedTuple's
+#: Python-level ``__new__``.
+_new_tuple = tuple.__new__
+_set_id = PointRecord.id.__set__
+_set_parent = PointRecord.parent.__set__
+_set_second = PointRecord.second_proximity.__set__
+_set_label = PointRecord.label.__set__
+
+
+def _new_record(
+    q: PointId,
+    parent: Optional[PointId],
+    second: Optional[PointId],
+    label: Optional[str],
+) -> PointRecord:
+    """A record built by setting its slots directly.
+
+    The frozen dataclass ``__init__`` goes through ``object.__setattr__``
+    once per field, which doubles the cost of every appended point.
+    """
+    r = object.__new__(PointRecord)
+    _set_id(r, q)
+    _set_parent(r, parent)
+    _set_second(r, second)
+    _set_label(r, label)
+    return r
+
+
+_ORIGIN_FACTS = PointFacts(0, 1, 1, 1, None)
 
 
 class ArenaTree:
@@ -103,7 +146,6 @@ class ArenaTree:
         is proximate to, and no existing point may already carry the same
         proximity pair.
         """
-        new_id = len(self._records)
         if parent is None:
             if second_proximity is not None:
                 raise IllegalProximity("the origin has no proximities")
@@ -127,9 +169,7 @@ class ArenaTree:
                         f"a satellite proximate to {parent} and"
                         f" {second_proximity} already exists"
                     )
-        record = PointRecord(new_id, parent, second_proximity, label)
-        self._append(record)
-        return new_id
+        return self.append_raw(parent, second_proximity, label)
 
     @classmethod
     def from_records(
@@ -141,24 +181,42 @@ class ArenaTree:
         No invariants are enforced; run :meth:`validate` afterwards.
         """
         tree = cls()
-        for i, (parent, second, label) in enumerate(records):
-            tree._append(PointRecord(i, parent, second, label))
+        append = tree.append_raw
+        for parent, second, label in records:
+            append(parent, second, label)
         return tree
 
-    def _append(self, record: PointRecord) -> None:
-        self._facts.append(self._derive_facts(record))
-        self._records.append(record)
-        self._children.append([])
-        p = record.parent
-        if p is not None and 0 <= p < record.id:
-            self._children[p].append(record.id)
-        if record.parent is not None and record.second_proximity is not None:
-            self._satellite_index.setdefault(
-                (record.parent, record.second_proximity), record.id
-            )
+    def append_raw(
+        self,
+        parent: Optional[PointId],
+        second_proximity: Optional[PointId] = None,
+        label: Optional[str] = None,
+    ) -> PointId:
+        """Append a record without enforcing any rule and return its id.
 
-    def _derive_facts(self, r: PointRecord) -> Optional[PointFacts]:
-        """Facts of a point about to be appended; None if it breaks a rule.
+        The point gets :class:`PointFacts` only when it keeps every rule.
+        :meth:`from_records` and the document parser build arenas this way
+        and then run :meth:`validate`; :meth:`add_point` checks first.
+        """
+        records = self._records
+        new_id = len(records)
+        self._facts.append(
+            self._derive_facts(new_id, parent, second_proximity))
+        records.append(
+            _new_record(new_id, parent, second_proximity, label))
+        self._children.append([])
+        if parent is not None:
+            if 0 <= parent < new_id:
+                self._children[parent].append(new_id)
+            if second_proximity is not None:
+                self._satellite_index.setdefault(
+                    (parent, second_proximity), new_id)
+        return new_id
+
+    def _derive_facts(
+        self, q: PointId, a: Optional[PointId], s: Optional[PointId]
+    ) -> Optional[PointFacts]:
+        """Facts of point q about to be appended; None if it breaks a rule.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is (a's parent, a) when a is free; when a is a satellite with
@@ -166,34 +224,33 @@ class ArenaTree:
         n and m0 add up over both proximities; k adds s's share only when s
         lies in q's own cone.
         """
-        a, s = r.parent, r.second_proximity
         if a is None:
-            origin = r.id == 0 and s is None
-            return PointFacts(0, 1, 1, 1, None) if origin else None
-        if not 0 <= a < r.id or self._facts[a] is None:
+            return _ORIGIN_FACTS if q == 0 and s is None else None
+        facts = self._facts
+        if not 0 <= a < q or facts[a] is None:
             return None
-        fa = self._facts[a]
+        free_a, n_a, m0_a, k_a, pair = facts[a]
         if s is None:
-            return PointFacts(r.id, fa.n, fa.m0 + 1, 1, None)
+            return _new_tuple(PointFacts, (q, n_a, m0_a + 1, 1, None))
         if (a, s) in self._satellite_index:
             return None
-        if fa.ordered_proximities is None:
+        if pair is None:
             pair = (self._records[a].parent, a)
             if s != pair[0]:
                 return None
         else:
-            lo, hi = fa.ordered_proximities
+            lo, hi = pair
             if s == lo:
                 pair = (lo, a)
             elif s == hi:
                 pair = (a, hi)
             else:
                 return None
-        fs = self._facts[s]
-        k = fa.k + (fs.k if fs.defining_free_point == fa.defining_free_point
-                    else 0)
-        return PointFacts(
-            fa.defining_free_point, fa.n + fs.n, fa.m0 + fs.m0, k, pair)
+        free_s, n_s, m0_s, k_s, _ = facts[s]
+        if free_s == free_a:
+            k_a += k_s
+        return _new_tuple(
+            PointFacts, (free_a, n_a + n_s, m0_a + m0_s, k_a, pair))
 
     def clone(self) -> "ArenaTree":
         """Independent copy sharing no mutable state (records are frozen)."""
@@ -214,6 +271,13 @@ class ArenaTree:
 
     def points(self) -> Iterator[PointId]:
         return iter(range(len(self._records)))
+
+    def records(self) -> Sequence[PointRecord]:
+        """All records in id order: ``records()[p]`` is point p's record.
+
+        This is the arena's own list, for one-pass readers; do not modify it.
+        """
+        return self._records
 
     def record(self, p: PointId) -> PointRecord:
         """The point's record; every checked query goes through here."""
@@ -336,45 +400,47 @@ class ArenaTree:
         out: list[Diagnostic] = []
         origin_seen = False
         pairs_seen: set[tuple[PointId, PointId]] = set()
-        for r in self._records:
-            if r.parent is None:
-                if r.second_proximity is not None:
+        records = self._records
+        for r in records:
+            q, a, s = r.id, r.parent, r.second_proximity
+            if a is None:
+                if s is not None:
                     out.append(Diagnostic(
-                        "IllegalProximity", r.id,
+                        "IllegalProximity", q,
                         "origin cannot have a second proximity"))
                 if origin_seen:
                     out.append(Diagnostic(
-                        "DuplicateOrigin", r.id,
+                        "DuplicateOrigin", q,
                         "more than one point without a parent"))
                 origin_seen = True
                 continue
-            if r.parent == r.id or r.second_proximity == r.id:
+            if a == q or s == q:
                 out.append(Diagnostic(
-                    "SelfReference", r.id, "point references itself"))
+                    "SelfReference", q, "point references itself"))
                 continue
-            if not 0 <= r.parent < r.id:
+            if not 0 <= a < q:
                 out.append(Diagnostic(
-                    "UnknownParent", r.id,
-                    f"parent {r.parent} does not precede the point"))
+                    "UnknownParent", q,
+                    f"parent {a} does not precede the point"))
                 continue
-            if r.second_proximity is None:
+            if s is None:
                 continue
-            if not 0 <= r.second_proximity < r.id:
+            if not 0 <= s < q:
                 out.append(Diagnostic(
-                    "UnknownPoint", r.id,
-                    f"second proximity {r.second_proximity} does not"
-                    " precede the point"))
+                    "UnknownPoint", q,
+                    f"second proximity {s} does not precede the point"))
                 continue
-            if r.second_proximity not in self.proximities(r.parent):
+            ra = records[a]
+            if s != ra.parent and s != ra.second_proximity:
                 out.append(Diagnostic(
-                    "IllegalProximity", r.id,
-                    f"second proximity {r.second_proximity} is not among"
-                    f" the proximities of parent {r.parent}"))
+                    "IllegalProximity", q,
+                    f"second proximity {s} is not among"
+                    f" the proximities of parent {a}"))
                 continue
-            pair = (r.parent, r.second_proximity)
+            pair = (a, s)
             if pair in pairs_seen:
                 out.append(Diagnostic(
-                    "DuplicateSatellite", r.id,
+                    "DuplicateSatellite", q,
                     f"another satellite already carries the proximity"
                     f" pair {pair}"))
             pairs_seen.add(pair)

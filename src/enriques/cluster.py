@@ -52,9 +52,9 @@ class WeightedCluster:
     """An ancestor-closed set of points with integer weights.
 
     Instances are immutable; derive new clusters instead of mutating.
-    Weights must be >= 1, except that virtual clusters may carry explicit
-    zero weights ("carrier" points that take part in no sum but keep a
-    point in the set).
+    Weights are ints, not bools, and must be >= 1, except that virtual
+    clusters may carry explicit zero weights ("carrier" points that take
+    part in no sum but keep a point in the set).
     """
 
     tree: ArenaTree
@@ -65,14 +65,19 @@ class WeightedCluster:
         weights = dict(self.weight)
         object.__setattr__(self, "weight", weights)
         floor = 0 if self.kind is WeightKind.VIRTUAL else 1
+        records = self.tree.records()
+        size = len(records)
         for p, w in weights.items():
-            if p not in self.tree:
+            if not (isinstance(p, int) and 0 <= p < size):
                 raise UnknownPoint(f"cluster mentions unknown point {p}")
+            if isinstance(w, bool):
+                raise InvalidWeight(
+                    f"weight {w!r} at point {p} is a bool, not an integer")
             if not isinstance(w, int) or w < floor:
                 raise InvalidWeight(
                     f"weight {w!r} at point {p} below {floor}"
                     f" for kind {self.kind.value}")
-            parent = self.tree.record(p).parent
+            parent = records[p].parent
             if parent is not None and parent not in weights:
                 raise NotDownwardClosed(
                     f"point {p} is in the cluster but its parent"

@@ -19,16 +19,25 @@ cluster member; that is how a file carries points the weighted cluster
 does not reach (for example satellites shared with another cluster).
 
 Parsing aggregates every structural problem into one
-:class:`DocumentValidationError` instead of stopping at the first.
+:class:`DocumentValidationError` instead of stopping at the first.  It
+resolves, checks and appends each entry to the arena in one loop, then
+runs :meth:`ArenaTree.validate` once.  A weight must be a JSON integer:
+``true``/``false`` are rejected even though Python's ``bool`` is an
+``int``, and so is a ``format_version`` of ``true``.
+
 Serialization writes points in arena order under their labels, inventing
 ``q#1``, ``q#2``, ... for unlabeled points (the ones created during
 recovery), so ``parse(serialize(...))`` round-trips and serializer output
-re-parses to an equal cluster.
+re-parses to an equal cluster.  The writer is hand-rolled, one string per
+point, and its text is byte-identical to ``json.dumps(doc, indent=2)``
+plus a final newline (``json.dumps`` takes its pure-Python encoder
+whenever ``indent`` is set).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .arena import ArenaTree, PointId
@@ -46,6 +55,12 @@ FORMAT_VERSION = 1
 _KINDS = {kind.value: kind for kind in WeightKind}
 
 
+def _unresolved(index: int, field: str, value: Any) -> Diagnostic:
+    return Diagnostic(
+        "UnknownParent" if field == "parent" else "UnknownPoint", index,
+        f"{field} {value!r} does not resolve to an earlier point")
+
+
 def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     """Parse a document into a fresh arena and its weighted cluster."""
     try:
@@ -58,7 +73,7 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or isinstance(version, bool):
         diagnostics.append(Diagnostic(
             "UnsupportedVersion", None,
             f"format_version must be {FORMAT_VERSION}, got {version!r}"))
@@ -74,50 +89,46 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
             "MissingPoints", None, "'points' must be a list"))
         raise DocumentValidationError(diagnostics)
 
+    tree = ArenaTree()
+    append = tree.append_raw
     ids: dict[str, PointId] = {}
-    records: list[tuple[PointId | None, PointId | None, str | None]] = []
     weights: dict[PointId, int] = {}
-
-    def resolve(entry_index: int, field: str, value: Any) -> PointId | None:
-        if value is None:
-            return None
-        if not isinstance(value, str) or value not in ids:
-            diagnostics.append(Diagnostic(
-                "UnknownPoint" if field != "parent" else "UnknownParent",
-                entry_index,
-                f"{field} {value!r} does not resolve to an earlier point"))
-            return None
-        return ids[value]
-
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        point_id = entry.get("id") if isinstance(entry, dict) else None
+        if not isinstance(point_id, str):
             diagnostics.append(Diagnostic(
                 "BadEntry", i, "each point needs a string 'id'"))
             continue
-        point_id = entry["id"]
         if point_id in ids:
             diagnostics.append(Diagnostic(
                 "DuplicateId", i, f"id {point_id!r} already used"))
             continue
-        parent = resolve(i, "parent", entry.get("parent"))
-        second = resolve(i, "second_proximity", entry.get("second_proximity"))
+        value = entry.get("parent")
+        parent = ids.get(value) if isinstance(value, str) else None
+        if parent is None and value is not None:
+            diagnostics.append(_unresolved(i, "parent", value))
+        value = entry.get("second_proximity")
+        second = ids.get(value) if isinstance(value, str) else None
+        if second is None and value is not None:
+            diagnostics.append(_unresolved(i, "second_proximity", value))
         weight = entry.get("weight")
-        if not isinstance(weight, int) or weight < 0:
+        # JSON numbers load as int or float; true/false load as bool
+        if type(weight) is not int or weight < 0:
             diagnostics.append(Diagnostic(
                 "InvalidWeight", i,
                 f"weight must be a non-negative integer, got {weight!r}"))
             weight = 0
         label = entry.get("label")
-        if label is not None and not isinstance(label, str):
+        if label is None:
+            label = point_id
+        elif not isinstance(label, str):
             diagnostics.append(Diagnostic(
                 "BadEntry", i, "label must be a string when present"))
-            label = None
-        ids[point_id] = len(records)
-        records.append((parent, second, label if label is not None else point_id))
-        if weight > 0:
-            weights[len(records) - 1] = weight
+            label = point_id
+        p = ids[point_id] = append(parent, second, label)
+        if weight:
+            weights[p] = weight
 
-    tree = ArenaTree.from_records(records)
     diagnostics.extend(tree.validate())
     if diagnostics:
         raise DocumentValidationError(diagnostics)
@@ -129,12 +140,13 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     return tree, cluster
 
 
-def _document_ids(tree: ArenaTree) -> dict[PointId, str]:
+def _document_ids(tree: ArenaTree) -> list[str]:
+    """Each point's document id, indexed by point id."""
     taken: set[str] = set()
-    out: dict[PointId, str] = {}
+    out: list[str] = []
     counter = 0
-    for p in tree.points():
-        label = tree.label(p)
+    for r in tree.records():
+        label = r.label
         if label is None or label in taken:
             counter += 1
             label = f"q#{counter}"
@@ -142,29 +154,34 @@ def _document_ids(tree: ArenaTree) -> dict[PointId, str]:
                 counter += 1
                 label = f"q#{counter}"
         taken.add(label)
-        out[p] = label
+        out.append(label)
     return out
 
 
 def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
-    """Serialize the whole arena with the cluster's weights (0 = not a member)."""
+    """Serialize the whole arena with the cluster's weights (0 = not a member).
+
+    The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.
+    """
     if cluster.tree is not tree:
         raise ArenaMismatch("cluster does not live over the given arena")
-    names = _document_ids(tree)
-    points = []
-    for p in tree.points():
-        entry: dict[str, Any] = {"id": names[p]}
-        parent = tree.parent(p)
-        if parent is not None:
-            entry["parent"] = names[parent]
-        second = tree.second_proximity(p)
-        if second is not None:
-            entry["second_proximity"] = names[second]
-        entry["weight"] = cluster.get(p, 0)
-        points.append(entry)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "weight_kind": cluster.kind.value,
-        "points": points,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    names = [_quote(name) for name in _document_ids(tree)]
+    weight = cluster.weight
+    entries = []
+    for r in tree.records():
+        p, parent, second = r.id, r.parent, r.second_proximity
+        # json.dumps(indent=2) puts a point at depth 2, its fields at depth 3
+        if parent is None:
+            fields = f'"id": {names[p]}'
+        elif second is None:
+            fields = f'"id": {names[p]},\n      "parent": {names[parent]}'
+        else:
+            fields = (f'"id": {names[p]},\n      "parent": {names[parent]},'
+                      f'\n      "second_proximity": {names[second]}')
+        entries.append(
+            f'{{\n      {fields},\n      "weight": {weight.get(p, 0)}\n    }}')
+    points = ("[\n    " + ",\n    ".join(entries) + "\n  ]"
+              if entries else "[]")
+    return (f'{{\n  "format_version": {FORMAT_VERSION},'
+            f'\n  "weight_kind": {_quote(cluster.kind.value)},'
+            f'\n  "points": {points}\n}}\n')

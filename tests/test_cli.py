@@ -203,3 +203,23 @@ def test_invariants_deep_free_chain(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "p4999\t10000\n"
+
+
+def test_recover_deep_polar_writes_valid_documents(tmp_path, capsys):
+    # polars of y^n = x^(1+j(n-1)) for n = 4,000, j = 2: two free points
+    # of weight n - 1, and the walk creates 3,999 satellites
+    doc = tmp_path / "polar.json"
+    doc.write_text(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": 3999},
+                   {"id": "p1", "parent": "O", "weight": 3999}]}))
+    out = tmp_path / "S.json"
+    proc = _run_module("recover", str(doc), "--out", str(out),
+                       "--emit", "both", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for kind in ("values", "multiplicities"):
+        written = tmp_path / f"S.{kind}.json"
+        code, stdout, _ = run(capsys, "validate", str(written))
+        assert code == 0, stdout
+        assert len(json.loads(written.read_text())["points"]) == 2 + 3999

@@ -18,9 +18,11 @@ from enriques import (
 )
 from enriques.errors import (
     ArenaMismatch,
+    InvalidWeight,
     NonPositiveMultiplicity,
     NotDownwardClosed,
     PointNotInCluster,
+    UnknownPoint,
     WrongKind,
 )
 from enriques.oracle import random_proximity_tree
@@ -201,6 +203,24 @@ def test_virtual_zero_weight_allowed_but_not_for_curves():
     o = tree.add_point()
     p1 = tree.add_point(o)
     WeightedCluster(tree, WeightKind.VIRTUAL, {o: 1, p1: 0})
-    from enriques.errors import InvalidWeight
     with pytest.raises(InvalidWeight):
         WeightedCluster(tree, WeightKind.MULTIPLICITY, {o: 1, p1: 0})
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+@pytest.mark.parametrize("weight", [True, False])
+def test_bool_weight_rejected(kind, weight):
+    # bool is an int subclass, so only an explicit check keeps it out
+    tree = ArenaTree()
+    o = tree.add_point()
+    p1 = tree.add_point(o)
+    with pytest.raises(InvalidWeight, match="is a bool"):
+        WeightedCluster(tree, kind, {o: 2, p1: weight})
+
+
+def test_unknown_points_rejected():
+    tree = ArenaTree()
+    o = tree.add_point()
+    for bad in (1, -1, "0", None, 0.5):
+        with pytest.raises(UnknownPoint):
+            WeightedCluster(tree, WeightKind.VIRTUAL, {o: 1, bad: 1})

@@ -1,12 +1,25 @@
 import json
+import random
+import time
 
 import pytest
 
-from enriques import WeightKind, parse, serialize
-from enriques.errors import DocumentSyntaxError, DocumentValidationError
+from enriques import ArenaTree, WeightKind, WeightedCluster, parse, serialize
+from enriques.errors import (
+    ArenaError,
+    ClusterError,
+    Diagnostic,
+    DocumentSyntaxError,
+    DocumentValidationError,
+    InvalidWeight,
+    NotDownwardClosed,
+    UnknownPoint,
+)
+from enriques.oracle import random_proximity_tree
 
 import fixture_builders as fb
 import make_fixtures
+import randgen
 
 
 def test_golden_files_match_builders(fixture_dir):
@@ -109,3 +122,424 @@ def test_parse_rejects_non_downward_closed_weights():
     with pytest.raises(DocumentValidationError) as info:
         parse(json.dumps(doc))
     assert any(d.code == "NotDownwardClosed" for d in info.value.diagnostics)
+
+
+def _doc(points, version=1, kind="virtual"):
+    return json.dumps({"format_version": version, "weight_kind": kind,
+                       "points": points})
+
+
+@pytest.mark.parametrize("weight", [True, False])
+def test_parse_rejects_bool_weights(weight):
+    text = _doc([{"id": "O", "weight": 2},
+                 {"id": "p1", "parent": "O", "weight": weight}])
+    with pytest.raises(DocumentValidationError) as info:
+        parse(text)
+    assert info.value.diagnostics == [Diagnostic(
+        "InvalidWeight", 1,
+        f"weight must be a non-negative integer, got {weight!r}")]
+
+
+def test_parse_rejects_bool_version():
+    with pytest.raises(DocumentValidationError) as info:
+        parse(_doc([{"id": "O", "weight": 1}], version=True))
+    assert info.value.diagnostics == [Diagnostic(
+        "UnsupportedVersion", None, "format_version must be 1, got True")]
+
+
+def test_serialize_empty_arena():
+    tree = ArenaTree()
+    text = serialize(tree, WeightedCluster(tree, WeightKind.VALUE, {}))
+    assert '"points": []' in text
+    assert text == json.dumps({"format_version": 1, "weight_kind": "value",
+                               "points": []}, indent=2) + "\n"
+
+
+# -- reference suites ---------------------------------------------------------
+#
+# The serializer and the parser before the one-pass rewrite, kept verbatim
+# (the reference parser with the arena validation and cluster checks it
+# ran) so that the library's output and diagnostics can be compared with
+# them on random inputs.
+
+
+def _document_ids_reference(tree):
+    taken = set()
+    out = {}
+    counter = 0
+    for p in tree.points():
+        label = tree.label(p)
+        if label is None or label in taken:
+            counter += 1
+            label = f"q#{counter}"
+            while label in taken:
+                counter += 1
+                label = f"q#{counter}"
+        taken.add(label)
+        out[p] = label
+    return out
+
+
+def _serialize_reference(tree, cluster):
+    names = _document_ids_reference(tree)
+    points = []
+    for p in tree.points():
+        entry = {"id": names[p]}
+        parent = tree.parent(p)
+        if parent is not None:
+            entry["parent"] = names[parent]
+        second = tree.second_proximity(p)
+        if second is not None:
+            entry["second_proximity"] = names[second]
+        entry["weight"] = cluster.get(p, 0)
+        points.append(entry)
+    doc = {
+        "format_version": 1,
+        "weight_kind": cluster.kind.value,
+        "points": points,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _validate_reference(tree):
+    out = []
+    origin_seen = False
+    pairs_seen = set()
+    for p in tree.points():
+        r = tree.record(p)
+        if r.parent is None:
+            if r.second_proximity is not None:
+                out.append(Diagnostic(
+                    "IllegalProximity", r.id,
+                    "origin cannot have a second proximity"))
+            if origin_seen:
+                out.append(Diagnostic(
+                    "DuplicateOrigin", r.id,
+                    "more than one point without a parent"))
+            origin_seen = True
+            continue
+        if r.parent == r.id or r.second_proximity == r.id:
+            out.append(Diagnostic(
+                "SelfReference", r.id, "point references itself"))
+            continue
+        if not 0 <= r.parent < r.id:
+            out.append(Diagnostic(
+                "UnknownParent", r.id,
+                f"parent {r.parent} does not precede the point"))
+            continue
+        if r.second_proximity is None:
+            continue
+        if not 0 <= r.second_proximity < r.id:
+            out.append(Diagnostic(
+                "UnknownPoint", r.id,
+                f"second proximity {r.second_proximity} does not"
+                " precede the point"))
+            continue
+        if r.second_proximity not in tree.proximities(r.parent):
+            out.append(Diagnostic(
+                "IllegalProximity", r.id,
+                f"second proximity {r.second_proximity} is not among"
+                f" the proximities of parent {r.parent}"))
+            continue
+        pair = (r.parent, r.second_proximity)
+        if pair in pairs_seen:
+            out.append(Diagnostic(
+                "DuplicateSatellite", r.id,
+                f"another satellite already carries the proximity"
+                f" pair {pair}"))
+        pairs_seen.add(pair)
+    return out
+
+
+def _cluster_reference(tree, kind, weight):
+    weights = dict(weight)
+    floor = 0 if kind is WeightKind.VIRTUAL else 1
+    for p, w in weights.items():
+        if p not in tree:
+            raise UnknownPoint(f"cluster mentions unknown point {p}")
+        if not isinstance(w, int) or w < floor:
+            raise InvalidWeight(
+                f"weight {w!r} at point {p} below {floor}"
+                f" for kind {kind.value}")
+        parent = tree.record(p).parent
+        if parent is not None and parent not in weights:
+            raise NotDownwardClosed(
+                f"point {p} is in the cluster but its parent"
+                f" {parent} is not")
+    return WeightedCluster(tree, kind, weights)
+
+
+_KINDS = {kind.value: kind for kind in WeightKind}
+
+
+def _parse_reference(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DocumentSyntaxError(
+            f"not valid JSON: {err.msg} (line {err.lineno},"
+            f" column {err.colno})", position=err.pos) from err
+    diagnostics = []
+    if not isinstance(doc, dict):
+        raise DocumentSyntaxError("top level must be a JSON object")
+    version = doc.get("format_version")
+    if version != 1:
+        diagnostics.append(Diagnostic(
+            "UnsupportedVersion", None,
+            f"format_version must be 1, got {version!r}"))
+    kind = _KINDS.get(doc.get("weight_kind"))
+    if kind is None:
+        diagnostics.append(Diagnostic(
+            "UnknownWeightKind", None,
+            f"weight_kind must be one of {sorted(_KINDS)},"
+            f" got {doc.get('weight_kind')!r}"))
+    entries = doc.get("points")
+    if not isinstance(entries, list):
+        diagnostics.append(Diagnostic(
+            "MissingPoints", None, "'points' must be a list"))
+        raise DocumentValidationError(diagnostics)
+
+    ids = {}
+    records = []
+    weights = {}
+
+    def resolve(entry_index, field, value):
+        if value is None:
+            return None
+        if not isinstance(value, str) or value not in ids:
+            diagnostics.append(Diagnostic(
+                "UnknownPoint" if field != "parent" else "UnknownParent",
+                entry_index,
+                f"{field} {value!r} does not resolve to an earlier point"))
+            return None
+        return ids[value]
+
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            diagnostics.append(Diagnostic(
+                "BadEntry", i, "each point needs a string 'id'"))
+            continue
+        point_id = entry["id"]
+        if point_id in ids:
+            diagnostics.append(Diagnostic(
+                "DuplicateId", i, f"id {point_id!r} already used"))
+            continue
+        parent = resolve(i, "parent", entry.get("parent"))
+        second = resolve(i, "second_proximity", entry.get("second_proximity"))
+        weight = entry.get("weight")
+        if not isinstance(weight, int) or weight < 0:
+            diagnostics.append(Diagnostic(
+                "InvalidWeight", i,
+                f"weight must be a non-negative integer, got {weight!r}"))
+            weight = 0
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            diagnostics.append(Diagnostic(
+                "BadEntry", i, "label must be a string when present"))
+            label = None
+        ids[point_id] = len(records)
+        records.append((parent, second, label if label is not None else point_id))
+        if weight > 0:
+            weights[len(records) - 1] = weight
+
+    tree = ArenaTree.from_records(records)
+    diagnostics.extend(_validate_reference(tree))
+    if diagnostics:
+        raise DocumentValidationError(diagnostics)
+    try:
+        cluster = _cluster_reference(tree, kind, weights)
+    except ClusterError as err:
+        raise DocumentValidationError(
+            [Diagnostic(type(err).__name__, None, str(err))]) from err
+    return tree, cluster
+
+
+#: Labels that stress the string encoder and the invented ``q#N`` names.
+_LABELS = ["O", "", "p1", "é", "点", "\U0001f600", "\ud800", '"', "\\",
+           'a"b\\c', "\x00", "\n", "\t", "\x1f", "\x7f", " ", "q#1",
+           "q#2", "q#3", "q#10"]
+
+
+def _random_document(rng):
+    """A random arena (walk-grown) with random labels and weights."""
+    tree = random_proximity_tree(rng, rng.randint(1, 14))
+    randgen.grow_by_satellite_walks(tree, rng, walks=rng.randint(0, 3),
+                                    max_steps=6)
+    labels = [None if rng.random() < 0.3 else rng.choice(_LABELS)
+              for _ in tree.points()]
+    tree = ArenaTree.from_records([
+        (tree.parent(p), tree.second_proximity(p), labels[p])
+        for p in tree.points()])
+    assert tree.validate() == []
+    kind = rng.choice(list(WeightKind))
+    weights = {}
+    for p in tree.points():
+        # a document drops weight 0, so only positive points have members
+        # below them; the round trip keeps the positive weights
+        parent = tree.parent(p)
+        if (parent is None or weights.get(parent)) and rng.random() < 0.8:
+            if kind is WeightKind.VIRTUAL:
+                weights[p] = rng.randint(0, 5)
+            else:
+                weights[p] = rng.randint(1, 10 ** rng.randint(1, 30))
+    if kind is WeightKind.VIRTUAL and rng.random() < 0.2:
+        weights = {}
+    return tree, WeightedCluster(tree, kind, weights)
+
+
+def test_serialize_matches_json_dumps_reference():
+    rng = random.Random(20260)
+    created = 0
+    for _ in range(1000):
+        tree, cluster = _random_document(rng)
+        created += sum(tree.label(p) is None for p in tree.points())
+        text = serialize(tree, cluster)
+        assert text == _serialize_reference(tree, cluster)
+        tree2, cluster2 = parse(text)
+        assert [(r.parent, r.second_proximity) for r in tree2.records()] == \
+            [(r.parent, r.second_proximity) for r in tree.records()]
+        assert cluster2.kind is cluster.kind
+        assert dict(cluster2.weight) == \
+            {p: w for p, w in cluster.weight.items() if w > 0}
+        assert serialize(tree2, cluster2) == text
+    assert created > 1000
+
+
+def _entry_ids(doc):
+    return [e.get("id") if isinstance(e, dict) else None
+            for e in doc["points"]]
+
+
+def _mutate(doc, rng):
+    """One random breakage of a valid document, in place."""
+    points = doc["points"]
+    ids = _entry_ids(doc)
+    i = rng.randrange(len(points))
+    entry = points[i]
+    if not isinstance(entry, dict):
+        return
+    kind = rng.randrange(17)
+    if kind == 0:
+        entry["parent"] = rng.choice(["missing", 7, None, ["O"]])
+    elif kind == 1 and i + 1 < len(points):
+        entry["parent"] = ids[rng.randrange(i + 1, len(points))]
+    elif kind == 2 and i > 0:
+        entry["second_proximity"] = ids[rng.randrange(i)]
+    elif kind == 3 and i > 0:
+        entry["id"] = ids[rng.randrange(i)]
+    elif kind == 4:
+        entry.pop("parent", None)
+        entry.pop("second_proximity", None)
+    elif kind == 5:
+        satellites = [e for e in points if "second_proximity" in e]
+        if satellites:
+            copy = dict(rng.choice(satellites), id="dup")
+            points.insert(rng.randint(points.index(satellites[0]) + 1,
+                                      len(points)), copy)
+    elif kind == 6:
+        entry[rng.choice(["parent", "second_proximity"])] = entry.get("id")
+    elif kind == 7:
+        entry["weight"] = rng.choice([-1, -7, 1.5, 2.0, "2", None])
+    elif kind == 8:
+        entry["label"] = rng.choice([5, ["x"], {"a": 1}])
+    elif kind == 9:
+        doc["format_version"] = rng.choice([2, 0, "1", None, 1.5])
+    elif kind == 10:
+        doc["weight_kind"] = rng.choice(["nonsense", None, 3, "Virtual"])
+    elif kind == 11:
+        doc["points"] = rng.choice([{}, "points", None, 3])
+    elif kind == 12:
+        points[i] = rng.choice([["O"], "O", {"parent": "O"}, {"id": 3}])
+    elif kind == 13:
+        entry.pop("weight", None)
+    elif kind == 14 and "parent" in entry:
+        # zero weight under a positive child breaks downward closure
+        parent = ids.index(entry["parent"]) if entry["parent"] in ids else i
+        points[parent]["weight"] = 0
+        entry["weight"] = rng.randint(1, 3)
+    elif kind == 15 and i > 0:
+        points.insert(i - 1, points.pop(i))
+    elif kind == 16:
+        entry["second_proximity"] = rng.choice(ids)
+
+
+def _outcome(parser, text):
+    try:
+        tree, cluster = parser(text)
+    except (DocumentSyntaxError, DocumentValidationError) as err:
+        detail = getattr(err, "diagnostics", str(err))
+        return type(err), detail
+    facts = []
+    for p in tree.points():
+        try:
+            facts.append(tree.facts(p))
+        except ArenaError:
+            facts.append(None)
+    return (list(tree.records()), facts, cluster.kind, dict(cluster.weight))
+
+
+def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
+    rng = random.Random(4711)
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(fixture_dir.glob("*.json"))]
+    for _ in range(600):
+        texts.append(serialize(*_random_document(rng)))
+    rejected = codes = 0
+    seen = set()
+    for text in texts:
+        cases = [text]
+        for _ in range(4):
+            doc = json.loads(text)
+            for _ in range(rng.randint(1, 3)):
+                if isinstance(doc["points"], list) and doc["points"]:
+                    _mutate(doc, rng)
+            cases.append(json.dumps(doc))
+        for case in cases:
+            expected = _outcome(_parse_reference, case)
+            assert _outcome(parse, case) == expected
+            if expected[0] is DocumentValidationError:
+                rejected += 1
+                codes += len(expected[1])
+                seen.update(d.code for d in expected[1])
+    assert rejected > 1500 and codes > 2500
+    assert seen >= {
+        "UnknownParent", "UnknownPoint", "IllegalProximity", "DuplicateId",
+        "DuplicateOrigin", "DuplicateSatellite", "InvalidWeight", "BadEntry",
+        "UnsupportedVersion", "UnknownWeightKind", "MissingPoints",
+        "NotDownwardClosed"}
+
+
+def _timed_round_trip(tree, cluster):
+    start = time.perf_counter()
+    text = serialize(tree, cluster)
+    tree2, cluster2 = parse(text)
+    elapsed = time.perf_counter() - start
+    assert [(r.parent, r.second_proximity) for r in tree2.records()] == \
+        [(r.parent, r.second_proximity) for r in tree.records()]
+    assert dict(cluster2.weight) == dict(cluster.weight)
+    assert serialize(tree2, cluster2) == text
+    return elapsed
+
+
+def test_round_trip_deep_free_chain():
+    tree = ArenaTree()
+    chain = [tree.add_point()]
+    for _ in range(4999):
+        chain.append(tree.add_point(chain[-1]))
+    curve = WeightedCluster(
+        tree, WeightKind.MULTIPLICITY, {p: 2 for p in chain})
+    assert _timed_round_trip(tree, curve) < 2.0
+
+
+def test_round_trip_wide_fan():
+    # 1,000 free chains of three points on one origin
+    tree = ArenaTree()
+    o = tree.add_point()
+    weights = {o: 2000}
+    for _ in range(1000):
+        p = o
+        for _ in range(3):
+            p = tree.add_point(p)
+            weights[p] = 2
+    curve = WeightedCluster(tree, WeightKind.MULTIPLICITY, weights)
+    assert _timed_round_trip(tree, curve) < 2.0
