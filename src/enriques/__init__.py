@@ -39,7 +39,6 @@ from .oracle import (
     invariant_quotient,
     polar_invariants,
     polar_invariants_local,
-    random_curve,
     rupture_points,
     validate_curve_cluster,
 )
@@ -51,7 +50,6 @@ from .recovery import (
     dicritical_invariant,
     recover,
     recover_grouped,
-    recover_topology,
     recover_values,
     satellite_walk,
 )

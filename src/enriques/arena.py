@@ -1,9 +1,9 @@
 """The ambient tree of infinitely near points.
 
 An :class:`ArenaTree` owns every point that any cluster may mention.  Points
-are created once and never deleted; a :data:`PointId` is simply the index of
-the point's record in the arena, so ids are stable across all later
-extensions (the recovery algorithms only ever append satellite points).
+are created once and never deleted; a :data:`PointId` is simply the point's
+index in the arena, so ids are stable across all later extensions (the
+recovery algorithms only ever append satellite points).
 
 Each non-origin point carries a ``parent`` (the point in whose first
 neighbourhood it appeared) and, for satellite points, a ``second_proximity``:
@@ -11,8 +11,16 @@ the earlier point whose exceptional divisor the point also lies on.  A point
 is *free* when it is proximate to its parent only, *satellite* when it is
 proximate to exactly two points; no other arrangement occurs.
 
-Because the arena only grows, the facts a point's proximities fix (see
-:class:`PointFacts`) are computed once, when the point is appended.
+The arena is columnar: it stores no per-point object.  Parallel lists
+indexed by point id hold each point's parent, second proximity and label,
+and the facts its proximities fix (see :class:`PointFacts`), which are
+derived once, when the point is appended, because the arena only grows.
+Hot readers index the columns directly and trust the ids they index with;
+every method that takes a point id checks it and raises
+:class:`~enriques.errors.UnknownPoint` on anything that is not an arena
+index (a list would silently accept ``-1``).  :meth:`ArenaTree.record`,
+:meth:`ArenaTree.records` and :meth:`ArenaTree.facts` build read-only
+views from the columns for the public API and tests.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -21,7 +29,7 @@ ids only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     ArenaError,
@@ -38,18 +46,12 @@ PointId = int
 
 @dataclass(frozen=True, slots=True)
 class PointRecord:
-    """One infinitely near point: identity, parent link, proximity, label.
+    """View of one point: identity, parent link, proximity, label.
 
-    ``id`` is the record's index in its arena; ``parent`` is None only for
+    ``id`` is the point's index in its arena; ``parent`` is None only for
     the origin and ``second_proximity`` is None for the origin and free
-    points.  Records are frozen: the arena creates one per point (the
-    recovery walk too, for every point it adds) and never changes it.
-    Records from :meth:`ArenaTree.from_records` may break arena rules;
-    :meth:`ArenaTree.validate` reports them.
-
-    A slotted dataclass, not a ``NamedTuple``: the library reads records
-    far more often than it creates them, and on CPython 3.11 a slot read
-    is several times cheaper than a named-tuple field read.
+    points.  Points from :meth:`ArenaTree.from_records` may break arena
+    rules; :meth:`ArenaTree.validate` reports them.
     """
 
     id: PointId
@@ -59,7 +61,7 @@ class PointRecord:
 
 
 class PointFacts(NamedTuple):
-    """What a point's proximities fix once and for all.
+    """View of what a point's proximities fix once and for all.
 
     ``n`` and ``k`` are the weights at the origin and at the defining free
     point of the unibranch chain ending at the point, so ``k/n`` is the
@@ -79,45 +81,22 @@ class PointFacts(NamedTuple):
     ordered_proximities: Optional[tuple[PointId, PointId]]
 
 
-#: Builds a facts tuple from its fields without the NamedTuple's
-#: Python-level ``__new__``.
-_new_tuple = tuple.__new__
-_set_id = PointRecord.id.__set__
-_set_parent = PointRecord.parent.__set__
-_set_second = PointRecord.second_proximity.__set__
-_set_label = PointRecord.label.__set__
-
-
-def _new_record(
-    q: PointId,
-    parent: Optional[PointId],
-    second: Optional[PointId],
-    label: Optional[str],
-) -> PointRecord:
-    """A record built by setting its slots directly.
-
-    The frozen dataclass ``__init__`` goes through ``object.__setattr__``
-    once per field, which doubles the cost of every appended point.
-    """
-    r = object.__new__(PointRecord)
-    _set_id(r, q)
-    _set_parent(r, parent)
-    _set_second(r, second)
-    _set_label(r, label)
-    return r
-
-
-_ORIGIN_FACTS = PointFacts(0, 1, 1, 1, None)
-
-
 class ArenaTree:
-    """Append-only arena of :class:`PointRecord`.
+    """Append-only, columnar arena of infinitely near points.
 
-    Records are topologically sorted: every referenced id precedes its
+    Points are topologically sorted: every referenced id precedes its
     referrer.  Construction through :meth:`add_point` enforces all structural
     invariants eagerly; :meth:`from_records` admits raw (possibly broken)
-    data so that :meth:`validate` can report problems as diagnostics.  A
-    record that breaks a rule gets no :class:`PointFacts`.
+    data so that :meth:`validate` can report problems as diagnostics.
+
+    The columns are public for one-pass and hot readers, which must not
+    modify them; ``xs[p]`` is point p's entry:
+
+    * ``parents``, ``seconds``, ``labels``: parent, second proximity, label;
+    * ``children``: the point's children in arena order;
+    * ``free_points``, ``ns``, ``m0s``, ``ks``, ``pairs``: the point's
+      facts (see :class:`PointFacts`).  A point that breaks an arena rule
+      has None in every facts column.
 
     A fully built arena is safe to share read-only between threads; the
     operations that extend it (satellite creation during recovery) require
@@ -125,10 +104,16 @@ class ArenaTree:
     """
 
     def __init__(self) -> None:
-        self._records: list[PointRecord] = []
-        self._children: list[list[PointId]] = []
+        self.parents: list[Optional[PointId]] = []
+        self.seconds: list[Optional[PointId]] = []
+        self.labels: list[Optional[str]] = []
+        self.children: list[list[PointId]] = []
+        self.free_points: list[Optional[PointId]] = []
+        self.ns: list[Optional[int]] = []
+        self.m0s: list[Optional[int]] = []
+        self.ks: list[Optional[int]] = []
+        self.pairs: list[Optional[tuple[PointId, PointId]]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
-        self._facts: list[Optional[PointFacts]] = []
         self._ancestor_cache: dict[PointId, tuple[PointId, ...]] = {}
 
     # -- construction --------------------------------------------------
@@ -157,8 +142,8 @@ class ArenaTree:
             if second_proximity is not None:
                 if second_proximity not in self:
                     raise UnknownPoint(f"no point with id {second_proximity}")
-                a = self._records[parent]
-                if second_proximity not in (a.parent, a.second_proximity):
+                if second_proximity not in (
+                        self.parents[parent], self.seconds[parent]):
                     raise IllegalProximity(
                         f"point {second_proximity} is not among the"
                         f" proximities of parent {parent}"
@@ -192,31 +177,11 @@ class ArenaTree:
         second_proximity: Optional[PointId] = None,
         label: Optional[str] = None,
     ) -> PointId:
-        """Append a record without enforcing any rule and return its id.
+        """Append a point without enforcing any rule and return its id.
 
-        The point gets :class:`PointFacts` only when it keeps every rule.
+        The point gets facts only when it keeps every rule.
         :meth:`from_records` and the document parser build arenas this way
         and then run :meth:`validate`; :meth:`add_point` checks first.
-        """
-        records = self._records
-        new_id = len(records)
-        self._facts.append(
-            self._derive_facts(new_id, parent, second_proximity))
-        records.append(
-            _new_record(new_id, parent, second_proximity, label))
-        self._children.append([])
-        if parent is not None:
-            if 0 <= parent < new_id:
-                self._children[parent].append(new_id)
-            if second_proximity is not None:
-                self._satellite_index.setdefault(
-                    (parent, second_proximity), new_id)
-        return new_id
-
-    def _derive_facts(
-        self, q: PointId, a: Optional[PointId], s: Optional[PointId]
-    ) -> Optional[PointFacts]:
-        """Facts of point q about to be appended; None if it breaks a rule.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is (a's parent, a) when a is free; when a is a satellite with
@@ -224,75 +189,96 @@ class ArenaTree:
         n and m0 add up over both proximities; k adds s's share only when s
         lies in q's own cone.
         """
-        if a is None:
-            return _ORIGIN_FACTS if q == 0 and s is None else None
-        facts = self._facts
-        if not 0 <= a < q or facts[a] is None:
-            return None
-        free_a, n_a, m0_a, k_a, pair = facts[a]
-        if s is None:
-            return _new_tuple(PointFacts, (q, n_a, m0_a + 1, 1, None))
-        if (a, s) in self._satellite_index:
-            return None
-        if pair is None:
-            pair = (self._records[a].parent, a)
-            if s != pair[0]:
-                return None
-        else:
-            lo, hi = pair
-            if s == lo:
-                pair = (lo, a)
-            elif s == hi:
-                pair = (a, hi)
-            else:
-                return None
-        free_s, n_s, m0_s, k_s, _ = facts[s]
-        if free_s == free_a:
-            k_a += k_s
-        return _new_tuple(
-            PointFacts, (free_a, n_a + n_s, m0_a + m0_s, k_a, pair))
+        q = len(self.parents)
+        s = second_proximity
+        free = n = m0 = k = pair = None
+        if parent is None:
+            if q == 0 and s is None:
+                free, n, m0, k = 0, 1, 1, 1
+        elif 0 <= parent < q and self.free_points[parent] is not None:
+            a = parent
+            if s is None:
+                free, n, m0, k = q, self.ns[a], self.m0s[a] + 1, 1
+            elif (a, s) not in self._satellite_index:
+                pair = self.pairs[a]
+                if pair is None:
+                    pair = (self.parents[a], a)
+                    if s != pair[0]:
+                        pair = None
+                elif s == pair[0]:
+                    pair = (pair[0], a)
+                elif s == pair[1]:
+                    pair = (a, pair[1])
+                else:
+                    pair = None
+                if pair is not None:
+                    free, k = self.free_points[a], self.ks[a]
+                    if self.free_points[s] == free:
+                        k += self.ks[s]
+                    n = self.ns[a] + self.ns[s]
+                    m0 = self.m0s[a] + self.m0s[s]
+        self.parents.append(parent)
+        self.seconds.append(s)
+        self.labels.append(label)
+        self.children.append([])
+        self.free_points.append(free)
+        self.ns.append(n)
+        self.m0s.append(m0)
+        self.ks.append(k)
+        self.pairs.append(pair)
+        if parent is not None:
+            if 0 <= parent < q:
+                self.children[parent].append(q)
+            if s is not None:
+                self._satellite_index.setdefault((parent, s), q)
+        return q
 
     def clone(self) -> "ArenaTree":
-        """Independent copy sharing no mutable state (records are frozen)."""
+        """Independent copy sharing no mutable state."""
         tree = ArenaTree()
-        tree._records = list(self._records)
-        tree._children = [list(c) for c in self._children]
+        for name in ("parents", "seconds", "labels", "free_points",
+                     "ns", "m0s", "ks", "pairs"):
+            setattr(tree, name, list(getattr(self, name)))
+        tree.children = [list(c) for c in self.children]
         tree._satellite_index = dict(self._satellite_index)
-        tree._facts = list(self._facts)
         return tree
 
     # -- basic queries --------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.parents)
 
     def __contains__(self, p: object) -> bool:
-        return isinstance(p, int) and 0 <= p < len(self._records)
+        return isinstance(p, int) and 0 <= p < len(self.parents)
+
+    def _check(self, p: object) -> None:
+        if p not in self:
+            raise UnknownPoint(f"no point with id {p}")
 
     def points(self) -> Iterator[PointId]:
-        return iter(range(len(self._records)))
+        return iter(range(len(self.parents)))
 
-    def records(self) -> Sequence[PointRecord]:
-        """All records in id order: ``records()[p]`` is point p's record.
-
-        This is the arena's own list, for one-pass readers; do not modify it.
-        """
-        return self._records
+    def records(self) -> list[PointRecord]:
+        """A view of every point in id order: ``records()[p]`` is point p's."""
+        return list(map(PointRecord, range(len(self.parents)),
+                        self.parents, self.seconds, self.labels))
 
     def record(self, p: PointId) -> PointRecord:
-        """The point's record; every checked query goes through here."""
-        if isinstance(p, int) and 0 <= p < len(self._records):
-            return self._records[p]
-        raise UnknownPoint(f"no point with id {p}")
+        """A view of the point's parent, second proximity and label."""
+        self._check(p)
+        return PointRecord(p, self.parents[p], self.seconds[p], self.labels[p])
 
     def parent(self, p: PointId) -> Optional[PointId]:
-        return self.record(p).parent
+        self._check(p)
+        return self.parents[p]
 
     def second_proximity(self, p: PointId) -> Optional[PointId]:
-        return self.record(p).second_proximity
+        self._check(p)
+        return self.seconds[p]
 
     def label(self, p: PointId) -> Optional[str]:
-        return self.record(p).label
+        self._check(p)
+        return self.labels[p]
 
     @property
     def origin(self) -> Optional[PointId]:
@@ -301,12 +287,12 @@ class ArenaTree:
         :meth:`validate` reports every arena whose first point has a parent,
         so a valid arena always has its origin at id 0.
         """
-        if self._records and self._records[0].parent is None:
+        if self.parents and self.parents[0] is None:
             return 0
         return None
 
     def is_origin(self, p: PointId) -> bool:
-        return self.record(p).parent is None
+        return self.parent(p) is None
 
     def is_free(self, p: PointId) -> bool:
         """True for non-origin points proximate to their parent only.
@@ -314,48 +300,41 @@ class ArenaTree:
         The origin is counted as free: it is not satellite, and every rule
         that branches on freeness treats it like a free point.
         """
-        return self.record(p).second_proximity is None
+        return self.second_proximity(p) is None
 
     def is_satellite(self, p: PointId) -> bool:
-        return self.record(p).second_proximity is not None
+        return self.second_proximity(p) is not None
 
     # -- proximity structure ---------------------------------------------
 
     def proximities(self, q: PointId) -> set[PointId]:
         """The one or two points ``q`` is proximate to."""
-        r = self.record(q)
-        out: set[PointId] = set()
-        if r.parent is not None:
-            out.add(r.parent)
-        if r.second_proximity is not None:
-            out.add(r.second_proximity)
-        return out
+        self._check(q)
+        return {r for r in (self.parents[q], self.seconds[q]) if r is not None}
 
     def is_proximate(self, q: PointId, p: PointId) -> bool:
-        r = self.record(q)
-        self.record(p)
-        return p == r.parent or p == r.second_proximity
+        self._check(q)
+        self._check(p)
+        return p == self.parents[q] or p == self.seconds[q]
 
     def child_list(self, p: PointId) -> list[PointId]:
         """Children in arena order."""
-        self.record(p)
-        return self._children[p]
+        self._check(p)
+        return self.children[p]
 
     def satellite_children(self, p: PointId) -> set[PointId]:
-        self.record(p)
-        return {
-            c for c in self._children[p]
-            if self._records[c].second_proximity is not None
-        }
+        self._check(p)
+        seconds = self.seconds
+        return {c for c in self.children[p] if seconds[c] is not None}
 
     def facts(self, p: PointId) -> PointFacts:
-        """The point's cached facts; a broken raw record has none."""
-        if not (isinstance(p, int) and 0 <= p < len(self._facts)):
-            raise UnknownPoint(f"no point with id {p}")
-        facts = self._facts[p]
-        if facts is None:
+        """A view of the point's facts; a broken raw point has none."""
+        self._check(p)
+        free = self.free_points[p]
+        if free is None:
             raise ArenaError(f"point {p} breaks an arena rule; see validate()")
-        return facts
+        return PointFacts(free, self.ns[p], self.m0s[p], self.ks[p],
+                          self.pairs[p])
 
     def find_satellite(
         self, parent: PointId, second_proximity: PointId
@@ -365,15 +344,16 @@ class ArenaTree:
 
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:
         """The chain from the origin up to and including ``p``."""
-        self.record(p)
+        self._check(p)
         cached = self._ancestor_cache.get(p)
         if cached is not None:
             return cached
+        parents = self.parents
         chain: list[PointId] = []
         q: Optional[PointId] = p
         while q is not None:
             chain.append(q)
-            q = self._records[q].parent
+            q = parents[q]
         chain.reverse()
         result = tuple(chain)
         self._ancestor_cache[p] = result
@@ -381,17 +361,13 @@ class ArenaTree:
 
     def precedes(self, p: PointId, q: PointId) -> bool:
         """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""
-        self.record(p)
-        if p == q:
-            return True
-        if p > q:
-            return False
-        r: Optional[PointId] = self.record(q).parent
-        while r is not None and r >= p:
-            if r == p:
-                return True
-            r = self._records[r].parent
-        return False
+        self._check(p)
+        self._check(q)
+        parents = self.parents
+        r: Optional[PointId] = q
+        while r is not None and r > p:
+            r = parents[r]
+        return r == p
 
     # -- validation ------------------------------------------------------
 
@@ -400,9 +376,8 @@ class ArenaTree:
         out: list[Diagnostic] = []
         origin_seen = False
         pairs_seen: set[tuple[PointId, PointId]] = set()
-        records = self._records
-        for r in records:
-            q, a, s = r.id, r.parent, r.second_proximity
+        parents, seconds = self.parents, self.seconds
+        for q, (a, s) in enumerate(zip(parents, seconds)):
             if a is None:
                 if s is not None:
                     out.append(Diagnostic(
@@ -430,8 +405,7 @@ class ArenaTree:
                     "UnknownPoint", q,
                     f"second proximity {s} does not precede the point"))
                 continue
-            ra = records[a]
-            if s != ra.parent and s != ra.second_proximity:
+            if s != parents[a] and s != seconds[a]:
                 out.append(Diagnostic(
                     "IllegalProximity", q,
                     f"second proximity {s} is not among"
@@ -447,4 +421,4 @@ class ArenaTree:
         return out
 
     def __repr__(self) -> str:
-        return f"ArenaTree({len(self._records)} points)"
+        return f"ArenaTree({len(self.parents)} points)"

@@ -65,8 +65,8 @@ class WeightedCluster:
         weights = dict(self.weight)
         object.__setattr__(self, "weight", weights)
         floor = 0 if self.kind is WeightKind.VIRTUAL else 1
-        records = self.tree.records()
-        size = len(records)
+        parents = self.tree.parents
+        size = len(parents)
         for p, w in weights.items():
             if not (isinstance(p, int) and 0 <= p < size):
                 raise UnknownPoint(f"cluster mentions unknown point {p}")
@@ -77,7 +77,7 @@ class WeightedCluster:
                 raise InvalidWeight(
                     f"weight {w!r} at point {p} below {floor}"
                     f" for kind {self.kind.value}")
-            parent = records[p].parent
+            parent = parents[p]
             if parent is not None and parent not in weights:
                 raise NotDownwardClosed(
                     f"point {p} is in the cluster but its parent"
@@ -139,14 +139,15 @@ def values_from_multiplicities(cluster: WeightedCluster) -> WeightedCluster:
     """
     cluster.require_kind(WeightKind.MULTIPLICITY)
     tree = cluster.tree
+    parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     values: dict[PointId, int] = {}
     for p in cluster.ordered_points():
-        r = tree.record(p)
-        v = cluster.weight[p]
-        if r.parent is not None:
-            v += values[r.parent]
-        if r.second_proximity is not None:
-            v += values[r.second_proximity]
+        a, s = parents[p], seconds[p]
+        v = weight[p]
+        if a is not None:
+            v += values[a]
+        if s is not None:
+            v += values[s]
         values[p] = v
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
@@ -159,14 +160,15 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
     """
     cluster.require_kind(WeightKind.VALUE)
     tree = cluster.tree
+    parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     mults: dict[PointId, int] = {}
     for p in cluster.ordered_points():
-        r = tree.record(p)
-        e = cluster.weight[p]
-        if r.parent is not None:
-            e -= cluster.weight[r.parent]
-        if r.second_proximity is not None:
-            e -= cluster.weight[r.second_proximity]
+        a, s = parents[p], seconds[p]
+        e = weight[p]
+        if a is not None:
+            e -= weight[a]
+        if s is not None:
+            e -= weight[s]
         if e < 1:
             raise NonPositiveMultiplicity(
                 f"values force multiplicity {e} at point {p}")
@@ -179,14 +181,14 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
 
 def excesses(cluster: WeightedCluster) -> dict[PointId, int]:
     """Excess at every cluster point in one pass."""
-    tree = cluster.tree
+    parents, seconds = cluster.tree.parents, cluster.tree.seconds
     rho = dict(cluster.weight)
     for q, w in cluster.weight.items():
-        r = tree.record(q)
-        if r.parent in rho:
-            rho[r.parent] -= w
-        if r.second_proximity in rho:
-            rho[r.second_proximity] -= w
+        a, s = parents[q], seconds[q]
+        if a in rho:
+            rho[a] -= w
+        if s in rho:
+            rho[s] -= w
     return rho
 
 
@@ -210,11 +212,12 @@ def excess(cluster: WeightedCluster, p: PointId) -> int:
     if p not in weight:
         raise PointNotInCluster(f"point {p} is not in the cluster")
     tree = cluster.tree
+    find = tree.find_satellite
     rho = weight[p]
-    for q in tree.child_list(p):
+    for q in tree.children[p]:
         while q in weight:
             rho -= weight[q]
-            q = tree.find_satellite(q, p)
+            q = find(q, p)
     return rho
 
 
@@ -239,12 +242,16 @@ def unibranch_chain(tree: ArenaTree, p: PointId) -> WeightedCluster:
     point right after ``p``.
     """
     chain = tree.ancestors(p)
-    acc: dict[PointId, int] = {q: 0 for q in chain}
+    parents, seconds = tree.parents, tree.seconds
+    acc: dict[PointId, int] = dict.fromkeys(chain, 0)
     acc[p] = 1
     for q in reversed(chain):
         w = acc[q]
-        for r in tree.proximities(q):
-            acc[r] += w
+        a, s = parents[q], seconds[q]
+        if a is not None:
+            acc[a] += w
+        if s is not None:
+            acc[s] += w
     return WeightedCluster(tree, WeightKind.VIRTUAL, acc)
 
 

@@ -23,7 +23,8 @@ Parsing aggregates every structural problem into one
 resolves, checks and appends each entry to the arena in one loop, then
 runs :meth:`ArenaTree.validate` once.  A weight must be a JSON integer:
 ``true``/``false`` are rejected even though Python's ``bool`` is an
-``int``, and so is a ``format_version`` of ``true``.
+``int``, and ``format_version`` must be the integer 1 (not ``true`` or
+``1.0``).
 
 Serialization writes points in arena order under their labels, inventing
 ``q#1``, ``q#2``, ... for unlabeled points (the ones created during
@@ -73,7 +74,8 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION or isinstance(version, bool):
+    # 1.0 == 1 and True == 1 in Python; the version must be a JSON integer
+    if type(version) is not int or version != FORMAT_VERSION:
         diagnostics.append(Diagnostic(
             "UnsupportedVersion", None,
             f"format_version must be {FORMAT_VERSION}, got {version!r}"))
@@ -145,8 +147,7 @@ def _document_ids(tree: ArenaTree) -> list[str]:
     taken: set[str] = set()
     out: list[str] = []
     counter = 0
-    for r in tree.records():
-        label = r.label
+    for label in tree.labels:
         if label is None or label in taken:
             counter += 1
             label = f"q#{counter}"
@@ -168,8 +169,7 @@ def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
     names = [_quote(name) for name in _document_ids(tree)]
     weight = cluster.weight
     entries = []
-    for r in tree.records():
-        p, parent, second = r.id, r.parent, r.second_proximity
+    for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):
         # json.dumps(indent=2) puts a point at depth 2, its fields at depth 3
         if parent is None:
             fields = f'"id": {names[p]}'

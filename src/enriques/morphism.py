@@ -21,11 +21,12 @@ Only the recursion producing them survives into this artifact:
 where w_p is the bp-weight of p, taken as 0 for points outside the cluster
 (a generic polar is non-singular away from its base points, which is also
 why created satellites never carry weight).  The n recursion depends on
-the arena alone, so n is read from the arena's cached point facts; m is
-tabulated here, and the table grows lazily: asking for a point outside the
-current domain extends it along the point's chain.  Each lookup reads the
-point's arena record once, and a point already in the table costs one
-facts read.
+the arena alone, so n is read from the arena's ``ns`` column; m is
+tabulated here as a list indexed by point id, like the arena's columns.
+:func:`compute` fills it over the whole arena in id order, which is
+topological, and it grows over the points appended later (the satellites
+the recovery walk creates), so a lookup is a bounds check and two list
+reads.
 
 The m recursion is linear in the weights.  With all weights 0 it gives
 ``m0``, which the arena caches next to n; the weights add to it, at p,
@@ -44,51 +45,58 @@ recomputes the cluster weight at any domain point from m and n alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
-from .arena import ArenaTree, PointId, PointRecord
-from .cluster import WeightedCluster, WeightKind, is_consistent
-from .errors import InconsistentCluster
+from .arena import ArenaTree, PointId
+from .cluster import WeightedCluster, WeightKind, excesses
+from .errors import ArenaError, InconsistentCluster, UnknownPoint
 
 
 class MorphismInvariants:
-    """Lazily extendable table of m_p over an arena; n_p comes from the arena.
+    """Table of m_p over an arena, a list indexed by point id.
 
-    Created by :func:`compute`; reads are cheap dict lookups, extension
-    follows the exclusive-writer contract of the arena.
+    n_p comes from the arena's ``ns`` column.  The table covers every
+    arena point; extension over appended points follows the
+    exclusive-writer contract of the arena.  A point that breaks an arena
+    rule has no m (None in the table).
     """
 
     def __init__(self, bp: WeightedCluster):
         self.bp = bp
-        self.m: dict[PointId, int] = {}
+        self.m: list[Optional[int]] = []
+        self._grow()
 
     @property
     def tree(self) -> ArenaTree:
         return self.bp.tree
 
-    def _compute_point(self, r: PointRecord) -> None:
-        m = self.m
-        w = self.bp.get(r.id, 0)
-        if r.parent is None:
-            m[r.id] = w + 1
-        elif r.second_proximity is None:
-            m[r.id] = m[r.parent] + w + 1
-        else:
-            m[r.id] = m[r.parent] + m[r.second_proximity] + w
+    def _grow(self) -> None:
+        """Tabulate m on the points appended since the last call."""
+        tree, weight, m = self.bp.tree, self.bp.weight, self.m
+        parents, seconds, free_points = (
+            tree.parents, tree.seconds, tree.free_points)
+        for p in range(len(m), len(parents)):
+            a, s = parents[p], seconds[p]
+            if free_points[p] is None:
+                m.append(None)
+            elif a is None:
+                m.append(weight.get(p, 0) + 1)
+            elif s is None:
+                m.append(m[a] + weight.get(p, 0) + 1)
+            else:
+                m.append(m[a] + m[s] + weight.get(p, 0))
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
-        """Ensure m is defined on the chain of ``p``; return its (n, m)."""
-        tree = self.tree
-        if p not in self.m:
-            missing = []
-            q = p
-            while q is not None and q not in self.m:
-                r = tree.record(q)
-                missing.append(r)
-                q = r.parent
-            # the domain holds whole chains, so it holds each second proximity
-            for r in reversed(missing):
-                self._compute_point(r)
-        return tree.facts(p).n, self.m[p]
+        """Ensure m is defined at ``p``; return its (n, m)."""
+        m = self.m
+        if not (isinstance(p, int) and 0 <= p < len(m)):
+            if p not in self.bp.tree:
+                raise UnknownPoint(f"no point with id {p}")
+            self._grow()
+        m_p = m[p]
+        if m_p is None:
+            raise ArenaError(f"point {p} breaks an arena rule; see validate()")
+        return self.bp.tree.ns[p], m_p
 
     def height_quotient(self, p: PointId) -> Fraction:
         n, m = self.extend_to(p)
@@ -114,22 +122,28 @@ class MorphismInvariants:
         return m + n - mp_ - np_ - mp2 - np2
 
 
-def compute(bp: WeightedCluster) -> MorphismInvariants:
-    """Build the (n, m) table on every point of a base-point cluster.
+def require_base_points(bp: WeightedCluster, excess: dict[PointId, int]) -> None:
+    """Reject a cluster that cannot be the base points of polars.
 
-    The cluster must be virtual, consistent, and give the origin weight at
-    least 1 (the polar of a singular curve is itself a curve through the
-    origin).
+    ``excess`` is :func:`~enriques.cluster.excesses` of ``bp``, passed in
+    so that a caller which needs the excesses anyway counts them once.
     """
     bp.require_kind(WeightKind.VIRTUAL)
     origin = bp.tree.origin
     if origin is None or bp.get(origin, 0) < 1:
         raise InconsistentCluster(
             "base-point cluster must weight the origin with at least 1")
-    if not is_consistent(bp):
+    if any(r < 0 for r in excess.values()):
         raise InconsistentCluster(
             "base-point cluster has a point of negative excess")
-    inv = MorphismInvariants(bp)
-    for p in bp.ordered_points():
-        inv._compute_point(bp.tree.record(p))
-    return inv
+
+
+def compute(bp: WeightedCluster) -> MorphismInvariants:
+    """Build the (n, m) table on every point of a base-point cluster's arena.
+
+    The cluster must be virtual, consistent, and give the origin weight at
+    least 1 (the polar of a singular curve is itself a curve through the
+    origin).
+    """
+    require_base_points(bp, excesses(bp))
+    return MorphismInvariants(bp)

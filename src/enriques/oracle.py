@@ -30,17 +30,15 @@ invariant quotients at its rupture points.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterable
 
-from .arena import ArenaTree, PointId
+from .arena import PointId
 from .cluster import (
     WeightedCluster,
     WeightKind,
     excess,
     excesses,
-    is_consistent,
     noether_pairing,
     unibranch_chain,
 )
@@ -94,17 +92,19 @@ def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
     if residual < 0:
         raise NegativeResidual(
             f"multiplicity bookkeeping at point {p} is negative")
-    tree = curve.tree
+    weight, seconds = curve.weight, curve.tree.seconds
     free_children = sum(
-        1 for c in tree.child_list(p) if c in curve and tree.is_free(c))
+        1 for c in curve.tree.children[p]
+        if c in weight and seconds[c] is None)
     return free_children + residual
 
 
 def rupture_points(curve: WeightedCluster) -> set[PointId]:
     """Points with >= 2 curve-free points after them (>= 1 for satellites)."""
+    seconds = curve.tree.seconds
     out = set()
     for p in curve.points:
-        needed = 1 if curve.tree.is_satellite(p) else 2
+        needed = 1 if seconds[p] is not None else 2
         if free_count_first_neighbourhood(curve, p) >= needed:
             out.add(p)
     return out
@@ -201,79 +201,3 @@ def check_growth(
                 f"equality I({q1}) = I({q2}) disagrees with branches"
                 f" bigger than {q1}")
     return violations
-
-
-# -- random generation --------------------------------------------------------
-
-
-def random_proximity_tree(
-    rng: random.Random, max_points: int
-) -> ArenaTree:
-    """A random arena: free children anywhere, satellites where legal."""
-    tree = ArenaTree()
-    tree.add_point(label="O")
-    n_points = rng.randint(1, max(1, max_points - 1))
-    for _ in range(n_points):
-        parent = rng.randrange(len(tree))
-        legal_seconds = [
-            s for s in tree.proximities(parent)
-            if tree.find_satellite(parent, s) is None
-        ]
-        if legal_seconds and rng.random() < 0.5:
-            tree.add_point(parent, rng.choice(legal_seconds))
-        else:
-            tree.add_point(parent)
-    return tree
-
-
-def _random_weights_from_excesses(
-    rng: random.Random, tree: ArenaTree, max_excess: int
-) -> dict[PointId, int]:
-    """Consistent weights: pick excesses >= 0, force >= 1 at childless points."""
-    weights: dict[PointId, int] = {p: 0 for p in tree.points()}
-    for p in sorted(tree.points(), reverse=True):
-        rho = rng.randint(0, max_excess)
-        if not tree.child_list(p):
-            rho = max(1, rho)
-        weights[p] += rho
-        for q in tree.proximities(p):
-            weights[q] += weights[p]
-    return weights
-
-
-def random_curve(
-    seed: int, max_points: int = 12, max_multiplicity: int = 40
-) -> WeightedCluster:
-    """Deterministic random valid curve cluster.
-
-    Draws a proximity tree and excess-generated multiplicities, prunes the
-    non-singular points (free, simple, nothing satellite above), and
-    retries with a derived seed until the outcome is singular and within
-    the multiplicity bound.  Retrying shrinks the tree so termination is
-    guaranteed.
-    """
-    for attempt in range(64):
-        rng = random.Random(seed * 997 + attempt)
-        shrink = max(2, max_points - attempt // 4)
-        tree = random_proximity_tree(rng, shrink)
-        weights = _random_weights_from_excesses(rng, tree, max_excess=2)
-        if weights[tree.origin] > max_multiplicity:
-            continue
-        has_satellite = {p: tree.is_satellite(p) for p in tree.points()}
-        for p in sorted(tree.points(), reverse=True):
-            parent = tree.parent(p)
-            if has_satellite[p] and parent is not None:
-                has_satellite[parent] = True
-        singular = {
-            p: w for p, w in weights.items()
-            if w >= 2 or has_satellite[p]
-        }
-        if not singular:
-            continue
-        curve = WeightedCluster(tree, WeightKind.MULTIPLICITY, singular)
-        if not is_consistent(curve):
-            continue
-        if validate_curve_cluster(curve):
-            continue
-        return curve
-    raise RuntimeError(f"no valid curve cluster found for seed {seed}")

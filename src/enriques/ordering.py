@@ -31,7 +31,7 @@ visits points that carry no weight in the input cluster.
 
 The defining free point, the fraction within its cone and a satellite's
 ordered proximities are fixed when a point is appended, so they are read
-from the arena's :class:`~enriques.arena.PointFacts`.  :func:`fraction_at`
+from the arena's facts columns.  :func:`fraction_at`
 rebuilds a fraction from the whole chain; it measures a point at any free
 point of its chain and serves as the reference for the cached facts.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .arena import ArenaTree, PointFacts, PointId
+from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, unibranch_chain
 from .errors import (
     EmptySet,
@@ -91,11 +91,6 @@ def satellite_quotient(tree: ArenaTree, q: PointId) -> SatelliteQuotient:
         facts.defining_free_point, Fraction(facts.k, facts.n))
 
 
-def _below(f1: PointFacts, f2: PointFacts) -> bool:
-    """Whether the first fraction k/n is at most the second."""
-    return f1.k * f2.n <= f2.k * f1.n
-
-
 def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
     """Compare two points, allowing ``INCOMPARABLE``.
 
@@ -109,7 +104,9 @@ def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
         return PrecComparison.EQUAL
     p1, p2 = f1.defining_free_point, f2.defining_free_point
     if p1 == p2:
-        return PrecComparison.LESS if _below(f1, f2) else PrecComparison.GREATER
+        if f1.k * f2.n <= f2.k * f1.n:
+            return PrecComparison.LESS
+        return PrecComparison.GREATER
     if tree.precedes(p1, p2):
         if fraction_at(tree, p1, q1) <= fraction_at(tree, p1, q2):
             return PrecComparison.LESS
@@ -119,11 +116,32 @@ def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
     return PrecComparison.INCOMPARABLE
 
 
-def _find_or_create(tree: ArenaTree, parent: PointId, second: PointId) -> PointId:
-    existing = tree.find_satellite(parent, second)
-    if existing is not None:
-        return existing
-    return tree.add_point(parent=parent, second_proximity=second)
+def _satellite(tree: ArenaTree, q: PointId, s: PointId) -> PointId:
+    """The satellite proximate to q and s, created if missing.
+
+    (q, s) is a legal pair, as s is one of q's proximities, so a missing
+    point is appended without the checks of :meth:`ArenaTree.add_point`.
+    """
+    found = tree.find_satellite(q, s)
+    return tree.append_raw(q, s) if found is None else found
+
+
+def _first_satellite(tree: ArenaTree, q: PointId) -> PointId:
+    """:func:`first_satellite` of a point with facts, without the id check."""
+    pair = tree.pairs[q]
+    s = tree.parents[q] if pair is None else pair[0]
+    if s is None:
+        raise OriginHasNoSatellite("the origin has no satellite points")
+    return _satellite(tree, q, s)
+
+
+def _second_satellite(tree: ArenaTree, q: PointId) -> PointId:
+    """:func:`second_satellite` of a point with facts, without the id check."""
+    pair = tree.pairs[q]
+    if pair is None:
+        raise SecondSatelliteOfFreePoint(
+            f"point {q} is free; only satellites have a second satellite")
+    return _satellite(tree, q, pair[1])
 
 
 def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
@@ -132,20 +150,14 @@ def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
     For a free point this is its only first-neighbourhood satellite.  The
     point is created if the arena does not contain it yet.
     """
-    parent = tree.record(q).parent
-    if parent is None:
-        raise OriginHasNoSatellite("the origin has no satellite points")
-    pair = tree.facts(q).ordered_proximities
-    return _find_or_create(tree, q, parent if pair is None else pair[0])
+    tree.facts(q)  # checks q; a point that breaks a rule has no cone
+    return _first_satellite(tree, q)
 
 
 def second_satellite(tree: ArenaTree, q: PointId) -> PointId:
     """The bigger satellite in the first neighbourhood of a satellite ``q``."""
-    pair = tree.facts(q).ordered_proximities
-    if pair is None:
-        raise SecondSatelliteOfFreePoint(
-            f"point {q} is free; only satellites have a second satellite")
-    return _find_or_create(tree, q, pair[1])
+    tree.facts(q)  # checks q; a point that breaks a rule has no cone
+    return _second_satellite(tree, q)
 
 
 def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:
@@ -153,15 +165,17 @@ def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:
     pts = list(points)
     if not pts:
         raise EmptySet("cannot take the maximum of no points")
+    free_points, ns, ks = tree.free_points, tree.ns, tree.ks
+    for q in pts:
+        if q not in tree or free_points[q] is None:
+            tree.facts(q)  # raises UnknownPoint or ArenaError
     best = pts[0]
-    best_facts = tree.facts(best)
     for q in pts[1:]:
-        facts = tree.facts(q)
-        if facts.defining_free_point != best_facts.defining_free_point:
+        if free_points[q] != free_points[best]:
             raise NotComparable(
                 f"points {best} and {q} have different defining free points")
-        if not _below(facts, best_facts):
-            best, best_facts = q, facts
+        if ks[q] * ns[best] > ks[best] * ns[q]:
+            best = q
     return best
 
 

@@ -47,9 +47,12 @@ every dicritical that repeats the pair.  The walk is deterministic and
 finds the points an earlier walk created, so its result equals
 :func:`recover` exactly.
 
-The invariant, the walk and the value rules read each point's defining
-free point, chain weights, m0 and ordered proximities from the arena's
-cached point facts, so none of them rebuilds a unibranch chain.
+The invariant, the walk and the value rules read each point's parent,
+defining free point, chain weights, m0 and ordered proximities from the
+arena's columns and m from the list table of :mod:`~enriques.morphism`,
+so none of them rebuilds a unibranch chain or builds a per-point object.
+A full run counts the excesses of ``bp`` once: they give both the
+consistency check and the dicritical points.
 """
 
 from __future__ import annotations
@@ -58,12 +61,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arena import ArenaTree, PointFacts, PointId
+from .arena import ArenaTree, PointId
 from .cluster import (
     WeightedCluster,
     WeightKind,
-    dicritical_points,
     excess,
+    excesses,
     multiplicities_from_values,
     is_consistent,
 )
@@ -75,16 +78,11 @@ from .errors import (
     NonIntegralValue,
     NotDicritical,
     RecoveryError,
+    UnknownPoint,
     WalkDiverged,
 )
-from .morphism import MorphismInvariants, compute
-from .ordering import (
-    PrecComparison,
-    first_satellite,
-    max_under_prec,
-    prec_compare,
-    second_satellite,
-)
+from .morphism import MorphismInvariants, require_base_points
+from .ordering import _first_satellite, _second_satellite, max_under_prec
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -130,12 +128,18 @@ def dicritical_invariant(
 
     The pairing equals m_d - m0_d (see :mod:`~enriques.morphism`), so the
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
-    and the arena's cached facts.
+    and the arena's columns.
     """
+    if d not in bp.tree:
+        raise UnknownPoint(f"no point with id {d}")
     if d not in bp or excess(bp, d) <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
+    return _invariant(bp.tree, inv, d)
+
+
+def _invariant(tree: ArenaTree, inv: MorphismInvariants, d: PointId) -> Fraction:
     n_d, m_d = inv.extend_to(d)
-    return Fraction(m_d - bp.tree.facts(d).m0 + n_d, n_d)
+    return Fraction(m_d - tree.m0s[d] + n_d, n_d)
 
 
 def base_free_point(
@@ -148,17 +152,15 @@ def base_free_point(
     scan runs from d down to the origin, so it stops at the first such
     link it meets.
     """
+    inv.extend_to(d)  # checks d; the table then covers d's whole chain
     tree = bp.tree
+    parents, seconds, ns, m = tree.parents, tree.seconds, tree.ns, inv.m
     num, den = invariant.numerator, invariant.denominator
-    p = d
-    record = tree.record(d)
-    while record.parent is not None:
-        p_prev = record.parent
-        if record.second_proximity is None:
-            n, m = inv.extend_to(p_prev)
-            if m * den < num * n:
-                return p_prev, p
-        p, record = p_prev, tree.record(p_prev)
+    p, a = d, parents[d]
+    while a is not None:
+        if seconds[p] is None and m[a] * den < num * ns[a]:
+            return a, p
+        p, a = a, parents[a]
     raise NoQualifyingPair(
         f"no chain link of point {d} qualifies for invariant {invariant}")
 
@@ -177,11 +179,12 @@ def satellite_walk(
     numerator + denominator of the invariant; exceeding the cap means the
     input was not a genuine cluster of polar base points.
     """
+    extend_to = inv.extend_to
+    n, m = extend_to(p)  # checks p; every later point comes from the arena
     num, den = invariant.numerator, invariant.denominator
     cap = num + den
     q = p
     for _ in range(cap + 1):
-        n, m = inv.extend_to(q)
         gap = m * den - num * n
         if gap == 0:
             if trace:
@@ -190,11 +193,12 @@ def satellite_walk(
         if gap > 0:
             if trace:
                 trace((q, m, n, "first"))
-            q = first_satellite(tree, q)
+            q = _first_satellite(tree, q)
         else:
             if trace:
                 trace((q, m, n, "second"))
-            q = second_satellite(tree, q)
+            q = _second_satellite(tree, q)
+        n, m = extend_to(q)
     raise WalkDiverged(
         f"no height quotient equal to {invariant} within"
         f" {cap} steps below point {p}")
@@ -204,26 +208,32 @@ def _biggest_rupture_by_cone(
     tree: ArenaTree, rupture: frozenset[PointId]
 ) -> dict[PointId, PointId]:
     """For each defining free point, the biggest rupture point of its cone."""
+    free_points = tree.free_points
     cones: dict[PointId, list[PointId]] = {}
     for q in rupture:
-        cones.setdefault(tree.facts(q).defining_free_point, []).append(q)
+        cones.setdefault(free_points[q], []).append(q)
     return {p: max_under_prec(tree, cone) for p, cone in cones.items()}
 
 
 def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
+    """The points with their ancestors; each chain stops at a closed point."""
+    parents = tree.parents
     closed: set[PointId] = set()
     for p in points:
-        closed.update(tree.ancestors(p))
+        while p is not None and p not in closed:
+            closed.add(p)
+            p = parents[p]
     return frozenset(closed)
 
 
 def _topology(
     bp: WeightedCluster,
     inv: MorphismInvariants,
+    dicriticals: list[PointId],
     trace: Optional[Callable[[TraceEntry], None]],
     grouped: bool,
 ) -> tuple[frozenset[PointId], frozenset[PointId], dict[PointId, DicriticalAssociation]]:
-    """The topology loop under either schedule.
+    """The topology loop under either schedule, over the sorted dicriticals.
 
     The basic schedule walks every dicritical in ascending id.  The grouped
     schedule visits them by descending invariant and walks each
@@ -234,14 +244,13 @@ def _topology(
     association: dict[PointId, DicriticalAssociation] = {}
     walked: dict[tuple[PointId, Fraction], PointId] = {}
     try:
-        dicriticals = sorted(dicritical_points(bp))
         origin = tree.origin
-        if origin in dicriticals:
+        if dicriticals and dicriticals[0] == origin:
             rupture.add(origin)
             association[origin] = DicriticalAssociation(
-                dicritical_invariant(bp, inv, origin), origin, origin)
-            dicriticals.remove(origin)
-        schedule = [(dicritical_invariant(bp, inv, d), d) for d in dicriticals]
+                _invariant(tree, inv, origin), origin, origin)
+            dicriticals = dicriticals[1:]
+        schedule = [(_invariant(tree, inv, d), d) for d in dicriticals]
         if grouped:
             schedule.sort(key=lambda pair: (-pair[0], pair[1]))
         for invariant, d in schedule:
@@ -256,16 +265,6 @@ def _topology(
         err.association = dict(association)
         raise
     return frozenset(rupture), _downward_closure(tree, rupture), association
-
-
-def recover_topology(
-    bp: WeightedCluster,
-    inv: Optional[MorphismInvariants] = None,
-    trace: Optional[Callable[[TraceEntry], None]] = None,
-) -> tuple[frozenset[PointId], frozenset[PointId], dict[PointId, DicriticalAssociation]]:
-    """Rupture set, singular set and dicritical table, walking every dicritical."""
-    return _topology(
-        bp, compute(bp) if inv is None else inv, trace, grouped=False)
 
 
 # -- part two: values ---------------------------------------------------------
@@ -286,55 +285,56 @@ def recover_values(
 
     Processes rupture points, then free points, then satellite points; the
     satellite rule consumes the already-recovered value at the defining
-    free point.
+    free point.  ``singular`` must hold ``rupture``, as the topology's
+    downward closure does.
     """
     tree = bp.tree
-    values: dict[PointId, int] = {}
-    for q in rupture:
-        values[q] = inv.extend_to(q)[1]
+    if singular:
+        if min(singular) < 0:
+            raise UnknownPoint(f"no point with id {min(singular)}")
+        inv.extend_to(max(singular))  # checks, and covers every point
+    m = inv.m
+    seconds, children = tree.seconds, tree.children
+    free_points, ns, ks = tree.free_points, tree.ns, tree.ks
+    values: dict[PointId, int] = {q: m[q] for q in rupture}
     free_rest: list[PointId] = []
-    satellite_rest: list[tuple[PointId, PointFacts]] = []
+    satellite_rest: list[PointId] = []
     for p in singular:
         if p not in rupture:
-            facts = tree.facts(p)
-            if facts.ordered_proximities is None:
+            if seconds[p] is None:
                 free_rest.append(p)
             else:
-                satellite_rest.append((p, facts))
+                satellite_rest.append(p)
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
 
     for p in free_rest:
-        if any(s in singular and tree.is_free(s)
-               for s in tree.child_list(p)):
-            values[p] = inv.extend_to(p)[1]
+        if any(c in singular and seconds[c] is None for c in children[p]):
+            values[p] = m[p]
             continue
         q = biggest_rupture.get(p)
         if q is None:
             raise EmptyRuptureSet(
                 f"free singular point {p} has no rupture point in its"
                 " satellite cone")
-        n_p, _ = inv.extend_to(p)
-        n_q, m_q = inv.extend_to(q)
-        values[p] = _only_integer_in_unit_interval(n_p * m_q, n_q)
-    for p, facts in satellite_rest:
-        p_free = facts.defining_free_point
+        values[p] = _only_integer_in_unit_interval(ns[p] * m[q], ns[q])
+    for p in satellite_rest:
+        p_free = free_points[p]
         q = biggest_rupture.get(p_free)
         if q is None:
             raise EmptyRuptureSet(
                 f"satellite point {p} has no rupture point in the cone"
                 f" of its defining free point {p_free}")
-        n_q, m_q = inv.extend_to(q)
-        n_pf, _ = inv.extend_to(p_free)
+        n_q, m_q, n_pf = ns[q], m[q], ns[p_free]
         v_pf = values[p_free]
-        if (prec_compare(tree, p, q) is PrecComparison.GREATER
-                and v_pf * n_q == n_pf * m_q):
-            numerator = facts.n * v_pf
+        # p and q share a cone, so p > q compares their fractions k/n
+        if ks[p] * n_q > ks[q] * ns[p] and v_pf * n_q == n_pf * m_q:
+            numerator = ns[p] * v_pf
             if numerator % n_pf:
                 raise NonIntegralValue(
                     f"value at satellite {p} would be {numerator}/{n_pf}")
             values[p] = numerator // n_pf
         else:
-            values[p] = inv.extend_to(p)[1]
+            values[p] = m[p]
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
@@ -347,8 +347,12 @@ def _recover(
     grouped: bool,
 ) -> RecoveryResult:
     before = len(bp.tree)
-    inv = compute(bp)
-    rupture, singular, association = _topology(bp, inv, trace, grouped)
+    rho = excesses(bp)
+    require_base_points(bp, rho)
+    inv = MorphismInvariants(bp)
+    dicriticals = sorted(p for p, r in rho.items() if r > 0)
+    rupture, singular, association = _topology(
+        bp, inv, dicriticals, trace, grouped)
     created = frozenset(range(before, len(bp.tree)))
     try:
         values = recover_values(bp, inv, rupture, singular)
@@ -407,8 +411,9 @@ def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
     tree = result.values.tree
     biggest_rupture = _biggest_rupture_by_cone(tree, result.rupture)
     out: dict[PointId, bool] = {}
+    ns, seconds = tree.ns, tree.seconds
     for p in result.singular:
-        if not tree.is_free(p):
+        if seconds[p] is not None:
             continue
         if p in result.rupture:
             out[p] = True
@@ -417,7 +422,7 @@ def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
         if q is None:
             out[p] = False
             continue
-        n_p, n_q = tree.facts(p).n, tree.facts(q).n
+        n_p, n_q = ns[p], ns[q]
         m_q = result.values[q]  # value equals height at rupture points
         out[p] = result.values[p] * n_q != n_p * m_q
     return out

@@ -31,11 +31,10 @@ _VIA_SECOND = b"s"
 
 
 def _role_tag(tree: ArenaTree, p: PointId) -> bytes:
-    second = tree.second_proximity(p)
+    second = tree.seconds[p]
     if second is None:
         return _FREE
-    parent = tree.parent(p)
-    if second == tree.parent(parent):
+    if second == tree.parents[tree.parents[p]]:
         return _VIA_GRANDPARENT
     return _VIA_SECOND
 
@@ -46,13 +45,13 @@ def _encode(cluster: WeightedCluster, origin: PointId) -> bytes:
     Arena ids are topologically sorted, so descending ids visit children
     first; each child's encoding is dropped once its parent has used it.
     """
-    tree = cluster.tree
+    tree, weight = cluster.tree, cluster.weight
     encoded: dict[PointId, bytes] = {}
-    for p in sorted(cluster.points, reverse=True):
+    for p in sorted(weight, reverse=True):
         children = sorted(
-            encoded.pop(c) for c in tree.child_list(p) if c in cluster)
+            encoded.pop(c) for c in tree.children[p] if c in weight)
         encoded[p] = b"%b:%d(%b)" % (
-            _role_tag(tree, p), cluster.weight[p], b"".join(children))
+            _role_tag(tree, p), weight[p], b"".join(children))
     return encoded[origin]
 
 

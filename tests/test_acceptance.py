@@ -35,10 +35,11 @@ from enriques import (
 from enriques.cli import main as cli_main
 from enriques.errors import EnriquesError
 from enriques.ordering import PrecComparison, fraction_at
-from enriques.oracle import chain_inside, has_bigger_branch, random_curve
+from enriques.oracle import chain_inside, has_bigger_branch
 
 import fixture_builders as fb
 import randgen
+from randgen import random_curve
 
 F = Fraction
 

@@ -1,6 +1,20 @@
+import random
+from fractions import Fraction
+from typing import Optional
+
 import pytest
 
-from enriques import ArenaTree
+from enriques import (
+    ArenaTree,
+    PointFacts,
+    PointId,
+    PointRecord,
+    WeightKind,
+    WeightedCluster,
+    base_free_point,
+    compute,
+    dicritical_invariant,
+)
 from enriques.errors import (
     ArenaError,
     DuplicateOrigin,
@@ -11,6 +25,7 @@ from enriques.errors import (
 )
 
 import fixture_builders as fb
+import randgen
 
 
 def test_root_creation():
@@ -69,6 +84,23 @@ def test_unknown_references_rejected():
             tree.record(bad)
         with pytest.raises(UnknownPoint):
             tree.facts(bad)
+    # the columns are lists, which would read -1 as the last point
+    tree, bp, names = fb.ex04_bp()
+    inv = compute(bp)
+    queries = [
+        tree.record, tree.facts, tree.parent, tree.second_proximity,
+        tree.label, tree.child_list, tree.ancestors,
+        lambda p: tree.precedes(p, names["p3"]),
+        lambda p: tree.precedes(names["O"], p),
+        inv.extend_to,
+        lambda p: base_free_point(bp, inv, p, Fraction(11)),
+        lambda p: dicritical_invariant(bp, inv, p),
+    ]
+    for bad in (-1, len(tree), "0", None):
+        for query in queries:
+            with pytest.raises(UnknownPoint):
+                query(bad)
+    assert len(tree) == len(inv.m)
 
 
 def test_duplicate_satellite_pair_rejected():
@@ -182,3 +214,159 @@ def test_clone_is_independent():
     copy = tree.clone()
     copy.add_point(copy.origin)
     assert len(copy) == len(tree) + 1
+
+
+class _ReferenceArena:
+    """The arena the columns replaced: one record and one facts tuple per point.
+
+    ``append_raw`` and ``_derive_facts`` are the library's code before the
+    arena became columnar.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[PointRecord] = []
+        self.facts: list[Optional[PointFacts]] = []
+        self.index: dict[tuple[PointId, PointId], PointId] = {}
+
+    def append_raw(self, parent, second, label) -> None:
+        q = len(self.records)
+        self.facts.append(self._derive_facts(q, parent, second))
+        self.records.append(PointRecord(q, parent, second, label))
+        if parent is not None and second is not None:
+            self.index.setdefault((parent, second), q)
+
+    def _derive_facts(self, q, a, s) -> Optional[PointFacts]:
+        if a is None:
+            return PointFacts(0, 1, 1, 1, None) if q == 0 and s is None else None
+        facts = self.facts
+        if not 0 <= a < q or facts[a] is None:
+            return None
+        free_a, n_a, m0_a, k_a, pair = facts[a]
+        if s is None:
+            return PointFacts(q, n_a, m0_a + 1, 1, None)
+        if (a, s) in self.index:
+            return None
+        if pair is None:
+            pair = (self.records[a].parent, a)
+            if s != pair[0]:
+                return None
+        else:
+            lo, hi = pair
+            if s == lo:
+                pair = (lo, a)
+            elif s == hi:
+                pair = (a, hi)
+            else:
+                return None
+        free_s, n_s, m0_s, k_s, _ = facts[s]
+        if free_s == free_a:
+            k_a += k_s
+        return PointFacts(free_a, n_a + n_s, m0_a + m0_s, k_a, pair)
+
+
+class _ReferenceHeights:
+    """The m table before it became a list: a dict grown along chains."""
+
+    def __init__(self, bp: WeightedCluster) -> None:
+        self.bp = bp
+        self.m: dict[PointId, int] = {}
+        for p in bp.ordered_points():
+            self._compute_point(bp.tree.record(p))
+
+    def _compute_point(self, r: PointRecord) -> None:
+        m, w = self.m, self.bp.get(r.id, 0)
+        if r.parent is None:
+            m[r.id] = w + 1
+        elif r.second_proximity is None:
+            m[r.id] = m[r.parent] + w + 1
+        else:
+            m[r.id] = m[r.parent] + m[r.second_proximity] + w
+
+    def extend_to(self, p: PointId) -> tuple[int, int]:
+        tree = self.bp.tree
+        missing = []
+        q = p
+        while q is not None and q not in self.m:
+            r = tree.record(q)
+            missing.append(r)
+            q = r.parent
+        for r in reversed(missing):
+            self._compute_point(r)
+        return tree.facts(p).n, self.m[p]
+
+
+def _assert_columns_match_reference(tree: ArenaTree) -> int:
+    """Replay the arena into the reference; return its number of broken points."""
+    ref = _ReferenceArena()
+    for triple in zip(tree.parents, tree.seconds, tree.labels):
+        ref.append_raw(*triple)
+    assert tree.records() == ref.records
+    children: list[list[PointId]] = [[] for _ in ref.records]
+    for r in ref.records:
+        if r.parent is not None and 0 <= r.parent < r.id:
+            children[r.parent].append(r.id)
+    assert tree.children == children
+    broken = 0
+    for p, (record, facts) in enumerate(zip(ref.records, ref.facts)):
+        assert tree.record(p) == record
+        assert (tree.parents[p], tree.seconds[p], tree.labels[p]) == (
+            record.parent, record.second_proximity, record.label)
+        columns = (tree.free_points[p], tree.ns[p], tree.m0s[p],
+                   tree.ks[p], tree.pairs[p])
+        if facts is None:
+            broken += 1
+            assert columns == (None,) * 5
+            with pytest.raises(ArenaError):
+                tree.facts(p)
+        else:
+            assert columns == tuple(facts)
+            assert tree.facts(p) == facts
+    return broken
+
+
+BROKEN_RECORDS = [
+    ILLEGAL_PROXIMITY,
+    ILLEGAL_PROXIMITY + [(3, None, "after bad")],
+    DUPLICATE_ORIGIN,
+    SELF_REFERENCE_AND_ORDER,
+    [(1, None, "p1"), (None, None, "O")],
+    [(None, None, "O"), (0, None, "p1"), (1, None, "p2"), (2, 1, "s"),
+     (2, 1, "again")],
+]
+
+
+def _mutated_records(rng: random.Random, tree: ArenaTree):
+    """The arena's triples with a few parents or second proximities spoiled."""
+    triples = [list(t) for t in zip(tree.parents, tree.seconds, tree.labels)]
+    size = len(triples)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(size)
+        field = rng.randrange(2)
+        triples[i][field] = rng.choice([None, -1, i, size, rng.randrange(size)])
+    return [tuple(t) for t in triples]
+
+
+def test_columns_match_record_and_facts_reference():
+    points = broken = appended = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        tree = randgen.random_proximity_tree(rng, 12)
+        weights = randgen._random_weights_from_excesses(rng, tree, 2)
+        # points outside the cluster, then a table, then points after it
+        randgen.grow_by_satellite_walks(tree, rng, walks=2, max_steps=6)
+        bp = WeightedCluster(tree, WeightKind.VIRTUAL, weights)
+        inv, ref = compute(bp), _ReferenceHeights(bp)
+        computed = len(tree)
+        randgen.grow_by_satellite_walks(tree, rng, walks=3, max_steps=8)
+        appended += len(tree) - computed
+        assert _assert_columns_match_reference(tree) == 0
+        for p in tree.points():
+            assert inv.extend_to(p) == ref.extend_to(p)
+        assert inv.m == [ref.m[p] for p in tree.points()]
+        points += len(tree)
+        mutated = ArenaTree.from_records(_mutated_records(rng, tree))
+        broken += _assert_columns_match_reference(mutated)
+    for records in BROKEN_RECORDS:
+        broken += _assert_columns_match_reference(
+            ArenaTree.from_records(records))
+    assert points > 20000 and appended > 5000 and broken > 2000

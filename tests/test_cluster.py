@@ -25,10 +25,10 @@ from enriques.errors import (
     UnknownPoint,
     WrongKind,
 )
-from enriques.oracle import random_proximity_tree
 
 import fixture_builders as fb
 import randgen
+from randgen import random_proximity_tree
 
 
 def weights_by_label(cluster, names, labels):

@@ -15,11 +15,11 @@ from enriques.errors import (
     NotDownwardClosed,
     UnknownPoint,
 )
-from enriques.oracle import random_proximity_tree
 
 import fixture_builders as fb
 import make_fixtures
 import randgen
+from randgen import random_proximity_tree
 
 
 def test_golden_files_match_builders(fixture_dir):
@@ -145,6 +145,14 @@ def test_parse_rejects_bool_version():
         parse(_doc([{"id": "O", "weight": 1}], version=True))
     assert info.value.diagnostics == [Diagnostic(
         "UnsupportedVersion", None, "format_version must be 1, got True")]
+
+
+def test_parse_rejects_float_version():
+    # 1.0 == 1 in Python, but a JSON number with a fraction part is no version
+    with pytest.raises(DocumentValidationError) as info:
+        parse(_doc([{"id": "O", "weight": 1}], version=1.0))
+    assert info.value.diagnostics == [Diagnostic(
+        "UnsupportedVersion", None, "format_version must be 1, got 1.0")]
 
 
 def test_serialize_empty_arena():

@@ -14,7 +14,6 @@ from enriques import (
     invariant_quotient,
     polar_invariants,
     polar_invariants_local,
-    random_curve,
     recover,
     rupture_points,
     validate_curve_cluster,
@@ -24,6 +23,7 @@ from enriques.oracle import branch_clusters, chain_inside, has_bigger_branch
 
 import fixture_builders as fb
 import randgen
+from randgen import random_curve
 
 
 def _free_count_by_scan(curve, p):

@@ -16,7 +16,6 @@ from enriques import (
     second_satellite,
     unibranch_chain,
 )
-from enriques.oracle import random_proximity_tree
 from enriques.ordering import PrecComparison, fraction_at
 from enriques.errors import (
     EmptySet,
@@ -27,6 +26,7 @@ from enriques.errors import (
 )
 
 import fixture_builders as fb
+from randgen import random_proximity_tree
 
 L, E, G = PrecComparison.LESS, PrecComparison.EQUAL, PrecComparison.GREATER
 

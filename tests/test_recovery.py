@@ -17,7 +17,6 @@ from enriques import (
     noether_pairing,
     recover,
     recover_grouped,
-    recover_topology,
     rupture_points,
     satellite_walk,
     unibranch_chain,
@@ -127,8 +126,12 @@ def test_satellite_walk_diverges_with_cap():
 def test_recover_topology_creates_points_when_needed():
     tree, bp, names = fb.ex05_bp()
     size = len(tree)
-    rupture, singular, association = recover_topology(bp)
+    result = recover(bp)
+    rupture, singular, association = (
+        result.rupture, result.singular, result.association)
     assert len(tree) == size + 2
+    assert result.created == {size, size + 1}
+    assert rupture <= singular
     (q,) = rupture
     assert tree.proximities(q) == {size, names["p3"]}
     assert association[names["p4"]].invariant == 11
