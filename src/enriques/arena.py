@@ -18,9 +18,10 @@ derived once, when the point is appended, because the arena only grows.
 Hot readers index the columns directly and trust the ids they index with;
 every method that takes a point id checks it and raises
 :class:`~enriques.errors.UnknownPoint` on anything that is not an arena
-index (a list would silently accept ``-1``).  :meth:`ArenaTree.record`,
-:meth:`ArenaTree.records` and :meth:`ArenaTree.facts` build read-only
-views from the columns for the public API and tests.
+index (a list would silently accept ``-1``, and ``True`` as ``1``).
+:meth:`ArenaTree.record`, :meth:`ArenaTree.records` and
+:meth:`ArenaTree.facts` build read-only views from the columns for the
+public API and tests.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -29,6 +30,7 @@ ids only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -42,6 +44,10 @@ from .errors import (
 )
 
 PointId = int
+
+#: Shortest run that :meth:`ArenaTree.append_chain` writes as column
+#: ranges; a shorter one is cheaper as a loop of :meth:`ArenaTree.append_raw`.
+CHAIN_CROSSOVER = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,6 +239,51 @@ class ArenaTree:
                 self._satellite_index.setdefault((parent, s), q)
         return q
 
+    def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
+        """Append t >= 1 satellites proximate to s, each the child of the
+        one before, the first a child of ``a``; return the last one's id.
+
+        The result equals t calls of :meth:`append_raw`.  When (a, s) is a
+        legal proximity pair that the arena does not hold yet, these are
+        the points that t equal moves of a satellite walk create from a.
+        The first point goes through :meth:`append_raw`; every later one
+        repeats its second proximity s, so its n, m0 and k add s's share to
+        the previous point's and its pair keeps the first point's
+        orientation, (s, previous) or (previous, s).  A run of at least
+        ``CHAIN_CROSSOVER`` such points goes into the columns as ranges,
+        one ``extend`` per column; a shorter one, or one whose first point
+        breaks a rule, is a loop of :meth:`append_raw`.
+        """
+        q = self.append_raw(a, s)
+        if t < CHAIN_CROSSOVER or self.pairs[q] is None:
+            for _ in range(t - 1):
+                q = self.append_raw(q, s)
+            return q
+        rest, last = t - 1, q + t - 1
+        prev = range(q, last)
+        free, n, m0, k = (
+            self.free_points[q], self.ns[q], self.m0s[q], self.ks[q])
+        n_s, m0_s = self.ns[s], self.m0s[s]
+        k_s = self.ks[s] if self.free_points[s] == free else 0
+        self.parents.extend(prev)
+        self.seconds.extend(repeat(s, rest))
+        self.labels.extend(repeat(None, rest))
+        self.children[q].append(q + 1)
+        self.children.extend([c] for c in range(q + 2, last + 1))
+        self.children.append([])
+        self.free_points.extend(repeat(free, rest))
+        self.ns.extend(range(n + n_s, n + t * n_s, n_s))
+        self.m0s.extend(range(m0 + m0_s, m0 + t * m0_s, m0_s))
+        self.ks.extend(range(k + k_s, k + t * k_s, k_s) if k_s
+                       else repeat(k, rest))
+        if self.pairs[q][0] == s:
+            self.pairs.extend(zip(repeat(s), prev))
+        else:
+            self.pairs.extend(zip(prev, repeat(s)))
+        self._satellite_index.update(
+            zip(zip(prev, repeat(s)), range(q + 1, last + 1)))
+        return last
+
     def clone(self) -> "ArenaTree":
         """Independent copy sharing no mutable state."""
         tree = ArenaTree()
@@ -249,7 +300,7 @@ class ArenaTree:
         return len(self.parents)
 
     def __contains__(self, p: object) -> bool:
-        return isinstance(p, int) and 0 <= p < len(self.parents)
+        return type(p) is int and 0 <= p < len(self.parents)
 
     def _check(self, p: object) -> None:
         if p not in self:

@@ -82,8 +82,9 @@ def _cmd_recover(args) -> int:
         trace_lines.append(f"{_point_name(tree, q)} {m}/{n} {word}")
 
     run = recovery.recover_grouped if args.algorithm == "grouped" else recovery.recover
-    result = run(bp, trace=trace if args.trace else None)
-    if args.trace:
+    try:
+        result = run(bp, trace=trace if args.trace else None)
+    finally:  # a failed run's walk is what --trace is there to show
         for line in trace_lines:
             print(line)
     print("d\tI_d\tp_d\tq_d")

@@ -52,9 +52,10 @@ class WeightedCluster:
     """An ancestor-closed set of points with integer weights.
 
     Instances are immutable; derive new clusters instead of mutating.
-    Weights are ints, not bools, and must be >= 1, except that virtual
-    clusters may carry explicit zero weights ("carrier" points that take
-    part in no sum but keep a point in the set).
+    Point ids and weights are ints, not bools, and weights must be >= 1,
+    except that virtual clusters may carry explicit zero weights
+    ("carrier" points that take part in no sum but keep a point in the
+    set).
     """
 
     tree: ArenaTree
@@ -68,7 +69,7 @@ class WeightedCluster:
         parents = self.tree.parents
         size = len(parents)
         for p, w in weights.items():
-            if not (isinstance(p, int) and 0 <= p < size):
+            if not (type(p) is int and 0 <= p < size):
                 raise UnknownPoint(f"cluster mentions unknown point {p}")
             if isinstance(w, bool):
                 raise InvalidWeight(

@@ -89,7 +89,7 @@ class MorphismInvariants:
     def extend_to(self, p: PointId) -> tuple[int, int]:
         """Ensure m is defined at ``p``; return its (n, m)."""
         m = self.m
-        if not (isinstance(p, int) and 0 <= p < len(m)):
+        if not (type(p) is int and 0 <= p < len(m)):
             if p not in self.bp.tree:
                 raise UnknownPoint(f"no point with id {p}")
             self._grow()
@@ -97,6 +97,22 @@ class MorphismInvariants:
         if m_p is None:
             raise ArenaError(f"point {p} breaks an arena rule; see validate()")
         return self.bp.tree.ns[p], m_p
+
+    def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
+        """:meth:`ArenaTree.append_chain` that also tabulates m.
+
+        (a, s) must be a legal proximity pair that the arena does not hold
+        yet, as for a move of the satellite walk.  The new points lie
+        outside the cluster, so m grows by m_s from point to point,
+        starting from m_a; the table first catches up with the points
+        appended since it last grew.
+        """
+        self._grow()
+        m = self.m
+        start, step = m[a], m[s]
+        q = self.bp.tree.append_chain(a, s, t)
+        m.extend(range(start + step, start + (t + 1) * step, step))
+        return q
 
     def height_quotient(self, p: PointId) -> Fraction:
         n, m = self.extend_to(p)

@@ -100,14 +100,24 @@ def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
 
 
 def rupture_points(curve: WeightedCluster) -> set[PointId]:
-    """Points with >= 2 curve-free points after them (>= 1 for satellites)."""
-    seconds = curve.tree.seconds
-    out = set()
-    for p in curve.points:
-        needed = 1 if seconds[p] is not None else 2
-        if free_count_first_neighbourhood(curve, p) >= needed:
-            out.add(p)
-    return out
+    """Points with >= 2 curve-free points after them (>= 1 for satellites).
+
+    One pass counts every excess, as :func:`excesses` does, and one sweep
+    adds each free cluster point to its parent's count, so the result is
+    :func:`free_count_first_neighbourhood` at every point.  Raises
+    :class:`NegativeResidual` when some excess is negative.
+    """
+    counts = excesses(curve)
+    negative = [p for p, r in counts.items() if r < 0]
+    if negative:
+        raise NegativeResidual(
+            f"multiplicity bookkeeping at point {min(negative)} is negative")
+    parents, seconds = curve.tree.parents, curve.tree.seconds
+    for q in counts:
+        if seconds[q] is None and parents[q] is not None:
+            counts[parents[q]] += 1
+    return {p for p, c in counts.items()
+            if c >= (2 if seconds[p] is None else 1)}
 
 
 def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:

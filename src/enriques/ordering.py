@@ -28,6 +28,9 @@ q) and the *second* satellite (proximate to q and b, above q).  The
 functions here find the requested neighbour in the arena, creating it when
 it does not exist yet (find-or-create), since the recovery walk routinely
 visits points that carry no weight in the input cluster.
+:func:`satellite_proximity` names the point, besides q, that the first or
+second satellite of q is proximate to; the recovery walk reads it to
+append a whole run of equal moves at once.
 
 The defining free point, the fraction within its cone and a satellite's
 ordered proximities are fixed when a point is appended, so they are read
@@ -116,32 +119,26 @@ def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
     return PrecComparison.INCOMPARABLE
 
 
-def _satellite(tree: ArenaTree, q: PointId, s: PointId) -> PointId:
-    """The satellite proximate to q and s, created if missing.
+def satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
+    """The point that the first (or second) satellite of ``q`` is also
+    proximate to, besides ``q``.
 
-    (q, s) is a legal pair, as s is one of q's proximities, so a missing
-    point is appended without the checks of :meth:`ArenaTree.add_point`.
+    That is the smaller of a satellite's ordered proximities for the first
+    satellite and the bigger for the second; a free point's first satellite
+    is also proximate to its parent.  ``q`` must have facts.  Every later
+    satellite on the same side keeps this proximity, so a run of equal
+    moves in the satellite cone shares it.
     """
-    found = tree.find_satellite(q, s)
-    return tree.append_raw(q, s) if found is None else found
-
-
-def _first_satellite(tree: ArenaTree, q: PointId) -> PointId:
-    """:func:`first_satellite` of a point with facts, without the id check."""
     pair = tree.pairs[q]
+    if second:
+        if pair is None:
+            raise SecondSatelliteOfFreePoint(
+                f"point {q} is free; only satellites have a second satellite")
+        return pair[1]
     s = tree.parents[q] if pair is None else pair[0]
     if s is None:
         raise OriginHasNoSatellite("the origin has no satellite points")
-    return _satellite(tree, q, s)
-
-
-def _second_satellite(tree: ArenaTree, q: PointId) -> PointId:
-    """:func:`second_satellite` of a point with facts, without the id check."""
-    pair = tree.pairs[q]
-    if pair is None:
-        raise SecondSatelliteOfFreePoint(
-            f"point {q} is free; only satellites have a second satellite")
-    return _satellite(tree, q, pair[1])
+    return s
 
 
 def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
@@ -151,13 +148,17 @@ def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
     point is created if the arena does not contain it yet.
     """
     tree.facts(q)  # checks q; a point that breaks a rule has no cone
-    return _first_satellite(tree, q)
+    s = satellite_proximity(tree, q, False)
+    found = tree.find_satellite(q, s)
+    return tree.append_raw(q, s) if found is None else found
 
 
 def second_satellite(tree: ArenaTree, q: PointId) -> PointId:
     """The bigger satellite in the first neighbourhood of a satellite ``q``."""
     tree.facts(q)  # checks q; a point that breaks a rule has no cone
-    return _second_satellite(tree, q)
+    s = satellite_proximity(tree, q, True)
+    found = tree.find_satellite(q, s)
+    return tree.append_raw(q, s) if found is None else found
 
 
 def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:

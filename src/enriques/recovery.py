@@ -21,9 +21,13 @@ contributes one rupture point:
    down to the origin and stops at the first qualifying link;
 3. from p, a bisection walk moves to the first satellite while the height
    quotient m/n exceeds I_d and to the second satellite while it falls
-   short, stopping at the unique point q_d with m/n = I_d.  The walk visits
-   at most numerator + denominator of I_d points and creates the ones the
-   arena does not contain yet.
+   short, stopping at the unique point q_d with m/n = I_d.  The walk makes
+   at most numerator + denominator of I_d moves and creates the points the
+   arena does not contain yet.  It follows existing points one move at a
+   time; once it has to create a point, every later point is new and
+   weightless, and it moves one run of equal moves at a time: the points
+   of a run share their second proximity, so the run's length is one
+   division and the arena appends the run at once.
 
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
 builds a fraction.
@@ -82,7 +86,7 @@ from .errors import (
     WalkDiverged,
 )
 from .morphism import MorphismInvariants, require_base_points
-from .ordering import _first_satellite, _second_satellite, max_under_prec
+from .ordering import max_under_prec, satellite_proximity
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -175,31 +179,75 @@ def satellite_walk(
     """Bisect the satellite cone of ``p`` down to height quotient = invariant.
 
     Moves to the first satellite while m/n is too big, to the second while
-    too small, creating points as needed.  The number of steps is capped at
+    too small, creating points as needed.  The number of moves is capped at
     numerator + denominator of the invariant; exceeding the cap means the
     input was not a genuine cluster of polar base points.
+
+    The walk follows the points the arena already holds one move at a
+    time, as they may carry weight.  From the first point it has to create
+    on, every point is new and weightless, so it moves one run of equal
+    moves at a time: every point of a run shares the second proximity s,
+    so the gap m*b - a*n to I = a/b changes by the same
+    delta = m_s*b - a*n_s at each move, the run's length is the least t
+    that makes the gap change sign or vanish, one division, and the run's
+    points are appended together.  A run whose delta cannot change the
+    gap's sign, or whose end lies beyond the cap, raises
+    :class:`WalkDiverged` before appending anything.  ``trace`` still sees
+    one entry per visited point.
     """
     extend_to = inv.extend_to
     n, m = extend_to(p)  # checks p; every later point comes from the arena
     num, den = invariant.numerator, invariant.denominator
     cap = num + den
+    find = tree.find_satellite
     q = p
-    for _ in range(cap + 1):
+    for moves in range(cap + 1):
         gap = m * den - num * n
         if gap == 0:
             if trace:
                 trace((q, m, n, "stop"))
             return q
-        if gap > 0:
-            if trace:
-                trace((q, m, n, "first"))
-            q = _first_satellite(tree, q)
-        else:
-            if trace:
-                trace((q, m, n, "second"))
-            q = _second_satellite(tree, q)
+        second = gap < 0
+        if trace:
+            trace((q, m, n, "second" if second else "first"))
+        s = satellite_proximity(tree, q, second)
+        found = find(q, s)
+        if found is None:
+            break
+        q = found
         n, m = extend_to(q)
-    raise WalkDiverged(
+    else:
+        raise _diverged(invariant, cap, p)
+    ns, table = tree.ns, inv.m
+    while True:
+        n_s, m_s = ns[s], table[s]
+        delta = m_s * den - num * n_s
+        if gap * delta >= 0:  # the run would never close the gap
+            raise _diverged(invariant, cap, p)
+        t = -(gap // delta)  # the least t with gap + t*delta at or past 0
+        moves += t
+        if moves > cap:
+            raise _diverged(invariant, cap, p)
+        q = inv.append_chain(q, s, t)
+        if trace:
+            word = "second" if second else "first"
+            for i in range(1, t):
+                trace((q - t + i, m + i * m_s, n + i * n_s, word))
+        gap += t * delta
+        n += t * n_s
+        m += t * m_s
+        if gap == 0:
+            if trace:
+                trace((q, m, n, "stop"))
+            return q
+        second = gap < 0
+        if trace:
+            trace((q, m, n, "second" if second else "first"))
+        s = satellite_proximity(tree, q, second)
+
+
+def _diverged(invariant: Fraction, cap: int, p: PointId) -> WalkDiverged:
+    return WalkDiverged(
         f"no height quotient equal to {invariant} within"
         f" {cap} steps below point {p}")
 

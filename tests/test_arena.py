@@ -15,6 +15,7 @@ from enriques import (
     compute,
     dicritical_invariant,
 )
+from enriques.arena import CHAIN_CROSSOVER
 from enriques.errors import (
     ArenaError,
     DuplicateOrigin,
@@ -79,7 +80,7 @@ def test_unknown_references_rejected():
         tree.add_point(parent=99)
     with pytest.raises(UnknownPoint):
         tree.ancestors(42)
-    for bad in (42, -1, "0", None):
+    for bad in (42, -1, "0", None, False):
         with pytest.raises(UnknownPoint):
             tree.record(bad)
         with pytest.raises(UnknownPoint):
@@ -96,11 +97,23 @@ def test_unknown_references_rejected():
         lambda p: base_free_point(bp, inv, p, Fraction(11)),
         lambda p: dicritical_invariant(bp, inv, p),
     ]
-    for bad in (-1, len(tree), "0", None):
+    # bool is an int subclass, so True would read as point 1
+    for bad in (-1, len(tree), "0", None, True, False):
         for query in queries:
             with pytest.raises(UnknownPoint):
                 query(bad)
-    assert len(tree) == len(inv.m)
+        assert bad not in tree
+    size = len(tree)
+    for bad in (True, False):
+        with pytest.raises(UnknownParent):
+            tree.add_point(bad)
+        with pytest.raises(UnknownPoint):
+            tree.add_point(names["p4"], bad)
+    # a dict would merge a False key into 0
+    for weights in ({0: 3, True: 1}, {False: 3}):
+        with pytest.raises(UnknownPoint):
+            WeightedCluster(tree, WeightKind.VIRTUAL, weights)
+    assert len(tree) == size == len(inv.m)
 
 
 def test_duplicate_satellite_pair_rejected():
@@ -344,6 +357,44 @@ def _mutated_records(rng: random.Random, tree: ArenaTree):
         field = rng.randrange(2)
         triples[i][field] = rng.choice([None, -1, i, size, rng.randrange(size)])
     return [tuple(t) for t in triples]
+
+
+def _columns(tree: ArenaTree) -> list:
+    return [tree.parents, tree.seconds, tree.labels, tree.children,
+            tree.free_points, tree.ns, tree.m0s, tree.ks, tree.pairs,
+            tree._satellite_index]
+
+
+@pytest.mark.parametrize("t", [1, 2, CHAIN_CROSSOVER - 1, CHAIN_CROSSOVER,
+                               CHAIN_CROSSOVER + 1, 40])
+def test_append_chain_matches_repeated_append_raw(t):
+    chains = kinds = broken = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        tree = randgen.random_proximity_tree(rng, 10)
+        randgen.grow_by_satellite_walks(tree, rng, walks=4, max_steps=8)
+        for a in tree.points():
+            # a held pair, or a point a is not proximate to, breaks a rule
+            for s in sorted(tree.proximities(a) | {0}):
+                chain, steps = tree.clone(), tree.clone()
+                last = chain.append_chain(a, s, t)
+                q = a
+                for _ in range(t):
+                    q = steps.append_raw(q, s)
+                assert last == q == len(tree) + t - 1
+                assert _columns(chain) == _columns(steps), (seed, a, s)
+                if chain.pairs[len(tree)] is None:
+                    broken += 1
+                    continue
+                assert chain.validate() == []
+                chains += 1
+                # a run of first moves keeps s first in every pair and a
+                # run of second moves keeps it second; k grows only when s
+                # lies in the run's cone, which it always does for second
+                # moves
+                kinds |= 1 << (2 * (chain.pairs[last][0] == s)
+                               + (chain.free_points[s] == chain.free_points[a]))
+    assert chains > 1500 and broken > 2500 and kinds == 0b1110
 
 
 def test_columns_match_record_and_facts_reference():

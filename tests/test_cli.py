@@ -57,6 +57,26 @@ def test_recover_table_and_trace(fixture_dir, capsys):
     assert ["p9", "11", "p3", "p5"] in rows
 
 
+def test_recover_prints_trace_of_failed_run(tmp_path, capsys):
+    # a +-1 perturbation of ex05: the walks finish, then the values force
+    # a multiplicity of 0, and the trace shows the walks that led there
+    doc = tmp_path / "bp.json"
+    doc.write_text(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": 2},
+                   {"id": "p1", "parent": "O", "weight": 2},
+                   {"id": "p2", "parent": "p1", "weight": 1},
+                   {"id": "p3", "parent": "p2", "weight": 1},
+                   {"id": "p4", "parent": "p3", "weight": 1}]}))
+    error = "NonPositiveMultiplicity: values force multiplicity 0 at point 5\n"
+    code, out, err = run(capsys, "recover", str(doc), "--trace")
+    assert (code, err) == (1, error)
+    assert out.splitlines() == [
+        "p1 6/1 >I→first", "#5 9/2 <I→second", "#6 15/3 =I stop",
+        "p2 8/1 =I stop"]
+    assert run(capsys, "recover", str(doc)) == (1, "", error)
+
+
 def test_recover_writes_documents(fixture_dir, tmp_path, capsys):
     out_file = tmp_path / "ex04_out.json"
     code, out, err = run(

@@ -1,11 +1,13 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from enriques import (
     ArenaTree,
+    MorphismInvariants,
     WeightKind,
     WeightedCluster,
     base_free_point,
@@ -13,18 +15,23 @@ from enriques import (
     compute,
     dicritical_invariant,
     dicritical_points,
+    first_satellite,
     invariant_quotient,
     noether_pairing,
     recover,
     recover_grouped,
     rupture_points,
     satellite_walk,
+    second_satellite,
     unibranch_chain,
     values_from_multiplicities,
 )
+from enriques.arena import CHAIN_CROSSOVER
 from enriques.errors import (
+    EnriquesError,
     NoQualifyingPair,
     NotDicritical,
+    SecondSatelliteOfFreePoint,
     WalkDiverged,
 )
 
@@ -116,11 +123,17 @@ def test_satellite_walk_diverges_with_cap():
     tree, bp, names = fb.ex04_bp()
     inv = compute(bp)
     # quotients below p3 stay above 9, so 17/2 keeps the walk descending
-    # until the cap (numerator + denominator) trips
+    # for ever.  It follows p3 -> p4, which exist; from p4 every first move
+    # adds the share of p2, whose quotient 9 is above 17/2, so the gap never
+    # closes, and the walk stops before it creates a point (_stepwise_walk
+    # below creates 19, up to the cap of 17 + 2 moves)
     size = len(tree)
+    steps = []
     with pytest.raises(WalkDiverged):
-        satellite_walk(tree, inv, names["p3"], Fraction(17, 2))
-    assert len(tree) - size <= 17 + 2
+        satellite_walk(tree, inv, names["p3"], Fraction(17, 2), steps.append)
+    assert len(tree) == size
+    assert steps == [(names["p3"], 12, 1, "first"),
+                     (names["p4"], 21, 2, "first")]
 
 
 def test_recover_topology_creates_points_when_needed():
@@ -427,6 +440,159 @@ def test_base_free_point_matches_forward_scan_reference():
     assert calls > 100000 and raised > 50000
 
 
+# -- the walk by runs against the walk by moves --------------------------------
+
+
+def _stepwise_walk(tree, inv, p, invariant, trace=None):
+    """The walk one move at a time, finding or creating every point."""
+    n, m = inv.extend_to(p)
+    num, den = invariant.numerator, invariant.denominator
+    cap = num + den
+    q = p
+    for _ in range(cap + 1):
+        gap = m * den - num * n
+        if gap == 0:
+            if trace:
+                trace((q, m, n, "stop"))
+            return q
+        if gap > 0:
+            if trace:
+                trace((q, m, n, "first"))
+            q = first_satellite(tree, q)
+        else:
+            if trace:
+                trace((q, m, n, "second"))
+            q = second_satellite(tree, q)
+        n, m = inv.extend_to(q)
+    raise WalkDiverged(f"no height quotient equal to {invariant}")
+
+
+_COLUMNS = ("parents", "seconds", "labels", "free_points", "ns", "m0s", "ks",
+            "pairs")
+
+
+def _assert_prefix(tree, inv, ref, ref_inv):
+    """The arena and m table hold the reference's first len(tree) points."""
+    size = len(tree)
+    assert size <= len(ref)
+    inv.extend_to(size - 1)  # catch up with the point added before the walk
+    ref_inv.extend_to(len(ref) - 1)
+    for name in _COLUMNS:
+        assert getattr(tree, name) == getattr(ref, name)[:size], name
+    assert tree.children == [
+        [c for c in children if c < size] for children in ref.children[:size]]
+    assert tree._satellite_index == {
+        pair: q for pair, q in ref._satellite_index.items() if q < size}
+    assert inv.m == ref_inv.m[:size]
+
+
+def _walk_on_copy(walk, bp, p, invariant):
+    """Walk on a copy of bp's arena; return (outcome, trace, arena, table).
+
+    A free point appended after the m table was built leaves the table one
+    point behind the arena, as any growth outside the walk does.
+    """
+    tree = bp.tree.clone()
+    inv = MorphismInvariants(WeightedCluster(tree, bp.kind, bp.weight))
+    tree.add_point(tree.origin)
+    steps = []
+    try:
+        outcome = walk(tree, inv, p, invariant, steps.append)
+    except EnriquesError as err:
+        outcome = type(err)
+    return outcome, steps, tree, inv
+
+
+def _longest_created_run(steps, size):
+    """The most trace entries in a row at created points with one move."""
+    longest = run = 0
+    before = None
+    for q, _, _, word in steps:
+        run = run + 1 if q >= size and word == before else 1
+        longest, before = max(longest, run), word
+    return longest
+
+
+def _walk_cases(bp, rng):
+    """(p, invariant) pairs: every dicritical's, random ones, and ones
+    just off the height quotient of a proximity of p, which makes long
+    runs toward it.
+
+    Only invariants with numerator + denominator at most 2,000 are kept:
+    the reference creates up to that many points, one at a time, before
+    it gives up.
+    """
+    tree = bp.tree
+    inv = compute(bp)
+    cases = []
+    for d in sorted(dicritical_points(bp)):
+        invariant = dicritical_invariant(bp, inv, d)
+        try:
+            cases.append((base_free_point(bp, inv, d, invariant)[1], invariant))
+        except NoQualifyingPair:
+            pass
+    for _ in range(6):
+        p = rng.randrange(len(tree))
+        cases.append((p, Fraction(rng.randint(1, 120), rng.randint(1, 12))))
+        if p:
+            s = rng.choice(sorted(tree.proximities(p)))
+            offset = Fraction(rng.choice((-1, 1)), rng.randint(1, 40))
+            cases.append(
+                (p, max(Fraction(1, 2), inv.height_quotient(s) + offset)))
+    return [(p, invariant) for p, invariant in cases
+            if invariant.numerator + invariant.denominator <= 2000]
+
+
+def test_satellite_walk_matches_stepwise_reference():
+    counts = Counter()
+    long_runs = 0
+    for seed in range(300):
+        bp = _grown_bp(seed)
+        for p, invariant in _walk_cases(bp, random.Random(seed)):
+            got, steps, tree, inv = _walk_on_copy(
+                satellite_walk, bp, p, invariant)
+            want, ref_steps, ref, ref_inv = _walk_on_copy(
+                _stepwise_walk, bp, p, invariant)
+            assert got == want, (seed, p, invariant)
+            if got is WalkDiverged:
+                # the walk stops before the run that overshoots the cap
+                assert steps == ref_steps[:len(steps)]
+            else:
+                assert steps == ref_steps
+                assert len(tree) == len(ref)
+            _assert_prefix(tree, inv, ref, ref_inv)
+            if isinstance(got, type):
+                counts[got] += 1
+            else:
+                counts["ok"] += 1
+                long_runs += _longest_created_run(
+                    steps, len(bp.tree)) >= CHAIN_CROSSOVER
+    assert counts["ok"] > 1500 and counts[WalkDiverged] > 2000
+    assert counts[SecondSatelliteOfFreePoint] > 50 and long_runs > 150
+
+
+@pytest.mark.parametrize("w, created", [(5, 5), (6, 6), (7, None)])
+def test_satellite_walk_cap_cuts_a_closing_run(w, created):
+    # O has m/n = 4/1 and its free child q of weight w has (w + 5)/1, so a
+    # walk from q to I = 5 closes after w first moves towards O; its cap is
+    # 5 + 1 moves.  The weights are not consistent, which lets a single
+    # run outgrow the cap.
+    tree = ArenaTree()
+    q = tree.add_point(tree.add_point())
+    bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 3, q: w})
+    got, steps, walked, inv = _walk_on_copy(satellite_walk, bp, q, Fraction(5))
+    want, ref_steps, ref, ref_inv = _walk_on_copy(
+        _stepwise_walk, bp, q, Fraction(5))
+    if created is None:
+        assert got is want is WalkDiverged
+        assert len(walked) == 3 and len(ref) == 3 + 7
+        assert steps == ref_steps[:1]
+    else:
+        assert got == want == 2 + created
+        assert steps == ref_steps and len(steps) == created + 1
+    _assert_prefix(walked, inv, ref, ref_inv)
+
+
 # -- deep walks (polar base points of y^n = x^(1 + j(n-1))) -------------------
 
 
@@ -441,9 +607,12 @@ def _polar_bp(n, j):
     return WeightedCluster(tree, WeightKind.VIRTUAL, weights)
 
 
-@pytest.mark.parametrize("j, created", [(2, 3999), (3, 1999)])
-def test_deep_polar_walk(j, created):
-    bp = _polar_bp(4000, j)
+@pytest.mark.parametrize("n, j, created", [
+    pytest.param(4000, 2, 3999, id="2-3999"),
+    pytest.param(4000, 3, 1999, id="3-1999"),
+    (40000, 2, 39999), (40000, 3, 19999)])
+def test_deep_polar_walk(n, j, created):
+    bp = _polar_bp(n, j)
     start = time.perf_counter()
     result = recover(bp)
     elapsed = time.perf_counter() - start
