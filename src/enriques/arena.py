@@ -120,7 +120,6 @@ class ArenaTree:
         self.ks: list[Optional[int]] = []
         self.pairs: list[Optional[tuple[PointId, PointId]]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
-        self._ancestor_cache: dict[PointId, tuple[PointId, ...]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -396,9 +395,6 @@ class ArenaTree:
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:
         """The chain from the origin up to and including ``p``."""
         self._check(p)
-        cached = self._ancestor_cache.get(p)
-        if cached is not None:
-            return cached
         parents = self.parents
         chain: list[PointId] = []
         q: Optional[PointId] = p
@@ -406,9 +402,7 @@ class ArenaTree:
             chain.append(q)
             q = parents[q]
         chain.reverse()
-        result = tuple(chain)
-        self._ancestor_cache[p] = result
-        return result
+        return tuple(chain)
 
     def precedes(self, p: PointId, q: PointId) -> bool:
         """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""

@@ -10,8 +10,9 @@ Subcommands::
     render    <file> [--annotate mn|weights|none]
 
 Exit codes: 0 success, 1 negative comparison or recoverable domain error
-(message on stderr), 2 invalid input.  All numeric output is exact, written
-as an integer or ``numerator/denominator``.
+(message on stderr), 2 invalid input, or a file that cannot be read as
+UTF-8 text or written (one line on stderr).  All numeric output is exact,
+written as an integer or ``numerator/denominator``.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         for diagnostic in err.diagnostics:
             print(diagnostic, file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(err, file=sys.stderr)
         return EXIT_INVALID
     except EnriquesError as err:

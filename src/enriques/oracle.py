@@ -39,7 +39,6 @@ from .cluster import (
     WeightKind,
     excess,
     excesses,
-    noether_pairing,
     unibranch_chain,
 )
 from .errors import Diagnostic, NegativeResidual, UnknownPoint
@@ -126,9 +125,34 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
     ``p`` may lie outside the curve cluster; chain points the curve does
     not weight simply contribute nothing (multiplicity 0), which makes the
     result a lower bound rather than the true quotient in that case.
+
+    One sweep from p down the parent links, building no chain cluster.
+    The chain weight of a point is the sum of the chain weights of the
+    chain points proximate to it, and 1 at p.  A point's parent and second
+    proximity both lie further down the chain, so a point's weight is
+    final when the sweep reaches it: the sweep adds weight times
+    multiplicity to the pairing there, and passes the weight on to the
+    parent, which the sweep visits next, and to the second proximity,
+    through a small dict of weights owed to points further down.
+    :func:`~enriques.cluster.unibranch_chain` and
+    :func:`~enriques.cluster.noether_pairing` are the definition.  Assumes
+    an arena that :meth:`ArenaTree.validate` accepts.
     """
-    chain = unibranch_chain(curve.tree, p)
-    return Fraction(noether_pairing(curve, chain), chain[curve.tree.origin])
+    tree = curve.tree
+    if p not in tree:
+        raise UnknownPoint(f"no point with id {p}")
+    parents, seconds, weight = tree.parents, tree.seconds, curve.weight
+    owed: dict[PointId, int] = {}
+    pairing, w, q = 0, 1, p
+    while True:
+        pairing += w * weight.get(q, 0)
+        a, s = parents[q], seconds[q]
+        if a is None:
+            return Fraction(pairing, w)
+        if s is not None:
+            owed[s] = owed.get(s, 0) + w
+        w += owed.pop(a, 0)
+        q = a
 
 
 def chain_inside(curve: WeightedCluster, p: PointId) -> bool:

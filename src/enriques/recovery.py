@@ -61,6 +61,7 @@ consistency check and the dicritical points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -274,6 +275,19 @@ def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
     return frozenset(closed)
 
 
+def _by_descending_invariant(schedule: list[tuple[Fraction, PointId]]) -> None:
+    """Sort (invariant, d) pairs, given in ascending d, by descending
+    invariant, in place.
+
+    Each invariant a/b is keyed by the integer a * (L // b), L the lcm of
+    the denominators, so the sort compares no fractions; it is stable, so
+    equal invariants keep ascending d.
+    """
+    lcm = math.lcm(*(i.denominator for i, _ in schedule))
+    schedule.sort(key=lambda pair: -pair[0].numerator * (
+        lcm // pair[0].denominator))
+
+
 def _topology(
     bp: WeightedCluster,
     inv: MorphismInvariants,
@@ -290,7 +304,7 @@ def _topology(
     tree = bp.tree
     rupture: set[PointId] = set()
     association: dict[PointId, DicriticalAssociation] = {}
-    walked: dict[tuple[PointId, Fraction], PointId] = {}
+    walked: dict[tuple[PointId, int, int], PointId] = {}
     try:
         origin = tree.origin
         if dicriticals and dicriticals[0] == origin:
@@ -300,13 +314,17 @@ def _topology(
             dicriticals = dicriticals[1:]
         schedule = [(_invariant(tree, inv, d), d) for d in dicriticals]
         if grouped:
-            schedule.sort(key=lambda pair: (-pair[0], pair[1]))
+            _by_descending_invariant(schedule)
         for invariant, d in schedule:
             _, p = base_free_point(bp, inv, d, invariant)
-            q = walked.get((p, invariant)) if grouped else None
-            if q is None:
+            if grouped:
+                key = (p, invariant.numerator, invariant.denominator)
+                q = walked.get(key)
+                if q is None:
+                    q = walked[key] = satellite_walk(
+                        tree, inv, p, invariant, trace)
+            else:
                 q = satellite_walk(tree, inv, p, invariant, trace)
-                walked[p, invariant] = q
             rupture.add(q)
             association[d] = DicriticalAssociation(invariant, p, q)
     except RecoveryError as err:

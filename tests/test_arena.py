@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from typing import Optional
@@ -220,6 +221,18 @@ def test_queries_do_not_mutate():
     tree.child_list(names["p3"])
     tree.satellite_children(names["p3"])
     assert len(tree) == size
+
+
+def test_ancestor_queries_leave_no_state():
+    # a cache of every queried chain would hold n^2/2 ids on a chain of n
+    tree = ArenaTree()
+    p = tree.add_point()
+    for _ in range(1999):
+        p = tree.add_point(p)
+    before = copy.deepcopy(vars(tree))
+    for q in tree.points():
+        assert len(tree.ancestors(q)) == q + 1
+    assert vars(tree) == before
 
 
 def test_clone_is_independent():

@@ -186,6 +186,42 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def _one_line_error(code, err):
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_directory_as_input(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    _one_line_error(code, err)
+    assert str(tmp_path) in err
+
+
+def test_non_utf8_input(tmp_path, capsys):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes(b'{"format_version": 1, "weight_kind": "virtual",'
+                    b' "points": [{"id": "\xe9", "weight": 2}]}')
+    for argv in (("validate", str(doc)), ("invariants", str(doc)),
+                 ("compare", str(doc), str(doc))):
+        code, out, err = run(capsys, *argv)
+        _one_line_error(code, err)
+        assert "utf-8" in err
+
+
+def test_recover_out_to_directory(fixture_dir, tmp_path, capsys):
+    code, out, err = run(capsys, "recover", str(fixture_dir / "ex04_bp.json"),
+                         "--out", str(tmp_path))
+    _one_line_error(code, err)
+    assert str(tmp_path) in err
+    assert out.startswith("d\tI_d\tp_d\tq_d\n")  # the table printed first
+
+
+def test_unreadable_file_through_the_module(tmp_path):
+    completed = _run_module("validate", str(tmp_path), timeout=60)
+    assert completed.returncode == 2
+    assert "Traceback" not in completed.stderr
+
+
 def _deep_free_chain(tmp_path, weight):
     points = [{"id": "p0", "weight": weight}] + [
         {"id": f"p{i}", "parent": f"p{i - 1}", "weight": weight}

@@ -12,10 +12,12 @@ from enriques import (
     first_satellite,
     free_count_first_neighbourhood,
     invariant_quotient,
+    noether_pairing,
     polar_invariants,
     polar_invariants_local,
     recover,
     rupture_points,
+    unibranch_chain,
     validate_curve_cluster,
 )
 from enriques.errors import NegativeResidual, UnknownPoint
@@ -140,6 +142,41 @@ def test_invariant_quotients():
     assert invariant_quotient(curve8, names8["p3"]) == 8
     assert invariant_quotient(curve8, names8["p1"]) == 8
     assert invariant_quotient(curve8, names8["p4"]) == 8
+
+
+def _quotient_by_chain(curve, p):
+    """Reference: the definition, through the chain cluster of p."""
+    chain = unibranch_chain(curve.tree, p)
+    return Fraction(noether_pairing(curve, chain), chain[curve.tree.origin])
+
+
+def test_quotient_matches_chain_reference_at_every_arena_point():
+    inside = outside = 0
+    for seed in range(500):
+        curve = random_curve(seed)
+        for cluster in (curve, _perturbed(curve, random.Random(seed))):
+            for p in cluster.tree.points():
+                got = invariant_quotient(cluster, p)
+                assert type(got) is Fraction
+                assert got == _quotient_by_chain(cluster, p), (seed, p)
+                if p in cluster:
+                    inside += 1
+                else:
+                    outside += 1
+        for bad in (-1, len(curve.tree), True, None):
+            with pytest.raises(UnknownPoint):
+                invariant_quotient(curve, bad)
+    assert inside > 6000 and outside > 1500
+
+
+def test_quotient_matches_chain_reference_on_recovered_fixtures():
+    for builder in (fb.ex04_bp, fb.ex05_bp, fb.ex06_bp, fb.ex07_bp):
+        _, bp, _ = builder()
+        result = recover(bp)
+        for cluster in (result.values, result.multiplicities):
+            for p in cluster.tree.points():
+                assert invariant_quotient(cluster, p) == \
+                    _quotient_by_chain(cluster, p), (builder.__name__, p)
 
 
 def test_polar_invariants_sets():

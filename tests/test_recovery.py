@@ -27,6 +27,7 @@ from enriques import (
     values_from_multiplicities,
 )
 from enriques.arena import CHAIN_CROSSOVER
+from enriques.recovery import _by_descending_invariant
 from enriques.errors import (
     EnriquesError,
     NoQualifyingPair,
@@ -233,6 +234,37 @@ def test_grouped_matches_basic_on_fixtures():
         grouped = recover_grouped(bp)
         assert grouped.same_result(basic)
         assert grouped.created == frozenset()  # finds what basic created
+
+
+def _by_descending_fraction(schedule):
+    """Reference: the grouped order as a sort on (-invariant, d)."""
+    return sorted(schedule, key=lambda pair: (-pair[0], pair[1]))
+
+
+def test_grouped_order_matches_fraction_sort_reference():
+    rng = random.Random(5)
+    primes = [1_000_003, 1_000_033, 1_000_037, 1_000_039, 998_244_353]
+    schedules = [[], [(Fraction(3), 4)]]
+    for _ in range(300):
+        size = rng.randint(2, 30)
+        pool = [Fraction(rng.randint(1, 40), rng.randint(1, 12))
+                for _ in range(rng.randint(1, size))]  # ties and equal values
+        pool += [Fraction(rng.randrange(1, 10 ** 12), rng.choice(primes))
+                 for _ in range(rng.randint(0, 4))]  # large coprime den
+        ds = sorted(rng.sample(range(10 * size), size))
+        schedules.append([(rng.choice(pool), d) for d in ds])
+    for seed in range(300):
+        bp = randgen.random_consistent_bp(seed)
+        inv = compute(bp)
+        schedules.append([(dicritical_invariant(bp, inv, d), d)
+                          for d in sorted(dicritical_points(bp))])
+    ties = 0
+    for schedule in schedules:
+        got = list(schedule)
+        _by_descending_invariant(got)
+        assert got == _by_descending_fraction(schedule)
+        ties += len({i for i, _ in schedule}) < len(schedule)
+    assert ties > 200
 
 
 def test_grouped_walks_each_pair_once():

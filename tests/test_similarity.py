@@ -1,4 +1,5 @@
 import random
+import time
 
 from enriques import (
     ArenaTree,
@@ -12,6 +13,35 @@ from enriques import (
 )
 
 import fixture_builders as fb
+import randgen
+
+
+def _role_tag(tree, p):
+    second = tree.seconds[p]
+    if second is None:
+        return b"f"
+    if second == tree.parents[tree.parents[p]]:
+        return b"g"
+    return b"s"
+
+
+def _form_by_nesting(cluster):
+    """Reference: each point's bytes built whole, ``tag:weight(children)``.
+
+    Copies every subtree's bytes again at each ancestor, so it is quadratic
+    on chains; the library keeps chain encodings as runs of heads.
+    """
+    tree, weight = cluster.tree, cluster.weight
+    origin = tree.origin
+    if origin is None or origin not in weight:
+        return b""
+    encoded = {}
+    for p in sorted(weight, reverse=True):
+        children = sorted(
+            encoded.pop(c) for c in tree.children[p] if c in weight)
+        encoded[p] = b"%b:%d(%b)" % (
+            _role_tag(tree, p), weight[p], b"".join(children))
+    return encoded[origin]
 
 
 def shuffled_copy(rows, seed):
@@ -113,11 +143,56 @@ def test_recovery_canonical_form_stable_under_relabeling():
 
 
 def test_deep_free_chain_has_canonical_form():
-    # a 5,000-point chain is far deeper than the interpreter's recursion limit
-    tree = ArenaTree()
-    p = tree.add_point()
-    for _ in range(4999):
-        p = tree.add_point(p)
-    chain = WeightedCluster(
-        tree, WeightKind.MULTIPLICITY, dict.fromkeys(tree.points(), 1))
-    assert canonical_form(chain) == b"f:1(" * 5000 + b")" * 5000
+    # a 5,000-point chain is far deeper than the interpreter's recursion
+    # limit; at 200,000 points a form that copies each subtree's bytes
+    # again at every ancestor takes seconds
+    for n, bound in ((5000, None), (200_000, 2.0)):
+        tree = ArenaTree()
+        p = tree.add_point()
+        for _ in range(n - 1):
+            p = tree.add_point(p)
+        chain = WeightedCluster(
+            tree, WeightKind.MULTIPLICITY, dict.fromkeys(tree.points(), 1))
+        start = time.perf_counter()
+        form = canonical_form(chain)
+        elapsed = time.perf_counter() - start
+        assert form == b"f:1(" * n + b")" * n
+        if bound is not None:
+            assert elapsed < bound, n
+
+
+def _prefixes(cluster):
+    """The cluster cut to the points up to p, for every arena point p.
+
+    Ids are topological, so each cut is ancestor-closed; points the
+    cluster does not weight get weight 1, so cuts reach past the cluster.
+    """
+    weight = cluster.weight
+    for p in cluster.tree.points():
+        yield WeightedCluster(cluster.tree, cluster.kind, {
+            q: weight.get(q, 1) for q in range(p + 1)})
+
+
+def test_form_matches_nesting_reference_on_random_clusters():
+    forms = set()
+    checked = 0
+    for seed in range(300):
+        curve = randgen.random_curve(seed)
+        randgen.grow_by_satellite_walks(
+            curve.tree, random.Random(seed), walks=3, max_steps=8)
+        for cluster in (curve, randgen.random_consistent_bp(seed),
+                        randgen.random_multiplicity_cluster(seed)):
+            for cut in [cluster, *_prefixes(cluster)]:
+                form = canonical_form(cut)
+                assert form == _form_by_nesting(cut), seed
+                forms.add(form)
+                checked += 1
+    assert checked > 6000 and len(forms) > 3000
+
+
+def test_form_matches_nesting_reference_on_recovered_fixtures():
+    for builder in (fb.ex04_bp, fb.ex05_bp, fb.ex06_bp, fb.ex07_bp):
+        _, bp, _ = builder()
+        result = recover(bp)
+        for cluster in (result.values, result.multiplicities, bp):
+            assert canonical_form(cluster) == _form_by_nesting(cluster)
