@@ -48,7 +48,10 @@ def _format_exact(x: Fraction | int) -> str:
 
 
 def _load(path: str) -> tuple:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UnicodeError(f"{path}: {err}") from err
     return parse(text)
 
 
@@ -223,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         for diagnostic in err.diagnostics:
             print(diagnostic, file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeError) as err:
         print(err, file=sys.stderr)
         return EXIT_INVALID
     except EnriquesError as err:

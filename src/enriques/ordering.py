@@ -141,24 +141,26 @@ def satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
     return s
 
 
+def _neighbour(tree: ArenaTree, q: PointId, second: bool) -> PointId:
+    """Find or create the first (or second) satellite of ``q``."""
+    tree.facts(q)  # checks q; a point that breaks a rule has no cone
+    s = satellite_proximity(tree, q, second)
+    found = tree.find_satellite(q, s)
+    return tree.append_raw(q, s) if found is None else found
+
+
 def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
     """The smaller satellite in the first neighbourhood of ``q``.
 
     For a free point this is its only first-neighbourhood satellite.  The
     point is created if the arena does not contain it yet.
     """
-    tree.facts(q)  # checks q; a point that breaks a rule has no cone
-    s = satellite_proximity(tree, q, False)
-    found = tree.find_satellite(q, s)
-    return tree.append_raw(q, s) if found is None else found
+    return _neighbour(tree, q, False)
 
 
 def second_satellite(tree: ArenaTree, q: PointId) -> PointId:
     """The bigger satellite in the first neighbourhood of a satellite ``q``."""
-    tree.facts(q)  # checks q; a point that breaks a rule has no cone
-    s = satellite_proximity(tree, q, True)
-    found = tree.find_satellite(q, s)
-    return tree.append_raw(q, s) if found is None else found
+    return _neighbour(tree, q, True)
 
 
 def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:

@@ -22,12 +22,10 @@ contributes one rupture point:
 3. from p, a bisection walk moves to the first satellite while the height
    quotient m/n exceeds I_d and to the second satellite while it falls
    short, stopping at the unique point q_d with m/n = I_d.  The walk makes
-   at most numerator + denominator of I_d moves and creates the points the
-   arena does not contain yet.  It follows existing points one move at a
-   time; once it has to create a point, every later point is new and
-   weightless, and it moves one run of equal moves at a time: the points
-   of a run share their second proximity, so the run's length is one
-   division and the arena appends the run at once.
+   at most numerator + denominator of I_d moves in one loop.  Each pass
+   moves to the next point when the arena holds it, or else appends a run
+   of equal moves at once: the points of a run share their second
+   proximity, so the run's length is one division.
 
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
 builds a fraction.
@@ -44,7 +42,7 @@ point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  Multiplicities
 follow by the value/multiplicity conversion, and the result is checked for
 consistency.
 
-:func:`recover_grouped` runs the same topology loop with another schedule:
+:func:`recover_grouped` is the same run with another schedule:
 it visits dicriticals by descending invariant and walks once per distinct
 (base free point, invariant) pair, reusing that walk's rupture point for
 every dicritical that repeats the pair.  The walk is deterministic and
@@ -184,43 +182,42 @@ def satellite_walk(
     numerator + denominator of the invariant; exceeding the cap means the
     input was not a genuine cluster of polar base points.
 
-    The walk follows the points the arena already holds one move at a
-    time, as they may carry weight.  From the first point it has to create
-    on, every point is new and weightless, so it moves one run of equal
-    moves at a time: every point of a run shares the second proximity s,
-    so the gap m*b - a*n to I = a/b changes by the same
-    delta = m_s*b - a*n_s at each move, the run's length is the least t
-    that makes the gap change sign or vanish, one division, and the run's
-    points are appended together.  A run whose delta cannot change the
-    gap's sign, or whose end lies beyond the cap, raises
-    :class:`WalkDiverged` before appending anything.  ``trace`` still sees
-    one entry per visited point.
+    Each pass names the proximity s of the next move.  A point the arena
+    already holds may carry weight, so the walk moves there alone.  Where
+    the arena holds no such point, the walk appends a run of weightless
+    points: every point of a run shares s, so the gap m*b - a*n to
+    I = a/b changes by the same delta = m_s*b - a*n_s at each move, and
+    the run's length is the least t that makes the gap change sign or
+    vanish, one division.  A run whose delta cannot change the gap's
+    sign, or whose end lies beyond the cap, raises :class:`WalkDiverged`
+    before appending anything.  ``trace`` still sees one entry per
+    visited point.
     """
     extend_to = inv.extend_to
     n, m = extend_to(p)  # checks p; every later point comes from the arena
     num, den = invariant.numerator, invariant.denominator
     cap = num + den
-    find = tree.find_satellite
-    q = p
-    for moves in range(cap + 1):
+    find, ns, table = tree.find_satellite, tree.ns, inv.m
+    q, moves = p, 0
+    while True:
         gap = m * den - num * n
         if gap == 0:
             if trace:
                 trace((q, m, n, "stop"))
             return q
         second = gap < 0
+        word = "second" if second else "first"
         if trace:
-            trace((q, m, n, "second" if second else "first"))
+            trace((q, m, n, word))
         s = satellite_proximity(tree, q, second)
         found = find(q, s)
-        if found is None:
-            break
-        q = found
-        n, m = extend_to(q)
-    else:
-        raise _diverged(invariant, cap, p)
-    ns, table = tree.ns, inv.m
-    while True:
+        if found is not None:  # a point the arena holds: a run of one
+            moves += 1
+            if moves > cap:
+                raise _diverged(invariant, cap, p)
+            q = found
+            n, m = extend_to(q)
+            continue
         n_s, m_s = ns[s], table[s]
         delta = m_s * den - num * n_s
         if gap * delta >= 0:  # the run would never close the gap
@@ -231,20 +228,10 @@ def satellite_walk(
             raise _diverged(invariant, cap, p)
         q = inv.append_chain(q, s, t)
         if trace:
-            word = "second" if second else "first"
             for i in range(1, t):
                 trace((q - t + i, m + i * m_s, n + i * n_s, word))
-        gap += t * delta
         n += t * n_s
         m += t * m_s
-        if gap == 0:
-            if trace:
-                trace((q, m, n, "stop"))
-            return q
-        second = gap < 0
-        if trace:
-            trace((q, m, n, "second" if second else "first"))
-        s = satellite_proximity(tree, q, second)
 
 
 def _diverged(invariant: Fraction, cap: int, p: PointId) -> WalkDiverged:
@@ -286,51 +273,6 @@ def _by_descending_invariant(schedule: list[tuple[Fraction, PointId]]) -> None:
     lcm = math.lcm(*(i.denominator for i, _ in schedule))
     schedule.sort(key=lambda pair: -pair[0].numerator * (
         lcm // pair[0].denominator))
-
-
-def _topology(
-    bp: WeightedCluster,
-    inv: MorphismInvariants,
-    dicriticals: list[PointId],
-    trace: Optional[Callable[[TraceEntry], None]],
-    grouped: bool,
-) -> tuple[frozenset[PointId], frozenset[PointId], dict[PointId, DicriticalAssociation]]:
-    """The topology loop under either schedule, over the sorted dicriticals.
-
-    The basic schedule walks every dicritical in ascending id.  The grouped
-    schedule visits them by descending invariant and walks each
-    (base free point, invariant) pair once.
-    """
-    tree = bp.tree
-    rupture: set[PointId] = set()
-    association: dict[PointId, DicriticalAssociation] = {}
-    walked: dict[tuple[PointId, int, int], PointId] = {}
-    try:
-        origin = tree.origin
-        if dicriticals and dicriticals[0] == origin:
-            rupture.add(origin)
-            association[origin] = DicriticalAssociation(
-                _invariant(tree, inv, origin), origin, origin)
-            dicriticals = dicriticals[1:]
-        schedule = [(_invariant(tree, inv, d), d) for d in dicriticals]
-        if grouped:
-            _by_descending_invariant(schedule)
-        for invariant, d in schedule:
-            _, p = base_free_point(bp, inv, d, invariant)
-            if grouped:
-                key = (p, invariant.numerator, invariant.denominator)
-                q = walked.get(key)
-                if q is None:
-                    q = walked[key] = satellite_walk(
-                        tree, inv, p, invariant, trace)
-            else:
-                q = satellite_walk(tree, inv, p, invariant, trace)
-            rupture.add(q)
-            association[d] = DicriticalAssociation(invariant, p, q)
-    except RecoveryError as err:
-        err.association = dict(association)
-        raise
-    return frozenset(rupture), _downward_closure(tree, rupture), association
 
 
 # -- part two: values ---------------------------------------------------------
@@ -412,15 +354,43 @@ def _recover(
     trace: Optional[Callable[[TraceEntry], None]],
     grouped: bool,
 ) -> RecoveryResult:
-    before = len(bp.tree)
+    """A full run under either schedule.
+
+    The basic schedule walks every dicritical in ascending id.  The grouped
+    schedule visits them by descending invariant and walks each
+    (base free point, invariant) pair once.  An error raised once the input
+    is known to be base points carries the partial association.
+    """
+    tree = bp.tree
+    before = len(tree)
     rho = excesses(bp)
     require_base_points(bp, rho)
-    inv = MorphismInvariants(bp)
-    dicriticals = sorted(p for p, r in rho.items() if r > 0)
-    rupture, singular, association = _topology(
-        bp, inv, dicriticals, trace, grouped)
-    created = frozenset(range(before, len(bp.tree)))
+    association: dict[PointId, DicriticalAssociation] = {}
     try:
+        inv = MorphismInvariants(bp)
+        dicriticals = sorted(p for p, r in rho.items() if r > 0)
+        origin = tree.origin
+        if dicriticals and dicriticals[0] == origin:
+            association[origin] = DicriticalAssociation(
+                _invariant(tree, inv, origin), origin, origin)
+            dicriticals = dicriticals[1:]
+        schedule = [(_invariant(tree, inv, d), d) for d in dicriticals]
+        walked: dict[tuple[PointId, int, int], PointId] = {}
+        if grouped:
+            _by_descending_invariant(schedule)
+        for invariant, d in schedule:
+            _, p = base_free_point(bp, inv, d, invariant)
+            if grouped:
+                key = (p, invariant.numerator, invariant.denominator)
+                q = walked.get(key)
+                if q is None:
+                    q = walked[key] = satellite_walk(
+                        tree, inv, p, invariant, trace)
+            else:
+                q = satellite_walk(tree, inv, p, invariant, trace)
+            association[d] = DicriticalAssociation(invariant, p, q)
+        rupture = frozenset(a.rupture_point for a in association.values())
+        singular = _downward_closure(tree, rupture)
         values = recover_values(bp, inv, rupture, singular)
         multiplicities = multiplicities_from_values(values)
         if not is_consistent(multiplicities):
@@ -433,8 +403,7 @@ def _recover(
                     f"height quotient at {assoc.rupture_point} does not"
                     f" match the invariant of dicritical {d}")
     except EnriquesError as err:
-        if getattr(err, "association", None) is None:
-            err.association = dict(association)
+        err.association = dict(association)
         raise
     return RecoveryResult(
         rupture=rupture,
@@ -442,7 +411,7 @@ def _recover(
         values=values,
         multiplicities=multiplicities,
         association=association,
-        created=created,
+        created=frozenset(range(before, len(tree))),
     )
 
 

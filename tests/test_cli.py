@@ -197,15 +197,16 @@ def test_directory_as_input(tmp_path, capsys):
     assert str(tmp_path) in err
 
 
-def test_non_utf8_input(tmp_path, capsys):
+def test_non_utf8_input(fixture_dir, tmp_path, capsys):
     doc = tmp_path / "latin1.json"
     doc.write_bytes(b'{"format_version": 1, "weight_kind": "virtual",'
                     b' "points": [{"id": "\xe9", "weight": 2}]}')
+    good = str(fixture_dir / "ex04_S.json")
     for argv in (("validate", str(doc)), ("invariants", str(doc)),
-                 ("compare", str(doc), str(doc))):
+                 ("compare", str(doc), str(doc)), ("compare", good, str(doc))):
         code, out, err = run(capsys, *argv)
         _one_line_error(code, err)
-        assert "utf-8" in err
+        assert "utf-8" in err and str(doc) in err
 
 
 def test_recover_out_to_directory(fixture_dir, tmp_path, capsys):

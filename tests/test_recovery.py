@@ -603,24 +603,38 @@ def test_satellite_walk_matches_stepwise_reference():
     assert counts[SecondSatelliteOfFreePoint] > 50 and long_runs > 150
 
 
-@pytest.mark.parametrize("w, created", [(5, 5), (6, 6), (7, None)])
-def test_satellite_walk_cap_cuts_a_closing_run(w, created):
+@pytest.mark.parametrize("w, created, prewalked", [
+    pytest.param(5, 5, False, id="5-5"),
+    pytest.param(6, 6, False, id="6-6"),
+    pytest.param(7, None, False, id="7-None"),
+    pytest.param(5, 5, True, id="5-5-prewalked"),
+    pytest.param(6, 6, True, id="6-6-prewalked"),
+    pytest.param(7, None, True, id="7-None-prewalked")])
+def test_satellite_walk_cap_cuts_a_closing_run(w, created, prewalked):
     # O has m/n = 4/1 and its free child q of weight w has (w + 5)/1, so a
     # walk from q to I = 5 closes after w first moves towards O; its cap is
     # 5 + 1 moves.  The weights are not consistent, which lets a single
-    # run outgrow the cap.
+    # run outgrow the cap.  A prewalked arena already holds every point of
+    # the path, so the walk finds each one and moves one point at a time.
     tree = ArenaTree()
     q = tree.add_point(tree.add_point())
     bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 3, q: w})
+    if prewalked:
+        try:
+            _stepwise_walk(tree, MorphismInvariants(bp), q, Fraction(5))
+        except WalkDiverged:
+            pass
     got, steps, walked, inv = _walk_on_copy(satellite_walk, bp, q, Fraction(5))
     want, ref_steps, ref, ref_inv = _walk_on_copy(
         _stepwise_walk, bp, q, Fraction(5))
     if created is None:
-        assert got is want is WalkDiverged
-        assert len(walked) == 3 and len(ref) == 3 + 7
-        assert steps == ref_steps[:1]
+        assert got is want is WalkDiverged and len(ref) == 3 + 7
+        if prewalked:
+            assert len(walked) == len(ref) and steps == ref_steps
+        else:  # the closing run is cut before it is appended
+            assert len(walked) == 3 and steps == ref_steps[:1]
     else:
-        assert got == want == 2 + created
+        assert got == want == created + (1 if prewalked else 2)
         assert steps == ref_steps and len(steps) == created + 1
     _assert_prefix(walked, inv, ref, ref_inv)
 
