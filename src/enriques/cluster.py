@@ -55,7 +55,9 @@ class WeightedCluster:
     Point ids and weights are ints, not bools, and weights must be >= 1,
     except that virtual clusters may carry explicit zero weights
     ("carrier" points that take part in no sum but keep a point in the
-    set).
+    set).  Each entry is checked in this order: a known point id, a weight
+    that is not a bool, an int at or above the floor, a parent in the
+    cluster.  A plain int weight passes the middle two on one type test.
     """
 
     tree: ArenaTree
@@ -71,13 +73,14 @@ class WeightedCluster:
         for p, w in weights.items():
             if not (type(p) is int and 0 <= p < size):
                 raise UnknownPoint(f"cluster mentions unknown point {p}")
-            if isinstance(w, bool):
-                raise InvalidWeight(
-                    f"weight {w!r} at point {p} is a bool, not an integer")
-            if not isinstance(w, int) or w < floor:
-                raise InvalidWeight(
-                    f"weight {w!r} at point {p} below {floor}"
-                    f" for kind {self.kind.value}")
+            if not (type(w) is int and w >= floor):
+                if isinstance(w, bool):
+                    raise InvalidWeight(
+                        f"weight {w!r} at point {p} is a bool, not an integer")
+                if not isinstance(w, int) or w < floor:
+                    raise InvalidWeight(
+                        f"weight {w!r} at point {p} below {floor}"
+                        f" for kind {self.kind.value}")
             parent = parents[p]
             if parent is not None and parent not in weights:
                 raise NotDownwardClosed(
@@ -122,7 +125,7 @@ class WeightedCluster:
         if not isinstance(other, WeightedCluster):
             return NotImplemented
         return (self.tree is other.tree and self.kind is other.kind
-                and dict(self.weight) == dict(other.weight))
+                and self.weight == other.weight)
 
     def __hash__(self):
         return hash((id(self.tree), self.kind, frozenset(self.weight.items())))

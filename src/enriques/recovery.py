@@ -21,26 +21,27 @@ contributes one rupture point:
    down to the origin and stops at the first qualifying link;
 3. from p, a bisection walk moves to the first satellite while the height
    quotient m/n exceeds I_d and to the second satellite while it falls
-   short, stopping at the unique point q_d with m/n = I_d.  The walk makes
-   at most numerator + denominator of I_d moves in one loop.  Each pass
-   moves to the next point when the arena holds it, or else appends a run
-   of equal moves at once: the points of a run share their second
-   proximity, so the run's length is one division.
+   short, stopping at the unique point q_d with m/n = I_d, in at most
+   numerator + denominator of I_d moves (see :func:`satellite_walk`).
 
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
-builds a fraction.
+builds a fraction.  The singular set S is the downward closure of the
+rupture set R.
 
-The singular set S is the downward closure of the rupture set R.
-
-Part two, values.  Rupture points take v = m.  A free non-rupture point p
+Part two, values and multiplicities, in one sweep over S in ascending id.
+Ids are topological, so the parent, the second proximity and the defining
+free point of a point come before it, and every value a rule reads is
+already set.  Rupture points take v = m.  A free non-rupture point p
 of S takes v = m when a free point of S lies in its first neighbourhood;
 otherwise v is the unique integer in [ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 )
 for q the biggest rupture point at or above p's satellite cone.  A
 satellite non-rupture point p with defining free point p' takes
 v = (n_p/n_{p'}) v_{p'} when p is bigger than the cone's biggest rupture
-point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  Multiplicities
-follow by the value/multiplicity conversion, and the result is checked for
-consistency.
+point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  The
+multiplicity at p is v_p minus the values at the points p is proximate to,
+and the sweep subtracts it from their excesses at once; a negative excess
+makes the result inconsistent.  Last, each rupture point's m/n must equal
+its invariant, compared in integers.
 
 :func:`recover_grouped` is the same run with another schedule:
 it visits dicriticals by descending invariant and walks once per distinct
@@ -49,12 +50,10 @@ every dicritical that repeats the pair.  The walk is deterministic and
 finds the points an earlier walk created, so its result equals
 :func:`recover` exactly.
 
-The invariant, the walk and the value rules read each point's parent,
-defining free point, chain weights, m0 and ordered proximities from the
+The invariant, the walk and the sweep read each point's facts from the
 arena's columns and m from the list table of :mod:`~enriques.morphism`,
 so none of them rebuilds a unibranch chain or builds a per-point object.
-A full run counts the excesses of ``bp`` once: they give both the
-consistency check and the dicritical points.
+A full run counts the excesses of ``bp`` once.
 """
 
 from __future__ import annotations
@@ -65,25 +64,11 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .arena import ArenaTree, PointId
-from .cluster import (
-    WeightedCluster,
-    WeightKind,
-    excess,
-    excesses,
-    multiplicities_from_values,
-    is_consistent,
-)
+from .cluster import WeightedCluster, WeightKind, excess, excesses
 from .errors import (
-    EmptyRuptureSet,
-    EnriquesError,
-    InconsistentCluster,
-    NoQualifyingPair,
-    NonIntegralValue,
-    NotDicritical,
-    RecoveryError,
-    UnknownPoint,
-    WalkDiverged,
-)
+    EmptyRuptureSet, EnriquesError, InconsistentCluster, NoQualifyingPair,
+    NonIntegralValue, NonPositiveMultiplicity, NotDicritical,
+    NotDownwardClosed, RecoveryError, UnknownPoint, WalkDiverged)
 from .morphism import MorphismInvariants, require_base_points
 from .ordering import max_under_prec, satellite_proximity
 
@@ -278,72 +263,99 @@ def _by_descending_invariant(schedule: list[tuple[Fraction, PointId]]) -> None:
 # -- part two: values ---------------------------------------------------------
 
 
-def _only_integer_in_unit_interval(num: int, den: int) -> int:
-    """The single integer in [x, x+1) for x = num/den, den > 0: ceil(x)."""
-    return -(-num // den)
-
-
 def recover_values(
     bp: WeightedCluster,
     inv: MorphismInvariants,
     rupture: frozenset[PointId],
     singular: frozenset[PointId],
 ) -> WeightedCluster:
-    """Values of the unknown curve on its singular points.
+    """Values of the unknown curve on its singular points, by the sweep of
+    :func:`_second_half`.  ``singular`` must be downward closed and hold
+    ``rupture``, as the topology's downward closure is."""
+    values, _, _ = _second_half(bp.tree, inv, rupture, singular)
+    return WeightedCluster(bp.tree, WeightKind.VALUE, values)
 
-    Processes rupture points, then free points, then satellite points; the
-    satellite rule consumes the already-recovered value at the defining
-    free point.  ``singular`` must hold ``rupture``, as the topology's
-    downward closure does.
-    """
-    tree = bp.tree
-    if singular:
-        if min(singular) < 0:
-            raise UnknownPoint(f"no point with id {min(singular)}")
-        inv.extend_to(max(singular))  # checks, and covers every point
+
+def _second_half(
+    tree: ArenaTree,
+    inv: MorphismInvariants,
+    rupture: frozenset[PointId],
+    singular: frozenset[PointId],
+) -> tuple[dict[PointId, int], dict[PointId, int], Optional[EnriquesError]]:
+    """Values, multiplicities and their excesses in one ascending sweep.
+
+    Returns the values, the multiplicities and, for the caller to raise,
+    :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
+    :class:`InconsistentCluster`, else None.  A value rule's error is
+    raised, a satellite's only once every free point's rule has run."""
+    order = sorted(singular)
+    if order:
+        if order[0] < 0:
+            raise UnknownPoint(f"no point with id {order[0]}")
+        inv.extend_to(order[-1])  # checks, and covers every point
     m = inv.m
-    seconds, children = tree.seconds, tree.children
+    parents, seconds, children = tree.parents, tree.seconds, tree.children
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
-    values: dict[PointId, int] = {q: m[q] for q in rupture}
-    free_rest: list[PointId] = []
-    satellite_rest: list[PointId] = []
-    for p in singular:
-        if p not in rupture:
-            if seconds[p] is None:
-                free_rest.append(p)
-            else:
-                satellite_rest.append(p)
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
-
-    for p in free_rest:
-        if any(c in singular and seconds[c] is None for c in children[p]):
-            values[p] = m[p]
-            continue
-        q = biggest_rupture.get(p)
-        if q is None:
-            raise EmptyRuptureSet(
-                f"free singular point {p} has no rupture point in its"
-                " satellite cone")
-        values[p] = _only_integer_in_unit_interval(ns[p] * m[q], ns[q])
-    for p in satellite_rest:
-        p_free = free_points[p]
-        q = biggest_rupture.get(p_free)
-        if q is None:
-            raise EmptyRuptureSet(
-                f"satellite point {p} has no rupture point in the cone"
-                f" of its defining free point {p_free}")
-        n_q, m_q, n_pf = ns[q], m[q], ns[p_free]
-        v_pf = values[p_free]
-        # p and q share a cone, so p > q compares their fractions k/n
-        if ks[p] * n_q > ks[q] * ns[p] and v_pf * n_q == n_pf * m_q:
-            numerator = ns[p] * v_pf
-            if numerator % n_pf:
-                raise NonIntegralValue(
-                    f"value at satellite {p} would be {numerator}/{n_pf}")
-            values[p] = numerator // n_pf
-        else:
-            values[p] = m[p]
-    return WeightedCluster(tree, WeightKind.VALUE, values)
+    values, mults, rho = {}, {}, {}  # each by point id
+    failed: Optional[RecoveryError] = None  # a satellite rule's first error
+    rejected: Optional[EnriquesError] = None
+    try:
+        for p in order:
+            s = seconds[p]
+            if p in rupture:
+                v = m[p]
+            elif s is None:
+                for c in children[p]:
+                    if seconds[c] is None and c in singular:
+                        v = m[p]
+                        break
+                else:
+                    q = biggest_rupture.get(p)
+                    if q is None:
+                        raise EmptyRuptureSet(
+                            f"free singular point {p} has no rupture point in"
+                            " its satellite cone")
+                    # the single integer in [x, x + 1), x = n_p m_q / n_q
+                    v = -(-ns[p] * m[q] // ns[q])
+            else:
+                v = m[p]
+                p_free = free_points[p]
+                q = biggest_rupture.get(p_free)
+                if q is None:
+                    failed = failed or EmptyRuptureSet(
+                        f"satellite point {p} has no rupture point in the cone"
+                        f" of its defining free point {p_free}")
+                # p and q share a cone, so p > q compares their k/n
+                elif (ks[p] * ns[q] > ks[q] * ns[p]
+                        and values[p_free] * ns[q] == ns[p_free] * m[q]):
+                    v, rest = divmod(ns[p] * values[p_free], ns[p_free])
+                    if rest:
+                        failed = failed or NonIntegralValue(
+                            f"value at satellite {p} would be"
+                            f" {ns[p] * values[p_free]}/{ns[p_free]}")
+            values[p] = v
+            a = parents[p]
+            if a is not None:  # v becomes the multiplicity at p
+                v -= values[a]
+                if s is not None:
+                    v -= values[s]
+                    rho[s] -= v
+                rho[a] -= v
+            if v < 1 and rejected is None:
+                rejected = NonPositiveMultiplicity(
+                    f"values force multiplicity {v} at point {p}")
+            mults[p] = rho[p] = v
+    except KeyError:  # a point's parent, second or free point is missing
+        raise NotDownwardClosed(
+            "the singular set is not downward closed") from None
+    if failed is not None:
+        raise failed
+    if rejected is None and min(rho.values(), default=0) < 0:
+        rejected = InconsistentCluster(
+            "recovered multiplicities are not consistent; the input is"
+            " not a cluster of polar base points")
+    return values, mults, rejected
 
 
 # -- full runs ----------------------------------------------------------------
@@ -354,13 +366,10 @@ def _recover(
     trace: Optional[Callable[[TraceEntry], None]],
     grouped: bool,
 ) -> RecoveryResult:
-    """A full run under either schedule.
-
-    The basic schedule walks every dicritical in ascending id.  The grouped
-    schedule visits them by descending invariant and walks each
-    (base free point, invariant) pair once.  An error raised once the input
-    is known to be base points carries the partial association.
-    """
+    """A full run under either schedule: dicriticals in ascending id, or
+    grouped by descending invariant with one walk per (base free point,
+    invariant) pair.  An error raised once the input is known to be base
+    points carries the partial association."""
     tree = bp.tree
     before = len(tree)
     rho = excesses(bp)
@@ -391,28 +400,23 @@ def _recover(
             association[d] = DicriticalAssociation(invariant, p, q)
         rupture = frozenset(a.rupture_point for a in association.values())
         singular = _downward_closure(tree, rupture)
-        values = recover_values(bp, inv, rupture, singular)
-        multiplicities = multiplicities_from_values(values)
-        if not is_consistent(multiplicities):
-            raise InconsistentCluster(
-                "recovered multiplicities are not consistent; the input is"
-                " not a cluster of polar base points")
+        values, mults, rejected = _second_half(tree, inv, rupture, singular)
+        if rejected is not None:
+            raise rejected
+        m, ns = inv.m, tree.ns
         for d, assoc in association.items():
-            if inv.height_quotient(assoc.rupture_point) != assoc.invariant:
+            q, invariant = assoc.rupture_point, assoc.invariant
+            if m[q] * invariant.denominator != invariant.numerator * ns[q]:
                 raise RecoveryError(
-                    f"height quotient at {assoc.rupture_point} does not"
-                    f" match the invariant of dicritical {d}")
+                    f"height quotient at {q} does not match the invariant"
+                    f" of dicritical {d}")
+        values = WeightedCluster(tree, WeightKind.VALUE, values)
+        multiplicities = WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
     except EnriquesError as err:
         err.association = dict(association)
         raise
-    return RecoveryResult(
-        rupture=rupture,
-        singular=singular,
-        values=values,
-        multiplicities=multiplicities,
-        association=association,
-        created=frozenset(range(before, len(tree))),
-    )
+    return RecoveryResult(rupture, singular, values, multiplicities,
+                          association, frozenset(range(before, len(tree))))
 
 
 def recover(
@@ -443,21 +447,13 @@ def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
     satellite cone -- exactly the points where some branch of the curve
     passes and is non-singular immediately after.
     """
-    tree = result.values.tree
+    tree, values = result.values.tree, result.values
     biggest_rupture = _biggest_rupture_by_cone(tree, result.rupture)
-    out: dict[PointId, bool] = {}
     ns, seconds = tree.ns, tree.seconds
+    out: dict[PointId, bool] = {}
     for p in result.singular:
-        if seconds[p] is not None:
-            continue
-        if p in result.rupture:
-            out[p] = True
-            continue
-        q = biggest_rupture.get(p)
-        if q is None:
-            out[p] = False
-            continue
-        n_p, n_q = ns[p], ns[q]
-        m_q = result.values[q]  # value equals height at rupture points
-        out[p] = result.values[p] * n_q != n_p * m_q
+        if seconds[p] is None:
+            q = biggest_rupture.get(p)  # value equals m at rupture points
+            out[p] = p in result.rupture or (
+                q is not None and values[p] * ns[q] != ns[p] * values[q])
     return out

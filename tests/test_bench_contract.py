@@ -3,16 +3,22 @@
 ``perfbench/pipeline.py`` spells ``recover`` out again through public calls
 to time each step; these tests import it (read only) and check, on the
 golden base-point fixtures, that its traced result equals ``recover``'s and
-that its untraced op succeeds.  A change to the public steps that breaks
-the benchmark fails here.
+that its untraced op succeeds; and, on inputs that ``recover`` rejects,
+that the traced and untraced ops reject them with the same error class.
+A change to the public steps that breaks the benchmark fails here.
 """
 
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from enriques import parse, recover
+from enriques import WeightKind, WeightedCluster, parse, recover, serialize
+from enriques import errors
+
+import fixture_builders as fb
+import randgen
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -35,3 +41,41 @@ def test_traced_op_equals_recover(fixture_dir, name):
 def test_run_op_is_ok(fixture_dir, name):
     text = (fixture_dir / name).read_text(encoding="utf-8")
     assert run_op(text, Clock()).outcome == "ok"
+
+
+def _perturbed(builder, seed, tweaks):
+    """A golden fixture with ``randgen.perturb_weights`` applied, as text."""
+    tree, bp, _ = builder()
+    weights = randgen.perturb_weights(
+        tree, dict(bp.weight), random.Random(seed), tweaks)
+    return serialize(tree, WeightedCluster(tree, WeightKind.VIRTUAL, weights))
+
+
+def _rows(rows):
+    tree, bp = randgen.build_cluster(rows, WeightKind.VIRTUAL)
+    return serialize(tree, bp)
+
+
+# No +-1 perturbation of a golden fixture is known to reach EmptyRuptureSet
+# (4 fixtures x 1,500 rng seeds at 6, 20, 60 and 200 tweaks), so that case
+# is the consistent cluster of test_recovery's invalid-input table.
+REJECTED = {
+    "NonPositiveMultiplicity": lambda: _perturbed(fb.ex05_bp, 3, 6),
+    "InconsistentCluster": lambda: _perturbed(fb.ex04_bp, 20, 200),
+    "EmptyRuptureSet": lambda: _rows([
+        (None, None, 19), (0, None, 17), (1, None, 9), (2, 1, 5),
+        (3, 1, 1), (3, 2, 1), (1, 0, 2), (5, 3, 1), (6, None, 2)]),
+}
+
+
+@pytest.mark.parametrize("error", sorted(REJECTED))
+def test_rejected_input_same_outcome_traced_and_untraced(error):
+    text = REJECTED[error]()
+    with pytest.raises(getattr(errors, error)):
+        recover(parse(text)[1])
+    traced = traced_op(text, Tracer())
+    untraced = run_op(text, Clock())
+    assert traced.outcome == untraced.outcome == "rejected." + error
+    assert traced.grouped_outcome == untraced.grouped_outcome == \
+        "rejected." + error
+    assert traced.created == untraced.created

@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -216,6 +217,34 @@ def test_bool_weight_rejected(kind, weight):
     p1 = tree.add_point(o)
     with pytest.raises(InvalidWeight, match="is a bool"):
         WeightedCluster(tree, kind, {o: 2, p1: weight})
+
+
+class _Weight(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+@pytest.mark.parametrize("weight", [2.0, -1])
+def test_non_integer_and_negative_weight_rejected(kind, weight):
+    tree = ArenaTree()
+    o = tree.add_point()
+    p1 = tree.add_point(o)
+    floor = 0 if kind is WeightKind.VIRTUAL else 1
+    with pytest.raises(InvalidWeight, match=(
+            f"weight {weight!r} at point {p1} below {floor}"
+            f" for kind {kind.value}")):
+        WeightedCluster(tree, kind, {o: 2, p1: weight})
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_int_subclass_weight_accepted(kind):
+    # a weight need not be an exact int: an int subclass other than bool
+    # passes the checks that a plain int passes
+    tree = ArenaTree()
+    o = tree.add_point()
+    p1 = tree.add_point(o)
+    cluster = WeightedCluster(tree, kind, {o: 3, p1: _Weight.TWO})
+    assert cluster[p1] == 2 and cluster[p1] is _Weight.TWO
 
 
 def test_unknown_points_rejected():

@@ -2,12 +2,15 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from enriques import (
     ArenaTree,
+    DicriticalAssociation,
     MorphismInvariants,
+    RecoveryResult,
     WeightKind,
     WeightedCluster,
     base_free_point,
@@ -17,9 +20,12 @@ from enriques import (
     dicritical_points,
     first_satellite,
     invariant_quotient,
+    is_consistent,
+    multiplicities_from_values,
     noether_pairing,
     recover,
     recover_grouped,
+    recover_values,
     rupture_points,
     satellite_walk,
     second_satellite,
@@ -27,12 +33,23 @@ from enriques import (
     values_from_multiplicities,
 )
 from enriques.arena import CHAIN_CROSSOVER
-from enriques.recovery import _by_descending_invariant
+from enriques.recovery import (
+    _biggest_rupture_by_cone,
+    _by_descending_invariant,
+    _downward_closure,
+)
 from enriques.errors import (
+    EmptyRuptureSet,
     EnriquesError,
+    InconsistentCluster,
+    NonIntegralValue,
+    NonPositiveMultiplicity,
     NoQualifyingPair,
     NotDicritical,
+    NotDownwardClosed,
+    RecoveryError,
     SecondSatelliteOfFreePoint,
+    UnknownPoint,
     WalkDiverged,
 )
 
@@ -638,6 +655,200 @@ def test_satellite_walk_cap_cuts_a_closing_run(w, created, prewalked):
         assert steps == ref_steps and len(steps) == created + 1
     _assert_prefix(walked, inv, ref, ref_inv)
 
+
+# -- the one-sweep second half against the pass-by-pass reference -------------
+
+
+def _reference_values(bp, inv, rupture, singular):
+    """The value rules pass by pass: rupture, then free, then satellite
+    points, each group in the iteration order of ``singular``."""
+    tree = bp.tree
+    if singular:
+        if min(singular) < 0:
+            raise UnknownPoint(f"no point with id {min(singular)}")
+        inv.extend_to(max(singular))
+    m = inv.m
+    seconds, children = tree.seconds, tree.children
+    free_points, ns, ks = tree.free_points, tree.ns, tree.ks
+    values = {q: m[q] for q in rupture}
+    free_rest, satellite_rest = [], []
+    for p in singular:
+        if p not in rupture:
+            if seconds[p] is None:
+                free_rest.append(p)
+            else:
+                satellite_rest.append(p)
+    biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
+    for p in free_rest:
+        if any(c in singular and seconds[c] is None for c in children[p]):
+            values[p] = m[p]
+            continue
+        q = biggest_rupture.get(p)
+        if q is None:
+            raise EmptyRuptureSet(
+                f"free singular point {p} has no rupture point in its"
+                " satellite cone")
+        values[p] = -(-(ns[p] * m[q]) // ns[q])
+    for p in satellite_rest:
+        p_free = free_points[p]
+        q = biggest_rupture.get(p_free)
+        if q is None:
+            raise EmptyRuptureSet(
+                f"satellite point {p} has no rupture point in the cone"
+                f" of its defining free point {p_free}")
+        n_q, m_q, n_pf = ns[q], m[q], ns[p_free]
+        v_pf = values[p_free]
+        if ks[p] * n_q > ks[q] * ns[p] and v_pf * n_q == n_pf * m_q:
+            numerator = ns[p] * v_pf
+            if numerator % n_pf:
+                raise NonIntegralValue(
+                    f"value at satellite {p} would be {numerator}/{n_pf}")
+            values[p] = numerator // n_pf
+        else:
+            values[p] = m[p]
+    return WeightedCluster(tree, WeightKind.VALUE, values)
+
+
+def _reference_recover(bp, grouped):
+    """``recover`` through its public steps, with the second half as
+    separate passes: values, conversion, consistency, Fraction quotients."""
+    tree = bp.tree
+    before = len(tree)
+    inv = compute(bp)
+    association = {}
+    try:
+        origin = tree.origin
+        schedule = [(dicritical_invariant(bp, inv, d), d)
+                    for d in sorted(dicritical_points(bp))]
+        if schedule and schedule[0][1] == origin:
+            association[origin] = DicriticalAssociation(
+                schedule.pop(0)[0], origin, origin)
+        if grouped:
+            schedule = _by_descending_fraction(schedule)
+        walked = {}
+        for invariant, d in schedule:
+            _, p = base_free_point(bp, inv, d, invariant)
+            if not grouped or (p, invariant) not in walked:
+                walked[p, invariant] = satellite_walk(tree, inv, p, invariant)
+            association[d] = DicriticalAssociation(
+                invariant, p, walked[p, invariant])
+        rupture = frozenset(a.rupture_point for a in association.values())
+        singular = _downward_closure(tree, rupture)
+        values = _reference_values(bp, inv, rupture, singular)
+        multiplicities = multiplicities_from_values(values)
+        if not is_consistent(multiplicities):
+            raise InconsistentCluster(
+                "recovered multiplicities are not consistent; the input is"
+                " not a cluster of polar base points")
+        for d, assoc in association.items():
+            if inv.height_quotient(assoc.rupture_point) != assoc.invariant:
+                raise RecoveryError(
+                    f"height quotient at {assoc.rupture_point} does not"
+                    f" match the invariant of dicritical {d}")
+    except EnriquesError as err:
+        err.association = dict(association)
+        raise
+    return RecoveryResult(rupture, singular, values, multiplicities,
+                          association, frozenset(range(before, len(tree))))
+
+
+def _outcome(run, *args):
+    """A run's result, or its error's class, message and partial table."""
+    try:
+        r = run(*args)
+    except EnriquesError as err:
+        return type(err), str(err), getattr(err, "association", None)
+    if isinstance(r, WeightedCluster):
+        return r.kind, r.weight
+    return (r.rupture, r.singular, r.values.kind, r.values.weight,
+            r.multiplicities.kind, r.multiplicities.weight, r.association,
+            r.created)
+
+
+def _sweep_inputs():
+    """Factories of fresh base-point clusters: random ones, then the
+    perturbations of the golden fixtures."""
+    for max_points, seeds in ((8, 6000), (14, 1500)):
+        for seed in range(seeds):
+            yield partial(randgen.random_consistent_bp, seed, max_points)
+    plan = [(fb.ex04_bp, 350), (fb.ex05_bp, 250),
+            (fb.ex06_bp, 250), (fb.ex07_bp, 150)]
+    for builder, count in plan:
+        tree0, bp0, _ = builder()
+        for i in range(count):
+            weights = randgen.perturb_weights(
+                tree0, dict(bp0.weight), random.Random(i * 7919 + count))
+            yield lambda tree0=tree0, weights=weights: WeightedCluster(
+                tree0.clone(), WeightKind.VIRTUAL, weights)
+
+
+def test_one_sweep_second_half_matches_pass_reference():
+    counts = Counter()
+    for make in _sweep_inputs():
+        for run, grouped in ((recover, False), (recover_grouped, True)):
+            got = _outcome(run, make())
+            want = _outcome(_reference_recover, make(), grouped)
+            assert got == want
+            counts[got[0] if len(got) == 3 else "ok"] += 1
+    assert counts["ok"] > 5000 and counts[NonPositiveMultiplicity] > 10000
+    assert counts[InconsistentCluster] > 1000
+    assert counts[EmptyRuptureSet] > 40
+
+
+def test_satellite_n_is_a_multiple_of_its_free_point_n():
+    # so the satellite value rule's n_p v_p' / n_p' is always an integer and
+    # NonIntegralValue, which no search has reached, cannot be raised
+    satellites = 0
+    for seed in range(1000):
+        tree = _grown_bp(seed).tree
+        for p in tree.points():
+            if tree.seconds[p] is not None:
+                assert tree.ns[p] % tree.ns[tree.free_points[p]] == 0
+                satellites += 1
+    assert satellites > 20000
+
+
+def test_recover_values_matches_pass_reference():
+    counts = Counter()
+    for seed in range(1000):
+        bp = _grown_bp(seed)
+        tree, inv = bp.tree, compute(bp)
+        rng = random.Random(seed)
+        for _ in range(10):
+            rupture = frozenset(rng.sample(
+                range(len(tree)), rng.randint(1, min(4, len(tree)))))
+            singular = _downward_closure(tree, rupture)
+            got = _outcome(recover_values, bp, inv, rupture, singular)
+            want = _outcome(_reference_values, bp, inv, rupture, singular)
+            assert got == want, (seed, rupture)
+            counts[got[0]] += 1
+    assert counts[WeightKind.VALUE] > 9000 and counts[EmptyRuptureSet] > 500
+
+
+
+def test_recover_values_rejects_singular_set_not_downward_closed():
+    # without one ancestor, the sweep reads a value that was never set; a
+    # free point's value rule may fail on the gap first
+    raised = Counter()
+    for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
+        _, bp, _ = builder()
+        result = recover(bp)
+        inv = compute(bp)
+        for x in result.singular - result.rupture:
+            with pytest.raises(EnriquesError) as info:
+                recover_values(bp, inv, result.rupture, result.singular - {x})
+            raised[type(info.value)] += 1
+    assert raised == {NotDownwardClosed: 13, EmptyRuptureSet: 8}
+    for seed in range(300):  # random rupture sets, never a bare KeyError
+        bp = _grown_bp(seed)
+        tree, inv, rng = bp.tree, compute(bp), random.Random(seed)
+        rupture = frozenset(rng.sample(range(len(tree)), min(3, len(tree))))
+        singular = _downward_closure(tree, rupture)
+        for x in singular - rupture:
+            with pytest.raises(EnriquesError) as info:
+                recover_values(bp, inv, rupture, singular - {x})
+            raised[type(info.value)] += 1
+    assert raised[NotDownwardClosed] > 1000
 
 # -- deep walks (polar base points of y^n = x^(1 + j(n-1))) -------------------
 
