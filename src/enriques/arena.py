@@ -23,6 +23,12 @@ index (a list would silently accept ``-1``, and ``True`` as ``1``).
 :meth:`ArenaTree.facts` build read-only views from the columns for the
 public API and tests.
 
+The arena rules are stated once, in :meth:`ArenaTree._violations`.
+:meth:`ArenaTree.add_point` raises the first rule it names;
+:meth:`ArenaTree.append_raw` appends anyway and records each broken rule as
+a :class:`~enriques.errors.Diagnostic`, which :meth:`ArenaTree.validate`
+returns without another pass.
+
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
 """
@@ -39,6 +45,7 @@ from .errors import (
     DuplicateOrigin,
     DuplicateSatellite,
     IllegalProximity,
+    SelfReference,
     UnknownParent,
     UnknownPoint,
 )
@@ -91,9 +98,9 @@ class ArenaTree:
     """Append-only, columnar arena of infinitely near points.
 
     Points are topologically sorted: every referenced id precedes its
-    referrer.  Construction through :meth:`add_point` enforces all structural
-    invariants eagerly; :meth:`from_records` admits raw (possibly broken)
-    data so that :meth:`validate` can report problems as diagnostics.
+    referrer.  :meth:`add_point` refuses a point that breaks an arena rule;
+    :meth:`from_records` admits raw (possibly broken) data, and
+    :meth:`validate` reports what it broke as diagnostics.
 
     The columns are public for one-pass and hot readers, which must not
     modify them; ``xs[p]`` is point p's entry:
@@ -120,6 +127,8 @@ class ArenaTree:
         self.ks: list[Optional[int]] = []
         self.pairs: list[Optional[tuple[PointId, PointId]]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
+        self._diagnostics: list[Diagnostic] = []
+        self._rootless = False  # whether any point so far has no parent
 
     # -- construction --------------------------------------------------
 
@@ -131,34 +140,14 @@ class ArenaTree:
     ) -> PointId:
         """Append a new point and return its id.
 
-        With no ``parent`` the point becomes the origin (allowed once).
-        A ``second_proximity`` must be one of the points the parent itself
-        is proximate to, and no existing point may already carry the same
-        proximity pair.
+        The point must keep every arena rule (see :meth:`_violations`); on
+        the first it would break this raises that rule's error and appends
+        nothing.  With no ``parent`` the point becomes the origin.
         """
-        if parent is None:
-            if second_proximity is not None:
-                raise IllegalProximity("the origin has no proximities")
-            if self.origin is not None:
-                raise DuplicateOrigin("arena already has an origin")
-        else:
-            if parent not in self:
-                raise UnknownParent(f"no point with id {parent}")
-            if second_proximity is not None:
-                if second_proximity not in self:
-                    raise UnknownPoint(f"no point with id {second_proximity}")
-                if second_proximity not in (
-                        self.parents[parent], self.seconds[parent]):
-                    raise IllegalProximity(
-                        f"point {second_proximity} is not among the"
-                        f" proximities of parent {parent}"
-                    )
-                pair = (parent, second_proximity)
-                if pair in self._satellite_index:
-                    raise DuplicateSatellite(
-                        f"a satellite proximate to {parent} and"
-                        f" {second_proximity} already exists"
-                    )
+        broken = self._violations(parent, second_proximity)
+        if broken:
+            error, message = broken[0]
+            raise error(message)
         return self.append_raw(parent, second_proximity, label)
 
     @classmethod
@@ -168,7 +157,7 @@ class ArenaTree:
     ) -> "ArenaTree":
         """Build an arena from raw (parent, second_proximity, label) triples.
 
-        No invariants are enforced; run :meth:`validate` afterwards.
+        No rule is enforced; :meth:`validate` reports the broken ones.
         """
         tree = cls()
         append = tree.append_raw
@@ -184,9 +173,11 @@ class ArenaTree:
     ) -> PointId:
         """Append a point without enforcing any rule and return its id.
 
-        The point gets facts only when it keeps every rule.
-        :meth:`from_records` and the document parser build arenas this way
-        and then run :meth:`validate`; :meth:`add_point` checks first.
+        The point gets facts when it and every point it refers to keep the
+        arena rules.  Only a point without facts can break one, so only
+        such a point runs :meth:`_violations`; what it breaks is kept for
+        :meth:`validate`.  :meth:`from_records` and the document parser
+        build arenas this way; :meth:`add_point` checks first.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is (a's parent, a) when a is free; when a is a satellite with
@@ -222,6 +213,11 @@ class ArenaTree:
                         k += self.ks[s]
                     n = self.ns[a] + self.ns[s]
                     m0 = self.m0s[a] + self.m0s[s]
+        broken = () if free is not None else self._violations(parent, s)
+        if broken:
+            self._diagnostics.extend(
+                Diagnostic(error.__name__, q, message)
+                for error, message in broken)
         self.parents.append(parent)
         self.seconds.append(s)
         self.labels.append(label)
@@ -231,11 +227,13 @@ class ArenaTree:
         self.m0s.append(m0)
         self.ks.append(k)
         self.pairs.append(pair)
-        if parent is not None:
+        if parent is None:
+            self._rootless = True
+        else:
             if 0 <= parent < q:
                 self.children[parent].append(q)
-            if s is not None:
-                self._satellite_index.setdefault((parent, s), q)
+            if s is not None and not broken:
+                self._satellite_index[parent, s] = q
         return q
 
     def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
@@ -291,6 +289,8 @@ class ArenaTree:
             setattr(tree, name, list(getattr(self, name)))
         tree.children = [list(c) for c in self.children]
         tree._satellite_index = dict(self._satellite_index)
+        tree._diagnostics = list(self._diagnostics)
+        tree._rootless = self._rootless
         return tree
 
     # -- basic queries --------------------------------------------------
@@ -416,54 +416,53 @@ class ArenaTree:
 
     # -- validation ------------------------------------------------------
 
+    def _violations(
+        self, a: Optional[PointId], s: Optional[PointId]
+    ) -> list[tuple[type[ArenaError], str]]:
+        """The arena rules that a point (a, s) appended next would break,
+        as (error class, message) pairs in report order.
+
+        This is the one statement of the rules.  At most one point has no
+        parent, and it has no second proximity.  Every other point names
+        an earlier point as its parent; a satellite also names an earlier
+        point that the parent is proximate to, and no other point may hold
+        the same pair.  Each check reads only the point's references, its
+        parent's, the pair index and whether a point without parent came
+        before, so it takes constant time.
+        """
+        q = len(self.parents)
+        if a is None:
+            out = []
+            if s is not None:
+                out.append((IllegalProximity,
+                            "origin cannot have a second proximity"))
+            if self._rootless:
+                out.append((DuplicateOrigin,
+                            "more than one point without a parent"))
+            return out
+        if a == q or s == q:
+            return [(SelfReference, "point references itself")]
+        if a not in self:
+            return [(UnknownParent, f"parent {a} does not precede the point")]
+        if s is None:
+            return []
+        if s not in self:
+            return [(UnknownPoint,
+                     f"second proximity {s} does not precede the point")]
+        if s != self.parents[a] and s != self.seconds[a]:
+            return [(IllegalProximity,
+                     f"second proximity {s} is not among the proximities of"
+                     f" parent {a}")]
+        if (a, s) in self._satellite_index:
+            return [(DuplicateSatellite,
+                     "another satellite already carries the proximity pair"
+                     f" {(a, s)}")]
+        return []
+
     def validate(self) -> list[Diagnostic]:
-        """Report every violated structural invariant (empty list = valid)."""
-        out: list[Diagnostic] = []
-        origin_seen = False
-        pairs_seen: set[tuple[PointId, PointId]] = set()
-        parents, seconds = self.parents, self.seconds
-        for q, (a, s) in enumerate(zip(parents, seconds)):
-            if a is None:
-                if s is not None:
-                    out.append(Diagnostic(
-                        "IllegalProximity", q,
-                        "origin cannot have a second proximity"))
-                if origin_seen:
-                    out.append(Diagnostic(
-                        "DuplicateOrigin", q,
-                        "more than one point without a parent"))
-                origin_seen = True
-                continue
-            if a == q or s == q:
-                out.append(Diagnostic(
-                    "SelfReference", q, "point references itself"))
-                continue
-            if not 0 <= a < q:
-                out.append(Diagnostic(
-                    "UnknownParent", q,
-                    f"parent {a} does not precede the point"))
-                continue
-            if s is None:
-                continue
-            if not 0 <= s < q:
-                out.append(Diagnostic(
-                    "UnknownPoint", q,
-                    f"second proximity {s} does not precede the point"))
-                continue
-            if s != parents[a] and s != seconds[a]:
-                out.append(Diagnostic(
-                    "IllegalProximity", q,
-                    f"second proximity {s} is not among"
-                    f" the proximities of parent {a}"))
-                continue
-            pair = (a, s)
-            if pair in pairs_seen:
-                out.append(Diagnostic(
-                    "DuplicateSatellite", q,
-                    f"another satellite already carries the proximity"
-                    f" pair {pair}"))
-            pairs_seen.add(pair)
-        return out
+        """Every arena rule that a point broke when it was appended, in id
+        order (empty list = valid).  :meth:`append_raw` records them."""
+        return list(self._diagnostics)
 
     def __repr__(self) -> str:
         return f"ArenaTree({len(self.parents)} points)"

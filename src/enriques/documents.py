@@ -20,10 +20,11 @@ does not reach (for example satellites shared with another cluster).
 
 Parsing aggregates every structural problem into one
 :class:`DocumentValidationError` instead of stopping at the first.  It
-resolves, checks and appends each entry to the arena in one loop, then
-runs :meth:`ArenaTree.validate` once.  A weight must be a JSON integer:
-``true``/``false`` are rejected even though Python's ``bool`` is an
-``int``, and ``format_version`` must be the integer 1 (not ``true`` or
+resolves, checks and appends each entry to the arena in one loop; the
+arena records the rules each point breaks as it appends it, so
+:meth:`ArenaTree.validate` makes no second pass.  A weight must be a JSON
+integer: ``true``/``false`` are rejected even though Python's ``bool`` is
+an ``int``, and ``format_version`` must be the integer 1 (not ``true`` or
 ``1.0``).
 
 Serialization writes points in arena order under their labels, inventing

@@ -150,10 +150,6 @@ class EmptyRuptureSet(RecoveryError):
     pass
 
 
-class NonIntegralValue(RecoveryError):
-    pass
-
-
 # --- oracle ----------------------------------------------------------------
 
 class OracleError(EnriquesError):

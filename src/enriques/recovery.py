@@ -67,8 +67,8 @@ from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excess, excesses
 from .errors import (
     EmptyRuptureSet, EnriquesError, InconsistentCluster, NoQualifyingPair,
-    NonIntegralValue, NonPositiveMultiplicity, NotDicritical,
-    NotDownwardClosed, RecoveryError, UnknownPoint, WalkDiverged)
+    NonPositiveMultiplicity, NotDicritical, NotDownwardClosed, RecoveryError,
+    UnknownPoint, WalkDiverged)
 from .morphism import MorphismInvariants, require_base_points
 from .ordering import max_under_prec, satellite_proximity
 
@@ -329,11 +329,9 @@ def _second_half(
                 # p and q share a cone, so p > q compares their k/n
                 elif (ks[p] * ns[q] > ks[q] * ns[p]
                         and values[p_free] * ns[q] == ns[p_free] * m[q]):
-                    v, rest = divmod(ns[p] * values[p_free], ns[p_free])
-                    if rest:
-                        failed = failed or NonIntegralValue(
-                            f"value at satellite {p} would be"
-                            f" {ns[p] * values[p_free]}/{ns[p_free]}")
+                    # exact: every n after p_free in its cone sums two
+                    # n's that are multiples of n_{p_free}
+                    v = ns[p] * values[p_free] // ns[p_free]
             values[p] = v
             a = parents[p]
             if a is not None:  # v becomes the multiplicity at p

@@ -191,3 +191,61 @@ def build_cluster(rows, kind: WeightKind):
         if weight > 0:
             weights[p] = weight
     return tree, WeightedCluster(tree, kind, weights)
+
+
+def random_raw_records(rng: random.Random, max_points: int = 12):
+    """Raw (parent, second, label) triples for ``ArenaTree.from_records``.
+
+    Most triples are legal; at a per-list noise rate a parent or second
+    proximity becomes a missing parent, the point itself, a forward or a
+    negative id, or an earlier triple's pair is repeated.  So lists hold
+    self references, forward and negative ids, several rootless points and
+    repeated pairs, and a noise rate of 0 gives mostly valid arenas.
+    """
+    noise = rng.choice((0.0, 0.0, 0.05, 0.2, 0.5))
+    records: list[tuple[int | None, int | None, None]] = []
+    for q in range(rng.randint(1, max_points)):
+        parent = rng.randrange(q) if q else None
+        second = None
+        if rng.random() < noise:
+            parent = rng.choice((None, q, -1, q + rng.randint(1, 3)))
+        if parent is not None and 0 <= parent < q and rng.random() < 0.5:
+            proximities = [r for r in records[parent][:2] if r is not None]
+            if proximities:
+                second = rng.choice(proximities)
+        if rng.random() < noise:
+            second = rng.choice((q, -1, q + 1, rng.randrange(q + 1)))
+        if records and rng.random() < noise:
+            parent, second, _ = rng.choice(records)
+        records.append((parent, second, None))
+    return records
+
+
+def euclid_rows(a: int, b: int) -> list[tuple[int | None, int | None, int]]:
+    """Rows of the Euclid cluster of (a, b), a > b >= 1, for
+    :func:`build_cluster`: the singular cluster of y^b = x^a.
+
+    The quotients q_1, q_2, ... of Euclid's algorithm on (a, b) give blocks
+    of q_j points of multiplicity r_{j-1}, with r_0 = b; each point's parent
+    is the point before it.  Block 1 and the first point of block 2 are
+    free; the first point of block j+2 is also proximate to the last point
+    of block j, and every other point of block j+1 to the last point of
+    block j (Casas-Alvero, *Singularities of Plane Curves*, ch. 5).
+    """
+    rows: list[tuple[int | None, int | None, int]] = []
+    last: list[int] = []  # the last point of each block so far
+    r_prev, r = a, b
+    while r:
+        q, rest = divmod(r_prev, r)
+        for i in range(q):
+            p = len(rows)
+            if len(last) < 2 and (not last or i == 0):
+                second = None
+            elif i == 0:
+                second = last[-2]
+            else:
+                second = last[-1]
+            rows.append((p - 1 if p else None, second, r))
+        last.append(len(rows) - 1)
+        r_prev, r = r, rest
+    return rows

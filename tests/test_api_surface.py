@@ -1,7 +1,8 @@
-"""The package's public names, pinned so that adding or removing one is a
-deliberate edit of this list."""
+"""The package's public names and error classes, pinned so that adding or
+removing one is a deliberate edit of these lists."""
 
 import enriques
+from enriques import errors
 
 PUBLIC_NAMES = [
     "ArenaTree",
@@ -67,3 +68,50 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(enriques.__all__) == PUBLIC_NAMES
     assert all(hasattr(enriques, name) for name in PUBLIC_NAMES)
+
+
+#: Every exception class of ``enriques.errors`` with its direct base.
+ERROR_CLASSES = [
+    ("ArenaError", "EnriquesError"),
+    ("ArenaMismatch", "ClusterError"),
+    ("ClusterError", "EnriquesError"),
+    ("DocumentError", "EnriquesError"),
+    ("DocumentSyntaxError", "DocumentError"),
+    ("DocumentValidationError", "DocumentError"),
+    ("DuplicateOrigin", "ArenaError"),
+    ("DuplicateSatellite", "ArenaError"),
+    ("EmptyRuptureSet", "RecoveryError"),
+    ("EmptySet", "OrderingError"),
+    ("EnriquesError", "Exception"),
+    ("IllegalProximity", "ArenaError"),
+    ("InconsistentCluster", "MorphismError"),
+    ("InvalidWeight", "ClusterError"),
+    ("MorphismError", "EnriquesError"),
+    ("NegativeResidual", "OracleError"),
+    ("NoQualifyingPair", "RecoveryError"),
+    ("NonPositiveMultiplicity", "ClusterError"),
+    ("NotComparable", "OrderingError"),
+    ("NotDicritical", "RecoveryError"),
+    ("NotDownwardClosed", "ClusterError"),
+    ("NotUnibranch", "OrderingError"),
+    ("OracleError", "EnriquesError"),
+    ("OrderingError", "EnriquesError"),
+    ("OriginHasNoSatellite", "OrderingError"),
+    ("PointNotInCluster", "ClusterError"),
+    ("RecoveryError", "EnriquesError"),
+    ("SecondSatelliteOfFreePoint", "OrderingError"),
+    ("SelfReference", "ArenaError"),
+    ("UnknownParent", "ArenaError"),
+    ("UnknownPoint", "ArenaError"),
+    ("WalkDiverged", "RecoveryError"),
+    ("WrongKind", "ClusterError"),
+]
+
+
+def test_error_classes_are_pinned():
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == errors.__name__]
+    assert all(len(cls.__bases__) == 1 for cls in classes)
+    assert sorted((cls.__name__, cls.__base__.__name__)
+                  for cls in classes) == ERROR_CLASSES

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -19,15 +20,18 @@ from enriques import (
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.errors import (
     ArenaError,
+    Diagnostic,
     DuplicateOrigin,
     DuplicateSatellite,
     IllegalProximity,
+    SelfReference,
     UnknownParent,
     UnknownPoint,
 )
 
 import fixture_builders as fb
 import randgen
+from arena_reference import validate_reference
 
 
 def test_root_creation():
@@ -434,3 +438,108 @@ def test_columns_match_record_and_facts_reference():
         broken += _assert_columns_match_reference(
             ArenaTree.from_records(records))
     assert points > 20000 and appended > 5000 and broken > 2000
+
+
+def _facts_or_none(tree: ArenaTree) -> list[Optional[PointFacts]]:
+    return [None if tree.free_points[p] is None else tree.facts(p)
+            for p in tree.points()]
+
+
+def _replay_through_add_point(records, want) -> int:
+    """Append the records one at a time through ``add_point``: a record the
+    reference flags raises its first diagnostic's class and appends nothing
+    (it then goes in raw, to keep the ids); return how many raised."""
+    first: dict[PointId, str] = {}
+    for d in want:
+        first.setdefault(d.point, d.code)
+    tree, raised = ArenaTree(), 0
+    for q, (a, s, label) in enumerate(records):
+        if q not in first:
+            assert tree.add_point(a, s, label) == q
+            continue
+        try:
+            tree.add_point(a, s, label)
+        except ArenaError as err:
+            assert type(err).__name__ == first[q]
+        else:
+            raise AssertionError(f"add_point accepted point {q}")
+        assert len(tree) == q
+        tree.append_raw(a, s, label)
+        raised += 1
+    assert tree.validate() == want
+    return raised
+
+
+def test_recorded_rules_match_validate_reference():
+    # validate returns what append_raw recorded; the reference is the old
+    # loop over the finished arena
+    codes: Counter = Counter()
+    accepted = broken = raised = unshadowed = 0
+    for seed in range(20000):
+        rng = random.Random(seed)
+        records = randgen.random_raw_records(rng)
+        tree = ArenaTree.from_records(records)
+        want = validate_reference(tree)
+        assert tree.validate() == want, seed
+        codes.update(d.code for d in want)
+        ref = _ReferenceArena()
+        for triple in records:
+            ref.append_raw(*triple)
+        facts = _facts_or_none(tree)
+        flagged = {d.point for d in want}
+        assert all(facts[p] is None for p in flagged)
+        broken += len(flagged)
+        if not want:
+            accepted += 1
+            assert facts == ref.facts, seed
+        for p, (got, old) in enumerate(zip(facts, ref.facts)):
+            if got != old:
+                # a pair that only a broken point named shadows no later
+                # point that keeps every rule
+                assert old is None and want and p not in flagged, seed
+                assert any(records[b][:2] == records[p][:2]
+                           for b in flagged if b < p), seed
+                unshadowed += 1
+        raised += _replay_through_add_point(records, want)
+        copy = tree.clone()
+        assert copy.validate() == want
+        copy.append_raw(len(copy), None, None)
+        assert copy.validate() == want + [
+            Diagnostic("SelfReference", len(tree), "point references itself")]
+        assert tree.validate() == want
+    assert set(codes) == {"IllegalProximity", "DuplicateOrigin",
+                          "SelfReference", "UnknownParent", "UnknownPoint",
+                          "DuplicateSatellite"}
+    assert min(codes.values()) > 2000 and raised == broken
+    assert 5000 < accepted < 15000 and unshadowed > 0
+
+
+def test_add_point_raises_self_reference_for_the_next_id():
+    # the id the point would take is the point itself, not an unknown one
+    tree, _, names = fb.ex04_bp()
+    size = len(tree)
+    with pytest.raises(SelfReference):
+        tree.add_point(size)
+    with pytest.raises(SelfReference):
+        tree.add_point(names["p3"], size)
+    with pytest.raises(UnknownParent):
+        tree.add_point(size + 1)
+    with pytest.raises(UnknownPoint):
+        tree.add_point(names["p3"], size + 1)
+    assert len(tree) == size and tree.validate() == []
+
+
+def test_broken_pair_does_not_shadow_a_legal_satellite():
+    # point 2 breaks a rule with the pair (3, 1) that point 4 then holds
+    # legally: only 2 is flagged, and 4 gets the facts the reference denies
+    records = [(None, None, "O"), (0, None, "p1"), (3, 1, "forward"),
+               (1, None, "p2"), (3, 1, "s")]
+    tree = ArenaTree.from_records(records)
+    assert [(d.code, d.point) for d in tree.validate()] == [
+        ("UnknownParent", 2)]
+    assert tree.facts(4).ordered_proximities == (1, 3)
+    assert tree.find_satellite(3, 1) == 4
+    ref = _ReferenceArena()
+    for triple in records:
+        ref.append_raw(*triple)
+    assert ref.facts[4] is None

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from enriques.errors import (
 )
 
 import fixture_builders as fb
+from arena_reference import validate_reference
 import make_fixtures
 import randgen
 from randgen import random_proximity_tree
@@ -124,6 +126,24 @@ def test_parse_rejects_non_downward_closed_weights():
     assert any(d.code == "NotDownwardClosed" for d in info.value.diagnostics)
 
 
+def test_parse_rejects_unresolved_parents_in_linear_time():
+    # an unresolved parent reads as none, so every entry is one more point
+    # without a parent; a check that scanned earlier points would make
+    # this 10^5 entries quadratic
+    size = 100_000
+    text = _doc([{"id": "O", "weight": 1}] + [
+        {"id": f"p{i}", "parent": f"x{i}", "weight": 1} for i in range(size)])
+    start = time.perf_counter()
+    with pytest.raises(DocumentValidationError) as info:
+        parse(text)
+    elapsed = time.perf_counter() - start
+    diagnostics = info.value.diagnostics
+    assert len(diagnostics) == 2 * size
+    assert Counter(d.code for d in diagnostics) == {
+        "UnknownParent": size, "DuplicateOrigin": size}
+    assert elapsed < 5.0
+
+
 def _doc(points, version=1, kind="virtual"):
     return json.dumps({"format_version": version, "weight_kind": kind,
                        "points": points})
@@ -207,56 +227,6 @@ def _serialize_reference(tree, cluster):
         "points": points,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _validate_reference(tree):
-    out = []
-    origin_seen = False
-    pairs_seen = set()
-    for p in tree.points():
-        r = tree.record(p)
-        if r.parent is None:
-            if r.second_proximity is not None:
-                out.append(Diagnostic(
-                    "IllegalProximity", r.id,
-                    "origin cannot have a second proximity"))
-            if origin_seen:
-                out.append(Diagnostic(
-                    "DuplicateOrigin", r.id,
-                    "more than one point without a parent"))
-            origin_seen = True
-            continue
-        if r.parent == r.id or r.second_proximity == r.id:
-            out.append(Diagnostic(
-                "SelfReference", r.id, "point references itself"))
-            continue
-        if not 0 <= r.parent < r.id:
-            out.append(Diagnostic(
-                "UnknownParent", r.id,
-                f"parent {r.parent} does not precede the point"))
-            continue
-        if r.second_proximity is None:
-            continue
-        if not 0 <= r.second_proximity < r.id:
-            out.append(Diagnostic(
-                "UnknownPoint", r.id,
-                f"second proximity {r.second_proximity} does not"
-                " precede the point"))
-            continue
-        if r.second_proximity not in tree.proximities(r.parent):
-            out.append(Diagnostic(
-                "IllegalProximity", r.id,
-                f"second proximity {r.second_proximity} is not among"
-                f" the proximities of parent {r.parent}"))
-            continue
-        pair = (r.parent, r.second_proximity)
-        if pair in pairs_seen:
-            out.append(Diagnostic(
-                "DuplicateSatellite", r.id,
-                f"another satellite already carries the proximity"
-                f" pair {pair}"))
-        pairs_seen.add(pair)
-    return out
 
 
 def _cluster_reference(tree, kind, weight):
@@ -351,7 +321,7 @@ def _parse_reference(text):
             weights[len(records) - 1] = weight
 
     tree = ArenaTree.from_records(records)
-    diagnostics.extend(_validate_reference(tree))
+    diagnostics.extend(validate_reference(tree))
     if diagnostics:
         raise DocumentValidationError(diagnostics)
     try:

@@ -42,7 +42,6 @@ from enriques.errors import (
     EmptyRuptureSet,
     EnriquesError,
     InconsistentCluster,
-    NonIntegralValue,
     NonPositiveMultiplicity,
     NoQualifyingPair,
     NotDicritical,
@@ -700,9 +699,7 @@ def _reference_values(bp, inv, rupture, singular):
         v_pf = values[p_free]
         if ks[p] * n_q > ks[q] * ns[p] and v_pf * n_q == n_pf * m_q:
             numerator = ns[p] * v_pf
-            if numerator % n_pf:
-                raise NonIntegralValue(
-                    f"value at satellite {p} would be {numerator}/{n_pf}")
+            assert numerator % n_pf == 0
             values[p] = numerator // n_pf
         else:
             values[p] = m[p]
@@ -796,8 +793,8 @@ def test_one_sweep_second_half_matches_pass_reference():
 
 
 def test_satellite_n_is_a_multiple_of_its_free_point_n():
-    # so the satellite value rule's n_p v_p' / n_p' is always an integer and
-    # NonIntegralValue, which no search has reached, cannot be raised
+    # so the satellite value rule's n_p v_p' / n_p' is always an integer,
+    # which lets the sweep divide exactly and keeps no error for the rule
     satellites = 0
     for seed in range(1000):
         tree = _grown_bp(seed).tree
