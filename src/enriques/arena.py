@@ -191,11 +191,12 @@ class ArenaTree:
         if parent is None:
             if q == 0 and s is None:
                 free, n, m0, k = 0, 1, 1, 1
-        elif 0 <= parent < q and self.free_points[parent] is not None:
+        elif (type(parent) is int and 0 <= parent < q
+              and self.free_points[parent] is not None):
             a = parent
             if s is None:
                 free, n, m0, k = q, self.ns[a], self.m0s[a] + 1, 1
-            elif (a, s) not in self._satellite_index:
+            elif type(s) is int and (a, s) not in self._satellite_index:
                 pair = self.pairs[a]
                 if pair is None:
                     pair = (self.parents[a], a)
@@ -230,7 +231,7 @@ class ArenaTree:
         if parent is None:
             self._rootless = True
         else:
-            if 0 <= parent < q:
+            if free is not None or type(parent) is int and 0 <= parent < q:
                 self.children[parent].append(q)
             if s is not None and not broken:
                 self._satellite_index[parent, s] = q
@@ -344,14 +345,6 @@ class ArenaTree:
     def is_origin(self, p: PointId) -> bool:
         return self.parent(p) is None
 
-    def is_free(self, p: PointId) -> bool:
-        """True for non-origin points proximate to their parent only.
-
-        The origin is counted as free: it is not satellite, and every rule
-        that branches on freeness treats it like a free point.
-        """
-        return self.second_proximity(p) is None
-
     def is_satellite(self, p: PointId) -> bool:
         return self.second_proximity(p) is not None
 
@@ -361,11 +354,6 @@ class ArenaTree:
         """The one or two points ``q`` is proximate to."""
         self._check(q)
         return {r for r in (self.parents[q], self.seconds[q]) if r is not None}
-
-    def is_proximate(self, q: PointId, p: PointId) -> bool:
-        self._check(q)
-        self._check(p)
-        return p == self.parents[q] or p == self.seconds[q]
 
     def child_list(self, p: PointId) -> list[PointId]:
         """Children in arena order."""

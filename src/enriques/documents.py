@@ -27,6 +27,11 @@ integer: ``true``/``false`` are rejected even though Python's ``bool`` is
 an ``int``, and ``format_version`` must be the integer 1 (not ``true`` or
 ``1.0``).
 
+A diagnostic names a point by its entry's index, which is its arena id:
+an entry without a string id, with a repeated id or with an unresolved
+parent takes its slot as a placeholder that refers to itself, and only
+the parser's diagnostic names it (an unresolved parent is no origin).
+
 Serialization writes points in arena order under their labels, inventing
 ``q#1``, ``q#2``, ... for unlabeled points (the ones created during
 recovery), so ``parse(serialize(...))`` round-trips and serializer output
@@ -96,20 +101,25 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     append = tree.append_raw
     ids: dict[str, PointId] = {}
     weights: dict[PointId, int] = {}
+    placeholders: set[PointId] = set()
     for i, entry in enumerate(entries):
         point_id = entry.get("id") if isinstance(entry, dict) else None
         if not isinstance(point_id, str):
             diagnostics.append(Diagnostic(
                 "BadEntry", i, "each point needs a string 'id'"))
+            placeholders.add(append(i))
             continue
         if point_id in ids:
             diagnostics.append(Diagnostic(
                 "DuplicateId", i, f"id {point_id!r} already used"))
+            placeholders.add(append(i))
             continue
         value = entry.get("parent")
         parent = ids.get(value) if isinstance(value, str) else None
         if parent is None and value is not None:
             diagnostics.append(_unresolved(i, "parent", value))
+            parent = i
+            placeholders.add(i)
         value = entry.get("second_proximity")
         second = ids.get(value) if isinstance(value, str) else None
         if second is None and value is not None:
@@ -132,7 +142,10 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
         if weight:
             weights[p] = weight
 
-    diagnostics.extend(tree.validate())
+    broken = tree.validate()
+    if placeholders:  # the parser's own diagnostic names each of them
+        broken = [d for d in broken if d.point not in placeholders]
+    diagnostics.extend(broken)
     if diagnostics:
         raise DocumentValidationError(diagnostics)
     try:

@@ -19,9 +19,9 @@ neighbourhood of p is
 and p is a rupture point when this count reaches 2 for free p, or 1 for
 satellite p.
 
-Branches are never materialized: a branch leaving the cluster at t is
-equisingular to a germ through the chain cluster of t, which is all the
-point-versus-branch comparison needs.
+Branches are never materialized, not even as chain clusters: whether one
+is bigger than a point q reads the k/n facts of the curve points of q's
+cone where a branch leaves that cone (see :func:`has_bigger_branch`).
 
 The invariant quotient at p is pairing(curve, chain cluster of p) divided
 by the chain's origin weight; the polar invariants of the curve are the
@@ -34,15 +34,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .arena import PointId
-from .cluster import (
-    WeightedCluster,
-    WeightKind,
-    excess,
-    excesses,
-    unibranch_chain,
-)
+from .cluster import WeightedCluster, WeightKind, excess, excesses
 from .errors import Diagnostic, NegativeResidual, UnknownPoint
-from .ordering import compare_point_to_branch, defining_free_point
+from .ordering import defining_free_point
 
 
 def validate_curve_cluster(curve: WeightedCluster) -> list[Diagnostic]:
@@ -155,11 +149,6 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
         q = a
 
 
-def chain_inside(curve: WeightedCluster, p: PointId) -> bool:
-    """Whether the whole chain of ``p`` carries curve multiplicities."""
-    return all(q in curve for q in curve.tree.ancestors(p))
-
-
 def polar_invariants(curve: WeightedCluster) -> set[Fraction]:
     return {invariant_quotient(curve, q) for q in rupture_points(curve)}
 
@@ -174,28 +163,29 @@ def polar_invariants_local(curve: WeightedCluster, p: PointId) -> set[Fraction]:
     }
 
 
-def branch_clusters(curve: WeightedCluster) -> list[WeightedCluster]:
-    """One chain cluster per leaving branch, with excess multiplicity.
-
-    A branch that leaves the curve cluster at t is equisingular to a germ
-    through the chain cluster of t; a point of excess k contributes k such
-    branches (returned once each).
-    """
-    out = []
-    for t, r in sorted(excesses(curve).items()):
-        for _ in range(r):
-            chain = unibranch_chain(curve.tree, t)
-            out.append(WeightedCluster(
-                curve.tree, WeightKind.MULTIPLICITY, dict(chain.weight)))
-    return out
-
-
 def has_bigger_branch(curve: WeightedCluster, q: PointId) -> bool:
-    """Whether some branch of the curve is bigger than the point ``q``."""
-    return any(
-        compare_point_to_branch(curve.tree, q, branch)
-        for branch in branch_clusters(curve)
-    )
+    """Whether some branch of the curve is bigger than the point ``q``.
+
+    A branch leaving the cluster at t is bigger than q when q's defining
+    free point p is on t's chain and q's k/n is below that of the last
+    point r of t's chain in p's cone (see :mod:`~enriques.ordering`).  Such
+    an r is a curve point of p's cone with positive excess (r = t) or with
+    a free cluster child, and weights of at least 1 put a point of positive
+    excess above every free child.  This branch side reads arena facts and
+    the local :func:`excess` only; it shares no code with
+    :func:`invariant_quotient`.
+    """
+    tree = curve.tree
+    p = defining_free_point(tree, q)
+    ks, ns, seconds = tree.ks, tree.ns, tree.seconds
+    cone = [p] if p in curve else []
+    for r in cone:
+        kids = [c for c in tree.children[r] if c in curve]
+        cone += [c for c in kids if tree.free_points[c] == p]
+        if ks[q] * ns[r] < ks[r] * ns[q] and (
+                excess(curve, r) > 0 or any(seconds[c] is None for c in kids)):
+            return True
+    return False
 
 
 def check_growth(

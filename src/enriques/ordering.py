@@ -34,9 +34,13 @@ append a whole run of equal moves at once.
 
 The defining free point, the fraction within its cone and a satellite's
 ordered proximities are fixed when a point is appended, so they are read
-from the arena's facts columns.  :func:`fraction_at`
-rebuilds a fraction from the whole chain; it measures a point at any free
-point of its chain and serves as the reference for the cached facts.
+from the arena's facts columns.  So is the fraction of q at any free
+point p of its chain: it is the k/n of the last point r of q's chain in
+the cone of p.  The chain point after r is a free child of r, and every
+later one is proximate only to r or to later points, so the chain weights
+of q at and below r are a multiple of r's own.  :func:`fraction_at`
+rebuilds a fraction from the whole chain; it is the definition that the
+tests compare these facts with.
 
 All comparisons use exact integer cross-multiplication; no floats anywhere.
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, unibranch_chain
@@ -82,7 +86,7 @@ def defining_free_point(tree: ArenaTree, q: PointId) -> PointId:
 def fraction_at(tree: ArenaTree, p: PointId, q: PointId) -> Fraction:
     """Chain weight of ``q`` at ``p`` over its origin weight.
 
-    ``p`` must lie on the chain of ``q``.
+    ``p`` must lie on the chain of ``q``.  The chain-built definition.
     """
     chain = unibranch_chain(tree, q)
     return Fraction(chain[p], chain[tree.origin])
@@ -94,28 +98,34 @@ def satellite_quotient(tree: ArenaTree, q: PointId) -> SatelliteQuotient:
         facts.defining_free_point, Fraction(facts.k, facts.n))
 
 
+def _cone_exit(tree: ArenaTree, p: PointId, q: PointId) -> Optional[PointId]:
+    """The last point of q's chain in the cone of the free point ``p``
+    (whose k/n is the fraction of q at p), or None when p is not on the
+    chain.  One walk down the parent links; q must have facts."""
+    free_points, parents = tree.free_points, tree.parents
+    while q > p and free_points[q] != p:
+        q = parents[q]
+    return q if free_points[q] == p else None
+
+
 def prec_compare(tree: ArenaTree, q1: PointId, q2: PointId) -> PrecComparison:
     """Compare two points, allowing ``INCOMPARABLE``.
 
     ``EQUAL`` only for identical ids.  Otherwise q1 is smaller exactly when
-    the defining free point p1 of q1 precedes that of q2 and the fraction of
-    q1 at p1 is at most the fraction of q2 measured at p1 (and symmetrically
-    for greater).
+    the defining free point p1 of q1 lies on the chain of q2 and the
+    fraction of q1 at p1 is at most that of q2 (and symmetrically for
+    greater).  Both are k/n facts: q1's own, and that of the last point of
+    q2's chain in the cone of p1 (q2 itself when both share p1).
     """
-    f1, f2 = tree.facts(q1), tree.facts(q2)
+    tree.facts(q1), tree.facts(q2)  # check both points
     if q1 == q2:
         return PrecComparison.EQUAL
-    p1, p2 = f1.defining_free_point, f2.defining_free_point
-    if p1 == p2:
-        if f1.k * f2.n <= f2.k * f1.n:
-            return PrecComparison.LESS
-        return PrecComparison.GREATER
-    if tree.precedes(p1, p2):
-        if fraction_at(tree, p1, q1) <= fraction_at(tree, p1, q2):
-            return PrecComparison.LESS
-    if tree.precedes(p2, p1):
-        if fraction_at(tree, p2, q2) <= fraction_at(tree, p2, q1):
-            return PrecComparison.GREATER
+    free_points, ks, ns = tree.free_points, tree.ks, tree.ns
+    for a, b, result in ((q1, q2, PrecComparison.LESS),
+                         (q2, q1, PrecComparison.GREATER)):
+        r = _cone_exit(tree, free_points[a], b)
+        if r is not None and ks[a] * ns[r] <= ks[r] * ns[a]:
+            return result
     return PrecComparison.INCOMPARABLE
 
 
@@ -189,17 +199,14 @@ def compare_point_to_branch(
 
     ``branch`` must be a unibranch multiplicity cluster (a chain).  True
     exactly when the defining free point p of q lies on the branch and the
-    fraction of q at p is strictly below the branch's own multiplicity
-    ratio e_p / e_origin.
+    fraction of q at p, which is q's own k/n, is strictly below the
+    branch's own multiplicity ratio e_p / e_origin.
     """
     branch.require_kind(WeightKind.MULTIPLICITY)
     for p in branch.points:
-        in_cluster = [c for c in branch.tree.child_list(p) if c in branch]
-        if len(in_cluster) > 1:
-            raise NotUnibranch(
-                f"branch cluster forks at point {p}")
+        if sum(c in branch for c in branch.tree.child_list(p)) > 1:
+            raise NotUnibranch(f"branch cluster forks at point {p}")
     p = defining_free_point(tree, q)
     if p not in branch:
         return False
-    return fraction_at(tree, p, q) < Fraction(
-        branch[p], branch[branch.tree.origin])
+    return tree.ks[q] * branch[branch.tree.origin] < branch[p] * tree.ns[q]

@@ -109,6 +109,19 @@ def grow_by_satellite_walks(tree: ArenaTree, rng: random.Random,
                 q = first_satellite(tree, q)
 
 
+def grow_past_cones(tree: ArenaTree, rng: random.Random) -> None:
+    """Satellite walks, then free points anywhere, twice.
+
+    A free point on top of a walk starts a chain that leaves a cone after
+    some of its satellites.
+    """
+    for _ in range(2):
+        grow_by_satellite_walks(tree, rng, walks=rng.randint(1, 4),
+                                max_steps=8)
+        for _ in range(rng.randint(0, 6)):
+            tree.add_point(rng.randrange(len(tree)))
+
+
 def random_multiplicity_cluster(seed: int, max_points: int = 10,
                                 max_weight: int = 9) -> WeightedCluster:
     """Arbitrary positive weights on a full random tree (not consistent)."""
@@ -135,7 +148,7 @@ def perturb_weights(tree, weights: dict, rng: random.Random,
 
     def rho(p):
         return w[p] - sum(w.get(q, 0) for q in pts
-                          if tree.is_proximate(q, p))
+                          if p in tree.proximities(q))
 
     for _ in range(tweaks):
         p = rng.choice(pts)

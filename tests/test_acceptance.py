@@ -35,10 +35,11 @@ from enriques import (
 from enriques.cli import main as cli_main
 from enriques.errors import EnriquesError
 from enriques.ordering import PrecComparison, fraction_at
-from enriques.oracle import chain_inside, has_bigger_branch
+from enriques.oracle import has_bigger_branch
 
 import fixture_builders as fb
 import randgen
+from chain_reference import chain_inside
 from randgen import random_curve
 
 F = Fraction
@@ -371,7 +372,7 @@ def _suite_growth_monotonicity() -> int:
             if tree.is_satellite(p) or tree.is_origin(p):
                 continue
             kids = [c for c in tree.child_list(p) if c in curve]
-            if rho[p] != 1 or any(tree.is_free(c) for c in kids):
+            if rho[p] != 1 or any(not tree.is_satellite(c) for c in kids):
                 continue
             if not any(tree.is_satellite(c) for c in kids):
                 continue

@@ -46,7 +46,7 @@ def test_free_child():
     tree = ArenaTree()
     o = tree.add_point()
     p1 = tree.add_point(o, label="p1")
-    assert tree.is_free(p1)
+    assert not tree.is_satellite(p1)
     assert tree.proximities(p1) == {o}
     assert tree.child_list(o) == [p1]
 
@@ -192,6 +192,30 @@ def test_broken_records_get_no_facts(records, codes, broken):
             tree.facts(p)
 
 
+def test_append_raw_refuses_bool_ids():
+    # bool is an int subclass: True must not read as point 1, neither as a
+    # parent nor as a second proximity (and 1.0 must not index a column)
+    for records in ([(None, None, None), (0, None, None), (True, None, None)],
+                    [(None, None, None), (0, None, None), (1, None, None),
+                     (2, True, None)],
+                    [(None, None, None), (0, None, None), (1.0, None, None)]):
+        tree = ArenaTree.from_records(records)
+        q = len(tree) - 1
+        parent, second, _ = records[q]
+        checked = ArenaTree.from_records(records[:q])
+        with pytest.raises(ArenaError) as info:
+            checked.add_point(parent, second)
+        assert tree.validate() == [
+            Diagnostic(type(info.value).__name__, q, str(info.value))]
+        with pytest.raises(ArenaError):
+            tree.facts(q)
+        # a bool or float parent names no point, so no point lists q as
+        # its child
+        assert [p for p in tree.points() if q in tree.children[p]] == (
+            [parent] if type(parent) is int else [])
+        assert tree.find_satellite(parent, second) is None
+
+
 def test_ancestors_follow_parent_chain():
     tree, _, names = fb.ex04_bp()
     chain = tree.ancestors(names["p4"])
@@ -203,9 +227,9 @@ def test_ancestors_follow_parent_chain():
 
 def test_proximity_queries():
     tree, _, names = fb.ex04_bp()
-    assert not tree.is_proximate(names["p5"], names["p2"])
-    assert tree.is_proximate(names["p5"], names["p4"])
-    assert tree.is_proximate(names["p5"], names["p3"])
+    assert names["p2"] not in tree.proximities(names["p5"])
+    assert names["p4"] in tree.proximities(names["p5"])
+    assert names["p3"] in tree.proximities(names["p5"])
     assert tree.child_list(names["O"]) == [names["p1"]]
 
 

@@ -127,9 +127,9 @@ def test_parse_rejects_non_downward_closed_weights():
 
 
 def test_parse_rejects_unresolved_parents_in_linear_time():
-    # an unresolved parent reads as none, so every entry is one more point
-    # without a parent; a check that scanned earlier points would make
-    # this 10^5 entries quadratic
+    # each unresolved parent is one diagnostic, not also a second origin;
+    # a check that scanned earlier points would make this 10^5 entries
+    # quadratic
     size = 100_000
     text = _doc([{"id": "O", "weight": 1}] + [
         {"id": f"p{i}", "parent": f"x{i}", "weight": 1} for i in range(size)])
@@ -138,10 +138,28 @@ def test_parse_rejects_unresolved_parents_in_linear_time():
         parse(text)
     elapsed = time.perf_counter() - start
     diagnostics = info.value.diagnostics
-    assert len(diagnostics) == 2 * size
-    assert Counter(d.code for d in diagnostics) == {
-        "UnknownParent": size, "DuplicateOrigin": size}
+    assert len(diagnostics) == size
+    assert Counter(d.code for d in diagnostics) == {"UnknownParent": size}
     assert elapsed < 5.0
+
+
+def test_parse_diagnostics_number_points_by_entry_index():
+    # a skipped entry keeps its index, so the arena's diagnostic names the
+    # broken entry p2 (index 3) and its parent p1 (index 2)
+    head = [{"id": "O", "weight": 1}]
+    tail = [{"id": "p1", "parent": "O", "weight": 1},
+            {"id": "p2", "parent": "p1", "second_proximity": "p1",
+             "weight": 1}]
+    for skipped, code in (({"weight": 1}, "BadEntry"),
+                          ({"id": "O", "weight": 1}, "DuplicateId")):
+        with pytest.raises(DocumentValidationError) as info:
+            parse(_doc(head + [skipped] + tail))
+        assert [(d.code, d.point, d.message)
+                for d in info.value.diagnostics][1:] == [
+            ("IllegalProximity", 3, "second proximity 2 is not among the"
+             " proximities of parent 2")]
+        assert info.value.diagnostics[0].code == code
+        assert info.value.diagnostics[0].point == 1
 
 
 def _doc(points, version=1, kind="virtual"):
@@ -280,6 +298,9 @@ def _parse_reference(text):
     ids = {}
     records = []
     weights = {}
+    # entry i is point i: a rejected entry keeps its slot as a point that
+    # refers to itself, and its arena diagnostic is dropped
+    placeholders = set()
 
     def resolve(entry_index, field, value):
         if value is None:
@@ -296,13 +317,20 @@ def _parse_reference(text):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             diagnostics.append(Diagnostic(
                 "BadEntry", i, "each point needs a string 'id'"))
+            placeholders.add(i)
+            records.append((i, None, None))
             continue
         point_id = entry["id"]
         if point_id in ids:
             diagnostics.append(Diagnostic(
                 "DuplicateId", i, f"id {point_id!r} already used"))
+            placeholders.add(i)
+            records.append((i, None, None))
             continue
         parent = resolve(i, "parent", entry.get("parent"))
+        if parent is None and entry.get("parent") is not None:
+            placeholders.add(i)
+            parent = i
         second = resolve(i, "second_proximity", entry.get("second_proximity"))
         weight = entry.get("weight")
         if not isinstance(weight, int) or weight < 0:
@@ -321,7 +349,8 @@ def _parse_reference(text):
             weights[len(records) - 1] = weight
 
     tree = ArenaTree.from_records(records)
-    diagnostics.extend(validate_reference(tree))
+    diagnostics.extend(d for d in validate_reference(tree)
+                       if d.point not in placeholders)
     if diagnostics:
         raise DocumentValidationError(diagnostics)
     try:

@@ -12,6 +12,7 @@ from enriques import (
     first_satellite,
     free_count_first_neighbourhood,
     invariant_quotient,
+    is_consistent,
     noether_pairing,
     polar_invariants,
     polar_invariants_local,
@@ -21,10 +22,15 @@ from enriques import (
     validate_curve_cluster,
 )
 from enriques.errors import NegativeResidual, UnknownPoint
-from enriques.oracle import branch_clusters, chain_inside, has_bigger_branch
+from enriques.oracle import has_bigger_branch
 
 import fixture_builders as fb
 import randgen
+from chain_reference import (
+    branch_clusters,
+    chain_inside,
+    compare_point_to_branch_reference,
+)
 from randgen import random_curve
 
 
@@ -34,9 +40,9 @@ def _free_count_by_scan(curve, p):
     residual = curve.weight[p]
     free_children = 0
     for q in curve.points:
-        if tree.is_proximate(q, p):
+        if p in tree.proximities(q):
             residual -= curve.weight[q]
-        if tree.parent(q) == p and tree.is_free(q):
+        if tree.parent(q) == p and not tree.is_satellite(q):
             free_children += 1
     if residual < 0:
         raise NegativeResidual(
@@ -224,6 +230,68 @@ def test_has_bigger_branch():
     tree, curve, names = fb.ex04_curve()
     assert has_bigger_branch(curve, names["p4"])       # 1/2 < 2/3
     assert not has_bigger_branch(curve, names["p5"])   # the branch itself
+
+
+def test_has_bigger_branch_matches_chain_reference():
+    # a valid curve, a perturbed and often inconsistent cluster, and
+    # arbitrary weights on every point, all on one arena grown by walks and
+    # by free points on top of them
+    calls = bigger = inconsistent = 0
+    for seed in range(480):
+        curve = random_curve(seed)
+        rng = random.Random(seed)
+        tree = curve.tree
+        randgen.grow_past_cones(tree, rng)
+        perturbed = _perturbed(curve, rng)
+        arbitrary = WeightedCluster(tree, WeightKind.MULTIPLICITY, {
+            p: rng.randint(1, 9) for p in tree.points()})
+        clusters = (curve, perturbed, arbitrary)
+        for cluster in clusters:
+            # the reference's any() over branch_clusters, each leaving
+            # point's chain once instead of once per unit of excess
+            branches = {max(b.points): b
+                        for b in branch_clusters(cluster)}.values()
+            for q in tree.points():
+                got = has_bigger_branch(cluster, q)
+                assert got == any(
+                    compare_point_to_branch_reference(tree, q, b)
+                    for b in branches), (seed, q)
+                calls += 1
+                bigger += got
+            inconsistent += not is_consistent(cluster)
+        for cluster in clusters:
+            samples = [(first_satellite(tree, p), p) for p in cluster.points
+                       if p != tree.origin and not tree.is_satellite(p)]
+            found = check_growth(cluster, samples)
+            assert found == [] if cluster is curve else \
+                all(isinstance(v, str) for v in found)
+    assert calls > 50000 and 15000 < bigger < calls - 15000
+    assert inconsistent > 600
+
+
+def _comb(length):
+    """The comb curve: a free chain of ``length`` points, multiplicity
+    length - i + 2 at depth i, so one branch leaves at every point (three
+    at the last)."""
+    tree = ArenaTree()
+    chain = [tree.add_point()]
+    for _ in range(length - 1):
+        chain.append(tree.add_point(chain[-1]))
+    curve = WeightedCluster(tree, WeightKind.MULTIPLICITY, {
+        p: length - i + 2 for i, p in enumerate(chain)})
+    return curve, chain
+
+
+def test_check_growth_on_deep_comb():
+    # one chain cluster per leaving branch per sample made this cubic
+    curve, chain = _comb(400)
+    tree = curve.tree
+    samples = [(first_satellite(tree, p), p) for p in chain[1:]]
+    start = time.perf_counter()
+    found = check_growth(curve, samples)
+    elapsed = time.perf_counter() - start
+    assert found == []
+    assert elapsed < 2.0
 
 
 def test_check_growth_on_example_triples():

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from enriques import (
+    ArenaTree,
     MorphismInvariants,
     WeightKind,
     WeightedCluster,
@@ -26,7 +28,11 @@ from enriques.errors import (
 )
 
 import fixture_builders as fb
-from randgen import random_proximity_tree
+from chain_reference import (
+    compare_point_to_branch_reference,
+    prec_compare_reference,
+)
+from randgen import grow_past_cones, random_proximity_tree
 
 L, E, G = PrecComparison.LESS, PrecComparison.EQUAL, PrecComparison.GREATER
 
@@ -197,3 +203,79 @@ def test_cached_facts_match_chain_reference():
                 assert facts.ordered_proximities is None
             checked += 1
     assert checked > 20000
+
+
+def _grown_tree(seed):
+    rng = random.Random(seed)
+    tree = random_proximity_tree(rng, rng.randint(2, 16))
+    grow_past_cones(tree, rng)
+    return tree
+
+
+def test_fraction_at_a_free_point_is_the_cone_exit_fact():
+    # the fraction of q at a free point p of its chain is the k/n of the
+    # last point of q's chain in the cone of p
+    checked = deep = 0
+    for seed in range(1200):
+        tree = _grown_tree(seed)
+        for q in tree.points():
+            chain = tree.ancestors(q)
+            for p in chain:
+                if tree.is_satellite(p):
+                    continue
+                r = [c for c in chain if tree.free_points[c] == p][-1]
+                assert fraction_at(tree, p, q) == \
+                    Fraction(tree.ks[r], tree.ns[r]), (seed, p, q)
+                checked += 1
+                deep += r not in (p, q)
+    assert checked > 80000 and deep > 5000
+
+
+def test_prec_compare_matches_chain_reference():
+    outcomes = {}
+    cones = {True: 0, False: 0}
+    for seed in range(70):
+        tree = _grown_tree(seed)
+        points = list(tree.points())
+        for q1 in points:
+            for q2 in points:
+                got = prec_compare(tree, q1, q2)
+                assert got is prec_compare_reference(tree, q1, q2), \
+                    (seed, q1, q2)
+                outcomes[got] = outcomes.get(got, 0) + 1
+                same = tree.free_points[q1] == tree.free_points[q2]
+                cones[same] += q1 != q2
+    assert sum(outcomes.values()) > 50000
+    assert min(outcomes.values()) > 1000 and min(cones.values()) > 5000
+
+
+def test_compare_point_to_branch_matches_chain_reference():
+    checked = smaller = 0
+    for seed in range(60):
+        tree = _grown_tree(seed)
+        for t in tree.points():
+            chain = unibranch_chain(tree, t)
+            branch = WeightedCluster(
+                tree, WeightKind.MULTIPLICITY, dict(chain.weight))
+            for q in tree.points():
+                got = compare_point_to_branch(tree, q, branch)
+                assert got == compare_point_to_branch_reference(
+                    tree, q, branch), (seed, t, q)
+                checked += 1
+                smaller += got
+    assert checked > 30000 and 1000 < smaller < checked - 1000
+
+
+def test_prec_compare_on_deep_free_chain():
+    # every point of a 2,000-point free chain against the first satellite
+    # of the deepest point; rebuilding both chains per call took seconds
+    tree = ArenaTree()
+    chain = [tree.add_point()]
+    for _ in range(1999):
+        chain.append(tree.add_point(chain[-1]))
+    s = first_satellite(tree, chain[-1])
+    start = time.perf_counter()
+    got = [prec_compare(tree, q, s) for q in chain]
+    elapsed = time.perf_counter() - start
+    assert got == [L] * (len(chain) - 1) + [G]
+    assert elapsed < 1.0

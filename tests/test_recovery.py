@@ -473,7 +473,7 @@ def test_base_free_point_matches_forward_scan_reference():
             # the height quotient at each free link's lower end, and just
             # above it, hits the strict comparison at each link
             quotients = {inv.height_quotient(tree.parent(p))
-                         for p in tree.ancestors(d)[1:] if tree.is_free(p)}
+                         for p in tree.ancestors(d)[1:] if not tree.is_satellite(p)}
             candidates = {Fraction(1, 2)} | {
                 x + delta for x in quotients
                 for delta in (0, Fraction(1, 7))}
