@@ -53,7 +53,7 @@ from .errors import (
 PointId = int
 
 #: Shortest run that :meth:`ArenaTree.append_chain` writes as column
-#: ranges; a shorter one is cheaper as a loop of :meth:`ArenaTree.append_raw`.
+#: ranges; a shorter one is cheaper as one ``append`` per column and point.
 CHAIN_CROSSOVER = 10
 
 
@@ -244,25 +244,49 @@ class ArenaTree:
         The result equals t calls of :meth:`append_raw`.  When (a, s) is a
         legal proximity pair that the arena does not hold yet, these are
         the points that t equal moves of a satellite walk create from a.
-        The first point goes through :meth:`append_raw`; every later one
-        repeats its second proximity s, so its n, m0 and k add s's share to
-        the previous point's and its pair keeps the first point's
-        orientation, (s, previous) or (previous, s).  A run of at least
-        ``CHAIN_CROSSOVER`` such points goes into the columns as ranges,
-        one ``extend`` per column; a shorter one, or one whose first point
-        breaks a rule, is a loop of :meth:`append_raw`.
+        The first point goes through :meth:`append_raw`, which checks the
+        rules and derives its facts.  When it gets none, because it or a
+        point it refers to breaks a rule, no later point gets any either,
+        and the run is a loop of :meth:`append_raw`.  Otherwise every later
+        point repeats its second proximity s, so its n, m0 and k add s's
+        share to the previous point's, its pair keeps the first point's
+        orientation, (s, previous) or (previous, s), and it breaks no rule:
+        it goes into the columns directly, by one of two writers, and
+        ``CHAIN_CROSSOVER`` is the only switch between them.  A run of at
+        least that many points goes in as ranges, one ``extend`` per
+        column; a shorter one as one ``append`` per column and point.
         """
         q = self.append_raw(a, s)
-        if t < CHAIN_CROSSOVER or self.pairs[q] is None:
+        if t == 1 or self.pairs[q] is None:
             for _ in range(t - 1):
                 q = self.append_raw(q, s)
             return q
-        rest, last = t - 1, q + t - 1
-        prev = range(q, last)
         free, n, m0, k = (
             self.free_points[q], self.ns[q], self.m0s[q], self.ks[q])
         n_s, m0_s = self.ns[s], self.m0s[s]
         k_s = self.ks[s] if self.free_points[s] == free else 0
+        s_first = self.pairs[q][0] == s
+        if t < CHAIN_CROSSOVER:
+            children, index = self.children, self._satellite_index
+            for c in range(q + 1, q + t):
+                n += n_s
+                m0 += m0_s
+                k += k_s
+                self.parents.append(q)
+                self.seconds.append(s)
+                self.labels.append(None)
+                children[q].append(c)
+                children.append([])
+                self.free_points.append(free)
+                self.ns.append(n)
+                self.m0s.append(m0)
+                self.ks.append(k)
+                self.pairs.append((s, q) if s_first else (q, s))
+                index[q, s] = c
+                q = c
+            return q
+        rest, last = t - 1, q + t - 1
+        prev = range(q, last)
         self.parents.extend(prev)
         self.seconds.extend(repeat(s, rest))
         self.labels.extend(repeat(None, rest))
@@ -274,7 +298,7 @@ class ArenaTree:
         self.m0s.extend(range(m0 + m0_s, m0 + t * m0_s, m0_s))
         self.ks.extend(range(k + k_s, k + t * k_s, k_s) if k_s
                        else repeat(k, rest))
-        if self.pairs[q][0] == s:
+        if s_first:
             self.pairs.extend(zip(repeat(s), prev))
         else:
             self.pairs.extend(zip(prev, repeat(s)))

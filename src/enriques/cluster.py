@@ -58,6 +58,19 @@ class WeightedCluster:
     set).  Each entry is checked in this order: a known point id, a weight
     that is not a bool, an int at or above the floor, a parent in the
     cluster.  A plain int weight passes the middle two on one type test.
+
+    :meth:`_adopt` skips the copy and the checks.  Only a caller that has
+    established every property above may use it, and there are two:
+
+    * ``recovery._recover`` adopts the values and the multiplicities of
+      its sweep once the sweep rejected nothing.  Their keys are arena ids
+      of a downward closure, and the sweep read every parent's value;
+      their weights are ints; a multiplicity below 1 was rejected; and a
+      value is its multiplicity plus earlier values, so it is at least 1.
+    * ``documents.parse`` adopts its weights once it found no diagnostic.
+      Its keys are the ids it appended; it stores only positive JSON
+      integers; and its loop checked that each weighted point's parent is
+      weighted.
     """
 
     tree: ArenaTree
@@ -86,6 +99,17 @@ class WeightedCluster:
                 raise NotDownwardClosed(
                     f"point {p} is in the cluster but its parent"
                     f" {parent} is not")
+
+    @classmethod
+    def _adopt(cls, tree: ArenaTree, kind: WeightKind,
+               weight: dict[PointId, int]) -> "WeightedCluster":
+        """A cluster that owns ``weight`` as given, neither copied nor
+        checked; see the class docstring for who may call it."""
+        cluster = object.__new__(cls)
+        object.__setattr__(cluster, "tree", tree)
+        object.__setattr__(cluster, "kind", kind)
+        object.__setattr__(cluster, "weight", weight)
+        return cluster
 
     # -- set-like access --------------------------------------------------
 

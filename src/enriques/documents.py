@@ -30,7 +30,12 @@ an ``int``, and ``format_version`` must be the integer 1 (not ``true`` or
 A diagnostic names a point by its entry's index, which is its arena id:
 an entry without a string id, with a repeated id or with an unresolved
 parent takes its slot as a placeholder that refers to itself, and only
-the parser's diagnostic names it (an unresolved parent is no origin).
+the parser's diagnostics name it (an unresolved parent is no origin).
+So does an entry whose parent is a placeholder: its parent's proximities
+are unknown, so its own cannot be checked against them.  The loop also
+checks that the parent of each weighted point is weighted, so the cluster
+adopts the weights without another pass; a point that breaks that is
+reported only when nothing else is.
 
 Serialization writes points in arena order under their labels, inventing
 ``q#1``, ``q#2``, ... for unlabeled points (the ones created during
@@ -51,7 +56,6 @@ from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind
 from .errors import (
     ArenaMismatch,
-    ClusterError,
     Diagnostic,
     DocumentSyntaxError,
     DocumentValidationError,
@@ -102,6 +106,9 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     ids: dict[str, PointId] = {}
     weights: dict[PointId, int] = {}
     placeholders: set[PointId] = set()
+    # the NotDownwardClosed message for the first weighted point whose
+    # parent is unweighted
+    unclosed = None
     for i, entry in enumerate(entries):
         point_id = entry.get("id") if isinstance(entry, dict) else None
         if not isinstance(point_id, str):
@@ -118,6 +125,9 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
         parent = ids.get(value) if isinstance(value, str) else None
         if parent is None and value is not None:
             diagnostics.append(_unresolved(i, "parent", value))
+            parent = i
+            placeholders.add(i)
+        elif parent in placeholders:  # its proximities are unknown too
             parent = i
             placeholders.add(i)
         value = entry.get("second_proximity")
@@ -141,19 +151,21 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
         p = ids[point_id] = append(parent, second, label)
         if weight:
             weights[p] = weight
+            if (unclosed is None and parent is not None
+                    and parent not in weights):
+                unclosed = (f"point {p} is in the cluster but its parent"
+                            f" {parent} is not")
 
     broken = tree.validate()
-    if placeholders:  # the parser's own diagnostic names each of them
+    if placeholders:  # the parser's own diagnostics name them
         broken = [d for d in broken if d.point not in placeholders]
     diagnostics.extend(broken)
+    if unclosed is not None and not diagnostics:
+        diagnostics.append(Diagnostic("NotDownwardClosed", None, unclosed))
     if diagnostics:
         raise DocumentValidationError(diagnostics)
-    try:
-        cluster = WeightedCluster(tree, kind, weights)
-    except ClusterError as err:
-        raise DocumentValidationError(
-            [Diagnostic(type(err).__name__, None, str(err))]) from err
-    return tree, cluster
+    # the loop checked every property the constructor would
+    return tree, WeightedCluster._adopt(tree, kind, weights)
 
 
 def _document_ids(tree: ArenaTree) -> list[str]:

@@ -104,11 +104,13 @@ class MorphismInvariants:
         (a, s) must be a legal proximity pair that the arena does not hold
         yet, as for a move of the satellite walk.  The new points lie
         outside the cluster, so m grows by m_s from point to point,
-        starting from m_a; the table first catches up with the points
-        appended since it last grew.
+        starting from m_a.  When the arena holds points that the table does
+        not, the table first catches up with them; a walk that appends only
+        through this method never leaves it behind.
         """
-        self._grow()
         m = self.m
+        if len(m) < len(self.bp.tree.parents):
+            self._grow()
         start, step = m[a], m[s]
         q = self.bp.tree.append_chain(a, s, t)
         m.extend(range(start + step, start + (t + 1) * step, step))

@@ -31,17 +31,22 @@ rupture set R.
 Part two, values and multiplicities, in one sweep over S in ascending id.
 Ids are topological, so the parent, the second proximity and the defining
 free point of a point come before it, and every value a rule reads is
-already set.  Rupture points take v = m.  A free non-rupture point p
-of S takes v = m when a free point of S lies in its first neighbourhood;
-otherwise v is the unique integer in [ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 )
-for q the biggest rupture point at or above p's satellite cone.  A
-satellite non-rupture point p with defining free point p' takes
-v = (n_p/n_{p'}) v_{p'} when p is bigger than the cone's biggest rupture
-point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  The
+already set.  One pass over R first keeps, per defining free point, the
+biggest rupture point of its cone, by k/n facts.  Rupture points take
+v = m.  A free non-rupture point p of S takes v = m when a free point of
+S lies in its first neighbourhood; otherwise v is the unique integer in
+[ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 ) for q the biggest rupture point at or
+above p's satellite cone.  A satellite non-rupture point p with defining
+free point p' takes v = (n_p/n_{p'}) v_{p'} when p is bigger than the
+cone's biggest rupture point q and v_{p'} n_q = n_{p'} m_q both hold, else
+v = m_p.  The
 multiplicity at p is v_p minus the values at the points p is proximate to,
 and the sweep subtracts it from their excesses at once; a negative excess
 makes the result inconsistent.  Last, each rupture point's m/n must equal
-its invariant, compared in integers.
+its invariant, compared in integers.  The sweep's two dicts then become
+the result's clusters as they are: the sweep has established everything
+that :class:`~enriques.cluster.WeightedCluster` checks, so they are
+neither copied nor checked again.
 
 :func:`recover_grouped` is the same run with another schedule:
 it visits dicriticals by descending invariant and walks once per distinct
@@ -70,7 +75,7 @@ from .errors import (
     NonPositiveMultiplicity, NotDicritical, NotDownwardClosed, RecoveryError,
     UnknownPoint, WalkDiverged)
 from .morphism import MorphismInvariants, require_base_points
-from .ordering import max_under_prec, satellite_proximity
+from .ordering import satellite_proximity
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -228,12 +233,21 @@ def _diverged(invariant: Fraction, cap: int, p: PointId) -> WalkDiverged:
 def _biggest_rupture_by_cone(
     tree: ArenaTree, rupture: frozenset[PointId]
 ) -> dict[PointId, PointId]:
-    """For each defining free point, the biggest rupture point of its cone."""
-    free_points = tree.free_points
-    cones: dict[PointId, list[PointId]] = {}
+    """For each defining free point, the biggest rupture point of its cone.
+
+    One pass keeps a running maximum per cone, comparing k/n facts as
+    :func:`~enriques.ordering.max_under_prec` does.  A point without facts
+    raises :class:`~enriques.errors.ArenaError`, as there."""
+    free_points, ns, ks = tree.free_points, tree.ns, tree.ks
+    biggest: dict[PointId, PointId] = {}
     for q in rupture:
-        cones.setdefault(free_points[q], []).append(q)
-    return {p: max_under_prec(tree, cone) for p, cone in cones.items()}
+        p = free_points[q]
+        if p is None:
+            tree.facts(q)  # raises
+        b = biggest.get(p)
+        if b is None or ks[q] * ns[b] > ks[b] * ns[q]:
+            biggest[p] = q
+    return biggest
 
 
 def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
@@ -408,8 +422,10 @@ def _recover(
                 raise RecoveryError(
                     f"height quotient at {q} does not match the invariant"
                     f" of dicritical {d}")
-        values = WeightedCluster(tree, WeightKind.VALUE, values)
-        multiplicities = WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
+        # the sweep established every property the constructor checks
+        values = WeightedCluster._adopt(tree, WeightKind.VALUE, values)
+        multiplicities = WeightedCluster._adopt(
+            tree, WeightKind.MULTIPLICITY, mults)
     except EnriquesError as err:
         err.association = dict(association)
         raise

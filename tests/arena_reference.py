@@ -1,6 +1,8 @@
 """``ArenaTree.validate`` as it was before the arena recorded its rules on
 append: one loop over the finished arena, reading its columns through the
-public views.  The parser and arena suites compare the library with it."""
+public views.  Like ``append_raw``, it reads only an ``int`` as a point id,
+never a ``bool``.  The parser and arena suites compare the library with
+it."""
 
 from enriques.errors import Diagnostic
 
@@ -26,14 +28,15 @@ def validate_reference(tree):
             out.append(Diagnostic(
                 "SelfReference", r.id, "point references itself"))
             continue
-        if not 0 <= r.parent < r.id:
+        if not (type(r.parent) is int and 0 <= r.parent < r.id):
             out.append(Diagnostic(
                 "UnknownParent", r.id,
                 f"parent {r.parent} does not precede the point"))
             continue
         if r.second_proximity is None:
             continue
-        if not 0 <= r.second_proximity < r.id:
+        if not (type(r.second_proximity) is int
+                and 0 <= r.second_proximity < r.id):
             out.append(Diagnostic(
                 "UnknownPoint", r.id,
                 f"second proximity {r.second_proximity} does not"

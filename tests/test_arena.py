@@ -536,6 +536,15 @@ def test_recorded_rules_match_validate_reference():
                           "DuplicateSatellite"}
     assert min(codes.values()) > 2000 and raised == broken
     assert 5000 < accepted < 15000 and unshadowed > 0
+    # random_raw_records draws no bool; True and False name no point (the
+    # old facts derivation read them as 1 and 0, so it is not compared)
+    for records in ([(None, None, None), (0, None, None), (True, None, None)],
+                    [(None, None, None), (0, None, None), (1, False, None)]):
+        tree = ArenaTree.from_records(records)
+        want = validate_reference(tree)
+        assert tree.validate() == want and [d.point for d in want] == [2]
+        assert _facts_or_none(tree)[2] is None
+        assert _replay_through_add_point(records, want) == 1
 
 
 def test_add_point_raises_self_reference_for_the_next_id():

@@ -2,9 +2,11 @@
 
 ``perfbench/pipeline.py`` spells ``recover`` out again through public calls
 to time each step; these tests import it (read only) and check, on the
-golden base-point fixtures, that its traced result equals ``recover``'s and
-that its untraced op succeeds; and, on inputs that ``recover`` rejects,
-that the traced and untraced ops reject them with the same error class.
+golden base-point fixtures and on fan and polar inputs from the
+benchmark's own generators (``perfbench/workloads.py``, also read only),
+that its traced result equals ``recover``'s and that its untraced op
+succeeds; and, on inputs that ``recover`` rejects, that the traced and
+untraced ops reject them with the same error class.
 A change to the public steps that breaks the benchmark fails here.
 """
 
@@ -25,22 +27,49 @@ sys.path.insert(0, str(PERFBENCH))
 
 from clock import Clock  # noqa: E402
 from pipeline import Tracer, result_key, run_op, traced_op  # noqa: E402
+import workloads  # noqa: E402
 
 GOLDEN_BP = ["ex04_bp.json", "ex05_bp.json", "ex06_bp.json", "ex07_bp.json"]
 
 
-@pytest.mark.parametrize("name", GOLDEN_BP)
-def test_traced_op_equals_recover(fixture_dir, name):
-    text = (fixture_dir / name).read_text(encoding="utf-8")
+def _fan(k):
+    return workloads.fan(k, random.Random(k))
+
+
+# Fans walk many runs shorter than CHAIN_CROSSOVER, over many cones; every
+# polar here but j = 3, n = 16 also walks a run of CHAIN_CROSSOVER or more.
+WORKLOAD_INPUTS = (
+    [pytest.param(_fan, (k,), id=f"fan_k{k}") for k in (8, 23, 60, 110)]
+    + [pytest.param(workloads.polar, (n, j), id=f"polar_j{j}_n{n}")
+       for j in (2, 3) for n in (16, 45, 130, 400)])
+
+
+def _assert_traced_op_equals_recover(text):
     op = traced_op(text, Tracer())
     assert op.outcome == "ok"
     assert result_key(op.result) == result_key(recover(parse(text)[1]))
 
 
 @pytest.mark.parametrize("name", GOLDEN_BP)
+def test_traced_op_equals_recover(fixture_dir, name):
+    _assert_traced_op_equals_recover(
+        (fixture_dir / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("generator, args", WORKLOAD_INPUTS)
+def test_traced_op_equals_recover_on_workloads(generator, args):
+    _assert_traced_op_equals_recover(generator(*args))
+
+
+@pytest.mark.parametrize("name", GOLDEN_BP)
 def test_run_op_is_ok(fixture_dir, name):
     text = (fixture_dir / name).read_text(encoding="utf-8")
     assert run_op(text, Clock()).outcome == "ok"
+
+
+@pytest.mark.parametrize("generator, args", WORKLOAD_INPUTS)
+def test_run_op_is_ok_on_workloads(generator, args):
+    assert run_op(generator(*args), Clock()).outcome == "ok"
 
 
 def _perturbed(builder, seed, tweaks):

@@ -162,6 +162,24 @@ def test_parse_diagnostics_number_points_by_entry_index():
         assert info.value.diagnostics[0].point == 1
 
 
+def test_parse_checks_no_pair_under_an_unresolved_parent():
+    # p1's proximities are unknown, so nothing can be said of p2's pair,
+    # nor of p3's two levels up: one diagnostic, naming p1
+    points = [{"id": "O", "weight": 1},
+              {"id": "p1", "parent": "nope", "weight": 1},
+              {"id": "p2", "parent": "p1", "second_proximity": "O",
+               "weight": 1}]
+    deeper = points + [{"id": "p3", "parent": "p2", "second_proximity": "O",
+                        "weight": 1}]
+    for document in (points, deeper):
+        for parser in (parse, _parse_reference):
+            with pytest.raises(DocumentValidationError) as info:
+                parser(_doc(document))
+            assert info.value.diagnostics == [Diagnostic(
+                "UnknownParent", 1,
+                "parent 'nope' does not resolve to an earlier point")]
+
+
 def _doc(points, version=1, kind="virtual"):
     return json.dumps({"format_version": version, "weight_kind": kind,
                        "points": points})
@@ -298,8 +316,9 @@ def _parse_reference(text):
     ids = {}
     records = []
     weights = {}
-    # entry i is point i: a rejected entry keeps its slot as a point that
-    # refers to itself, and its arena diagnostic is dropped
+    # entry i is point i: a rejected entry, or one whose parent is such a
+    # placeholder, keeps its slot as a point that refers to itself, and
+    # its arena diagnostic is dropped
     placeholders = set()
 
     def resolve(entry_index, field, value):
@@ -328,7 +347,8 @@ def _parse_reference(text):
             records.append((i, None, None))
             continue
         parent = resolve(i, "parent", entry.get("parent"))
-        if parent is None and entry.get("parent") is not None:
+        if (parent is None and entry.get("parent") is not None
+                or parent in placeholders):
             placeholders.add(i)
             parent = i
         second = resolve(i, "second_proximity", entry.get("second_proximity"))

@@ -21,6 +21,7 @@ from enriques import (
     first_satellite,
     invariant_quotient,
     is_consistent,
+    max_under_prec,
     multiplicities_from_values,
     noether_pairing,
     recover,
@@ -846,6 +847,59 @@ def test_recover_values_rejects_singular_set_not_downward_closed():
                 recover_values(bp, inv, rupture, singular - {x})
             raised[type(info.value)] += 1
     assert raised[NotDownwardClosed] > 1000
+
+
+def _biggest_rupture_by_cone_reference(tree, rupture):
+    """The map as it was: a list per cone, then one checked max each."""
+    cones = {}
+    for q in rupture:
+        cones.setdefault(tree.free_points[q], []).append(q)
+    return {p: max_under_prec(tree, cone) for p, cone in cones.items()}
+
+
+def test_cone_maxima_match_per_cone_max_under_prec():
+    maps = shared = 0
+    for seed in range(1500):
+        tree = _grown_bp(seed).tree
+        rng = random.Random(seed)
+        for _ in range(6):
+            rupture = frozenset(rng.sample(
+                range(len(tree)), rng.randint(1, min(8, len(tree)))))
+            want = _biggest_rupture_by_cone_reference(tree, rupture)
+            assert _biggest_rupture_by_cone(tree, rupture) == want
+            maps += 1
+            shared += len(want) < len(rupture)
+    assert maps == 9000 and shared > 3000
+
+
+def _result_inputs():
+    """Fresh base-point clusters on which recover succeeds or fails: random
+    ones, the Euclid family and the golden fixtures."""
+    for seed in range(3000):
+        yield randgen.random_consistent_bp(seed, 10)
+    for n in range(2, 30):
+        for m in range(n + 1, 90):
+            yield randgen.build_cluster(
+                randgen.euclid_rows(m - 1, n - 1), WeightKind.VIRTUAL)[1]
+    for builder in (fb.ex04_bp, fb.ex05_bp, fb.ex06_bp, fb.ex07_bp):
+        yield builder()[1]
+
+
+def test_adopted_result_clusters_equal_checked_ones():
+    # the sweep's dicts become the result without the constructor's copy
+    # and checks; building them checked gives equal clusters
+    ok = Counter()
+    for bp in _result_inputs():
+        for run in (recover, recover_grouped):
+            try:
+                result = run(bp)
+            except EnriquesError:
+                continue
+            for cluster in (result.values, result.multiplicities):
+                assert WeightedCluster(cluster.tree, cluster.kind,
+                                       dict(cluster.weight)) == cluster
+            ok[run] += 1
+    assert min(ok.values()) > 2000
 
 # -- deep walks (polar base points of y^n = x^(1 + j(n-1))) -------------------
 
