@@ -23,10 +23,15 @@ index (a list would silently accept ``-1``, and ``True`` as ``1``).
 :meth:`ArenaTree.facts` build read-only views from the columns for the
 public API and tests.
 
+Facts are derived in one place, the batch writer
+:meth:`ArenaTree._append_records`: :meth:`ArenaTree.append_raw` is that
+writer on one record, :meth:`ArenaTree.from_records` on a fresh arena, and
+:meth:`ArenaTree.append_chain` derives a run's later points from its first.
+
 The arena rules are stated once, in :meth:`ArenaTree._violations`.
-:meth:`ArenaTree.add_point` raises the first rule it names;
-:meth:`ArenaTree.append_raw` appends anyway and records each broken rule as
-a :class:`~enriques.errors.Diagnostic`, which :meth:`ArenaTree.validate`
+:meth:`ArenaTree.add_point` raises the first rule it names; the batch
+writer appends anyway and records each broken rule as a
+:class:`~enriques.errors.Diagnostic`, which :meth:`ArenaTree.validate`
 returns without another pass.
 
 Labels are decorative.  All structural queries and all equality notions use
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ArenaError,
@@ -160,9 +165,7 @@ class ArenaTree:
         No rule is enforced; :meth:`validate` reports the broken ones.
         """
         tree = cls()
-        append = tree.append_raw
-        for parent, second, label in records:
-            append(parent, second, label)
+        tree._append_records(records)
         return tree
 
     def append_raw(
@@ -171,13 +174,22 @@ class ArenaTree:
         second_proximity: Optional[PointId] = None,
         label: Optional[str] = None,
     ) -> PointId:
-        """Append a point without enforcing any rule and return its id.
+        """Append a point without enforcing any rule and return its id:
+        :meth:`_append_records` on one record.  :meth:`add_point` checks
+        first."""
+        self._append_records(((parent, second_proximity, label),))
+        return len(self.parents) - 1
 
-        The point gets facts when it and every point it refers to keep the
+    def _append_records(self, records: Iterable[tuple]) -> None:
+        """Append raw (parent, second_proximity, label) records in order,
+        enforcing no rule.
+
+        This is the one place that derives facts and records broken rules.
+        A point gets facts when it and every point it refers to keep the
         arena rules.  Only a point without facts can break one, so only
-        such a point runs :meth:`_violations`; what it breaks is kept for
-        :meth:`validate`.  :meth:`from_records` and the document parser
-        build arenas this way; :meth:`add_point` checks first.
+        such a point runs :meth:`_violations`, which then sees the pair
+        index, the rootless flag and the arena length as they are after the
+        point before it.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is (a's parent, a) when a is free; when a is a satellite with
@@ -185,57 +197,62 @@ class ArenaTree:
         n and m0 add up over both proximities; k adds s's share only when s
         lies in q's own cone.
         """
-        q = len(self.parents)
-        s = second_proximity
-        free = n = m0 = k = pair = None
-        if parent is None:
-            if q == 0 and s is None:
-                free, n, m0, k = 0, 1, 1, 1
-        elif (type(parent) is int and 0 <= parent < q
-              and self.free_points[parent] is not None):
-            a = parent
-            if s is None:
-                free, n, m0, k = q, self.ns[a], self.m0s[a] + 1, 1
-            elif type(s) is int and (a, s) not in self._satellite_index:
-                pair = self.pairs[a]
-                if pair is None:
-                    pair = (self.parents[a], a)
-                    if s != pair[0]:
+        parents, seconds, labels, children = (
+            self.parents, self.seconds, self.labels, self.children)
+        free_points, ns, m0s, ks, pairs = (
+            self.free_points, self.ns, self.m0s, self.ks, self.pairs)
+        index = self._satellite_index
+        q = len(parents)
+        for parent, s, label in records:
+            free = n = m0 = k = pair = None
+            if parent is None:
+                if q == 0 and s is None:
+                    free, n, m0, k = 0, 1, 1, 1
+            elif (type(parent) is int and 0 <= parent < q
+                  and free_points[parent] is not None):
+                a = parent
+                if s is None:
+                    free, n, m0, k = q, ns[a], m0s[a] + 1, 1
+                elif type(s) is int and (a, s) not in index:
+                    pair = pairs[a]
+                    if pair is None:
+                        pair = (parents[a], a)
+                        if s != pair[0]:
+                            pair = None
+                    elif s == pair[0]:
+                        pair = (pair[0], a)
+                    elif s == pair[1]:
+                        pair = (a, pair[1])
+                    else:
                         pair = None
-                elif s == pair[0]:
-                    pair = (pair[0], a)
-                elif s == pair[1]:
-                    pair = (a, pair[1])
-                else:
-                    pair = None
-                if pair is not None:
-                    free, k = self.free_points[a], self.ks[a]
-                    if self.free_points[s] == free:
-                        k += self.ks[s]
-                    n = self.ns[a] + self.ns[s]
-                    m0 = self.m0s[a] + self.m0s[s]
-        broken = () if free is not None else self._violations(parent, s)
-        if broken:
-            self._diagnostics.extend(
-                Diagnostic(error.__name__, q, message)
-                for error, message in broken)
-        self.parents.append(parent)
-        self.seconds.append(s)
-        self.labels.append(label)
-        self.children.append([])
-        self.free_points.append(free)
-        self.ns.append(n)
-        self.m0s.append(m0)
-        self.ks.append(k)
-        self.pairs.append(pair)
-        if parent is None:
-            self._rootless = True
-        else:
-            if free is not None or type(parent) is int and 0 <= parent < q:
-                self.children[parent].append(q)
-            if s is not None and not broken:
-                self._satellite_index[parent, s] = q
-        return q
+                    if pair is not None:
+                        free, k = free_points[a], ks[a]
+                        if free_points[s] == free:
+                            k += ks[s]
+                        n = ns[a] + ns[s]
+                        m0 = m0s[a] + m0s[s]
+            broken = () if free is not None else self._violations(parent, s)
+            if broken:
+                self._diagnostics.extend(
+                    Diagnostic(error.__name__, q, message)
+                    for error, message in broken)
+            parents.append(parent)
+            seconds.append(s)
+            labels.append(label)
+            children.append([])
+            free_points.append(free)
+            ns.append(n)
+            m0s.append(m0)
+            ks.append(k)
+            pairs.append(pair)
+            if parent is None:
+                self._rootless = True
+            else:
+                if free is not None or type(parent) is int and 0 <= parent < q:
+                    children[parent].append(q)
+                if s is not None and not broken:
+                    index[parent, s] = q
+            q += 1
 
     def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
         """Append t >= 1 satellites proximate to s, each the child of the
@@ -244,10 +261,10 @@ class ArenaTree:
         The result equals t calls of :meth:`append_raw`.  When (a, s) is a
         legal proximity pair that the arena does not hold yet, these are
         the points that t equal moves of a satellite walk create from a.
-        The first point goes through :meth:`append_raw`, which checks the
-        rules and derives its facts.  When it gets none, because it or a
-        point it refers to breaks a rule, no later point gets any either,
-        and the run is a loop of :meth:`append_raw`.  Otherwise every later
+        The first point goes through :meth:`_append_records`, which checks
+        the rules and derives its facts.  When it gets none, because it or
+        a point it refers to breaks a rule, no later point gets any either,
+        and the rest of the run goes through it too.  Otherwise every later
         point repeats its second proximity s, so its n, m0 and k add s's
         share to the previous point's, its pair keeps the first point's
         orientation, (s, previous) or (previous, s), and it breaks no rule:
@@ -256,11 +273,13 @@ class ArenaTree:
         least that many points goes in as ranges, one ``extend`` per
         column; a shorter one as one ``append`` per column and point.
         """
-        q = self.append_raw(a, s)
-        if t == 1 or self.pairs[q] is None:
-            for _ in range(t - 1):
-                q = self.append_raw(q, s)
+        q = len(self.parents)
+        self._append_records(((a, s, None),))
+        if t == 1:
             return q
+        if self.pairs[q] is None:
+            self._append_records((c, s, None) for c in range(q, q + t - 1))
+            return q + t - 1
         free, n, m0, k = (
             self.free_points[q], self.ns[q], self.m0s[q], self.ks[q])
         n_s, m0_s = self.ns[s], self.m0s[s]

@@ -67,6 +67,8 @@ class WeightedCluster:
       of a downward closure, and the sweep read every parent's value;
       their weights are ints; a multiplicity below 1 was rejected; and a
       value is its multiplicity plus earlier values, so it is at least 1.
+      The checked copies would cost wide inputs about a sixth of
+      ``recover``'s time (wide_fan ``recover_ms.p50``).
     * ``documents.parse`` adopts its weights once it found no diagnostic.
       Its keys are the ids it appended; it stores only positive JSON
       integers; and its loop checked that each weighted point's parent is

@@ -20,8 +20,9 @@ does not reach (for example satellites shared with another cluster).
 
 Parsing aggregates every structural problem into one
 :class:`DocumentValidationError` instead of stopping at the first.  It
-resolves, checks and appends each entry to the arena in one loop; the
-arena records the rules each point breaks as it appends it, so
+resolves and checks every entry in one loop, then appends the whole
+document to a fresh arena in one write, :meth:`ArenaTree.from_records`;
+the arena records the rules each point breaks as it appends it, so
 :meth:`ArenaTree.validate` makes no second pass.  A weight must be a JSON
 integer: ``true``/``false`` are rejected even though Python's ``bool`` is
 an ``int``, and ``format_version`` must be the integer 1 (not ``true`` or
@@ -101,8 +102,7 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
             "MissingPoints", None, "'points' must be a list"))
         raise DocumentValidationError(diagnostics)
 
-    tree = ArenaTree()
-    append = tree.append_raw
+    records: list[tuple] = []  # entry i is point i
     ids: dict[str, PointId] = {}
     weights: dict[PointId, int] = {}
     placeholders: set[PointId] = set()
@@ -114,12 +114,14 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
         if not isinstance(point_id, str):
             diagnostics.append(Diagnostic(
                 "BadEntry", i, "each point needs a string 'id'"))
-            placeholders.add(append(i))
+            placeholders.add(i)
+            records.append((i, None, None))
             continue
         if point_id in ids:
             diagnostics.append(Diagnostic(
                 "DuplicateId", i, f"id {point_id!r} already used"))
-            placeholders.add(append(i))
+            placeholders.add(i)
+            records.append((i, None, None))
             continue
         value = entry.get("parent")
         parent = ids.get(value) if isinstance(value, str) else None
@@ -148,14 +150,16 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
             diagnostics.append(Diagnostic(
                 "BadEntry", i, "label must be a string when present"))
             label = point_id
-        p = ids[point_id] = append(parent, second, label)
+        ids[point_id] = i
+        records.append((parent, second, label))
         if weight:
-            weights[p] = weight
+            weights[i] = weight
             if (unclosed is None and parent is not None
                     and parent not in weights):
-                unclosed = (f"point {p} is in the cluster but its parent"
+                unclosed = (f"point {i} is in the cluster but its parent"
                             f" {parent} is not")
 
+    tree = ArenaTree.from_records(records)
     broken = tree.validate()
     if placeholders:  # the parser's own diagnostics name them
         broken = [d for d in broken if d.point not in placeholders]

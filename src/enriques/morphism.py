@@ -151,7 +151,7 @@ def require_base_points(bp: WeightedCluster, excess: dict[PointId, int]) -> None
     if origin is None or bp.get(origin, 0) < 1:
         raise InconsistentCluster(
             "base-point cluster must weight the origin with at least 1")
-    if any(r < 0 for r in excess.values()):
+    if min(excess.values(), default=0) < 0:
         raise InconsistentCluster(
             "base-point cluster has a point of negative excess")
 

@@ -25,8 +25,12 @@ contributes one rupture point:
    numerator + denominator of I_d moves (see :func:`satellite_walk`).
 
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
-builds a fraction.  The singular set S is the downward closure of the
-rupture set R.
+builds a fraction.  A run builds each invariant's :class:`Fraction` once,
+from the m table and the arena's ``ns`` and ``m0s`` columns, and reads a
+and b from it once; the scan, the walk, the grouped memo key and the last
+quotient check take them as integers.  The public :func:`base_free_point`
+and :func:`satellite_walk` check their point and hand a and b to the same
+bodies.  The singular set S is the downward closure of the rupture set R.
 
 Part two, values and multiplicities, in one sweep over S in ascending id.
 Ids are topological, so the parent, the second proximity and the defining
@@ -127,12 +131,8 @@ def dicritical_invariant(
         raise UnknownPoint(f"no point with id {d}")
     if d not in bp or excess(bp, d) <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
-    return _invariant(bp.tree, inv, d)
-
-
-def _invariant(tree: ArenaTree, inv: MorphismInvariants, d: PointId) -> Fraction:
     n_d, m_d = inv.extend_to(d)
-    return Fraction(m_d - tree.m0s[d] + n_d, n_d)
+    return Fraction(m_d - bp.tree.m0s[d] + n_d, n_d)
 
 
 def base_free_point(
@@ -146,16 +146,22 @@ def base_free_point(
     link it meets.
     """
     inv.extend_to(d)  # checks d; the table then covers d's whole chain
-    tree = bp.tree
-    parents, seconds, ns, m = tree.parents, tree.seconds, tree.ns, inv.m
-    num, den = invariant.numerator, invariant.denominator
+    return _base_free_point(
+        bp.tree, inv.m, d, invariant.numerator, invariant.denominator)
+
+
+def _base_free_point(tree: ArenaTree, m: list, d: PointId, num: int,
+                     den: int) -> tuple[PointId, PointId]:
+    """:func:`base_free_point` for num/den, on a table m covering d's chain."""
+    parents, seconds, ns = tree.parents, tree.seconds, tree.ns
     p, a = d, parents[d]
     while a is not None:
         if seconds[p] is None and m[a] * den < num * ns[a]:
             return a, p
         p, a = a, parents[a]
     raise NoQualifyingPair(
-        f"no chain link of point {d} qualifies for invariant {invariant}")
+        f"no chain link of point {d} qualifies for invariant"
+        f" {Fraction(num, den)}")
 
 
 def satellite_walk(
@@ -183,11 +189,19 @@ def satellite_walk(
     before appending anything.  ``trace`` still sees one entry per
     visited point.
     """
-    extend_to = inv.extend_to
-    n, m = extend_to(p)  # checks p; every later point comes from the arena
-    num, den = invariant.numerator, invariant.denominator
-    cap = num + den
+    inv._grow()  # the walk reads m at any point of the arena it finds
+    inv.extend_to(p)  # checks p
+    return _satellite_walk(tree, inv, p, invariant.numerator,
+                           invariant.denominator, trace)
+
+
+def _satellite_walk(tree: ArenaTree, inv: MorphismInvariants, p: PointId,
+                    num: int, den: int, trace) -> PointId:
+    """:func:`satellite_walk` for num/den, on a table covering the arena;
+    it appends only through ``inv.append_chain``, which keeps it so."""
     find, ns, table = tree.find_satellite, tree.ns, inv.m
+    n, m = ns[p], table[p]
+    cap = num + den
     q, moves = p, 0
     while True:
         gap = m * den - num * n
@@ -204,18 +218,18 @@ def satellite_walk(
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
             if moves > cap:
-                raise _diverged(invariant, cap, p)
+                raise _diverged(num, den, cap, p)
             q = found
-            n, m = extend_to(q)
+            n, m = ns[q], table[q]
             continue
         n_s, m_s = ns[s], table[s]
         delta = m_s * den - num * n_s
         if gap * delta >= 0:  # the run would never close the gap
-            raise _diverged(invariant, cap, p)
+            raise _diverged(num, den, cap, p)
         t = -(gap // delta)  # the least t with gap + t*delta at or past 0
         moves += t
         if moves > cap:
-            raise _diverged(invariant, cap, p)
+            raise _diverged(num, den, cap, p)
         q = inv.append_chain(q, s, t)
         if trace:
             for i in range(1, t):
@@ -224,9 +238,9 @@ def satellite_walk(
         m += t * m_s
 
 
-def _diverged(invariant: Fraction, cap: int, p: PointId) -> WalkDiverged:
+def _diverged(num: int, den: int, cap: int, p: PointId) -> WalkDiverged:
     return WalkDiverged(
-        f"no height quotient equal to {invariant} within"
+        f"no height quotient equal to {Fraction(num, den)} within"
         f" {cap} steps below point {p}")
 
 
@@ -261,17 +275,17 @@ def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
     return frozenset(closed)
 
 
-def _by_descending_invariant(schedule: list[tuple[Fraction, PointId]]) -> None:
-    """Sort (invariant, d) pairs, given in ascending d, by descending
-    invariant, in place.
+def _by_descending_invariant(schedule: list[tuple]) -> None:
+    """Sort entries whose first item is an invariant, given in ascending
+    d, by descending invariant, in place.
 
     Each invariant a/b is keyed by the integer a * (L // b), L the lcm of
     the denominators, so the sort compares no fractions; it is stable, so
     equal invariants keep ascending d.
     """
-    lcm = math.lcm(*(i.denominator for i, _ in schedule))
-    schedule.sort(key=lambda pair: -pair[0].numerator * (
-        lcm // pair[0].denominator))
+    lcm = math.lcm(*(entry[0].denominator for entry in schedule))
+    schedule.sort(key=lambda entry: -entry[0].numerator * (
+        lcm // entry[0].denominator))
 
 
 # -- part two: values ---------------------------------------------------------
@@ -388,37 +402,47 @@ def _recover(
     require_base_points(bp, rho)
     association: dict[PointId, DicriticalAssociation] = {}
     try:
+        # the arena is complete, so the table covers every point, and the
+        # walk appends only through inv.append_chain, which keeps it so
         inv = MorphismInvariants(bp)
-        dicriticals = sorted(p for p, r in rho.items() if r > 0)
+        m, ns, m0s = inv.m, tree.ns, tree.m0s
         origin = tree.origin
-        if dicriticals and dicriticals[0] == origin:
-            association[origin] = DicriticalAssociation(
-                _invariant(tree, inv, origin), origin, origin)
-            dicriticals = dicriticals[1:]
-        schedule = [(_invariant(tree, inv, d), d) for d in dicriticals]
+        # (d, q, a, b) for each association, I_d = a/b in lowest terms
+        closing: list[tuple[PointId, PointId, int, int]] = []
+        schedule: list[tuple[Fraction, int, int, PointId]] = []
+        for d in sorted(p for p, r in rho.items() if r > 0):
+            m_d = m[d]
+            if m_d is None:
+                inv.extend_to(d)  # raises
+            invariant = Fraction(m_d - m0s[d] + ns[d], ns[d])
+            num, den = invariant.numerator, invariant.denominator
+            if d == origin:
+                association[d] = DicriticalAssociation(invariant, d, d)
+                closing.append((d, d, num, den))
+            else:
+                schedule.append((invariant, num, den, d))
         walked: dict[tuple[PointId, int, int], PointId] = {}
         if grouped:
             _by_descending_invariant(schedule)
-        for invariant, d in schedule:
-            _, p = base_free_point(bp, inv, d, invariant)
+        for invariant, num, den, d in schedule:
+            _, p = _base_free_point(tree, m, d, num, den)
             if grouped:
-                key = (p, invariant.numerator, invariant.denominator)
+                key = (p, num, den)
                 q = walked.get(key)
                 if q is None:
-                    q = walked[key] = satellite_walk(
-                        tree, inv, p, invariant, trace)
+                    q = walked[key] = _satellite_walk(
+                        tree, inv, p, num, den, trace)
             else:
-                q = satellite_walk(tree, inv, p, invariant, trace)
+                q = _satellite_walk(tree, inv, p, num, den, trace)
             association[d] = DicriticalAssociation(invariant, p, q)
+            closing.append((d, q, num, den))
         rupture = frozenset(a.rupture_point for a in association.values())
         singular = _downward_closure(tree, rupture)
         values, mults, rejected = _second_half(tree, inv, rupture, singular)
         if rejected is not None:
             raise rejected
-        m, ns = inv.m, tree.ns
-        for d, assoc in association.items():
-            q, invariant = assoc.rupture_point, assoc.invariant
-            if m[q] * invariant.denominator != invariant.numerator * ns[q]:
+        for d, q, num, den in closing:
+            if m[q] * den != num * ns[q]:
                 raise RecoveryError(
                     f"height quotient at {q} does not match the invariant"
                     f" of dicritical {d}")

@@ -547,6 +547,29 @@ def test_recorded_rules_match_validate_reference():
         assert _replay_through_add_point(records, want) == 1
 
 
+def test_batch_writer_matches_one_append_raw_per_record():
+    # each point of a batch sees the pair index, the rootless flag and the
+    # arena length as the point before it left them, so where a batch is
+    # cut changes nothing
+    lists = [randgen.random_raw_records(random.Random(seed))
+             for seed in range(20000)]
+    lists += [[(None, None, None), (0, None, None), (True, None, None)],
+              [(None, None, None), (0, None, None), (1, False, None)]]
+    cuts = 0
+    for records in lists:
+        ref = ArenaTree()
+        for triple in records:
+            ref.append_raw(*triple)
+        want = (_columns(ref), ref.validate(), ref._rootless)
+        for cut in range(len(records) + 1):
+            tree = ArenaTree()
+            tree._append_records(records[:cut])
+            tree._append_records(records[cut:])
+            assert (_columns(tree), tree.validate(), tree._rootless) == want
+            cuts += 1
+    assert cuts > 100000
+
+
 def test_add_point_raises_self_reference_for_the_next_id():
     # the id the point would take is the point itself, not an unknown one
     tree, _, names = fb.ex04_bp()

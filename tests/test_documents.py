@@ -224,7 +224,9 @@ def test_serialize_empty_arena():
 # The serializer and the parser before the one-pass rewrite, kept verbatim
 # (the reference parser with the arena validation and cluster checks it
 # ran) so that the library's output and diagnostics can be compared with
-# them on random inputs.
+# them on random inputs.  One change: the reference parser, like parse,
+# takes only a JSON integer as the version or a weight, since Python reads
+# true as 1 and 1.0 == 1.
 
 
 def _document_ids_reference(tree):
@@ -297,7 +299,7 @@ def _parse_reference(text):
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
     version = doc.get("format_version")
-    if version != 1:
+    if type(version) is not int or version != 1:
         diagnostics.append(Diagnostic(
             "UnsupportedVersion", None,
             f"format_version must be 1, got {version!r}"))
@@ -353,7 +355,7 @@ def _parse_reference(text):
             parent = i
         second = resolve(i, "second_proximity", entry.get("second_proximity"))
         weight = entry.get("weight")
-        if not isinstance(weight, int) or weight < 0:
+        if type(weight) is not int or weight < 0:
             diagnostics.append(Diagnostic(
                 "InvalidWeight", i,
                 f"weight must be a non-negative integer, got {weight!r}"))
@@ -506,6 +508,16 @@ def _outcome(parser, text):
 
 
 def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
+    # the random documents and their mutations draw no bool and no 1.0
+    explicit = [_doc([{"id": "O", "weight": 1}], version=True),
+                _doc([{"id": "O", "weight": 1}], version=1.0),
+                _doc([{"id": "O", "weight": True}]),
+                _doc([{"id": "O", "weight": 2},
+                      {"id": "p1", "parent": "O", "weight": False}])]
+    for case in explicit:
+        expected = _outcome(_parse_reference, case)
+        assert expected[0] is DocumentValidationError
+        assert _outcome(parse, case) == expected
     rng = random.Random(4711)
     texts = [path.read_text(encoding="utf-8")
              for path in sorted(fixture_dir.glob("*.json"))]

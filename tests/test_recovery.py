@@ -40,6 +40,7 @@ from enriques.recovery import (
     _downward_closure,
 )
 from enriques.errors import (
+    ArenaError,
     EmptyRuptureSet,
     EnriquesError,
     InconsistentCluster,
@@ -152,6 +153,60 @@ def test_satellite_walk_diverges_with_cap():
     assert len(tree) == size
     assert steps == [(names["p3"], 12, 1, "first"),
                      (names["p4"], 21, 2, "first")]
+
+
+def test_scan_and_walk_errors_print_the_invariant_as_fraction_does():
+    # the scan and the walk compare in integers; their errors still print
+    # the invariant as str(Fraction) does: 3, not 3/1
+    tree, bp, names = fb.ex04_bp()
+    inv = compute(bp)
+    with pytest.raises(NoQualifyingPair) as info:
+        base_free_point(bp, inv, names["p8"], Fraction(3))
+    assert str(info.value) == (
+        "no chain link of point 8 qualifies for invariant 3")
+    for invariant, text in ((Fraction(6), "6 within 7"),
+                            (Fraction(17, 2), "17/2 within 19")):
+        with pytest.raises(WalkDiverged) as info:
+            satellite_walk(tree, inv, names["p3"], invariant)
+        assert str(info.value) == (
+            f"no height quotient equal to {text} steps below point 3")
+
+
+def test_recover_raises_arena_error_at_a_dicritical_without_facts():
+    # point 3 names a second proximity that its parent is not proximate
+    # to, so it has no facts and no m; the run stops at its invariant
+    records = [(None, None, "O"), (0, None, "p1"), (1, None, "p2"),
+               (2, 0, "bad")]
+    for run in (recover, recover_grouped):
+        tree = ArenaTree.from_records(records)
+        bp = WeightedCluster(tree, WeightKind.VIRTUAL,
+                             {0: 3, 1: 1, 2: 1, 3: 1})
+        assert sorted(dicritical_points(bp)) == [0, 3]
+        with pytest.raises(ArenaError) as info:
+            run(bp)
+        assert type(info.value) is ArenaError
+        assert str(info.value) == (
+            "point 3 breaks an arena rule; see validate()")
+        assert info.value.association == {
+            0: DicriticalAssociation(Fraction(4), 0, 0)}
+
+
+def test_satellite_walk_finds_points_appended_after_its_table():
+    tree, bp, _ = fb.ex05_bp()
+    inv = compute(bp)
+    size = len(tree)
+    result = recover(bp)  # appends the points its walks create
+    found = 0
+    for assoc in result.association.values():
+        steps, fresh = [], []
+        assert satellite_walk(tree, inv, assoc.base_free_point,
+                              assoc.invariant, steps.append) == \
+            assoc.rupture_point
+        satellite_walk(tree, compute(bp), assoc.base_free_point,
+                       assoc.invariant, fresh.append)
+        assert steps == fresh
+        found += sum(q >= size for q, _, _, _ in steps)
+    assert found > 0 and len(tree) == size + len(result.created)
 
 
 def test_recover_topology_creates_points_when_needed():
