@@ -5,6 +5,7 @@ Subcommands::
     validate  <file>                          structural check, exit 0/2
     recover   <bp-file> [--algorithm basic|grouped] [--out FILE]
               [--emit values|multiplicities|both] [--trace]
+              (both algorithm names run the one recovery schedule)
     invariants <curve-file> [--local POINT]
     compare   <a> <b> [--mode equal|similar]
     render    <file> [--annotate mn|weights|none]
@@ -85,9 +86,8 @@ def _cmd_recover(args) -> int:
                 "stop": "=I stop"}[decision]
         trace_lines.append(f"{_point_name(tree, q)} {m}/{n} {word}")
 
-    run = recovery.recover_grouped if args.algorithm == "grouped" else recovery.recover
     try:
-        result = run(bp, trace=trace if args.trace else None)
+        result = recovery.recover(bp, trace=trace if args.trace else None)
     finally:  # a failed run's walk is what --trace is there to show
         for line in trace_lines:
             print(line)
@@ -188,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         "recover", help="recover the singular cluster from base points")
     p.add_argument("file")
     p.add_argument("--algorithm", choices=["basic", "grouped"],
-                   default="basic")
+                   default="basic",
+                   help="either name runs the same schedule and gives the"
+                   " same output; kept for scripts that pass it")
     p.add_argument("--out")
     p.add_argument("--emit", choices=["values", "multiplicities", "both"],
                    default="values")

@@ -62,7 +62,7 @@ class WeightedCluster:
     :meth:`_adopt` skips the copy and the checks.  Only a caller that has
     established every property above may use it, and there are two:
 
-    * ``recovery._recover`` adopts the values and the multiplicities of
+    * ``recovery.recover`` adopts the values and the multiplicities of
       its sweep once the sweep rejected nothing.  Their keys are arena ids
       of a downward closure, and the sweep read every parent's value;
       their weights are ints; a multiplicity below 1 was rejected; and a

@@ -27,7 +27,7 @@ contributes one rupture point:
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
 builds a fraction.  A run builds each invariant's :class:`Fraction` once,
 from the m table and the arena's ``ns`` and ``m0s`` columns, and reads a
-and b from it once; the scan, the walk, the grouped memo key and the last
+and b from it once; the scan, the walk, the walk memo's key and the last
 quotient check take them as integers.  The public :func:`base_free_point`
 and :func:`satellite_walk` check their point and hand a and b to the same
 bodies.  The singular set S is the downward closure of the rupture set R.
@@ -52,12 +52,12 @@ the result's clusters as they are: the sweep has established everything
 that :class:`~enriques.cluster.WeightedCluster` checks, so they are
 neither copied nor checked again.
 
-:func:`recover_grouped` is the same run with another schedule:
-it visits dicriticals by descending invariant and walks once per distinct
+A run visits the dicriticals in ascending id and walks once per distinct
 (base free point, invariant) pair, reusing that walk's rupture point for
 every dicritical that repeats the pair.  The walk is deterministic and
-finds the points an earlier walk created, so its result equals
-:func:`recover` exactly.
+finds the points an earlier walk created, so the order of the visits
+carries no mathematics; :func:`recover_grouped` is another name for the
+same run and returns exactly the result of :func:`recover`.
 
 The invariant, the walk and the sweep read each point's facts from the
 arena's columns and m from the list table of :mod:`~enriques.morphism`,
@@ -67,7 +67,6 @@ A full run counts the excesses of ``bp`` once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -275,19 +274,6 @@ def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
     return frozenset(closed)
 
 
-def _by_descending_invariant(schedule: list[tuple]) -> None:
-    """Sort entries whose first item is an invariant, given in ascending
-    d, by descending invariant, in place.
-
-    Each invariant a/b is keyed by the integer a * (L // b), L the lcm of
-    the denominators, so the sort compares no fractions; it is stable, so
-    equal invariants keep ascending d.
-    """
-    lcm = math.lcm(*(entry[0].denominator for entry in schedule))
-    schedule.sort(key=lambda entry: -entry[0].numerator * (
-        lcm // entry[0].denominator))
-
-
 # -- part two: values ---------------------------------------------------------
 
 
@@ -387,15 +373,14 @@ def _second_half(
 # -- full runs ----------------------------------------------------------------
 
 
-def _recover(
+def recover(
     bp: WeightedCluster,
-    trace: Optional[Callable[[TraceEntry], None]],
-    grouped: bool,
+    trace: Optional[Callable[[TraceEntry], None]] = None,
 ) -> RecoveryResult:
-    """A full run under either schedule: dicriticals in ascending id, or
-    grouped by descending invariant with one walk per (base free point,
-    invariant) pair.  An error raised once the input is known to be base
-    points carries the partial association."""
+    """Full recovery: dicriticals in ascending id, one walk per distinct
+    (base free point, invariant) pair, so ``trace`` sees one ``stop`` entry
+    per walk rather than per dicritical.  An error raised once the input is
+    known to be base points carries the partial association."""
     tree = bp.tree
     before = len(tree)
     rho = excesses(bp)
@@ -422,18 +407,13 @@ def _recover(
             else:
                 schedule.append((invariant, num, den, d))
         walked: dict[tuple[PointId, int, int], PointId] = {}
-        if grouped:
-            _by_descending_invariant(schedule)
         for invariant, num, den, d in schedule:
             _, p = _base_free_point(tree, m, d, num, den)
-            if grouped:
-                key = (p, num, den)
-                q = walked.get(key)
-                if q is None:
-                    q = walked[key] = _satellite_walk(
-                        tree, inv, p, num, den, trace)
-            else:
-                q = _satellite_walk(tree, inv, p, num, den, trace)
+            key = (p, num, den)
+            q = walked.get(key)
+            if q is None:
+                q = walked[key] = _satellite_walk(
+                    tree, inv, p, num, den, trace)
             association[d] = DicriticalAssociation(invariant, p, q)
             closing.append((d, q, num, den))
         rupture = frozenset(a.rupture_point for a in association.values())
@@ -457,24 +437,12 @@ def _recover(
                           association, frozenset(range(before, len(tree))))
 
 
-def recover(
-    bp: WeightedCluster,
-    trace: Optional[Callable[[TraceEntry], None]] = None,
-) -> RecoveryResult:
-    """Full recovery, one walk per dicritical point."""
-    return _recover(bp, trace, grouped=False)
-
-
 def recover_grouped(
     bp: WeightedCluster,
     trace: Optional[Callable[[TraceEntry], None]] = None,
 ) -> RecoveryResult:
-    """Full recovery with the descending-invariant scheduling.
-
-    Walks once per distinct (base free point, invariant) pair, so ``trace``
-    sees one ``stop`` entry per walk rather than per dicritical.
-    """
-    return _recover(bp, trace, grouped=True)
+    """Another name for :func:`recover`: the same run, the same result."""
+    return recover(bp, trace)
 
 
 def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:

@@ -1,11 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import enriques
 from enriques.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -111,6 +117,25 @@ def test_recover_output_reproduces_invariants(fixture_dir, tmp_path, capsys):
     got = dict(l.split("\t") for l in out.splitlines())
     assert got == {"p4": "236/3", "p5": "79", "p9": "694/9",
                    "p10": "72", "p11": "230/3"}
+
+
+def test_recover_algorithms_give_identical_output(tmp_path, capsys):
+    # a fan's walks create points, named #N by their arena ids; both
+    # algorithm names run one schedule, so the ids and the bytes agree
+    source = tmp_path / "fan.json"
+    source.write_text(workloads.fan(23, random.Random(23)), encoding="utf-8")
+    outputs = []
+    for algorithm in ("basic", "grouped"):
+        out_file = tmp_path / f"{algorithm}.json"
+        code, out, err = run(
+            capsys, "recover", str(source), "--algorithm", algorithm,
+            "--trace", "--out", str(out_file), "--emit", "both")
+        assert code == 0 and err == ""
+        outputs.append((out, [
+            (tmp_path / f"{algorithm}.{kind}.json").read_bytes()
+            for kind in ("values", "multiplicities")]))
+    assert outputs[0] == outputs[1]
+    assert "#" in outputs[0][1][0].decode()  # the run created points
 
 
 def test_recover_rejects_curve_input(fixture_dir, capsys):

@@ -1,8 +1,10 @@
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -24,19 +26,20 @@ from enriques import (
     max_under_prec,
     multiplicities_from_values,
     noether_pairing,
+    parse,
     recover,
     recover_grouped,
     recover_values,
     rupture_points,
     satellite_walk,
     second_satellite,
+    serialize,
     unibranch_chain,
     values_from_multiplicities,
 )
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.recovery import (
     _biggest_rupture_by_cone,
-    _by_descending_invariant,
     _downward_closure,
 )
 from enriques.errors import (
@@ -56,6 +59,11 @@ from enriques.errors import (
 
 import fixture_builders as fb
 import randgen
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def rev(names):
@@ -308,42 +316,14 @@ def test_grouped_matches_basic_on_fixtures():
         assert grouped.created == frozenset()  # finds what basic created
 
 
-def _by_descending_fraction(schedule):
-    """Reference: the grouped order as a sort on (-invariant, d)."""
-    return sorted(schedule, key=lambda pair: (-pair[0], pair[1]))
-
-
-def test_grouped_order_matches_fraction_sort_reference():
-    rng = random.Random(5)
-    primes = [1_000_003, 1_000_033, 1_000_037, 1_000_039, 998_244_353]
-    schedules = [[], [(Fraction(3), 4)]]
-    for _ in range(300):
-        size = rng.randint(2, 30)
-        pool = [Fraction(rng.randint(1, 40), rng.randint(1, 12))
-                for _ in range(rng.randint(1, size))]  # ties and equal values
-        pool += [Fraction(rng.randrange(1, 10 ** 12), rng.choice(primes))
-                 for _ in range(rng.randint(0, 4))]  # large coprime den
-        ds = sorted(rng.sample(range(10 * size), size))
-        schedules.append([(rng.choice(pool), d) for d in ds])
-    for seed in range(300):
-        bp = randgen.random_consistent_bp(seed)
-        inv = compute(bp)
-        schedules.append([(dicritical_invariant(bp, inv, d), d)
-                          for d in sorted(dicritical_points(bp))])
-    ties = 0
-    for schedule in schedules:
-        got = list(schedule)
-        _by_descending_invariant(got)
-        assert got == _by_descending_fraction(schedule)
-        ties += len({i for i, _ in schedule}) < len(schedule)
-    assert ties > 200
-
-
 def test_grouped_walks_each_pair_once():
-    # after recover has created the walk points, the grouped run walks each
-    # distinct (base free point, invariant) pair once and creates nothing
+    # a run walks each distinct (base free point, invariant) pair once: on
+    # a fresh arena, where the walks create points, and after recover has
+    # created them, where the grouped run creates nothing
     tree, bp, names = fb.ex07_bp()
-    recover(bp)
+    steps = []
+    recover(bp, steps.append)
+    assert sum(entry[3] == "stop" for entry in steps) == 6
     size = len(tree)
     steps = []
     result = recover_grouped(bp, steps.append)
@@ -357,6 +337,42 @@ def test_grouped_walks_each_pair_once():
     r = rev(names)
     assert {r[a.rupture_point] for a in result.association.values()} == \
         {"p4", "p5", "p7", "p8", "p13", "p14"}
+
+
+def _fresh_documents(fixture_dir):
+    """(name, base-point document) pairs: the four fixtures, a sample of
+    the Euclid family, random consistent clusters and the benchmark's
+    fans."""
+    for name in ("ex04", "ex05", "ex06", "ex07"):
+        yield name, (fixture_dir / f"{name}_bp.json").read_text(
+            encoding="utf-8")
+    for n in range(2, 30, 3):
+        for m in range(n + 1, 90, 11):
+            yield f"euclid {m} {n}", serialize(*randgen.build_cluster(
+                randgen.euclid_rows(m - 1, n - 1), WeightKind.VIRTUAL))
+    for seed in range(400):
+        bp = randgen.random_consistent_bp(seed)
+        yield f"seed {seed}", serialize(bp.tree, bp)
+    for k in (2, 3, 5, 8, 13, 23, 60, 110):
+        yield f"fan {k}", workloads.fan(k, random.Random(k))
+
+
+_AGREEING_COLUMNS = ("parents", "seconds", "ns", "ks", "pairs")
+
+
+def test_grouped_matches_basic_on_fresh_arenas(fixture_dir):
+    # each name runs on its own parse of one document, so the points the
+    # walks create get their ids from that run alone
+    ok = 0
+    for name, text in _fresh_documents(fixture_dir):
+        (_, basic_bp), (_, grouped_bp) = parse(text), parse(text)
+        basic = _outcome(recover, basic_bp)
+        assert _outcome(recover_grouped, grouped_bp) == basic, name
+        for column in _AGREEING_COLUMNS:
+            assert getattr(grouped_bp.tree, column) == \
+                getattr(basic_bp.tree, column), (name, column)
+        ok += len(basic) > 3
+    assert ok > 150
 
 
 def test_rupture_points_precede_their_dicriticals():
@@ -635,14 +651,21 @@ def _walk_cases(bp, rng):
             cases.append((base_free_point(bp, inv, d, invariant)[1], invariant))
         except NoQualifyingPair:
             pass
+
+    def near_a_proximity(p, closeness):
+        s = rng.choice(sorted(tree.proximities(p)))
+        offset = Fraction(rng.choice((-1, 1)), rng.randint(*closeness))
+        return p, max(Fraction(1, 2), inv.height_quotient(s) + offset)
+
     for _ in range(6):
         p = rng.randrange(len(tree))
         cases.append((p, Fraction(rng.randint(1, 120), rng.randint(1, 12))))
         if p:
-            s = rng.choice(sorted(tree.proximities(p)))
-            offset = Fraction(rng.choice((-1, 1)), rng.randint(1, 40))
-            cases.append(
-                (p, max(Fraction(1, 2), inv.height_quotient(s) + offset)))
+            cases.append(near_a_proximity(p, (1, 40)))
+    for _ in range(2):  # closer still: runs of 32 points and more
+        p = rng.randrange(len(tree))
+        if p:
+            cases.append(near_a_proximity(p, (32, 120)))
     return [(p, invariant) for p, invariant in cases
             if invariant.numerator + invariant.denominator <= 2000]
 
@@ -762,9 +785,10 @@ def _reference_values(bp, inv, rupture, singular):
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
-def _reference_recover(bp, grouped):
+def _reference_recover(bp):
     """``recover`` through its public steps, with the second half as
-    separate passes: values, conversion, consistency, Fraction quotients."""
+    separate passes: values, conversion, consistency, Fraction quotients.
+    Each distinct (base free point, invariant) pair is walked once."""
     tree = bp.tree
     before = len(tree)
     inv = compute(bp)
@@ -776,12 +800,10 @@ def _reference_recover(bp, grouped):
         if schedule and schedule[0][1] == origin:
             association[origin] = DicriticalAssociation(
                 schedule.pop(0)[0], origin, origin)
-        if grouped:
-            schedule = _by_descending_fraction(schedule)
         walked = {}
         for invariant, d in schedule:
             _, p = base_free_point(bp, inv, d, invariant)
-            if not grouped or (p, invariant) not in walked:
+            if (p, invariant) not in walked:
                 walked[p, invariant] = satellite_walk(tree, inv, p, invariant)
             association[d] = DicriticalAssociation(
                 invariant, p, walked[p, invariant])
@@ -838,9 +860,9 @@ def _sweep_inputs():
 def test_one_sweep_second_half_matches_pass_reference():
     counts = Counter()
     for make in _sweep_inputs():
-        for run, grouped in ((recover, False), (recover_grouped, True)):
+        want = _outcome(_reference_recover, make())
+        for run in (recover, recover_grouped):
             got = _outcome(run, make())
-            want = _outcome(_reference_recover, make(), grouped)
             assert got == want
             counts[got[0] if len(got) == 3 else "ok"] += 1
     assert counts["ok"] > 5000 and counts[NonPositiveMultiplicity] > 10000
