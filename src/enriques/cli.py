@@ -3,12 +3,17 @@
 Subcommands::
 
     validate  <file>                          structural check, exit 0/2
-    recover   <bp-file> [--algorithm basic|grouped] [--out FILE]
-              [--emit values|multiplicities|both] [--trace]
-              (both algorithm names run the one recovery schedule)
+    recover   <bp-file> [--out FILE] [--emit values|multiplicities|both]
+              [--trace]
     invariants <curve-file> [--local POINT]
     compare   <a> <b> [--mode equal|similar]
     render    <file> [--annotate mn|weights|none]
+
+Every command names a point by its document id
+(:func:`~enriques.documents.document_ids`): its label, or ``q#N`` for a
+point recovery created.  So the points of the ``recover`` table and trace
+carry the ids that ``--out`` writes for them, and ``invariants`` on that
+document prints the same names.
 
 Exit codes: 0 success, 1 negative comparison or recoverable domain error
 (message on stderr), 2 invalid input, or a file that cannot be read as
@@ -25,7 +30,7 @@ from pathlib import Path
 
 from . import recovery
 from .cluster import WeightKind
-from .documents import parse, serialize
+from .documents import document_ids, parse, serialize
 from .dot import render_dot
 from .errors import (
     DocumentSyntaxError,
@@ -33,12 +38,14 @@ from .errors import (
     EnriquesError,
 )
 from .oracle import invariant_quotient, rupture_points
-from .ordering import defining_free_point
 from .similarity import are_similar, canonical_digest
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
+
+_TRACE_WORDS = {"first": ">I→first", "second": "<I→second",
+                "stop": "=I stop"}
 
 
 def _format_exact(x: Fraction | int) -> str:
@@ -54,10 +61,6 @@ def _load(path: str) -> tuple:
     except UnicodeDecodeError as err:
         raise UnicodeError(f"{path}: {err}") from err
     return parse(text)
-
-
-def _point_name(tree, p) -> str:
-    return tree.label(p) or f"#{p}"
 
 
 def _cmd_validate(args) -> int:
@@ -78,28 +81,20 @@ def _cmd_recover(args) -> int:
     if bp.kind is not WeightKind.VIRTUAL:
         print("recover expects a virtual (base-point) cluster", file=sys.stderr)
         return EXIT_INVALID
-    trace_lines: list[str] = []
-
-    def trace(entry: recovery.TraceEntry) -> None:
-        q, m, n, decision = entry
-        word = {"first": ">I→first", "second": "<I→second",
-                "stop": "=I stop"}[decision]
-        trace_lines.append(f"{_point_name(tree, q)} {m}/{n} {word}")
-
+    steps: list[recovery.TraceEntry] = []
+    result = None
     try:
-        result = recovery.recover(bp, trace=trace if args.trace else None)
+        result = recovery.recover(bp, steps.append if args.trace else None)
     finally:  # a failed run's walk is what --trace is there to show
-        for line in trace_lines:
-            print(line)
-    print("d\tI_d\tp_d\tq_d")
-    for d in sorted(result.association):
-        assoc = result.association[d]
-        print("\t".join([
-            _point_name(tree, d),
-            _format_exact(assoc.invariant),
-            _point_name(tree, assoc.base_free_point),
-            _point_name(tree, assoc.rupture_point),
-        ]))
+        names = document_ids(tree)  # the created points' names in --out
+        for q, m, n, decision in steps:
+            print(f"{names[q]} {m}/{n} {_TRACE_WORDS[decision]}")
+        if result is not None:
+            print("d\tI_d\tp_d\tq_d")
+            for d, assoc in sorted(result.association.items()):
+                print(f"{names[d]}\t{_format_exact(assoc.invariant)}"
+                      f"\t{names[assoc.base_free_point]}"
+                      f"\t{names[assoc.rupture_point]}")
     if args.out:
         emit = args.emit
         out = Path(args.out)
@@ -118,13 +113,6 @@ def _suffixed(path: Path, kind: str) -> Path:
     return path.with_name(f"{path.stem}.{kind}{path.suffix or '.json'}")
 
 
-def _resolve_point(tree, name: str):
-    for p in tree.points():
-        if tree.label(p) == name:
-            return p
-    return None
-
-
 def _cmd_invariants(args) -> int:
     tree, curve = _load(args.file)
     if curve.kind is not WeightKind.MULTIPLICITY:
@@ -132,18 +120,17 @@ def _cmd_invariants(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     ruptures = rupture_points(curve)
+    names = document_ids(tree)
     if args.local is not None:
-        base = _resolve_point(tree, args.local)
-        if base is None:
-            print(f"no point labeled {args.local!r}", file=sys.stderr)
+        try:
+            base = names.index(args.local)
+        except ValueError:
+            print(f"no point named {args.local!r}", file=sys.stderr)
             return EXIT_INVALID
-        ruptures = {
-            q for q in ruptures
-            if q == base or (tree.is_satellite(q)
-                             and defining_free_point(tree, q) == base)
-        }
+        ruptures = {q for q in ruptures
+                    if q == base or tree.free_points[q] == base}
     for q in sorted(ruptures):
-        print(f"{_point_name(tree, q)}\t{_format_exact(invariant_quotient(curve, q))}")
+        print(f"{names[q]}\t{_format_exact(invariant_quotient(curve, q))}")
     return EXIT_OK
 
 
@@ -156,12 +143,8 @@ def _cmd_compare(args) -> int:
     print(digest_b)
     if args.mode == "similar":
         related = are_similar(cluster_a, cluster_b)
-    else:
-        related = (
-            are_similar(cluster_a, cluster_b)
-            and cluster_a.kind is cluster_b.kind
-            and serialize(tree_a, cluster_a) == serialize(tree_b, cluster_b)
-        )
+    else:  # equal text: the same kind, arena, weights and ids
+        related = serialize(tree_a, cluster_a) == serialize(tree_b, cluster_b)
     return EXIT_OK if related else EXIT_NEGATIVE
 
 
@@ -187,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "recover", help="recover the singular cluster from base points")
     p.add_argument("file")
-    p.add_argument("--algorithm", choices=["basic", "grouped"],
-                   default="basic",
-                   help="either name runs the same schedule and gives the"
-                   " same output; kept for scripts that pass it")
     p.add_argument("--out")
     p.add_argument("--emit", choices=["values", "multiplicities", "both"],
                    default="values")

@@ -38,13 +38,14 @@ checks that the parent of each weighted point is weighted, so the cluster
 adopts the weights without another pass; a point that breaks that is
 reported only when nothing else is.
 
-Serialization writes points in arena order under their labels, inventing
-``q#1``, ``q#2``, ... for unlabeled points (the ones created during
-recovery), so ``parse(serialize(...))`` round-trips and serializer output
-re-parses to an equal cluster.  The writer is hand-rolled, one string per
-point, and its text is byte-identical to ``json.dumps(doc, indent=2)``
-plus a final newline (``json.dumps`` takes its pure-Python encoder
-whenever ``indent`` is set).
+Serialization writes points in arena order under their names from
+:func:`document_ids`: the label, or ``q#1``, ``q#2``, ... for unlabeled
+points (the ones created during recovery) and repeated labels, so
+``parse(serialize(...))`` round-trips and serializer output re-parses to
+an equal cluster.  The CLI and the DOT renderer name points by the same
+rule.  The writer is hand-rolled, one string per point, and its text is
+byte-identical to ``json.dumps(doc, indent=2)`` plus a final newline
+(``json.dumps`` takes its pure-Python encoder whenever ``indent`` is set).
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     return tree, WeightedCluster._adopt(tree, kind, weights)
 
 
-def _document_ids(tree: ArenaTree) -> list[str]:
-    """Each point's document id, indexed by point id."""
+def document_ids(tree: ArenaTree) -> list[str]:
+    """Each point's document id, indexed by point id: its label, or the
+    next free ``q#N`` when it has none or an earlier point took it."""
     taken: set[str] = set()
     out: list[str] = []
     counter = 0
@@ -196,7 +198,7 @@ def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
     """
     if cluster.tree is not tree:
         raise ArenaMismatch("cluster does not live over the given arena")
-    names = [_quote(name) for name in _document_ids(tree)]
+    names = [_quote(name) for name in document_ids(tree)]
     weight = cluster.weight
     entries = []
     for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):

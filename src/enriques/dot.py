@@ -12,15 +12,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arena import ArenaTree, PointId
+from .arena import ArenaTree
 from .cluster import WeightedCluster, WeightKind
+from .documents import document_ids
 from .morphism import compute
 
 _FILLS = ["lightgray", "black", "dimgray", "lightblue", "tan"]
 
 
-def _quote(s: str) -> str:
-    return '"%s"' % s.replace('"', '\\"')
+def _quote(*lines: str) -> str:
+    """A DOT string of the lines, joined by DOT's ``\\n`` line break, with
+    each backslash and quote in them escaped."""
+    return '"%s"' % "\\n".join(
+        line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
 
 
 def render_dot(
@@ -43,40 +47,34 @@ def render_dot(
         if inv is None:
             raise ValueError("mn annotation needs a virtual cluster overlay")
 
-    def node_name(p: PointId) -> str:
-        return tree.label(p) or f"n{p}"
-
+    ids = document_ids(tree)  # distinct, so distinct points are distinct nodes
+    names = [_quote(name) for name in ids]
     lines = ["digraph cluster_diagram {", "  rankdir=TB;",
              "  node [shape=circle, fontsize=10];"]
-    for p in tree.points():
-        attrs = []
-        label = node_name(p)
+    for p, name in enumerate(ids):
+        label = [name]
         if annotate == "weights":
             marks = [str(c.weight[p]) for _, c in clusters if p in c]
             if marks:
-                label += "\\n" + "/".join(marks)
+                label.append("/".join(marks))
         elif annotate == "mn":
             n, m = inv.extend_to(p)
-            label += f"\\n{m}/{n}"
-        attrs.append(f"label={_quote(label)}")
+            label.append(f"{m}/{n}")
+        attrs = [f"label={_quote(*label)}"]
         membership = [i for i, (_, c) in enumerate(clusters) if p in c]
         if membership:
             attrs.append("style=filled")
             attrs.append(f"fillcolor={_FILLS[membership[0] % len(_FILLS)]}")
-        lines.append(f"  {_quote(node_name(p))} [{', '.join(attrs)}];")
-    for p in tree.points():
-        parent = tree.parent(p)
-        if parent is None:
-            continue
-        style = "bold" if tree.is_satellite(p) else "solid"
-        lines.append(
-            f"  {_quote(node_name(parent))} -> {_quote(node_name(p))}"
-            f" [style={style}];")
+        lines.append(f"  {names[p]} [{', '.join(attrs)}];")
+    for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):
+        if parent is not None:
+            style = "solid" if second is None else "bold"
+            lines.append(f"  {names[parent]} -> {names[p]} [style={style}];")
     for i, (name, cluster) in enumerate(clusters):
         lines.append(f"  subgraph overlay_{i} {{")
         lines.append(f"    label={_quote(name)};")
         for p in sorted(cluster.points):
-            lines.append(f"    {_quote(node_name(p))};")
+            lines.append(f"    {names[p]};")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

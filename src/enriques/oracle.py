@@ -155,11 +155,11 @@ def polar_invariants(curve: WeightedCluster) -> set[Fraction]:
 
 def polar_invariants_local(curve: WeightedCluster, p: PointId) -> set[Fraction]:
     """Invariant quotients at rupture points equal to or satellite of ``p``."""
-    tree = curve.tree
+    free_points = curve.tree.free_points
     return {
         invariant_quotient(curve, q)
         for q in rupture_points(curve)
-        if q == p or (tree.is_satellite(q) and defining_free_point(tree, q) == p)
+        if q == p or free_points[q] == p
     }
 
 

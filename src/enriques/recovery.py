@@ -52,8 +52,9 @@ the result's clusters as they are: the sweep has established everything
 that :class:`~enriques.cluster.WeightedCluster` checks, so they are
 neither copied nor checked again.
 
-A run visits the dicriticals in ascending id and walks once per distinct
-(base free point, invariant) pair, reusing that walk's rupture point for
+A run visits the dicriticals in ascending id in one loop, each one's
+invariant and then its walk, and walks once per distinct (base free
+point, invariant) pair, reusing that walk's rupture point for
 every dicritical that repeats the pair.  The walk is deterministic and
 finds the points an earlier walk created, so the order of the visits
 carries no mathematics; :func:`recover_grouped` is another name for the
@@ -394,26 +395,21 @@ def recover(
         origin = tree.origin
         # (d, q, a, b) for each association, I_d = a/b in lowest terms
         closing: list[tuple[PointId, PointId, int, int]] = []
-        schedule: list[tuple[Fraction, int, int, PointId]] = []
+        walked: dict[tuple[PointId, int, int], PointId] = {}
         for d in sorted(p for p, r in rho.items() if r > 0):
             m_d = m[d]
             if m_d is None:
                 inv.extend_to(d)  # raises
             invariant = Fraction(m_d - m0s[d] + ns[d], ns[d])
             num, den = invariant.numerator, invariant.denominator
-            if d == origin:
-                association[d] = DicriticalAssociation(invariant, d, d)
-                closing.append((d, d, num, den))
-            else:
-                schedule.append((invariant, num, den, d))
-        walked: dict[tuple[PointId, int, int], PointId] = {}
-        for invariant, num, den, d in schedule:
-            _, p = _base_free_point(tree, m, d, num, den)
-            key = (p, num, den)
-            q = walked.get(key)
-            if q is None:
-                q = walked[key] = _satellite_walk(
-                    tree, inv, p, num, den, trace)
+            p = q = d
+            if d != origin:
+                _, p = _base_free_point(tree, m, d, num, den)
+                key = (p, num, den)
+                q = walked.get(key)
+                if q is None:
+                    q = walked[key] = _satellite_walk(
+                        tree, inv, p, num, den, trace)
             association[d] = DicriticalAssociation(invariant, p, q)
             closing.append((d, q, num, den))
         rupture = frozenset(a.rupture_point for a in association.values())

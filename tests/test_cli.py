@@ -78,7 +78,7 @@ def test_recover_prints_trace_of_failed_run(tmp_path, capsys):
     code, out, err = run(capsys, "recover", str(doc), "--trace")
     assert (code, err) == (1, error)
     assert out.splitlines() == [
-        "p1 6/1 >I→first", "#5 9/2 <I→second", "#6 15/3 =I stop",
+        "p1 6/1 >I→first", "q#1 9/2 <I→second", "q#2 15/3 =I stop",
         "p2 8/1 =I stop"]
     assert run(capsys, "recover", str(doc)) == (1, "", error)
 
@@ -102,8 +102,7 @@ def test_recover_output_reproduces_invariants(fixture_dir, tmp_path, capsys):
     out_file = tmp_path / "ex06_S.json"
     code, out, err = run(
         capsys, "recover", str(fixture_dir / "ex06_bp.json"),
-        "--algorithm", "grouped", "--out", str(out_file),
-        "--emit", "multiplicities")
+        "--out", str(out_file), "--emit", "multiplicities")
     assert code == 0
     table = {}
     for line in out.splitlines()[1:]:
@@ -119,23 +118,29 @@ def test_recover_output_reproduces_invariants(fixture_dir, tmp_path, capsys):
                    "p10": "72", "p11": "230/3"}
 
 
-def test_recover_algorithms_give_identical_output(tmp_path, capsys):
-    # a fan's walks create points, named #N by their arena ids; both
-    # algorithm names run one schedule, so the ids and the bytes agree
-    source = tmp_path / "fan.json"
-    source.write_text(workloads.fan(23, random.Random(23)), encoding="utf-8")
-    outputs = []
-    for algorithm in ("basic", "grouped"):
-        out_file = tmp_path / f"{algorithm}.json"
+def test_recover_names_points_as_its_output_document(
+        fixture_dir, tmp_path, capsys):
+    # the walks of ex05 and of a fan create points; the trace and the
+    # table print them under the ids --out writes, and invariants on that
+    # document prints each row's rupture point with the row's invariant
+    fan = tmp_path / "fan.json"
+    fan.write_text(workloads.fan(23, random.Random(23)), encoding="utf-8")
+    for source in (fixture_dir / "ex05_bp.json", fan):
+        out_file = tmp_path / f"{source.stem}.S.json"
         code, out, err = run(
-            capsys, "recover", str(source), "--algorithm", algorithm,
-            "--trace", "--out", str(out_file), "--emit", "both")
+            capsys, "recover", str(source), "--trace", "--out", str(out_file),
+            "--emit", "multiplicities")
         assert code == 0 and err == ""
-        outputs.append((out, [
-            (tmp_path / f"{algorithm}.{kind}.json").read_bytes()
-            for kind in ("values", "multiplicities")]))
-    assert outputs[0] == outputs[1]
-    assert "#" in outputs[0][1][0].decode()  # the run created points
+        ids = {e["id"] for e in json.loads(out_file.read_text())["points"]}
+        trace = [l.split(" ")[0] for l in out.splitlines() if "\t" not in l]
+        rows = [l.split("\t") for l in out.splitlines() if "\t" in l][1:]
+        assert any(name.startswith("q#") for name in trace)
+        assert set(trace) <= ids
+        assert {name for d, _, p, q in rows for name in (d, p, q)} <= ids
+        code, out, err = run(capsys, "invariants", str(out_file))
+        assert code == 0
+        invariants = dict(l.split("\t") for l in out.splitlines())
+        assert all(invariants[q] == i_d for _, i_d, _, q in rows)
 
 
 def test_recover_rejects_curve_input(fixture_dir, capsys):
@@ -158,6 +163,10 @@ def test_invariants_local(fixture_dir, capsys):
     assert code == 0
     got = dict(l.split("\t") for l in out.splitlines())
     assert got == {"p13": "543/4", "p14": "678/5"}
+    code, out, err = run(
+        capsys, "invariants", str(fixture_dir / "ex07_curve.json"),
+        "--local", "p99")
+    assert (code, out, err) == (2, "", "no point named 'p99'\n")
 
 
 def test_compare_similar_recovered_curves(fixture_dir, capsys):

@@ -1,4 +1,6 @@
-from enriques import recover
+import json
+
+from enriques import ArenaTree, WeightedCluster, WeightKind, parse, recover
 from enriques.dot import render_dot
 
 import fixture_builders as fb
@@ -27,3 +29,32 @@ def test_output_is_deterministic():
     tree, bp, _ = fb.ex06_bp()
     assert render_dot(tree, [("bp", bp)], annotate="weights") == \
         render_dot(tree, [("bp", bp)], annotate="weights")
+
+
+def test_points_sharing_a_label_are_distinct_nodes():
+    tree, _ = parse(json.dumps({
+        "format_version": 1, "weight_kind": "multiplicity",
+        "points": [{"id": "O", "weight": 2},
+                   {"id": "a", "parent": "O", "label": "X", "weight": 1},
+                   {"id": "b", "parent": "O", "label": "X", "weight": 1}]}))
+    dot = render_dot(tree, [])
+    nodes = [l.split(" [")[0].strip() for l in dot.splitlines()
+             if "[label=" in l]
+    assert nodes == ['"O"', '"X"', '"q#1"']
+    edges = [tuple(l.split(" [")[0].split(" -> "))
+             for l in dot.splitlines() if " -> " in l]
+    assert len(set(edges)) == len(edges) == len(tree) - 1
+    assert all(a != b for a, b in edges)
+
+
+def test_backslash_and_quote_in_a_label_are_escaped():
+    tree = ArenaTree()
+    tree.add_point(label="a\\")
+    tree.add_point(0, label='b"')
+    cluster = WeightedCluster(tree, WeightKind.MULTIPLICITY, {0: 2})
+    assert '  "a\\\\" [label="a\\\\"];' in render_dot(tree, [])
+    dot = render_dot(tree, [("S", cluster)], annotate="weights")
+    # the annotation's line break stays one escape after the name's
+    assert ('  "a\\\\" [label="a\\\\\\n2", style=filled,'
+            ' fillcolor=lightgray];') in dot
+    assert '  "a\\\\" -> "b\\"" [style=solid];' in dot
