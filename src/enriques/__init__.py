@@ -40,6 +40,7 @@ from .oracle import (
     polar_invariants,
     polar_invariants_local,
     rupture_points,
+    rupture_quotients,
     validate_curve_cluster,
 )
 from .recovery import (

@@ -59,6 +59,7 @@ PointId = int
 
 #: Shortest run that :meth:`ArenaTree.append_chain` writes as column
 #: ranges; a shorter one is cheaper as one ``append`` per column and point.
+#: Both writers stay, by measurement: see CHANGES.md for the per-writer runs.
 CHAIN_CROSSOVER = 10
 
 

@@ -15,29 +15,28 @@ point recovery created.  So the points of the ``recover`` table and trace
 carry the ids that ``--out`` writes for them, and ``invariants`` on that
 document prints the same names.
 
-Exit codes: 0 success, 1 negative comparison or recoverable domain error
-(message on stderr), 2 invalid input, or a file that cannot be read as
-UTF-8 text or written (one line on stderr).  All numeric output is exact,
-written as an integer or ``numerator/denominator``.
+The commands load, call the library and print; the library makes every
+decision, and :func:`main` alone turns its errors into exit codes: 0
+success, 1 negative comparison or domain error (message on stderr), 2 a
+document that does not parse or validate, a cluster of the wrong kind, or
+a file that cannot be read as UTF-8 text or written (the diagnostics or
+one line on stderr; ``validate`` reports on stdout).  All numeric output
+is exact, written as an integer or ``numerator/denominator``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import recovery
 from .cluster import WeightKind
 from .documents import document_ids, parse, serialize
 from .dot import render_dot
-from .errors import (
-    DocumentSyntaxError,
-    DocumentValidationError,
-    EnriquesError,
-)
-from .oracle import invariant_quotient, rupture_points
+from .errors import (DocumentSyntaxError, DocumentValidationError,
+                     EnriquesError, WrongKind)
+from .oracle import rupture_quotients
 from .similarity import are_similar, canonical_digest
 
 EXIT_OK = 0
@@ -46,13 +45,6 @@ EXIT_INVALID = 2
 
 _TRACE_WORDS = {"first": ">I→first", "second": "<I→second",
                 "stop": "=I stop"}
-
-
-def _format_exact(x: Fraction | int) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _load(path: str) -> tuple:
@@ -78,9 +70,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_recover(args) -> int:
     tree, bp = _load(args.file)
-    if bp.kind is not WeightKind.VIRTUAL:
-        print("recover expects a virtual (base-point) cluster", file=sys.stderr)
-        return EXIT_INVALID
     steps: list[recovery.TraceEntry] = []
     result = None
     try:
@@ -92,7 +81,7 @@ def _cmd_recover(args) -> int:
         if result is not None:
             print("d\tI_d\tp_d\tq_d")
             for d, assoc in sorted(result.association.items()):
-                print(f"{names[d]}\t{_format_exact(assoc.invariant)}"
+                print(f"{names[d]}\t{assoc.invariant}"
                       f"\t{names[assoc.base_free_point]}"
                       f"\t{names[assoc.rupture_point]}")
     if args.out:
@@ -115,22 +104,14 @@ def _suffixed(path: Path, kind: str) -> Path:
 
 def _cmd_invariants(args) -> int:
     tree, curve = _load(args.file)
-    if curve.kind is not WeightKind.MULTIPLICITY:
-        print("invariants expects a multiplicity (curve) cluster",
-              file=sys.stderr)
-        return EXIT_INVALID
-    ruptures = rupture_points(curve)
+    curve.require_kind(WeightKind.MULTIPLICITY)
     names = document_ids(tree)
-    if args.local is not None:
-        try:
-            base = names.index(args.local)
-        except ValueError:
-            print(f"no point named {args.local!r}", file=sys.stderr)
-            return EXIT_INVALID
-        ruptures = {q for q in ruptures
-                    if q == base or tree.free_points[q] == base}
-    for q in sorted(ruptures):
-        print(f"{names[q]}\t{_format_exact(invariant_quotient(curve, q))}")
+    base = names.index(args.local) if args.local in names else None
+    if args.local is not None and base is None:
+        print(f"no point named {args.local!r}", file=sys.stderr)
+        return EXIT_INVALID
+    for q, quotient in rupture_quotients(curve, base).items():
+        print(f"{names[q]}\t{quotient}")
     return EXIT_OK
 
 
@@ -200,14 +181,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentSyntaxError as err:
-        print(err, file=sys.stderr)
-        return EXIT_INVALID
     except DocumentValidationError as err:
         for diagnostic in err.diagnostics:
             print(diagnostic, file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, UnicodeError) as err:
+    except (DocumentSyntaxError, WrongKind, OSError, UnicodeError) as err:
         print(err, file=sys.stderr)
         return EXIT_INVALID
     except EnriquesError as err:

@@ -15,6 +15,7 @@ from typing import Sequence
 from .arena import ArenaTree
 from .cluster import WeightedCluster, WeightKind
 from .documents import document_ids
+from .errors import WrongKind
 from .morphism import compute
 
 _FILLS = ["lightgray", "black", "dimgray", "lightblue", "tan"]
@@ -36,7 +37,7 @@ def render_dot(
 
     ``annotate`` is ``"none"``, ``"weights"`` (weights of every overlay
     containing the node) or ``"mn"`` (height quotients of the first
-    virtual overlay, written m/n).
+    virtual overlay, written m/n; :class:`WrongKind` when there is none).
     """
     inv = None
     if annotate == "mn":
@@ -45,7 +46,7 @@ def render_dot(
                 inv = compute(cluster)
                 break
         if inv is None:
-            raise ValueError("mn annotation needs a virtual cluster overlay")
+            raise WrongKind("mn annotation needs a virtual cluster overlay")
 
     ids = document_ids(tree)  # distinct, so distinct points are distinct nodes
     names = [_quote(name) for name in ids]

@@ -149,18 +149,45 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
         q = a
 
 
+def rupture_quotients(
+    curve: WeightedCluster, base: PointId | None = None,
+) -> dict[PointId, Fraction]:
+    """The invariant quotient at each rupture point of the curve.
+
+    With ``base``, only the rupture points equal to ``base`` or satellite
+    of it.  One ascending sweep over the curve points, in place of one
+    :func:`invariant_quotient` sweep per rupture point: the chain weight
+    of p at q counts the paths from p down to q through parent and second
+    proximity links, so the pairing of the curve with p's chain is
+
+        v_p = e_p + v_parent + v_second,
+
+    and the chain's origin weight is n_p.  A curve is ancestor-closed, so
+    both links of a curve point lie in the curve and come earlier in the
+    sweep.  The sweep reads only the arena columns and the curve weights,
+    sharing no code with the conversions of :mod:`~enriques.cluster`,
+    with :mod:`~enriques.morphism` or with :mod:`~enriques.recovery`, so
+    that the oracle stays an independent check on them.
+    """
+    tree, weight = curve.tree, curve.weight
+    parents, seconds = tree.parents, tree.seconds
+    v: dict[PointId, int] = {}
+    for q in sorted(weight):
+        a, s = parents[q], seconds[q]
+        v[q] = (weight[q] + (0 if a is None else v[a])
+                + (0 if s is None else v[s]))
+    ns, free_points = tree.ns, tree.free_points
+    return {q: Fraction(v[q], ns[q]) for q in sorted(rupture_points(curve))
+            if base is None or q == base or free_points[q] == base}
+
+
 def polar_invariants(curve: WeightedCluster) -> set[Fraction]:
-    return {invariant_quotient(curve, q) for q in rupture_points(curve)}
+    return set(rupture_quotients(curve).values())
 
 
 def polar_invariants_local(curve: WeightedCluster, p: PointId) -> set[Fraction]:
     """Invariant quotients at rupture points equal to or satellite of ``p``."""
-    free_points = curve.tree.free_points
-    return {
-        invariant_quotient(curve, q)
-        for q in rupture_points(curve)
-        if q == p or free_points[q] == p
-    }
+    return set(rupture_quotients(curve, p).values())
 
 
 def has_bigger_branch(curve: WeightedCluster, q: PointId) -> bool:

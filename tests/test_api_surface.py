@@ -53,6 +53,7 @@ PUBLIC_NAMES = [
     "recover_values",
     "recovery",
     "rupture_points",
+    "rupture_quotients",
     "satellite_quotient",
     "satellite_walk",
     "second_satellite",

@@ -243,6 +243,21 @@ def test_non_utf8_input(fixture_dir, tmp_path, capsys):
         assert "utf-8" in err and str(doc) in err
 
 
+def test_wrong_kind_exits_2_with_the_library_message(fixture_dir, capsys):
+    curve = str(fixture_dir / "ex04_S.json")
+    bp = str(fixture_dir / "ex04_bp.json")
+    for argv, message in [
+            (("recover", curve), "expected a virtual cluster, got"
+                                 " multiplicity"),
+            (("invariants", bp), "expected a multiplicity cluster, got"
+                                 " virtual"),
+            (("render", curve, "--annotate", "mn"),
+             "mn annotation needs a virtual cluster overlay")]:
+        code, out, err = run(capsys, *argv)
+        _one_line_error(code, err)
+        assert (out, err) == ("", message + "\n"), argv
+
+
 def test_recover_out_to_directory(fixture_dir, tmp_path, capsys):
     code, out, err = run(capsys, "recover", str(fixture_dir / "ex04_bp.json"),
                          "--out", str(tmp_path))
@@ -314,3 +329,35 @@ def test_recover_deep_polar_writes_valid_documents(tmp_path, capsys):
         code, stdout, _ = run(capsys, "validate", str(written))
         assert code == 0, stdout
         assert len(json.loads(written.read_text())["points"]) == 2 + 3999
+
+
+def test_every_command_maps_every_input_to_an_exit_code(
+        fixture_dir, tmp_path, capsys):
+    # no exception escapes main, whatever the document and the command
+    syntax = tmp_path / "syntax.json"
+    syntax.write_text('{"format_version": 1, "points": [')
+    illegal = tmp_path / "illegal.json"  # p3's second proximity is not one
+    illegal.write_text(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": 2},
+                   {"id": "p1", "parent": "O", "weight": 2},
+                   {"id": "p2", "parent": "p1", "weight": 2},
+                   {"id": "p3", "parent": "p2", "second_proximity": "O",
+                    "weight": 1}]}))
+    commands = [("recover",), ("invariants",), ("invariants", "--local", "p1")]
+    commands += [("render", "--annotate", a)
+                 for a in ("mn", "weights", "none")]
+    codes = set()
+    for document in sorted(fixture_dir.glob("*.json")) + [syntax, illegal]:
+        for command, *options in commands:
+            code, out, err = run(capsys, command, str(document), *options)
+            assert code in (0, 1, 2), (command, options, document.name)
+            assert (code == 0) == (err == ""), (command, document.name)
+            codes.add(code)
+            if document == syntax:
+                _one_line_error(code, err)
+                assert err.startswith("not valid JSON")
+            elif document == illegal:
+                assert (code, out) == (2, "")
+                assert err.startswith("IllegalProximity at point 3: ")
+    assert codes == {0, 2}

@@ -114,6 +114,15 @@ def test_excess_single_point():
         excess(c, 5)
 
 
+def test_indexing_outside_the_cluster_raises():
+    tree, bp, names = fb.ex05_bp()
+    stray = tree.add_point(names["p4"])
+    assert bp[names["p4"]] == 2 and bp.get(stray) == 0
+    for p in (stray, len(tree), -1):
+        with pytest.raises(PointNotInCluster, match=f"point {p} is not in"):
+            bp[p]
+
+
 def test_local_excess_matches_one_pass_definition():
     checked = 0
     for seed in range(2000):

@@ -18,6 +18,7 @@ from enriques import (
     polar_invariants_local,
     recover,
     rupture_points,
+    rupture_quotients,
     unibranch_chain,
     validate_curve_cluster,
 )
@@ -209,6 +210,53 @@ def test_polar_invariants_local():
     assert at_p10 == {Fraction(543, 4), Fraction(678, 5)}
     # quotients within one cone are pairwise distinct
     assert len(at_p2) == 4 and len(at_p10) == 2
+
+
+def _local_quotients_by_filter(curve, p):
+    """Reference: the filter and the per-point quotients that
+    ``polar_invariants_local`` and ``enriques invariants --local`` ran
+    before :func:`rupture_quotients`."""
+    free_points = curve.tree.free_points
+    return {q: invariant_quotient(curve, q) for q in rupture_points(curve)
+            if q == p or free_points[q] == p}
+
+
+def test_rupture_quotients_match_invariant_quotient():
+    curves = [builder()[1] for builder in (
+        fb.ex04_curve, fb.ex06_curve, fb.ex07_curve, fb.y5x8_curve)]
+    curves += [random_curve(seed) for seed in range(1500)]
+    checked = 0
+    for curve in curves:
+        got = rupture_quotients(curve)
+        assert list(got) == sorted(rupture_points(curve))
+        for q, quotient in got.items():
+            assert type(quotient) is Fraction
+            assert quotient == invariant_quotient(curve, q), q
+        checked += len(got)
+    assert checked > 6000
+
+
+def test_local_rupture_quotients_match_filter_reference():
+    for builder in (fb.ex06_curve, fb.ex07_curve):
+        tree, curve, _ = builder()
+        locals_ = [rupture_quotients(curve, p) for p in curve.points]
+        for p, got in zip(curve.points, locals_):
+            assert got == _local_quotients_by_filter(curve, p), p
+            assert polar_invariants_local(curve, p) == set(got.values())
+        assert set().union(*locals_) == rupture_points(curve)
+
+
+def test_rupture_quotients_on_deep_comb():
+    # one sweep per rupture point made this quadratic: every comb point is
+    # a rupture point
+    curve, chain = _comb(20000)
+    start = time.perf_counter()
+    got = rupture_quotients(curve)
+    elapsed = time.perf_counter() - start
+    assert list(got) == chain
+    assert got[chain[0]] == 20002
+    assert got[chain[-1]] == invariant_quotient(curve, chain[-1])
+    assert elapsed < 2.0
 
 
 def test_quotient_outside_cluster_counts_missing_points_as_zero():

@@ -196,3 +196,13 @@ def test_form_matches_nesting_reference_on_recovered_fixtures():
         result = recover(bp)
         for cluster in (result.values, result.multiplicities, bp):
             assert canonical_form(cluster) == _form_by_nesting(cluster)
+
+
+def test_clusters_without_the_origin_have_the_empty_form():
+    # only an empty cluster is ancestor-closed and misses the origin
+    tree, _, _ = fb.ex04_bp()
+    empty = WeightedCluster(tree, WeightKind.VIRTUAL, {})
+    bare = WeightedCluster(ArenaTree(), WeightKind.MULTIPLICITY, {})
+    assert canonical_form(empty) == canonical_form(bare) == b""
+    assert are_similar(empty, bare)
+    assert not are_similar(empty, fb.ex04_bp()[1])
