@@ -24,21 +24,17 @@ from .documents import parse, serialize
 from .morphism import MorphismInvariants, compute
 from .ordering import (
     PrecComparison,
-    SatelliteQuotient,
     compare_point_to_branch,
     defining_free_point,
     first_satellite,
     max_under_prec,
     prec_compare,
-    satellite_quotient,
     second_satellite,
 )
 from .oracle import (
     check_growth,
     free_count_first_neighbourhood,
     invariant_quotient,
-    polar_invariants,
-    polar_invariants_local,
     rupture_points,
     rupture_quotients,
     validate_curve_cluster,

@@ -386,9 +386,6 @@ class ArenaTree:
             return 0
         return None
 
-    def is_origin(self, p: PointId) -> bool:
-        return self.parent(p) is None
-
     def is_satellite(self, p: PointId) -> bool:
         return self.second_proximity(p) is not None
 
@@ -403,11 +400,6 @@ class ArenaTree:
         """Children in arena order."""
         self._check(p)
         return self.children[p]
-
-    def satellite_children(self, p: PointId) -> set[PointId]:
-        self._check(p)
-        seconds = self.seconds
-        return {c for c in self.children[p] if seconds[c] is not None}
 
     def facts(self, p: PointId) -> PointFacts:
         """A view of the point's facts; a broken raw point has none."""

@@ -130,9 +130,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    tree, cluster = _load(args.file)
-    print(render_dot(tree, [("cluster", cluster)], annotate=args.annotate),
-          end="")
+    _, cluster = _load(args.file)
+    print(render_dot(cluster, annotate=args.annotate), end="")
     return EXIT_OK
 
 

@@ -237,9 +237,11 @@ def excess(cluster: WeightedCluster, p: PointId) -> int:
 
     Assumes an arena that :meth:`ArenaTree.validate` accepts (``parse``
     rejects any other); :func:`excesses` is the one-pass definition.
+    Raises :class:`PointNotInCluster` when p is not a point of the cluster
+    (a ``bool`` is no point id).
     """
     weight = cluster.weight
-    if p not in weight:
+    if type(p) is not int or p not in weight:
         raise PointNotInCluster(f"point {p} is not in the cluster")
     tree = cluster.tree
     find = tree.find_satellite

@@ -129,9 +129,7 @@ class RecoveryError(EnriquesError):
     inputs).
     """
 
-    def __init__(self, message: str, association: dict | None = None):
-        super().__init__(message)
-        self.association = association
+    association = None
 
 
 class NotDicritical(RecoveryError):

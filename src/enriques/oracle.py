@@ -3,8 +3,8 @@
 Everything here starts from the answer -- a curve's weighted cluster of
 singular points with effective multiplicities -- and derives the quantities
 the recovery algorithm reconstructs from polar base points: rupture points,
-invariant quotients, polar invariants.  The two directions share no code
-paths, so agreement between them is a meaningful check.
+invariant quotients.  The two directions share no code paths, so agreement
+between them is a meaningful check.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
@@ -25,7 +25,8 @@ cone where a branch leaves that cone (see :func:`has_bigger_branch`).
 
 The invariant quotient at p is pairing(curve, chain cluster of p) divided
 by the chain's origin weight; the polar invariants of the curve are the
-invariant quotients at its rupture points.
+values of :func:`rupture_quotients`, the invariant quotients at its
+rupture points (with a base point, at those equal to or satellite of it).
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
     Both read only p's children and the satellites proximate to p (see
     :func:`excess`), so the cost does not grow with the curve.
 
-    Raises :class:`UnknownPoint` when p is not in the curve and
-    :class:`NegativeResidual` when the excess at p is negative.
+    Raises :class:`UnknownPoint` when p is not a point of the curve (a
+    ``bool`` is no point id) and :class:`NegativeResidual` when the excess
+    at p is negative.
     """
-    if p not in curve:
+    if type(p) is not int or p not in curve:
         raise UnknownPoint(f"point {p} is not in the curve cluster")
     residual = excess(curve, p)
     if residual < 0:
@@ -167,9 +169,13 @@ def rupture_quotients(
     sweep.  The sweep reads only the arena columns and the curve weights,
     sharing no code with the conversions of :mod:`~enriques.cluster`,
     with :mod:`~enriques.morphism` or with :mod:`~enriques.recovery`, so
-    that the oracle stays an independent check on them.
+    that the oracle stays an independent check on them.  A ``base`` that
+    is no arena point raises :class:`UnknownPoint`, as in
+    :func:`invariant_quotient`.
     """
     tree, weight = curve.tree, curve.weight
+    if base is not None and base not in tree:
+        raise UnknownPoint(f"no point with id {base}")
     parents, seconds = tree.parents, tree.seconds
     v: dict[PointId, int] = {}
     for q in sorted(weight):
@@ -179,15 +185,6 @@ def rupture_quotients(
     ns, free_points = tree.ns, tree.free_points
     return {q: Fraction(v[q], ns[q]) for q in sorted(rupture_points(curve))
             if base is None or q == base or free_points[q] == base}
-
-
-def polar_invariants(curve: WeightedCluster) -> set[Fraction]:
-    return set(rupture_quotients(curve).values())
-
-
-def polar_invariants_local(curve: WeightedCluster, p: PointId) -> set[Fraction]:
-    """Invariant quotients at rupture points equal to or satellite of ``p``."""
-    return set(rupture_quotients(curve, p).values())
 
 
 def has_bigger_branch(curve: WeightedCluster, q: PointId) -> bool:

@@ -48,7 +48,6 @@ All comparisons use exact integer cross-multiplication; no floats anywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -70,14 +69,6 @@ class PrecComparison(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class SatelliteQuotient:
-    """Defining free point of a point plus its exact position fraction."""
-
-    defining_free_point: PointId
-    fraction: Fraction
-
-
 def defining_free_point(tree: ArenaTree, q: PointId) -> PointId:
     """The last free point on the chain of ``q`` (``q`` itself when free)."""
     return tree.facts(q).defining_free_point
@@ -90,12 +81,6 @@ def fraction_at(tree: ArenaTree, p: PointId, q: PointId) -> Fraction:
     """
     chain = unibranch_chain(tree, q)
     return Fraction(chain[p], chain[tree.origin])
-
-
-def satellite_quotient(tree: ArenaTree, q: PointId) -> SatelliteQuotient:
-    facts = tree.facts(q)
-    return SatelliteQuotient(
-        facts.defining_free_point, Fraction(facts.k, facts.n))
 
 
 def _cone_exit(tree: ArenaTree, p: PointId, q: PointId) -> Optional[PointId]:

@@ -27,10 +27,10 @@ contributes one rupture point:
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
 builds a fraction.  A run builds each invariant's :class:`Fraction` once,
 from the m table and the arena's ``ns`` and ``m0s`` columns, and reads a
-and b from it once; the scan, the walk, the walk memo's key and the last
-quotient check take them as integers.  The public :func:`base_free_point`
-and :func:`satellite_walk` check their point and hand a and b to the same
-bodies.  The singular set S is the downward closure of the rupture set R.
+and b from it once; the scan, the walk and the walk memo's key take them as
+integers.  The public :func:`base_free_point` and :func:`satellite_walk`
+check their point and hand a and b to the same bodies.  The singular set S
+is the downward closure of the rupture set R.
 
 Part two, values and multiplicities, in one sweep over S in ascending id.
 Ids are topological, so the parent, the second proximity and the defining
@@ -46,11 +46,15 @@ cone's biggest rupture point q and v_{p'} n_q = n_{p'} m_q both hold, else
 v = m_p.  The
 multiplicity at p is v_p minus the values at the points p is proximate to,
 and the sweep subtracts it from their excesses at once; a negative excess
-makes the result inconsistent.  Last, each rupture point's m/n must equal
-its invariant, compared in integers.  The sweep's two dicts then become
-the result's clusters as they are: the sweep has established everything
-that :class:`~enriques.cluster.WeightedCluster` checks, so they are
-neither copied nor checked again.
+makes the result inconsistent.  The sweep's two dicts then become the
+result's clusters as they are: the sweep has established everything that
+:class:`~enriques.cluster.WeightedCluster` checks, so they are neither
+copied nor checked again.
+
+Each rupture point's m/n equals its dicritical's invariant by
+construction, so no run checks it: the walk returns only at gap
+m*b - a*n = 0, a memo hit returns the point an earlier walk found for the
+same (p, a, b), and the origin's invariant is m_O/1 with n_O = 1.
 
 A run visits the dicriticals in ascending id in one loop, each one's
 invariant and then its walk, and walks once per distinct (base free
@@ -393,8 +397,6 @@ def recover(
         inv = MorphismInvariants(bp)
         m, ns, m0s = inv.m, tree.ns, tree.m0s
         origin = tree.origin
-        # (d, q, a, b) for each association, I_d = a/b in lowest terms
-        closing: list[tuple[PointId, PointId, int, int]] = []
         walked: dict[tuple[PointId, int, int], PointId] = {}
         for d in sorted(p for p, r in rho.items() if r > 0):
             m_d = m[d]
@@ -411,17 +413,11 @@ def recover(
                     q = walked[key] = _satellite_walk(
                         tree, inv, p, num, den, trace)
             association[d] = DicriticalAssociation(invariant, p, q)
-            closing.append((d, q, num, den))
         rupture = frozenset(a.rupture_point for a in association.values())
         singular = _downward_closure(tree, rupture)
         values, mults, rejected = _second_half(tree, inv, rupture, singular)
         if rejected is not None:
             raise rejected
-        for d, q, num, den in closing:
-            if m[q] * den != num * ns[q]:
-                raise RecoveryError(
-                    f"height quotient at {q} does not match the invariant"
-                    f" of dicritical {d}")
         # the sweep established every property the constructor checks
         values = WeightedCluster._adopt(tree, WeightKind.VALUE, values)
         multiplicities = WeightedCluster._adopt(

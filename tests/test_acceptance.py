@@ -342,7 +342,7 @@ def _suite_growth_monotonicity() -> int:
         cones: dict[int, list[int]] = {}
         for p in tree.points():
             base = defining_free_point(tree, p)
-            if base != p and not tree.is_origin(base):
+            if base != p and tree.parents[base] is not None:
                 cones.setdefault(base, []).append(p)
         rng = random.Random(seed)
         for base, sats in cones.items():
@@ -369,7 +369,7 @@ def _suite_growth_monotonicity() -> int:
         rho = excesses(curve)
         ruptures = rupture_points(curve)
         for p in curve.points:
-            if tree.is_satellite(p) or tree.is_origin(p):
+            if tree.is_satellite(p) or tree.parents[p] is None:
                 continue
             kids = [c for c in tree.child_list(p) if c in curve]
             if rho[p] != 1 or any(not tree.is_satellite(c) for c in kids):

@@ -1,6 +1,10 @@
 """The package's public names and error classes, pinned so that adding or
 removing one is a deliberate edit of these lists."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import enriques
 from enriques import errors
 
@@ -13,7 +17,6 @@ PUBLIC_NAMES = [
     "PointRecord",
     "PrecComparison",
     "RecoveryResult",
-    "SatelliteQuotient",
     "WeightKind",
     "WeightedCluster",
     "are_equisingular",
@@ -45,8 +48,6 @@ PUBLIC_NAMES = [
     "oracle",
     "ordering",
     "parse",
-    "polar_invariants",
-    "polar_invariants_local",
     "prec_compare",
     "recover",
     "recover_grouped",
@@ -54,7 +55,6 @@ PUBLIC_NAMES = [
     "recovery",
     "rupture_points",
     "rupture_quotients",
-    "satellite_quotient",
     "satellite_walk",
     "second_satellite",
     "self_intersection",
@@ -69,6 +69,17 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(enriques.__all__) == PUBLIC_NAMES
     assert all(hasattr(enriques, name) for name in PUBLIC_NAMES)
+
+
+def test_readme_names_only_public_names_and_modules():
+    # a retired name must not stay in the documentation
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    mentioned = set(re.findall(r"\benriques\.(\w+)", text))
+    assert len(mentioned) > 10
+    unresolved = [name for name in sorted(mentioned - set(enriques.__all__))
+                  if importlib.util.find_spec(f"enriques.{name}") is None]
+    assert unresolved == []
 
 
 #: Every exception class of ``enriques.errors`` with its direct base.

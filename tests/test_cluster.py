@@ -123,6 +123,17 @@ def test_indexing_outside_the_cluster_raises():
             bp[p]
 
 
+def test_equality_and_hash_read_arena_kind_and_weights():
+    tree = ArenaTree()
+    o = tree.add_point()
+    a = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 7})
+    same = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 7})
+    assert a == same and hash(a) == hash(same) and len({a, same}) == 1
+    assert a != WeightedCluster(tree, WeightKind.VALUE, {o: 7})
+    assert a != WeightedCluster(tree.clone(), WeightKind.VIRTUAL, {o: 7})
+    assert a.__eq__({o: 7}) is NotImplemented and a != {o: 7}
+
+
 def test_local_excess_matches_one_pass_definition():
     checked = 0
     for seed in range(2000):

@@ -8,6 +8,7 @@ import pytest
 from enriques import ArenaTree, WeightKind, WeightedCluster, parse, serialize
 from enriques.errors import (
     ArenaError,
+    ArenaMismatch,
     ClusterError,
     Diagnostic,
     DocumentSyntaxError,
@@ -62,6 +63,9 @@ def test_serialize_names_created_points():
 def test_parse_rejects_bad_json():
     with pytest.raises(DocumentSyntaxError):
         parse("{not json")
+    with pytest.raises(DocumentSyntaxError,
+                       match="top level must be a JSON object"):
+        parse("[]")
 
 
 def test_parse_rejects_unknown_references():
@@ -217,6 +221,8 @@ def test_serialize_empty_arena():
     assert '"points": []' in text
     assert text == json.dumps({"format_version": 1, "weight_kind": "value",
                                "points": []}, indent=2) + "\n"
+    with pytest.raises(ArenaMismatch):
+        serialize(ArenaTree(), WeightedCluster(tree, WeightKind.VALUE, {}))
 
 
 # -- reference suites ---------------------------------------------------------

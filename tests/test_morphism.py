@@ -58,6 +58,17 @@ def test_extend_to_created_satellite():
     assert (n, m) == (20 + 12, 2712 + 1628)
 
 
+def test_append_chain_catches_up_a_stale_table():
+    # points appended behind the table's back are tabulated before the run
+    tree, bp, names = fb.ex04_bp()
+    inv = compute(bp)
+    a = tree.append_raw(names["p5"], names["p3"])
+    assert len(inv.m) == a
+    last = inv.append_chain(a, names["p3"], 3)
+    assert inv.m == compute(bp).m and len(inv.m) == last + 1
+    assert None not in inv.m
+
+
 def test_origin_quotient_is_weight_plus_one():
     tree, bp, names = fb.ex06_bp()
     inv = compute(bp)

@@ -9,20 +9,19 @@ from enriques import (
     WeightKind,
     WeightedCluster,
     check_growth,
+    excess,
     first_satellite,
     free_count_first_neighbourhood,
     invariant_quotient,
     is_consistent,
     noether_pairing,
-    polar_invariants,
-    polar_invariants_local,
     recover,
     rupture_points,
     rupture_quotients,
     unibranch_chain,
     validate_curve_cluster,
 )
-from enriques.errors import NegativeResidual, UnknownPoint
+from enriques.errors import NegativeResidual, PointNotInCluster, UnknownPoint
 from enriques.oracle import has_bigger_branch
 
 import fixture_builders as fb
@@ -187,6 +186,9 @@ def test_quotient_matches_chain_reference_on_recovered_fixtures():
 
 
 def test_polar_invariants_sets():
+    def polar_invariants(curve):
+        return set(rupture_quotients(curve).values())
+
     _, curve4, _ = fb.ex04_curve()
     assert polar_invariants(curve4) == {Fraction(11)}
     _, curve6, _ = fb.ex06_curve()
@@ -203,19 +205,34 @@ def test_polar_invariants_sets():
 
 def test_polar_invariants_local():
     tree, curve, names = fb.ex07_curve()
-    at_p2 = polar_invariants_local(curve, names["p2"])
+    at_p2 = set(rupture_quotients(curve, names["p2"]).values())
     assert at_p2 == {Fraction(132), Fraction(129), Fraction(799, 7),
                      Fraction(225, 2)}
-    at_p10 = polar_invariants_local(curve, names["p10"])
+    at_p10 = set(rupture_quotients(curve, names["p10"]).values())
     assert at_p10 == {Fraction(543, 4), Fraction(678, 5)}
     # quotients within one cone are pairwise distinct
     assert len(at_p2) == 4 and len(at_p10) == 2
 
 
+def test_ids_that_are_no_curve_point_raise():
+    # a label, a bool (True == 1 as a dict key) or an id outside the arena
+    # names no point, so no oracle call answers for one
+    _, curve, _ = fb.ex07_curve()
+    for bad in (999, -1, "p10", True):
+        with pytest.raises(UnknownPoint):
+            invariant_quotient(curve, bad)
+        with pytest.raises(UnknownPoint):
+            rupture_quotients(curve, bad)
+        with pytest.raises(UnknownPoint):
+            free_count_first_neighbourhood(curve, bad)
+        with pytest.raises(PointNotInCluster):
+            excess(curve, bad)
+
+
 def _local_quotients_by_filter(curve, p):
-    """Reference: the filter and the per-point quotients that
-    ``polar_invariants_local`` and ``enriques invariants --local`` ran
-    before :func:`rupture_quotients`."""
+    """Reference: the filter and the per-point quotients that the local
+    polar invariants and ``enriques invariants --local`` ran before
+    :func:`rupture_quotients`."""
     free_points = curve.tree.free_points
     return {q: invariant_quotient(curve, q) for q in rupture_points(curve)
             if q == p or free_points[q] == p}
@@ -242,7 +259,6 @@ def test_local_rupture_quotients_match_filter_reference():
         locals_ = [rupture_quotients(curve, p) for p in curve.points]
         for p, got in zip(curve.points, locals_):
             assert got == _local_quotients_by_filter(curve, p), p
-            assert polar_invariants_local(curve, p) == set(got.values())
         assert set().union(*locals_) == rupture_points(curve)
 
 
@@ -368,16 +384,19 @@ def test_check_growth_equality_y5x8():
 
 
 def test_check_growth_reports_violations():
-    # break the curve by hand: a cluster that is not consistent as a curve
+    # break the curve by hand: p4's multiplicity above its parent's
     tree, curve, names = fb.ex04_curve()
-    tweaked = WeightedCluster(tree, WeightKind.MULTIPLICITY, {
-        **dict(curve.weight), names["p3"]: 3,
-    })
-    samples = [(names["p4"], names["p5"])]
-    # the oracle formulas still run; violations may or may not appear, but
-    # the call must return a list of strings
-    out = check_growth(tweaked, samples)
-    assert isinstance(out, list)
+    q1, q2 = names["p4"], names["p5"]
+    expected = {
+        4: [f"equality I({q1}) = I({q2}) disagrees with branches"
+            f" bigger than {q1}"],
+        5: [f"I({q1}) > I({q2})"],
+    }
+    for weight, violations in expected.items():
+        tweaked = WeightedCluster(tree, WeightKind.MULTIPLICITY, {
+            **dict(curve.weight), q1: weight,
+        })
+        assert check_growth(tweaked, [(q1, q2)]) == violations
 
 
 def test_refined_bound_at_free_point_with_one_leaving_branch():

@@ -14,12 +14,12 @@ from enriques import (
     first_satellite,
     max_under_prec,
     prec_compare,
-    satellite_quotient,
     second_satellite,
     unibranch_chain,
 )
 from enriques.ordering import PrecComparison, fraction_at
 from enriques.errors import (
+    ArenaError,
     EmptySet,
     NotComparable,
     NotUnibranch,
@@ -48,19 +48,20 @@ def test_defining_free_point():
 
 
 def test_satellite_quotients():
+    # a point's position in its cone is the k/n of its facts
+    def quotient(tree, q):
+        facts = tree.facts(q)
+        return facts.defining_free_point, Fraction(facts.k, facts.n)
+
     tree, _, names = fb.ex04_bp()
-    q4 = satellite_quotient(tree, names["p4"])
-    assert (q4.defining_free_point, q4.fraction) == (names["p3"], Fraction(1, 2))
-    q5 = satellite_quotient(tree, names["p5"])
-    assert (q5.defining_free_point, q5.fraction) == (names["p3"], Fraction(2, 3))
-    q_free = satellite_quotient(tree, names["p2"])
-    assert (q_free.defining_free_point, q_free.fraction) == (names["p2"], Fraction(1))
+    assert quotient(tree, names["p4"]) == (names["p3"], Fraction(1, 2))
+    assert quotient(tree, names["p5"]) == (names["p3"], Fraction(2, 3))
+    assert quotient(tree, names["p2"]) == (names["p2"], Fraction(1))
     # a free point's own fraction is 1/n, below 1 past a satellite
     tree6, _, names6 = fb.ex06_bp()
-    q15 = satellite_quotient(tree6, names6["p15"])
-    assert (q15.defining_free_point, q15.fraction) == (names6["p15"], Fraction(1, 3))
+    assert quotient(tree6, names6["p15"]) == (names6["p15"], Fraction(1, 3))
     tree7, _, names7 = fb.ex07_bp()
-    assert satellite_quotient(tree7, names7["p9"]).fraction == Fraction(1, 4)
+    assert quotient(tree7, names7["p9"])[1] == Fraction(1, 4)
 
 
 def test_prec_compare_examples():
@@ -127,6 +128,11 @@ def test_max_under_prec():
         max_under_prec(tree, [])
     with pytest.raises(NotComparable):
         max_under_prec(tree, [names["p8"], names["p5"]])
+    # a point that breaks an arena rule has no cone to compare in
+    broken = ArenaTree.from_records([(None, None, None), (0, None, None),
+                                     (1, 0, None), (1, 0, None)])
+    with pytest.raises(ArenaError):
+        max_under_prec(broken, [2, 3])
 
 
 def test_compare_point_to_branch_y5x8():

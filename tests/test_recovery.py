@@ -926,6 +926,20 @@ def test_recover_values_rejects_singular_set_not_downward_closed():
     assert raised[NotDownwardClosed] > 1000
 
 
+def test_recover_values_rejects_unknown_and_broken_points():
+    # point 3 repeats point 2's proximity pair, so it has no facts; point 4,
+    # a free child of 1, keeps the table check at the sweep's top id passing
+    tree = ArenaTree.from_records([(None, None, None), (0, None, None),
+                                   (1, 0, None), (1, 0, None),
+                                   (1, None, None)])
+    bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 2, 1: 1})
+    inv = compute(bp)
+    with pytest.raises(ArenaError, match="point 3 breaks an arena rule"):
+        recover_values(bp, inv, frozenset({3}), frozenset({0, 1, 3, 4}))
+    with pytest.raises(UnknownPoint, match="no point with id -1"):
+        recover_values(bp, inv, frozenset({1}), frozenset({-1, 0, 1}))
+
+
 def _biggest_rupture_by_cone_reference(tree, rupture):
     """The map as it was: a list per cone, then one checked max each."""
     cones = {}
@@ -975,6 +989,12 @@ def test_adopted_result_clusters_equal_checked_ones():
             for cluster in (result.values, result.multiplicities):
                 assert WeightedCluster(cluster.tree, cluster.kind,
                                        dict(cluster.weight)) == cluster
+            # the quotient postcondition that no run checks: the walk
+            # stops only where m/n equals the invariant
+            inv = compute(bp)
+            for assoc in result.association.values():
+                assert inv.height_quotient(assoc.rupture_point) == \
+                    assoc.invariant
             ok[run] += 1
     assert min(ok.values()) > 2000
 
