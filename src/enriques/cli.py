@@ -31,7 +31,6 @@ import sys
 from pathlib import Path
 
 from . import recovery
-from .cluster import WeightKind
 from .documents import document_ids, parse, serialize
 from .dot import render_dot
 from .errors import (DocumentSyntaxError, DocumentValidationError,
@@ -104,7 +103,6 @@ def _suffixed(path: Path, kind: str) -> Path:
 
 def _cmd_invariants(args) -> int:
     tree, curve = _load(args.file)
-    curve.require_kind(WeightKind.MULTIPLICITY)
     names = document_ids(tree)
     base = names.index(args.local) if args.local in names else None
     if args.local is not None and base is None:

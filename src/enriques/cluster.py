@@ -120,19 +120,19 @@ class WeightedCluster:
         return self.weight.keys()
 
     def __contains__(self, p: object) -> bool:
-        return p in self.weight
+        """The one membership rule: an ``int`` key, not ``True`` or ``3.0``."""
+        return type(p) is int and p in self.weight
 
     def __len__(self) -> int:
         return len(self.weight)
 
     def __getitem__(self, p: PointId) -> int:
-        try:
-            return self.weight[p]
-        except KeyError:
+        if p not in self:
             raise PointNotInCluster(f"point {p} is not in the cluster")
+        return self.weight[p]
 
     def get(self, p: PointId, default: int = 0) -> int:
-        return self.weight.get(p, default)
+        return self.weight[p] if p in self else default
 
     def ordered_points(self) -> list[PointId]:
         """Cluster points in arena (topological) order."""
@@ -237,13 +237,11 @@ def excess(cluster: WeightedCluster, p: PointId) -> int:
 
     Assumes an arena that :meth:`ArenaTree.validate` accepts (``parse``
     rejects any other); :func:`excesses` is the one-pass definition.
-    Raises :class:`PointNotInCluster` when p is not a point of the cluster
-    (a ``bool`` is no point id).
+    Raises :class:`PointNotInCluster` when p is not a point of the cluster.
     """
-    weight = cluster.weight
-    if type(p) is not int or p not in weight:
+    if p not in cluster:
         raise PointNotInCluster(f"point {p} is not in the cluster")
-    tree = cluster.tree
+    weight, tree = cluster.weight, cluster.tree
     find = tree.find_satellite
     rho = weight[p]
     for q in tree.children[p]:

@@ -3,8 +3,12 @@
 Everything here starts from the answer -- a curve's weighted cluster of
 singular points with effective multiplicities -- and derives the quantities
 the recovery algorithm reconstructs from polar base points: rupture points,
-invariant quotients.  The two directions share no code paths, so agreement
-between them is a meaningful check.
+invariant quotients.  Past the types, it shares with
+:mod:`~enriques.recovery` only the arena's columns, facts included, and
+:func:`excess` and :func:`excesses` (each reads its own function of
+:mod:`~enriques.ordering`), so agreement between them is a meaningful
+check.  A function that counts a curve's points or branches raises
+:class:`WrongKind` on another kind of cluster.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
@@ -77,11 +81,11 @@ def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
     Both read only p's children and the satellites proximate to p (see
     :func:`excess`), so the cost does not grow with the curve.
 
-    Raises :class:`UnknownPoint` when p is not a point of the curve (a
-    ``bool`` is no point id) and :class:`NegativeResidual` when the excess
-    at p is negative.
+    Raises :class:`UnknownPoint` when p is not a point of the curve and
+    :class:`NegativeResidual` when the excess at p is negative.
     """
-    if type(p) is not int or p not in curve:
+    curve.require_kind(WeightKind.MULTIPLICITY)
+    if p not in curve:
         raise UnknownPoint(f"point {p} is not in the curve cluster")
     residual = excess(curve, p)
     if residual < 0:
@@ -102,6 +106,7 @@ def rupture_points(curve: WeightedCluster) -> set[PointId]:
     :func:`free_count_first_neighbourhood` at every point.  Raises
     :class:`NegativeResidual` when some excess is negative.
     """
+    curve.require_kind(WeightKind.MULTIPLICITY)
     counts = excesses(curve)
     negative = [p for p, r in counts.items() if r < 0]
     if negative:
@@ -173,6 +178,7 @@ def rupture_quotients(
     is no arena point raises :class:`UnknownPoint`, as in
     :func:`invariant_quotient`.
     """
+    curve.require_kind(WeightKind.MULTIPLICITY)
     tree, weight = curve.tree, curve.weight
     if base is not None and base not in tree:
         raise UnknownPoint(f"no point with id {base}")
@@ -199,6 +205,7 @@ def has_bigger_branch(curve: WeightedCluster, q: PointId) -> bool:
     the local :func:`excess` only; it shares no code with
     :func:`invariant_quotient`.
     """
+    curve.require_kind(WeightKind.MULTIPLICITY)
     tree = curve.tree
     p = defining_free_point(tree, q)
     ks, ns, seconds = tree.ks, tree.ns, tree.seconds

@@ -254,14 +254,12 @@ def _biggest_rupture_by_cone(
     """For each defining free point, the biggest rupture point of its cone.
 
     One pass keeps a running maximum per cone, comparing k/n facts as
-    :func:`~enriques.ordering.max_under_prec` does.  A point without facts
-    raises :class:`~enriques.errors.ArenaError`, as there."""
+    :func:`~enriques.ordering.max_under_prec` does; every point must have
+    facts."""
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest: dict[PointId, PointId] = {}
     for q in rupture:
         p = free_points[q]
-        if p is None:
-            tree.facts(q)  # raises
         b = biggest.get(p)
         if b is None or ks[q] * ns[b] > ks[b] * ns[q]:
             biggest[p] = q
@@ -290,9 +288,19 @@ def recover_values(
 ) -> WeightedCluster:
     """Values of the unknown curve on its singular points, by the sweep of
     :func:`_second_half`.  ``singular`` must be downward closed and hold
-    ``rupture``, as the topology's downward closure is."""
-    values, _, _ = _second_half(bp.tree, inv, rupture, singular)
-    return WeightedCluster(bp.tree, WeightKind.VALUE, values)
+    ``rupture``, as the topology's downward closure is.  ``recover`` never
+    passes a bad point or a gap, so the checks live here, not in the sweep."""
+    tree = bp.tree
+    for p in rupture | singular:
+        if p not in tree or tree.free_points[p] is None:
+            tree.facts(p)  # raises
+    inv._grow()  # the sweep reads m at every point of the set
+    try:
+        values, _, _ = _second_half(tree, inv, rupture, singular)
+    except KeyError:  # a point's parent, second or free point is missing
+        raise NotDownwardClosed(
+            "the singular set is not downward closed") from None
+    return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
 def _second_half(
@@ -306,12 +314,8 @@ def _second_half(
     Returns the values, the multiplicities and, for the caller to raise,
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
     :class:`InconsistentCluster`, else None.  A value rule's error is
-    raised, a satellite's only once every free point's rule has run."""
-    order = sorted(singular)
-    if order:
-        if order[0] < 0:
-            raise UnknownPoint(f"no point with id {order[0]}")
-        inv.extend_to(order[-1])  # checks, and covers every point
+    raised, a satellite's only once every free point's rule has run.  The
+    points are arena points with facts, downward closed, in the m table."""
     m = inv.m
     parents, seconds, children = tree.parents, tree.seconds, tree.children
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
@@ -319,53 +323,49 @@ def _second_half(
     values, mults, rho = {}, {}, {}  # each by point id
     failed: Optional[RecoveryError] = None  # a satellite rule's first error
     rejected: Optional[EnriquesError] = None
-    try:
-        for p in order:
-            s = seconds[p]
-            if p in rupture:
-                v = m[p]
-            elif s is None:
-                for c in children[p]:
-                    if seconds[c] is None and c in singular:
-                        v = m[p]
-                        break
-                else:
-                    q = biggest_rupture.get(p)
-                    if q is None:
-                        raise EmptyRuptureSet(
-                            f"free singular point {p} has no rupture point in"
-                            " its satellite cone")
-                    # the single integer in [x, x + 1), x = n_p m_q / n_q
-                    v = -(-ns[p] * m[q] // ns[q])
+    for p in sorted(singular):
+        s = seconds[p]
+        if p in rupture:
+            v = m[p]
+        elif s is None:
+            for c in children[p]:
+                if seconds[c] is None and c in singular:
+                    v = m[p]
+                    break
             else:
-                v = m[p]
-                p_free = free_points[p]
-                q = biggest_rupture.get(p_free)
+                q = biggest_rupture.get(p)
                 if q is None:
-                    failed = failed or EmptyRuptureSet(
-                        f"satellite point {p} has no rupture point in the cone"
-                        f" of its defining free point {p_free}")
-                # p and q share a cone, so p > q compares their k/n
-                elif (ks[p] * ns[q] > ks[q] * ns[p]
-                        and values[p_free] * ns[q] == ns[p_free] * m[q]):
-                    # exact: every n after p_free in its cone sums two
-                    # n's that are multiples of n_{p_free}
-                    v = ns[p] * values[p_free] // ns[p_free]
-            values[p] = v
-            a = parents[p]
-            if a is not None:  # v becomes the multiplicity at p
-                v -= values[a]
-                if s is not None:
-                    v -= values[s]
-                    rho[s] -= v
-                rho[a] -= v
-            if v < 1 and rejected is None:
-                rejected = NonPositiveMultiplicity(
-                    f"values force multiplicity {v} at point {p}")
-            mults[p] = rho[p] = v
-    except KeyError:  # a point's parent, second or free point is missing
-        raise NotDownwardClosed(
-            "the singular set is not downward closed") from None
+                    raise EmptyRuptureSet(
+                        f"free singular point {p} has no rupture point in"
+                        " its satellite cone")
+                # the single integer in [x, x + 1), x = n_p m_q / n_q
+                v = -(-ns[p] * m[q] // ns[q])
+        else:
+            v = m[p]
+            p_free = free_points[p]
+            q = biggest_rupture.get(p_free)
+            if q is None:
+                failed = failed or EmptyRuptureSet(
+                    f"satellite point {p} has no rupture point in the cone"
+                    f" of its defining free point {p_free}")
+            # p and q share a cone, so p > q compares their k/n
+            elif (ks[p] * ns[q] > ks[q] * ns[p]
+                    and values[p_free] * ns[q] == ns[p_free] * m[q]):
+                # exact: every n after p_free in its cone sums two
+                # n's that are multiples of n_{p_free}
+                v = ns[p] * values[p_free] // ns[p_free]
+        values[p] = v
+        a = parents[p]
+        if a is not None:  # v becomes the multiplicity at p
+            v -= values[a]
+            if s is not None:
+                v -= values[s]
+                rho[s] -= v
+            rho[a] -= v
+        if v < 1 and rejected is None:
+            rejected = NonPositiveMultiplicity(
+                f"values force multiplicity {v} at point {p}")
+        mults[p] = rho[p] = v
     if failed is not None:
         raise failed
     if rejected is None and min(rho.values(), default=0) < 0:
@@ -429,12 +429,9 @@ def recover(
                           association, frozenset(range(before, len(tree))))
 
 
-def recover_grouped(
-    bp: WeightedCluster,
-    trace: Optional[Callable[[TraceEntry], None]] = None,
-) -> RecoveryResult:
-    """Another name for :func:`recover`: the same run, the same result."""
-    return recover(bp, trace)
+#: Another name for :func:`recover`, kept because the benchmark under
+#: ``perfbench/`` imports it.
+recover_grouped = recover
 
 
 def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:

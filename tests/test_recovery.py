@@ -940,6 +940,19 @@ def test_recover_values_rejects_unknown_and_broken_points():
         recover_values(bp, inv, frozenset({1}), frozenset({-1, 0, 1}))
 
 
+def test_recover_values_rejects_a_broken_singular_point():
+    # point 3 repeats point 2's proximity pair, so it has no facts and no m;
+    # as a singular point that is no rupture point, the sweep would
+    # subtract from its missing value
+    tree = ArenaTree.from_records([(None, None, None), (0, None, None),
+                                   (1, 0, None), (1, 0, None),
+                                   (1, None, None)])
+    bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 2, 1: 1})
+    with pytest.raises(ArenaError, match="point 3 breaks an arena rule"):
+        recover_values(bp, compute(bp), frozenset({4}),
+                       frozenset({0, 1, 3, 4}))
+
+
 def _biggest_rupture_by_cone_reference(tree, rupture):
     """The map as it was: a list per cone, then one checked max each."""
     cones = {}
