@@ -36,7 +36,7 @@ from .dot import render_dot
 from .errors import (DocumentSyntaxError, DocumentValidationError,
                      EnriquesError, WrongKind)
 from .oracle import rupture_quotients
-from .similarity import are_similar, canonical_digest
+from .similarity import canonical_form, form_digest
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -116,12 +116,11 @@ def _cmd_invariants(args) -> int:
 def _cmd_compare(args) -> int:
     tree_a, cluster_a = _load(args.a)
     tree_b, cluster_b = _load(args.b)
-    digest_a = canonical_digest(cluster_a)
-    digest_b = canonical_digest(cluster_b)
-    print(digest_a)
-    print(digest_b)
+    form_a, form_b = canonical_form(cluster_a), canonical_form(cluster_b)
+    print(form_digest(form_a))
+    print(form_digest(form_b))
     if args.mode == "similar":
-        related = are_similar(cluster_a, cluster_b)
+        related = form_a == form_b
     else:  # equal text: the same kind, arena, weights and ids
         related = serialize(tree_a, cluster_a) == serialize(tree_b, cluster_b)
     return EXIT_OK if related else EXIT_NEGATIVE

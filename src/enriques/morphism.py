@@ -101,19 +101,20 @@ class MorphismInvariants:
     def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
         """:meth:`ArenaTree.append_chain` that also tabulates m.
 
-        (a, s) must be a legal proximity pair that the arena does not hold
-        yet, as for a move of the satellite walk.  The new points lie
-        outside the cluster, so m grows by m_s from point to point,
-        starting from m_a.  When the arena holds points that the table does
-        not, the table first catches up with them; a walk that appends only
-        through this method never leaves it behind.
+        For a move of the satellite walk, (a, s) is a legal proximity pair
+        that the arena does not hold yet, and m grows by m_s from point to
+        point, starting from m_a (the new points lie outside the cluster).
+        Otherwise, or when the table is behind the arena, :meth:`_grow`
+        tabulates the new points, and a broken one gets no m.
         """
-        m = self.m
-        if len(m) < len(self.bp.tree.parents):
+        tree, m = self.bp.tree, self.m
+        first = len(tree.parents)
+        q = tree.append_chain(a, s, t)
+        if len(m) < first or tree.pairs[first] is None:
             self._grow()
-        start, step = m[a], m[s]
-        q = self.bp.tree.append_chain(a, s, t)
-        m.extend(range(start + step, start + (t + 1) * step, step))
+        else:
+            start, step = m[a], m[s]
+            m.extend(range(start + step, start + (t + 1) * step, step))
         return q
 
     def height_quotient(self, p: PointId) -> Fraction:

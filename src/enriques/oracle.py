@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .arena import PointId
 from .cluster import WeightedCluster, WeightKind, excess, excesses
-from .errors import Diagnostic, NegativeResidual, UnknownPoint
+from .errors import Diagnostic, NegativeResidual, OracleError, UnknownPoint
 from .ordering import defining_free_point
 
 
@@ -238,6 +238,8 @@ def check_growth(
     tree = curve.tree
     violations = []
     for q1, q2 in samples:
+        if tree.second_proximity(q1) is None:
+            raise OracleError(f"sample ({q1}, {q2}): {q1} is not a satellite")
         p = defining_free_point(tree, q1)
         p_prev = tree.parent(p)
         i_prev = invariant_quotient(curve, p_prev)

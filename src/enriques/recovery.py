@@ -294,6 +294,10 @@ def recover_values(
     for p in rupture | singular:
         if p not in tree or tree.free_points[p] is None:
             tree.facts(p)  # raises
+    missing = rupture - singular
+    if missing:
+        raise NotDownwardClosed(
+            f"rupture point {min(missing)} is not in the singular set")
     inv._grow()  # the sweep reads m at every point of the set
     try:
         values, _, _ = _second_half(tree, inv, rupture, singular)

@@ -28,6 +28,13 @@ joined into bytes only where two or more siblings must be sorted, and once
 at the origin.  A byte is therefore copied once per branching point above
 it, not once per ancestor: the form is linear in the length of a chain,
 and sorting happens only at branchings.
+
+A point whose head repeats costs no formatting, and a point down a chain
+one map operation.  Each distinct head is formatted once per encoding, in
+a table per tag keyed by weight.  The last point's run is held until the
+next point, which takes it if it is the parent; else it enters a map
+keyed by parent, where a parent's entry is its one child's run until a
+second child makes it a list of sibling runs.
 """
 
 from __future__ import annotations
@@ -37,10 +44,6 @@ from typing import Optional
 
 from .arena import PointId
 from .cluster import WeightedCluster, WeightKind
-
-_FREE = b"f"
-_VIA_GRANDPARENT = b"g"
-_VIA_SECOND = b"s"
 
 
 def _encode(cluster: WeightedCluster) -> bytes:
@@ -53,24 +56,40 @@ def _encode(cluster: WeightedCluster) -> bytes:
     """
     tree, weight = cluster.tree, cluster.weight
     parents, seconds = tree.parents, tree.seconds
-    pending: dict[Optional[PointId], list[list[bytes]]] = {}
+    free, via_g, via_s = {}, {}, {}  # heads by weight, one table per tag
+    pending: dict[Optional[PointId], list] = {}  # see _add
+    held = held_by = None  # the last point's run and its parent
     for p in sorted(weight, reverse=True):
-        s, a = seconds[p], parents[p]
-        head = b"%b:%d(" % (
-            _FREE if s is None
-            else _VIA_GRANDPARENT if s == parents[a]
-            else _VIA_SECOND,
-            weight[p])
-        kids = pending.pop(p, None)
-        if kids is None:
-            run = [b"", head]
-        elif len(kids) == 1:
-            run = kids[0]
-            run.append(head)
+        s, a, w = seconds[p], parents[p], weight[p]
+        if s is None:
+            head = free.get(w) or free.setdefault(w, b"f:%d(" % w)
+        elif s == parents[a]:
+            head = via_g.get(w) or via_g.setdefault(w, b"g:%d(" % w)
         else:
-            run = [b"".join(sorted(map(_join, kids))), head]
-        pending.setdefault(a, []).append(run)
-    return _join(run)
+            head = via_s.get(w) or via_s.setdefault(w, b"s:%d(" % w)
+        run = pending.pop(p, None)
+        if held_by == p:
+            run = held if run is None else _add(run, held)
+        elif held is not None:
+            kids = pending.setdefault(held_by, held)
+            if kids is not held:
+                pending[held_by] = _add(kids, held)
+        if run is None:
+            run = [b"", head]
+        elif run[0] is None:
+            run = [b"".join(sorted(map(_join, run[1:]))), head]
+        else:
+            run.append(head)
+        held, held_by = run, a
+    return _join(held)
+
+
+def _add(kids: list, run: list[bytes]) -> list:
+    """The children ``kids``, a run or ``[None, run, ...]``, and ``run``."""
+    if kids[0] is None:
+        kids.append(run)
+        return kids
+    return [None, kids, run]
 
 
 def _join(run: list[bytes]) -> bytes:
@@ -91,9 +110,14 @@ def canonical_form(cluster: WeightedCluster) -> bytes:
     return _encode(cluster)
 
 
+def form_digest(form: bytes) -> str:
+    """Lowercase hex digest of a canonical form."""
+    return hashlib.sha256(form).hexdigest()
+
+
 def canonical_digest(cluster: WeightedCluster) -> str:
     """Lowercase hex digest of the canonical form."""
-    return hashlib.sha256(canonical_form(cluster)).hexdigest()
+    return form_digest(canonical_form(cluster))
 
 
 def are_similar(a: WeightedCluster, b: WeightedCluster) -> bool:

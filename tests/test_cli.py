@@ -195,6 +195,26 @@ def test_compare_equal_mode(fixture_dir, capsys):
     assert code == 1  # similar but not equal (labels differ)
 
 
+def test_compare_encodes_each_cluster_once(fixture_dir, capsys, monkeypatch):
+    from enriques import canonical_digest, parse, similarity
+
+    encoded = []
+    encode = similarity._encode
+    monkeypatch.setattr(
+        similarity, "_encode",
+        lambda cluster: encoded.append(cluster) or encode(cluster))
+    paths = [fixture_dir / name for name in ("ex04_S.json", "ex05_S.json")]
+    digests = "".join(
+        canonical_digest(parse(path.read_text(encoding="utf-8"))[1]) + "\n"
+        for path in paths)
+    for mode, want in (("similar", 0), ("equal", 1)):
+        encoded.clear()
+        code, out, err = run(capsys, "compare", *map(str, paths),
+                             "--mode", mode)
+        assert (code, out, err) == (want, digests, "")
+        assert len(encoded) == 2, mode
+
+
 def test_render_dot(fixture_dir, capsys):
     code, out, err = run(
         capsys, "render", str(fixture_dir / "ex04_bp.json"),

@@ -69,6 +69,32 @@ def test_append_chain_catches_up_a_stale_table():
     assert None not in inv.m
 
 
+ARENA_COLUMNS = ("parents", "seconds", "labels", "children", "free_points",
+                 "ns", "m0s", "ks", "pairs")
+
+
+def test_append_chain_with_bad_ids_tabulates_as_append_raw():
+    # a run whose first point breaks an arena rule gets no m, not the m
+    # of whatever its ids index; s = None with a legal a is a free point
+    for bad in (True, -1, 999, "3", 3.0, None):
+        for a, s in ((bad, 0), (0, bad)):
+            for t in (1, 3):
+                tree, bp, _ = fb.ex04_bp()
+                inv = compute(bp)
+                inv.append_chain(a, s, t)
+                ref_tree, ref_bp, _ = fb.ex04_bp()
+                ref = compute(ref_bp)
+                q = ref_tree.append_raw(a, s)
+                for _ in range(t - 1):
+                    q = ref_tree.append_raw(q, s)
+                ref._grow()
+                for column in ARENA_COLUMNS:
+                    assert getattr(tree, column) == getattr(ref_tree, column)
+                assert inv.m == ref.m, (a, s, t)
+                assert [p for p, m in enumerate(inv.m) if m is None] == [
+                    p for p in tree.points() if tree.free_points[p] is None]
+
+
 def test_origin_quotient_is_weight_plus_one():
     tree, bp, names = fb.ex06_bp()
     inv = compute(bp)

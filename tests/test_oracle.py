@@ -21,7 +21,8 @@ from enriques import (
     unibranch_chain,
     validate_curve_cluster,
 )
-from enriques.errors import NegativeResidual, PointNotInCluster, UnknownPoint
+from enriques.errors import (
+    NegativeResidual, OracleError, PointNotInCluster, UnknownPoint)
 from enriques.oracle import has_bigger_branch
 
 import fixture_builders as fb
@@ -381,6 +382,15 @@ def test_check_growth_equality_y5x8():
     assert check_growth(curve, [(names["p3"], names["p1"])]) == []
     assert invariant_quotient(curve, names["p3"]) == \
         invariant_quotient(curve, names["p1"])
+
+
+def test_check_growth_rejects_a_free_first_point():
+    # at the origin there is no point p' to compare with
+    tree, curve, names = fb.ex04_curve()
+    for q1 in (tree.origin, names["p2"]):
+        with pytest.raises(OracleError,
+                           match=rf"sample \({q1}, {q1}\): {q1} is not a"):
+            check_growth(curve, [(q1, q1)])
 
 
 def test_check_growth_reports_violations():

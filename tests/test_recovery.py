@@ -926,6 +926,20 @@ def test_recover_values_rejects_singular_set_not_downward_closed():
     assert raised[NotDownwardClosed] > 1000
 
 
+def test_recover_values_rejects_a_rupture_point_outside_the_singular_set():
+    # the sweep visits the singular set only, and a rupture point above it
+    # went unread
+    for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
+        _, bp, _ = builder()
+        result = recover(bp)
+        inv = compute(bp)
+        for x in result.singular:
+            with pytest.raises(NotDownwardClosed,
+                               match=f"rupture point {x} is not in"):
+                recover_values(bp, inv, result.rupture | {x},
+                               result.singular - {x})
+
+
 def test_recover_values_rejects_unknown_and_broken_points():
     # point 3 repeats point 2's proximity pair, so it has no facts; point 4,
     # a free child of 1, keeps the table check at the sweep's top id passing

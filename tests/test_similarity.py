@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from pathlib import Path
 
 from enriques import (
     ArenaTree,
@@ -9,11 +11,17 @@ from enriques import (
     are_similar,
     canonical_digest,
     canonical_form,
+    parse,
     recover,
 )
 
 import fixture_builders as fb
 import randgen
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def _role_tag(tree, p):
@@ -196,6 +204,50 @@ def test_form_matches_nesting_reference_on_recovered_fixtures():
         result = recover(bp)
         for cluster in (result.values, result.multiplicities, bp):
             assert canonical_form(cluster) == _form_by_nesting(cluster)
+
+
+def test_form_matches_nesting_reference_on_benchmark_workloads():
+    # the benchmark's generators, read only: fans hang many chains of
+    # repeated weights on one origin, polars walk long satellite runs
+    texts = ([workloads.fan(k, random.Random(k)) for k in (8, 23, 60)]
+             + [workloads.polar(n, j) for j in (2, 3) for n in (16, 45, 130)])
+    for text in texts:
+        _, bp = parse(text)
+        result = recover(bp)
+        for cluster in (result.multiplicities, result.values, bp):
+            assert canonical_form(cluster) == _form_by_nesting(cluster)
+
+
+def _all_roles(weight):
+    """Each of f, g and s at one weight, in alike sibling subtrees.
+
+    The origin o has three alike free children p.  Each p carries q,
+    proximate to p and its grandparent o, then r, proximate to q and q's
+    own second proximity o; and two alike free children, each with one
+    satellite through the grandparent p.
+    """
+    tree = ArenaTree()
+    o = tree.add_point()
+    for _ in range(3):
+        p = tree.add_point(o)
+        q = tree.add_point(p, o)
+        tree.add_point(q, o)
+        for _ in range(2):
+            tree.add_point(tree.add_point(p), p)
+    return WeightedCluster(
+        tree, WeightKind.MULTIPLICITY, dict.fromkeys(tree.points(), weight))
+
+
+def test_form_matches_nesting_reference_with_shared_heads():
+    # a head cache must tell the roles of one weight apart, and siblings
+    # whose subtrees encode alike must sort as the reference sorts them
+    for weight in (1, 2):
+        cluster = _all_roles(weight)
+        form = canonical_form(cluster)
+        for tag in (b"f", b"g", b"s"):
+            assert b"%b:%d(" % (tag, weight) in form
+        for cut in [cluster, *_prefixes(cluster)]:
+            assert canonical_form(cut) == _form_by_nesting(cut)
 
 
 def test_clusters_without_the_origin_have_the_empty_form():
