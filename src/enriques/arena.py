@@ -23,10 +23,14 @@ index (a list would silently accept ``-1``, and ``True`` as ``1``).
 :meth:`ArenaTree.facts` build read-only views from the columns for the
 public API and tests.
 
-Facts are derived in one place, the batch writer
-:meth:`ArenaTree._append_records`: :meth:`ArenaTree.append_raw` is that
-writer on one record, :meth:`ArenaTree.from_records` on a fresh arena, and
-:meth:`ArenaTree.append_chain` derives a run's later points from its first.
+Facts are derived by two writers that share one pair rule,
+:func:`_satellite_pair`.  The batch writer :meth:`ArenaTree._append_records`
+derives them record by record and records broken rules;
+:meth:`ArenaTree.append_raw` is that writer on one record and
+:meth:`ArenaTree.from_records` on a fresh arena.
+:meth:`ArenaTree.append_chain` writes a legal run of satellites that share
+a second proximity in closed form, every point from the run's parent and
+second proximity, and hands any other run to the batch writer whole.
 
 The arena rules are stated once, in :meth:`ArenaTree._violations`.
 :meth:`ArenaTree.add_point` raises the first rule it names; the batch
@@ -61,6 +65,28 @@ PointId = int
 #: ranges; a shorter one is cheaper as one ``append`` per column and point.
 #: Both writers stay, by measurement: see CHANGES.md for the per-writer runs.
 CHAIN_CROSSOVER = 10
+
+
+def _satellite_pair(
+    a: PointId, a_parent: Optional[PointId],
+    a_pair: Optional[tuple[PointId, PointId]], s: PointId,
+) -> Optional[tuple[PointId, PointId]]:
+    """The ordered proximity pair of a new satellite with parent ``a`` and
+    second proximity ``s``, or None when ``a`` is not proximate to ``s``.
+
+    This is the one statement of the pair rule, for a parent with facts
+    and an ``int`` s.  The pair is (a's parent, a) when a is free; when a
+    is a satellite with pair (lo, hi) it is (lo, a) for s = lo and
+    (a, hi) for s = hi, so a run of moves that share s keeps s on the same
+    side of every pair it writes.
+    """
+    if a_pair is None:
+        return (a_parent, a) if s == a_parent else None
+    if s == a_pair[0]:
+        return (s, a)
+    if s == a_pair[1]:
+        return (a, s)
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +211,8 @@ class ArenaTree:
         """Append raw (parent, second_proximity, label) records in order,
         enforcing no rule.
 
-        This is the one place that derives facts and records broken rules.
+        This is the one place that records broken rules;
+        :meth:`append_chain` writes only runs that break none.
         A point gets facts when it and every point it refers to keep the
         arena rules.  Only a point without facts can break one, so only
         such a point runs :meth:`_violations`, which then sees the pair
@@ -193,10 +220,8 @@ class ArenaTree:
         point before it.
 
         Let q be a satellite with parent a and second proximity s.  Its
-        pair is (a's parent, a) when a is free; when a is a satellite with
-        pair (lo, hi) it is (lo, a) for s = lo and (a, hi) for s = hi.
-        n and m0 add up over both proximities; k adds s's share only when s
-        lies in q's own cone.
+        pair is :func:`_satellite_pair`; n and m0 add up over both
+        proximities; k adds s's share only when s lies in q's own cone.
         """
         parents, seconds, labels, children = (
             self.parents, self.seconds, self.labels, self.children)
@@ -215,17 +240,7 @@ class ArenaTree:
                 if s is None:
                     free, n, m0, k = q, ns[a], m0s[a] + 1, 1
                 elif type(s) is int and (a, s) not in index:
-                    pair = pairs[a]
-                    if pair is None:
-                        pair = (parents[a], a)
-                        if s != pair[0]:
-                            pair = None
-                    elif s == pair[0]:
-                        pair = (pair[0], a)
-                    elif s == pair[1]:
-                        pair = (a, pair[1])
-                    else:
-                        pair = None
+                    pair = _satellite_pair(a, parents[a], pairs[a], s)
                     if pair is not None:
                         free, k = free_points[a], ks[a]
                         if free_points[s] == free:
@@ -259,71 +274,75 @@ class ArenaTree:
         """Append t >= 1 satellites proximate to s, each the child of the
         one before, the first a child of ``a``; return the last one's id.
 
-        The result equals t calls of :meth:`append_raw`.  When (a, s) is a
-        legal proximity pair that the arena does not hold yet, these are
-        the points that t equal moves of a satellite walk create from a.
-        The first point goes through :meth:`_append_records`, which checks
-        the rules and derives its facts.  When it gets none, because it or
-        a point it refers to breaks a rule, no later point gets any either,
-        and the rest of the run goes through it too.  Otherwise every later
-        point repeats its second proximity s, so its n, m0 and k add s's
-        share to the previous point's, its pair keeps the first point's
-        orientation, (s, previous) or (previous, s), and it breaks no rule:
-        it goes into the columns directly, by one of two writers, and
-        ``CHAIN_CROSSOVER`` is the only switch between them.  A run of at
-        least that many points goes in as ranges, one ``extend`` per
-        column; a shorter one as one ``append`` per column and point.
+        The result equals t calls of :meth:`append_raw`, and a ``t`` that
+        is not a positive ``int`` raises :class:`ArenaError` before
+        anything is appended.  When (a, s) is a legal proximity pair that
+        the arena does not hold yet, these are the points that t equal
+        moves of a satellite walk create from a, and they break no rule.
+        Every point of the run then has second proximity s, so its n, m0
+        and k are a's plus i times s's share, and its pair is
+        :func:`_satellite_pair` of its parent, which keeps s on the side
+        it takes at a: the whole run is written from a and s in closed
+        form, by one of two writers, and ``CHAIN_CROSSOVER`` is the only
+        switch between them.  A run of at least that many points goes in
+        as ranges, one ``extend`` per column; a shorter one as one
+        ``append`` per column and point.  Any other run goes through
+        :meth:`_append_records` as a whole, which records the rules its
+        first point breaks; no later point of it gets facts.
         """
+        if type(t) is not int or t < 1:
+            raise ArenaError(f"run length t must be a positive int, got {t!r}")
         q = len(self.parents)
-        self._append_records(((a, s, None),))
-        if t == 1:
-            return q
-        if self.pairs[q] is None:
-            self._append_records((c, s, None) for c in range(q, q + t - 1))
+        free_points, index = self.free_points, self._satellite_index
+        pair = None
+        if (type(a) is int and 0 <= a < q and free_points[a] is not None
+                and type(s) is int and (a, s) not in index):
+            pair = _satellite_pair(a, self.parents[a], self.pairs[a], s)
+        if pair is None:
+            self._append_records(
+                (c, s, None) for c in (a, *range(q, q + t - 1)))
             return q + t - 1
-        free, n, m0, k = (
-            self.free_points[q], self.ns[q], self.m0s[q], self.ks[q])
+        free, n, m0, k = free_points[a], self.ns[a], self.m0s[a], self.ks[a]
         n_s, m0_s = self.ns[s], self.m0s[s]
-        k_s = self.ks[s] if self.free_points[s] == free else 0
-        s_first = self.pairs[q][0] == s
+        k_s = self.ks[s] if free_points[s] == free else 0
+        s_first = pair[0] == s
         if t < CHAIN_CROSSOVER:
-            children, index = self.children, self._satellite_index
-            for c in range(q + 1, q + t):
+            children = self.children
+            for c in range(q, q + t):
                 n += n_s
                 m0 += m0_s
                 k += k_s
-                self.parents.append(q)
+                self.parents.append(a)
                 self.seconds.append(s)
                 self.labels.append(None)
-                children[q].append(c)
+                children[a].append(c)
                 children.append([])
-                self.free_points.append(free)
+                free_points.append(free)
                 self.ns.append(n)
                 self.m0s.append(m0)
                 self.ks.append(k)
-                self.pairs.append((s, q) if s_first else (q, s))
-                index[q, s] = c
-                q = c
-            return q
-        rest, last = t - 1, q + t - 1
-        prev = range(q, last)
+                self.pairs.append((s, a) if s_first else (a, s))
+                index[a, s] = c
+                a = c
+            return a
+        last = q + t - 1
+        prev = (a, *range(q, last))
         self.parents.extend(prev)
-        self.seconds.extend(repeat(s, rest))
-        self.labels.extend(repeat(None, rest))
-        self.children[q].append(q + 1)
-        self.children.extend([c] for c in range(q + 2, last + 1))
+        self.seconds.extend(repeat(s, t))
+        self.labels.extend(repeat(None, t))
+        self.children[a].append(q)
+        self.children.extend([c] for c in range(q + 1, last + 1))
         self.children.append([])
-        self.free_points.extend(repeat(free, rest))
-        self.ns.extend(range(n + n_s, n + t * n_s, n_s))
-        self.m0s.extend(range(m0 + m0_s, m0 + t * m0_s, m0_s))
-        self.ks.extend(range(k + k_s, k + t * k_s, k_s) if k_s
-                       else repeat(k, rest))
+        free_points.extend(repeat(free, t))
+        self.ns.extend(range(n + n_s, n + (t + 1) * n_s, n_s))
+        self.m0s.extend(range(m0 + m0_s, m0 + (t + 1) * m0_s, m0_s))
+        self.ks.extend(range(k + k_s, k + (t + 1) * k_s, k_s) if k_s
+                       else repeat(k, t))
         if s_first:
             self.pairs.extend(zip(repeat(s), prev))
         else:
             self.pairs.extend(zip(prev, repeat(s)))
-        self._satellite_index.update(
-            zip(zip(prev, repeat(s)), range(q + 1, last + 1)))
+        index.update(zip(zip(prev, repeat(s)), range(q, last + 1)))
         return last
 
     def clone(self) -> "ArenaTree":
@@ -417,8 +436,13 @@ class ArenaTree:
         return self._satellite_index.get((parent, second_proximity))
 
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:
-        """The chain from the origin up to and including ``p``."""
-        self._check(p)
+        """The chain from the origin up to and including ``p``.
+
+        ``p`` must have facts: a point with facts has a strictly descending
+        chain of points with facts, while a broken point's parent links
+        may not descend (a point may be its own parent)."""
+        if p not in self or self.free_points[p] is None:
+            self.facts(p)  # raises UnknownPoint or ArenaError
         parents = self.parents
         chain: list[PointId] = []
         q: Optional[PointId] = p
@@ -429,9 +453,11 @@ class ArenaTree:
         return tuple(chain)
 
     def precedes(self, p: PointId, q: PointId) -> bool:
-        """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""
+        """Whether ``p`` lies on the chain of ``q`` (ancestor or equal);
+        ``q`` must have facts, as in :meth:`ancestors`."""
         self._check(p)
-        self._check(q)
+        if q not in self or self.free_points[q] is None:
+            self.facts(q)  # raises UnknownPoint or ArenaError
         parents = self.parents
         r: Optional[PointId] = q
         while r is not None and r > p:

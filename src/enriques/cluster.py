@@ -31,6 +31,7 @@ from typing import Mapping
 
 from .arena import ArenaTree, PointId
 from .errors import (
+    ArenaError,
     ArenaMismatch,
     InvalidWeight,
     NonPositiveMultiplicity,
@@ -171,14 +172,18 @@ def values_from_multiplicities(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     values: dict[PointId, int] = {}
-    for p in cluster.ordered_points():
-        a, s = parents[p], seconds[p]
-        v = weight[p]
-        if a is not None:
-            v += values[a]
-        if s is not None:
-            v += values[s]
-        values[p] = v
+    try:
+        for p in cluster.ordered_points():
+            a, s = parents[p], seconds[p]
+            v = weight[p]
+            if a is not None:
+                v += values[a]
+            if s is not None:
+                v += values[s]
+            values[p] = v
+    except KeyError:  # only a point that breaks a rule links to no earlier one
+        raise ArenaError(
+            f"point {p} breaks an arena rule; see validate()") from None
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
@@ -192,17 +197,21 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     mults: dict[PointId, int] = {}
-    for p in cluster.ordered_points():
-        a, s = parents[p], seconds[p]
-        e = weight[p]
-        if a is not None:
-            e -= weight[a]
-        if s is not None:
-            e -= weight[s]
-        if e < 1:
-            raise NonPositiveMultiplicity(
-                f"values force multiplicity {e} at point {p}")
-        mults[p] = e
+    try:
+        for p in cluster.ordered_points():
+            a, s = parents[p], seconds[p]
+            e = weight[p]
+            if a is not None:
+                e -= weight[a]
+            if s is not None:
+                e -= weight[s]
+            if e < 1:
+                raise NonPositiveMultiplicity(
+                    f"values force multiplicity {e} at point {p}")
+            mults[p] = e
+    except KeyError:  # only a point that breaks a rule links outside
+        raise ArenaError(
+            f"point {p} breaks an arena rule; see validate()") from None
     return WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
 
 

@@ -105,7 +105,8 @@ class MorphismInvariants:
         that the arena does not hold yet, and m grows by m_s from point to
         point, starting from m_a (the new points lie outside the cluster).
         Otherwise, or when the table is behind the arena, :meth:`_grow`
-        tabulates the new points, and a broken one gets no m.
+        tabulates the new points, and a broken one gets no m.  A bad ``t``
+        raises in the arena before anything is appended or tabulated.
         """
         tree, m = self.bp.tree, self.m
         first = len(tree.parents)

@@ -40,7 +40,8 @@ from typing import Iterable
 
 from .arena import PointId
 from .cluster import WeightedCluster, WeightKind, excess, excesses
-from .errors import Diagnostic, NegativeResidual, OracleError, UnknownPoint
+from .errors import (
+    ArenaError, Diagnostic, NegativeResidual, OracleError, UnknownPoint)
 from .ordering import defining_free_point
 
 
@@ -136,12 +137,13 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
     parent, which the sweep visits next, and to the second proximity,
     through a small dict of weights owed to points further down.
     :func:`~enriques.cluster.unibranch_chain` and
-    :func:`~enriques.cluster.noether_pairing` are the definition.  Assumes
-    an arena that :meth:`ArenaTree.validate` accepts.
+    :func:`~enriques.cluster.noether_pairing` are the definition.  ``p``
+    must have facts, so that its chain descends to the origin; the sweep
+    itself trusts the arena.
     """
     tree = curve.tree
-    if p not in tree:
-        raise UnknownPoint(f"no point with id {p}")
+    if p not in tree or tree.free_points[p] is None:
+        tree.facts(p)  # raises UnknownPoint or ArenaError
     parents, seconds, weight = tree.parents, tree.seconds, curve.weight
     owed: dict[PointId, int] = {}
     pairing, w, q = 0, 1, p
@@ -184,10 +186,14 @@ def rupture_quotients(
         raise UnknownPoint(f"no point with id {base}")
     parents, seconds = tree.parents, tree.seconds
     v: dict[PointId, int] = {}
-    for q in sorted(weight):
-        a, s = parents[q], seconds[q]
-        v[q] = (weight[q] + (0 if a is None else v[a])
-                + (0 if s is None else v[s]))
+    try:
+        for q in sorted(weight):
+            a, s = parents[q], seconds[q]
+            v[q] = (weight[q] + (0 if a is None else v[a])
+                    + (0 if s is None else v[s]))
+    except KeyError:  # only a point that breaks a rule links to no earlier one
+        raise ArenaError(
+            f"point {q} breaks an arena rule; see validate()") from None
     ns, free_points = tree.ns, tree.free_points
     return {q: Fraction(v[q], ns[q]) for q in sorted(rupture_points(curve))
             if base is None or q == base or free_points[q] == base}

@@ -25,10 +25,13 @@ contributes one rupture point:
    numerator + denominator of I_d moves (see :func:`satellite_walk`).
 
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
-builds a fraction.  A run builds each invariant's :class:`Fraction` once,
-from the m table and the arena's ``ns`` and ``m0s`` columns, and reads a
-and b from it once; the scan, the walk and the walk memo's key take them as
-integers.  The public :func:`base_free_point` and :func:`satellite_walk`
+builds a fraction.  A run builds one :class:`Fraction` per distinct
+(m_d - m0_d + n_d, n_d), read from the m table and the arena's ``ns`` and
+``m0s`` columns, and every dicritical that repeats the pair shares it (a
+fan of chains repeats a few invariants over many dicriticals).  Each
+dicritical reads a and b from it once; the scan, the walk and the walk
+memo's key take them as integers.  Each dicritical's
+:class:`DicriticalAssociation` is a named tuple.  The public :func:`base_free_point` and :func:`satellite_walk`
 check their point and hand a and b to the same bodies.  The singular set S
 is the downward closure of the rupture set R.
 
@@ -74,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excess, excesses
@@ -90,9 +93,11 @@ from .ordering import satellite_proximity
 TraceEntry = tuple[PointId, int, int, str]
 
 
-@dataclass(frozen=True)
-class DicriticalAssociation:
-    """What one dicritical point contributed to the recovery."""
+class DicriticalAssociation(NamedTuple):
+    """What one dicritical point contributed to the recovery.
+
+    A tuple, so it also equals a plain tuple of the same three values.
+    """
 
     invariant: Fraction
     base_free_point: PointId
@@ -402,11 +407,16 @@ def recover(
         m, ns, m0s = inv.m, tree.ns, tree.m0s
         origin = tree.origin
         walked: dict[tuple[PointId, int, int], PointId] = {}
+        invariants: dict[tuple[int, int], Fraction] = {}  # by (m-m0+n, n)
         for d in sorted(p for p, r in rho.items() if r > 0):
             m_d = m[d]
             if m_d is None:
                 inv.extend_to(d)  # raises
-            invariant = Fraction(m_d - m0s[d] + ns[d], ns[d])
+            n_d = ns[d]
+            key = (m_d - m0s[d] + n_d, n_d)
+            invariant = invariants.get(key)
+            if invariant is None:
+                invariant = invariants[key] = Fraction(*key)
             num, den = invariant.numerator, invariant.denominator
             p = q = d
             if d != origin:

@@ -11,6 +11,8 @@ import pytest
 
 import enriques
 from enriques import (
+    ArenaTree,
+    DicriticalAssociation,
     WeightKind,
     WeightedCluster,
     base_free_point,
@@ -24,6 +26,7 @@ from enriques import (
     free_count_first_neighbourhood,
     invariant_quotient,
     max_under_prec,
+    multiplicities_from_values,
     prec_compare,
     recover_values,
     rupture_points,
@@ -31,9 +34,10 @@ from enriques import (
     satellite_walk,
     second_satellite,
     unibranch_chain,
+    values_from_multiplicities,
 )
 from enriques import errors
-from enriques.errors import EnriquesError, WrongKind
+from enriques.errors import ArenaError, EnriquesError, WrongKind
 from enriques.oracle import has_bigger_branch
 
 import fixture_builders as fb
@@ -238,3 +242,44 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
         with pytest.raises(WrongKind, match="got virtual"):
             call()
     assert set(rupture_quotients(curve).values()) == {11}  # a curve passes
+
+
+def test_calls_on_a_broken_point_raise_not_hang():
+    # point 1 is its own parent, and in the second arena points 1 and 2
+    # are each other's parent, so their parent links never reach the
+    # origin; in the third, point 2 names a second proximity that is no
+    # point, which the sweeps read as a value they never set
+    for records in ([(None, None, "O"), (1, None, "a")],
+                    [(None, None, "O"), (2, None, "a"), (1, None, "b")],
+                    [(None, None, "O"), (0, None, "a"), (1, 5, "b")]):
+        tree = ArenaTree.from_records(records)
+        assert tree.validate()
+        p = len(tree) - 1
+        curve = WeightedCluster(
+            tree, WeightKind.MULTIPLICITY, dict.fromkeys(range(p + 1), 1))
+        calls = [lambda: tree.ancestors(p), lambda: tree.precedes(0, p),
+                 lambda: unibranch_chain(tree, p),
+                 lambda: invariant_quotient(curve, p),
+                 lambda: rupture_quotients(curve),
+                 lambda: values_from_multiplicities(curve)]
+        if tree.seconds[p] is not None:
+            values = WeightedCluster(
+                tree, WeightKind.VALUE, {q: 3 ** q for q in range(p + 1)})
+            calls.append(lambda: multiplicities_from_values(values))
+        for call in calls:
+            with pytest.raises(ArenaError, match="breaks an arena rule"):
+                call()
+
+
+def test_dicritical_association_is_an_immutable_tuple():
+    a = DicriticalAssociation(Fraction(7, 2), 3, 5)
+    assert repr(a) == ("DicriticalAssociation(invariant=Fraction(7, 2),"
+                       " base_free_point=3, rupture_point=5)")
+    assert (a.invariant, a.base_free_point, a.rupture_point) == tuple(a)
+    assert a == DicriticalAssociation(Fraction(7, 2), 3, 5) == (
+        Fraction(7, 2), 3, 5)
+    assert a != DicriticalAssociation(Fraction(7, 2), 3, 6)
+    assert hash(a) == hash((Fraction(7, 2), 3, 5))
+    for field in ("invariant", "base_free_point", "rupture_point"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)

@@ -1,9 +1,10 @@
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
 
 from enriques import WeightKind, WeightedCluster, compute, unibranch_chain
-from enriques.errors import InconsistentCluster
+from enriques.errors import EnriquesError, InconsistentCluster
 
 import fixture_builders as fb
 
@@ -93,6 +94,28 @@ def test_append_chain_with_bad_ids_tabulates_as_append_raw():
                 assert inv.m == ref.m, (a, s, t)
                 assert [p for p, m in enumerate(inv.m) if m is None] == [
                     p for p in tree.points() if tree.free_points[p] is None]
+
+
+def test_append_chain_refuses_a_bad_run_length_before_appending():
+    # t = 0 and t = -2 would append one point, t = 2.5 one point and then
+    # a bare TypeError; every bad t is refused with nothing appended
+    tree, bp, names = fb.ex04_bp()
+    inv = compute(bp)
+    legal = next((a, s) for a in tree.points() for s in tree.proximities(a)
+                 if tree.find_satellite(a, s) is None)
+    illegal = (names["p5"], names["O"])
+    assert names["O"] not in tree.proximities(names["p5"])
+    runs = [legal, illegal]
+    for append in (tree.append_chain, inv.append_chain):
+        for a, s in runs:
+            for t in (0, -2, 2.5, True, "3", None):
+                before = deepcopy([getattr(tree, c) for c in ARENA_COLUMNS])
+                index, m = dict(tree._satellite_index), list(inv.m)
+                with pytest.raises(EnriquesError, match="run length t"):
+                    append(a, s, t)
+                assert [getattr(tree, c) for c in ARENA_COLUMNS] == before
+                assert tree._satellite_index == index
+                assert tree.validate() == [] and inv.m == m
 
 
 def test_origin_quotient_is_weight_plus_one():

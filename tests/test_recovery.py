@@ -339,6 +339,35 @@ def test_grouped_walks_each_pair_once():
         {"p4", "p5", "p7", "p8", "p13", "p14"}
 
 
+def _fan_bp(k):
+    """The base points of the benchmark's fan of k chains."""
+    return parse(workloads.fan(k, random.Random(k)))[1]
+
+
+@pytest.mark.parametrize("k", [8, 23, 60])
+def test_legal_walk_runs_skip_the_batch_writer(k, monkeypatch):
+    # every run a walk appends is legal, so append_chain writes it in
+    # closed form and the batch writer sees none of them
+    bp = _fan_bp(k)
+    calls = []
+    batch = ArenaTree._append_records
+
+    def spy(tree, records):
+        calls.append(records)
+        return batch(tree, records)
+
+    monkeypatch.setattr(ArenaTree, "_append_records", spy)
+    assert recover(bp).created and calls == []
+
+
+@pytest.mark.parametrize("k", [8, 23, 60])
+def test_recover_builds_one_fraction_per_distinct_invariant(k):
+    result = recover(_fan_bp(k))
+    invariants = [a.invariant for a in result.association.values()]
+    assert len(set(invariants)) < len(invariants)  # fans repeat invariants
+    assert len({id(i) for i in invariants}) == len(set(invariants))
+
+
 def _fresh_documents(fixture_dir):
     """(name, base-point document) pairs: the four fixtures, a sample of
     the Euclid family, random consistent clusters and the benchmark's
