@@ -31,7 +31,6 @@ from typing import Mapping
 
 from .arena import ArenaTree, PointId
 from .errors import (
-    ArenaError,
     ArenaMismatch,
     InvalidWeight,
     NonPositiveMultiplicity,
@@ -53,12 +52,21 @@ class WeightedCluster:
     """An ancestor-closed set of points with integer weights.
 
     Instances are immutable; derive new clusters instead of mutating.
-    Point ids and weights are ints, not bools, and weights must be >= 1,
-    except that virtual clusters may carry explicit zero weights
-    ("carrier" points that take part in no sum but keep a point in the
-    set).  Each entry is checked in this order: a known point id, a weight
-    that is not a bool, an int at or above the floor, a parent in the
-    cluster.  A plain int weight passes the middle two on one type test.
+    ``kind`` must be a :class:`WeightKind` member, checked first
+    (:class:`WrongKind`).  Point ids and weights are ints, not bools, and
+    weights must be >= 1, except that virtual clusters may carry explicit
+    zero weights ("carrier" points that take part in no sum but keep a
+    point in the set).  Each entry is then checked in this order: a known
+    point id, a point with facts (one that breaks no arena rule, else the
+    arena's :class:`ArenaError`), a weight that is not a bool, an int at or
+    above the floor, a parent in the cluster.  A plain int weight passes
+    both weight checks on one type test.
+
+    So every cluster is sound: its points have facts, and it is
+    ancestor-closed.  The parent and the second proximity of a point with
+    facts are ancestors of it with facts, earlier in id order, so a sweep
+    over a cluster in id order finds both links already swept and needs
+    no check of its own.
 
     :meth:`_adopt` skips the copy and the checks.  Only a caller that has
     established every property above may use it, and there are two:
@@ -66,12 +74,16 @@ class WeightedCluster:
     * ``recovery.recover`` adopts the values and the multiplicities of
       its sweep once the sweep rejected nothing.  Their keys are arena ids
       of a downward closure, and the sweep read every parent's value;
-      their weights are ints; a multiplicity below 1 was rejected; and a
-      value is its multiplicity plus earlier values, so it is at least 1.
-      The checked copies would cost wide inputs about a sixth of
-      ``recover``'s time (wide_fan ``recover_ms.p50``).
+      the closure is of the rupture points, each the dicritical itself
+      (a cluster point) or a point the walk found or appended as a legal
+      run, so every key has facts; their weights are ints; a multiplicity
+      below 1 was rejected; and a value is its multiplicity plus earlier
+      values, so it is at least 1.  The checked copies would cost wide
+      inputs about a sixth of ``recover``'s time (wide_fan
+      ``recover_ms.p50``).
     * ``documents.parse`` adopts its weights once it found no diagnostic.
-      Its keys are the ids it appended; it stores only positive JSON
+      Its keys are the ids it appended, and with no diagnostic no point
+      broke an arena rule, so each has facts; it stores only positive JSON
       integers; and its loop checked that each weighted point's parent is
       weighted.
     """
@@ -81,14 +93,19 @@ class WeightedCluster:
     weight: Mapping[PointId, int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, WeightKind):
+            raise WrongKind(f"kind {self.kind!r} is not a WeightKind")
         weights = dict(self.weight)
         object.__setattr__(self, "weight", weights)
         floor = 0 if self.kind is WeightKind.VIRTUAL else 1
-        parents = self.tree.parents
+        tree = self.tree
+        parents, free_points = tree.parents, tree.free_points
         size = len(parents)
         for p, w in weights.items():
             if not (type(p) is int and 0 <= p < size):
                 raise UnknownPoint(f"cluster mentions unknown point {p}")
+            if free_points[p] is None:
+                tree.facts(p)  # raises ArenaError
             if not (type(w) is int and w >= floor):
                 if isinstance(w, bool):
                     raise InvalidWeight(
@@ -172,18 +189,14 @@ def values_from_multiplicities(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     values: dict[PointId, int] = {}
-    try:
-        for p in cluster.ordered_points():
-            a, s = parents[p], seconds[p]
-            v = weight[p]
-            if a is not None:
-                v += values[a]
-            if s is not None:
-                v += values[s]
-            values[p] = v
-    except KeyError:  # only a point that breaks a rule links to no earlier one
-        raise ArenaError(
-            f"point {p} breaks an arena rule; see validate()") from None
+    for p in cluster.ordered_points():
+        a, s = parents[p], seconds[p]
+        v = weight[p]
+        if a is not None:
+            v += values[a]
+        if s is not None:
+            v += values[s]
+        values[p] = v
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
@@ -197,21 +210,17 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     mults: dict[PointId, int] = {}
-    try:
-        for p in cluster.ordered_points():
-            a, s = parents[p], seconds[p]
-            e = weight[p]
-            if a is not None:
-                e -= weight[a]
-            if s is not None:
-                e -= weight[s]
-            if e < 1:
-                raise NonPositiveMultiplicity(
-                    f"values force multiplicity {e} at point {p}")
-            mults[p] = e
-    except KeyError:  # only a point that breaks a rule links outside
-        raise ArenaError(
-            f"point {p} breaks an arena rule; see validate()") from None
+    for p in cluster.ordered_points():
+        a, s = parents[p], seconds[p]
+        e = weight[p]
+        if a is not None:
+            e -= weight[a]
+        if s is not None:
+            e -= weight[s]
+        if e < 1:
+            raise NonPositiveMultiplicity(
+                f"values force multiplicity {e} at point {p}")
+        mults[p] = e
     return WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
 
 
@@ -244,8 +253,9 @@ def excess(cluster: WeightedCluster, p: PointId) -> int:
     stops at its first point outside the cluster.  The cost is the number
     of points proximate to p, not the cluster size.
 
-    Assumes an arena that :meth:`ArenaTree.validate` accepts (``parse``
-    rejects any other); :func:`excesses` is the one-pass definition.
+    Needs every cluster point to have facts, which every cluster holds by
+    construction (see :class:`WeightedCluster`); :func:`excesses` is the
+    one-pass definition.
     Raises :class:`PointNotInCluster` when p is not a point of the cluster.
     """
     if p not in cluster:

@@ -49,7 +49,7 @@ from typing import Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excesses
-from .errors import ArenaError, InconsistentCluster, UnknownPoint
+from .errors import InconsistentCluster, UnknownPoint
 
 
 class MorphismInvariants:
@@ -58,10 +58,12 @@ class MorphismInvariants:
     n_p comes from the arena's ``ns`` column.  The table covers every
     arena point; extension over appended points follows the
     exclusive-writer contract of the arena.  A point that breaks an arena
-    rule has no m (None in the table).
+    rule has no m (None in the table).  ``bp`` must be a virtual cluster,
+    as in :func:`compute`, which also requires it to be consistent.
     """
 
     def __init__(self, bp: WeightedCluster):
+        bp.require_kind(WeightKind.VIRTUAL)
         self.bp = bp
         self.m: list[Optional[int]] = []
         self._grow()
@@ -95,7 +97,7 @@ class MorphismInvariants:
             self._grow()
         m_p = m[p]
         if m_p is None:
-            raise ArenaError(f"point {p} breaks an arena rule; see validate()")
+            self.bp.tree.facts(p)  # raises ArenaError
         return self.bp.tree.ns[p], m_p
 
     def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:

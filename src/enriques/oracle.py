@@ -8,7 +8,12 @@ invariant quotients.  Past the types, it shares with
 :func:`excess` and :func:`excesses` (each reads its own function of
 :mod:`~enriques.ordering`), so agreement between them is a meaningful
 check.  A function that counts a curve's points or branches raises
-:class:`WrongKind` on another kind of cluster.
+:class:`WrongKind` on another kind of cluster.  Every cluster is sound by
+construction (see :class:`~enriques.cluster.WeightedCluster`): its points
+break no arena rule and it is ancestor-closed, so the sweeps here read
+each point's links without a check of their own.  Only a point taken from
+the arena rather than the curve, as in :func:`invariant_quotient`, is
+checked where it enters.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
@@ -41,7 +46,7 @@ from typing import Iterable
 from .arena import PointId
 from .cluster import WeightedCluster, WeightKind, excess, excesses
 from .errors import (
-    ArenaError, Diagnostic, NegativeResidual, OracleError, UnknownPoint)
+    Diagnostic, NegativeResidual, OracleError, UnknownPoint)
 from .ordering import defining_free_point
 
 
@@ -171,12 +176,13 @@ def rupture_quotients(
 
         v_p = e_p + v_parent + v_second,
 
-    and the chain's origin weight is n_p.  A curve is ancestor-closed, so
-    both links of a curve point lie in the curve and come earlier in the
-    sweep.  The sweep reads only the arena columns and the curve weights,
-    sharing no code with the conversions of :mod:`~enriques.cluster`,
-    with :mod:`~enriques.morphism` or with :mod:`~enriques.recovery`, so
-    that the oracle stays an independent check on them.  A ``base`` that
+    and the chain's origin weight is n_p.  A curve is ancestor-closed and
+    its points have facts, so both links of a curve point lie in the curve
+    and come earlier in the sweep.  The sweep reads only the arena columns
+    and the curve weights, sharing no code with the conversions of
+    :mod:`~enriques.cluster`, with :mod:`~enriques.morphism` or with
+    :mod:`~enriques.recovery`, so that the oracle stays an independent
+    check on them.  A ``base`` that
     is no arena point raises :class:`UnknownPoint`, as in
     :func:`invariant_quotient`.
     """
@@ -186,14 +192,10 @@ def rupture_quotients(
         raise UnknownPoint(f"no point with id {base}")
     parents, seconds = tree.parents, tree.seconds
     v: dict[PointId, int] = {}
-    try:
-        for q in sorted(weight):
-            a, s = parents[q], seconds[q]
-            v[q] = (weight[q] + (0 if a is None else v[a])
-                    + (0 if s is None else v[s]))
-    except KeyError:  # only a point that breaks a rule links to no earlier one
-        raise ArenaError(
-            f"point {q} breaks an arena rule; see validate()") from None
+    for q in sorted(weight):
+        a, s = parents[q], seconds[q]
+        v[q] = (weight[q] + (0 if a is None else v[a])
+                + (0 if s is None else v[s]))
     ns, free_points = tree.ns, tree.free_points
     return {q: Fraction(v[q], ns[q]) for q in sorted(rupture_points(curve))
             if base is None or q == base or free_points[q] == base}
@@ -239,14 +241,22 @@ def check_growth(
         I(q1) <= I(q2),  equality iff no branch of the curve is bigger
                          than q1.
 
-    Returns a description of every violated check (expected: none).
+    Returns a description of every violated check (expected: none).  A
+    sample outside that precondition is no fact about the curve: it raises
+    :class:`OracleError`, a free q1 first.
     """
     tree = curve.tree
+    ks, ns = tree.ks, tree.ns
     violations = []
     for q1, q2 in samples:
         if tree.second_proximity(q1) is None:
             raise OracleError(f"sample ({q1}, {q2}): {q1} is not a satellite")
         p = defining_free_point(tree, q1)
+        if not (defining_free_point(tree, q2) == p
+                and ks[q1] * ns[q2] < ks[q2] * ns[q1]):
+            raise OracleError(
+                f"sample ({q1}, {q2}): {q2} is not bigger than {q1}"
+                f" in the cone of {p}")
         p_prev = tree.parent(p)
         i_prev = invariant_quotient(curve, p_prev)
         i_q1 = invariant_quotient(curve, q1)

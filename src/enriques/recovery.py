@@ -161,7 +161,19 @@ def base_free_point(
 
 def _base_free_point(tree: ArenaTree, m: list, d: PointId, num: int,
                      den: int) -> tuple[PointId, PointId]:
-    """:func:`base_free_point` for num/den, on a table m covering d's chain."""
+    """:func:`base_free_point` for num/den, on a table m covering d's chain.
+
+    With d's own invariant, as :func:`recover` passes it, the scan always
+    stops, so :class:`NoQualifyingPair` is reached only through
+    :func:`base_free_point` with another invariant.  Let d be a dicritical
+    other than the origin O, and p1 the point after O on d's chain.  The
+    link (O, p1) qualifies: p1 is free, since O has no proximity for a
+    satellite to share, and m_O = w_O + 1 with n_O = 1.  The pairing of
+    bp with d's chain cluster weights O by n_d and d by 1, and every other
+    term is at least 0, so it is at least n_d w_O + w_d; and w_d >= 1,
+    since d's excess is positive and no virtual weight is negative.  So
+    I_d >= w_O + 1/n_d + 1 > m_O / n_O, and the scan stops by that link.
+    """
     parents, seconds, ns = tree.parents, tree.seconds, tree.ns
     p, a = d, parents[d]
     while a is not None:
@@ -409,11 +421,8 @@ def recover(
         walked: dict[tuple[PointId, int, int], PointId] = {}
         invariants: dict[tuple[int, int], Fraction] = {}  # by (m-m0+n, n)
         for d in sorted(p for p, r in rho.items() if r > 0):
-            m_d = m[d]
-            if m_d is None:
-                inv.extend_to(d)  # raises
             n_d = ns[d]
-            key = (m_d - m0s[d] + n_d, n_d)
+            key = (m[d] - m0s[d] + n_d, n_d)
             invariant = invariants.get(key)
             if invariant is None:
                 invariant = invariants[key] = Fraction(*key)

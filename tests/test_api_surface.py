@@ -26,7 +26,6 @@ from enriques import (
     free_count_first_neighbourhood,
     invariant_quotient,
     max_under_prec,
-    multiplicities_from_values,
     prec_compare,
     recover_values,
     rupture_points,
@@ -34,7 +33,6 @@ from enriques import (
     satellite_walk,
     second_satellite,
     unibranch_chain,
-    values_from_multiplicities,
 )
 from enriques import errors
 from enriques.errors import ArenaError, EnriquesError, WrongKind
@@ -248,24 +246,24 @@ def test_calls_on_a_broken_point_raise_not_hang():
     # point 1 is its own parent, and in the second arena points 1 and 2
     # are each other's parent, so their parent links never reach the
     # origin; in the third, point 2 names a second proximity that is no
-    # point, which the sweeps read as a value they never set
+    # point.  No cluster of any kind holds such a point, so the sweeps
+    # over a cluster never read its links; the calls that take a point
+    # from the arena check it themselves
     for records in ([(None, None, "O"), (1, None, "a")],
                     [(None, None, "O"), (2, None, "a"), (1, None, "b")],
                     [(None, None, "O"), (0, None, "a"), (1, 5, "b")]):
         tree = ArenaTree.from_records(records)
         assert tree.validate()
         p = len(tree) - 1
+        for kind in WeightKind:
+            with pytest.raises(ArenaError, match="breaks an arena rule"):
+                WeightedCluster(tree, kind, dict.fromkeys(range(p + 1), 1))
+        sound = [q for q in range(p) if tree.free_points[q] is not None]
         curve = WeightedCluster(
-            tree, WeightKind.MULTIPLICITY, dict.fromkeys(range(p + 1), 1))
+            tree, WeightKind.MULTIPLICITY, dict.fromkeys(sound, 1))
         calls = [lambda: tree.ancestors(p), lambda: tree.precedes(0, p),
                  lambda: unibranch_chain(tree, p),
-                 lambda: invariant_quotient(curve, p),
-                 lambda: rupture_quotients(curve),
-                 lambda: values_from_multiplicities(curve)]
-        if tree.seconds[p] is not None:
-            values = WeightedCluster(
-                tree, WeightKind.VALUE, {q: 3 ** q for q in range(p + 1)})
-            calls.append(lambda: multiplicities_from_values(values))
+                 lambda: invariant_quotient(curve, p)]
         for call in calls:
             with pytest.raises(ArenaError, match="breaks an arena rule"):
                 call()

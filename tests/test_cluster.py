@@ -18,6 +18,7 @@ from enriques import (
     values_from_multiplicities,
 )
 from enriques.errors import (
+    ArenaError,
     ArenaMismatch,
     InvalidWeight,
     NonPositiveMultiplicity,
@@ -273,3 +274,24 @@ def test_unknown_points_rejected():
     for bad in (1, -1, "0", None, 0.5):
         with pytest.raises(UnknownPoint):
             WeightedCluster(tree, WeightKind.VIRTUAL, {o: 1, bad: 1})
+
+
+@pytest.mark.parametrize("kind", ["virtual", None, 3])
+def test_kind_must_be_a_weight_kind(kind):
+    # checked before the weights, so even a sound cluster is refused
+    tree = ArenaTree()
+    tree.add_point()
+    with pytest.raises(WrongKind, match=f"kind {kind!r} is not a WeightKind"):
+        WeightedCluster(tree, kind, {0: 1})
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_points_without_facts_rejected(kind):
+    # point 1 is its own parent, so it has no facts; the cluster refuses
+    # it with the arena's own message instead of answering about it
+    tree = ArenaTree.from_records([(None, None, "O"), (1, None, "a")])
+    assert tree.free_points[1] is None
+    with pytest.raises(ArenaError,
+                       match=r"point 1 breaks an arena rule; see validate\(\)"):
+        WeightedCluster(tree, kind, {0: 2, 1: 1})
+    assert WeightedCluster(tree, kind, {0: 2})[0] == 2  # the sound part

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from enriques import WeightKind, WeightedCluster, compute, unibranch_chain
-from enriques.errors import EnriquesError, InconsistentCluster
+from enriques import (
+    MorphismInvariants, WeightKind, WeightedCluster, compute, unibranch_chain)
+from enriques.errors import EnriquesError, InconsistentCluster, WrongKind
 
 import fixture_builders as fb
 
@@ -169,3 +170,14 @@ def test_missing_origin_weight_rejected():
     empty = WeightedCluster(tree, WeightKind.VIRTUAL, {})
     with pytest.raises(InconsistentCluster):
         compute(empty)
+
+
+def test_table_refuses_a_cluster_that_is_not_virtual():
+    # as compute does; a curve's multiplicities are no polar base points,
+    # so a dicritical invariant read from their table would mean nothing
+    tree, curve, names = fb.ex04_curve()
+    with pytest.raises(WrongKind, match="expected a virtual cluster, got"
+                       " multiplicity"):
+        MorphismInvariants(curve)
+    with pytest.raises(WrongKind, match="got multiplicity"):
+        compute(curve)

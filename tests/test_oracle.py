@@ -511,3 +511,17 @@ def test_rupture_points_on_wide_fan():
     ruptures, elapsed = _timed_rupture_points(curve)
     assert ruptures == tops | {o}
     assert elapsed < 2.0
+
+
+def test_check_growth_refuses_samples_outside_its_precondition():
+    # q1 = p3 is a satellite in the cone of p2; p1 lies in another cone,
+    # (p3, p3) is no pair of distinct points, and p6, in p2's cone at
+    # k/n 1/3 below p3's 1/2, is smaller than p3, not bigger
+    tree, curve, names = fb.ex06_curve()
+    q1 = names["p3"]
+    assert check_growth(curve, [(q1, names["p4"])]) == []
+    for q2 in (names["p1"], q1, names["p6"]):
+        with pytest.raises(OracleError, match=(
+                rf"sample \({q1}, {q2}\): {q2} is not bigger than {q1}"
+                rf" in the cone of {names['p2']}")):
+            check_growth(curve, [(q1, q2)])

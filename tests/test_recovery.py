@@ -180,23 +180,44 @@ def test_scan_and_walk_errors_print_the_invariant_as_fraction_does():
             f"no height quotient equal to {text} steps below point 3")
 
 
+def test_recover_never_reaches_no_qualifying_pair():
+    # the proof in _base_free_point's docstring: for every dicritical d
+    # other than the origin O, the link (O, p1) qualifies, because
+    # m_O / n_O = w_O + 1 < I_d; so recover's scan always stops
+    bps = [randgen.random_consistent_bp(seed) for seed in range(6000)]
+    bps += [builder()[1] for builder in (fb.ex04_bp, fb.ex05_bp,
+                                         fb.ex06_bp, fb.ex07_bp)]
+    bps += [_fan_bp(k) for k in (8, 23, 60)]
+    checked = 0
+    for bp in bps:
+        origin = bp.tree.origin
+        inv = compute(bp)
+        for d in dicritical_points(bp) - {origin}:
+            assert bp[origin] + 1 < dicritical_invariant(bp, inv, d)
+            checked += 1
+    assert checked > 25000
+
+
 def test_recover_raises_arena_error_at_a_dicritical_without_facts():
     # point 3 names a second proximity that its parent is not proximate
-    # to, so it has no facts and no m; the run stops at its invariant
+    # to, so it has no facts and no m.  No cluster of any kind holds it,
+    # so no run reaches it; a run on the sound points still associates
+    # the origin as before.  The partial association on a raised error is
+    # pinned by test_invalid_input_diagnosed_with_partial_association
     records = [(None, None, "O"), (0, None, "p1"), (1, None, "p2"),
                (2, 0, "bad")]
     for run in (recover, recover_grouped):
         tree = ArenaTree.from_records(records)
-        bp = WeightedCluster(tree, WeightKind.VIRTUAL,
-                             {0: 3, 1: 1, 2: 1, 3: 1})
-        assert sorted(dicritical_points(bp)) == [0, 3]
-        with pytest.raises(ArenaError) as info:
-            run(bp)
-        assert type(info.value) is ArenaError
-        assert str(info.value) == (
-            "point 3 breaks an arena rule; see validate()")
-        assert info.value.association == {
-            0: DicriticalAssociation(Fraction(4), 0, 0)}
+        for kind in WeightKind:
+            with pytest.raises(ArenaError) as info:
+                WeightedCluster(tree, kind, {0: 3, 1: 1, 2: 1, 3: 1})
+            assert type(info.value) is ArenaError
+            assert str(info.value) == (
+                "point 3 breaks an arena rule; see validate()")
+        bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 3, 1: 1, 2: 1})
+        assert sorted(dicritical_points(bp)) == [0, 2]
+        assert run(bp).association[0] == DicriticalAssociation(
+            Fraction(4), 0, 0)
 
 
 def test_satellite_walk_finds_points_appended_after_its_table():
