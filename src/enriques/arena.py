@@ -23,20 +23,21 @@ index (a list would silently accept ``-1``, and ``True`` as ``1``).
 :meth:`ArenaTree.facts` build read-only views from the columns for the
 public API and tests.
 
+Every point an arena holds keeps the arena rules, so every point has
+facts.  The rules are stated once, in :meth:`ArenaTree._violations`.
+:meth:`ArenaTree.add_point` raises the first rule a point would break and
+appends nothing; :meth:`ArenaTree.from_records` raises
+:class:`~enriques.errors.ArenaValidationError`, which carries every rule
+its records break as a :class:`~enriques.errors.Diagnostic`, and returns
+no arena.
+
 Facts are derived by two writers that share one pair rule,
 :func:`_satellite_pair`.  The batch writer :meth:`ArenaTree._append_records`
-derives them record by record and records broken rules;
-:meth:`ArenaTree.append_raw` is that writer on one record and
-:meth:`ArenaTree.from_records` on a fresh arena.
-:meth:`ArenaTree.append_chain` writes a legal run of satellites that share
-a second proximity in closed form, every point from the run's parent and
-second proximity, and hands any other run to the batch writer whole.
-
-The arena rules are stated once, in :meth:`ArenaTree._violations`.
-:meth:`ArenaTree.add_point` raises the first rule it names; the batch
-writer appends anyway and records each broken rule as a
-:class:`~enriques.errors.Diagnostic`, which :meth:`ArenaTree.validate`
-returns without another pass.
+derives them record by record and returns the rules its records break;
+both :meth:`ArenaTree.add_point` and :meth:`ArenaTree.from_records` write
+through it.  :meth:`ArenaTree.append_chain` writes a legal run of
+satellites that share a second proximity in closed form, every point from
+the run's parent and second proximity, and raises on any other run.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -50,6 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ArenaError,
+    ArenaValidationError,
     Diagnostic,
     DuplicateOrigin,
     DuplicateSatellite,
@@ -95,8 +97,7 @@ class PointRecord:
 
     ``id`` is the point's index in its arena; ``parent`` is None only for
     the origin and ``second_proximity`` is None for the origin and free
-    points.  Points from :meth:`ArenaTree.from_records` may break arena
-    rules; :meth:`ArenaTree.validate` reports them.
+    points.
     """
 
     id: PointId
@@ -130,9 +131,9 @@ class ArenaTree:
     """Append-only, columnar arena of infinitely near points.
 
     Points are topologically sorted: every referenced id precedes its
-    referrer.  :meth:`add_point` refuses a point that breaks an arena rule;
-    :meth:`from_records` admits raw (possibly broken) data, and
-    :meth:`validate` reports what it broke as diagnostics.
+    referrer, and every point keeps the arena rules: :meth:`add_point`,
+    :meth:`from_records` and :meth:`append_chain` refuse a point that
+    would break one.
 
     The columns are public for one-pass and hot readers, which must not
     modify them; ``xs[p]`` is point p's entry:
@@ -140,8 +141,7 @@ class ArenaTree:
     * ``parents``, ``seconds``, ``labels``: parent, second proximity, label;
     * ``children``: the point's children in arena order;
     * ``free_points``, ``ns``, ``m0s``, ``ks``, ``pairs``: the point's
-      facts (see :class:`PointFacts`).  A point that breaks an arena rule
-      has None in every facts column.
+      facts (see :class:`PointFacts`).
 
     A fully built arena is safe to share read-only between threads; the
     operations that extend it (satellite creation during recovery) require
@@ -153,13 +153,12 @@ class ArenaTree:
         self.seconds: list[Optional[PointId]] = []
         self.labels: list[Optional[str]] = []
         self.children: list[list[PointId]] = []
-        self.free_points: list[Optional[PointId]] = []
-        self.ns: list[Optional[int]] = []
-        self.m0s: list[Optional[int]] = []
-        self.ks: list[Optional[int]] = []
+        self.free_points: list[PointId] = []
+        self.ns: list[int] = []
+        self.m0s: list[int] = []
+        self.ks: list[int] = []
         self.pairs: list[Optional[tuple[PointId, PointId]]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
-        self._diagnostics: list[Diagnostic] = []
         self._rootless = False  # whether any point so far has no parent
 
     # -- construction --------------------------------------------------
@@ -180,7 +179,8 @@ class ArenaTree:
         if broken:
             error, message = broken[0]
             raise error(message)
-        return self.append_raw(parent, second_proximity, label)
+        self._append_records(((parent, second_proximity, label),))
+        return len(self.parents) - 1
 
     @classmethod
     def from_records(
@@ -189,35 +189,26 @@ class ArenaTree:
     ) -> "ArenaTree":
         """Build an arena from raw (parent, second_proximity, label) triples.
 
-        No rule is enforced; :meth:`validate` reports the broken ones.
+        When the records break any arena rule this raises
+        :class:`ArenaValidationError`, whose ``diagnostics`` name every
+        broken rule in record order, and returns no arena.
         """
         tree = cls()
-        tree._append_records(records)
+        broken = tree._append_records(records)
+        if broken:
+            raise ArenaValidationError(broken)
         return tree
 
-    def append_raw(
-        self,
-        parent: Optional[PointId],
-        second_proximity: Optional[PointId] = None,
-        label: Optional[str] = None,
-    ) -> PointId:
-        """Append a point without enforcing any rule and return its id:
-        :meth:`_append_records` on one record.  :meth:`add_point` checks
-        first."""
-        self._append_records(((parent, second_proximity, label),))
-        return len(self.parents) - 1
+    def _append_records(self, records: Iterable[tuple]) -> list[Diagnostic]:
+        """Append raw (parent, second_proximity, label) records in order and
+        return the arena rules they break, in record order.
 
-    def _append_records(self, records: Iterable[tuple]) -> None:
-        """Append raw (parent, second_proximity, label) records in order,
-        enforcing no rule.
-
-        This is the one place that records broken rules;
-        :meth:`append_chain` writes only runs that break none.
-        A point gets facts when it and every point it refers to keep the
-        arena rules.  Only a point without facts can break one, so only
-        such a point runs :meth:`_violations`, which then sees the pair
-        index, the rootless flag and the arena length as they are after the
-        point before it.
+        While no record has broken a rule, each record gets its facts, and
+        one that cannot get them breaks a rule: only that record runs
+        :meth:`_violations`.  From the first broken record on, the caller
+        refuses the arena, so each later record is only checked, against
+        the parents, second proximities, pair index and rootless flag as
+        they are after the record before it, and gets no facts.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is :func:`_satellite_pair`; n and m0 add up over both
@@ -228,14 +219,16 @@ class ArenaTree:
         free_points, ns, m0s, ks, pairs = (
             self.free_points, self.ns, self.m0s, self.ks, self.pairs)
         index = self._satellite_index
+        out: list[Diagnostic] = []
         q = len(parents)
         for parent, s, label in records:
-            free = n = m0 = k = pair = None
-            if parent is None:
+            free = pair = None
+            if out:  # a refused arena: the record is only checked
+                pass
+            elif parent is None:
                 if q == 0 and s is None:
                     free, n, m0, k = 0, 1, 1, 1
-            elif (type(parent) is int and 0 <= parent < q
-                  and free_points[parent] is not None):
+            elif type(parent) is int and 0 <= parent < q:
                 a = parent
                 if s is None:
                     free, n, m0, k = q, ns[a], m0s[a] + 1, 1
@@ -247,61 +240,63 @@ class ArenaTree:
                             k += ks[s]
                         n = ns[a] + ns[s]
                         m0 = m0s[a] + m0s[s]
-            broken = () if free is not None else self._violations(parent, s)
-            if broken:
-                self._diagnostics.extend(
-                    Diagnostic(error.__name__, q, message)
-                    for error, message in broken)
+            if free is None:
+                broken = self._violations(parent, s)
+                out.extend(Diagnostic(error.__name__, q, message)
+                           for error, message in broken)
+            else:
+                broken = ()
+                labels.append(label)
+                children.append([])
+                free_points.append(free)
+                ns.append(n)
+                m0s.append(m0)
+                ks.append(k)
+                pairs.append(pair)
+                if parent is not None:
+                    children[parent].append(q)
             parents.append(parent)
             seconds.append(s)
-            labels.append(label)
-            children.append([])
-            free_points.append(free)
-            ns.append(n)
-            m0s.append(m0)
-            ks.append(k)
-            pairs.append(pair)
             if parent is None:
                 self._rootless = True
-            else:
-                if free is not None or type(parent) is int and 0 <= parent < q:
-                    children[parent].append(q)
-                if s is not None and not broken:
-                    index[parent, s] = q
+            elif s is not None and not broken:
+                index[parent, s] = q
             q += 1
+        return out
 
     def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
         """Append t >= 1 satellites proximate to s, each the child of the
         one before, the first a child of ``a``; return the last one's id.
 
-        The result equals t calls of :meth:`append_raw`, and a ``t`` that
-        is not a positive ``int`` raises :class:`ArenaError` before
-        anything is appended.  When (a, s) is a legal proximity pair that
-        the arena does not hold yet, these are the points that t equal
-        moves of a satellite walk create from a, and they break no rule.
-        Every point of the run then has second proximity s, so its n, m0
-        and k are a's plus i times s's share, and its pair is
-        :func:`_satellite_pair` of its parent, which keeps s on the side
-        it takes at a: the whole run is written from a and s in closed
-        form, by one of two writers, and ``CHAIN_CROSSOVER`` is the only
-        switch between them.  A run of at least that many points goes in
-        as ranges, one ``extend`` per column; a shorter one as one
-        ``append`` per column and point.  Any other run goes through
-        :meth:`_append_records` as a whole, which records the rules its
-        first point breaks; no later point of it gets facts.
+        These are the points that t equal moves of a satellite walk create
+        from a, so (a, s) must be a legal proximity pair that the arena
+        does not hold yet; the result then equals t calls of
+        :meth:`add_point`.  Anything else raises before anything is
+        appended: a ``t`` that is not a positive ``int``, or an ``s`` that
+        is None, raises :class:`ArenaError`, and any other pair the first
+        rule :meth:`_violations` names.  Every point of the run has second
+        proximity s, so its n, m0 and k are a's plus i times s's share,
+        and its pair is :func:`_satellite_pair` of its parent, which keeps
+        s on the side it takes at a: the whole run is written from a and s
+        in closed form, by one of two writers, and ``CHAIN_CROSSOVER`` is
+        the only switch between them.  A run of at least that many points
+        goes in as ranges, one ``extend`` per column; a shorter one as one
+        ``append`` per column and point.
         """
         if type(t) is not int or t < 1:
             raise ArenaError(f"run length t must be a positive int, got {t!r}")
         q = len(self.parents)
         free_points, index = self.free_points, self._satellite_index
         pair = None
-        if (type(a) is int and 0 <= a < q and free_points[a] is not None
-                and type(s) is int and (a, s) not in index):
+        if (type(a) is int and 0 <= a < q and type(s) is int
+                and (a, s) not in index):
             pair = _satellite_pair(a, self.parents[a], self.pairs[a], s)
         if pair is None:
-            self._append_records(
-                (c, s, None) for c in (a, *range(q, q + t - 1)))
-            return q + t - 1
+            if s is None:
+                raise ArenaError("a run of satellites needs a second"
+                                 " proximity, got None")
+            error, message = self._violations(a, s)[0]
+            raise error(message)
         free, n, m0, k = free_points[a], self.ns[a], self.m0s[a], self.ks[a]
         n_s, m0_s = self.ns[s], self.m0s[s]
         k_s = self.ks[s] if free_points[s] == free else 0
@@ -353,7 +348,6 @@ class ArenaTree:
             setattr(tree, name, list(getattr(self, name)))
         tree.children = [list(c) for c in self.children]
         tree._satellite_index = dict(self._satellite_index)
-        tree._diagnostics = list(self._diagnostics)
         tree._rootless = self._rootless
         return tree
 
@@ -396,14 +390,9 @@ class ArenaTree:
 
     @property
     def origin(self) -> Optional[PointId]:
-        """Id 0 when the first point is the origin.
-
-        :meth:`validate` reports every arena whose first point has a parent,
-        so a valid arena always has its origin at id 0.
-        """
-        if self.parents and self.parents[0] is None:
-            return 0
-        return None
+        """Id 0, the first point, which is always the origin; None while the
+        arena is empty."""
+        return 0 if self.parents else None
 
     def is_satellite(self, p: PointId) -> bool:
         return self.second_proximity(p) is not None
@@ -421,13 +410,10 @@ class ArenaTree:
         return self.children[p]
 
     def facts(self, p: PointId) -> PointFacts:
-        """A view of the point's facts; a broken raw point has none."""
+        """A view of the point's facts."""
         self._check(p)
-        free = self.free_points[p]
-        if free is None:
-            raise ArenaError(f"point {p} breaks an arena rule; see validate()")
-        return PointFacts(free, self.ns[p], self.m0s[p], self.ks[p],
-                          self.pairs[p])
+        return PointFacts(self.free_points[p], self.ns[p], self.m0s[p],
+                          self.ks[p], self.pairs[p])
 
     def find_satellite(
         self, parent: PointId, second_proximity: PointId
@@ -436,13 +422,8 @@ class ArenaTree:
         return self._satellite_index.get((parent, second_proximity))
 
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:
-        """The chain from the origin up to and including ``p``.
-
-        ``p`` must have facts: a point with facts has a strictly descending
-        chain of points with facts, while a broken point's parent links
-        may not descend (a point may be its own parent)."""
-        if p not in self or self.free_points[p] is None:
-            self.facts(p)  # raises UnknownPoint or ArenaError
+        """The chain from the origin up to and including ``p``."""
+        self._check(p)
         parents = self.parents
         chain: list[PointId] = []
         q: Optional[PointId] = p
@@ -453,11 +434,9 @@ class ArenaTree:
         return tuple(chain)
 
     def precedes(self, p: PointId, q: PointId) -> bool:
-        """Whether ``p`` lies on the chain of ``q`` (ancestor or equal);
-        ``q`` must have facts, as in :meth:`ancestors`."""
+        """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""
         self._check(p)
-        if q not in self or self.free_points[q] is None:
-            self.facts(q)  # raises UnknownPoint or ArenaError
+        self._check(q)
         parents = self.parents
         r: Optional[PointId] = q
         while r is not None and r > p:
@@ -508,11 +487,6 @@ class ArenaTree:
                      "another satellite already carries the proximity pair"
                      f" {(a, s)}")]
         return []
-
-    def validate(self) -> list[Diagnostic]:
-        """Every arena rule that a point broke when it was appended, in id
-        order (empty list = valid).  :meth:`append_raw` records them."""
-        return list(self._diagnostics)
 
     def __repr__(self) -> str:
         return f"ArenaTree({len(self.parents)} points)"

@@ -53,20 +53,21 @@ class WeightedCluster:
 
     Instances are immutable; derive new clusters instead of mutating.
     ``kind`` must be a :class:`WeightKind` member, checked first
-    (:class:`WrongKind`).  Point ids and weights are ints, not bools, and
-    weights must be >= 1, except that virtual clusters may carry explicit
-    zero weights ("carrier" points that take part in no sum but keep a
-    point in the set).  Each entry is then checked in this order: a known
-    point id, a point with facts (one that breaks no arena rule, else the
-    arena's :class:`ArenaError`), a weight that is not a bool, an int at or
-    above the floor, a parent in the cluster.  A plain int weight passes
-    both weight checks on one type test.
+    (:class:`WrongKind`); then ``tree`` must be an :class:`ArenaTree`
+    (:class:`ArenaMismatch`) and ``weight`` a mapping
+    (:class:`InvalidWeight`).  Point ids and weights are ints, not bools,
+    and weights must be >= 1, except that virtual clusters may carry
+    explicit zero weights ("carrier" points that take part in no sum but
+    keep a point in the set).  Each entry is then checked in this order: a
+    known point id, a weight that is not a bool, an int at or above the
+    floor, a parent in the cluster.  A plain int weight passes both weight
+    checks on one type test.
 
-    So every cluster is sound: its points have facts, and it is
-    ancestor-closed.  The parent and the second proximity of a point with
-    facts are ancestors of it with facts, earlier in id order, so a sweep
-    over a cluster in id order finds both links already swept and needs
-    no check of its own.
+    So every cluster is sound: it is ancestor-closed, and its points, like
+    every arena point, keep the arena rules.  The parent and the second
+    proximity of a point are ancestors of it, earlier in id order, so a
+    sweep over a cluster in id order finds both links already swept and
+    needs no check of its own.
 
     :meth:`_adopt` skips the copy and the checks.  Only a caller that has
     established every property above may use it, and there are two:
@@ -74,16 +75,12 @@ class WeightedCluster:
     * ``recovery.recover`` adopts the values and the multiplicities of
       its sweep once the sweep rejected nothing.  Their keys are arena ids
       of a downward closure, and the sweep read every parent's value;
-      the closure is of the rupture points, each the dicritical itself
-      (a cluster point) or a point the walk found or appended as a legal
-      run, so every key has facts; their weights are ints; a multiplicity
-      below 1 was rejected; and a value is its multiplicity plus earlier
-      values, so it is at least 1.  The checked copies would cost wide
-      inputs about a sixth of ``recover``'s time (wide_fan
-      ``recover_ms.p50``).
+      their weights are ints; a multiplicity below 1 was rejected; and a
+      value is its multiplicity plus earlier values, so it is at least 1.
+      The checked copies would cost wide inputs about a sixth of
+      ``recover``'s time (wide_fan ``recover_ms.p50``).
     * ``documents.parse`` adopts its weights once it found no diagnostic.
-      Its keys are the ids it appended, and with no diagnostic no point
-      broke an arena rule, so each has facts; it stores only positive JSON
+      Its keys are the ids it appended; it stores only positive JSON
       integers; and its loop checked that each weighted point's parent is
       weighted.
     """
@@ -95,17 +92,18 @@ class WeightedCluster:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, WeightKind):
             raise WrongKind(f"kind {self.kind!r} is not a WeightKind")
+        if not isinstance(self.tree, ArenaTree):
+            raise ArenaMismatch(f"tree {self.tree!r} is not an ArenaTree")
+        if not isinstance(self.weight, Mapping):
+            raise InvalidWeight(f"weight {self.weight!r} is not a mapping")
         weights = dict(self.weight)
         object.__setattr__(self, "weight", weights)
         floor = 0 if self.kind is WeightKind.VIRTUAL else 1
-        tree = self.tree
-        parents, free_points = tree.parents, tree.free_points
+        parents = self.tree.parents
         size = len(parents)
         for p, w in weights.items():
             if not (type(p) is int and 0 <= p < size):
                 raise UnknownPoint(f"cluster mentions unknown point {p}")
-            if free_points[p] is None:
-                tree.facts(p)  # raises ArenaError
             if not (type(w) is int and w >= floor):
                 if isinstance(w, bool):
                     raise InvalidWeight(
@@ -253,9 +251,7 @@ def excess(cluster: WeightedCluster, p: PointId) -> int:
     stops at its first point outside the cluster.  The cost is the number
     of points proximate to p, not the cluster size.
 
-    Needs every cluster point to have facts, which every cluster holds by
-    construction (see :class:`WeightedCluster`); :func:`excesses` is the
-    one-pass definition.
+    :func:`excesses` is the one-pass definition.
     Raises :class:`PointNotInCluster` when p is not a point of the cluster.
     """
     if p not in cluster:

@@ -21,9 +21,9 @@ does not reach (for example satellites shared with another cluster).
 Parsing aggregates every structural problem into one
 :class:`DocumentValidationError` instead of stopping at the first.  It
 resolves and checks every entry in one loop, then appends the whole
-document to a fresh arena in one write, :meth:`ArenaTree.from_records`;
-the arena records the rules each point breaks as it appends it, so
-:meth:`ArenaTree.validate` makes no second pass.  A weight must be a JSON
+document to a fresh arena in one write, :meth:`ArenaTree.from_records`,
+which checks each point as it appends it and refuses the arena with every
+rule its points break, so no second pass is made.  A weight must be a JSON
 integer: ``true``/``false`` are rejected even though Python's ``bool`` is
 an ``int``, and ``format_version`` must be the integer 1 (not ``true`` or
 ``1.0``).
@@ -58,6 +58,7 @@ from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind
 from .errors import (
     ArenaMismatch,
+    ArenaValidationError,
     Diagnostic,
     DocumentSyntaxError,
     DocumentValidationError,
@@ -160,11 +161,12 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
                 unclosed = (f"point {i} is in the cluster but its parent"
                             f" {parent} is not")
 
-    tree = ArenaTree.from_records(records)
-    broken = tree.validate()
-    if placeholders:  # the parser's own diagnostics name them
-        broken = [d for d in broken if d.point not in placeholders]
-    diagnostics.extend(broken)
+    try:
+        tree = ArenaTree.from_records(records)
+    except ArenaValidationError as err:
+        # the parser's own diagnostics name its placeholders
+        diagnostics.extend(
+            d for d in err.diagnostics if d.point not in placeholders)
     if unclosed is not None and not diagnostics:
         diagnostics.append(Diagnostic("NotDownwardClosed", None, unclosed))
     if diagnostics:

@@ -1,8 +1,11 @@
 """Exception hierarchy and structural diagnostics.
 
 Every failure mode of the library raises a subclass of :class:`EnriquesError`.
-Validation routines do not raise; they return lists of :class:`Diagnostic`
-records so that a document parser can report every problem at once.
+The arena and the document parser refuse input that breaks their rules,
+and they report every problem at once: :class:`ArenaValidationError` and
+:class:`DocumentValidationError` each carry every :class:`Diagnostic`
+found.  Checks of an object that is already sound, such as the oracle's
+``validate_curve_cluster``, return their diagnostics as a list.
 """
 
 from __future__ import annotations
@@ -18,6 +21,15 @@ class EnriquesError(Exception):
 
 class ArenaError(EnriquesError):
     pass
+
+
+class ArenaValidationError(ArenaError):
+    """Raw arena records break arena rules; ``diagnostics`` names every
+    broken rule in record order."""
+
+    def __init__(self, diagnostics: list["Diagnostic"]):
+        super().__init__("; ".join(str(d) for d in diagnostics))
+        self.diagnostics = diagnostics
 
 
 class DuplicateOrigin(ArenaError):

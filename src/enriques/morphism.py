@@ -45,7 +45,6 @@ recomputes the cluster weight at any domain point from m and n alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excesses
@@ -57,15 +56,15 @@ class MorphismInvariants:
 
     n_p comes from the arena's ``ns`` column.  The table covers every
     arena point; extension over appended points follows the
-    exclusive-writer contract of the arena.  A point that breaks an arena
-    rule has no m (None in the table).  ``bp`` must be a virtual cluster,
-    as in :func:`compute`, which also requires it to be consistent.
+    exclusive-writer contract of the arena.  ``bp`` must be a virtual
+    cluster, as in :func:`compute`, which also requires it to be
+    consistent.
     """
 
     def __init__(self, bp: WeightedCluster):
         bp.require_kind(WeightKind.VIRTUAL)
         self.bp = bp
-        self.m: list[Optional[int]] = []
+        self.m: list[int] = []
         self._grow()
 
     @property
@@ -75,13 +74,10 @@ class MorphismInvariants:
     def _grow(self) -> None:
         """Tabulate m on the points appended since the last call."""
         tree, weight, m = self.bp.tree, self.bp.weight, self.m
-        parents, seconds, free_points = (
-            tree.parents, tree.seconds, tree.free_points)
+        parents, seconds = tree.parents, tree.seconds
         for p in range(len(m), len(parents)):
             a, s = parents[p], seconds[p]
-            if free_points[p] is None:
-                m.append(None)
-            elif a is None:
+            if a is None:
                 m.append(weight.get(p, 0) + 1)
             elif s is None:
                 m.append(m[a] + weight.get(p, 0) + 1)
@@ -95,25 +91,21 @@ class MorphismInvariants:
             if p not in self.bp.tree:
                 raise UnknownPoint(f"no point with id {p}")
             self._grow()
-        m_p = m[p]
-        if m_p is None:
-            self.bp.tree.facts(p)  # raises ArenaError
-        return self.bp.tree.ns[p], m_p
+        return self.bp.tree.ns[p], m[p]
 
     def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
         """:meth:`ArenaTree.append_chain` that also tabulates m.
 
-        For a move of the satellite walk, (a, s) is a legal proximity pair
-        that the arena does not hold yet, and m grows by m_s from point to
-        point, starting from m_a (the new points lie outside the cluster).
-        Otherwise, or when the table is behind the arena, :meth:`_grow`
-        tabulates the new points, and a broken one gets no m.  A bad ``t``
-        raises in the arena before anything is appended or tabulated.
+        The arena writes only a legal run, and raises on anything else
+        before anything is appended or tabulated.  m grows by m_s from point
+        to point, starting from m_a (the new points lie outside the
+        cluster); when the table is behind the arena, :meth:`_grow`
+        tabulates the new points instead.
         """
         tree, m = self.bp.tree, self.m
         first = len(tree.parents)
         q = tree.append_chain(a, s, t)
-        if len(m) < first or tree.pairs[first] is None:
+        if len(m) < first:
             self._grow()
         else:
             start, step = m[a], m[s]

@@ -9,11 +9,11 @@ invariant quotients.  Past the types, it shares with
 :mod:`~enriques.ordering`), so agreement between them is a meaningful
 check.  A function that counts a curve's points or branches raises
 :class:`WrongKind` on another kind of cluster.  Every cluster is sound by
-construction (see :class:`~enriques.cluster.WeightedCluster`): its points
-break no arena rule and it is ancestor-closed, so the sweeps here read
-each point's links without a check of their own.  Only a point taken from
-the arena rather than the curve, as in :func:`invariant_quotient`, is
-checked where it enters.
+construction (see :class:`~enriques.cluster.WeightedCluster`): it is
+ancestor-closed, and its points, like every arena point, keep the arena
+rules, so the sweeps here read each point's links without a check of
+their own.  Only a point taken from the arena rather than the curve, as
+in :func:`invariant_quotient`, is checked where it enters.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
@@ -142,13 +142,12 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
     parent, which the sweep visits next, and to the second proximity,
     through a small dict of weights owed to points further down.
     :func:`~enriques.cluster.unibranch_chain` and
-    :func:`~enriques.cluster.noether_pairing` are the definition.  ``p``
-    must have facts, so that its chain descends to the origin; the sweep
-    itself trusts the arena.
+    :func:`~enriques.cluster.noether_pairing` are the definition.  A ``p``
+    that is no arena point raises :class:`UnknownPoint`.
     """
     tree = curve.tree
-    if p not in tree or tree.free_points[p] is None:
-        tree.facts(p)  # raises UnknownPoint or ArenaError
+    if p not in tree:
+        raise UnknownPoint(f"no point with id {p}")
     parents, seconds, weight = tree.parents, tree.seconds, curve.weight
     owed: dict[PointId, int] = {}
     pairing, w, q = 0, 1, p
@@ -176,14 +175,13 @@ def rupture_quotients(
 
         v_p = e_p + v_parent + v_second,
 
-    and the chain's origin weight is n_p.  A curve is ancestor-closed and
-    its points have facts, so both links of a curve point lie in the curve
-    and come earlier in the sweep.  The sweep reads only the arena columns
-    and the curve weights, sharing no code with the conversions of
-    :mod:`~enriques.cluster`, with :mod:`~enriques.morphism` or with
-    :mod:`~enriques.recovery`, so that the oracle stays an independent
-    check on them.  A ``base`` that
-    is no arena point raises :class:`UnknownPoint`, as in
+    and the chain's origin weight is n_p.  A curve is ancestor-closed, so
+    both links of a curve point lie in the curve and come earlier in the
+    sweep.  The sweep reads only the arena columns and the curve weights,
+    sharing no code with the conversions of :mod:`~enriques.cluster`, with
+    :mod:`~enriques.morphism` or with :mod:`~enriques.recovery`, so that
+    the oracle stays an independent check on them.  A ``base`` that is no
+    arena point raises :class:`UnknownPoint`, as in
     :func:`invariant_quotient`.
     """
     curve.require_kind(WeightKind.MULTIPLICITY)

@@ -59,6 +59,7 @@ from .errors import (
     NotUnibranch,
     OriginHasNoSatellite,
     SecondSatelliteOfFreePoint,
+    UnknownPoint,
 )
 
 
@@ -86,7 +87,7 @@ def fraction_at(tree: ArenaTree, p: PointId, q: PointId) -> Fraction:
 def _cone_exit(tree: ArenaTree, p: PointId, q: PointId) -> Optional[PointId]:
     """The last point of q's chain in the cone of the free point ``p``
     (whose k/n is the fraction of q at p), or None when p is not on the
-    chain.  One walk down the parent links; q must have facts."""
+    chain.  One walk down the parent links."""
     free_points, parents = tree.free_points, tree.parents
     while q > p and free_points[q] != p:
         q = parents[q]
@@ -120,9 +121,9 @@ def satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
 
     That is the smaller of a satellite's ordered proximities for the first
     satellite and the bigger for the second; a free point's first satellite
-    is also proximate to its parent.  ``q`` must have facts.  Every later
-    satellite on the same side keeps this proximity, so a run of equal
-    moves in the satellite cone shares it.
+    is also proximate to its parent.  ``q`` must be an arena point.
+    Every later satellite on the same side keeps this proximity, so a run
+    of equal moves in the satellite cone shares it.
     """
     pair = tree.pairs[q]
     if second:
@@ -138,10 +139,10 @@ def satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
 
 def _neighbour(tree: ArenaTree, q: PointId, second: bool) -> PointId:
     """Find or create the first (or second) satellite of ``q``."""
-    tree.facts(q)  # checks q; a point that breaks a rule has no cone
+    tree.facts(q)  # checks q
     s = satellite_proximity(tree, q, second)
     found = tree.find_satellite(q, s)
-    return tree.append_raw(q, s) if found is None else found
+    return tree.add_point(q, s) if found is None else found
 
 
 def first_satellite(tree: ArenaTree, q: PointId) -> PointId:
@@ -165,8 +166,8 @@ def max_under_prec(tree: ArenaTree, points: Iterable[PointId]) -> PointId:
         raise EmptySet("cannot take the maximum of no points")
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     for q in pts:
-        if q not in tree or free_points[q] is None:
-            tree.facts(q)  # raises UnknownPoint or ArenaError
+        if q not in tree:
+            raise UnknownPoint(f"no point with id {q}")
     best = pts[0]
     for q in pts[1:]:
         if free_points[q] != free_points[best]:

@@ -271,8 +271,7 @@ def _biggest_rupture_by_cone(
     """For each defining free point, the biggest rupture point of its cone.
 
     One pass keeps a running maximum per cone, comparing k/n facts as
-    :func:`~enriques.ordering.max_under_prec` does; every point must have
-    facts."""
+    :func:`~enriques.ordering.max_under_prec` does."""
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest: dict[PointId, PointId] = {}
     for q in rupture:
@@ -309,8 +308,8 @@ def recover_values(
     passes a bad point or a gap, so the checks live here, not in the sweep."""
     tree = bp.tree
     for p in rupture | singular:
-        if p not in tree or tree.free_points[p] is None:
-            tree.facts(p)  # raises
+        if p not in tree:
+            raise UnknownPoint(f"no point with id {p}")
     missing = rupture - singular
     if missing:
         raise NotDownwardClosed(
@@ -336,7 +335,7 @@ def _second_half(
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
     :class:`InconsistentCluster`, else None.  A value rule's error is
     raised, a satellite's only once every free point's rule has run.  The
-    points are arena points with facts, downward closed, in the m table."""
+    points are arena points, downward closed, in the m table."""
     m = inv.m
     parents, seconds, children = tree.parents, tree.seconds, tree.children
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks

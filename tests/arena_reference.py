@@ -1,57 +1,54 @@
 """``ArenaTree.validate`` as it was before the arena recorded its rules on
-append: one loop over the finished arena, reading its columns through the
-public views.  Like ``append_raw``, it reads only an ``int`` as a point id,
-never a ``bool``.  The parser and arena suites compare the library with
-it."""
+append: one loop over raw (parent, second proximity, label) records, as
+``ArenaTree.from_records`` takes them.  It reads only an ``int`` as a point
+id, never a ``bool``.  The parser and arena suites compare the diagnostics
+that ``from_records`` refuses records with against it."""
 
 from enriques.errors import Diagnostic
 
 
-def validate_reference(tree):
+def validate_reference(records):
     out = []
     origin_seen = False
     pairs_seen = set()
-    for p in tree.points():
-        r = tree.record(p)
-        if r.parent is None:
-            if r.second_proximity is not None:
+    for q, (parent, second, _) in enumerate(records):
+        if parent is None:
+            if second is not None:
                 out.append(Diagnostic(
-                    "IllegalProximity", r.id,
+                    "IllegalProximity", q,
                     "origin cannot have a second proximity"))
             if origin_seen:
                 out.append(Diagnostic(
-                    "DuplicateOrigin", r.id,
+                    "DuplicateOrigin", q,
                     "more than one point without a parent"))
             origin_seen = True
             continue
-        if r.parent == r.id or r.second_proximity == r.id:
+        if parent == q or second == q:
             out.append(Diagnostic(
-                "SelfReference", r.id, "point references itself"))
+                "SelfReference", q, "point references itself"))
             continue
-        if not (type(r.parent) is int and 0 <= r.parent < r.id):
+        if not (type(parent) is int and 0 <= parent < q):
             out.append(Diagnostic(
-                "UnknownParent", r.id,
-                f"parent {r.parent} does not precede the point"))
+                "UnknownParent", q,
+                f"parent {parent} does not precede the point"))
             continue
-        if r.second_proximity is None:
+        if second is None:
             continue
-        if not (type(r.second_proximity) is int
-                and 0 <= r.second_proximity < r.id):
+        if not (type(second) is int and 0 <= second < q):
             out.append(Diagnostic(
-                "UnknownPoint", r.id,
-                f"second proximity {r.second_proximity} does not"
-                " precede the point"))
+                "UnknownPoint", q,
+                f"second proximity {second} does not precede the point"))
             continue
-        if r.second_proximity not in tree.proximities(r.parent):
+        if second not in records[parent][:2]:
             out.append(Diagnostic(
-                "IllegalProximity", r.id,
-                f"second proximity {r.second_proximity} is not among"
-                f" the proximities of parent {r.parent}"))
+                "IllegalProximity", q,
+                f"second proximity {second} is not among"
+                f" the proximities of parent {parent}"))
             continue
-        pair = (r.parent, r.second_proximity)
+        pair = (parent, second)
         if pair in pairs_seen:
             out.append(Diagnostic(
-                "DuplicateSatellite", r.id,
+                "DuplicateSatellite", q,
                 f"another satellite already carries the proximity"
                 f" pair {pair}"))
         pairs_seen.add(pair)

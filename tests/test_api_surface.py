@@ -2,6 +2,7 @@
 removing one is a deliberate edit of these lists, and the typed errors its
 point-taking functions raise on an argument that names no point."""
 
+import copy
 import importlib.util
 import re
 from fractions import Fraction
@@ -35,7 +36,13 @@ from enriques import (
     unibranch_chain,
 )
 from enriques import errors
-from enriques.errors import ArenaError, EnriquesError, WrongKind
+from enriques.errors import (
+    ArenaError,
+    ArenaValidationError,
+    Diagnostic,
+    EnriquesError,
+    WrongKind,
+)
 from enriques.oracle import has_bigger_branch
 
 import fixture_builders as fb
@@ -118,6 +125,7 @@ def test_readme_names_only_public_names_and_modules():
 ERROR_CLASSES = [
     ("ArenaError", "EnriquesError"),
     ("ArenaMismatch", "ClusterError"),
+    ("ArenaValidationError", "ArenaError"),
     ("ClusterError", "EnriquesError"),
     ("DocumentError", "EnriquesError"),
     ("DocumentSyntaxError", "DocumentError"),
@@ -232,6 +240,34 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
         assert bad not in bp and bad not in curve
     assert answered == []
     assert len(tree) == size  # no failed call appended a point
+    # the writers refuse a bad parent or second proximity and write nothing:
+    # a bool, a float, a negative id, the new point itself and a later one,
+    # each with a parent at which the id, read as an int, would be a legal
+    # second proximity (p2 is proximate to 1, p3 to 2)
+    columns = (tree.parents, tree.seconds, tree.labels, tree.children,
+               tree.free_points, tree.ns, tree.m0s, tree.ks, tree.pairs,
+               tree._satellite_index)
+    before = copy.deepcopy(columns)
+    records = list(zip(tree.parents, tree.seconds, tree.labels))
+    p2, p3 = names["p2"], names["p3"]
+    writes = []
+    for bad, a in ((True, p2), (2.0, p3), (-1, p3), (size, p3),
+                   (size + 1, p3)):
+        writes += [
+            (lambda bad=bad: tree.add_point(bad)),
+            (lambda bad=bad, a=a: tree.add_point(a, bad)),
+            (lambda bad=bad: tree.append_chain(bad, 0, 2)),
+            (lambda bad=bad, a=a: tree.append_chain(a, bad, 2)),
+            (lambda bad=bad: ArenaTree.from_records(
+                records + [(bad, None, None)])),
+            (lambda bad=bad, a=a: ArenaTree.from_records(
+                records + [(a, bad, None)])),
+        ]
+    writes.append(lambda: tree.append_chain(p3, None, 2))  # a free run
+    for write in writes:
+        with pytest.raises(EnriquesError):
+            write()
+        assert len(tree) == size and columns == before
     # a base-point cluster is no curve: the oracle refuses it, not answers
     d, q = names["p8"], names["p3"]
     for call in (lambda: rupture_points(bp), lambda: rupture_quotients(bp),
@@ -246,27 +282,19 @@ def test_calls_on_a_broken_point_raise_not_hang():
     # point 1 is its own parent, and in the second arena points 1 and 2
     # are each other's parent, so their parent links never reach the
     # origin; in the third, point 2 names a second proximity that is no
-    # point.  No cluster of any kind holds such a point, so the sweeps
-    # over a cluster never read its links; the calls that take a point
-    # from the arena check it themselves
-    for records in ([(None, None, "O"), (1, None, "a")],
-                    [(None, None, "O"), (2, None, "a"), (1, None, "b")],
-                    [(None, None, "O"), (0, None, "a"), (1, 5, "b")]):
-        tree = ArenaTree.from_records(records)
-        assert tree.validate()
-        p = len(tree) - 1
-        for kind in WeightKind:
-            with pytest.raises(ArenaError, match="breaks an arena rule"):
-                WeightedCluster(tree, kind, dict.fromkeys(range(p + 1), 1))
-        sound = [q for q in range(p) if tree.free_points[q] is not None]
-        curve = WeightedCluster(
-            tree, WeightKind.MULTIPLICITY, dict.fromkeys(sound, 1))
-        calls = [lambda: tree.ancestors(p), lambda: tree.precedes(0, p),
-                 lambda: unibranch_chain(tree, p),
-                 lambda: invariant_quotient(curve, p)]
-        for call in calls:
-            with pytest.raises(ArenaError, match="breaks an arena rule"):
-                call()
+    # point.  No arena holds such a point, so no call can be given one
+    for records, want in (
+            ([(None, None, "O"), (1, None, "a")],
+             [Diagnostic("SelfReference", 1, "point references itself")]),
+            ([(None, None, "O"), (2, None, "a"), (1, None, "b")],
+             [Diagnostic("UnknownParent", 1,
+                         "parent 2 does not precede the point")]),
+            ([(None, None, "O"), (0, None, "a"), (1, 5, "b")],
+             [Diagnostic("UnknownPoint", 2,
+                         "second proximity 5 does not precede the point")])):
+        with pytest.raises(ArenaValidationError) as info:
+            ArenaTree.from_records(records)
+        assert info.value.diagnostics == want
 
 
 def test_dicritical_association_is_an_immutable_tuple():

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
@@ -20,6 +21,7 @@ from enriques import (
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.errors import (
     ArenaError,
+    ArenaValidationError,
     Diagnostic,
     DuplicateOrigin,
     DuplicateSatellite,
@@ -132,9 +134,14 @@ def test_duplicate_satellite_pair_rejected():
         tree.add_point(p2, p1)
 
 
+def _triples(tree: ArenaTree) -> list[tuple]:
+    return list(zip(tree.parents, tree.seconds, tree.labels))
+
+
 def test_validate_clean_on_example_arena():
+    # the records of a sound arena build an equal arena
     tree, _, _ = fb.ex04_bp()
-    assert tree.validate() == []
+    assert _columns(ArenaTree.from_records(_triples(tree))) == _columns(tree)
 
 
 ILLEGAL_PROXIMITY = [
@@ -154,23 +161,28 @@ SELF_REFERENCE_AND_ORDER = [
 ]
 
 
+def _refusal(records) -> list[Diagnostic]:
+    """The diagnostics ``from_records`` refuses the records with."""
+    with pytest.raises(ArenaValidationError) as info:
+        ArenaTree.from_records(records)
+    assert str(info.value) == "; ".join(map(str, info.value.diagnostics))
+    return info.value.diagnostics
+
+
 def test_validate_reports_illegal_proximity():
     # second proximity points at an ancestor the parent is not proximate to
-    tree = ArenaTree.from_records(ILLEGAL_PROXIMITY)
-    codes = [d.code for d in tree.validate()]
+    codes = [d.code for d in _refusal(ILLEGAL_PROXIMITY)]
     assert codes == ["IllegalProximity"]
 
 
 def test_validate_reports_duplicate_origin():
-    tree = ArenaTree.from_records(DUPLICATE_ORIGIN)
-    codes = [d.code for d in tree.validate()]
+    codes = [d.code for d in _refusal(DUPLICATE_ORIGIN)]
     assert codes == ["DuplicateOrigin"]
 
 
 def test_validate_reports_self_reference_and_order():
-    tree = ArenaTree.from_records(SELF_REFERENCE_AND_ORDER)
-    codes = {d.code for d in tree.validate()}
-    assert codes == {"SelfReference", "UnknownParent"}
+    assert [(d.code, d.point) for d in _refusal(SELF_REFERENCE_AND_ORDER)] == [
+        ("SelfReference", 1), ("UnknownParent", 2)]
 
 
 @pytest.mark.parametrize("records, codes, broken", [
@@ -183,14 +195,15 @@ def test_validate_reports_self_reference_and_order():
       (2, 1, "again")], {"DuplicateSatellite"}, {4}),
 ])
 def test_broken_records_get_no_facts(records, codes, broken):
-    tree = ArenaTree.from_records(records)
-    assert {d.code for d in tree.validate()} == codes
-    for p in tree.points():
-        if p in broken:
-            with pytest.raises(ArenaError):
-                tree.facts(p)
-        else:
-            tree.facts(p)
+    # ``broken`` is every point a broken rule reaches: the records are
+    # refused with a diagnostic on some of them, and the records before the
+    # first build an arena in which every point has facts
+    diagnostics = _refusal(records)
+    assert {d.code for d in diagnostics} == codes
+    assert {d.point for d in diagnostics} <= broken
+    assert diagnostics == validate_reference(records)
+    _assert_columns_match_reference(
+        ArenaTree.from_records(records[:min(broken)]))
 
 
 def test_append_raw_refuses_bool_ids():
@@ -200,21 +213,15 @@ def test_append_raw_refuses_bool_ids():
                     [(None, None, None), (0, None, None), (1, None, None),
                      (2, True, None)],
                     [(None, None, None), (0, None, None), (1.0, None, None)]):
-        tree = ArenaTree.from_records(records)
-        q = len(tree) - 1
+        q = len(records) - 1
         parent, second, _ = records[q]
         checked = ArenaTree.from_records(records[:q])
+        before = copy.deepcopy(_columns(checked))
         with pytest.raises(ArenaError) as info:
             checked.add_point(parent, second)
-        assert tree.validate() == [
+        assert _columns(checked) == before
+        assert _refusal(records) == [
             Diagnostic(type(info.value).__name__, q, str(info.value))]
-        with pytest.raises(ArenaError):
-            tree.facts(q)
-        # a bool or float parent names no point, so no point lists q as
-        # its child
-        assert [p for p in tree.points() if q in tree.children[p]] == (
-            [parent] if type(parent) is int else [])
-        assert tree.find_satellite(parent, second) is None
 
 
 def test_ancestors_follow_parent_chain():
@@ -245,7 +252,8 @@ def test_precedes():
 def test_queries_do_not_mutate():
     tree, _, names = fb.ex04_bp()
     size = len(tree)
-    tree.validate()
+    tree.records()
+    tree.facts(names["p9"])
     tree.ancestors(names["p9"])
     tree.child_list(names["p3"])
     assert len(tree) == size
@@ -349,32 +357,42 @@ class _ReferenceHeights:
         return tree.facts(p).n, self.m[p]
 
 
-def _assert_columns_match_reference(tree: ArenaTree) -> int:
-    """Replay the arena into the reference; return its number of broken points."""
+def _reference(records) -> _ReferenceArena:
     ref = _ReferenceArena()
-    for triple in zip(tree.parents, tree.seconds, tree.labels):
+    for triple in records:
         ref.append_raw(*triple)
+    return ref
+
+
+def _assert_columns_match_reference(tree: ArenaTree) -> None:
+    """Replay the arena into the reference, which gives every point facts."""
+    ref = _reference(_triples(tree))
     assert tree.records() == ref.records
     children: list[list[PointId]] = [[] for _ in ref.records]
     for r in ref.records:
         if r.parent is not None and 0 <= r.parent < r.id:
             children[r.parent].append(r.id)
     assert tree.children == children
-    broken = 0
     for p, (record, facts) in enumerate(zip(ref.records, ref.facts)):
         assert tree.record(p) == record
         assert (tree.parents[p], tree.seconds[p], tree.labels[p]) == (
             record.parent, record.second_proximity, record.label)
         columns = (tree.free_points[p], tree.ns[p], tree.m0s[p],
                    tree.ks[p], tree.pairs[p])
-        if facts is None:
-            broken += 1
-            assert columns == (None,) * 5
-            with pytest.raises(ArenaError):
-                tree.facts(p)
-        else:
-            assert columns == tuple(facts)
-            assert tree.facts(p) == facts
+        assert facts is not None
+        assert columns == tuple(facts)
+        assert tree.facts(p) == facts
+
+
+def _assert_refused_as_reference(records) -> int:
+    """Replay the records into the reference; return its number of points
+    without facts.  ``from_records`` refuses the records exactly when there
+    is one, and otherwise builds the reference's columns."""
+    broken = _reference(records).facts.count(None)
+    if broken:
+        assert _refusal(records) == validate_reference(records)
+    else:
+        _assert_columns_match_reference(ArenaTree.from_records(records))
     return broken
 
 
@@ -418,16 +436,22 @@ def test_append_chain_matches_repeated_append_raw(t):
             # a held pair, or a point a is not proximate to, breaks a rule
             for s in sorted(tree.proximities(a) | {0}):
                 chain, steps = tree.clone(), tree.clone()
-                last = chain.append_chain(a, s, t)
-                q = a
-                for _ in range(t):
-                    q = steps.append_raw(q, s)
-                assert last == q == len(tree) + t - 1
-                assert _columns(chain) == _columns(steps), (seed, a, s)
-                if chain.pairs[len(tree)] is None:
+                try:
+                    steps.add_point(a, s)
+                except ArenaError as err:
+                    # the run raises the rule its first point breaks, and
+                    # appends nothing
+                    with pytest.raises(type(err), match=re.escape(str(err))):
+                        chain.append_chain(a, s, t)
+                    assert _columns(chain) == _columns(tree), (seed, a, s)
                     broken += 1
                     continue
-                assert chain.validate() == []
+                last = chain.append_chain(a, s, t)
+                q = len(tree)
+                for _ in range(t - 1):
+                    q = steps.add_point(q, s)
+                assert last == q == len(tree) + t - 1
+                assert _columns(chain) == _columns(steps), (seed, a, s)
                 chains += 1
                 # a run of first moves keeps s first in every pair and a
                 # run of second moves keeps it second; k grows only when s
@@ -451,106 +475,77 @@ def test_columns_match_record_and_facts_reference():
         computed = len(tree)
         randgen.grow_by_satellite_walks(tree, rng, walks=3, max_steps=8)
         appended += len(tree) - computed
-        assert _assert_columns_match_reference(tree) == 0
+        _assert_columns_match_reference(tree)
         for p in tree.points():
             assert inv.extend_to(p) == ref.extend_to(p)
         assert inv.m == [ref.m[p] for p in tree.points()]
         points += len(tree)
-        mutated = ArenaTree.from_records(_mutated_records(rng, tree))
-        broken += _assert_columns_match_reference(mutated)
+        broken += _assert_refused_as_reference(_mutated_records(rng, tree))
     for records in BROKEN_RECORDS:
-        broken += _assert_columns_match_reference(
-            ArenaTree.from_records(records))
+        broken += _assert_refused_as_reference(records)
     assert points > 20000 and appended > 5000 and broken > 2000
 
 
-def _facts_or_none(tree: ArenaTree) -> list[Optional[PointFacts]]:
-    return [None if tree.free_points[p] is None else tree.facts(p)
-            for p in tree.points()]
-
-
 def _replay_through_add_point(records, want) -> int:
-    """Append the records one at a time through ``add_point``: a record the
-    reference flags raises its first diagnostic's class and appends nothing
-    (it then goes in raw, to keep the ids); return how many raised."""
-    first: dict[PointId, str] = {}
-    for d in want:
-        first.setdefault(d.point, d.code)
-    tree, raised = ArenaTree(), 0
+    """Append the records one at a time through ``add_point``, up to the
+    first one the reference flags, which raises its first diagnostic and
+    appends nothing; return how many raised (0 or 1)."""
+    tree = ArenaTree()
     for q, (a, s, label) in enumerate(records):
-        if q not in first:
+        if not want or q < want[0].point:
             assert tree.add_point(a, s, label) == q
             continue
-        try:
+        before = copy.deepcopy(_columns(tree))
+        with pytest.raises(ArenaError) as info:
             tree.add_point(a, s, label)
-        except ArenaError as err:
-            assert type(err).__name__ == first[q]
-        else:
-            raise AssertionError(f"add_point accepted point {q}")
-        assert len(tree) == q
-        tree.append_raw(a, s, label)
-        raised += 1
-    assert tree.validate() == want
-    return raised
+        assert Diagnostic(type(info.value).__name__, q,
+                          str(info.value)) == want[0]
+        assert _columns(tree) == before
+        return 1
+    return 0
 
 
 def test_recorded_rules_match_validate_reference():
-    # validate returns what append_raw recorded; the reference is the old
-    # loop over the finished arena
+    # from_records refuses exactly the records the reference, the old loop
+    # over the finished arena, flags, with its diagnostics
     codes: Counter = Counter()
-    accepted = broken = raised = unshadowed = 0
+    accepted = refused = raised = 0
     for seed in range(20000):
         rng = random.Random(seed)
         records = randgen.random_raw_records(rng)
-        tree = ArenaTree.from_records(records)
-        want = validate_reference(tree)
-        assert tree.validate() == want, seed
+        want = validate_reference(records)
         codes.update(d.code for d in want)
-        ref = _ReferenceArena()
-        for triple in records:
-            ref.append_raw(*triple)
-        facts = _facts_or_none(tree)
-        flagged = {d.point for d in want}
-        assert all(facts[p] is None for p in flagged)
-        broken += len(flagged)
-        if not want:
-            accepted += 1
-            assert facts == ref.facts, seed
-        for p, (got, old) in enumerate(zip(facts, ref.facts)):
-            if got != old:
-                # a pair that only a broken point named shadows no later
-                # point that keeps every rule
-                assert old is None and want and p not in flagged, seed
-                assert any(records[b][:2] == records[p][:2]
-                           for b in flagged if b < p), seed
-                unshadowed += 1
         raised += _replay_through_add_point(records, want)
+        if want:
+            assert _refusal(records) == want, seed
+            refused += 1
+            continue
+        accepted += 1
+        tree = ArenaTree.from_records(records)
+        assert [tree.facts(p) for p in tree.points()] == (
+            _reference(records).facts), seed
         copy = tree.clone()
-        assert copy.validate() == want
-        copy.append_raw(len(copy), None, None)
-        assert copy.validate() == want + [
-            Diagnostic("SelfReference", len(tree), "point references itself")]
-        assert tree.validate() == want
+        with pytest.raises(SelfReference, match="point references itself"):
+            copy.add_point(len(copy), None, None)
+        assert _columns(copy) == _columns(tree)
     assert set(codes) == {"IllegalProximity", "DuplicateOrigin",
                           "SelfReference", "UnknownParent", "UnknownPoint",
                           "DuplicateSatellite"}
-    assert min(codes.values()) > 2000 and raised == broken
-    assert 5000 < accepted < 15000 and unshadowed > 0
-    # random_raw_records draws no bool; True and False name no point (the
-    # old facts derivation read them as 1 and 0, so it is not compared)
+    assert min(codes.values()) > 2000 and raised == refused
+    assert 5000 < accepted < 15000
+    # random_raw_records draws no bool; True and False name no point
     for records in ([(None, None, None), (0, None, None), (True, None, None)],
                     [(None, None, None), (0, None, None), (1, False, None)]):
-        tree = ArenaTree.from_records(records)
-        want = validate_reference(tree)
-        assert tree.validate() == want and [d.point for d in want] == [2]
-        assert _facts_or_none(tree)[2] is None
+        want = validate_reference(records)
+        assert _refusal(records) == want and [d.point for d in want] == [2]
         assert _replay_through_add_point(records, want) == 1
 
 
 def test_batch_writer_matches_one_append_raw_per_record():
     # each point of a batch sees the pair index, the rootless flag and the
     # arena length as the point before it left them, so where a batch is
-    # cut changes nothing
+    # cut before its first broken record changes nothing, and a batch's
+    # diagnostics do not look past its end
     lists = [randgen.random_raw_records(random.Random(seed))
              for seed in range(20000)]
     lists += [[(None, None, None), (0, None, None), (True, None, None)],
@@ -559,13 +554,29 @@ def test_batch_writer_matches_one_append_raw_per_record():
     for records in lists:
         ref = ArenaTree()
         for triple in records:
-            ref.append_raw(*triple)
-        want = (_columns(ref), ref.validate(), ref._rootless)
+            try:
+                ref.add_point(*triple)
+            except ArenaError:
+                break
+        first = len(ref)  # the first broken record, or len(records)
+        # a refused add_point left the records before it as they were
+        prefix = ArenaTree.from_records(records[:first])
+        assert (_columns(ref), ref._rootless) == (
+            _columns(prefix), prefix._rootless)
+        diagnostics = validate_reference(records)
+        assert (first < len(records)) == bool(diagnostics)
         for cut in range(len(records) + 1):
+            # a head cut past the first broken record is refused, so
+            # nothing is written after it; its diagnostics are the
+            # reference's on the head alone
             tree = ArenaTree()
-            tree._append_records(records[:cut])
-            tree._append_records(records[cut:])
-            assert (_columns(tree), tree.validate(), tree._rootless) == want
+            head = tree._append_records(records[:cut])
+            assert head == validate_reference(records[:cut])
+            if not head:
+                assert tree._append_records(records[cut:]) == diagnostics
+            if not diagnostics:
+                assert (_columns(tree), tree._rootless) == (
+                    _columns(ref), ref._rootless)
             cuts += 1
     assert cuts > 100000
 
@@ -582,20 +593,16 @@ def test_add_point_raises_self_reference_for_the_next_id():
         tree.add_point(size + 1)
     with pytest.raises(UnknownPoint):
         tree.add_point(names["p3"], size + 1)
-    assert len(tree) == size and tree.validate() == []
+    assert len(tree) == size
+    assert _columns(tree) == _columns(fb.ex04_bp()[0])
 
 
 def test_broken_pair_does_not_shadow_a_legal_satellite():
     # point 2 breaks a rule with the pair (3, 1) that point 4 then holds
-    # legally: only 2 is flagged, and 4 gets the facts the reference denies
+    # legally: only 2 is flagged, not 4 as a duplicate, although the
+    # reference gives 4 no facts
     records = [(None, None, "O"), (0, None, "p1"), (3, 1, "forward"),
                (1, None, "p2"), (3, 1, "s")]
-    tree = ArenaTree.from_records(records)
-    assert [(d.code, d.point) for d in tree.validate()] == [
+    assert [(d.code, d.point) for d in _refusal(records)] == [
         ("UnknownParent", 2)]
-    assert tree.facts(4).ordered_proximities == (1, 3)
-    assert tree.find_satellite(3, 1) == 4
-    ref = _ReferenceArena()
-    for triple in records:
-        ref.append_raw(*triple)
-    assert ref.facts[4] is None
+    assert _reference(records).facts[4] is None

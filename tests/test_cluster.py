@@ -18,8 +18,8 @@ from enriques import (
     values_from_multiplicities,
 )
 from enriques.errors import (
-    ArenaError,
     ArenaMismatch,
+    ArenaValidationError,
     InvalidWeight,
     NonPositiveMultiplicity,
     NotDownwardClosed,
@@ -287,11 +287,27 @@ def test_kind_must_be_a_weight_kind(kind):
 
 @pytest.mark.parametrize("kind", list(WeightKind))
 def test_points_without_facts_rejected(kind):
-    # point 1 is its own parent, so it has no facts; the cluster refuses
-    # it with the arena's own message instead of answering about it
-    tree = ArenaTree.from_records([(None, None, "O"), (1, None, "a")])
-    assert tree.free_points[1] is None
-    with pytest.raises(ArenaError,
-                       match=r"point 1 breaks an arena rule; see validate\(\)"):
-        WeightedCluster(tree, kind, {0: 2, 1: 1})
-    assert WeightedCluster(tree, kind, {0: 2})[0] == 2  # the sound part
+    # point 1 is its own parent, so it could have no facts; the arena
+    # refuses it, so no cluster of any kind can hold it
+    records = [(None, None, "O"), (1, None, "a")]
+    with pytest.raises(ArenaValidationError,
+                       match="SelfReference at point 1") as info:
+        ArenaTree.from_records(records)
+    assert [d.point for d in info.value.diagnostics] == [1]
+    tree = ArenaTree.from_records(records[:1])  # the sound part
+    assert WeightedCluster(tree, kind, {0: 2})[0] == 2
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_tree_must_be_an_arena_and_weight_a_mapping(kind):
+    # checked right after the kind, before anything reads either
+    tree = ArenaTree()
+    tree.add_point()
+    for bad in (None, [0], {0: 1}):
+        with pytest.raises(ArenaMismatch, match="is not an ArenaTree"):
+            WeightedCluster(bad, kind, {})
+    for bad in (5, None, [(0, 1)]):
+        with pytest.raises(InvalidWeight, match="is not a mapping"):
+            WeightedCluster(tree, kind, bad)
+    with pytest.raises(WrongKind):  # the kind still comes first
+        WeightedCluster(None, "virtual", 5)

@@ -7,7 +7,6 @@ import pytest
 
 from enriques import ArenaTree, WeightKind, WeightedCluster, parse, serialize
 from enriques.errors import (
-    ArenaError,
     ArenaMismatch,
     ClusterError,
     Diagnostic,
@@ -376,11 +375,11 @@ def _parse_reference(text):
         if weight > 0:
             weights[len(records) - 1] = weight
 
-    tree = ArenaTree.from_records(records)
-    diagnostics.extend(d for d in validate_reference(tree)
+    diagnostics.extend(d for d in validate_reference(records)
                        if d.point not in placeholders)
     if diagnostics:
         raise DocumentValidationError(diagnostics)
+    tree = ArenaTree.from_records(records)
     try:
         cluster = _cluster_reference(tree, kind, weights)
     except ClusterError as err:
@@ -405,7 +404,6 @@ def _random_document(rng):
     tree = ArenaTree.from_records([
         (tree.parent(p), tree.second_proximity(p), labels[p])
         for p in tree.points()])
-    assert tree.validate() == []
     kind = rng.choice(list(WeightKind))
     weights = {}
     for p in tree.points():
@@ -504,12 +502,7 @@ def _outcome(parser, text):
     except (DocumentSyntaxError, DocumentValidationError) as err:
         detail = getattr(err, "diagnostics", str(err))
         return type(err), detail
-    facts = []
-    for p in tree.points():
-        try:
-            facts.append(tree.facts(p))
-        except ArenaError:
-            facts.append(None)
+    facts = [tree.facts(p) for p in tree.points()]
     return (list(tree.records()), facts, cluster.kind, dict(cluster.weight))
 
 

@@ -1,3 +1,4 @@
+import re
 from copy import deepcopy
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from enriques import (
     MorphismInvariants, WeightKind, WeightedCluster, compute, unibranch_chain)
-from enriques.errors import EnriquesError, InconsistentCluster, WrongKind
+from enriques.errors import (
+    ArenaError, EnriquesError, InconsistentCluster, WrongKind)
 
 import fixture_builders as fb
 
@@ -64,11 +66,10 @@ def test_append_chain_catches_up_a_stale_table():
     # points appended behind the table's back are tabulated before the run
     tree, bp, names = fb.ex04_bp()
     inv = compute(bp)
-    a = tree.append_raw(names["p5"], names["p3"])
+    a = tree.add_point(names["p5"], names["p3"])
     assert len(inv.m) == a
     last = inv.append_chain(a, names["p3"], 3)
     assert inv.m == compute(bp).m and len(inv.m) == last + 1
-    assert None not in inv.m
 
 
 ARENA_COLUMNS = ("parents", "seconds", "labels", "children", "free_points",
@@ -76,25 +77,28 @@ ARENA_COLUMNS = ("parents", "seconds", "labels", "children", "free_points",
 
 
 def test_append_chain_with_bad_ids_tabulates_as_append_raw():
-    # a run whose first point breaks an arena rule gets no m, not the m
-    # of whatever its ids index; s = None with a legal a is a free point
+    # a run whose first point would break an arena rule raises that rule,
+    # as add_point does, and neither appends nor tabulates anything, so no
+    # point gets the m of whatever its ids index; s = None with a legal a
+    # would be a free point, which is no run of satellites
     for bad in (True, -1, 999, "3", 3.0, None):
         for a, s in ((bad, 0), (0, bad)):
             for t in (1, 3):
                 tree, bp, _ = fb.ex04_bp()
                 inv = compute(bp)
-                inv.append_chain(a, s, t)
-                ref_tree, ref_bp, _ = fb.ex04_bp()
-                ref = compute(ref_bp)
-                q = ref_tree.append_raw(a, s)
-                for _ in range(t - 1):
-                    q = ref_tree.append_raw(q, s)
-                ref._grow()
-                for column in ARENA_COLUMNS:
-                    assert getattr(tree, column) == getattr(ref_tree, column)
-                assert inv.m == ref.m, (a, s, t)
-                assert [p for p, m in enumerate(inv.m) if m is None] == [
-                    p for p in tree.points() if tree.free_points[p] is None]
+                before = deepcopy([getattr(tree, c) for c in ARENA_COLUMNS])
+                index, m = dict(tree._satellite_index), list(inv.m)
+                if s is None:
+                    error, match = ArenaError, "needs a second proximity"
+                else:
+                    with pytest.raises(ArenaError) as info:
+                        tree.add_point(a, s)
+                    error, match = type(info.value), re.escape(
+                        str(info.value))
+                with pytest.raises(error, match=match):
+                    inv.append_chain(a, s, t)
+                assert [getattr(tree, c) for c in ARENA_COLUMNS] == before
+                assert tree._satellite_index == index and inv.m == m
 
 
 def test_append_chain_refuses_a_bad_run_length_before_appending():
@@ -116,7 +120,7 @@ def test_append_chain_refuses_a_bad_run_length_before_appending():
                     append(a, s, t)
                 assert [getattr(tree, c) for c in ARENA_COLUMNS] == before
                 assert tree._satellite_index == index
-                assert tree.validate() == [] and inv.m == m
+                assert inv.m == m
 
 
 def test_origin_quotient_is_weight_plus_one():

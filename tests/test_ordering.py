@@ -19,7 +19,7 @@ from enriques import (
 )
 from enriques.ordering import PrecComparison, fraction_at
 from enriques.errors import (
-    ArenaError,
+    ArenaValidationError,
     EmptySet,
     NotComparable,
     NotUnibranch,
@@ -128,11 +128,14 @@ def test_max_under_prec():
         max_under_prec(tree, [])
     with pytest.raises(NotComparable):
         max_under_prec(tree, [names["p8"], names["p5"]])
-    # a point that breaks an arena rule has no cone to compare in
-    broken = ArenaTree.from_records([(None, None, None), (0, None, None),
-                                     (1, 0, None), (1, 0, None)])
-    with pytest.raises(ArenaError):
-        max_under_prec(broken, [2, 3])
+    # a point that would break an arena rule has no cone to compare in,
+    # and no arena holds one
+    records = [(None, None, None), (0, None, None), (1, 0, None),
+               (1, 0, None)]
+    with pytest.raises(ArenaValidationError,
+                       match="DuplicateSatellite at point 3"):
+        ArenaTree.from_records(records)
+    assert max_under_prec(ArenaTree.from_records(records[:3]), [1, 2]) == 1
 
 
 def test_compare_point_to_branch_y5x8():

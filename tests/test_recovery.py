@@ -43,7 +43,8 @@ from enriques.recovery import (
     _downward_closure,
 )
 from enriques.errors import (
-    ArenaError,
+    ArenaValidationError,
+    Diagnostic,
     EmptyRuptureSet,
     EnriquesError,
     InconsistentCluster,
@@ -200,20 +201,20 @@ def test_recover_never_reaches_no_qualifying_pair():
 
 def test_recover_raises_arena_error_at_a_dicritical_without_facts():
     # point 3 names a second proximity that its parent is not proximate
-    # to, so it has no facts and no m.  No cluster of any kind holds it,
-    # so no run reaches it; a run on the sound points still associates
-    # the origin as before.  The partial association on a raised error is
-    # pinned by test_invalid_input_diagnosed_with_partial_association
+    # to, so it could have no facts and no m.  No arena holds it, so no
+    # cluster and no run reaches it; a run on the sound points still
+    # associates the origin as before.  The partial association on a
+    # raised error is pinned by
+    # test_invalid_input_diagnosed_with_partial_association
     records = [(None, None, "O"), (0, None, "p1"), (1, None, "p2"),
                (2, 0, "bad")]
+    with pytest.raises(ArenaValidationError) as info:
+        ArenaTree.from_records(records)
+    assert info.value.diagnostics == [Diagnostic(
+        "IllegalProximity", 3,
+        "second proximity 0 is not among the proximities of parent 2")]
     for run in (recover, recover_grouped):
-        tree = ArenaTree.from_records(records)
-        for kind in WeightKind:
-            with pytest.raises(ArenaError) as info:
-                WeightedCluster(tree, kind, {0: 3, 1: 1, 2: 1, 3: 1})
-            assert type(info.value) is ArenaError
-            assert str(info.value) == (
-                "point 3 breaks an arena rule; see validate()")
+        tree = ArenaTree.from_records(records[:3])
         bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 3, 1: 1, 2: 1})
         assert sorted(dicritical_points(bp)) == [0, 2]
         assert run(bp).association[0] == DicriticalAssociation(
@@ -991,29 +992,36 @@ def test_recover_values_rejects_a_rupture_point_outside_the_singular_set():
 
 
 def test_recover_values_rejects_unknown_and_broken_points():
-    # point 3 repeats point 2's proximity pair, so it has no facts; point 4,
-    # a free child of 1, keeps the table check at the sweep's top id passing
-    tree = ArenaTree.from_records([(None, None, None), (0, None, None),
-                                   (1, 0, None), (1, 0, None),
-                                   (1, None, None)])
+    # point 3 repeats point 2's proximity pair, so the arena refuses it;
+    # without it, 3 is the free child of 1 and 4 names no point
+    records = [(None, None, None), (0, None, None), (1, 0, None),
+               (1, 0, None), (1, None, None)]
+    with pytest.raises(ArenaValidationError,
+                       match="DuplicateSatellite at point 3"):
+        ArenaTree.from_records(records)
+    tree = ArenaTree.from_records(records[:3] + records[4:])
     bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 2, 1: 1})
     inv = compute(bp)
-    with pytest.raises(ArenaError, match="point 3 breaks an arena rule"):
-        recover_values(bp, inv, frozenset({3}), frozenset({0, 1, 3, 4}))
+    with pytest.raises(UnknownPoint, match="no point with id 4"):
+        recover_values(bp, inv, frozenset({4}), frozenset({0, 1, 3, 4}))
     with pytest.raises(UnknownPoint, match="no point with id -1"):
         recover_values(bp, inv, frozenset({1}), frozenset({-1, 0, 1}))
 
 
 def test_recover_values_rejects_a_broken_singular_point():
-    # point 3 repeats point 2's proximity pair, so it has no facts and no m;
-    # as a singular point that is no rupture point, the sweep would
-    # subtract from its missing value
-    tree = ArenaTree.from_records([(None, None, None), (0, None, None),
-                                   (1, 0, None), (1, 0, None),
-                                   (1, None, None)])
+    # point 3 repeats point 2's proximity pair, so it could have no facts
+    # and no m, and as a singular point that is no rupture point the sweep
+    # would subtract from its missing value; the arena refuses it, and a
+    # singular point that names no point is refused before the sweep
+    records = [(None, None, None), (0, None, None), (1, 0, None),
+               (1, 0, None), (1, None, None)]
+    with pytest.raises(ArenaValidationError,
+                       match="DuplicateSatellite at point 3"):
+        ArenaTree.from_records(records)
+    tree = ArenaTree.from_records(records[:3] + records[4:])
     bp = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 2, 1: 1})
-    with pytest.raises(ArenaError, match="point 3 breaks an arena rule"):
-        recover_values(bp, compute(bp), frozenset({4}),
+    with pytest.raises(UnknownPoint, match="no point with id 4"):
+        recover_values(bp, compute(bp), frozenset({3}),
                        frozenset({0, 1, 3, 4}))
 
 
