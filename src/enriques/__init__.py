@@ -22,28 +22,16 @@ from .cluster import (
 )
 from .documents import parse, serialize
 from .morphism import MorphismInvariants, compute
-from .ordering import (
-    PrecComparison,
-    compare_point_to_branch,
-    defining_free_point,
-    first_satellite,
-    max_under_prec,
-    prec_compare,
-    second_satellite,
-)
 from .oracle import (
-    check_growth,
     free_count_first_neighbourhood,
     invariant_quotient,
     rupture_points,
     rupture_quotients,
-    validate_curve_cluster,
 )
 from .recovery import (
     DicriticalAssociation,
     RecoveryResult,
     base_free_point,
-    classify_free_points,
     dicritical_invariant,
     recover,
     recover_grouped,

@@ -56,6 +56,7 @@ from .errors import (
     DuplicateOrigin,
     DuplicateSatellite,
     IllegalProximity,
+    InvalidLabel,
     SelfReference,
     UnknownParent,
     UnknownPoint,
@@ -175,7 +176,7 @@ class ArenaTree:
         the first it would break this raises that rule's error and appends
         nothing.  With no ``parent`` the point becomes the origin.
         """
-        broken = self._violations(parent, second_proximity)
+        broken = self._violations(parent, second_proximity, label)
         if broken:
             error, message = broken[0]
             raise error(message)
@@ -204,11 +205,14 @@ class ArenaTree:
         return the arena rules they break, in record order.
 
         While no record has broken a rule, each record gets its facts, and
-        one that cannot get them breaks a rule: only that record runs
-        :meth:`_violations`.  From the first broken record on, the caller
-        refuses the arena, so each later record is only checked, against
-        the parents, second proximities, pair index and rootless flag as
-        they are after the record before it, and gets no facts.
+        one that cannot get them, or whose label is no string, breaks a
+        rule: only that record runs :meth:`_violations`.  From the first
+        broken record on, the caller refuses the arena, so each later
+        record is only checked, against the parents, second proximities,
+        pair index and rootless flag as they are after the record before
+        it, and gets no facts.  A record that breaks only the label rule
+        still holds its proximity pair, so a later record with the same
+        pair is reported as a duplicate.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is :func:`_satellite_pair`; n and m0 add up over both
@@ -240,8 +244,8 @@ class ArenaTree:
                             k += ks[s]
                         n = ns[a] + ns[s]
                         m0 = m0s[a] + m0s[s]
-            if free is None:
-                broken = self._violations(parent, s)
+            if free is None or not (label is None or isinstance(label, str)):
+                broken = self._violations(parent, s, label)
                 out.extend(Diagnostic(error.__name__, q, message)
                            for error, message in broken)
             else:
@@ -259,7 +263,8 @@ class ArenaTree:
             seconds.append(s)
             if parent is None:
                 self._rootless = True
-            elif s is not None and not broken:
+            elif s is not None and (
+                    not broken or broken[0][0] is InvalidLabel):
                 index[parent, s] = q
             q += 1
         return out
@@ -446,47 +451,53 @@ class ArenaTree:
     # -- validation ------------------------------------------------------
 
     def _violations(
-        self, a: Optional[PointId], s: Optional[PointId]
+        self, a: Optional[PointId], s: Optional[PointId],
+        label: object = None,
     ) -> list[tuple[type[ArenaError], str]]:
-        """The arena rules that a point (a, s) appended next would break,
-        as (error class, message) pairs in report order.
+        """The arena rules that a point (a, s) with ``label`` appended next
+        would break, as (error class, message) pairs in report order.
 
         This is the one statement of the rules.  At most one point has no
         parent, and it has no second proximity.  Every other point names
         an earlier point as its parent; a satellite also names an earlier
         point that the parent is proximate to, and no other point may hold
-        the same pair.  Each check reads only the point's references, its
-        parent's, the pair index and whether a point without parent came
-        before, so it takes constant time.
+        the same pair.  A label is None or a string; a bad one is reported
+        last, after the first structural rule the point breaks.  Each check
+        reads only the point's references, its parent's, the pair index
+        and whether a point without parent came before, so it takes
+        constant time.
         """
         q = len(self.parents)
+        out: list[tuple[type[ArenaError], str]] = []
         if a is None:
-            out = []
             if s is not None:
                 out.append((IllegalProximity,
                             "origin cannot have a second proximity"))
             if self._rootless:
                 out.append((DuplicateOrigin,
                             "more than one point without a parent"))
-            return out
-        if a == q or s == q:
-            return [(SelfReference, "point references itself")]
-        if a not in self:
-            return [(UnknownParent, f"parent {a} does not precede the point")]
-        if s is None:
-            return []
-        if s not in self:
-            return [(UnknownPoint,
-                     f"second proximity {s} does not precede the point")]
-        if s != self.parents[a] and s != self.seconds[a]:
-            return [(IllegalProximity,
-                     f"second proximity {s} is not among the proximities of"
-                     f" parent {a}")]
-        if (a, s) in self._satellite_index:
-            return [(DuplicateSatellite,
-                     "another satellite already carries the proximity pair"
-                     f" {(a, s)}")]
-        return []
+        elif a == q or s == q:
+            out.append((SelfReference, "point references itself"))
+        elif a not in self:
+            out.append((UnknownParent,
+                        f"parent {a} does not precede the point"))
+        elif s is None:
+            pass
+        elif s not in self:
+            out.append((UnknownPoint,
+                        f"second proximity {s} does not precede the point"))
+        elif s != self.parents[a] and s != self.seconds[a]:
+            out.append((IllegalProximity,
+                        f"second proximity {s} is not among the proximities"
+                        f" of parent {a}"))
+        elif (a, s) in self._satellite_index:
+            out.append((DuplicateSatellite,
+                        "another satellite already carries the proximity"
+                        f" pair {(a, s)}"))
+        if not (label is None or isinstance(label, str)):
+            out.append((InvalidLabel,
+                        f"label {label!r} is neither None nor a string"))
+        return out
 
     def __repr__(self) -> str:
         return f"ArenaTree({len(self.parents)} points)"

@@ -4,8 +4,7 @@ Every failure mode of the library raises a subclass of :class:`EnriquesError`.
 The arena and the document parser refuse input that breaks their rules,
 and they report every problem at once: :class:`ArenaValidationError` and
 :class:`DocumentValidationError` each carry every :class:`Diagnostic`
-found.  Checks of an object that is already sound, such as the oracle's
-``validate_curve_cluster``, return their diagnostics as a list.
+found.
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ class UnknownParent(ArenaError):
 
 class UnknownPoint(ArenaError):
     pass
+
+
+class InvalidLabel(ArenaError):
+    """A point's label is neither None nor a string."""
 
 
 class IllegalProximity(ArenaError):
@@ -91,7 +94,7 @@ class InvalidWeight(ClusterError):
     pass
 
 
-# --- ordering --------------------------------------------------------------
+# --- satellite navigation --------------------------------------------------
 
 class OrderingError(EnriquesError):
     pass
@@ -107,18 +110,6 @@ class SecondSatelliteOfFreePoint(OrderingError):
     This cannot happen while processing a cluster of base points of actual
     polar curves; it signals malformed input.
     """
-
-
-class EmptySet(OrderingError):
-    pass
-
-
-class NotComparable(OrderingError):
-    pass
-
-
-class NotUnibranch(OrderingError):
-    pass
 
 
 # --- morphism invariants ---------------------------------------------------

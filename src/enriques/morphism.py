@@ -37,9 +37,7 @@ that chain, by Noether's formula), so
 
 ``m_p/n_p`` is the *height quotient*; its comparisons against dicritical
 invariants, made by integer cross-multiplication, drive the satellite walk
-of the recovery algorithm.  As an
-internal cross-check, :meth:`MorphismInvariants.jacobian_multiplicity_check`
-recomputes the cluster weight at any domain point from m and n alone.
+of the recovery algorithm.
 """
 
 from __future__ import annotations
@@ -115,25 +113,6 @@ class MorphismInvariants:
     def height_quotient(self, p: PointId) -> Fraction:
         n, m = self.extend_to(p)
         return Fraction(m, n)
-
-    def jacobian_multiplicity_check(self, p: PointId) -> int:
-        """Recompute the expected cluster weight at ``p`` from m and n.
-
-        Returns m+n-2 at the origin, m+n-m'-n'-1 at free points and
-        m+n-m'-n'-m''-n'' at satellites; on every point this must equal the
-        bp-weight of ``p`` (0 outside the cluster).
-        """
-        n, m = self.extend_to(p)
-        tree = self.tree
-        parent = tree.parent(p)
-        if parent is None:
-            return m + n - 2
-        np_, mp_ = self.extend_to(parent)
-        second = tree.second_proximity(p)
-        if second is None:
-            return m + n - mp_ - np_ - 1
-        np2, mp2 = self.extend_to(second)
-        return m + n - mp_ - np_ - mp2 - np2
 
 
 def require_base_points(bp: WeightedCluster, excess: dict[PointId, int]) -> None:

@@ -39,7 +39,8 @@ Part two, values and multiplicities, in one sweep over S in ascending id.
 Ids are topological, so the parent, the second proximity and the defining
 free point of a point come before it, and every value a rule reads is
 already set.  One pass over R first keeps, per defining free point, the
-biggest rupture point of its cone, by k/n facts.  Rupture points take
+biggest rupture point of its cone under the order ≺ that
+:func:`_biggest_rupture_by_cone` states, by k/n facts.  Rupture points take
 v = m.  A free non-rupture point p of S takes v = m when a free point of
 S lies in its first neighbourhood; otherwise v is the unique integer in
 [ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 ) for q the biggest rupture point at or
@@ -84,9 +85,9 @@ from .cluster import WeightedCluster, WeightKind, excess, excesses
 from .errors import (
     EmptyRuptureSet, EnriquesError, InconsistentCluster, NoQualifyingPair,
     NonPositiveMultiplicity, NotDicritical, NotDownwardClosed, RecoveryError,
-    UnknownPoint, WalkDiverged)
+    OriginHasNoSatellite, SecondSatelliteOfFreePoint, UnknownPoint,
+    WalkDiverged)
 from .morphism import MorphismInvariants, require_base_points
-from .ordering import satellite_proximity
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -234,7 +235,7 @@ def _satellite_walk(tree: ArenaTree, inv: MorphismInvariants, p: PointId,
         word = "second" if second else "first"
         if trace:
             trace((q, m, n, word))
-        s = satellite_proximity(tree, q, second)
+        s = _satellite_proximity(tree, q, second)
         found = find(q, s)
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
@@ -259,6 +260,31 @@ def _satellite_walk(tree: ArenaTree, inv: MorphismInvariants, p: PointId,
         m += t * m_s
 
 
+def _satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
+    """The point that the first (or second) satellite of ``q`` is also
+    proximate to, besides ``q``.
+
+    A free point p proximate to p' has one satellite in its first
+    neighbourhood, its first satellite, proximate to p and p'.  A satellite
+    q with ordered proximities (a, b) has two: the first, proximate to q
+    and a, and the second, proximate to q and b.  So this is a free point's
+    parent, a satellite's smaller proximity for the first satellite and
+    its bigger one for the second.  Every later satellite on the same side
+    keeps this proximity, so a run of equal moves in the satellite cone
+    shares it.
+    """
+    pair = tree.pairs[q]
+    if second:
+        if pair is None:
+            raise SecondSatelliteOfFreePoint(
+                f"point {q} is free; only satellites have a second satellite")
+        return pair[1]
+    s = tree.parents[q] if pair is None else pair[0]
+    if s is None:
+        raise OriginHasNoSatellite("the origin has no satellite points")
+    return s
+
+
 def _diverged(num: int, den: int, cap: int, p: PointId) -> WalkDiverged:
     return WalkDiverged(
         f"no height quotient equal to {Fraction(num, den)} within"
@@ -270,8 +296,18 @@ def _biggest_rupture_by_cone(
 ) -> dict[PointId, PointId]:
     """For each defining free point, the biggest rupture point of its cone.
 
-    One pass keeps a running maximum per cone, comparing k/n facts as
-    :func:`~enriques.ordering.max_under_prec` does."""
+    The defining free point of q is the last free point on q's chain (q
+    itself when q is free), and q lies in that point's satellite cone at
+    the fraction k/n: the weight of q's unibranch chain at the defining
+    free point over its weight at the origin, in (0, 1], fixed on append
+    (see :class:`~enriques.arena.PointFacts`).  The paper's order puts
+    q1 below q2 (q1 ≺ q2) when q1's defining free point p lies on q2's
+    chain and q1's fraction at p does not exceed q2's.  Within one cone
+    that compares k/n alone, and distinct points of a cone have distinct
+    fractions, since each move into the cone refines the fraction like a
+    mediant search; so ≺ totally orders a cone, and this is the only
+    place where the recovery takes a maximum under it.  One pass keeps a
+    running maximum per cone, comparing k1 n2 with k2 n1."""
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest: dict[PointId, PointId] = {}
     for q in rupture:
@@ -454,23 +490,3 @@ def recover(
 #: Another name for :func:`recover`, kept because the benchmark under
 #: ``perfbench/`` imports it.
 recover_grouped = recover
-
-
-def classify_free_points(result: RecoveryResult) -> dict[PointId, bool]:
-    """For each free singular point: does a branch leave the curve there?
-
-    True when the point is a rupture point, or when its recovered value
-    differs from (n_p/n_q) m_q for q the biggest rupture point of its
-    satellite cone -- exactly the points where some branch of the curve
-    passes and is non-singular immediately after.
-    """
-    tree, values = result.values.tree, result.values
-    biggest_rupture = _biggest_rupture_by_cone(tree, result.rupture)
-    ns, seconds = tree.ns, tree.seconds
-    out: dict[PointId, bool] = {}
-    for p in result.singular:
-        if seconds[p] is None:
-            q = biggest_rupture.get(p)  # value equals m at rupture points
-            out[p] = p in result.rupture or (
-                q is not None and values[p] * ns[q] != ns[p] * values[q])
-    return out

@@ -9,11 +9,11 @@ from enriques import (
     PointId,
     WeightKind,
     WeightedCluster,
-    first_satellite,
     is_consistent,
-    second_satellite,
-    validate_curve_cluster,
 )
+
+from paper_reference import (
+    first_satellite, second_satellite, validate_curve_cluster)
 
 
 def random_proximity_tree(

@@ -16,17 +16,13 @@ from enriques import (
     WeightedCluster,
     canonical_form,
     compute,
-    defining_free_point,
-    first_satellite,
     invariant_quotient,
     is_consistent,
     noether_pairing,
     parse,
-    prec_compare,
     recover,
     recover_grouped,
     rupture_points,
-    second_satellite,
     self_intersection,
     unibranch_chain,
     values_from_multiplicities,
@@ -34,12 +30,19 @@ from enriques import (
 )
 from enriques.cli import main as cli_main
 from enriques.errors import EnriquesError
-from enriques.ordering import PrecComparison, fraction_at
-from enriques.oracle import has_bigger_branch
-
 import fixture_builders as fb
 import randgen
-from chain_reference import chain_inside
+from chain_reference import (
+    PrecComparison,
+    branch_clusters,
+    chain_inside,
+    compare_point_to_branch_reference,
+    fraction_at,
+    max_by_fraction,
+    prec_compare_reference,
+)
+from paper_reference import (
+    first_satellite, jacobian_multiplicity_check, second_satellite)
 from randgen import random_curve
 
 F = Fraction
@@ -253,12 +256,12 @@ def _suite_jacobian_check(samples) -> int:
         inv = compute(bp)
         points = list(tree.points())
         for p in points:
-            assert inv.jacobian_multiplicity_check(p) == bp.get(p, 0)
+            assert jacobian_multiplicity_check(inv, p) == bp.get(p, 0)
             cases += 1
         # extend past the cluster: fresh satellites carry weight 0
         for p in points[1:3]:
             q = first_satellite(tree, p)
-            assert inv.jacobian_multiplicity_check(q) == bp.get(q, 0)
+            assert jacobian_multiplicity_check(inv, q) == bp.get(q, 0)
             cases += 1
     return cases
 
@@ -286,12 +289,13 @@ def _suite_satellite_ordering_exhaustive() -> int:
     # first/second satellites bracket it the same way
     for q in nodes:
         a, b = sorted(tree.proximities(q))
-        lo, hi = (a, b) if prec_compare(tree, a, b) is less else (b, a)
-        assert prec_compare(tree, lo, q) is less
-        assert prec_compare(tree, q, hi) is less
+        lo, hi = ((a, b) if prec_compare_reference(tree, a, b) is less
+                  else (b, a))
+        assert prec_compare_reference(tree, lo, q) is less
+        assert prec_compare_reference(tree, q, hi) is less
         q1, q2 = first_satellite(tree, q), second_satellite(tree, q)
-        assert prec_compare(tree, q1, q) is less
-        assert prec_compare(tree, q, q2) is less
+        assert prec_compare_reference(tree, q1, q) is less
+        assert prec_compare_reference(tree, q, q2) is less
         # the second satellite's fraction is the mediant-side refinement
         f_q, f_q2 = fraction_at(tree, base, q), fraction_at(tree, base, q2)
         f_hi = fraction_at(tree, base, hi) if hi != anchor else None
@@ -309,7 +313,7 @@ def _suite_satellite_ordering_exhaustive() -> int:
     ordered = sorted(nodes, key=fractions.get)
     for i, q1 in enumerate(ordered):
         for q2 in ordered[i + 1:]:
-            assert prec_compare(tree, q1, q2) is less
+            assert prec_compare_reference(tree, q1, q2) is less
             cases += 1
     # everything below a first satellite stays smaller, below a second bigger
     descendants: dict[int, list[int]] = {}
@@ -330,9 +334,10 @@ def _suite_satellite_ordering_exhaustive() -> int:
 
 
 def _suite_growth_monotonicity() -> int:
-    from enriques import excesses, max_under_prec
+    from enriques import excesses
     from enriques.oracle import free_count_first_neighbourhood
 
+    less = PrecComparison.LESS
     cases = 0
     seed = 0
     while cases < 1000:
@@ -341,9 +346,10 @@ def _suite_growth_monotonicity() -> int:
         tree = curve.tree
         cones: dict[int, list[int]] = {}
         for p in tree.points():
-            base = defining_free_point(tree, p)
+            base = tree.facts(p).defining_free_point
             if base != p and tree.parents[base] is not None:
                 cones.setdefault(base, []).append(p)
+        branches = branch_clusters(curve)
         rng = random.Random(seed)
         for base, sats in cones.items():
             candidates = sats + [base]
@@ -351,10 +357,10 @@ def _suite_growth_monotonicity() -> int:
                 q2 = rng.choice(candidates)
                 if q1 == q2:
                     q2 = base
-                if prec_compare(tree, q1, q2) is not PrecComparison.LESS:
+                if prec_compare_reference(tree, q1, q2) is not less:
                     q1, q2 = q2, q1
                 if q1 == base or \
-                        prec_compare(tree, q1, q2) is not PrecComparison.LESS:
+                        prec_compare_reference(tree, q1, q2) is not less:
                     continue
                 p_prev = tree.parent(base)
                 i_prev = invariant_quotient(curve, p_prev)
@@ -362,7 +368,9 @@ def _suite_growth_monotonicity() -> int:
                 i_q2 = invariant_quotient(curve, q2)
                 assert i_prev <= i_q1 <= i_q2
                 assert (i_prev == i_q1) == (base not in curve)
-                assert (i_q1 == i_q2) == (not has_bigger_branch(curve, q1))
+                bigger = any(compare_point_to_branch_reference(tree, q1, b)
+                             for b in branches)
+                assert (i_q1 == i_q2) == (not bigger)
                 cases += 1
         # refined two-sided bound where exactly one branch leaves free and
         # non-singular at a free cluster point with a satellite continuation
@@ -378,11 +386,11 @@ def _suite_growth_monotonicity() -> int:
                 continue
             cone_ruptures = [
                 q for q in ruptures
-                if q != p and defining_free_point(tree, q) == p]
+                if q != p and tree.facts(q).defining_free_point == p]
             if not cone_ruptures:
                 continue
             assert free_count_first_neighbourhood(curve, p) == 1
-            q = max_under_prec(tree, cone_ruptures)
+            q = max_by_fraction(tree, cone_ruptures)
             n_p = unibranch_chain(tree, p)[tree.origin]
             i_p = invariant_quotient(curve, p)
             i_q = invariant_quotient(curve, q)
@@ -440,7 +448,8 @@ def test_criterion_8_y5x8_regression():
         n = {l: unibranch_chain(tree, names[l])[tree.origin] for l in order}
         assert (n["p1"], n["p3"], n["p4"]) == (1, 3, 5)
         q = names["p4"]  # the only rupture point of the cone over p1
-        assert prec_compare(tree, names["p3"], q) is PrecComparison.GREATER
+        assert prec_compare_reference(tree, names["p3"], q) \
+            is PrecComparison.GREATER
         assert values[names["p1"]] * n["p4"] == n["p1"] * values[names["p4"]]
         assert values[names["p3"]] * n["p1"] == n["p3"] * values[names["p1"]]
         assert values[names["p3"]] == 24

@@ -17,7 +17,9 @@ from enriques import (
     base_free_point,
     compute,
     dicritical_invariant,
+    serialize,
 )
+from enriques.dot import render_dot
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.errors import (
     ArenaError,
@@ -26,6 +28,7 @@ from enriques.errors import (
     DuplicateOrigin,
     DuplicateSatellite,
     IllegalProximity,
+    InvalidLabel,
     SelfReference,
     UnknownParent,
     UnknownPoint,
@@ -606,3 +609,31 @@ def test_broken_pair_does_not_shadow_a_legal_satellite():
     assert [(d.code, d.point) for d in _refusal(records)] == [
         ("UnknownParent", 2)]
     assert _reference(records).facts[4] is None
+
+
+def test_labels_must_be_none_or_strings():
+    # a label that is no string would only fail later, in serialize and
+    # render_dot; the arena refuses it where it enters
+    tree = ArenaTree()
+    tree.add_point(label="O")
+    before = copy.deepcopy(_columns(tree))
+    for bad in (5, 2.5, True, b"p1", ["p1"]):
+        with pytest.raises(InvalidLabel, match="neither None nor a string"):
+            tree.add_point(0, label=bad)
+        assert _columns(tree) == before
+        assert [(d.code, d.point) for d in _refusal(
+            [(None, None, "O"), (0, None, bad)])] == [("InvalidLabel", 1)]
+    assert str(_refusal([(None, None, "O"), (0, None, 7)])[0]) == (
+        "InvalidLabel at point 1: label 7 is neither None nor a string")
+    # in record order, after the first structural rule a point breaks; a
+    # satellite with a bad label still holds its pair
+    assert [(d.code, d.point) for d in _refusal([
+        (None, None, 0), (5, None, "a"), (0, None, 1.5), (2, 0, None),
+        (2, 0, "b")])] == [
+        ("InvalidLabel", 0), ("UnknownParent", 1), ("InvalidLabel", 2),
+        ("DuplicateSatellite", 4)]
+    tree.add_point(0, label="p1")
+    tree.add_point(1, 0)
+    cluster = WeightedCluster(tree, WeightKind.VIRTUAL, {0: 2})
+    assert '"parent": "p1"' in serialize(tree, cluster)
+    assert "p1" in render_dot(cluster)

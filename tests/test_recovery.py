@@ -16,14 +16,11 @@ from enriques import (
     WeightKind,
     WeightedCluster,
     base_free_point,
-    classify_free_points,
     compute,
     dicritical_invariant,
     dicritical_points,
-    first_satellite,
     invariant_quotient,
     is_consistent,
-    max_under_prec,
     multiplicities_from_values,
     noether_pairing,
     parse,
@@ -32,7 +29,6 @@ from enriques import (
     recover_values,
     rupture_points,
     satellite_walk,
-    second_satellite,
     serialize,
     unibranch_chain,
     values_from_multiplicities,
@@ -60,6 +56,10 @@ from enriques.errors import (
 
 import fixture_builders as fb
 import randgen
+from chain_reference import (
+    PrecComparison, max_by_fraction, prec_compare_reference)
+from paper_reference import (
+    classify_free_points, first_satellite, second_satellite)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -427,27 +427,22 @@ def test_grouped_matches_basic_on_fresh_arenas(fixture_dir):
 
 
 def test_rupture_points_precede_their_dicriticals():
-    from enriques import prec_compare
-    from enriques.ordering import PrecComparison
-
     for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
         tree, bp, _ = builder()
         result = recover(bp)
         for d, assoc in result.association.items():
-            assert prec_compare(tree, assoc.rupture_point, d) in (
+            assert prec_compare_reference(tree, assoc.rupture_point, d) in (
                 PrecComparison.LESS, PrecComparison.EQUAL)
         assert len(result.rupture) <= len(dicritical_points(bp))
 
 
 def test_rupture_height_quotients_distinct_per_cone():
-    from enriques import defining_free_point
-
     tree, bp, names = fb.ex07_bp()
     inv = compute(bp)
     result = recover(bp)
     by_cone = {}
     for q in result.rupture:
-        by_cone.setdefault(defining_free_point(tree, q), []).append(q)
+        by_cone.setdefault(tree.facts(q).defining_free_point, []).append(q)
     for cone in by_cone.values():
         quotients = [inv.height_quotient(q) for q in cone]
         assert len(set(quotients)) == len(quotients)
@@ -1026,11 +1021,12 @@ def test_recover_values_rejects_a_broken_singular_point():
 
 
 def _biggest_rupture_by_cone_reference(tree, rupture):
-    """The map as it was: a list per cone, then one checked max each."""
+    """The map as a list per cone, then one max each, by fractions built
+    from whole chains."""
     cones = {}
     for q in rupture:
         cones.setdefault(tree.free_points[q], []).append(q)
-    return {p: max_under_prec(tree, cone) for p, cone in cones.items()}
+    return {p: max_by_fraction(tree, cone) for p, cone in cones.items()}
 
 
 def test_cone_maxima_match_per_cone_max_under_prec():
