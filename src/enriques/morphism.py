@@ -53,9 +53,11 @@ class MorphismInvariants:
     """Table of m_p over an arena, a list indexed by point id.
 
     n_p comes from the arena's ``ns`` column.  The table covers every
-    arena point; extension over appended points follows the
-    exclusive-writer contract of the arena.  ``bp`` must be a virtual
-    cluster, as in :func:`compute`, which also requires it to be
+    arena point when it is built, and :meth:`extend_to` tabulates the
+    points appended since; the recovery walk extends ``m`` itself over
+    each run it appends, so its table never falls behind.  Extension
+    follows the exclusive-writer contract of the arena.  ``bp`` must be a
+    virtual cluster, as in :func:`compute`, which also requires it to be
     consistent.
     """
 
@@ -90,25 +92,6 @@ class MorphismInvariants:
                 raise UnknownPoint(f"no point with id {p}")
             self._grow()
         return self.bp.tree.ns[p], m[p]
-
-    def append_chain(self, a: PointId, s: PointId, t: int) -> PointId:
-        """:meth:`ArenaTree.append_chain` that also tabulates m.
-
-        The arena writes only a legal run, and raises on anything else
-        before anything is appended or tabulated.  m grows by m_s from point
-        to point, starting from m_a (the new points lie outside the
-        cluster); when the table is behind the arena, :meth:`_grow`
-        tabulates the new points instead.
-        """
-        tree, m = self.bp.tree, self.m
-        first = len(tree.parents)
-        q = tree.append_chain(a, s, t)
-        if len(m) < first:
-            self._grow()
-        else:
-            start, step = m[a], m[s]
-            m.extend(range(start + step, start + (t + 1) * step, step))
-        return q
 
     def height_quotient(self, p: PointId) -> Fraction:
         n, m = self.extend_to(p)

@@ -31,9 +31,13 @@ builds a fraction.  A run builds one :class:`Fraction` per distinct
 fan of chains repeats a few invariants over many dicriticals).  Each
 dicritical reads a and b from it once; the scan, the walk and the walk
 memo's key take them as integers.  Each dicritical's
-:class:`DicriticalAssociation` is a named tuple.  The public :func:`base_free_point` and :func:`satellite_walk`
-check their point and hand a and b to the same bodies.  The singular set S
-is the downward closure of the rupture set R.
+:class:`DicriticalAssociation` is a named tuple.  The public
+:func:`base_free_point` and :func:`satellite_walk` check their point and
+hand a and b to the same bodies.  All four public steps, these two,
+:func:`dicritical_invariant` and :func:`recover_values`, raise
+:class:`~enriques.errors.ArenaMismatch` on an m table built for another
+cluster or arena.  The singular set S is the downward closure of the
+rupture set R.
 
 Part two, values and multiplicities, in one sweep over S in ascending id.
 Ids are topological, so the parent, the second proximity and the defining
@@ -71,6 +75,9 @@ same run and returns exactly the result of :func:`recover`.
 The invariant, the walk and the sweep read each point's facts from the
 arena's columns and m from the list table of :mod:`~enriques.morphism`,
 so none of them rebuilds a unibranch chain or builds a per-point object.
+The walk appends each run it creates through the arena's private
+``ArenaTree._append_run``, whose precondition it has proved, and extends
+the table over the run itself, so the table keeps covering the arena.
 A full run counts the excesses of ``bp`` once.
 """
 
@@ -83,10 +90,10 @@ from typing import Callable, NamedTuple, Optional
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excess, excesses
 from .errors import (
-    EmptyRuptureSet, EnriquesError, InconsistentCluster, NoQualifyingPair,
-    NonPositiveMultiplicity, NotDicritical, NotDownwardClosed, RecoveryError,
-    OriginHasNoSatellite, SecondSatelliteOfFreePoint, UnknownPoint,
-    WalkDiverged)
+    ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
+    NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
+    NotDownwardClosed, RecoveryError, OriginHasNoSatellite,
+    SecondSatelliteOfFreePoint, UnknownPoint, WalkDiverged)
 from .morphism import MorphismInvariants, require_base_points
 
 #: One line of walk trace: (point, m, n, decision), decision in
@@ -128,6 +135,14 @@ class RecoveryResult:
 # -- part one: topology ------------------------------------------------------
 
 
+def _require_table(bp: WeightedCluster, inv: MorphismInvariants) -> None:
+    """Refuse an m table built for another cluster or arena.  A caller
+    that passes the cluster object the table was built for, as a run
+    does, pays one identity check; an equal cluster is compared."""
+    if inv.bp is not bp and inv.bp != bp:
+        raise ArenaMismatch("the m table was built for another cluster")
+
+
 def dicritical_invariant(
     bp: WeightedCluster, inv: MorphismInvariants, d: PointId
 ) -> Fraction:
@@ -137,6 +152,7 @@ def dicritical_invariant(
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
     and the arena's columns.
     """
+    _require_table(bp, inv)
     if d not in bp.tree:
         raise UnknownPoint(f"no point with id {d}")
     if d not in bp or excess(bp, d) <= 0:
@@ -155,6 +171,7 @@ def base_free_point(
     scan runs from d down to the origin, so it stops at the first such
     link it meets.
     """
+    _require_table(bp, inv)
     inv.extend_to(d)  # checks d; the table then covers d's whole chain
     return _base_free_point(
         bp.tree, inv.m, d, invariant.numerator, invariant.denominator)
@@ -209,19 +226,26 @@ def satellite_walk(
     vanish, one division.  A run whose delta cannot change the gap's
     sign, or whose end lies beyond the cap, raises :class:`WalkDiverged`
     before appending anything.  ``trace`` still sees one entry per
-    visited point.
+    visited point.  A table built over another arena raises
+    :class:`~enriques.errors.ArenaMismatch`.
     """
+    if inv.tree is not tree:
+        raise ArenaMismatch("the m table was built over another arena")
     inv._grow()  # the walk reads m at any point of the arena it finds
     inv.extend_to(p)  # checks p
-    return _satellite_walk(tree, inv, p, invariant.numerator,
+    return _satellite_walk(tree, inv.m, p, invariant.numerator,
                            invariant.denominator, trace)
 
 
-def _satellite_walk(tree: ArenaTree, inv: MorphismInvariants, p: PointId,
+def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                     num: int, den: int, trace) -> PointId:
-    """:func:`satellite_walk` for num/den, on a table covering the arena;
-    it appends only through ``inv.append_chain``, which keeps it so."""
-    find, ns, table = tree.find_satellite, tree.ns, inv.m
+    """:func:`satellite_walk` for num/den, on an m table covering the
+    arena.  Each run it creates goes in through
+    :meth:`~enriques.arena.ArenaTree._append_run`, whose precondition the
+    checks before the call establish, and the next line extends the table
+    over the run: m grows by m_s from point to point, starting from the
+    run parent's m, since the new points lie outside the cluster."""
+    find, ns = tree.find_satellite, tree.ns
     n, m = ns[p], table[p]
     cap = num + den
     q, moves = p, 0
@@ -252,7 +276,8 @@ def _satellite_walk(tree: ArenaTree, inv: MorphismInvariants, p: PointId,
         moves += t
         if moves > cap:
             raise _diverged(num, den, cap, p)
-        q = inv.append_chain(q, s, t)
+        q = tree._append_run(q, s, t)
+        table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
         if trace:
             for i in range(1, t):
                 trace((q - t + i, m + i * m_s, n + i * n_s, word))
@@ -342,6 +367,7 @@ def recover_values(
     :func:`_second_half`.  ``singular`` must be downward closed and hold
     ``rupture``, as the topology's downward closure is.  ``recover`` never
     passes a bad point or a gap, so the checks live here, not in the sweep."""
+    _require_table(bp, inv)
     tree = bp.tree
     for p in rupture | singular:
         if p not in tree:
@@ -352,7 +378,7 @@ def recover_values(
             f"rupture point {min(missing)} is not in the singular set")
     inv._grow()  # the sweep reads m at every point of the set
     try:
-        values, _, _ = _second_half(tree, inv, rupture, singular)
+        values, _, _ = _second_half(tree, inv.m, rupture, singular)
     except KeyError:  # a point's parent, second or free point is missing
         raise NotDownwardClosed(
             "the singular set is not downward closed") from None
@@ -361,7 +387,7 @@ def recover_values(
 
 def _second_half(
     tree: ArenaTree,
-    inv: MorphismInvariants,
+    m: list,
     rupture: frozenset[PointId],
     singular: frozenset[PointId],
 ) -> tuple[dict[PointId, int], dict[PointId, int], Optional[EnriquesError]]:
@@ -371,8 +397,7 @@ def _second_half(
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
     :class:`InconsistentCluster`, else None.  A value rule's error is
     raised, a satellite's only once every free point's rule has run.  The
-    points are arena points, downward closed, in the m table."""
-    m = inv.m
+    points are arena points, downward closed, in the m table ``m``."""
     parents, seconds, children = tree.parents, tree.seconds, tree.children
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
@@ -449,9 +474,8 @@ def recover(
     association: dict[PointId, DicriticalAssociation] = {}
     try:
         # the arena is complete, so the table covers every point, and the
-        # walk appends only through inv.append_chain, which keeps it so
-        inv = MorphismInvariants(bp)
-        m, ns, m0s = inv.m, tree.ns, tree.m0s
+        # walk extends it over every run it appends, which keeps it so
+        m, ns, m0s = MorphismInvariants(bp).m, tree.ns, tree.m0s
         origin = tree.origin
         walked: dict[tuple[PointId, int, int], PointId] = {}
         invariants: dict[tuple[int, int], Fraction] = {}  # by (m-m0+n, n)
@@ -469,11 +493,11 @@ def recover(
                 q = walked.get(key)
                 if q is None:
                     q = walked[key] = _satellite_walk(
-                        tree, inv, p, num, den, trace)
+                        tree, m, p, num, den, trace)
             association[d] = DicriticalAssociation(invariant, p, q)
         rupture = frozenset(a.rupture_point for a in association.values())
         singular = _downward_closure(tree, rupture)
-        values, mults, rejected = _second_half(tree, inv, rupture, singular)
+        values, mults, rejected = _second_half(tree, m, rupture, singular)
         if rejected is not None:
             raise rejected
         # the sweep established every property the constructor checks

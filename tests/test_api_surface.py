@@ -221,14 +221,11 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
         writes += [
             (lambda bad=bad: tree.add_point(bad)),
             (lambda bad=bad, a=a: tree.add_point(a, bad)),
-            (lambda bad=bad: tree.append_chain(bad, 0, 2)),
-            (lambda bad=bad, a=a: tree.append_chain(a, bad, 2)),
             (lambda bad=bad: ArenaTree.from_records(
                 records + [(bad, None, None)])),
             (lambda bad=bad, a=a: ArenaTree.from_records(
                 records + [(a, bad, None)])),
         ]
-    writes.append(lambda: tree.append_chain(p3, None, 2))  # a free run
     for write in writes:
         with pytest.raises(EnriquesError):
             write()

@@ -1,13 +1,10 @@
-import re
-from copy import deepcopy
 from fractions import Fraction
 
 import pytest
 
 from enriques import (
     MorphismInvariants, WeightKind, WeightedCluster, compute, unibranch_chain)
-from enriques.errors import (
-    ArenaError, EnriquesError, InconsistentCluster, WrongKind)
+from enriques.errors import InconsistentCluster, WrongKind
 
 import fixture_builders as fb
 from paper_reference import jacobian_multiplicity_check, second_satellite
@@ -59,67 +56,6 @@ def test_extend_to_created_satellite():
     fresh = second_satellite(tree, names["p14"])
     n, m = inv.extend_to(fresh)
     assert (n, m) == (20 + 12, 2712 + 1628)
-
-
-def test_append_chain_catches_up_a_stale_table():
-    # points appended behind the table's back are tabulated before the run
-    tree, bp, names = fb.ex04_bp()
-    inv = compute(bp)
-    a = tree.add_point(names["p5"], names["p3"])
-    assert len(inv.m) == a
-    last = inv.append_chain(a, names["p3"], 3)
-    assert inv.m == compute(bp).m and len(inv.m) == last + 1
-
-
-ARENA_COLUMNS = ("parents", "seconds", "labels", "children", "free_points",
-                 "ns", "m0s", "ks", "pairs")
-
-
-def test_append_chain_with_bad_ids_tabulates_as_append_raw():
-    # a run whose first point would break an arena rule raises that rule,
-    # as add_point does, and neither appends nor tabulates anything, so no
-    # point gets the m of whatever its ids index; s = None with a legal a
-    # would be a free point, which is no run of satellites
-    for bad in (True, -1, 999, "3", 3.0, None):
-        for a, s in ((bad, 0), (0, bad)):
-            for t in (1, 3):
-                tree, bp, _ = fb.ex04_bp()
-                inv = compute(bp)
-                before = deepcopy([getattr(tree, c) for c in ARENA_COLUMNS])
-                index, m = dict(tree._satellite_index), list(inv.m)
-                if s is None:
-                    error, match = ArenaError, "needs a second proximity"
-                else:
-                    with pytest.raises(ArenaError) as info:
-                        tree.add_point(a, s)
-                    error, match = type(info.value), re.escape(
-                        str(info.value))
-                with pytest.raises(error, match=match):
-                    inv.append_chain(a, s, t)
-                assert [getattr(tree, c) for c in ARENA_COLUMNS] == before
-                assert tree._satellite_index == index and inv.m == m
-
-
-def test_append_chain_refuses_a_bad_run_length_before_appending():
-    # t = 0 and t = -2 would append one point, t = 2.5 one point and then
-    # a bare TypeError; every bad t is refused with nothing appended
-    tree, bp, names = fb.ex04_bp()
-    inv = compute(bp)
-    legal = next((a, s) for a in tree.points() for s in tree.proximities(a)
-                 if tree.find_satellite(a, s) is None)
-    illegal = (names["p5"], names["O"])
-    assert names["O"] not in tree.proximities(names["p5"])
-    runs = [legal, illegal]
-    for append in (tree.append_chain, inv.append_chain):
-        for a, s in runs:
-            for t in (0, -2, 2.5, True, "3", None):
-                before = deepcopy([getattr(tree, c) for c in ARENA_COLUMNS])
-                index, m = dict(tree._satellite_index), list(inv.m)
-                with pytest.raises(EnriquesError, match="run length t"):
-                    append(a, s, t)
-                assert [getattr(tree, c) for c in ARENA_COLUMNS] == before
-                assert tree._satellite_index == index
-                assert inv.m == m
 
 
 def test_origin_quotient_is_weight_plus_one():

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 import time
@@ -39,6 +40,7 @@ from enriques.recovery import (
     _downward_closure,
 )
 from enriques.errors import (
+    ArenaMismatch,
     ArenaValidationError,
     Diagnostic,
     EmptyRuptureSet,
@@ -359,6 +361,56 @@ def test_grouped_walks_each_pair_once():
     r = rev(names)
     assert {r[a.rupture_point] for a in result.association.values()} == \
         {"p4", "p5", "p7", "p8", "p13", "p14"}
+
+
+def _state(*arenas_and_tables):
+    """Deep copies of the arenas' columns and pair indexes and the tables."""
+    return [copy.deepcopy(x.m) if isinstance(x, MorphismInvariants) else
+            copy.deepcopy([getattr(x, c) for c in _COLUMNS + ("children",)]
+                          + [x._satellite_index])
+            for x in arenas_and_tables]
+
+
+def test_steps_refuse_a_table_built_for_another_cluster():
+    # the table must be the given cluster's, over the given arena: each
+    # step refuses a table over a clone of the arena, over another arena
+    # and for other weights on the same arena, and neither arena nor
+    # table changes; an equal cluster's table is its own
+    tree, bp, names = fb.ex05_bp()
+    clone = tree.clone()
+    on_clone = MorphismInvariants(WeightedCluster(clone, bp.kind, bp.weight))
+    state = _state(tree, clone, on_clone)
+    with pytest.raises(ArenaMismatch):
+        satellite_walk(tree, on_clone, names["p3"], Fraction(11))
+    assert _state(tree, clone, on_clone) == state
+    assert satellite_walk(clone, on_clone, names["p3"], Fraction(11)) == 6
+
+    tree4, bp4, names4 = fb.ex04_bp()
+    tree7, bp7, _ = fb.ex07_bp()
+    reweighted = MorphismInvariants(WeightedCluster(
+        tree4, bp4.kind, {**bp4.weight, 0: bp4[0] + 1}))
+    result = recover(bp4)
+    d = names4["p8"]
+    cluster_steps = (
+        lambda inv: dicritical_invariant(bp4, inv, d),
+        lambda inv: base_free_point(bp4, inv, d, Fraction(11)),
+        lambda inv: recover_values(bp4, inv, result.rupture, result.singular),
+    )
+    walk = (lambda inv: satellite_walk(tree4, inv, names4["p3"], Fraction(11)),)
+    # the walk takes an arena, not a cluster, so only a table over another
+    # arena is foreign to it
+    for inv, refusing in ((compute(bp7), cluster_steps + walk),
+                          (reweighted, cluster_steps)):
+        for step in refusing:
+            state = _state(tree4, tree7, inv)
+            with pytest.raises(ArenaMismatch):
+                step(inv)
+            assert _state(tree4, tree7, inv) == state
+    own = compute(bp4)
+    equal = compute(WeightedCluster(tree4, bp4.kind, dict(bp4.weight)))
+    assert dicritical_invariant(bp4, equal, d) == 11
+    for step in cluster_steps + walk:
+        assert step(equal) == step(own)
 
 
 def _fan_bp(k):
