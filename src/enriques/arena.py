@@ -146,7 +146,6 @@ class ArenaTree:
     modify them; ``xs[p]`` is point p's entry:
 
     * ``parents``, ``seconds``, ``labels``: parent, second proximity, label;
-    * ``children``: the point's children in arena order;
     * ``free_points``, ``ns``, ``m0s``, ``ks``, ``pairs``: the point's
       facts (see :class:`PointFacts`).
 
@@ -159,7 +158,6 @@ class ArenaTree:
         self.parents: list[Optional[PointId]] = []
         self.seconds: list[Optional[PointId]] = []
         self.labels: list[Optional[str]] = []
-        self.children: list[list[PointId]] = []
         self.free_points: list[PointId] = []
         self.ns: list[int] = []
         self.m0s: list[int] = []
@@ -224,8 +222,7 @@ class ArenaTree:
         pair is :func:`_satellite_pair`; n and m0 add up over both
         proximities; k adds s's share only when s lies in q's own cone.
         """
-        parents, seconds, labels, children = (
-            self.parents, self.seconds, self.labels, self.children)
+        parents, seconds, labels = self.parents, self.seconds, self.labels
         free_points, ns, m0s, ks, pairs = (
             self.free_points, self.ns, self.m0s, self.ks, self.pairs)
         index = self._satellite_index
@@ -257,14 +254,11 @@ class ArenaTree:
             else:
                 broken = ()
                 labels.append(label)
-                children.append([])
                 free_points.append(free)
                 ns.append(n)
                 m0s.append(m0)
                 ks.append(k)
                 pairs.append(pair)
-                if parent is not None:
-                    children[parent].append(q)
             parents.append(parent)
             seconds.append(s)
             if parent is None:
@@ -305,7 +299,6 @@ class ArenaTree:
         n_s, m0_s = self.ns[s], self.m0s[s]
         k_s = self.ks[s] if free_points[s] == free else 0
         if t < CHAIN_CROSSOVER:
-            children = self.children
             for c in range(q, q + t):
                 n += n_s
                 m0 += m0_s
@@ -313,8 +306,6 @@ class ArenaTree:
                 self.parents.append(a)
                 self.seconds.append(s)
                 self.labels.append(None)
-                children[a].append(c)
-                children.append([])
                 free_points.append(free)
                 self.ns.append(n)
                 self.m0s.append(m0)
@@ -328,9 +319,6 @@ class ArenaTree:
         self.parents.extend(prev)
         self.seconds.extend(repeat(s, t))
         self.labels.extend(repeat(None, t))
-        self.children[a].append(q)
-        self.children.extend([c] for c in range(q + 1, last + 1))
-        self.children.append([])
         free_points.extend(repeat(free, t))
         self.ns.extend(range(n + n_s, n + (t + 1) * n_s, n_s))
         self.m0s.extend(range(m0 + m0_s, m0 + (t + 1) * m0_s, m0_s))
@@ -349,7 +337,6 @@ class ArenaTree:
         for name in ("parents", "seconds", "labels", "free_points",
                      "ns", "m0s", "ks", "pairs"):
             setattr(tree, name, list(getattr(self, name)))
-        tree.children = [list(c) for c in self.children]
         tree._satellite_index = dict(self._satellite_index)
         tree._rootless = self._rootless
         return tree
@@ -406,11 +393,6 @@ class ArenaTree:
         """The one or two points ``q`` is proximate to."""
         self._check(q)
         return {r for r in (self.parents[q], self.seconds[q]) if r is not None}
-
-    def child_list(self, p: PointId) -> list[PointId]:
-        """Children in arena order."""
-        self._check(p)
-        return self.children[p]
 
     def facts(self, p: PointId) -> PointFacts:
         """A view of the point's facts."""

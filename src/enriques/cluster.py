@@ -239,31 +239,14 @@ def excesses(cluster: WeightedCluster) -> dict[PointId, int]:
 
 
 def excess(cluster: WeightedCluster, p: PointId) -> int:
-    """Excess at one point, visiting only the points proximate to ``p``.
+    """Excess at one point: :func:`excesses` at ``p``, one pass over the
+    cluster.
 
-    The points proximate to p are its children c and the satellites with
-    second proximity p.  Such a satellite's parent is itself proximate to
-    p, so every one of them sits on a chain c, find_satellite(c, p),
-    find_satellite(that, p), ... starting at a child; the arena's satellite
-    index holds at most one point per proximity pair, so each chain is a
-    single line and the chase finds every proximate point once.  Each link
-    is the parent of the next and clusters are ancestor-closed, so a chain
-    stops at its first point outside the cluster.  The cost is the number
-    of points proximate to p, not the cluster size.
-
-    :func:`excesses` is the one-pass definition.
     Raises :class:`PointNotInCluster` when p is not a point of the cluster.
     """
     if p not in cluster:
         raise PointNotInCluster(f"point {p} is not in the cluster")
-    weight, tree = cluster.weight, cluster.tree
-    find = tree.find_satellite
-    rho = weight[p]
-    for q in tree.children[p]:
-        while q in weight:
-            rho -= weight[q]
-            q = find(q, p)
-    return rho
+    return excesses(cluster)[p]
 
 
 def dicritical_points(cluster: WeightedCluster) -> set[PointId]:

@@ -83,6 +83,9 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
         raise DocumentSyntaxError(
             f"not valid JSON: {err.msg} (line {err.lineno},"
             f" column {err.colno})", position=err.pos) from err
+    except RecursionError:
+        raise DocumentSyntaxError(
+            "not valid JSON: nested too deeply") from None
     diagnostics: list[Diagnostic] = []
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
@@ -92,7 +95,8 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
         diagnostics.append(Diagnostic(
             "UnsupportedVersion", None,
             f"format_version must be {FORMAT_VERSION}, got {version!r}"))
-    kind = _KINDS.get(doc.get("weight_kind"))
+    kind = doc.get("weight_kind")
+    kind = _KINDS.get(kind) if isinstance(kind, str) else None
     if kind is None:
         diagnostics.append(Diagnostic(
             "UnknownWeightKind", None,

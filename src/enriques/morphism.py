@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excesses
-from .errors import InconsistentCluster, UnknownPoint
+from .errors import InconsistentCluster
 
 
 class MorphismInvariants:
@@ -88,8 +88,7 @@ class MorphismInvariants:
         """Ensure m is defined at ``p``; return its (n, m)."""
         m = self.m
         if not (type(p) is int and 0 <= p < len(m)):
-            if p not in self.bp.tree:
-                raise UnknownPoint(f"no point with id {p}")
+            self.bp.tree._check(p)
             self._grow()
         return self.bp.tree.ns[p], m[p]
 

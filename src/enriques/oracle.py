@@ -4,15 +4,16 @@ Everything here starts from the answer -- a curve's weighted cluster of
 singular points with effective multiplicities -- and derives the quantities
 the recovery algorithm reconstructs from polar base points: rupture points,
 invariant quotients.  Past the types, it shares with
-:mod:`~enriques.recovery` only the arena's columns, facts included, and
-:func:`excess` and :func:`excesses`, so agreement between them is a
-meaningful check.  A function that counts a curve's points or branches
-raises :class:`WrongKind` on another kind of cluster.  Every cluster is
-sound by construction (see :class:`~enriques.cluster.WeightedCluster`):
-it is ancestor-closed, and its points, like every arena point, keep the
-arena rules, so the sweeps here read each point's links without a check
-of their own.  Only a point taken from the arena rather than the curve, as
-in :func:`invariant_quotient`, is checked where it enters.
+:mod:`~enriques.recovery` only the arena's columns, facts included, its
+point-id check and :func:`excesses` (which :func:`excess` reads at one
+point), so agreement between them is a meaningful check.  A function
+that counts a curve's points or branches raises :class:`WrongKind` on
+another kind of cluster.  Every cluster is sound by construction (see
+:class:`~enriques.cluster.WeightedCluster`): it is ancestor-closed, and
+its points, like every arena point, keep the arena rules, so the sweeps
+here read each point's links without a check of their own.  Only a
+point taken from the arena rather than the curve, as in
+:func:`invariant_quotient`, is checked where it enters.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
@@ -47,8 +48,9 @@ def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
 
     Free cluster children of p plus the excess at p; the excess counts the
     branches continuing to free non-singular points outside the cluster.
-    Both read only p's children and the satellites proximate to p (see
-    :func:`excess`), so the cost does not grow with the curve.
+    The excess is :func:`excess`, one pass over the curve's points, and
+    one more pass counts the curve points whose parent is p and which are
+    free.
 
     Raises :class:`UnknownPoint` when p is not a point of the curve and
     :class:`NegativeResidual` when the excess at p is negative.
@@ -60,10 +62,9 @@ def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
     if residual < 0:
         raise NegativeResidual(
             f"multiplicity bookkeeping at point {p} is negative")
-    weight, seconds = curve.weight, curve.tree.seconds
+    parents, seconds = curve.tree.parents, curve.tree.seconds
     free_children = sum(
-        1 for c in curve.tree.children[p]
-        if c in weight and seconds[c] is None)
+        1 for c in curve.weight if parents[c] == p and seconds[c] is None)
     return free_children + residual
 
 
@@ -109,8 +110,7 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
     that is no arena point raises :class:`UnknownPoint`.
     """
     tree = curve.tree
-    if p not in tree:
-        raise UnknownPoint(f"no point with id {p}")
+    tree._check(p)
     parents, seconds, weight = tree.parents, tree.seconds, curve.weight
     owed: dict[PointId, int] = {}
     pairing, w, q = 0, 1, p
@@ -149,8 +149,8 @@ def rupture_quotients(
     """
     curve.require_kind(WeightKind.MULTIPLICITY)
     tree, weight = curve.tree, curve.weight
-    if base is not None and base not in tree:
-        raise UnknownPoint(f"no point with id {base}")
+    if base is not None:
+        tree._check(base)
     parents, seconds = tree.parents, tree.seconds
     v: dict[PointId, int] = {}
     for q in sorted(weight):

@@ -48,10 +48,11 @@ biggest rupture point of its cone under the order ≺ that
 v = m.  A free non-rupture point p of S takes v = m when a free point of
 S lies in its first neighbourhood; otherwise v is the unique integer in
 [ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 ) for q the biggest rupture point at or
-above p's satellite cone.  A satellite non-rupture point p with defining
-free point p' takes v = (n_p/n_{p'}) v_{p'} when p is bigger than the
-cone's biggest rupture point q and v_{p'} n_q = n_{p'} m_q both hold, else
-v = m_p.  The
+above p's satellite cone; one pass over S before the sweep marks the
+points with a free point of S in their first neighbourhood.  A satellite
+non-rupture point p with defining free point p' takes
+v = (n_p/n_{p'}) v_{p'} when p is bigger than the cone's biggest rupture
+point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  The
 multiplicity at p is v_p minus the values at the points p is proximate to,
 and the sweep subtracts it from their excesses at once; a negative excess
 makes the result inconsistent.  The sweep's two dicts then become the
@@ -93,7 +94,7 @@ from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
     NotDownwardClosed, RecoveryError, OriginHasNoSatellite,
-    SecondSatelliteOfFreePoint, UnknownPoint, WalkDiverged)
+    SecondSatelliteOfFreePoint, WalkDiverged)
 from .morphism import MorphismInvariants, require_base_points
 
 #: One line of walk trace: (point, m, n, decision), decision in
@@ -150,11 +151,11 @@ def dicritical_invariant(
 
     The pairing equals m_d - m0_d (see :mod:`~enriques.morphism`), so the
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
-    and the arena's columns.
+    and the arena's columns.  The check that d is dicritical reads
+    :func:`~enriques.cluster.excess`, one pass over bp.
     """
     _require_table(bp, inv)
-    if d not in bp.tree:
-        raise UnknownPoint(f"no point with id {d}")
+    bp.tree._check(d)
     if d not in bp or excess(bp, d) <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
     n_d, m_d = inv.extend_to(d)
@@ -370,8 +371,7 @@ def recover_values(
     _require_table(bp, inv)
     tree = bp.tree
     for p in rupture | singular:
-        if p not in tree:
-            raise UnknownPoint(f"no point with id {p}")
+        tree._check(p)
     missing = rupture - singular
     if missing:
         raise NotDownwardClosed(
@@ -398,29 +398,26 @@ def _second_half(
     :class:`InconsistentCluster`, else None.  A value rule's error is
     raised, a satellite's only once every free point's rule has run.  The
     points are arena points, downward closed, in the m table ``m``."""
-    parents, seconds, children = tree.parents, tree.seconds, tree.children
+    parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
+    # the points with a free point of S in their first neighbourhood
+    branching = {parents[c] for c in singular if seconds[c] is None}
     values, mults, rho = {}, {}, {}  # each by point id
     failed: Optional[RecoveryError] = None  # a satellite rule's first error
     rejected: Optional[EnriquesError] = None
     for p in sorted(singular):
         s = seconds[p]
-        if p in rupture:
+        if p in rupture or (s is None and p in branching):
             v = m[p]
         elif s is None:
-            for c in children[p]:
-                if seconds[c] is None and c in singular:
-                    v = m[p]
-                    break
-            else:
-                q = biggest_rupture.get(p)
-                if q is None:
-                    raise EmptyRuptureSet(
-                        f"free singular point {p} has no rupture point in"
-                        " its satellite cone")
-                # the single integer in [x, x + 1), x = n_p m_q / n_q
-                v = -(-ns[p] * m[q] // ns[q])
+            q = biggest_rupture.get(p)
+            if q is None:
+                raise EmptyRuptureSet(
+                    f"free singular point {p} has no rupture point in"
+                    " its satellite cone")
+            # the single integer in [x, x + 1), x = n_p m_q / n_q
+            v = -(-ns[p] * m[q] // ns[q])
         else:
             v = m[p]
             p_free = free_points[p]

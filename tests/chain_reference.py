@@ -80,9 +80,11 @@ def compare_point_to_branch_reference(tree, q, branch):
     """Whether ``q`` is smaller than the branch, a multiplicity chain
     cluster: q's defining free point p lies on the branch and q's fraction
     at p is below the branch's own ratio e_p / e_origin."""
+    from paper_reference import child_list  # it imports this module
+
     branch.require_kind(WeightKind.MULTIPLICITY)
     for p in branch.points:
-        in_cluster = [c for c in branch.tree.child_list(p) if c in branch]
+        in_cluster = [c for c in child_list(branch.tree, p) if c in branch]
         if len(in_cluster) > 1:
             raise NotAChain(f"branch cluster forks at point {p}")
     p = tree.facts(q).defining_free_point

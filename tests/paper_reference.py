@@ -33,6 +33,14 @@ from enriques.errors import (
 from chain_reference import max_by_fraction
 
 
+def child_list(tree, p):
+    """The children of ``p`` in arena order, by one scan of the arena's
+    ``parents`` column; an id the arena does not hold raises its
+    :class:`~enriques.errors.UnknownPoint`."""
+    tree._check(p)
+    return [c for c, a in enumerate(tree.parents) if a == p]
+
+
 def _find_or_create(tree, q, s):
     found = tree.find_satellite(q, s)
     return tree.add_point(q, s) if found is None else found

@@ -13,6 +13,7 @@ from enriques import (
 )
 
 from paper_reference import (
+    child_list,
     first_satellite, second_satellite, validate_curve_cluster)
 
 
@@ -43,7 +44,7 @@ def _random_weights_from_excesses(
     weights: dict[PointId, int] = {p: 0 for p in tree.points()}
     for p in sorted(tree.points(), reverse=True):
         rho = rng.randint(0, max_excess)
-        if not tree.child_list(p):
+        if not child_list(tree, p):
             rho = max(1, rho)
         weights[p] += rho
         for q in tree.proximities(p):

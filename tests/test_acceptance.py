@@ -42,7 +42,8 @@ from chain_reference import (
     prec_compare_reference,
 )
 from paper_reference import (
-    first_satellite, jacobian_multiplicity_check, second_satellite)
+    child_list, first_satellite, jacobian_multiplicity_check,
+    second_satellite)
 from randgen import random_curve
 
 F = Fraction
@@ -319,7 +320,7 @@ def _suite_satellite_ordering_exhaustive() -> int:
     descendants: dict[int, list[int]] = {}
     for level in reversed(levels):
         for q in level:
-            kids = [c for c in tree.child_list(q) if c in fractions]
+            kids = [c for c in child_list(tree, q) if c in fractions]
             descendants[q] = kids + [
                 d for c in kids for d in descendants.get(c, [])]
     for q in nodes:
@@ -379,7 +380,7 @@ def _suite_growth_monotonicity() -> int:
         for p in curve.points:
             if tree.is_satellite(p) or tree.parents[p] is None:
                 continue
-            kids = [c for c in tree.child_list(p) if c in curve]
+            kids = [c for c in child_list(tree, p) if c in curve]
             if rho[p] != 1 or any(not tree.is_satellite(c) for c in kids):
                 continue
             if not any(tree.is_satellite(c) for c in kids):

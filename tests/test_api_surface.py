@@ -163,7 +163,6 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
         "ArenaTree.label": lambda x: tree.label(x),
         "ArenaTree.is_satellite": lambda x: tree.is_satellite(x),
         "ArenaTree.proximities": lambda x: tree.proximities(x),
-        "ArenaTree.child_list": lambda x: tree.child_list(x),
         "ArenaTree.facts": lambda x: tree.facts(x),
         "ArenaTree.ancestors": lambda x: tree.ancestors(x),
         "ArenaTree.precedes first": lambda x: tree.precedes(x, 0),
@@ -209,7 +208,7 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
     # a bool, a float, a negative id, the new point itself and a later one,
     # each with a parent at which the id, read as an int, would be a legal
     # second proximity (p2 is proximate to 1, p3 to 2)
-    columns = (tree.parents, tree.seconds, tree.labels, tree.children,
+    columns = (tree.parents, tree.seconds, tree.labels,
                tree.free_points, tree.ns, tree.m0s, tree.ks, tree.pairs,
                tree._satellite_index)
     before = copy.deepcopy(columns)

@@ -36,6 +36,7 @@ from enriques.errors import (
 import fixture_builders as fb
 import randgen
 from arena_reference import validate_reference
+from paper_reference import child_list
 
 
 def test_root_creation():
@@ -52,7 +53,7 @@ def test_free_child():
     p1 = tree.add_point(o, label="p1")
     assert not tree.is_satellite(p1)
     assert tree.proximities(p1) == {o}
-    assert tree.child_list(o) == [p1]
+    assert child_list(tree, o) == [p1]
 
 
 def test_satellite_requires_legal_second_proximity():
@@ -72,7 +73,7 @@ def test_example_satellite_matches_first_neighbourhood_structure():
     tree, _, names = fb.ex04_bp()
     p4 = names["p4"]
     assert tree.proximities(p4) == {names["p3"], names["p2"]}
-    assert [c for c in tree.child_list(names["p3"])
+    assert [c for c in child_list(tree, names["p3"])
             if tree.is_satellite(c)] == [p4]
 
 
@@ -100,7 +101,7 @@ def test_unknown_references_rejected():
     inv = compute(bp)
     queries = [
         tree.record, tree.facts, tree.parent, tree.second_proximity,
-        tree.label, tree.child_list, tree.ancestors,
+        tree.label, tree.ancestors,
         lambda p: tree.precedes(p, names["p3"]),
         lambda p: tree.precedes(names["O"], p),
         inv.extend_to,
@@ -240,7 +241,7 @@ def test_proximity_queries():
     assert names["p2"] not in tree.proximities(names["p5"])
     assert names["p4"] in tree.proximities(names["p5"])
     assert names["p3"] in tree.proximities(names["p5"])
-    assert tree.child_list(names["O"]) == [names["p1"]]
+    assert child_list(tree, names["O"]) == [names["p1"]]
 
 
 def test_precedes():
@@ -257,7 +258,7 @@ def test_queries_do_not_mutate():
     tree.records()
     tree.facts(names["p9"])
     tree.ancestors(names["p9"])
-    tree.child_list(names["p3"])
+    child_list(tree, names["p3"])
     assert len(tree) == size
 
 
@@ -370,11 +371,6 @@ def _assert_columns_match_reference(tree: ArenaTree) -> None:
     """Replay the arena into the reference, which gives every point facts."""
     ref = _reference(_triples(tree))
     assert tree.records() == ref.records
-    children: list[list[PointId]] = [[] for _ in ref.records]
-    for r in ref.records:
-        if r.parent is not None and 0 <= r.parent < r.id:
-            children[r.parent].append(r.id)
-    assert tree.children == children
     for p, (record, facts) in enumerate(zip(ref.records, ref.facts)):
         assert tree.record(p) == record
         assert (tree.parents[p], tree.seconds[p], tree.labels[p]) == (
@@ -421,7 +417,7 @@ def _mutated_records(rng: random.Random, tree: ArenaTree):
 
 
 def _columns(tree: ArenaTree) -> list:
-    return [tree.parents, tree.seconds, tree.labels, tree.children,
+    return [tree.parents, tree.seconds, tree.labels,
             tree.free_points, tree.ns, tree.m0s, tree.ks, tree.pairs,
             tree._satellite_index]
 

@@ -6,7 +6,9 @@ golden base-point fixtures and on fan and polar inputs from the
 benchmark's own generators (``perfbench/workloads.py``, also read only),
 that its traced result equals ``recover``'s and that its untraced op
 succeeds; and, on inputs that ``recover`` rejects, that the traced and
-untraced ops reject them with the same error class.
+untraced ops reject them with the same error class.  The golden documents
+in ``perfbench/data`` must be byte copies of the test fixtures of the same
+name, so the benchmark's golden gate and the suites pin the same answers.
 A change to the public steps that breaks the benchmark fails here.
 """
 
@@ -108,3 +110,12 @@ def test_rejected_input_same_outcome_traced_and_untraced(error):
     assert traced.grouped_outcome == untraced.grouped_outcome == \
         "rejected." + error
     assert traced.created == untraced.created
+
+
+def test_benchmark_data_are_copies_of_the_fixtures(fixture_dir):
+    # tests/make_fixtures.py rewrites only tests/fixtures
+    data = sorted((PERFBENCH / "data").glob("*.json"))
+    assert len(data) == 8  # the four golden examples, two documents each
+    for path in data:
+        fixture = fixture_dir / path.name
+        assert path.read_bytes() == fixture.read_bytes(), path.name

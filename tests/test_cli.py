@@ -364,11 +364,18 @@ def test_every_command_maps_every_input_to_an_exit_code(
                    {"id": "p2", "parent": "p1", "weight": 2},
                    {"id": "p3", "parent": "p2", "second_proximity": "O",
                     "weight": 1}]}))
+    deep = tmp_path / "deep.json"  # json.loads raises RecursionError on it
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    kind = tmp_path / "kind.json"  # an unhashable weight_kind
+    kind.write_text('{"format_version": 1, "weight_kind": [], "points": []}')
+    malformed = {deep: "not valid JSON: nested too deeply",
+                 kind: "UnknownWeightKind: weight_kind must be one of"}
     commands = [("recover",), ("invariants",), ("invariants", "--local", "p1")]
     commands += [("render", "--annotate", a)
                  for a in ("mn", "weights", "none")]
     codes = set()
-    for document in sorted(fixture_dir.glob("*.json")) + [syntax, illegal]:
+    documents = sorted(fixture_dir.glob("*.json")) + [syntax, illegal]
+    for document in documents + list(malformed):
         for command, *options in commands:
             code, out, err = run(capsys, command, str(document), *options)
             assert code in (0, 1, 2), (command, options, document.name)
@@ -380,4 +387,14 @@ def test_every_command_maps_every_input_to_an_exit_code(
             elif document == illegal:
                 assert (code, out) == (2, "")
                 assert err.startswith("IllegalProximity at point 3: ")
+            elif document in malformed:
+                _one_line_error(code, err)
+                assert err.startswith(malformed[document])
     assert codes == {0, 2}
+    for document, message in malformed.items():
+        code, out, err = run(capsys, "validate", str(document))
+        assert (code, err) == (2, "") and out.count("\n") == 1
+        assert out.startswith(message)
+        code, out, err = run(capsys, "compare", str(document), str(document))
+        _one_line_error(code, err)
+        assert out == "" and err.startswith(message)

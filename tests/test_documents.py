@@ -300,6 +300,9 @@ def _parse_reference(text):
         raise DocumentSyntaxError(
             f"not valid JSON: {err.msg} (line {err.lineno},"
             f" column {err.colno})", position=err.pos) from err
+    except RecursionError:
+        raise DocumentSyntaxError(
+            "not valid JSON: nested too deeply") from None
     diagnostics = []
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
@@ -308,7 +311,8 @@ def _parse_reference(text):
         diagnostics.append(Diagnostic(
             "UnsupportedVersion", None,
             f"format_version must be 1, got {version!r}"))
-    kind = _KINDS.get(doc.get("weight_kind"))
+    kind = doc.get("weight_kind")
+    kind = _KINDS.get(kind) if isinstance(kind, str) else None
     if kind is None:
         diagnostics.append(Diagnostic(
             "UnknownWeightKind", None,
@@ -512,11 +516,17 @@ def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
                 _doc([{"id": "O", "weight": 1}], version=1.0),
                 _doc([{"id": "O", "weight": True}]),
                 _doc([{"id": "O", "weight": 2},
-                      {"id": "p1", "parent": "O", "weight": False}])]
+                      {"id": "p1", "parent": "O", "weight": False}]),
+                _doc([], kind=[]),  # unhashable kinds
+                _doc([], kind={"virtual": 1})]
     for case in explicit:
         expected = _outcome(_parse_reference, case)
         assert expected[0] is DocumentValidationError
         assert _outcome(parse, case) == expected
+    deep = "[" * 200_000 + "]" * 200_000  # json.loads raises RecursionError
+    expected = (DocumentSyntaxError, "not valid JSON: nested too deeply")
+    assert _outcome(_parse_reference, deep) == expected
+    assert _outcome(parse, deep) == expected
     rng = random.Random(4711)
     texts = [path.read_text(encoding="utf-8")
              for path in sorted(fixture_dir.glob("*.json"))]

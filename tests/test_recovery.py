@@ -366,7 +366,7 @@ def test_grouped_walks_each_pair_once():
 def _state(*arenas_and_tables):
     """Deep copies of the arenas' columns and pair indexes and the tables."""
     return [copy.deepcopy(x.m) if isinstance(x, MorphismInvariants) else
-            copy.deepcopy([getattr(x, c) for c in _COLUMNS + ("children",)]
+            copy.deepcopy([getattr(x, c) for c in _COLUMNS]
                           + [x._satellite_index])
             for x in arenas_and_tables]
 
@@ -420,7 +420,7 @@ def _fan_bp(k):
 
 @pytest.mark.parametrize("k", [8, 23, 60])
 def test_legal_walk_runs_skip_the_batch_writer(k, monkeypatch):
-    # every run a walk appends is legal, so append_chain writes it in
+    # every run a walk appends is legal, so ArenaTree._append_run writes it in
     # closed form and the batch writer sees none of them
     bp = _fan_bp(k)
     calls = []
@@ -697,8 +697,6 @@ def _assert_prefix(tree, inv, ref, ref_inv):
     ref_inv.extend_to(len(ref) - 1)
     for name in _COLUMNS:
         assert getattr(tree, name) == getattr(ref, name)[:size], name
-    assert tree.children == [
-        [c for c in children if c < size] for children in ref.children[:size]]
     assert tree._satellite_index == {
         pair: q for pair, q in ref._satellite_index.items() if q < size}
     assert inv.m == ref_inv.m[:size]
@@ -844,8 +842,12 @@ def _reference_values(bp, inv, rupture, singular):
             raise UnknownPoint(f"no point with id {min(singular)}")
         inv.extend_to(max(singular))
     m = inv.m
-    seconds, children = tree.seconds, tree.children
+    parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
+    children = [[] for _ in parents]
+    for c, a in enumerate(parents):
+        if a is not None:
+            children[a].append(c)
     values = {q: m[q] for q in rupture}
     free_rest, satellite_rest = [], []
     for p in singular:

@@ -17,6 +17,7 @@ from enriques import (
 
 import fixture_builders as fb
 import randgen
+from paper_reference import child_list
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -46,7 +47,7 @@ def _form_by_nesting(cluster):
     encoded = {}
     for p in sorted(weight, reverse=True):
         children = sorted(
-            encoded.pop(c) for c in tree.children[p] if c in weight)
+            encoded.pop(c) for c in child_list(tree, p) if c in weight)
         encoded[p] = b"%b:%d(%b)" % (
             _role_tag(tree, p), weight[p], b"".join(children))
     return encoded[origin]
