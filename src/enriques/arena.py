@@ -31,14 +31,18 @@ appends nothing; :meth:`ArenaTree.from_records` raises
 its records break as a :class:`~enriques.errors.Diagnostic`, and returns
 no arena.
 
-Facts are derived by two writers that share one pair rule,
+Facts are derived by three writers that share one pair rule,
 :func:`_satellite_pair`.  The batch writer :meth:`ArenaTree._append_records`
 derives them record by record and returns the rules its records break;
 both :meth:`ArenaTree.add_point` and :meth:`ArenaTree.from_records` write
 through it.  The private :meth:`ArenaTree._append_run` writes a run of
 satellites that share a second proximity in closed form, every point from
 the run's parent and second proximity, and checks nothing: its one caller,
-the recovery walk, appends only runs it has proved legal.
+the recovery walk, appends only runs it has proved legal.  The private
+:meth:`ArenaTree._from_columns` builds a whole arena from the parser's
+resolved columns and checks only the rules resolved references can still
+break: its one caller, the parser, hands it only clean documents and
+takes any other through :meth:`ArenaTree.from_records`.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -139,7 +143,8 @@ class ArenaTree:
 
     Points are topologically sorted: every referenced id precedes its
     referrer, and every point keeps the arena rules: :meth:`add_point`
-    and :meth:`from_records` refuse a point that would break one, and
+    and :meth:`from_records` refuse a point that would break one,
+    :meth:`_from_columns` builds no arena from columns that break one, and
     :meth:`_append_run` writes only runs its caller has proved legal.
 
     The columns are public for one-pass and hot readers, which must not
@@ -202,6 +207,56 @@ class ArenaTree:
         broken = tree._append_records(records)
         if broken:
             raise ArenaValidationError(broken)
+        return tree
+
+    @classmethod
+    def _from_columns(
+        cls, parents: list[Optional[PointId]],
+        seconds: list[Optional[PointId]], labels: list[Optional[str]],
+    ) -> Optional["ArenaTree"]:
+        """An arena that adopts the three lists as its columns, uncopied,
+        or None when they break an arena rule.
+
+        A trusted writer: it derives the facts, the pair index and the
+        rootless flag as :meth:`_append_records` does, but checks only the
+        rules that resolved references can still break, a second origin,
+        an illegal proximity or a repeated pair, and stops at the first.
+        Its one caller, ``documents._parse_clean``, hands it only entries
+        it found clean: each label a string and each reference an earlier
+        point's id, so point 0 has no second proximity.  On None
+        ``documents.parse`` reports the rules through :meth:`from_records`.
+
+        Every column starts as a free point's entry, and the one pass
+        overwrites the entries that differ: n and m0 at every point after
+        the origin, all five facts at a satellite.
+        """
+        size = len(parents)
+        free_points, ns, m0s = list(range(size)), [1] * size, [1] * size
+        ks, pairs = [1] * size, [None] * size
+        index: dict[tuple[PointId, PointId], PointId] = {}
+        for q, (a, s) in enumerate(zip(parents, seconds)):
+            if a is None:  # the origin, or a second point without parent
+                if q:
+                    return None
+            elif s is None:
+                ns[q] = ns[a]
+                m0s[q] = m0s[a] + 1
+            else:
+                pair = _satellite_pair(a, parents[a], pairs[a], s)
+                if pair is None or (a, s) in index:
+                    return None
+                index[a, s] = q
+                pairs[q] = pair
+                free = free_points[q] = free_points[a]
+                ks[q] = ks[a] + ks[s] if free_points[s] == free else ks[a]
+                ns[q] = ns[a] + ns[s]
+                m0s[q] = m0s[a] + m0s[s]
+        # every attribute __init__ sets, without its empty lists
+        tree = object.__new__(cls)
+        tree.parents, tree.seconds, tree.labels = parents, seconds, labels
+        tree.free_points, tree.ns, tree.m0s = free_points, ns, m0s
+        tree.ks, tree.pairs = ks, pairs
+        tree._satellite_index, tree._rootless = index, bool(parents)
         return tree
 
     def _append_records(self, records: Iterable[tuple]) -> list[Diagnostic]:

@@ -79,10 +79,10 @@ class WeightedCluster:
       value is its multiplicity plus earlier values, so it is at least 1.
       The checked copies would cost wide inputs about a sixth of
       ``recover``'s time (wide_fan ``recover_ms.p50``).
-    * ``documents.parse`` adopts its weights once it found no diagnostic.
-      Its keys are the ids it appended; it stores only positive JSON
-      integers; and its loop checked that each weighted point's parent is
-      weighted.
+    * ``documents._parse_clean``, the parser's path for a clean document,
+      adopts its weights once its arena is built.  Its keys are the ids it
+      resolved; it stores only positive JSON integers; and its loop
+      checked that each weighted point's parent is weighted.
     """
 
     tree: ArenaTree
@@ -124,9 +124,8 @@ class WeightedCluster:
         """A cluster that owns ``weight`` as given, neither copied nor
         checked; see the class docstring for who may call it."""
         cluster = object.__new__(cls)
-        object.__setattr__(cluster, "tree", tree)
-        object.__setattr__(cluster, "kind", kind)
-        object.__setattr__(cluster, "weight", weight)
+        # frozen refuses setattr; the fields live in the instance dict
+        cluster.__dict__.update(tree=tree, kind=kind, weight=weight)
         return cluster
 
     # -- set-like access --------------------------------------------------

@@ -19,14 +19,19 @@ cluster member; that is how a file carries points the weighted cluster
 does not reach (for example satellites shared with another cluster).
 
 Parsing aggregates every structural problem into one
-:class:`DocumentValidationError` instead of stopping at the first.  It
-resolves and checks every entry in one loop, then appends the whole
-document to a fresh arena in one write, :meth:`ArenaTree.from_records`,
-which checks each point as it appends it and refuses the arena with every
-rule its points break, so no second pass is made.  A weight must be a JSON
-integer: ``true``/``false`` are rejected even though Python's ``bool`` is
-an ``int``, and ``format_version`` must be the integer 1 (not ``true`` or
-``1.0``).
+:class:`DocumentValidationError` instead of stopping at the first.  A
+clean document costs two passes: one loop resolves its entries into the
+parent, second proximity and label lists, and
+:meth:`ArenaTree._from_columns` adopts them as the arena's columns and
+derives the facts, trusting what the loop resolved.  Either stops at the
+first problem, and the document then goes through the checked path: a
+loop that resolves and checks every entry, then one write,
+:meth:`ArenaTree.from_records`, which refuses the arena with every rule
+its points break.  A weight must be a JSON integer: ``true``/``false``
+are rejected even though Python's ``bool`` is an ``int``, and
+``format_version`` must be the integer 1 (not ``true`` or ``1.0``).  An
+integer with more digits than Python reads into an int
+(``sys.get_int_max_str_digits()``) makes the text invalid JSON.
 
 A diagnostic names a point by its entry's index, which is its arena id:
 an entry without a string id, with a repeated id or with an unresolved
@@ -51,8 +56,9 @@ byte-identical to ``json.dumps(doc, indent=2)`` plus a final newline
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind
@@ -75,6 +81,60 @@ def _unresolved(index: int, field: str, value: Any) -> Diagnostic:
         f"{field} {value!r} does not resolve to an earlier point")
 
 
+def _parse_clean(
+    entries: list, kind: WeightKind,
+) -> Optional[tuple[ArenaTree, WeightedCluster]]:
+    """The arena and cluster of a document with a clean header, or None
+    when :func:`parse` would report anything on its entries.
+
+    One loop resolves the entries into the parent, second proximity and
+    label columns and stops at the first entry with a missing, repeated or
+    non-string id, a reference to no earlier id, a bad weight or label, or
+    a weight under an unweighted parent.  One trusted pass,
+    :meth:`ArenaTree._from_columns`, then derives the facts and stops at
+    the first arena rule the columns break."""
+    parents: list[Optional[PointId]] = []
+    seconds: list[Optional[PointId]] = []
+    labels: list[Optional[str]] = []
+    ids: dict[str, PointId] = {}
+    weights: dict[PointId, int] = {}
+    # an entry that is no object or has no id, or a reference to no
+    # earlier id, raises a KeyError or a TypeError
+    try:
+        for i, entry in enumerate(entries):
+            point_id = entry["id"]
+            parent = entry.get("parent")
+            if parent is not None:
+                parent = ids[parent]
+            second = entry.get("second_proximity")
+            if second is not None:
+                second = ids[second]
+            weight = entry.get("weight")
+            label = entry.get("label")
+            if label is None:
+                label = point_id
+            elif type(label) is not str:
+                return None
+            if (type(point_id) is not str or point_id in ids
+                    or type(weight) is not int or weight < 0):
+                return None
+            ids[point_id] = i
+            parents.append(parent)
+            seconds.append(second)
+            labels.append(label)
+            if weight:
+                if parent is not None and parent not in weights:
+                    return None
+                weights[i] = weight
+    except (KeyError, TypeError):
+        return None
+    tree = ArenaTree._from_columns(parents, seconds, labels)
+    if tree is None:
+        return None
+    # the loop checked every property the cluster's constructor would
+    return tree, WeightedCluster._adopt(tree, kind, weights)
+
+
 def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     """Parse a document into a fresh arena and its weighted cluster."""
     try:
@@ -86,6 +146,10 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     except RecursionError:
         raise DocumentSyntaxError(
             "not valid JSON: nested too deeply") from None
+    except ValueError:  # an integer past Python's digit limit for str -> int
+        raise DocumentSyntaxError(
+            "not valid JSON: an integer has more than"
+            f" {sys.get_int_max_str_digits()} digits") from None
     diagnostics: list[Diagnostic] = []
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
@@ -108,6 +172,10 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
             "MissingPoints", None, "'points' must be a list"))
         raise DocumentValidationError(diagnostics)
 
+    parsed = None if diagnostics else _parse_clean(entries, kind)
+    if parsed is not None:
+        return parsed
+    # what _parse_clean stopped at, reported with every other problem
     records: list[tuple] = []  # entry i is point i
     ids: dict[str, PointId] = {}
     weights: dict[PointId, int] = {}

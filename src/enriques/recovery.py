@@ -84,6 +84,7 @@ A full run counts the excesses of ``bp`` once.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -225,10 +226,10 @@ def satellite_walk(
     I = a/b changes by the same delta = m_s*b - a*n_s at each move, and
     the run's length is the least t that makes the gap change sign or
     vanish, one division.  A run whose delta cannot change the gap's
-    sign, or whose end lies beyond the cap, raises :class:`WalkDiverged`
-    before appending anything.  ``trace`` still sees one entry per
-    visited point.  A table built over another arena raises
-    :class:`~enriques.errors.ArenaMismatch`.
+    sign, whose end lies beyond the cap or that would take the arena past
+    ``sys.maxsize`` points raises :class:`WalkDiverged` before appending
+    anything.  ``trace`` still sees one entry per visited point.  A table
+    built over another arena raises :class:`~enriques.errors.ArenaMismatch`.
     """
     if inv.tree is not tree:
         raise ArenaMismatch("the m table was built over another arena")
@@ -246,7 +247,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     checks before the call establish, and the next line extends the table
     over the run: m grows by m_s from point to point, starting from the
     run parent's m, since the new points lie outside the cluster."""
-    find, ns = tree.find_satellite, tree.ns
+    find, ns, parents = tree.find_satellite, tree.ns, tree.parents
     n, m = ns[p], table[p]
     cap = num + den
     q, moves = p, 0
@@ -277,6 +278,10 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
         moves += t
         if moves > cap:
             raise _diverged(num, den, cap, p)
+        if len(parents) + t > sys.maxsize:  # more points than a list holds
+            raise WalkDiverged(
+                f"the run below point {q} would take the arena past"
+                f" {sys.maxsize} points")
         q = tree._append_run(q, s, t)
         table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
         if trace:

@@ -368,8 +368,14 @@ def test_every_command_maps_every_input_to_an_exit_code(
     deep.write_text("[" * 200_000 + "]" * 200_000)
     kind = tmp_path / "kind.json"  # an unhashable weight_kind
     kind.write_text('{"format_version": 1, "weight_kind": [], "points": []}')
+    # json.loads raises a bare ValueError on an integer past Python's limit
+    # on the digits of an int parsed from a string
+    long = tmp_path / "long.json"
+    long.write_text('{"format_version": 1, "weight_kind": "virtual",'
+                    ' "points": [{"id": "O", "weight": 1' + "0" * 5000 + '}]}')
     malformed = {deep: "not valid JSON: nested too deeply",
-                 kind: "UnknownWeightKind: weight_kind must be one of"}
+                 kind: "UnknownWeightKind: weight_kind must be one of",
+                 long: "not valid JSON: an integer has more than"}
     commands = [("recover",), ("invariants",), ("invariants", "--local", "p1")]
     commands += [("render", "--annotate", a)
                  for a in ("mn", "weights", "none")]
@@ -398,3 +404,18 @@ def test_every_command_maps_every_input_to_an_exit_code(
         code, out, err = run(capsys, "compare", str(document), str(document))
         _one_line_error(code, err)
         assert out == "" and err.startswith(message)
+
+
+def test_recover_refuses_a_walk_run_longer_than_a_list_holds(
+        tmp_path, capsys):
+    # the walk's second run would hold about 10**30 points
+    weight = 10 ** 30
+    document = tmp_path / "huge.json"
+    document.write_text(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": weight},
+                   {"id": "p", "parent": "O", "weight": weight}]}))
+    code, out, err = run(capsys, "recover", str(document))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("WalkDiverged: the run below point 2 would take")

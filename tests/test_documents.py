@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,18 @@ from enriques.errors import (
     NotDownwardClosed,
     UnknownPoint,
 )
+from enriques.documents import _parse_clean
 
 import fixture_builders as fb
 from arena_reference import validate_reference
 import make_fixtures
 import randgen
 from randgen import random_proximity_tree
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def test_golden_files_match_builders(fixture_dir):
@@ -303,6 +311,10 @@ def _parse_reference(text):
     except RecursionError:
         raise DocumentSyntaxError(
             "not valid JSON: nested too deeply") from None
+    except ValueError:
+        raise DocumentSyntaxError(
+            "not valid JSON: an integer has more than"
+            f" {sys.get_int_max_str_digits()} digits") from None
     diagnostics = []
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
@@ -507,7 +519,8 @@ def _outcome(parser, text):
         detail = getattr(err, "diagnostics", str(err))
         return type(err), detail
     facts = [tree.facts(p) for p in tree.points()]
-    return (list(tree.records()), facts, cluster.kind, dict(cluster.weight))
+    return (list(tree.records()), facts, tree._satellite_index,
+            tree._rootless, cluster.kind, dict(cluster.weight))
 
 
 def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
@@ -518,7 +531,12 @@ def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
                 _doc([{"id": "O", "weight": 2},
                       {"id": "p1", "parent": "O", "weight": False}]),
                 _doc([], kind=[]),  # unhashable kinds
-                _doc([], kind={"virtual": 1})]
+                _doc([], kind={"virtual": 1}),
+                # ids that are no strings, on entries that are otherwise
+                # clean
+                _doc([{"id": 3, "weight": 1}]),
+                _doc([{"id": "O", "weight": 1},
+                      {"id": 5, "parent": "O", "weight": 1, "label": "p"}])]
     for case in explicit:
         expected = _outcome(_parse_reference, case)
         assert expected[0] is DocumentValidationError
@@ -527,6 +545,13 @@ def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
     expected = (DocumentSyntaxError, "not valid JSON: nested too deeply")
     assert _outcome(_parse_reference, deep) == expected
     assert _outcome(parse, deep) == expected
+    # an integer past the int-from-string digit limit: a bare ValueError
+    long = _doc([{"id": "O", "weight": 1}]).replace(
+        '"weight": 1', '"weight": 1' + "0" * sys.get_int_max_str_digits())
+    expected = (DocumentSyntaxError, "not valid JSON: an integer has more"
+                f" than {sys.get_int_max_str_digits()} digits")
+    assert _outcome(_parse_reference, long) == expected
+    assert _outcome(parse, long) == expected
     rng = random.Random(4711)
     texts = [path.read_text(encoding="utf-8")
              for path in sorted(fixture_dir.glob("*.json"))]
@@ -555,6 +580,29 @@ def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
         "DuplicateOrigin", "DuplicateSatellite", "InvalidWeight", "BadEntry",
         "UnsupportedVersion", "UnknownWeightKind", "MissingPoints",
         "NotDownwardClosed"}
+
+
+def test_trusted_pass_matches_checked_writer_on_benchmark_pools():
+    # every document of the benchmark's seed-1 pools is clean, so parse
+    # builds its arena in the trusted pass; the arena equals the one the
+    # checked writer builds from the same records, column by column
+    documents = 0
+    for generate in workloads.WORKLOADS.values():
+        for document in generate(1):
+            entries = json.loads(document.text)["points"]
+            assert _parse_clean(entries, WeightKind.VIRTUAL) is not None
+            tree, _ = parse(document.text)
+            checked = ArenaTree.from_records(
+                [(r.parent, r.second_proximity, r.label)
+                 for r in tree.records()])
+            assert vars(tree).keys() == vars(checked).keys()
+            for column in ("parents", "seconds", "labels", "free_points",
+                           "ns", "m0s", "ks", "pairs", "_satellite_index",
+                           "_rootless"):
+                assert getattr(tree, column) == getattr(checked, column), \
+                    (document.name, column)
+            documents += 1
+    assert documents == 1000 + 52 + 56
 
 
 def _timed_round_trip(tree, cluster):

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import sys
 import time
@@ -181,6 +182,30 @@ def test_scan_and_walk_errors_print_the_invariant_as_fraction_does():
             satellite_walk(tree, inv, names["p3"], invariant)
         assert str(info.value) == (
             f"no height quotient equal to {text} steps below point 3")
+
+
+def test_walk_refuses_a_run_longer_than_a_list_holds():
+    # below p the walk appends point 2, and from there its next run would
+    # close the gap after about 10**30 points; it raises before it appends
+    # any of them or extends the m table (it used to reach
+    # ArenaTree._append_run and raise a bare OverflowError from range)
+    weight = 10 ** 30
+    tree, bp = parse(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": weight},
+                   {"id": "p", "parent": "O", "weight": weight}]}))
+    refused = "^the run below point 2 would take the arena past"
+    with pytest.raises(WalkDiverged, match=refused):
+        recover(bp)
+    assert len(tree) == 3
+    inv = compute(bp)
+    invariant = dicritical_invariant(bp, inv, 1)
+    _, p = base_free_point(bp, inv, 1, invariant)
+    inv.extend_to(2)
+    table = list(inv.m)
+    with pytest.raises(WalkDiverged, match=refused):
+        satellite_walk(tree, inv, p, invariant)
+    assert (len(tree), inv.m) == (3, table)
 
 
 def test_recover_never_reaches_no_qualifying_pair():
