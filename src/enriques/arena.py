@@ -221,10 +221,10 @@ class ArenaTree:
         rootless flag as :meth:`_append_records` does, but checks only the
         rules that resolved references can still break, a second origin,
         an illegal proximity or a repeated pair, and stops at the first.
-        Its one caller, ``documents._parse_clean``, hands it only entries
-        it found clean: each label a string and each reference an earlier
-        point's id, so point 0 has no second proximity.  On None
-        ``documents.parse`` reports the rules through :meth:`from_records`.
+        Its one caller, ``documents.parse``, hands it only documents its
+        loop found clean: each label a string and each reference an
+        earlier point's id, so point 0 has no second proximity.  On None
+        the parser reports the rules through :meth:`from_records`.
 
         Every column starts as a free point's entry, and the one pass
         overwrites the entries that differ: n and m0 at every point after

@@ -79,10 +79,10 @@ class WeightedCluster:
       value is its multiplicity plus earlier values, so it is at least 1.
       The checked copies would cost wide inputs about a sixth of
       ``recover``'s time (wide_fan ``recover_ms.p50``).
-    * ``documents._parse_clean``, the parser's path for a clean document,
-      adopts its weights once its arena is built.  Its keys are the ids it
-      resolved; it stores only positive JSON integers; and its loop
-      checked that each weighted point's parent is weighted.
+    * ``documents.parse`` adopts a document's weights once its arena is
+      built.  Their keys are the ids it resolved; it stores only positive
+      JSON integers; and its loop checked that each weighted point's
+      parent is weighted.
     """
 
     tree: ArenaTree

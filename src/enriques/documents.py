@@ -19,14 +19,13 @@ cluster member; that is how a file carries points the weighted cluster
 does not reach (for example satellites shared with another cluster).
 
 Parsing aggregates every structural problem into one
-:class:`DocumentValidationError` instead of stopping at the first.  A
-clean document costs two passes: one loop resolves its entries into the
-parent, second proximity and label lists, and
-:meth:`ArenaTree._from_columns` adopts them as the arena's columns and
-derives the facts, trusting what the loop resolved.  Either stops at the
-first problem, and the document then goes through the checked path: a
-loop that resolves and checks every entry, then one write,
-:meth:`ArenaTree.from_records`, which refuses the arena with every rule
+:class:`DocumentValidationError` instead of stopping at the first.  One
+loop checks every entry and resolves it into the parent, second
+proximity and label lists.  When it found nothing,
+:meth:`ArenaTree._from_columns` adopts the lists as the arena's columns
+and derives the facts in one trusted pass, which stops at the first arena
+rule they break.  Any other document, and one that pass stops at, goes
+to :meth:`ArenaTree.from_records`, which refuses the arena with every rule
 its points break.  A weight must be a JSON integer: ``true``/``false``
 are rejected even though Python's ``bool`` is an ``int``, and
 ``format_version`` must be the integer 1 (not ``true`` or ``1.0``).  An
@@ -81,60 +80,6 @@ def _unresolved(index: int, field: str, value: Any) -> Diagnostic:
         f"{field} {value!r} does not resolve to an earlier point")
 
 
-def _parse_clean(
-    entries: list, kind: WeightKind,
-) -> Optional[tuple[ArenaTree, WeightedCluster]]:
-    """The arena and cluster of a document with a clean header, or None
-    when :func:`parse` would report anything on its entries.
-
-    One loop resolves the entries into the parent, second proximity and
-    label columns and stops at the first entry with a missing, repeated or
-    non-string id, a reference to no earlier id, a bad weight or label, or
-    a weight under an unweighted parent.  One trusted pass,
-    :meth:`ArenaTree._from_columns`, then derives the facts and stops at
-    the first arena rule the columns break."""
-    parents: list[Optional[PointId]] = []
-    seconds: list[Optional[PointId]] = []
-    labels: list[Optional[str]] = []
-    ids: dict[str, PointId] = {}
-    weights: dict[PointId, int] = {}
-    # an entry that is no object or has no id, or a reference to no
-    # earlier id, raises a KeyError or a TypeError
-    try:
-        for i, entry in enumerate(entries):
-            point_id = entry["id"]
-            parent = entry.get("parent")
-            if parent is not None:
-                parent = ids[parent]
-            second = entry.get("second_proximity")
-            if second is not None:
-                second = ids[second]
-            weight = entry.get("weight")
-            label = entry.get("label")
-            if label is None:
-                label = point_id
-            elif type(label) is not str:
-                return None
-            if (type(point_id) is not str or point_id in ids
-                    or type(weight) is not int or weight < 0):
-                return None
-            ids[point_id] = i
-            parents.append(parent)
-            seconds.append(second)
-            labels.append(label)
-            if weight:
-                if parent is not None and parent not in weights:
-                    return None
-                weights[i] = weight
-    except (KeyError, TypeError):
-        return None
-    tree = ArenaTree._from_columns(parents, seconds, labels)
-    if tree is None:
-        return None
-    # the loop checked every property the cluster's constructor would
-    return tree, WeightedCluster._adopt(tree, kind, weights)
-
-
 def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     """Parse a document into a fresh arena and its weighted cluster."""
     try:
@@ -172,11 +117,10 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
             "MissingPoints", None, "'points' must be a list"))
         raise DocumentValidationError(diagnostics)
 
-    parsed = None if diagnostics else _parse_clean(entries, kind)
-    if parsed is not None:
-        return parsed
-    # what _parse_clean stopped at, reported with every other problem
-    records: list[tuple] = []  # entry i is point i
+    # entry i is point i; a placeholder refers to itself
+    parents: list[Optional[PointId]] = []
+    seconds: list[Optional[PointId]] = []
+    labels: list[Optional[str]] = []
     ids: dict[str, PointId] = {}
     weights: dict[PointId, int] = {}
     placeholders: set[PointId] = set()
@@ -184,32 +128,44 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
     # parent is unweighted
     unclosed = None
     for i, entry in enumerate(entries):
-        point_id = entry.get("id") if isinstance(entry, dict) else None
-        if not isinstance(point_id, str):
-            diagnostics.append(Diagnostic(
-                "BadEntry", i, "each point needs a string 'id'"))
+        try:
+            point_id = entry["id"]
+        except (KeyError, TypeError):  # no JSON object, or one without id
+            point_id = None
+        if type(point_id) is not str or point_id in ids:
+            if type(point_id) is not str:
+                diagnostics.append(Diagnostic(
+                    "BadEntry", i, "each point needs a string 'id'"))
+            else:
+                diagnostics.append(Diagnostic(
+                    "DuplicateId", i, f"id {point_id!r} already used"))
             placeholders.add(i)
-            records.append((i, None, None))
+            parents.append(i)
+            seconds.append(None)
+            labels.append(None)
             continue
-        if point_id in ids:
-            diagnostics.append(Diagnostic(
-                "DuplicateId", i, f"id {point_id!r} already used"))
-            placeholders.add(i)
-            records.append((i, None, None))
-            continue
-        value = entry.get("parent")
-        parent = ids.get(value) if isinstance(value, str) else None
-        if parent is None and value is not None:
-            diagnostics.append(_unresolved(i, "parent", value))
-            parent = i
-            placeholders.add(i)
-        elif parent in placeholders:  # its proximities are unknown too
-            parent = i
-            placeholders.add(i)
-        value = entry.get("second_proximity")
-        second = ids.get(value) if isinstance(value, str) else None
-        if second is None and value is not None:
-            diagnostics.append(_unresolved(i, "second_proximity", value))
+        # ids has only string keys, so a reference that is no earlier id
+        # raises a KeyError, or a TypeError when it is unhashable
+        parent = entry.get("parent")
+        if parent is not None:
+            try:
+                parent = ids[parent]
+            except (KeyError, TypeError):
+                diagnostics.append(_unresolved(i, "parent", parent))
+                parent = i
+                placeholders.add(i)
+            else:
+                if placeholders and parent in placeholders:
+                    # its proximities are unknown too
+                    parent = i
+                    placeholders.add(i)
+        second = entry.get("second_proximity")
+        if second is not None:
+            try:
+                second = ids[second]
+            except (KeyError, TypeError):
+                diagnostics.append(_unresolved(i, "second_proximity", second))
+                second = None
         weight = entry.get("weight")
         # JSON numbers load as int or float; true/false load as bool
         if type(weight) is not int or weight < 0:
@@ -225,24 +181,31 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
                 "BadEntry", i, "label must be a string when present"))
             label = point_id
         ids[point_id] = i
-        records.append((parent, second, label))
+        parents.append(parent)
+        seconds.append(second)
+        labels.append(label)
         if weight:
             weights[i] = weight
-            if (unclosed is None and parent is not None
-                    and parent not in weights):
+            if (parent not in weights and parent is not None
+                    and unclosed is None):
                 unclosed = (f"point {i} is in the cluster but its parent"
                             f" {parent} is not")
 
-    try:
-        tree = ArenaTree.from_records(records)
-    except ArenaValidationError as err:
-        # the parser's own diagnostics name its placeholders
-        diagnostics.extend(
-            d for d in err.diagnostics if d.point not in placeholders)
-    if unclosed is not None and not diagnostics:
-        diagnostics.append(Diagnostic("NotDownwardClosed", None, unclosed))
-    if diagnostics:
-        raise DocumentValidationError(diagnostics)
+    # a clean document: only arena rules are left to break
+    tree = (None if diagnostics or unclosed is not None
+            else ArenaTree._from_columns(parents, seconds, labels))
+    if tree is None:
+        try:
+            tree = ArenaTree.from_records(
+                list(zip(parents, seconds, labels)))
+        except ArenaValidationError as err:
+            # the parser's own diagnostics name its placeholders
+            diagnostics.extend(
+                d for d in err.diagnostics if d.point not in placeholders)
+        if unclosed is not None and not diagnostics:
+            diagnostics.append(Diagnostic("NotDownwardClosed", None, unclosed))
+        if diagnostics:
+            raise DocumentValidationError(diagnostics)
     # the loop checked every property the constructor would
     return tree, WeightedCluster._adopt(tree, kind, weights)
 

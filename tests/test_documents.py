@@ -18,7 +18,6 @@ from enriques.errors import (
     NotDownwardClosed,
     UnknownPoint,
 )
-from enriques.documents import _parse_clean
 
 import fixture_builders as fb
 from arena_reference import validate_reference
@@ -582,17 +581,24 @@ def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
         "NotDownwardClosed"}
 
 
-def test_trusted_pass_matches_checked_writer_on_benchmark_pools():
+def test_trusted_pass_matches_checked_writer_on_benchmark_pools(
+        monkeypatch):
     # every document of the benchmark's seed-1 pools is clean, so parse
-    # builds its arena in the trusted pass; the arena equals the one the
-    # checked writer builds from the same records, column by column
+    # builds its arena in the trusted pass, without the checked writer;
+    # the arena equals the one the checked writer builds from the same
+    # records, column by column
+    from_records = ArenaTree.from_records
+
+    def refuse(records):
+        raise AssertionError("a clean document took the checked writer")
+
     documents = 0
     for generate in workloads.WORKLOADS.values():
         for document in generate(1):
-            entries = json.loads(document.text)["points"]
-            assert _parse_clean(entries, WeightKind.VIRTUAL) is not None
+            monkeypatch.setattr(ArenaTree, "from_records", refuse)
             tree, _ = parse(document.text)
-            checked = ArenaTree.from_records(
+            monkeypatch.undo()
+            checked = from_records(
                 [(r.parent, r.second_proximity, r.label)
                  for r in tree.records()])
             assert vars(tree).keys() == vars(checked).keys()
