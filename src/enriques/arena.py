@@ -19,9 +19,8 @@ Hot readers index the columns directly and trust the ids they index with;
 every method that takes a point id checks it and raises
 :class:`~enriques.errors.UnknownPoint` on anything that is not an arena
 index (a list would silently accept ``-1``, and ``True`` as ``1``).
-:meth:`ArenaTree.record`, :meth:`ArenaTree.records` and
-:meth:`ArenaTree.facts` build read-only views from the columns for the
-public API and tests.
+:meth:`ArenaTree.facts` builds a read-only view of a point's facts from
+the columns.
 
 Every point an arena holds keeps the arena rules, so every point has
 facts.  The rules are stated once, in :meth:`ArenaTree._violations`.
@@ -31,18 +30,18 @@ appends nothing; :meth:`ArenaTree.from_records` raises
 its records break as a :class:`~enriques.errors.Diagnostic`, and returns
 no arena.
 
-Facts are derived by three writers that share one pair rule,
-:func:`_satellite_pair`.  The batch writer :meth:`ArenaTree._append_records`
-derives them record by record and returns the rules its records break;
-both :meth:`ArenaTree.add_point` and :meth:`ArenaTree.from_records` write
-through it.  The private :meth:`ArenaTree._append_run` writes a run of
-satellites that share a second proximity in closed form, every point from
-the run's parent and second proximity, and checks nothing: its one caller,
-the recovery walk, appends only runs it has proved legal.  The private
-:meth:`ArenaTree._from_columns` builds a whole arena from the parser's
-resolved columns and checks only the rules resolved references can still
-break: its one caller, the parser, hands it only clean documents and
-takes any other through :meth:`ArenaTree.from_records`.
+Facts are derived by two private writers that share one pair rule,
+:func:`_satellite_pair`.  :meth:`ArenaTree._from_columns` builds a whole
+arena from resolved columns in one pass, point by point, and checks only
+the rules resolved references can still break: the parser hands it the
+columns of a clean document, and :meth:`ArenaTree.from_records` the
+records its check loop found clean.  :meth:`ArenaTree._append_run` writes
+a run of satellites that share a second proximity in closed form, every
+point from the run's parent and second proximity, and checks nothing: the
+recovery walk appends only runs it has proved legal, and
+:meth:`ArenaTree.add_point` appends a satellite as a run of one once
+:meth:`ArenaTree._violations` has found no rule it breaks (it writes the
+origin and a free point itself).
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -50,9 +49,8 @@ ids only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     ArenaError,
@@ -102,21 +100,6 @@ def _satellite_pair(
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class PointRecord:
-    """View of one point: identity, parent link, proximity, label.
-
-    ``id`` is the point's index in its arena; ``parent`` is None only for
-    the origin and ``second_proximity`` is None for the origin and free
-    points.
-    """
-
-    id: PointId
-    parent: Optional[PointId]
-    second_proximity: Optional[PointId]
-    label: Optional[str] = None
-
-
 class PointFacts(NamedTuple):
     """View of what a point's proximities fix once and for all.
 
@@ -145,7 +128,8 @@ class ArenaTree:
     referrer, and every point keeps the arena rules: :meth:`add_point`
     and :meth:`from_records` refuse a point that would break one,
     :meth:`_from_columns` builds no arena from columns that break one, and
-    :meth:`_append_run` writes only runs its caller has proved legal.
+    :meth:`_append_run` writes only runs its caller has proved legal.  The
+    facts are derived by those last two writers alone.
 
     The columns are public for one-pass and hot readers, which must not
     modify them; ``xs[p]`` is point p's entry:
@@ -189,8 +173,23 @@ class ArenaTree:
         if broken:
             error, message = broken[0]
             raise error(message)
-        self._append_records(((parent, second_proximity, label),))
-        return len(self.parents) - 1
+        q = len(self.parents)
+        if second_proximity is not None:
+            self._append_run(parent, second_proximity, 1)
+            self.labels[q] = label
+            return q
+        self._rootless |= parent is None
+        n, m0 = ((1, 1) if parent is None
+                 else (self.ns[parent], self.m0s[parent] + 1))
+        self.parents.append(parent)
+        self.seconds.append(None)
+        self.labels.append(label)
+        self.free_points.append(q)
+        self.ns.append(n)
+        self.m0s.append(m0)
+        self.ks.append(1)
+        self.pairs.append(None)
+        return q
 
     @classmethod
     def from_records(
@@ -202,12 +201,33 @@ class ArenaTree:
         When the records break any arena rule this raises
         :class:`ArenaValidationError`, whose ``diagnostics`` name every
         broken rule in record order, and returns no arena.
+
+        Each record is checked by :meth:`_violations` against the parents,
+        second proximities, pair index and rootless flag as the records
+        before it left them.  A record that breaks only the label rule
+        still holds its proximity pair, so a later record with the same
+        pair is reported as a duplicate.  Only records that break nothing
+        reach :meth:`_from_columns`, which trusts their references.
         """
-        tree = cls()
-        broken = tree._append_records(records)
-        if broken:
-            raise ArenaValidationError(broken)
-        return tree
+        checked = cls()  # what the rules read of the records so far
+        parents, seconds = checked.parents, checked.seconds
+        index = checked._satellite_index
+        out: list[Diagnostic] = []
+        for q, (a, s, label) in enumerate(records):
+            broken = checked._violations(a, s, label)
+            out.extend(Diagnostic(error.__name__, q, message)
+                       for error, message in broken)
+            parents.append(a)
+            seconds.append(s)
+            if a is None:
+                checked._rootless = True
+            elif s is not None and (
+                    not broken or broken[0][0] is InvalidLabel):
+                index[a, s] = q
+        if out:
+            raise ArenaValidationError(out)
+        return cls._from_columns(
+            parents, seconds, [label for _, _, label in records])
 
     @classmethod
     def _from_columns(
@@ -217,15 +237,22 @@ class ArenaTree:
         """An arena that adopts the three lists as its columns, uncopied,
         or None when they break an arena rule.
 
-        A trusted writer: it derives the facts, the pair index and the
-        rootless flag as :meth:`_append_records` does, but checks only the
-        rules that resolved references can still break, a second origin,
-        an illegal proximity or a repeated pair, and stops at the first.
-        Its one caller, ``documents.parse``, hands it only documents its
-        loop found clean: each label a string and each reference an
-        earlier point's id, so point 0 has no second proximity.  On None
-        the parser reports the rules through :meth:`from_records`.
+        A trusted writer, and the one point-by-point statement of the
+        facts: it derives them, the pair index and the rootless flag, but
+        checks only the rules that resolved references can still break, a
+        second origin, an illegal proximity or a repeated pair, and stops
+        at the first.  Its callers hand it only labels that are None or
+        strings and references to earlier points' ids, so point 0 has no
+        second proximity: :meth:`from_records`, whose labels may be None,
+        once its check loop found nothing; :meth:`clone`, with copies of a
+        sound arena's columns; and ``documents.parse``, for documents its
+        own loop found clean, whose labels are all strings.  So only the
+        parser's call can return None, and the parser then reports the
+        rules through :meth:`from_records`.
 
+        Let q be a satellite with parent a and second proximity s.  Its
+        pair is :func:`_satellite_pair`; n and m0 add up over both
+        proximities; k adds s's share only when s lies in q's own cone.
         Every column starts as a free point's entry, and the one pass
         overwrites the entries that differ: n and m0 at every point after
         the origin, all five facts at a satellite.
@@ -259,84 +286,21 @@ class ArenaTree:
         tree._satellite_index, tree._rootless = index, bool(parents)
         return tree
 
-    def _append_records(self, records: Iterable[tuple]) -> list[Diagnostic]:
-        """Append raw (parent, second_proximity, label) records in order and
-        return the arena rules they break, in record order.
-
-        While no record has broken a rule, each record gets its facts, and
-        one that cannot get them, or whose label is no string, breaks a
-        rule: only that record runs :meth:`_violations`.  From the first
-        broken record on, the caller refuses the arena, so each later
-        record is only checked, against the parents, second proximities,
-        pair index and rootless flag as they are after the record before
-        it, and gets no facts.  A record that breaks only the label rule
-        still holds its proximity pair, so a later record with the same
-        pair is reported as a duplicate.
-
-        Let q be a satellite with parent a and second proximity s.  Its
-        pair is :func:`_satellite_pair`; n and m0 add up over both
-        proximities; k adds s's share only when s lies in q's own cone.
-        """
-        parents, seconds, labels = self.parents, self.seconds, self.labels
-        free_points, ns, m0s, ks, pairs = (
-            self.free_points, self.ns, self.m0s, self.ks, self.pairs)
-        index = self._satellite_index
-        out: list[Diagnostic] = []
-        q = len(parents)
-        for parent, s, label in records:
-            free = pair = None
-            if out:  # a refused arena: the record is only checked
-                pass
-            elif parent is None:
-                if q == 0 and s is None:
-                    free, n, m0, k = 0, 1, 1, 1
-            elif type(parent) is int and 0 <= parent < q:
-                a = parent
-                if s is None:
-                    free, n, m0, k = q, ns[a], m0s[a] + 1, 1
-                elif type(s) is int and (a, s) not in index:
-                    pair = _satellite_pair(a, parents[a], pairs[a], s)
-                    if pair is not None:
-                        free, k = free_points[a], ks[a]
-                        if free_points[s] == free:
-                            k += ks[s]
-                        n = ns[a] + ns[s]
-                        m0 = m0s[a] + m0s[s]
-            if free is None or not (label is None or isinstance(label, str)):
-                broken = self._violations(parent, s, label)
-                out.extend(Diagnostic(error.__name__, q, message)
-                           for error, message in broken)
-            else:
-                broken = ()
-                labels.append(label)
-                free_points.append(free)
-                ns.append(n)
-                m0s.append(m0)
-                ks.append(k)
-                pairs.append(pair)
-            parents.append(parent)
-            seconds.append(s)
-            if parent is None:
-                self._rootless = True
-            elif s is not None and (
-                    not broken or broken[0][0] is InvalidLabel):
-                index[parent, s] = q
-            q += 1
-        return out
-
     def _append_run(self, a: PointId, s: PointId, t: int) -> PointId:
         """Append t satellites proximate to s, each the child of the one
         before, the first a child of ``a``; return the last one's id.
 
         A trusted writer that checks nothing.  The precondition is that
         t >= 1, that s is a proximity of a and that the arena does not hold
-        the pair (a, s) yet, and its one caller, ``recovery._satellite_walk``,
-        has proved all three before the call: t >= 1 follows from its
-        division, because it has checked gap * delta < 0; (a, s) is not
-        held, because ``find_satellite(a, s)`` returned None; and s is a
-        proximity of a, because ``_satellite_proximity`` returns one.  So
-        every point of the run keeps the arena rules, and the result equals
-        t calls of :meth:`add_point`.
+        the pair (a, s) yet, and both callers have proved all three before
+        the call.  :meth:`add_point` appends a satellite as a run of one,
+        after :meth:`_violations` found no rule it breaks.
+        ``recovery._satellite_walk`` appends the walk's runs: t >= 1
+        follows from its division, because it has checked gap * delta < 0;
+        (a, s) is not held, because ``find_satellite(a, s)`` returned None;
+        and s is a proximity of a, because ``_satellite_proximity`` returns
+        one.  So every point of the run keeps the arena rules, and the
+        result equals t calls of :meth:`add_point`.
 
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share, and its pair is
@@ -388,13 +352,8 @@ class ArenaTree:
 
     def clone(self) -> "ArenaTree":
         """Independent copy sharing no mutable state."""
-        tree = ArenaTree()
-        for name in ("parents", "seconds", "labels", "free_points",
-                     "ns", "m0s", "ks", "pairs"):
-            setattr(tree, name, list(getattr(self, name)))
-        tree._satellite_index = dict(self._satellite_index)
-        tree._rootless = self._rootless
-        return tree
+        return self._from_columns(
+            list(self.parents), list(self.seconds), list(self.labels))
 
     # -- basic queries --------------------------------------------------
 
@@ -410,16 +369,6 @@ class ArenaTree:
 
     def points(self) -> Iterator[PointId]:
         return iter(range(len(self.parents)))
-
-    def records(self) -> list[PointRecord]:
-        """A view of every point in id order: ``records()[p]`` is point p's."""
-        return list(map(PointRecord, range(len(self.parents)),
-                        self.parents, self.seconds, self.labels))
-
-    def record(self, p: PointId) -> PointRecord:
-        """A view of the point's parent, second proximity and label."""
-        self._check(p)
-        return PointRecord(p, self.parents[p], self.seconds[p], self.labels[p])
 
     def parent(self, p: PointId) -> Optional[PointId]:
         self._check(p)

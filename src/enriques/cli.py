@@ -21,7 +21,9 @@ success, 1 negative comparison or domain error (message on stderr), 2 a
 document that does not parse or validate, a cluster of the wrong kind, or
 a file that cannot be read as UTF-8 text or written (the diagnostics or
 one line on stderr; ``validate`` reports on stdout).  All numeric output
-is exact, written as an integer or ``numerator/denominator``.
+is exact, written as an integer or ``numerator/denominator``; a number
+past Python's int-to-text digit limit is a domain error,
+:class:`~enriques.errors.NumberTooLong`, and exits 1.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import recovery
 from .documents import document_ids, parse, serialize
 from .dot import render_dot
 from .errors import (DocumentSyntaxError, DocumentValidationError,
-                     EnriquesError, WrongKind)
+                     EnriquesError, WrongKind, write_number)
 from .oracle import rupture_quotients
 from .similarity import canonical_form, form_digest
 
@@ -76,13 +78,14 @@ def _cmd_recover(args) -> int:
     finally:  # a failed run's walk is what --trace is there to show
         names = document_ids(tree)  # the created points' names in --out
         for q, m, n, decision in steps:
-            print(f"{names[q]} {m}/{n} {_TRACE_WORDS[decision]}")
-        if result is not None:
-            print("d\tI_d\tp_d\tq_d")
-            for d, assoc in sorted(result.association.items()):
-                print(f"{names[d]}\t{assoc.invariant}"
-                      f"\t{names[assoc.base_free_point]}"
-                      f"\t{names[assoc.rupture_point]}")
+            print(f"{names[q]} {write_number(m)}/{write_number(n)}"
+                  f" {_TRACE_WORDS[decision]}")
+        if result is not None:  # no row is printed unless all can be
+            rows = [f"{names[d]}\t{write_number(assoc.invariant)}"
+                    f"\t{names[assoc.base_free_point]}"
+                    f"\t{names[assoc.rupture_point]}"
+                    for d, assoc in sorted(result.association.items())]
+            print("d\tI_d\tp_d\tq_d", *rows, sep="\n")
     if args.out:
         emit = args.emit
         out = Path(args.out)
@@ -109,7 +112,7 @@ def _cmd_invariants(args) -> int:
         print(f"no point named {args.local!r}", file=sys.stderr)
         return EXIT_INVALID
     for q, quotient in rupture_quotients(curve, base).items():
-        print(f"{names[q]}\t{quotient}")
+        print(f"{names[q]}\t{write_number(quotient)}")
     return EXIT_OK
 
 

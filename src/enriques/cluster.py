@@ -38,6 +38,7 @@ from .errors import (
     PointNotInCluster,
     UnknownPoint,
     WrongKind,
+    describe_number,
 )
 
 
@@ -109,8 +110,10 @@ class WeightedCluster:
                     raise InvalidWeight(
                         f"weight {w!r} at point {p} is a bool, not an integer")
                 if not isinstance(w, int) or w < floor:
+                    shown = (describe_number(w) if isinstance(w, int)
+                             else repr(w))
                     raise InvalidWeight(
-                        f"weight {w!r} at point {p} below {floor}"
+                        f"weight {shown} at point {p} below {floor}"
                         f" for kind {self.kind.value}")
             parent = parents[p]
             if parent is not None and parent not in weights:
@@ -216,7 +219,8 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
             e -= weight[s]
         if e < 1:
             raise NonPositiveMultiplicity(
-                f"values force multiplicity {e} at point {p}")
+                f"values force multiplicity {describe_number(e)}"
+                f" at point {p}")
         mults[p] = e
     return WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
 

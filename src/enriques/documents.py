@@ -22,11 +22,12 @@ Parsing aggregates every structural problem into one
 :class:`DocumentValidationError` instead of stopping at the first.  One
 loop checks every entry and resolves it into the parent, second
 proximity and label lists.  When it found nothing,
-:meth:`ArenaTree._from_columns` adopts the lists as the arena's columns
-and derives the facts in one trusted pass, which stops at the first arena
-rule they break.  Any other document, and one that pass stops at, goes
-to :meth:`ArenaTree.from_records`, which refuses the arena with every rule
-its points break.  A weight must be a JSON integer: ``true``/``false``
+:meth:`ArenaTree._from_columns`, the arena's one point-by-point fact
+writer, adopts the lists as the arena's columns and derives the facts in
+one trusted pass, which stops at the first arena rule they break.  Any
+other document, and one that pass stops at, goes to
+:meth:`ArenaTree.from_records`, which checks every point first and
+refuses the arena with every rule its points break.  A weight must be a JSON integer: ``true``/``false``
 are rejected even though Python's ``bool`` is an ``int``, and
 ``format_version`` must be the integer 1 (not ``true`` or ``1.0``).  An
 integer with more digits than Python reads into an int
@@ -50,6 +51,9 @@ an equal cluster.  The CLI and the DOT renderer name points by the same
 rule.  The writer is hand-rolled, one string per point, and its text is
 byte-identical to ``json.dumps(doc, indent=2)`` plus a final newline
 (``json.dumps`` takes its pure-Python encoder whenever ``indent`` is set).
+A weight with more digits than Python writes as text raises
+:class:`~enriques.errors.NumberTooLong`, as ``json.dumps`` would raise a
+bare ``ValueError``.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .errors import (
     Diagnostic,
     DocumentSyntaxError,
     DocumentValidationError,
+    NumberTooLong,
 )
 
 FORMAT_VERSION = 1
@@ -232,23 +237,29 @@ def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
     """Serialize the whole arena with the cluster's weights (0 = not a member).
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.
+    A weight that Python would refuse to write as text raises
+    :class:`~enriques.errors.NumberTooLong`.
     """
     if cluster.tree is not tree:
         raise ArenaMismatch("cluster does not live over the given arena")
     names = [_quote(name) for name in document_ids(tree)]
     weight = cluster.weight
     entries = []
-    for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):
-        # json.dumps(indent=2) puts a point at depth 2, its fields at depth 3
-        if parent is None:
-            fields = f'"id": {names[p]}'
-        elif second is None:
-            fields = f'"id": {names[p]},\n      "parent": {names[parent]}'
-        else:
-            fields = (f'"id": {names[p]},\n      "parent": {names[parent]},'
-                      f'\n      "second_proximity": {names[second]}')
-        entries.append(
-            f'{{\n      {fields},\n      "weight": {weight.get(p, 0)}\n    }}')
+    try:
+        for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):
+            # json.dumps(indent=2) puts a point at depth 2, its fields at 3
+            if parent is None:
+                fields = f'"id": {names[p]}'
+            elif second is None:
+                fields = f'"id": {names[p]},\n      "parent": {names[parent]}'
+            else:
+                fields = (f'"id": {names[p]},'
+                          f'\n      "parent": {names[parent]},'
+                          f'\n      "second_proximity": {names[second]}')
+            entries.append(f'{{\n      {fields},'
+                           f'\n      "weight": {weight.get(p, 0)}\n    }}')
+    except ValueError:  # a weight past Python's int-to-text digit limit
+        raise NumberTooLong(max(weight.values(), key=abs)) from None
     points = ("[\n    " + ",\n    ".join(entries) + "\n  ]"
               if entries else "[]")
     return (f'{{\n  "format_version": {FORMAT_VERSION},'

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .cluster import WeightedCluster, WeightKind
 from .documents import document_ids
-from .errors import WrongKind
+from .errors import WrongKind, write_number
 from .morphism import compute
 
 
@@ -42,10 +42,10 @@ def render_dot(cluster: WeightedCluster, annotate: str = "none") -> str:
     for p, name in enumerate(ids):
         label = [name]
         if annotate == "weights" and p in cluster:
-            label.append(str(cluster.weight[p]))
+            label.append(write_number(cluster.weight[p]))
         elif annotate == "mn":
             n, m = inv.extend_to(p)
-            label.append(f"{m}/{n}")
+            label.append(f"{write_number(m)}/{write_number(n)}")
         attrs = [f"label={_quote(*label)}"]
         if p in cluster:
             attrs.append("style=filled, fillcolor=lightgray")

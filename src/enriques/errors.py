@@ -5,11 +5,20 @@ The arena and the document parser refuse input that breaks their rules,
 and they report every problem at once: :class:`ArenaValidationError` and
 :class:`DocumentValidationError` each carry every :class:`Diagnostic`
 found.
+
+Python writes no integer of more digits than
+``sys.get_int_max_str_digits()`` as text, and the library honours that
+limit rather than raising it, because the setting is process-wide.  A
+message names a number past it by its digit count
+(:func:`describe_number`); output that would have to write one raises
+:class:`NumberTooLong` (:func:`write_number`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class EnriquesError(Exception):
@@ -177,6 +186,45 @@ class DocumentValidationError(DocumentError):
     def __init__(self, diagnostics: list["Diagnostic"]):
         super().__init__("; ".join(str(d) for d in diagnostics))
         self.diagnostics = diagnostics
+
+
+# --- output ----------------------------------------------------------------
+
+class NumberTooLong(EnriquesError):
+    """A number to be printed or serialized has an integer part with more
+    digits than Python writes as text."""
+
+    def __init__(self, number: int | Fraction):
+        super().__init__(
+            f"cannot write {describe_number(number)}: Python writes no"
+            f" integer of more than {sys.get_int_max_str_digits()} digits")
+
+
+def describe_number(x: int | Fraction) -> str:
+    """``str(x)`` for a message, with each integer part past Python's
+    int-to-text digit limit shown as its digit count, ``<4301 digits>``."""
+    num, den = x.as_integer_ratio()
+    return "/".join(map(_describe_int, (num,) if den == 1 else (num, den)))
+
+
+def _describe_int(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        # 0.30102999 < log10(2), so this starts at or just below the count
+        digits = (n.bit_length() - 1) * 30102999 // 10 ** 8 + 1
+        while 10 ** digits <= abs(n):
+            digits += 1
+        return f"{'-' if n < 0 else ''}<{digits} digits>"
+
+
+def write_number(x: int | Fraction) -> str:
+    """``str(x)`` for output; :class:`NumberTooLong` when Python would
+    refuse to write it."""
+    try:
+        return str(x)
+    except ValueError:
+        raise NumberTooLong(x) from None
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
     NotDownwardClosed, RecoveryError, OriginHasNoSatellite,
-    SecondSatelliteOfFreePoint, WalkDiverged)
+    SecondSatelliteOfFreePoint, WalkDiverged, describe_number)
 from .morphism import MorphismInvariants, require_base_points
 
 #: One line of walk trace: (point, m, n, decision), decision in
@@ -202,7 +202,7 @@ def _base_free_point(tree: ArenaTree, m: list, d: PointId, num: int,
         p, a = a, parents[a]
     raise NoQualifyingPair(
         f"no chain link of point {d} qualifies for invariant"
-        f" {Fraction(num, den)}")
+        f" {describe_number(Fraction(num, den))}")
 
 
 def satellite_walk(
@@ -318,8 +318,8 @@ def _satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
 
 def _diverged(num: int, den: int, cap: int, p: PointId) -> WalkDiverged:
     return WalkDiverged(
-        f"no height quotient equal to {Fraction(num, den)} within"
-        f" {cap} steps below point {p}")
+        f"no height quotient equal to {describe_number(Fraction(num, den))}"
+        f" within {describe_number(cap)} steps below point {p}")
 
 
 def _biggest_rupture_by_cone(
@@ -447,7 +447,8 @@ def _second_half(
             rho[a] -= v
         if v < 1 and rejected is None:
             rejected = NonPositiveMultiplicity(
-                f"values force multiplicity {v} at point {p}")
+                f"values force multiplicity {describe_number(v)}"
+                f" at point {p}")
         mults[p] = rho[p] = v
     if failed is not None:
         raise failed

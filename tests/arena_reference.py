@@ -1,10 +1,68 @@
-"""``ArenaTree.validate`` as it was before the arena recorded its rules on
-append: one loop over raw (parent, second proximity, label) records, as
-``ArenaTree.from_records`` takes them.  It reads only an ``int`` as a point
-id, never a ``bool``.  The parser and arena suites compare the diagnostics
-that ``from_records`` refuses records with against it."""
+"""Independent statements of the arena, over raw (parent, second proximity,
+label) records as ``ArenaTree.from_records`` takes them.
 
+``validate_reference`` is ``ArenaTree.validate`` as it was before the arena
+recorded its rules on append: one loop over the records.  It reads only an
+``int`` as a point id, never a ``bool``.  The parser and arena suites
+compare the diagnostics that ``from_records`` refuses records with against
+it.
+
+``reference_facts`` derives each record's facts as the arena did before it
+became columnar, one facts tuple per point, so the suites can check the
+columns that the library's fact writers derive against code they do not
+share.
+"""
+
+from typing import Optional
+
+from enriques import ArenaTree, PointFacts, PointId
 from enriques.errors import Diagnostic
+
+
+def triples(tree: ArenaTree) -> list[tuple]:
+    """The arena's (parent, second proximity, label) records, in id order."""
+    return list(zip(tree.parents, tree.seconds, tree.labels))
+
+
+def reference_facts(records) -> list[Optional[PointFacts]]:
+    """Each record's facts, or None for a record that cannot have any: one
+    that breaks an arena rule or whose parent has no facts.  The label is
+    not read."""
+    facts: list[Optional[PointFacts]] = []
+    index: dict[tuple[PointId, PointId], PointId] = {}
+    for q, (a, s, _) in enumerate(records):
+        facts.append(_derive_facts(records, facts, index, q, a, s))
+        if a is not None and s is not None:
+            index.setdefault((a, s), q)
+    return facts
+
+
+def _derive_facts(records, facts, index, q, a, s) -> Optional[PointFacts]:
+    if a is None:
+        return PointFacts(0, 1, 1, 1, None) if q == 0 and s is None else None
+    if not 0 <= a < q or facts[a] is None:
+        return None
+    free_a, n_a, m0_a, k_a, pair = facts[a]
+    if s is None:
+        return PointFacts(q, n_a, m0_a + 1, 1, None)
+    if (a, s) in index:
+        return None
+    if pair is None:
+        pair = (records[a][0], a)
+        if s != pair[0]:
+            return None
+    else:
+        lo, hi = pair
+        if s == lo:
+            pair = (lo, a)
+        elif s == hi:
+            pair = (a, hi)
+        else:
+            return None
+    free_s, n_s, m0_s, k_s, _ = facts[s]
+    if free_s == free_a:
+        k_a += k_s
+    return PointFacts(free_a, n_a + n_s, m0_a + m0_s, k_a, pair)
 
 
 def validate_reference(records):

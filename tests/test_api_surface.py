@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "MorphismInvariants",
     "PointFacts",
     "PointId",
-    "PointRecord",
     "RecoveryResult",
     "WeightKind",
     "WeightedCluster",
@@ -124,6 +123,7 @@ ERROR_CLASSES = [
     ("NonPositiveMultiplicity", "ClusterError"),
     ("NotDicritical", "RecoveryError"),
     ("NotDownwardClosed", "ClusterError"),
+    ("NumberTooLong", "EnriquesError"),
     ("OracleError", "EnriquesError"),
     ("OrderingError", "EnriquesError"),
     ("OriginHasNoSatellite", "OrderingError"),
@@ -157,7 +157,6 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
     _, curve, _ = fb.ex04_curve()
     inv = compute(bp)
     calls = {
-        "ArenaTree.record": lambda x: tree.record(x),
         "ArenaTree.parent": lambda x: tree.parent(x),
         "ArenaTree.second_proximity": lambda x: tree.second_proximity(x),
         "ArenaTree.label": lambda x: tree.label(x),

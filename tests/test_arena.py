@@ -2,15 +2,12 @@ import copy
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Optional
 
 import pytest
 
 from enriques import (
     ArenaTree,
-    PointFacts,
     PointId,
-    PointRecord,
     WeightKind,
     WeightedCluster,
     base_free_point,
@@ -35,7 +32,7 @@ from enriques.errors import (
 
 import fixture_builders as fb
 import randgen
-from arena_reference import validate_reference
+from arena_reference import reference_facts, triples, validate_reference
 from paper_reference import child_list
 
 
@@ -93,14 +90,12 @@ def test_unknown_references_rejected():
         tree.ancestors(42)
     for bad in (42, -1, "0", None, False):
         with pytest.raises(UnknownPoint):
-            tree.record(bad)
-        with pytest.raises(UnknownPoint):
             tree.facts(bad)
     # the columns are lists, which would read -1 as the last point
     tree, bp, names = fb.ex04_bp()
     inv = compute(bp)
     queries = [
-        tree.record, tree.facts, tree.parent, tree.second_proximity,
+        tree.facts, tree.parent, tree.second_proximity,
         tree.label, tree.ancestors,
         lambda p: tree.precedes(p, names["p3"]),
         lambda p: tree.precedes(names["O"], p),
@@ -137,14 +132,10 @@ def test_duplicate_satellite_pair_rejected():
         tree.add_point(p2, p1)
 
 
-def _triples(tree: ArenaTree) -> list[tuple]:
-    return list(zip(tree.parents, tree.seconds, tree.labels))
-
-
 def test_validate_clean_on_example_arena():
     # the records of a sound arena build an equal arena
     tree, _, _ = fb.ex04_bp()
-    assert _columns(ArenaTree.from_records(_triples(tree))) == _columns(tree)
+    assert _columns(ArenaTree.from_records(triples(tree))) == _columns(tree)
 
 
 ILLEGAL_PROXIMITY = [
@@ -209,7 +200,7 @@ def test_broken_records_get_no_facts(records, codes, broken):
         ArenaTree.from_records(records[:min(broken)]))
 
 
-def test_append_raw_refuses_bool_ids():
+def test_add_point_and_from_records_refuse_bool_ids():
     # bool is an int subclass: True must not read as point 1, neither as a
     # parent nor as a second proximity (and 1.0 must not index a column)
     for records in ([(None, None, None), (0, None, None), (True, None, None)],
@@ -255,7 +246,6 @@ def test_precedes():
 def test_queries_do_not_mutate():
     tree, _, names = fb.ex04_bp()
     size = len(tree)
-    tree.records()
     tree.facts(names["p9"])
     tree.ancestors(names["p9"])
     child_list(tree, names["p3"])
@@ -281,54 +271,6 @@ def test_clone_is_independent():
     assert len(copy) == len(tree) + 1
 
 
-class _ReferenceArena:
-    """The arena the columns replaced: one record and one facts tuple per point.
-
-    ``append_raw`` and ``_derive_facts`` are the library's code before the
-    arena became columnar.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[PointRecord] = []
-        self.facts: list[Optional[PointFacts]] = []
-        self.index: dict[tuple[PointId, PointId], PointId] = {}
-
-    def append_raw(self, parent, second, label) -> None:
-        q = len(self.records)
-        self.facts.append(self._derive_facts(q, parent, second))
-        self.records.append(PointRecord(q, parent, second, label))
-        if parent is not None and second is not None:
-            self.index.setdefault((parent, second), q)
-
-    def _derive_facts(self, q, a, s) -> Optional[PointFacts]:
-        if a is None:
-            return PointFacts(0, 1, 1, 1, None) if q == 0 and s is None else None
-        facts = self.facts
-        if not 0 <= a < q or facts[a] is None:
-            return None
-        free_a, n_a, m0_a, k_a, pair = facts[a]
-        if s is None:
-            return PointFacts(q, n_a, m0_a + 1, 1, None)
-        if (a, s) in self.index:
-            return None
-        if pair is None:
-            pair = (self.records[a].parent, a)
-            if s != pair[0]:
-                return None
-        else:
-            lo, hi = pair
-            if s == lo:
-                pair = (lo, a)
-            elif s == hi:
-                pair = (a, hi)
-            else:
-                return None
-        free_s, n_s, m0_s, k_s, _ = facts[s]
-        if free_s == free_a:
-            k_a += k_s
-        return PointFacts(free_a, n_a + n_s, m0_a + m0_s, k_a, pair)
-
-
 class _ReferenceHeights:
     """The m table before it became a list: a dict grown along chains."""
 
@@ -336,45 +278,33 @@ class _ReferenceHeights:
         self.bp = bp
         self.m: dict[PointId, int] = {}
         for p in bp.ordered_points():
-            self._compute_point(bp.tree.record(p))
+            self._compute_point(p)
 
-    def _compute_point(self, r: PointRecord) -> None:
-        m, w = self.m, self.bp.get(r.id, 0)
-        if r.parent is None:
-            m[r.id] = w + 1
-        elif r.second_proximity is None:
-            m[r.id] = m[r.parent] + w + 1
+    def _compute_point(self, p: PointId) -> None:
+        m, w = self.m, self.bp.get(p, 0)
+        a, s = self.bp.tree.parents[p], self.bp.tree.seconds[p]
+        if a is None:
+            m[p] = w + 1
+        elif s is None:
+            m[p] = m[a] + w + 1
         else:
-            m[r.id] = m[r.parent] + m[r.second_proximity] + w
+            m[p] = m[a] + m[s] + w
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
         tree = self.bp.tree
         missing = []
         q = p
         while q is not None and q not in self.m:
-            r = tree.record(q)
-            missing.append(r)
-            q = r.parent
-        for r in reversed(missing):
-            self._compute_point(r)
+            missing.append(q)
+            q = tree.parents[q]
+        for q in reversed(missing):
+            self._compute_point(q)
         return tree.facts(p).n, self.m[p]
-
-
-def _reference(records) -> _ReferenceArena:
-    ref = _ReferenceArena()
-    for triple in records:
-        ref.append_raw(*triple)
-    return ref
 
 
 def _assert_columns_match_reference(tree: ArenaTree) -> None:
     """Replay the arena into the reference, which gives every point facts."""
-    ref = _reference(_triples(tree))
-    assert tree.records() == ref.records
-    for p, (record, facts) in enumerate(zip(ref.records, ref.facts)):
-        assert tree.record(p) == record
-        assert (tree.parents[p], tree.seconds[p], tree.labels[p]) == (
-            record.parent, record.second_proximity, record.label)
+    for p, facts in enumerate(reference_facts(triples(tree))):
         columns = (tree.free_points[p], tree.ns[p], tree.m0s[p],
                    tree.ks[p], tree.pairs[p])
         assert facts is not None
@@ -386,7 +316,7 @@ def _assert_refused_as_reference(records) -> int:
     """Replay the records into the reference; return its number of points
     without facts.  ``from_records`` refuses the records exactly when there
     is one, and otherwise builds the reference's columns."""
-    broken = _reference(records).facts.count(None)
+    broken = reference_facts(records).count(None)
     if broken:
         assert _refusal(records) == validate_reference(records)
     else:
@@ -424,7 +354,7 @@ def _columns(tree: ArenaTree) -> list:
 
 @pytest.mark.parametrize("t", [1, 2, CHAIN_CROSSOVER - 1, CHAIN_CROSSOVER,
                                CHAIN_CROSSOVER + 1, 40])
-def test_append_chain_matches_repeated_append_raw(t):
+def test_append_run_matches_repeated_add_point(t):
     # the run writer on every run a walk may append, (a, s) with s a
     # proximity of a and the pair not held yet, against t add_point calls
     chains = kinds = 0
@@ -514,7 +444,7 @@ def test_recorded_rules_match_validate_reference():
         accepted += 1
         tree = ArenaTree.from_records(records)
         assert [tree.facts(p) for p in tree.points()] == (
-            _reference(records).facts), seed
+            reference_facts(records)), seed
         copy = tree.clone()
         with pytest.raises(SelfReference, match="point references itself"):
             copy.add_point(len(copy), None, None)
@@ -532,44 +462,72 @@ def test_recorded_rules_match_validate_reference():
         assert _replay_through_add_point(records, want) == 1
 
 
-def test_batch_writer_matches_one_append_raw_per_record():
-    # each point of a batch sees the pair index, the rootless flag and the
-    # arena length as the point before it left them, so where a batch is
-    # cut before its first broken record changes nothing, and a batch's
-    # diagnostics do not look past its end
+def _state(tree: ArenaTree) -> list:
+    """A copy of the columns, the pair index and the rootless flag."""
+    return [*map(list, _columns(tree)[:-1]), dict(tree._satellite_index),
+            tree._rootless]
+
+
+def _raw_record_lists() -> list:
     lists = [randgen.random_raw_records(random.Random(seed))
              for seed in range(20000)]
-    lists += [[(None, None, None), (0, None, None), (True, None, None)],
-              [(None, None, None), (0, None, None), (1, False, None)]]
+    return lists + [[(None, None, None), (0, None, None), (True, None, None)],
+                    [(None, None, None), (0, None, None), (1, False, None)]]
+
+
+def test_from_records_on_every_prefix_matches_add_point_replay():
+    # each record is checked against the pair index, the rootless flag and
+    # the arena length as the records before it left them, so a prefix of
+    # the records is refused with the reference's diagnostics on the prefix
+    # alone, whatever follows it, or builds the arena that add_point builds
+    # record by record
     cuts = 0
-    for records in lists:
-        ref = ArenaTree()
+    for records in _raw_record_lists():
+        replay = ArenaTree()
+        states = [_state(ArenaTree())]  # the replay after each record
         for triple in records:
             try:
-                ref.add_point(*triple)
+                replay.add_point(*triple)
             except ArenaError:
                 break
-        first = len(ref)  # the first broken record, or len(records)
-        # a refused add_point left the records before it as they were
-        prefix = ArenaTree.from_records(records[:first])
-        assert (_columns(ref), ref._rootless) == (
-            _columns(prefix), prefix._rootless)
-        diagnostics = validate_reference(records)
-        assert (first < len(records)) == bool(diagnostics)
+            states.append(_state(replay))
+        first = len(replay)  # the first broken record, or len(records)
+        assert (first < len(records)) == bool(validate_reference(records))
         for cut in range(len(records) + 1):
-            # a head cut past the first broken record is refused, so
-            # nothing is written after it; its diagnostics are the
-            # reference's on the head alone
-            tree = ArenaTree()
-            head = tree._append_records(records[:cut])
-            assert head == validate_reference(records[:cut])
-            if not head:
-                assert tree._append_records(records[cut:]) == diagnostics
-            if not diagnostics:
-                assert (_columns(tree), tree._rootless) == (
-                    _columns(ref), ref._rootless)
+            head = records[:cut]
+            diagnostics = validate_reference(head)
+            if cut <= first:
+                assert diagnostics == []
+                assert _state(ArenaTree.from_records(head)) == states[cut]
+            else:
+                assert diagnostics and _refusal(head) == diagnostics
             cuts += 1
     assert cuts > 100000
+
+
+def test_add_point_and_from_records_agree():
+    # the records built point by point through add_point and in one call
+    # through from_records give the same columns, pair index and rootless
+    # flag; a refused add_point raises from_records' first diagnostic and
+    # changes none of the three
+    accepted = refused = 0
+    for records in _raw_record_lists():
+        tree = ArenaTree()
+        for q, triple in enumerate(records):
+            before = _state(tree)
+            try:
+                tree.add_point(*triple)
+            except ArenaError as err:
+                assert _state(tree) == before
+                assert _refusal(records)[0] == Diagnostic(
+                    type(err).__name__, q, str(err))
+                refused += 1
+                break
+        else:
+            assert _state(ArenaTree.from_records(records)) == _state(tree)
+            assert _state(tree.clone()) == _state(tree)
+            accepted += 1
+    assert accepted > 5000 and refused > 5000
 
 
 def test_add_point_raises_self_reference_for_the_next_id():
@@ -596,7 +554,7 @@ def test_broken_pair_does_not_shadow_a_legal_satellite():
                (1, None, "p2"), (3, 1, "s")]
     assert [(d.code, d.point) for d in _refusal(records)] == [
         ("UnknownParent", 2)]
-    assert _reference(records).facts[4] is None
+    assert reference_facts(records)[4] is None
 
 
 def test_labels_must_be_none_or_strings():

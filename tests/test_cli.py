@@ -406,6 +406,33 @@ def test_every_command_maps_every_input_to_an_exit_code(
         assert out == "" and err.startswith(message)
 
 
+def test_numbers_past_the_digit_limit_exit_1_without_traceback(
+        tmp_path, capsys):
+    # the document parses, since its weight has as many digits as Python
+    # reads into an int, but the recovered invariant and values and the
+    # m/n heights have more than Python writes back as text
+    limit = sys.get_int_max_str_digits()
+    document = tmp_path / "long.json"
+    document.write_text(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": int("9" * limit)},
+                   {"id": "p", "parent": "O", "weight": 1}]}))
+    written = tmp_path / "out.json"
+    for argv in (["recover"], ["recover", "--trace"],
+                 ["recover", "--out", str(written), "--emit", "both"],
+                 ["render", "--annotate", "mn"]):
+        code, out, err = run(capsys, argv[0], str(document), *argv[1:])
+        assert (code, out) == (1, ""), argv
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == (f"NumberTooLong: cannot write <{limit + 1} digits>:"
+                       f" Python writes no integer of more than {limit}"
+                       " digits\n")
+    assert list(tmp_path.iterdir()) == [document]
+    code, out, err = run(capsys, "render", str(document),
+                         "--annotate", "weights")
+    assert (code, err) == (0, "") and "9" * limit in out
+
+
 def test_recover_refuses_a_walk_run_longer_than_a_list_holds(
         tmp_path, capsys):
     # the walk's second run would hold about 10**30 points

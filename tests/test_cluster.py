@@ -1,5 +1,6 @@
 import enum
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,24 @@ def test_unrealizable_values_rejected():
     values = WeightedCluster(tree, WeightKind.VALUE, {o: 5, p1: 5})
     with pytest.raises(NonPositiveMultiplicity):
         multiplicities_from_values(values)
+
+
+def test_messages_name_a_too_long_number_by_its_digits():
+    # Python writes no int of more digits than its limit as text
+    digits = sys.get_int_max_str_digits() + 1
+    tree = ArenaTree()
+    o = tree.add_point()
+    p1 = tree.add_point(o)
+    values = WeightedCluster(
+        tree, WeightKind.VALUE, {o: 10 ** digits, p1: 1})
+    with pytest.raises(NonPositiveMultiplicity) as info:
+        multiplicities_from_values(values)
+    assert str(info.value) == (
+        f"values force multiplicity -<{digits} digits> at point 1")
+    with pytest.raises(InvalidWeight) as info:
+        WeightedCluster(tree, WeightKind.VIRTUAL, {o: -10 ** (digits - 1)})
+    assert str(info.value) == (
+        f"weight -<{digits} digits> at point 0 below 0 for kind virtual")
 
 
 def test_kind_checked():

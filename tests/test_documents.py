@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from enriques import ArenaTree, WeightKind, WeightedCluster, parse, serialize
+from enriques import (
+    ArenaTree,
+    WeightKind,
+    WeightedCluster,
+    parse,
+    recover,
+    serialize,
+)
 from enriques.errors import (
     ArenaMismatch,
     ClusterError,
@@ -16,11 +23,12 @@ from enriques.errors import (
     DocumentValidationError,
     InvalidWeight,
     NotDownwardClosed,
+    NumberTooLong,
     UnknownPoint,
 )
 
 import fixture_builders as fb
-from arena_reference import validate_reference
+from arena_reference import reference_facts, triples, validate_reference
 import make_fixtures
 import randgen
 from randgen import random_proximity_tree
@@ -289,7 +297,7 @@ def _cluster_reference(tree, kind, weight):
             raise InvalidWeight(
                 f"weight {w!r} at point {p} below {floor}"
                 f" for kind {kind.value}")
-        parent = tree.record(p).parent
+        parent = tree.parents[p]
         if parent is not None and parent not in weights:
             raise NotDownwardClosed(
                 f"point {p} is in the cluster but its parent"
@@ -444,8 +452,7 @@ def test_serialize_matches_json_dumps_reference():
         text = serialize(tree, cluster)
         assert text == _serialize_reference(tree, cluster)
         tree2, cluster2 = parse(text)
-        assert [(r.parent, r.second_proximity) for r in tree2.records()] == \
-            [(r.parent, r.second_proximity) for r in tree.records()]
+        assert (tree2.parents, tree2.seconds) == (tree.parents, tree.seconds)
         assert cluster2.kind is cluster.kind
         assert dict(cluster2.weight) == \
             {p: w for p, w in cluster.weight.items() if w > 0}
@@ -518,7 +525,7 @@ def _outcome(parser, text):
         detail = getattr(err, "diagnostics", str(err))
         return type(err), detail
     facts = [tree.facts(p) for p in tree.points()]
-    return (list(tree.records()), facts, tree._satellite_index,
+    return (triples(tree), facts, tree._satellite_index,
             tree._rootless, cluster.kind, dict(cluster.weight))
 
 
@@ -581,14 +588,12 @@ def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
         "NotDownwardClosed"}
 
 
-def test_trusted_pass_matches_checked_writer_on_benchmark_pools(
+def test_trusted_pass_matches_reference_facts_on_benchmark_pools(
         monkeypatch):
     # every document of the benchmark's seed-1 pools is clean, so parse
     # builds its arena in the trusted pass, without the checked writer;
-    # the arena equals the one the checked writer builds from the same
-    # records, column by column
-    from_records = ArenaTree.from_records
-
+    # the facts it derives equal the independent reference's, point by
+    # point, and so do the pair index and the rootless flag
     def refuse(records):
         raise AssertionError("a clean document took the checked writer")
 
@@ -598,17 +603,34 @@ def test_trusted_pass_matches_checked_writer_on_benchmark_pools(
             monkeypatch.setattr(ArenaTree, "from_records", refuse)
             tree, _ = parse(document.text)
             monkeypatch.undo()
-            checked = from_records(
-                [(r.parent, r.second_proximity, r.label)
-                 for r in tree.records()])
-            assert vars(tree).keys() == vars(checked).keys()
-            for column in ("parents", "seconds", "labels", "free_points",
-                           "ns", "m0s", "ks", "pairs", "_satellite_index",
-                           "_rootless"):
-                assert getattr(tree, column) == getattr(checked, column), \
-                    (document.name, column)
+            records = triples(tree)
+            assert list(zip(tree.free_points, tree.ns, tree.m0s, tree.ks,
+                            tree.pairs)) == reference_facts(records), \
+                document.name
+            assert tree._satellite_index == {
+                (a, s): q for q, (a, s, _) in enumerate(records)
+                if s is not None}
+            assert tree._rootless
             documents += 1
     assert documents == 1000 + 52 + 56
+
+
+def test_serialize_refuses_a_weight_past_the_digit_limit():
+    # the document's weight has as many digits as Python reads into an int
+    # and writes back as text; the recovered values and multiplicities at
+    # the origin have one more
+    limit = sys.get_int_max_str_digits()
+    text = _doc([{"id": "O", "weight": int("9" * limit)},
+                 {"id": "p", "parent": "O", "weight": 1}])
+    tree, bp = parse(text)
+    assert parse(serialize(tree, bp))[1].weight == bp.weight
+    result = recover(bp)
+    for cluster in (result.values, result.multiplicities):
+        with pytest.raises(NumberTooLong) as info:
+            serialize(tree, cluster)
+        assert str(info.value) == (
+            f"cannot write <{limit + 1} digits>: Python writes no integer"
+            f" of more than {limit} digits")
 
 
 def _timed_round_trip(tree, cluster):
@@ -616,8 +638,7 @@ def _timed_round_trip(tree, cluster):
     text = serialize(tree, cluster)
     tree2, cluster2 = parse(text)
     elapsed = time.perf_counter() - start
-    assert [(r.parent, r.second_proximity) for r in tree2.records()] == \
-        [(r.parent, r.second_proximity) for r in tree.records()]
+    assert (tree2.parents, tree2.seconds) == (tree.parents, tree.seconds)
     assert dict(cluster2.weight) == dict(cluster.weight)
     assert serialize(tree2, cluster2) == text
     return elapsed

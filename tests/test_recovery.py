@@ -184,6 +184,25 @@ def test_scan_and_walk_errors_print_the_invariant_as_fraction_does():
             f"no height quotient equal to {text} steps below point 3")
 
 
+def test_scan_and_walk_errors_name_a_too_long_number_by_its_digits():
+    # Python writes no int of more digits than its limit as text, so a
+    # message shows such a number, and each such part of a fraction, by
+    # its digit count
+    tree, bp, names = fb.ex04_bp()
+    inv = compute(bp)
+    big = 10 ** sys.get_int_max_str_digits()
+    long = f"<{sys.get_int_max_str_digits() + 1} digits>"
+    with pytest.raises(NoQualifyingPair) as info:
+        base_free_point(bp, inv, names["p8"], Fraction(3 * big - 1, big))
+    assert str(info.value) == (
+        f"no chain link of point 8 qualifies for invariant {long}/{long}")
+    with pytest.raises(WalkDiverged) as info:
+        satellite_walk(tree, inv, names["p3"], Fraction(6 * big + 1, big))
+    assert str(info.value) == (
+        f"no height quotient equal to {long}/{long} within {long} steps"
+        " below point 3")
+
+
 def test_walk_refuses_a_run_longer_than_a_list_holds():
     # below p the walk appends point 2, and from there its next run would
     # close the gap after about 10**30 points; it raises before it appends
@@ -444,18 +463,18 @@ def _fan_bp(k):
 
 
 @pytest.mark.parametrize("k", [8, 23, 60])
-def test_legal_walk_runs_skip_the_batch_writer(k, monkeypatch):
+def test_legal_walk_runs_append_unchecked(k, monkeypatch):
     # every run a walk appends is legal, so ArenaTree._append_run writes it in
-    # closed form and the batch writer sees none of them
+    # closed form and no point it appends is checked against the arena rules
     bp = _fan_bp(k)
     calls = []
-    batch = ArenaTree._append_records
+    check = ArenaTree._violations
 
-    def spy(tree, records):
-        calls.append(records)
-        return batch(tree, records)
+    def spy(tree, *point):
+        calls.append(point)
+        return check(tree, *point)
 
-    monkeypatch.setattr(ArenaTree, "_append_records", spy)
+    monkeypatch.setattr(ArenaTree, "_violations", spy)
     assert recover(bp).created and calls == []
 
 
