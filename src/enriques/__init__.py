@@ -16,14 +16,11 @@ from .cluster import (
     is_consistent,
     multiplicities_from_values,
     noether_pairing,
-    self_intersection,
     unibranch_chain,
-    values_from_multiplicities,
 )
 from .documents import parse, serialize
 from .morphism import MorphismInvariants, compute
 from .oracle import (
-    free_count_first_neighbourhood,
     invariant_quotient,
     rupture_points,
     rupture_quotients,
@@ -38,6 +35,6 @@ from .recovery import (
     recover_values,
     satellite_walk,
 )
-from .similarity import are_equisingular, are_similar, canonical_digest, canonical_form
+from .similarity import are_similar, canonical_digest, canonical_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]

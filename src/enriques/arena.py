@@ -15,12 +15,15 @@ The arena is columnar: it stores no per-point object.  Parallel lists
 indexed by point id hold each point's parent, second proximity and label,
 and the facts its proximities fix (see :class:`PointFacts`), which are
 derived once, when the point is appended, because the arena only grows.
-Hot readers index the columns directly and trust the ids they index with;
-every method that takes a point id checks it and raises
+Hot readers index the columns directly and trust the ids they index with.
+The checked readers stay for callers that read an arena without its
+columns: ``cluster.unibranch_chain`` takes a chain from
+:meth:`ArenaTree.ancestors`, :meth:`ArenaTree.facts` gives a point's facts
+as one view, and ``perfbench/pipeline.py`` reads an arena through
+``points``, ``origin``, ``parent``, ``second_proximity`` and
+``ancestors`` alone.  Each reader that takes a point id raises
 :class:`~enriques.errors.UnknownPoint` on anything that is not an arena
 index (a list would silently accept ``-1``, and ``True`` as ``1``).
-:meth:`ArenaTree.facts` builds a read-only view of a point's facts from
-the columns.
 
 Every point an arena holds keeps the arena rules, so every point has
 facts.  The rules are stated once, in :meth:`ArenaTree._violations`.
@@ -124,7 +127,7 @@ class PointFacts(NamedTuple):
 class ArenaTree:
     """Append-only, columnar arena of infinitely near points.
 
-    Points are topologically sorted: every referenced id precedes its
+    Points are topologically sorted: every referenced id comes before its
     referrer, and every point keeps the arena rules: :meth:`add_point`
     and :meth:`from_records` refuse a point that would break one,
     :meth:`_from_columns` builds no arena from columns that break one, and
@@ -244,11 +247,10 @@ class ArenaTree:
         at the first.  Its callers hand it only labels that are None or
         strings and references to earlier points' ids, so point 0 has no
         second proximity: :meth:`from_records`, whose labels may be None,
-        once its check loop found nothing; :meth:`clone`, with copies of a
-        sound arena's columns; and ``documents.parse``, for documents its
-        own loop found clean, whose labels are all strings.  So only the
-        parser's call can return None, and the parser then reports the
-        rules through :meth:`from_records`.
+        once its check loop found nothing, and ``documents.parse``, for
+        documents its own loop found clean, whose labels are all strings.
+        So only the parser's call can return None, and the parser then
+        reports the rules through :meth:`from_records`.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is :func:`_satellite_pair`; n and m0 add up over both
@@ -350,11 +352,6 @@ class ArenaTree:
         index.update(zip(zip(prev, repeat(s)), range(q, last + 1)))
         return last
 
-    def clone(self) -> "ArenaTree":
-        """Independent copy sharing no mutable state."""
-        return self._from_columns(
-            list(self.parents), list(self.seconds), list(self.labels))
-
     # -- basic queries --------------------------------------------------
 
     def __len__(self) -> int:
@@ -378,25 +375,11 @@ class ArenaTree:
         self._check(p)
         return self.seconds[p]
 
-    def label(self, p: PointId) -> Optional[str]:
-        self._check(p)
-        return self.labels[p]
-
     @property
     def origin(self) -> Optional[PointId]:
         """Id 0, the first point, which is always the origin; None while the
         arena is empty."""
         return 0 if self.parents else None
-
-    def is_satellite(self, p: PointId) -> bool:
-        return self.second_proximity(p) is not None
-
-    # -- proximity structure ---------------------------------------------
-
-    def proximities(self, q: PointId) -> set[PointId]:
-        """The one or two points ``q`` is proximate to."""
-        self._check(q)
-        return {r for r in (self.parents[q], self.seconds[q]) if r is not None}
 
     def facts(self, p: PointId) -> PointFacts:
         """A view of the point's facts."""
@@ -421,16 +404,6 @@ class ArenaTree:
             q = parents[q]
         chain.reverse()
         return tuple(chain)
-
-    def precedes(self, p: PointId, q: PointId) -> bool:
-        """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""
-        self._check(p)
-        self._check(q)
-        parents = self.parents
-        r: Optional[PointId] = q
-        while r is not None and r > p:
-            r = parents[r]
-        return r == p
 
     # -- validation ------------------------------------------------------
 

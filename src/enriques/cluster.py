@@ -13,14 +13,14 @@ is a type error here, not a warning.  Weights are plain Python integers and
 therefore arbitrary precision; nothing in this module ever overflows or
 rounds.
 
-The conversions between values and multiplicities implement
+Values and multiplicities are related by
 
     v_p = e_p + sum of v_q over the points q that p is proximate to,
 
-and its inverse.  The excess of a cluster at p is the weight at p minus the
-total weight of the cluster points proximate to p; points of positive excess
-are called dicritical, and a cluster is consistent when no excess is
-negative.
+which :func:`multiplicities_from_values` inverts.  The excess of a cluster
+at p is the weight at p minus the total weight of the cluster points
+proximate to p; points of positive excess are called dicritical, and a
+cluster is consistent when no excess is negative.
 """
 
 from __future__ import annotations
@@ -178,30 +178,9 @@ class WeightedCluster:
 # -- value / multiplicity conversion ------------------------------------
 
 
-def values_from_multiplicities(cluster: WeightedCluster) -> WeightedCluster:
-    """Total-transform values from effective multiplicities.
-
-    Sweeps the cluster in topological order: the value at a point is its
-    multiplicity plus the values at the points it is proximate to (both of
-    which lie strictly earlier, hence are already known).
-    """
-    cluster.require_kind(WeightKind.MULTIPLICITY)
-    tree = cluster.tree
-    parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
-    values: dict[PointId, int] = {}
-    for p in cluster.ordered_points():
-        a, s = parents[p], seconds[p]
-        v = weight[p]
-        if a is not None:
-            v += values[a]
-        if s is not None:
-            v += values[s]
-        values[p] = v
-    return WeightedCluster(tree, WeightKind.VALUE, values)
-
-
 def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
-    """Exact inverse of :func:`values_from_multiplicities`.
+    """Effective multiplicities from values: e_p is v_p minus the values
+    at the points p is proximate to.
 
     Raises :class:`NonPositiveMultiplicity` when the given values are not
     realizable by a curve through all cluster points.
@@ -295,7 +274,3 @@ def noether_pairing(a: WeightedCluster, b: WeightedCluster) -> int:
     if len(b.weight) < len(a.weight):
         a, b = b, a
     return sum(w * b.weight[p] for p, w in a.weight.items() if p in b.weight)
-
-
-def self_intersection(cluster: WeightedCluster) -> int:
-    return sum(w * w for w in cluster.weight.values())

@@ -5,23 +5,22 @@ singular points with effective multiplicities -- and derives the quantities
 the recovery algorithm reconstructs from polar base points: rupture points,
 invariant quotients.  Past the types, it shares with
 :mod:`~enriques.recovery` only the arena's columns, facts included, its
-point-id check and :func:`excesses` (which :func:`excess` reads at one
-point), so agreement between them is a meaningful check.  A function
-that counts a curve's points or branches raises :class:`WrongKind` on
-another kind of cluster.  Every cluster is sound by construction (see
-:class:`~enriques.cluster.WeightedCluster`): it is ancestor-closed, and
-its points, like every arena point, keep the arena rules, so the sweeps
-here read each point's links without a check of their own.  Only a
-point taken from the arena rather than the curve, as in
-:func:`invariant_quotient`, is checked where it enters.
+point-id check and :func:`excesses`, so agreement between them is a
+meaningful check.  A function that counts a curve's points or branches
+raises :class:`WrongKind` on another kind of cluster.  Every cluster is
+sound by construction (see :class:`~enriques.cluster.WeightedCluster`):
+it is ancestor-closed, and its points, like every arena point, keep the
+arena rules, so the sweeps here read each point's links without a check
+of their own.  Only a point taken from the arena rather than the curve,
+as in :func:`invariant_quotient`, is checked where it enters.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
-multiple, or satellite, or precedes a satellite point of the cluster.  The
-excess at a point then counts the branches of the curve that leave the
-cluster there, each through its own free simple point in the first
-neighbourhood.  Hence the number of free points of the curve in the first
-neighbourhood of p is
+multiple, or satellite, or an ancestor of a satellite point of the
+cluster.  The excess at a point then counts the branches of the curve
+that leave the cluster there, each through its own free simple point in
+the first neighbourhood.  Hence the number of free points of the curve in
+the first neighbourhood of p is
 
     (free cluster children of p)  +  excess at p,
 
@@ -39,41 +38,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arena import PointId
-from .cluster import WeightedCluster, WeightKind, excess, excesses
-from .errors import NegativeResidual, UnknownPoint
-
-
-def free_count_first_neighbourhood(curve: WeightedCluster, p: PointId) -> int:
-    """Number of free points of the curve in the first neighbourhood of p.
-
-    Free cluster children of p plus the excess at p; the excess counts the
-    branches continuing to free non-singular points outside the cluster.
-    The excess is :func:`excess`, one pass over the curve's points, and
-    one more pass counts the curve points whose parent is p and which are
-    free.
-
-    Raises :class:`UnknownPoint` when p is not a point of the curve and
-    :class:`NegativeResidual` when the excess at p is negative.
-    """
-    curve.require_kind(WeightKind.MULTIPLICITY)
-    if p not in curve:
-        raise UnknownPoint(f"point {p} is not in the curve cluster")
-    residual = excess(curve, p)
-    if residual < 0:
-        raise NegativeResidual(
-            f"multiplicity bookkeeping at point {p} is negative")
-    parents, seconds = curve.tree.parents, curve.tree.seconds
-    free_children = sum(
-        1 for c in curve.weight if parents[c] == p and seconds[c] is None)
-    return free_children + residual
+from .cluster import WeightedCluster, WeightKind, excesses
+from .errors import NegativeResidual
 
 
 def rupture_points(curve: WeightedCluster) -> set[PointId]:
     """Points with >= 2 curve-free points after them (>= 1 for satellites).
 
     One pass counts every excess, as :func:`excesses` does, and one sweep
-    adds each free cluster point to its parent's count, so the result is
-    :func:`free_count_first_neighbourhood` at every point.  Raises
+    adds each free cluster point to its parent's count, so each count is
+    the free-point count of the module docstring.  Raises
     :class:`NegativeResidual` when some excess is negative.
     """
     curve.require_kind(WeightKind.MULTIPLICITY)

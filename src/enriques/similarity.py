@@ -43,7 +43,8 @@ import hashlib
 from typing import Optional
 
 from .arena import PointId
-from .cluster import WeightedCluster, WeightKind
+from .cluster import WeightedCluster
+from .errors import NumberTooLong
 
 
 def _encode(cluster: WeightedCluster) -> bytes:
@@ -102,12 +103,17 @@ def canonical_form(cluster: WeightedCluster) -> bytes:
     """Deterministic byte string, equal exactly for similar clusters.
 
     Independent of arena insertion order and of labels.  The weight kind is
-    not encoded: similarity compares weights, whatever they count.
+    not encoded: similarity compares weights, whatever they count.  A
+    weight that Python would refuse to write as text raises
+    :class:`~enriques.errors.NumberTooLong`.
     """
     origin = cluster.tree.origin
     if origin is None or origin not in cluster:
         return b""
-    return _encode(cluster)
+    try:
+        return _encode(cluster)
+    except ValueError:  # a weight past Python's int-to-text digit limit
+        raise NumberTooLong(max(cluster.weight.values())) from None
 
 
 def form_digest(form: bytes) -> str:
@@ -122,10 +128,3 @@ def canonical_digest(cluster: WeightedCluster) -> str:
 
 def are_similar(a: WeightedCluster, b: WeightedCluster) -> bool:
     return canonical_form(a) == canonical_form(b)
-
-
-def are_equisingular(curve_a: WeightedCluster, curve_b: WeightedCluster) -> bool:
-    """Similarity of two multiplicity-weighted singular clusters."""
-    curve_a.require_kind(WeightKind.MULTIPLICITY)
-    curve_b.require_kind(WeightKind.MULTIPLICITY)
-    return are_similar(curve_a, curve_b)

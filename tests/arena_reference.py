@@ -7,10 +7,11 @@ recorded its rules on append: one loop over the records.  It reads only an
 compare the diagnostics that ``from_records`` refuses records with against
 it.
 
-``reference_facts`` derives each record's facts as the arena did before it
-became columnar, one facts tuple per point, so the suites can check the
-columns that the library's fact writers derive against code they do not
-share.
+``triples`` and ``proximities`` read the records and a point's proximities
+off the columns.  ``reference_facts`` derives each record's facts as the
+arena did before it became columnar, one facts tuple per point, so the
+suites can check the columns that the library's fact writers derive
+against code they do not share.
 """
 
 from typing import Optional
@@ -22,6 +23,11 @@ from enriques.errors import Diagnostic
 def triples(tree: ArenaTree) -> list[tuple]:
     """The arena's (parent, second proximity, label) records, in id order."""
     return list(zip(tree.parents, tree.seconds, tree.labels))
+
+
+def proximities(tree: ArenaTree, q: PointId) -> set[PointId]:
+    """The one or two points ``q`` is proximate to."""
+    return {r for r in (tree.parents[q], tree.seconds[q]) if r is not None}
 
 
 def reference_facts(records) -> list[Optional[PointFacts]]:

@@ -44,6 +44,11 @@ class NotAChain(Exception):
     """A cluster given as a branch forks."""
 
 
+def precedes(tree, p, q):
+    """Whether ``p`` lies on the chain of ``q`` (ancestor or equal)."""
+    return p in tree.ancestors(q)
+
+
 def fraction_at(tree, p, q):
     """Chain weight of ``q`` at ``p`` over its origin weight; ``p`` must lie
     on the chain of ``q``."""
@@ -67,10 +72,10 @@ def prec_compare_reference(tree, q1, q2):
         if f1.k * f2.n <= f2.k * f1.n:
             return PrecComparison.LESS
         return PrecComparison.GREATER
-    if tree.precedes(p1, p2):
+    if precedes(tree, p1, p2):
         if fraction_at(tree, p1, q1) <= fraction_at(tree, p1, q2):
             return PrecComparison.LESS
-    if tree.precedes(p2, p1):
+    if precedes(tree, p2, p1):
         if fraction_at(tree, p2, q2) <= fraction_at(tree, p2, q1):
             return PrecComparison.GREATER
     return PrecComparison.INCOMPARABLE

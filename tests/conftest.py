@@ -14,4 +14,4 @@ def fixture_dir() -> Path:
 
 def label_map(tree):
     """Label -> id for every labeled point of an arena."""
-    return {tree.label(p): p for p in tree.points() if tree.label(p)}
+    return {tree.labels[p]: p for p in tree.points() if tree.labels[p]}

@@ -21,14 +21,23 @@ recovered curve is where a branch passes and is non-singular right after
 exactly when it is a rupture point or its value is off the line through
 the biggest rupture point of its cone (:func:`classify_free_points`).
 
+Values.  The value at a point is its multiplicity plus the values at the
+points it is proximate to (:func:`values_from_multiplicities`), the sweep
+that ``enriques.multiplicities_from_values`` inverts.  The number of free
+points of a curve in the first neighbourhood of p is its free cluster
+children plus the excess at p (:func:`free_count_first_neighbourhood`);
+``enriques.rupture_points`` is where it reaches 2 for free p and 1 for
+satellite p.
+
 Heights.  The m and n recursions of :mod:`enriques.morphism` can be
 solved for the base-point weight at a point from m and n alone
 (:func:`jacobian_multiplicity_check`).
 """
 
-from enriques import WeightKind, excesses
+from enriques import WeightKind, WeightedCluster, excesses
 from enriques.errors import (
-    Diagnostic, OriginHasNoSatellite, SecondSatelliteOfFreePoint)
+    Diagnostic, NegativeResidual, OriginHasNoSatellite,
+    SecondSatelliteOfFreePoint)
 
 from chain_reference import max_by_fraction
 
@@ -77,7 +86,7 @@ def validate_curve_cluster(curve):
         if r < 0:
             out.append(Diagnostic(
                 "Inconsistent", p, f"excess {r} is negative"))
-    has_satellite = {p: tree.is_satellite(p) for p in curve.points}
+    has_satellite = {p: tree.seconds[p] is not None for p in curve.points}
     for p in sorted(curve.points, reverse=True):
         parent = tree.parent(p)
         if has_satellite[p] and parent in has_satellite:
@@ -94,6 +103,36 @@ def validate_curve_cluster(curve):
                 "NotSingular", origin,
                 "cluster describes a smooth curve"))
     return out
+
+
+def values_from_multiplicities(cluster):
+    """Total-transform values from effective multiplicities, in one sweep
+    in topological order: both proximities of a point come before it."""
+    cluster.require_kind(WeightKind.MULTIPLICITY)
+    tree = cluster.tree
+    values = {}
+    for p in cluster.ordered_points():
+        a, s = tree.parents[p], tree.seconds[p]
+        values[p] = (cluster.weight[p] + (0 if a is None else values[a])
+                     + (0 if s is None else values[s]))
+    return WeightedCluster(tree, WeightKind.VALUE, values)
+
+
+def free_count_first_neighbourhood(curve, p):
+    """Free cluster children of ``p`` plus the excess at ``p``, by one scan
+    over the curve's points; a negative excess raises
+    :class:`~enriques.errors.NegativeResidual`."""
+    curve.require_kind(WeightKind.MULTIPLICITY)
+    parents, seconds = curve.tree.parents, curve.tree.seconds
+    residual, free_children = curve[p], 0
+    for q, w in curve.weight.items():
+        if p in (parents[q], seconds[q]):
+            residual -= w
+            free_children += seconds[q] is None
+    if residual < 0:
+        raise NegativeResidual(
+            f"multiplicity bookkeeping at point {p} is negative")
+    return free_children + residual
 
 
 def classify_free_points(result):

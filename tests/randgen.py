@@ -12,6 +12,7 @@ from enriques import (
     is_consistent,
 )
 
+from arena_reference import proximities
 from paper_reference import (
     child_list,
     first_satellite, second_satellite, validate_curve_cluster)
@@ -27,7 +28,7 @@ def random_proximity_tree(
     for _ in range(n_points):
         parent = rng.randrange(len(tree))
         legal_seconds = [
-            s for s in tree.proximities(parent)
+            s for s in proximities(tree, parent)
             if tree.find_satellite(parent, s) is None
         ]
         if legal_seconds and rng.random() < 0.5:
@@ -47,7 +48,7 @@ def _random_weights_from_excesses(
         if not child_list(tree, p):
             rho = max(1, rho)
         weights[p] += rho
-        for q in tree.proximities(p):
+        for q in proximities(tree, p):
             weights[q] += weights[p]
     return weights
 
@@ -70,7 +71,7 @@ def random_curve(
         weights = _random_weights_from_excesses(rng, tree, max_excess=2)
         if weights[tree.origin] > max_multiplicity:
             continue
-        has_satellite = {p: tree.is_satellite(p) for p in tree.points()}
+        has_satellite = {p: tree.seconds[p] is not None for p in tree.points()}
         for p in sorted(tree.points(), reverse=True):
             parent = tree.parent(p)
             if has_satellite[p] and parent is not None:
@@ -104,7 +105,7 @@ def grow_by_satellite_walks(tree: ArenaTree, rng: random.Random,
     for _ in range(walks if len(tree) > 1 else 0):
         q = rng.randrange(1, len(tree))
         for _ in range(rng.randint(0, max_steps)):
-            if tree.is_satellite(q) and rng.random() < 0.5:
+            if tree.seconds[q] is not None and rng.random() < 0.5:
                 q = second_satellite(tree, q)
             else:
                 q = first_satellite(tree, q)
@@ -149,7 +150,7 @@ def perturb_weights(tree, weights: dict, rng: random.Random,
 
     def rho(p):
         return w[p] - sum(w.get(q, 0) for q in pts
-                          if p in tree.proximities(q))
+                          if p in proximities(tree, q))
 
     for _ in range(tweaks):
         p = rng.choice(pts)
@@ -157,7 +158,7 @@ def perturb_weights(tree, weights: dict, rng: random.Random,
             if w[p] > 1 and rho(p) >= 1:
                 w[p] -= 1
         else:
-            if all(rho(q) >= 1 for q in tree.proximities(p) if q in w):
+            if all(rho(q) >= 1 for q in proximities(tree, p) if q in w):
                 w[p] += 1
     return w
 

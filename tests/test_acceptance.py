@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from enriques import (
+    ArenaTree,
     WeightKind,
     WeightedCluster,
     canonical_form,
@@ -23,15 +24,14 @@ from enriques import (
     recover,
     recover_grouped,
     rupture_points,
-    self_intersection,
     unibranch_chain,
-    values_from_multiplicities,
     multiplicities_from_values,
 )
 from enriques.cli import main as cli_main
 from enriques.errors import EnriquesError
 import fixture_builders as fb
 import randgen
+from arena_reference import proximities, triples
 from chain_reference import (
     PrecComparison,
     branch_clusters,
@@ -42,8 +42,8 @@ from chain_reference import (
     prec_compare_reference,
 )
 from paper_reference import (
-    child_list, first_satellite, jacobian_multiplicity_check,
-    second_satellite)
+    child_list, first_satellite, free_count_first_neighbourhood,
+    jacobian_multiplicity_check, second_satellite, values_from_multiplicities)
 from randgen import random_curve
 
 F = Fraction
@@ -63,7 +63,7 @@ def _report(number: int, name: str):
 
 
 def _labels(tree, points):
-    return {tree.label(p) for p in points}
+    return {tree.labels[p] for p in points}
 
 
 def _run_recover(builder):
@@ -85,7 +85,7 @@ def test_criterion_1_cusp_with_generic_term(fixture_dir):
         assert _labels(tree, result.singular) == \
             {"O", "p1", "p2", "p3", "p4", "p5"}
         assert _labels(tree, result.rupture) == {"p5"}
-        by_label = {tree.label(p): p for p in result.singular}
+        by_label = {tree.labels[p]: p for p in result.singular}
         order = ["O", "p1", "p2", "p3", "p4", "p5"]
         assert [result.values[by_label[l]] for l in order] == \
             [3, 6, 9, 11, 21, 33]
@@ -137,7 +137,7 @@ def test_criterion_4_two_exponent_example():
             F(678, 5)])
         assert _labels(tree, result.rupture) == \
             {"p4", "p5", "p7", "p8", "p13", "p14"}
-        values = {tree.label(p): v for p, v in result.values.weight.items()}
+        values = {tree.labels[p]: v for p, v in result.values.weight.items()}
         assert values == {
             "O": 50, "p1": 100, "p2": 132, "p3": 245, "p4": 387,
             "p5": 528, "p6": 348, "p7": 450, "p8": 799, "p9": 537,
@@ -162,7 +162,7 @@ def test_criterion_5_variant_agreement():
             base_weights = dict(bp0.weight)
             for i in range(count):
                 rng = random.Random(i * 7919 + count)
-                tree = tree0.clone()
+                tree = ArenaTree.from_records(triples(tree0))
                 weights = randgen.perturb_weights(
                     tree, base_weights, rng, tweaks=6)
                 bp = WeightedCluster(tree, WeightKind.VIRTUAL, weights)
@@ -215,7 +215,7 @@ def _suite_pairing_symmetry() -> int:
         b = WeightedCluster(tree, WeightKind.VIRTUAL,
                             {p: rng.randint(1, 9) for p in tree.points()})
         assert noether_pairing(a, b) == noether_pairing(b, a)
-        assert noether_pairing(a, a) == self_intersection(a)
+        assert noether_pairing(a, a) == sum(w * w for w in a.weight.values())
         cases += 1
     return cases
 
@@ -244,7 +244,7 @@ def _suite_height_growth(samples) -> int:
         inv = compute(bp)
         for p in tree.points():
             _, m = inv.extend_to(p)
-            for q in tree.proximities(p):
+            for q in proximities(tree, p):
                 assert m > inv.extend_to(q)[1]
             cases += 1
     return cases
@@ -268,8 +268,6 @@ def _suite_jacobian_check(samples) -> int:
 
 
 def _suite_satellite_ordering_exhaustive() -> int:
-    from enriques import ArenaTree
-
     tree = ArenaTree()
     origin = tree.add_point()
     base = tree.add_point(origin)      # free point whose cone is explored
@@ -289,7 +287,7 @@ def _suite_satellite_ordering_exhaustive() -> int:
     # each satellite sits strictly between its two proximities, and its
     # first/second satellites bracket it the same way
     for q in nodes:
-        a, b = sorted(tree.proximities(q))
+        a, b = sorted(proximities(tree, q))
         lo, hi = ((a, b) if prec_compare_reference(tree, a, b) is less
                   else (b, a))
         assert prec_compare_reference(tree, lo, q) is less
@@ -336,7 +334,6 @@ def _suite_satellite_ordering_exhaustive() -> int:
 
 def _suite_growth_monotonicity() -> int:
     from enriques import excesses
-    from enriques.oracle import free_count_first_neighbourhood
 
     less = PrecComparison.LESS
     cases = 0
@@ -378,12 +375,12 @@ def _suite_growth_monotonicity() -> int:
         rho = excesses(curve)
         ruptures = rupture_points(curve)
         for p in curve.points:
-            if tree.is_satellite(p) or tree.parents[p] is None:
+            if tree.seconds[p] is not None or tree.parents[p] is None:
                 continue
             kids = [c for c in child_list(tree, p) if c in curve]
-            if rho[p] != 1 or any(not tree.is_satellite(c) for c in kids):
+            if rho[p] != 1 or any(tree.seconds[c] is None for c in kids):
                 continue
-            if not any(tree.is_satellite(c) for c in kids):
+            if not any(tree.seconds[c] is not None for c in kids):
                 continue
             cone_ruptures = [
                 q for q in ruptures
@@ -440,7 +437,7 @@ def test_criterion_8_y5x8_regression():
         values = values_from_multiplicities(curve)
         order = ["O", "p1", "p2", "p3", "p4"]
         assert [values[names[l]] for l in order] == [5, 8, 15, 24, 40]
-        assert {tree.label(q) for q in rupture_points(curve)} == {"p4"}
+        assert {tree.labels[q] for q in rupture_points(curve)} == {"p4"}
         assert invariant_quotient(curve, names["p4"]) == 8
         assert invariant_quotient(curve, names["p1"]) == 8
         assert invariant_quotient(curve, names["p3"]) == 8

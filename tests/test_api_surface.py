@@ -1,10 +1,14 @@
 """The package's public names and error classes, pinned so that adding or
-removing one is a deliberate edit of these lists, and the typed errors its
-point-taking functions raise on an argument that names no point."""
+removing one is a deliberate edit of these lists; a guard that every
+public name has a caller outside the tests or is a pinned entry point;
+and the typed errors its point-taking functions raise on an argument that
+names no point."""
 
+import ast
 import copy
 import importlib.util
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +24,6 @@ from enriques import (
     compute,
     dicritical_invariant,
     excess,
-    free_count_first_neighbourhood,
     invariant_quotient,
     recover_values,
     rupture_points,
@@ -47,7 +50,6 @@ PUBLIC_NAMES = [
     "RecoveryResult",
     "WeightKind",
     "WeightedCluster",
-    "are_equisingular",
     "are_similar",
     "arena",
     "base_free_point",
@@ -61,7 +63,6 @@ PUBLIC_NAMES = [
     "errors",
     "excess",
     "excesses",
-    "free_count_first_neighbourhood",
     "invariant_quotient",
     "is_consistent",
     "morphism",
@@ -76,11 +77,9 @@ PUBLIC_NAMES = [
     "rupture_points",
     "rupture_quotients",
     "satellite_walk",
-    "self_intersection",
     "serialize",
     "similarity",
     "unibranch_chain",
-    "values_from_multiplicities",
 ]
 
 
@@ -89,9 +88,65 @@ def test_public_names_are_pinned():
     assert all(hasattr(enriques, name) for name in PUBLIC_NAMES)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Public names that stay public without a caller in another library
+#: module or in the benchmark, each with the reason.
+ENTRY_POINTS = {
+    "parse": "reads a cluster document, where every use starts",
+    "serialize": "writes a cluster document, the inverse of parse",
+    "recover": "the paper's algorithm, the library's main entry point",
+    "PointFacts": "the type of ArenaTree.facts, a point's facts as a view",
+    "are_similar": "similarity of two clusters, which canonical_form decides",
+    "noether_pairing": "the paper's pairing, which invariant_quotient sweeps",
+    "unibranch_chain": "the paper's chain cluster, which invariant_quotient"
+                       " and rupture_quotients sweep without building it",
+}
+
+
+def _references(path: Path) -> set[str]:
+    """The package names a file's code imports, or reads as attributes of
+    a package module it imports; docstrings and comments are no code."""
+    modules = {"enriques", *(name for name in enriques.__all__ if
+                             isinstance(getattr(enriques, name),
+                                        types.ModuleType))}
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "enriques"):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_or_an_entry_point():
+    # the surface cannot grow back: a public name is imported by another
+    # library module or by the benchmark, or it is a pinned entry point
+    package = ROOT / "src" / "enriques"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    home = {alias.name: node.module for node in init.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "__init__":
+            for name in _references(path):
+                used.setdefault(name, set()).add(path.stem)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for name in _references(path):
+            used.setdefault(name, set()).add("perfbench")
+    unused = [name for name in enriques.__all__ if name not in ENTRY_POINTS
+              and not used.get(name, set()) - {home.get(name, name)}]
+    assert unused == []
+    assert set(ENTRY_POINTS) <= set(enriques.__all__)
+
+
 def test_readme_names_only_public_names_and_modules():
     # a retired name must not stay in the documentation
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     text = readme.read_text(encoding="utf-8")
     mentioned = set(re.findall(r"\benriques\.(\w+)", text))
     assert len(mentioned) > 10
@@ -159,13 +214,8 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
     calls = {
         "ArenaTree.parent": lambda x: tree.parent(x),
         "ArenaTree.second_proximity": lambda x: tree.second_proximity(x),
-        "ArenaTree.label": lambda x: tree.label(x),
-        "ArenaTree.is_satellite": lambda x: tree.is_satellite(x),
-        "ArenaTree.proximities": lambda x: tree.proximities(x),
         "ArenaTree.facts": lambda x: tree.facts(x),
         "ArenaTree.ancestors": lambda x: tree.ancestors(x),
-        "ArenaTree.precedes first": lambda x: tree.precedes(x, 0),
-        "ArenaTree.precedes second": lambda x: tree.precedes(0, x),
         "ArenaTree.add_point": lambda x: tree.add_point(x),
         "WeightedCluster": lambda x: WeightedCluster(
             tree, WeightKind.VIRTUAL, {x: 1}),
@@ -181,8 +231,6 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
             tree, inv, x, Fraction(11)),
         "recover_values": lambda x: recover_values(
             bp, inv, frozenset({x}), frozenset({x})),
-        "free_count_first_neighbourhood":
-            lambda x: free_count_first_neighbourhood(curve, x),
         "invariant_quotient": lambda x: invariant_quotient(curve, x),
         "rupture_quotients": lambda x: rupture_quotients(curve, x),
     }
@@ -229,9 +277,7 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
             write()
         assert len(tree) == size and columns == before
     # a base-point cluster is no curve: the oracle refuses it, not answers
-    d = names["p8"]
-    for call in (lambda: rupture_points(bp), lambda: rupture_quotients(bp),
-                 lambda: free_count_first_neighbourhood(bp, d)):
+    for call in (lambda: rupture_points(bp), lambda: rupture_quotients(bp)):
         with pytest.raises(WrongKind, match="got virtual"):
             call()
     assert set(rupture_quotients(curve).values()) == {11}  # a curve passes

@@ -32,7 +32,9 @@ from enriques.errors import (
 
 import fixture_builders as fb
 import randgen
-from arena_reference import reference_facts, triples, validate_reference
+from arena_reference import (
+    proximities, reference_facts, triples, validate_reference)
+from chain_reference import precedes
 from paper_reference import child_list
 
 
@@ -48,8 +50,8 @@ def test_free_child():
     tree = ArenaTree()
     o = tree.add_point()
     p1 = tree.add_point(o, label="p1")
-    assert not tree.is_satellite(p1)
-    assert tree.proximities(p1) == {o}
+    assert tree.seconds[p1] is None
+    assert proximities(tree, p1) == {o}
     assert child_list(tree, o) == [p1]
 
 
@@ -60,8 +62,8 @@ def test_satellite_requires_legal_second_proximity():
     p2 = tree.add_point(p1)
     # p2 is free over p1, so its satellite child must be proximate to p1
     p3 = tree.add_point(p2, p1)
-    assert tree.is_satellite(p3)
-    assert tree.proximities(p3) == {p2, p1}
+    assert tree.seconds[p3] is not None
+    assert proximities(tree, p3) == {p2, p1}
     with pytest.raises(IllegalProximity):
         tree.add_point(p2, o)  # o is not among prox(p2) = {p1}
 
@@ -69,9 +71,9 @@ def test_satellite_requires_legal_second_proximity():
 def test_example_satellite_matches_first_neighbourhood_structure():
     tree, _, names = fb.ex04_bp()
     p4 = names["p4"]
-    assert tree.proximities(p4) == {names["p3"], names["p2"]}
+    assert proximities(tree, p4) == {names["p3"], names["p2"]}
     assert [c for c in child_list(tree, names["p3"])
-            if tree.is_satellite(c)] == [p4]
+            if tree.seconds[c] is not None] == [p4]
 
 
 def test_duplicate_origin_rejected():
@@ -95,10 +97,7 @@ def test_unknown_references_rejected():
     tree, bp, names = fb.ex04_bp()
     inv = compute(bp)
     queries = [
-        tree.facts, tree.parent, tree.second_proximity,
-        tree.label, tree.ancestors,
-        lambda p: tree.precedes(p, names["p3"]),
-        lambda p: tree.precedes(names["O"], p),
+        tree.facts, tree.parent, tree.second_proximity, tree.ancestors,
         inv.extend_to,
         lambda p: base_free_point(bp, inv, p, Fraction(11)),
         lambda p: dicritical_invariant(bp, inv, p),
@@ -221,26 +220,27 @@ def test_add_point_and_from_records_refuse_bool_ids():
 def test_ancestors_follow_parent_chain():
     tree, _, names = fb.ex04_bp()
     chain = tree.ancestors(names["p4"])
-    assert [tree.label(p) for p in chain] == ["O", "p1", "p2", "p3", "p4"]
+    assert [tree.labels[p] for p in chain] == ["O", "p1", "p2", "p3", "p4"]
     chain = tree.ancestors(names["p8"])
-    assert [tree.label(p) for p in chain] == ["O", "p1", "p2", "p3", "p6", "p8"]
+    assert [tree.labels[p] for p in chain] == [
+        "O", "p1", "p2", "p3", "p6", "p8"]
     assert list(chain) == sorted(chain)  # ids increase along the chain
 
 
 def test_proximity_queries():
     tree, _, names = fb.ex04_bp()
-    assert names["p2"] not in tree.proximities(names["p5"])
-    assert names["p4"] in tree.proximities(names["p5"])
-    assert names["p3"] in tree.proximities(names["p5"])
+    assert names["p2"] not in proximities(tree, names["p5"])
+    assert names["p4"] in proximities(tree, names["p5"])
+    assert names["p3"] in proximities(tree, names["p5"])
     assert child_list(tree, names["O"]) == [names["p1"]]
 
 
 def test_precedes():
     tree, _, names = fb.ex04_bp()
-    assert tree.precedes(names["O"], names["p9"])
-    assert tree.precedes(names["p3"], names["p5"])
-    assert not tree.precedes(names["p6"], names["p9"])
-    assert tree.precedes(names["p4"], names["p4"])
+    assert precedes(tree, names["O"], names["p9"])
+    assert precedes(tree, names["p3"], names["p5"])
+    assert not precedes(tree, names["p6"], names["p9"])
+    assert precedes(tree, names["p4"], names["p4"])
 
 
 def test_queries_do_not_mutate():
@@ -264,9 +264,9 @@ def test_ancestor_queries_leave_no_state():
     assert vars(tree) == before
 
 
-def test_clone_is_independent():
+def test_from_records_copy_is_independent():
     tree, _, _ = fb.ex05_bp()
-    copy = tree.clone()
+    copy = ArenaTree.from_records(triples(tree))
     copy.add_point(copy.origin)
     assert len(copy) == len(tree) + 1
 
@@ -363,10 +363,11 @@ def test_append_run_matches_repeated_add_point(t):
         tree = randgen.random_proximity_tree(rng, 10)
         randgen.grow_by_satellite_walks(tree, rng, walks=4, max_steps=8)
         for a in tree.points():
-            for s in sorted(tree.proximities(a)):
+            for s in sorted(proximities(tree, a)):
                 if tree.find_satellite(a, s) is not None:
                     continue
-                chain, steps = tree.clone(), tree.clone()
+                chain = ArenaTree.from_records(triples(tree))
+                steps = ArenaTree.from_records(triples(tree))
                 last = chain._append_run(a, s, t)
                 q = steps.add_point(a, s)
                 for _ in range(t - 1):
@@ -445,7 +446,7 @@ def test_recorded_rules_match_validate_reference():
         tree = ArenaTree.from_records(records)
         assert [tree.facts(p) for p in tree.points()] == (
             reference_facts(records)), seed
-        copy = tree.clone()
+        copy = ArenaTree.from_records(triples(tree))
         with pytest.raises(SelfReference, match="point references itself"):
             copy.add_point(len(copy), None, None)
         assert _columns(copy) == _columns(tree)
@@ -525,7 +526,6 @@ def test_add_point_and_from_records_agree():
                 break
         else:
             assert _state(ArenaTree.from_records(records)) == _state(tree)
-            assert _state(tree.clone()) == _state(tree)
             accepted += 1
     assert accepted > 5000 and refused > 5000
 

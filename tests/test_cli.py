@@ -6,12 +6,15 @@ import sys
 from pathlib import Path
 
 import enriques
+from enriques import ArenaTree, serialize
 from enriques.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
+import randgen  # noqa: E402
+from test_documents import _mutate, _random_document  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -446,3 +449,102 @@ def test_recover_refuses_a_walk_run_longer_than_a_list_holds(
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("WalkDiverged: the run below point 2 would take")
+
+
+def _fuzz_documents(rng, count):
+    """JSON texts: random documents, consistent base points and curves,
+    some mutated, and some with one extreme value: an integer literal at
+    or past the digit limit, ``NaN`` or ``Infinity`` in a numeric field,
+    deep nesting, a huge label, or labels that collide with the ``q#N``
+    names of created points.
+
+    A document holds at most one extreme number and its other weights are
+    small, so no walk run it starts is long: a run that would outgrow a
+    list is refused before it is written."""
+    limit = sys.get_int_max_str_digits()
+    numbers = ["9" * limit, "-" + "9" * limit, "1" + "0" * limit,
+               "NaN", "Infinity", "-Infinity"]
+    for i in range(count):
+        source = rng.randrange(4)
+        if source == 0:
+            cluster = randgen.random_consistent_bp(i)
+        elif source == 1:
+            cluster = randgen.random_curve(i)
+        else:
+            cluster = _random_document(rng)[1]
+        doc = json.loads(serialize(cluster.tree, cluster))
+        if rng.random() < 0.3:
+            _mutate(doc, rng)
+        points = doc.get("points")
+        entries = ([e for e in points if isinstance(e, dict)]
+                   if isinstance(points, list) else [])
+        extreme = rng.randrange(8)
+        if extreme == 0 and entries:  # one field of one entry
+            rng.choice(entries)[rng.choice(
+                ("weight", "parent", "second_proximity", "id",
+                 "label"))] = "@"
+        elif extreme == 1:
+            doc["format_version"] = "@"
+        elif extreme == 2 and entries:
+            rng.choice(entries)["weight"] = [[]]
+        elif extreme == 3 and entries:
+            _rename(entries, {rng.choice(entries).get("id"): "p" * 100_000})
+        elif extreme == 4:
+            names = [f"q#{k}" for k in range(1, len(entries) + 1)]
+            rng.shuffle(names)
+            _rename(entries, dict(zip([e.get("id") for e in entries], names)))
+        text = json.dumps(doc)
+        yield (text.replace('"@"', rng.choice(numbers))
+               .replace("[[]]", "[" * 100_000 + "]" * 100_000))
+
+
+def _rename(entries, names):
+    """Give the entries new ids, and their references the same names."""
+    for entry in entries:
+        for field in ("id", "parent", "second_proximity"):
+            value = entry.get(field)
+            if isinstance(value, str) and value in names:
+                entry[field] = names[value]
+
+
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(
+        tmp_path, capsys, monkeypatch):
+    # every command over random, mutated and extreme documents: main
+    # returns an exit code and lets only argparse's SystemExit through
+    append_run = ArenaTree._append_run
+
+    def short_run(tree, a, s, t):
+        assert t <= 10_000, f"the input starts a walk run of {t} points"
+        return append_run(tree, a, s, t)
+
+    monkeypatch.setattr(ArenaTree, "_append_run", short_run)
+    rng = random.Random(20261019)
+    previous = tmp_path / "previous.json"
+    previous.write_text("{}")
+    out = tmp_path / "out.json"
+    codes = set()
+    for i, text in enumerate(_fuzz_documents(rng, 300)):
+        document = tmp_path / f"doc{i}.json"
+        document.write_text(text, encoding="utf-8")
+        name = str(document)
+        for argv in (
+                ["validate", name],
+                ["recover", name, *rng.choice(
+                    ([], ["--trace"],
+                     ["--out", str(out), "--emit", "both"]))],
+                ["render", name, "--annotate",
+                 rng.choice(("mn", "weights", "none"))],
+                ["invariants", name, *rng.choice(
+                    ([], ["--local", rng.choice(("O", "p1", "q#1"))]))],
+                ["compare", name, str(previous), "--mode",
+                 rng.choice(("equal", "similar"))]):
+            try:
+                code = main(argv)
+            except SystemExit as exit:  # argparse refused the arguments
+                code = exit.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            codes.add(code)
+        previous = document
+    assert codes == {0, 1, 2}

@@ -49,7 +49,7 @@ def test_parse_ex04(fixture_dir):
     assert len(tree) == 10
     assert len(bp) == 8
     assert bp.kind is WeightKind.VIRTUAL
-    labels = {tree.label(p) for p in tree.points()}
+    labels = {tree.labels[p] for p in tree.points()}
     assert {"p4", "p5"} <= labels  # arena-only points survive with weight 0
 
 
@@ -254,7 +254,7 @@ def _document_ids_reference(tree):
     out = {}
     counter = 0
     for p in tree.points():
-        label = tree.label(p)
+        label = tree.labels[p]
         if label is None or label in taken:
             counter += 1
             label = f"q#{counter}"
@@ -448,7 +448,7 @@ def test_serialize_matches_json_dumps_reference():
     created = 0
     for _ in range(1000):
         tree, cluster = _random_document(rng)
-        created += sum(tree.label(p) is None for p in tree.points())
+        created += sum(tree.labels[p] is None for p in tree.points())
         text = serialize(tree, cluster)
         assert text == _serialize_reference(tree, cluster)
         tree2, cluster2 = parse(text)

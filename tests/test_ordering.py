@@ -19,6 +19,7 @@ from enriques.errors import (
 )
 
 import fixture_builders as fb
+from arena_reference import proximities
 from chain_reference import (
     NotAChain,
     PrecComparison,
@@ -26,6 +27,7 @@ from chain_reference import (
     fraction_at,
     max_by_fraction,
     prec_compare_reference,
+    precedes,
 )
 from paper_reference import first_satellite, second_satellite
 from randgen import grow_past_cones, random_proximity_tree
@@ -82,7 +84,7 @@ def test_first_satellite_finds_existing():
     size = len(tree)
     assert first_satellite(tree, names["p3"]) == names["p4"]
     assert second_satellite(tree, names["p4"]) == names["p5"]
-    assert tree.proximities(names["p5"]) == {names["p4"], names["p3"]}
+    assert proximities(tree, names["p5"]) == {names["p4"], names["p3"]}
     assert len(tree) == size
 
 
@@ -91,9 +93,9 @@ def test_satellite_navigation_creates_when_missing():
     size = len(tree)
     q1 = first_satellite(tree, names["p3"])
     assert q1 == size  # appended
-    assert tree.proximities(q1) == {names["p3"], names["p2"]}
+    assert proximities(tree, q1) == {names["p3"], names["p2"]}
     q2 = second_satellite(tree, q1)
-    assert tree.proximities(q2) == {q1, names["p3"]}
+    assert proximities(tree, q2) == {q1, names["p3"]}
     # idempotent: a second call finds the same points
     assert first_satellite(tree, names["p3"]) == q1
     assert second_satellite(tree, q1) == q2
@@ -102,7 +104,7 @@ def test_satellite_navigation_creates_when_missing():
 def test_second_satellite_in_two_exponent_example():
     tree, _, names = fb.ex07_bp()
     assert second_satellite(tree, names["p12"]) == names["p13"]
-    assert tree.proximities(names["p13"]) == {names["p12"], names["p10"]}
+    assert proximities(tree, names["p13"]) == {names["p12"], names["p10"]}
     assert first_satellite(tree, names["p12"]) == names["p14"]
 
 
@@ -161,7 +163,7 @@ def test_satellite_sandwich_of_proximities():
     for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
         tree, _, _ = builder()
         for p in tree.points():
-            if not tree.is_satellite(p):
+            if tree.seconds[p] is None:
                 continue
             a, b = tree.parent(p), tree.second_proximity(p)
             lo, hi = ((a, b) if prec_compare_reference(tree, a, b) is L
@@ -171,7 +173,7 @@ def test_satellite_sandwich_of_proximities():
 
 
 def _chain_defining_free_point(tree, q):
-    while tree.is_satellite(q):
+    while tree.seconds[q] is not None:
         q = tree.parent(q)
     return q
 
@@ -180,7 +182,7 @@ def _chain_less(tree, q1, q2):
     """q1 < q2 by the definition, with fractions rebuilt from chains."""
     p1 = _chain_defining_free_point(tree, q1)
     p2 = _chain_defining_free_point(tree, q2)
-    return tree.precedes(p1, p2) and (
+    return precedes(tree, p1, p2) and (
         fraction_at(tree, p1, q1) <= fraction_at(tree, p1, q2))
 
 
@@ -192,7 +194,7 @@ def test_cached_facts_match_chain_reference():
         for _ in range(4):
             q = rng.randrange(1, len(tree)) if len(tree) > 1 else None
             for _ in range(rng.randint(0, 8) if q is not None else 0):
-                if tree.is_satellite(q) and rng.random() < 0.5:
+                if tree.seconds[q] is not None and rng.random() < 0.5:
                     q = second_satellite(tree, q)
                 else:
                     q = first_satellite(tree, q)
@@ -206,7 +208,7 @@ def test_cached_facts_match_chain_reference():
             assert facts.n == unibranch_chain(tree, q)[tree.origin]
             assert facts.m0 == zero_weight.extend_to(q)[1]
             assert Fraction(facts.k, facts.n) == fraction_at(tree, p, q)
-            if tree.is_satellite(q):
+            if tree.seconds[q] is not None:
                 a, b = tree.parent(q), tree.second_proximity(q)
                 assert facts.ordered_proximities == (
                     (a, b) if _chain_less(tree, a, b) else (b, a))
@@ -232,7 +234,7 @@ def test_fraction_at_a_free_point_is_the_cone_exit_fact():
         for q in tree.points():
             chain = tree.ancestors(q)
             for p in chain:
-                if tree.is_satellite(p):
+                if tree.seconds[p] is not None:
                     continue
                 r = [c for c in chain if tree.free_points[c] == p][-1]
                 assert fraction_at(tree, p, q) == \

@@ -33,7 +33,6 @@ from enriques import (
     satellite_walk,
     serialize,
     unibranch_chain,
-    values_from_multiplicities,
 )
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.recovery import (
@@ -59,10 +58,12 @@ from enriques.errors import (
 
 import fixture_builders as fb
 import randgen
+from arena_reference import proximities, triples
 from chain_reference import (
     PrecComparison, max_by_fraction, prec_compare_reference)
 from paper_reference import (
-    classify_free_points, first_satellite, second_satellite)
+    classify_free_points, first_satellite, second_satellite,
+    values_from_multiplicities)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -295,7 +296,7 @@ def test_recover_topology_creates_points_when_needed():
     assert result.created == {size, size + 1}
     assert rupture <= singular
     (q,) = rupture
-    assert tree.proximities(q) == {size, names["p3"]}
+    assert proximities(tree, q) == {size, names["p3"]}
     assert association[names["p4"]].invariant == 11
     assert association[names["p4"]].base_free_point == names["p3"]
 
@@ -421,7 +422,7 @@ def test_steps_refuse_a_table_built_for_another_cluster():
     # and for other weights on the same arena, and neither arena nor
     # table changes; an equal cluster's table is its own
     tree, bp, names = fb.ex05_bp()
-    clone = tree.clone()
+    clone = ArenaTree.from_records(triples(tree))
     on_clone = MorphismInvariants(WeightedCluster(clone, bp.kind, bp.weight))
     state = _state(tree, clone, on_clone)
     with pytest.raises(ArenaMismatch):
@@ -625,7 +626,7 @@ def _forward_base_free_point(bp, inv, d, invariant):
     chain = tree.ancestors(d)
     found = None
     for p_prev, p in zip(chain, chain[1:]):
-        if tree.is_satellite(p):
+        if tree.seconds[p] is not None:
             continue
         if inv.height_quotient(p_prev) < invariant:
             found = (p_prev, p)
@@ -687,7 +688,7 @@ def test_base_free_point_matches_forward_scan_reference():
             # the height quotient at each free link's lower end, and just
             # above it, hits the strict comparison at each link
             quotients = {inv.height_quotient(tree.parent(p))
-                         for p in tree.ancestors(d)[1:] if not tree.is_satellite(p)}
+                         for p in tree.ancestors(d)[1:] if tree.seconds[p] is None}
             candidates = {Fraction(1, 2)} | {
                 x + delta for x in quotients
                 for delta in (0, Fraction(1, 7))}
@@ -752,7 +753,7 @@ def _walk_on_copy(walk, bp, p, invariant):
     A free point appended after the m table was built leaves the table one
     point behind the arena, as any growth outside the walk does.
     """
-    tree = bp.tree.clone()
+    tree = ArenaTree.from_records(triples(bp.tree))
     inv = MorphismInvariants(WeightedCluster(tree, bp.kind, bp.weight))
     tree.add_point(tree.origin)
     steps = []
@@ -793,7 +794,7 @@ def _walk_cases(bp, rng):
             pass
 
     def near_a_proximity(p, closeness):
-        s = rng.choice(sorted(tree.proximities(p)))
+        s = rng.choice(sorted(proximities(tree, p)))
         offset = Fraction(rng.choice((-1, 1)), rng.randint(*closeness))
         return p, max(Fraction(1, 2), inv.height_quotient(s) + offset)
 
@@ -998,7 +999,8 @@ def _sweep_inputs():
             weights = randgen.perturb_weights(
                 tree0, dict(bp0.weight), random.Random(i * 7919 + count))
             yield lambda tree0=tree0, weights=weights: WeightedCluster(
-                tree0.clone(), WeightKind.VIRTUAL, weights)
+                ArenaTree.from_records(triples(tree0)), WeightKind.VIRTUAL,
+                weights)
 
 
 def test_one_sweep_second_half_matches_pass_reference():

@@ -1,19 +1,22 @@
+import json
 import random
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from enriques import (
     ArenaTree,
     WeightKind,
     WeightedCluster,
-    are_equisingular,
     are_similar,
     canonical_digest,
     canonical_form,
     parse,
     recover,
 )
+from enriques.errors import NumberTooLong
 
 import fixture_builders as fb
 import randgen
@@ -84,7 +87,9 @@ def test_equisingular_pair_with_dissimilar_base_points():
     _, bp4, _ = fb.ex04_bp()
     _, bp5, _ = fb.ex05_bp()
     r4, r5 = recover(bp4), recover(bp5)
-    assert are_equisingular(r4.multiplicities, r5.multiplicities)
+    assert r4.multiplicities.kind is r5.multiplicities.kind is (
+        WeightKind.MULTIPLICITY)
+    assert are_similar(r4.multiplicities, r5.multiplicities)
     assert are_similar(r4.values, r5.values)
     assert not are_similar(bp4, bp5)
 
@@ -259,3 +264,22 @@ def test_clusters_without_the_origin_have_the_empty_form():
     assert canonical_form(empty) == canonical_form(bare) == b""
     assert are_similar(empty, bare)
     assert not are_similar(empty, fb.ex04_bp()[1])
+
+
+def test_weights_past_the_digit_limit_raise_number_too_long():
+    # the document parses, but its recovered values and multiplicities
+    # hold a weight of more digits than Python writes as text
+    limit = sys.get_int_max_str_digits()
+    _, bp = parse(json.dumps({
+        "format_version": 1, "weight_kind": "virtual",
+        "points": [{"id": "O", "weight": int("9" * limit)},
+                   {"id": "p", "parent": "O", "weight": 1}]}))
+    result = recover(bp)
+    message = (f"cannot write <{limit + 1} digits>: Python writes no integer"
+               f" of more than {limit} digits")
+    for cluster in (result.multiplicities, result.values):
+        for call in (canonical_form, canonical_digest,
+                     lambda c: are_similar(c, c)):
+            with pytest.raises(NumberTooLong) as info:
+                call(cluster)
+            assert str(info.value) == message
