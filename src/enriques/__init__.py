@@ -11,7 +11,6 @@ from .cluster import (
     WeightKind,
     WeightedCluster,
     dicritical_points,
-    excess,
     excesses,
     is_consistent,
     multiplicities_from_values,
@@ -19,7 +18,6 @@ from .cluster import (
     unibranch_chain,
 )
 from .documents import parse, serialize
-from .morphism import MorphismInvariants, compute
 from .oracle import (
     invariant_quotient,
     rupture_points,
@@ -27,8 +25,10 @@ from .oracle import (
 )
 from .recovery import (
     DicriticalAssociation,
+    MorphismInvariants,
     RecoveryResult,
     base_free_point,
+    compute,
     dicritical_invariant,
     recover,
     recover_grouped,

@@ -23,7 +23,8 @@ as one view, and ``perfbench/pipeline.py`` reads an arena through
 ``points``, ``origin``, ``parent``, ``second_proximity`` and
 ``ancestors`` alone.  Each reader that takes a point id raises
 :class:`~enriques.errors.UnknownPoint` on anything that is not an arena
-index (a list would silently accept ``-1``, and ``True`` as ``1``).
+index (a list would silently accept ``-1``, and ``True`` as ``1``), except
+:meth:`ArenaTree.find_satellite`, which answers None instead.
 
 Every point an arena holds keeps the arena rules, so every point has
 facts.  The rules are stated once, in :meth:`ArenaTree._violations`.
@@ -109,7 +110,7 @@ class PointFacts(NamedTuple):
     ``n`` and ``k`` are the weights at the origin and at the defining free
     point of the unibranch chain ending at the point, so ``k/n`` is the
     point's position in the satellite cone of its defining free point.
-    ``m0`` is the height m of :mod:`~enriques.morphism` over the empty
+    ``m0`` is the height m of :mod:`~enriques.recovery` over the empty
     cluster: 1 at the origin, the parent's m0 + 1 at a free point and the
     sum of both proximities' m0 at a satellite.  The m recursion is linear
     in the cluster weights, so m - m0 at a point is what the weights add.
@@ -299,7 +300,7 @@ class ArenaTree:
         after :meth:`_violations` found no rule it breaks.
         ``recovery._satellite_walk`` appends the walk's runs: t >= 1
         follows from its division, because it has checked gap * delta < 0;
-        (a, s) is not held, because ``find_satellite(a, s)`` returned None;
+        (a, s) is not held, because its ``_satellite_index`` lookup missed;
         and s is a proximity of a, because ``_satellite_proximity`` returns
         one.  So every point of the run keeps the arena rules, and the
         result equals t calls of :meth:`add_point`.
@@ -390,7 +391,10 @@ class ArenaTree:
     def find_satellite(
         self, parent: PointId, second_proximity: PointId
     ) -> Optional[PointId]:
-        """The point with exactly this proximity pair, if it exists."""
+        """The point with exactly this proximity pair, if it exists; None
+        for anything that is not an ``int`` id."""
+        if type(parent) is not int or type(second_proximity) is not int:
+            return None
         return self._satellite_index.get((parent, second_proximity))
 
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:

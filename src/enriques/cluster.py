@@ -152,10 +152,6 @@ class WeightedCluster:
     def get(self, p: PointId, default: int = 0) -> int:
         return self.weight[p] if p in self else default
 
-    def ordered_points(self) -> list[PointId]:
-        """Cluster points in arena (topological) order."""
-        return sorted(self.weight)
-
     def require_kind(self, kind: WeightKind) -> None:
         if self.kind is not kind:
             raise WrongKind(
@@ -189,7 +185,7 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
     tree = cluster.tree
     parents, seconds, weight = tree.parents, tree.seconds, cluster.weight
     mults: dict[PointId, int] = {}
-    for p in cluster.ordered_points():
+    for p in sorted(weight):
         a, s = parents[p], seconds[p]
         e = weight[p]
         if a is not None:
@@ -218,17 +214,6 @@ def excesses(cluster: WeightedCluster) -> dict[PointId, int]:
         if s in rho:
             rho[s] -= w
     return rho
-
-
-def excess(cluster: WeightedCluster, p: PointId) -> int:
-    """Excess at one point: :func:`excesses` at ``p``, one pass over the
-    cluster.
-
-    Raises :class:`PointNotInCluster` when p is not a point of the cluster.
-    """
-    if p not in cluster:
-        raise PointNotInCluster(f"point {p} is not in the cluster")
-    return excesses(cluster)[p]
 
 
 def dicritical_points(cluster: WeightedCluster) -> set[PointId]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .cluster import WeightedCluster, WeightKind
 from .documents import document_ids
 from .errors import WrongKind, write_number
-from .morphism import compute
+from .recovery import compute
 
 
 def _quote(*lines: str) -> str:

@@ -121,13 +121,9 @@ class SecondSatelliteOfFreePoint(OrderingError):
     """
 
 
-# --- morphism invariants ---------------------------------------------------
+# --- base points -----------------------------------------------------------
 
-class MorphismError(EnriquesError):
-    pass
-
-
-class InconsistentCluster(MorphismError):
+class InconsistentCluster(EnriquesError):
     pass
 
 
@@ -162,11 +158,7 @@ class EmptyRuptureSet(RecoveryError):
 
 # --- oracle ----------------------------------------------------------------
 
-class OracleError(EnriquesError):
-    pass
-
-
-class NegativeResidual(OracleError):
+class NegativeResidual(EnriquesError):
     """Multiplicity bookkeeping of a curve cluster went negative."""
 
 

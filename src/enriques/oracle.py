@@ -115,11 +115,10 @@ def rupture_quotients(
     and the chain's origin weight is n_p.  A curve is ancestor-closed, so
     both links of a curve point lie in the curve and come earlier in the
     sweep.  The sweep reads only the arena columns and the curve weights,
-    sharing no code with the conversions of :mod:`~enriques.cluster`, with
-    :mod:`~enriques.morphism` or with :mod:`~enriques.recovery`, so that
-    the oracle stays an independent check on them.  A ``base`` that is no
-    arena point raises :class:`UnknownPoint`, as in
-    :func:`invariant_quotient`.
+    sharing no code with the conversions of :mod:`~enriques.cluster` or
+    with :mod:`~enriques.recovery`, so that the oracle stays an
+    independent check on them.  A ``base`` that is no arena point raises
+    :class:`UnknownPoint`, as in :func:`invariant_quotient`.
     """
     curve.require_kind(WeightKind.MULTIPLICITY)
     tree, weight = curve.tree, curve.weight

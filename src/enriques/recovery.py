@@ -6,6 +6,45 @@ curve.  Output: the curve's rupture points, its full weighted cluster of
 singular points (values and multiplicities), and, per dicritical point of
 ``bp``, the exact invariant that identified the associated rupture point.
 
+Heights.  Fix a consistent virtual cluster ``bp`` (the shared points of
+the polar curves of some singular curve, weighted with their virtual
+multiplicities).  Pairing the curve's equation with a generic transversal
+coordinate gives, at every point p of the cluster and at every satellite
+above it, a pair of positive integers:
+
+* ``n_p`` -- the multiplicity of the composite map at p, and
+* ``m_p`` -- the height at which the images of generic arcs through p split.
+
+Only the recursion producing them survives into this artifact:
+
+    n at the origin is 1,   m at the origin is (origin weight of bp) + 1,
+    for p free proximate to p':      n_p = n_p',
+                                     m_p = m_p' + w_p + 1,
+    for p satellite proximate to p', p'':
+                                     n_p = n_p' + n_p'',
+                                     m_p = m_p' + m_p'' + w_p,
+
+where w_p is the bp-weight of p, taken as 0 for points outside the cluster
+(a generic polar is non-singular away from its base points, which is also
+why created satellites never carry weight).  The n recursion depends on
+the arena alone, so n is read from the arena's ``ns`` column; m is
+tabulated here as a list indexed by point id, like the arena's columns.
+:func:`compute` fills it over the whole arena in id order, which is
+topological, and it grows over the points appended later (the satellites
+the recovery walk creates), so a lookup is a bounds check and two list
+reads.
+
+The m recursion is linear in the weights.  With all weights 0 it gives
+``m0``, which the arena caches next to n; the weights add to it, at p,
+their pairing with the unibranch chain cluster of p (the value of bp along
+that chain, by Noether's formula), so
+
+    m_p = m0_p + pairing(bp, chain cluster of p).
+
+``m_p/n_p`` is the *height quotient*; its comparisons against dicritical
+invariants, made by integer cross-multiplication, drive the satellite walk
+of the recovery algorithm.
+
 The run proceeds in two parts.
 
 Part one, topology.  Every dicritical point d of ``bp`` (positive excess)
@@ -14,7 +53,7 @@ contributes one rupture point:
 1. its *dicritical invariant* is I_d = pairing(bp, chain cluster of d) / n_d
    + 1, an exact rational.  The pairing is the part of m_d that the bp
    weights add to m0_d, the height over the empty cluster that the arena
-   caches (see :mod:`~enriques.morphism`), so I_d = (m_d - m0_d + n_d) / n_d
+   caches (see Heights, above), so I_d = (m_d - m0_d + n_d) / n_d
    costs O(1) and builds no chain cluster;
 2. the last link (p', p) of d's chain with p free and m_{p'}/n_{p'} < I_d
    names the free point p below the rupture point.  The scan runs from d
@@ -74,7 +113,7 @@ carries no mathematics; :func:`recover_grouped` is another name for the
 same run and returns exactly the result of :func:`recover`.
 
 The invariant, the walk and the sweep read each point's facts from the
-arena's columns and m from the list table of :mod:`~enriques.morphism`,
+arena's columns and m from the list table of :class:`MorphismInvariants`,
 so none of them rebuilds a unibranch chain or builds a per-point object.
 The walk appends each run it creates through the arena's private
 ``ArenaTree._append_run``, whose precondition it has proved, and extends
@@ -90,13 +129,12 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .arena import ArenaTree, PointId
-from .cluster import WeightedCluster, WeightKind, excess, excesses
+from .cluster import WeightedCluster, WeightKind, excesses
 from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
     NotDownwardClosed, RecoveryError, OriginHasNoSatellite,
     SecondSatelliteOfFreePoint, WalkDiverged, describe_number)
-from .morphism import MorphismInvariants, require_base_points
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -134,6 +172,80 @@ class RecoveryResult:
         )
 
 
+# -- heights -----------------------------------------------------------------
+
+
+class MorphismInvariants:
+    """Table of m_p over an arena, a list indexed by point id.
+
+    n_p comes from the arena's ``ns`` column.  The table covers every
+    arena point when it is built, and :meth:`extend_to` tabulates the
+    points appended since; the recovery walk extends ``m`` itself over
+    each run it appends, so its table never falls behind.  Extension
+    follows the exclusive-writer contract of the arena.  ``bp`` must be a
+    virtual cluster, as in :func:`compute`, which also requires it to be
+    consistent.
+    """
+
+    def __init__(self, bp: WeightedCluster):
+        bp.require_kind(WeightKind.VIRTUAL)
+        self.bp = bp
+        self.m: list[int] = []
+        self._grow()
+
+    def _grow(self) -> None:
+        """Tabulate m on the points appended since the last call."""
+        tree, weight, m = self.bp.tree, self.bp.weight, self.m
+        parents, seconds = tree.parents, tree.seconds
+        for p in range(len(m), len(parents)):
+            a, s = parents[p], seconds[p]
+            if a is None:
+                m.append(weight.get(p, 0) + 1)
+            elif s is None:
+                m.append(m[a] + weight.get(p, 0) + 1)
+            else:
+                m.append(m[a] + m[s] + weight.get(p, 0))
+
+    def extend_to(self, p: PointId) -> tuple[int, int]:
+        """Ensure m is defined at ``p``; return its (n, m)."""
+        m = self.m
+        if not (type(p) is int and 0 <= p < len(m)):
+            self.bp.tree._check(p)
+            self._grow()
+        return self.bp.tree.ns[p], m[p]
+
+    def height_quotient(self, p: PointId) -> Fraction:
+        n, m = self.extend_to(p)
+        return Fraction(m, n)
+
+
+def require_base_points(bp: WeightedCluster, excess: dict[PointId, int]) -> None:
+    """Reject a cluster that cannot be the base points of polars.
+
+    ``excess`` is :func:`~enriques.cluster.excesses` of ``bp``, passed in
+    so that a caller which needs the excesses anyway counts them once.
+    """
+    bp.require_kind(WeightKind.VIRTUAL)
+    origin = bp.tree.origin
+    if origin is None or bp.get(origin, 0) < 1:
+        raise InconsistentCluster(
+            "base-point cluster must weight the origin with at least 1")
+    if min(excess.values(), default=0) < 0:
+        raise InconsistentCluster(
+            "base-point cluster has a point of negative excess")
+
+
+def compute(bp: WeightedCluster) -> MorphismInvariants:
+    """Build the (n, m) table on every point of a base-point cluster's arena.
+
+    The cluster must be virtual, consistent, and give the origin weight at
+    least 1 (the polar of a singular curve is itself a curve through the
+    origin).
+    """
+    require_base_points(bp, excesses(bp))
+    return MorphismInvariants(bp)
+
+
 # -- part one: topology ------------------------------------------------------
 
 
@@ -150,14 +262,14 @@ def dicritical_invariant(
 ) -> Fraction:
     """Exact invariant pairing(bp, chain of d) / n_d + 1.
 
-    The pairing equals m_d - m0_d (see :mod:`~enriques.morphism`), so the
+    The pairing equals m_d - m0_d (see :mod:`~enriques.recovery`), so the
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
     and the arena's columns.  The check that d is dicritical reads
-    :func:`~enriques.cluster.excess`, one pass over bp.
+    :func:`~enriques.cluster.excesses`, one pass over bp.
     """
     _require_table(bp, inv)
     bp.tree._check(d)
-    if d not in bp or excess(bp, d) <= 0:
+    if d not in bp or excesses(bp)[d] <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
     n_d, m_d = inv.extend_to(d)
     return Fraction(m_d - bp.tree.m0s[d] + n_d, n_d)
@@ -231,7 +343,7 @@ def satellite_walk(
     anything.  ``trace`` still sees one entry per visited point.  A table
     built over another arena raises :class:`~enriques.errors.ArenaMismatch`.
     """
-    if inv.tree is not tree:
+    if inv.bp.tree is not tree:
         raise ArenaMismatch("the m table was built over another arena")
     inv._grow()  # the walk reads m at any point of the arena it finds
     inv.extend_to(p)  # checks p
@@ -247,7 +359,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     checks before the call establish, and the next line extends the table
     over the run: m grows by m_s from point to point, starting from the
     run parent's m, since the new points lie outside the cluster."""
-    find, ns, parents = tree.find_satellite, tree.ns, tree.parents
+    index, ns, parents = tree._satellite_index, tree.ns, tree.parents
     n, m = ns[p], table[p]
     cap = num + den
     q, moves = p, 0
@@ -262,7 +374,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
         if trace:
             trace((q, m, n, word))
         s = _satellite_proximity(tree, q, second)
-        found = find(q, s)
+        found = index.get((q, s))
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
             if moves > cap:

@@ -29,7 +29,7 @@ children plus the excess at p (:func:`free_count_first_neighbourhood`);
 ``enriques.rupture_points`` is where it reaches 2 for free p and 1 for
 satellite p.
 
-Heights.  The m and n recursions of :mod:`enriques.morphism` can be
+Heights.  The m and n recursions of :mod:`enriques.recovery` can be
 solved for the base-point weight at a point from m and n alone
 (:func:`jacobian_multiplicity_check`).
 """
@@ -111,7 +111,7 @@ def values_from_multiplicities(cluster):
     cluster.require_kind(WeightKind.MULTIPLICITY)
     tree = cluster.tree
     values = {}
-    for p in cluster.ordered_points():
+    for p in sorted(cluster.weight):
         a, s = tree.parents[p], tree.seconds[p]
         values[p] = (cluster.weight[p] + (0 if a is None else values[a])
                      + (0 if s is None else values[s]))
@@ -169,7 +169,7 @@ def jacobian_multiplicity_check(inv, p):
     cluster).
     """
     n, m = inv.extend_to(p)
-    tree = inv.tree
+    tree = inv.bp.tree
     parent = tree.parent(p)
     if parent is None:
         return m + n - 2

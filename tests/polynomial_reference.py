@@ -8,7 +8,7 @@ library relates: the base points of the polars, weighted by the
 multiplicity e of a generic polar (virtual multiplicities), and the
 curve's cluster of singular points, weighted by the curve's own
 multiplicities.  It imports only the arena and the cluster type of the
-library, and no code of ``recovery``, ``morphism`` or ``oracle``, so a
+library, and no code of ``recovery`` or ``oracle``, so a
 recovery that matches it is checked against the equation itself
 (Casas-Alvero, *Singularities of Plane Curves*, LMS LN 276: blowing-ups,
 proximity, polars and the base points of linear systems).

@@ -23,7 +23,6 @@ from enriques import (
     base_free_point,
     compute,
     dicritical_invariant,
-    excess,
     invariant_quotient,
     recover_values,
     rupture_points,
@@ -61,11 +60,9 @@ PUBLIC_NAMES = [
     "dicritical_points",
     "documents",
     "errors",
-    "excess",
     "excesses",
     "invariant_quotient",
     "is_consistent",
-    "morphism",
     "multiplicities_from_values",
     "noether_pairing",
     "oracle",
@@ -97,6 +94,9 @@ ENTRY_POINTS = {
     "serialize": "writes a cluster document, the inverse of parse",
     "recover": "the paper's algorithm, the library's main entry point",
     "PointFacts": "the type of ArenaTree.facts, a point's facts as a view",
+    "MorphismInvariants": "the type compute returns; test_ordering builds"
+                          " one for a virtual cluster that is no base-point"
+                          " cluster",
     "are_similar": "similarity of two clusters, which canonical_form decides",
     "noether_pairing": "the paper's pairing, which invariant_quotient sweeps",
     "unibranch_chain": "the paper's chain cluster, which invariant_quotient"
@@ -169,17 +169,15 @@ ERROR_CLASSES = [
     ("EmptyRuptureSet", "RecoveryError"),
     ("EnriquesError", "Exception"),
     ("IllegalProximity", "ArenaError"),
-    ("InconsistentCluster", "MorphismError"),
+    ("InconsistentCluster", "EnriquesError"),
     ("InvalidLabel", "ArenaError"),
     ("InvalidWeight", "ClusterError"),
-    ("MorphismError", "EnriquesError"),
-    ("NegativeResidual", "OracleError"),
+    ("NegativeResidual", "EnriquesError"),
     ("NoQualifyingPair", "RecoveryError"),
     ("NonPositiveMultiplicity", "ClusterError"),
     ("NotDicritical", "RecoveryError"),
     ("NotDownwardClosed", "ClusterError"),
     ("NumberTooLong", "EnriquesError"),
-    ("OracleError", "EnriquesError"),
     ("OrderingError", "EnriquesError"),
     ("OriginHasNoSatellite", "OrderingError"),
     ("PointNotInCluster", "ClusterError"),
@@ -193,13 +191,35 @@ ERROR_CLASSES = [
 ]
 
 
+def _error_classes() -> list[type]:
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, BaseException)
+            and cls.__module__ == errors.__name__]
+
+
 def test_error_classes_are_pinned():
-    classes = [cls for cls in vars(errors).values()
-               if isinstance(cls, type) and issubclass(cls, BaseException)
-               and cls.__module__ == errors.__name__]
+    classes = _error_classes()
     assert all(len(cls.__bases__) == 1 for cls in classes)
     assert sorted((cls.__name__, cls.__base__.__name__)
                   for cls in classes) == ERROR_CLASSES
+
+
+def test_every_error_class_groups_two_or_is_named_by_a_module():
+    # a base with one subclass groups nothing its subclass does not, and
+    # a leaf class that no other library module names is never raised
+    classes = _error_classes()
+    named = set()
+    for path in (ROOT / "src" / "enriques").glob("*.py"):
+        if path.stem != "errors":
+            named |= _references(path)
+    lone_bases, unnamed = [], []
+    for cls in classes:
+        subclasses = [c for c in classes if c.__base__ is cls]
+        if len(subclasses) == 1:
+            lone_bases.append(cls.__name__)
+        elif not subclasses and cls.__name__ not in named:
+            unnamed.append(cls.__name__)
+    assert lone_bases == [] and unnamed == []
 
 
 #: Arguments that name no point: a bool and a float equal an int id, -1 and
@@ -220,7 +240,6 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
         "WeightedCluster": lambda x: WeightedCluster(
             tree, WeightKind.VIRTUAL, {x: 1}),
         "WeightedCluster[]": lambda x: bp[x],
-        "excess": lambda x: excess(bp, x),
         "unibranch_chain": lambda x: unibranch_chain(tree, x),
         "MorphismInvariants.extend_to": lambda x: inv.extend_to(x),
         "MorphismInvariants.height_quotient": lambda x: inv.height_quotient(x),
@@ -251,6 +270,15 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
         assert bad not in bp and bad not in curve
     assert answered == []
     assert len(tree) == size  # no failed call appended a point
+    # an arena that holds the pair (1, 0), which True and 1.0 equal as a
+    # dict key, and an unhashable id, which no dict lookup takes
+    pair = ArenaTree()
+    q = pair.add_point(pair.add_point(pair.add_point()), 0)
+    assert pair.find_satellite(1, 0) == q
+    for bad in (*BAD_IDS, 1.0, [1]):
+        assert pair.find_satellite(bad, 0) is None
+    for bad in (False, 0.0, [0]):
+        assert pair.find_satellite(1, bad) is None
     # the writers refuse a bad parent or second proximity and write nothing:
     # a bool, a float, a negative id, the new point itself and a later one,
     # each with a parent at which the id, read as an int, would be a legal

@@ -277,7 +277,7 @@ class _ReferenceHeights:
     def __init__(self, bp: WeightedCluster) -> None:
         self.bp = bp
         self.m: dict[PointId, int] = {}
-        for p in bp.ordered_points():
+        for p in sorted(bp.weight):
             self._compute_point(p)
 
     def _compute_point(self, p: PointId) -> None:

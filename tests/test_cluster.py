@@ -9,7 +9,6 @@ from enriques import (
     WeightKind,
     WeightedCluster,
     dicritical_points,
-    excess,
     excesses,
     is_consistent,
     multiplicities_from_values,
@@ -114,24 +113,22 @@ def test_kind_checked():
 def test_excesses_and_dicriticals_ex04():
     tree, bp, names = fb.ex04_bp()
     assert dicritical_points(bp) == {names["p8"], names["p9"]}
-    assert excess(bp, names["p8"]) == 1
-    assert excess(bp, names["p3"]) == 0
+    assert excesses(bp)[names["p8"]] == 1
+    assert excesses(bp)[names["p3"]] == 0
     assert is_consistent(bp)
 
 
 def test_excesses_and_dicriticals_ex05():
     tree, bp, names = fb.ex05_bp()
     assert dicritical_points(bp) == {names["p4"]}
-    assert excess(bp, names["p4"]) == 2
+    assert excesses(bp)[names["p4"]] == 2
 
 
 def test_excess_single_point():
     tree = ArenaTree()
     o = tree.add_point()
     c = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 7})
-    assert excess(c, o) == 7
-    with pytest.raises(PointNotInCluster):
-        excess(c, 5)
+    assert excesses(c) == {o: 7}
 
 
 def test_indexing_outside_the_cluster_raises():
@@ -167,14 +164,16 @@ def test_local_excess_matches_one_pass_definition():
             if parent is None or (parent in weights and rng.random() < 0.95):
                 weights[p] = rng.randint(0, 5)
         cluster = WeightedCluster(tree, WeightKind.VIRTUAL, weights)
-        reference = excesses(cluster)
-        for p in tree.points():
-            if p in cluster:
-                assert excess(cluster, p) == reference[p], (seed, p)
-                checked += 1
-            else:
-                with pytest.raises(PointNotInCluster):
-                    excess(cluster, p)
+        rho = excesses(cluster)
+        assert rho.keys() == cluster.weight.keys()
+        parents, seconds = tree.parents, tree.seconds
+        for p in cluster.points:
+            # the weight at p minus the weights of the points proximate to p
+            local = cluster[p] - sum(
+                w for q, w in cluster.weight.items()
+                if p in (parents[q], seconds[q]))
+            assert rho[p] == local, (seed, p)
+            checked += 1
     assert checked > 40000
 
 
@@ -191,9 +190,9 @@ def test_unibranch_chain_with_satellites():
     order = ["O", "p1", "p2", "p3", "p4", "p5"]
     assert weights_by_label(chain, names, order) == [3, 3, 3, 2, 1, 1]
     # excess 0 below the endpoint, 1 at it
-    assert excess(chain, names["p5"]) == 1
+    assert excesses(chain)[names["p5"]] == 1
     for l in order[:-1]:
-        assert excess(chain, names[l]) == 0
+        assert excesses(chain)[names[l]] == 0
 
 
 def test_unibranch_chain_origin():

@@ -8,7 +8,6 @@ from enriques import (
     ArenaTree,
     WeightKind,
     WeightedCluster,
-    excess,
     invariant_quotient,
     is_consistent,
     noether_pairing,
@@ -17,7 +16,7 @@ from enriques import (
     rupture_quotients,
     unibranch_chain,
 )
-from enriques.errors import NegativeResidual, PointNotInCluster, UnknownPoint
+from enriques.errors import NegativeResidual, UnknownPoint
 
 import fixture_builders as fb
 import randgen
@@ -193,8 +192,6 @@ def test_ids_that_are_no_curve_point_raise():
             invariant_quotient(curve, bad)
         with pytest.raises(UnknownPoint):
             rupture_quotients(curve, bad)
-        with pytest.raises(PointNotInCluster):
-            excess(curve, bad)
 
 
 def _local_quotients_by_filter(curve, p):

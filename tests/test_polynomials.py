@@ -1,7 +1,7 @@
 """The library against equations.
 
 :mod:`polynomial_reference` blows up a curve f and the pencil of its polars
-exactly, sharing no code with ``recovery``, ``morphism`` or ``oracle``.
+exactly, sharing no code with ``recovery`` or ``oracle``.
 Its two clusters are ground truth for the paper's theorem: ``recover`` on
 the polars' base points must give a cluster similar to f's own singular
 cluster, and the oracle must close on it.  The fixtures' equations must

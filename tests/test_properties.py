@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from enriques import (
     WeightKind,
     compute,
-    excess,
+    excesses,
     is_consistent,
     multiplicities_from_values,
     noether_pairing,
@@ -56,9 +56,10 @@ def test_unibranch_chain_excesses(seed):
     tree = randgen.random_tree(seed)
     for p in tree.points():
         chain = unibranch_chain(tree, p)
-        assert excess(chain, p) == 1
+        rho = excesses(chain)
+        assert rho[p] == 1
         for q in tree.ancestors(p)[:-1]:
-            assert excess(chain, q) == 0
+            assert rho[q] == 0
         if all(tree.second_proximity(q) is None for q in chain.points):
             assert set(chain.weight.values()) == {1}
 
