@@ -99,6 +99,24 @@ result's clusters as they are: the sweep has established everything that
 :class:`~enriques.cluster.WeightedCluster` checks, so they are neither
 copied nor checked again.
 
+The sweep takes most points of a long walk in a few steps.  A run of
+equal walk moves is a chain of satellites, each proximate to the one
+before and to one point s (Casas-Alvero, *Singularities of Plane
+Curves*, on proximity along satellite chains), and the arena records
+each run that it writes as ranges.  Once the sweep has visited a
+recorded run's first point f, the run's next points in S form a prefix
+f+1..e, since S is downward closed.  When bp weights none of them, m and
+n grow by m_s and n_s from point to point, the order test against the
+cone's biggest rupture point changes its answer at most once, and a
+rupture point of the run is not bigger than that point, so v is affine
+on at most two pieces, cut where the test flips, and the multiplicity is
+constant after each piece's first point.  The prefix's values,
+multiplicities and excesses are then written as ranges
+(:func:`_sweep_run`), and the first multiplicity below 1 is still the
+first in id order.  Every other point, the points of a prefix that bp
+weights among them, goes through the one-point rules above, and on an
+arena without recorded runs the sweep visits the sorted set itself.
+
 Each rupture point's m/n equals its dicritical's invariant by
 construction, so no run checks it: the walk returns only at gap
 m*b - a*n = 0, a memo hit returns the point an earlier walk found for the
@@ -124,9 +142,11 @@ A full run counts the excesses of ``bp`` once.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excesses
@@ -484,7 +504,8 @@ def recover_values(
     """Values of the unknown curve on its singular points, by the sweep of
     :func:`_second_half`.  ``singular`` must be downward closed and hold
     ``rupture``, as the topology's downward closure is.  ``recover`` never
-    passes a bad point or a gap, so the checks live here, not in the sweep."""
+    passes a bad point or a gap, so the checks live here, not in the sweep,
+    which trusts S to hold a prefix of every run it meets."""
     _require_table(bp, inv)
     tree = bp.tree
     for p in rupture | singular:
@@ -493,12 +514,14 @@ def recover_values(
     if missing:
         raise NotDownwardClosed(
             f"rupture point {min(missing)} is not in the singular set")
-    inv._grow()  # the sweep reads m at every point of the set
-    try:
-        values, _, _ = _second_half(tree, inv.m, rupture, singular)
-    except KeyError:  # a point's parent, second or free point is missing
+    parents = tree.parents
+    gaps = {parents[p] for p in singular} - singular - {None}
+    if gaps:
         raise NotDownwardClosed(
-            "the singular set is not downward closed") from None
+            f"the singular set is not downward closed: it lacks point"
+            f" {min(gaps)}")
+    inv._grow()  # the sweep reads m at every point of the set
+    values, _, _ = _second_half(tree, inv.m, rupture, singular)
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
@@ -514,7 +537,10 @@ def _second_half(
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
     :class:`InconsistentCluster`, else None.  A value rule's error is
     raised, a satellite's only once every free point's rule has run.  The
-    points are arena points, downward closed, in the m table ``m``."""
+    points are arena points, downward closed, in the m table ``m``.  On an
+    arena with recorded runs the sweep visits S through :func:`_visits`,
+    which takes most run points in closed form; on any other arena it
+    visits the sorted list itself."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
@@ -522,8 +548,12 @@ def _second_half(
     branching = {parents[c] for c in singular if seconds[c] is None}
     values, mults, rho = {}, {}, {}  # each by point id
     failed: Optional[RecoveryError] = None  # a satellite rule's first error
-    rejected: Optional[EnriquesError] = None
-    for p in sorted(singular):
+    lows: list[PointId] = []  # the points of multiplicity below 1, in order
+    points = sorted(singular)
+    if tree._runs:
+        points = _visits(tree, m, points, singular, biggest_rupture, values,
+                         mults, rho, lows)
+    for p in points:
         s = seconds[p]
         if p in rupture or (s is None and p in branching):
             v = m[p]
@@ -557,18 +587,125 @@ def _second_half(
                 v -= values[s]
                 rho[s] -= v
             rho[a] -= v
-        if v < 1 and rejected is None:
-            rejected = NonPositiveMultiplicity(
-                f"values force multiplicity {describe_number(v)}"
-                f" at point {p}")
+        if v < 1:
+            lows.append(p)
         mults[p] = rho[p] = v
     if failed is not None:
         raise failed
-    if rejected is None and min(rho.values(), default=0) < 0:
+    rejected: Optional[EnriquesError] = None
+    if lows:
+        rejected = NonPositiveMultiplicity(
+            f"values force multiplicity {describe_number(mults[lows[0]])}"
+            f" at point {lows[0]}")
+    elif rho and min(rho.values()) < 0:  # cheaper than min(..., default=0)
         rejected = InconsistentCluster(
             "recovered multiplicities are not consistent; the input is"
             " not a cluster of polar base points")
     return values, mults, rejected
+
+
+def _visits(
+    tree: ArenaTree, m: list, order: list[PointId],
+    singular: frozenset[PointId], biggest_rupture: dict[PointId, PointId],
+    values: dict[PointId, int], mults: dict[PointId, int],
+    rho: dict[PointId, int], lows: list[PointId],
+) -> Iterator[PointId]:
+    """Yield the sorted points ``order`` of S for the sweep to visit, but
+    once the sweep has visited the first point f of a recorded run, take
+    the run's next points in S, f+1..e, by :func:`_sweep_run` and skip
+    them.  A taken point below multiplicity 1 goes to ``lows`` then, in
+    the sweep's order.
+
+    S holds a prefix f..e of the run, because it is downward closed, so
+    a bisection on membership finds e.  Only a prefix that bp leaves
+    unweighted is taken; the sweep visits the points of any other run.
+    With s the run's second proximity, m grows by m_s + w from point to
+    point of the run, w the bp weight, so m_e - m_f = (e - f) m_s holds
+    exactly when no point after f carries weight, since no virtual weight
+    is negative."""
+    seconds, i = tree.seconds, 0
+    for f, last in tree._runs.items():  # in ascending id, as appended
+        if f not in singular:
+            continue
+        e = last if last in singular else _last_alike(
+            singular.__contains__, f, last)
+        if e == f or m[e] - m[f] != (e - f) * m[seconds[f]]:
+            continue
+        j = bisect_left(order, f, i) + 1
+        yield from order[i:j]
+        low = _sweep_run(tree, m, biggest_rupture, values, mults, rho, f, e)
+        if low is not None:
+            lows.append(low)
+        i = j + e - f
+    yield from order[i:]
+
+
+def _sweep_run(
+    tree: ArenaTree, m: list, biggest_rupture: dict[PointId, PointId],
+    values: dict[PointId, int], mults: dict[PointId, int],
+    rho: dict[PointId, int], f: PointId, e: PointId,
+) -> Optional[PointId]:
+    """The sweep's rules on the points f+1..e of a recorded run whose
+    first point is f, in a few closed-form steps, on a prefix that bp
+    leaves unweighted (see :func:`_visits`).  Returns the first of
+    them whose multiplicity is below 1, or None.
+
+    Every point of the run is a satellite proximate to its predecessor
+    and to one point s outside the run, in the cone of f's defining free
+    point F.  The sweep's rule gives v = m except on the points bigger
+    than the cone's biggest rupture point q, where it gives
+    n V_F / n_F once V_F n_q = n_F m_q.  A rupture point of the run is
+    not bigger than q, so it takes m like its neighbours and needs no
+    cut.  Along the run k/n moves one way, so the order test changes its
+    answer at most once, and a bisection finds where.  That cuts f+1..e
+    into at most two pieces, and on each v is affine: n grows by n_s and
+    m by m_s from point to point.  The multiplicity v_p - v_{p-1} - v_s
+    is then constant after a piece's first point, and the excess of a
+    point inside a piece, its multiplicity less its successor's, is 0.
+    """
+    ns, ks = tree.ns, tree.ks
+    s, free = tree.seconds[f], tree.free_points[f]
+    q = biggest_rupture.get(free)
+    v_free, n_free, v_s = values[free], ns[free], values[s]
+    b, c, scaled, low = f + 1, e, False, None  # the first piece is b..c
+    if q is not None and v_free * ns[q] == n_free * m[q]:
+        n_q, k_q = ns[q], ks[q]
+        scaled = ks[b] * n_q > k_q * ns[b]
+        if (ks[e] * n_q > k_q * ns[e]) != scaled:
+            c = _last_alike(lambda p: ks[p] * n_q > k_q * ns[p], b, e)
+    while b <= e:
+        if scaled:  # exact, as in the sweep's satellite rule
+            v, d = ns[b] * v_free // n_free, ns[s] * v_free // n_free
+        else:
+            v, d = m[b], m[s]
+        head, rest = v - values[b - 1] - v_s, d - v_s
+        if low is None and (head < 1 or rest < 1 and c > b):
+            low = b if head < 1 else b + 1
+        values.update(zip(range(b, c + 1), range(v, v + (c - b + 1) * d, d)))
+        mults[b] = rho[b] = head
+        rho[b - 1] -= head
+        rho[s] -= head + (c - b) * rest
+        if c > b:
+            rho[b] -= rest
+            mults.update(zip(range(b + 1, c + 1), repeat(rest)))
+            rho.update(zip(range(b + 1, c), repeat(0)))
+            rho[c] = rest
+        b, c, scaled = c + 1, e, not scaled
+    return low
+
+
+def _last_alike(test: Callable[[PointId], bool], lo: PointId,
+                hi: PointId) -> PointId:
+    """The last point of lo..hi on which ``test`` answers as on lo, by
+    bisection, for a test that changes its answer at most once there."""
+    want = test(lo)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if test(mid) == want:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 # -- full runs ----------------------------------------------------------------

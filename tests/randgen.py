@@ -53,6 +53,20 @@ def _random_weights_from_excesses(
     return weights
 
 
+def weights_from_excesses(
+    tree: ArenaTree, excess: dict[PointId, int]
+) -> dict[PointId, int]:
+    """The consistent weights with the given excesses, 0 elsewhere: each
+    point weighs its excess plus the weights of the points proximate to
+    it, so the weights are set from the last point down."""
+    weights: dict[PointId, int] = dict.fromkeys(tree.points(), 0)
+    for p in sorted(tree.points(), reverse=True):
+        weights[p] += excess.get(p, 0)
+        for q in proximities(tree, p):
+            weights[q] += weights[p]
+    return {p: w for p, w in weights.items() if w}
+
+
 def random_curve(
     seed: int, max_points: int = 12, max_multiplicity: int = 40
 ) -> WeightedCluster:

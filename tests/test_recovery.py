@@ -986,8 +986,9 @@ def _outcome(run, *args):
 
 
 def _sweep_inputs():
-    """Factories of fresh base-point clusters: random ones, then the
-    perturbations of the golden fixtures."""
+    """Factories of fresh base-point clusters: random ones, the
+    perturbations of the golden fixtures, then polar ones whose sweep
+    meets the runs that the walk records."""
     for max_points, seeds in ((8, 6000), (14, 1500)):
         for seed in range(seeds):
             yield partial(randgen.random_consistent_bp, seed, max_points)
@@ -1001,19 +1002,124 @@ def _sweep_inputs():
             yield lambda tree0=tree0, weights=weights: WeightedCluster(
                 ArenaTree.from_records(triples(tree0)), WeightKind.VIRTUAL,
                 weights)
+    for n in (12, 17, 40):
+        for j in (2, 3, 4):
+            yield lambda n=n, j=j: parse(workloads.polar(n, j))[1]
+    for seed in range(200):
+        yield partial(_weighted_polar, seed)
+    for seed in range(100):
+        yield partial(_polar_with_a_branching_proximity, seed)
+
+
+def _recovered_polar(n, j):
+    """The base points of the polars of y^n = x^(1 + j(n-1)), recovered
+    once, so that their arena holds the runs the walk wrote as ranges."""
+    _, bp = parse(workloads.polar(n, j))
+    recover(bp)
+    return bp
+
+
+def _walked_twice(n, j, weights):
+    """A recovered polar arena, walked again by the recovery of other
+    weights on its free points, whose walks leave the first run inside
+    it: the cone then holds runs on both paths."""
+    bp = _recovered_polar(n, j)
+    recover(WeightedCluster(bp.tree, WeightKind.VIRTUAL, weights))
+    return bp
+
+
+def _weighted_polar(seed):
+    """Random consistent weights over a recovered polar arena.  They
+    weight the points of its runs, so the sweep visits those one by one,
+    and they move the walks, which may stop inside a run."""
+    rng = random.Random(seed)
+    tree = _recovered_polar(rng.choice((12, 20, 33)), rng.choice((2, 3))).tree
+    excess = {p: rng.randint(0, 1) for p in tree.points()}
+    excess[len(tree) - 1] = 1
+    return WeightedCluster(tree, WeightKind.VIRTUAL,
+                           randgen.weights_from_excesses(tree, excess))
+
+
+def _polar_with_a_branching_proximity(seed):
+    """A recovered polar arena whose first run f.. has second proximity
+    p1, with a new free child of p1 and weights on it, on f and below f.
+    The free child in S gives p1 the value m, so every multiplicity after
+    f's in the run is 0, while f's weight can keep f's own at 1 or more."""
+    rng = random.Random(seed)
+    tree = _recovered_polar(rng.choice((12, 20, 33)), 2).tree
+    f = next(iter(tree._runs))
+    child = tree.add_point(tree.seconds[f])
+    excess = {p: rng.randint(0, 4) for p in range(f) if rng.random() < 0.5}
+    excess.update({f: rng.randint(1, 3), child: rng.randint(1, 3)})
+    return WeightedCluster(tree, WeightKind.VIRTUAL,
+                           randgen.weights_from_excesses(tree, excess))
+
+
+def _run_cases(bp, rupture, singular, low=None):
+    """The cases of the sweep's run step that bp's arena meets.
+
+    For each recorded run whose first point f lies in S, with f..e the
+    run's points in S and e > f: "weighted" when bp weights a point of
+    f+1..e, which the sweep then visits one by one, else "taken", and
+    then "rupture inside" for a rupture point strictly between f and e,
+    "flip inside" when the order test against the biggest rupture point
+    of the cone answers differently at f+1 and at e, and "low inside"
+    when ``low``, the point of the first multiplicity below 1, lies in
+    f+1..e."""
+    tree, cases = bp.tree, set()
+    biggest = _biggest_rupture_by_cone_reference(tree, rupture)
+    for f, last in tree._runs.items():
+        prefix = [p for p in range(f, last + 1) if p in singular]
+        if len(prefix) < 2:
+            continue
+        e = prefix[-1]
+        assert prefix == list(range(f, e + 1))
+        if any(bp.get(p, 0) for p in prefix[1:]):
+            cases.add("weighted")
+            continue
+        cases.add("taken")
+        if any(f < r < e for r in rupture):
+            cases.add("rupture inside")
+        q = biggest.get(tree.free_points[f])
+        if q is not None and len({
+                tree.ks[p] * tree.ns[q] > tree.ks[q] * tree.ns[p]
+                for p in (f + 1, e)}) == 2:
+            cases.add("flip inside")
+        if low is not None and f < low <= e:
+            cases.add("low inside")
+    return cases
+
+
+def _recover_run_cases(bp, outcome):
+    """:func:`_run_cases` of a recover outcome, whose rupture set an error
+    carries in its association."""
+    if len(outcome) == 3:
+        error, message, association = outcome
+        rupture = frozenset(a.rupture_point
+                            for a in (association or {}).values())
+        low = (int(message.rsplit(" ", 1)[1])
+               if error is NonPositiveMultiplicity else None)
+    else:
+        rupture, low = outcome[0], None
+    return _run_cases(bp, rupture, _downward_closure(bp.tree, rupture), low)
 
 
 def test_one_sweep_second_half_matches_pass_reference():
-    counts = Counter()
+    counts, runs = Counter(), Counter()
     for make in _sweep_inputs():
         want = _outcome(_reference_recover, make())
         for run in (recover, recover_grouped):
-            got = _outcome(run, make())
+            bp = make()
+            got = _outcome(run, bp)
             assert got == want
             counts[got[0] if len(got) == 3 else "ok"] += 1
+        runs.update(_recover_run_cases(bp, got))
     assert counts["ok"] > 5000 and counts[NonPositiveMultiplicity] > 10000
     assert counts[InconsistentCluster] > 1000
     assert counts[EmptyRuptureSet] > 40
+    assert runs["taken"] > 400 and runs["weighted"] > 100
+    assert runs["low inside"] > 30 and runs["rupture inside"] > 10
+    assert runs["flip inside"] > 8
 
 
 def test_satellite_n_is_a_multiple_of_its_free_point_n():
@@ -1030,12 +1136,16 @@ def test_satellite_n_is_a_multiple_of_its_free_point_n():
 
 
 def test_recover_values_matches_pass_reference():
-    counts = Counter()
-    for seed in range(1000):
-        bp = _grown_bp(seed)
+    counts, runs = Counter(), Counter()
+    polar = [_recovered_polar(n, j) for n in (12, 17, 25, 40) for j in (2, 3)]
+    polar += [_walked_twice(n, j, {0: a, 1: b}) for n in (20, 33)
+              for j in (2, 3) for a, b in ((7, 5), (13, 4), (29, 28))]
+    polar += [_weighted_polar(seed) for seed in range(8)]
+    for seed, bp in enumerate([_grown_bp(seed) for seed in range(1000)]
+                              + polar):
         tree, inv = bp.tree, compute(bp)
         rng = random.Random(seed)
-        for _ in range(10):
+        for _ in range(10 if seed < 1000 else 50):
             rupture = frozenset(rng.sample(
                 range(len(tree)), rng.randint(1, min(4, len(tree)))))
             singular = _downward_closure(tree, rupture)
@@ -1043,33 +1153,48 @@ def test_recover_values_matches_pass_reference():
             want = _outcome(_reference_values, bp, inv, rupture, singular)
             assert got == want, (seed, rupture)
             counts[got[0]] += 1
+            runs.update(_run_cases(bp, rupture, singular))
     assert counts[WeightKind.VALUE] > 9000 and counts[EmptyRuptureSet] > 500
+    assert runs["taken"] > 700 and runs["weighted"] > 250
+    assert runs["rupture inside"] > 400 and runs["flip inside"] > 10
 
 
 
 def test_recover_values_rejects_singular_set_not_downward_closed():
-    # without one ancestor, the sweep reads a value that was never set; a
-    # free point's value rule may fail on the gap first
-    raised = Counter()
+    # without one ancestor, the sweep would read a value that was never
+    # set, or take a run whole across the gap; the check before the sweep
+    # names the missing point, which has a child in the set, since every
+    # point of the closure outside R lies below a rupture point
+    raised = 0
     for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
         _, bp, _ = builder()
         result = recover(bp)
         inv = compute(bp)
         for x in result.singular - result.rupture:
-            with pytest.raises(EnriquesError) as info:
+            with pytest.raises(NotDownwardClosed, match=f"lacks point {x}$"):
                 recover_values(bp, inv, result.rupture, result.singular - {x})
-            raised[type(info.value)] += 1
-    assert raised == {NotDownwardClosed: 13, EmptyRuptureSet: 8}
-    for seed in range(300):  # random rupture sets, never a bare KeyError
+            raised += 1
+    assert raised == 21
+    for seed in range(300):  # random rupture sets
         bp = _grown_bp(seed)
         tree, inv, rng = bp.tree, compute(bp), random.Random(seed)
         rupture = frozenset(rng.sample(range(len(tree)), min(3, len(tree))))
         singular = _downward_closure(tree, rupture)
         for x in singular - rupture:
-            with pytest.raises(EnriquesError) as info:
+            with pytest.raises(NotDownwardClosed, match=f"lacks point {x}$"):
                 recover_values(bp, inv, rupture, singular - {x})
-            raised[type(info.value)] += 1
-    assert raised[NotDownwardClosed] > 1000
+            raised += 1
+    assert raised > 1000
+    # a gap inside the run that the walk wrote: the sweep, trusting S to
+    # hold a prefix of the run, would take the run whole
+    bp = parse(workloads.polar(120, 2))[1]
+    result = recover(bp)
+    singular = sorted(result.singular)
+    middle = singular[len(singular) // 2]
+    assert any(f < middle < last for f, last in bp.tree._runs.items())
+    with pytest.raises(NotDownwardClosed, match=f"lacks point {middle}$"):
+        recover_values(bp, compute(bp), result.rupture,
+                       result.singular - {middle})
 
 
 def test_recover_values_rejects_a_rupture_point_outside_the_singular_set():
