@@ -60,7 +60,7 @@ ids only.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ArenaError,
@@ -86,11 +86,14 @@ PointId = int
 #: writing every run point by point makes polar ``recover`` 1.04-1.05
 #: times slower per input in the median (1.08-1.09 over the pool).
 #: The arena records exactly the runs written as ranges, and the value
-#: sweep takes exactly those whole, so this also decides which runs the
-#: sweep takes in closed form.  On the same pool, interleaved in one
-#: process, that made polar ``recover`` take 0.69 times as long per input
+#: sweep takes exactly those in closed form, one affine piece per run up
+#: to where its order test flips, so this also decides which runs the
+#: sweep takes at once.  On the same pool, interleaved in one process,
+#: taking them made polar ``recover`` take 0.69 times as long per input
 #: on the largest fifth and 0.82 on the 50-80 % band, and left the
-#: smaller half, whose runs are 10-50 points long, at 1.01 (A/A 1.02).
+#: smaller half, whose runs are 10-50 points long, at 1.01 (A/A 1.02);
+#: those figures are for a step that wrote up to two pieces per run, and
+#: the one-piece step reads the same within the A/A band.
 CHAIN_CROSSOVER = 10
 
 
@@ -213,7 +216,8 @@ class ArenaTree:
     @classmethod
     def from_records(
         cls,
-        records: list[tuple[Optional[PointId], Optional[PointId], Optional[str]]],
+        records: Iterable[
+            tuple[Optional[PointId], Optional[PointId], Optional[str]]],
     ) -> "ArenaTree":
         """Build an arena from raw (parent, second_proximity, label) triples.
 
@@ -226,10 +230,11 @@ class ArenaTree:
         before it left them.  A record that breaks only the label rule
         still holds its proximity pair, so a later record with the same
         pair is reported as a duplicate.  Only records that break nothing
-        reach :meth:`_from_columns`, which trusts their references.
+        reach :meth:`_from_columns`, which trusts their references.  The
+        records are read once, so any iterable will do.
         """
         checked = cls()  # what the rules read of the records so far
-        parents, seconds = checked.parents, checked.seconds
+        parents, seconds, labels = checked.parents, checked.seconds, checked.labels
         index = checked._satellite_index
         out: list[Diagnostic] = []
         for q, (a, s, label) in enumerate(records):
@@ -238,6 +243,7 @@ class ArenaTree:
                        for error, message in broken)
             parents.append(a)
             seconds.append(s)
+            labels.append(label)
             if a is None:
                 checked._rootless = True
             elif s is not None and (
@@ -245,8 +251,7 @@ class ArenaTree:
                 index[a, s] = q
         if out:
             raise ArenaValidationError(out)
-        return cls._from_columns(
-            parents, seconds, [label for _, _, label in records])
+        return cls._from_columns(parents, seconds, labels)
 
     @classmethod
     def _from_columns(

@@ -99,23 +99,24 @@ result's clusters as they are: the sweep has established everything that
 :class:`~enriques.cluster.WeightedCluster` checks, so they are neither
 copied nor checked again.
 
-The sweep takes most points of a long walk in a few steps.  A run of
-equal walk moves is a chain of satellites, each proximate to the one
+The sweep takes most points of a long walk in one step per run.  A run
+of equal walk moves is a chain of satellites, each proximate to the one
 before and to one point s (Casas-Alvero, *Singularities of Plane
 Curves*, on proximity along satellite chains), and the arena records
 each run that it writes as ranges.  Once the sweep has visited a
 recorded run's first point f, the run's next points in S form a prefix
-f+1..e, since S is downward closed.  When bp weights none of them, m and
-n grow by m_s and n_s from point to point, the order test against the
-cone's biggest rupture point changes its answer at most once, and a
-rupture point of the run is not bigger than that point, so v is affine
-on at most two pieces, cut where the test flips, and the multiplicity is
-constant after each piece's first point.  The prefix's values,
-multiplicities and excesses are then written as ranges
-(:func:`_sweep_run`), and the first multiplicity below 1 is still the
-first in id order.  Every other point, the points of a prefix that bp
-weights among them, goes through the one-point rules above, and on an
-arena without recorded runs the sweep visits the sorted set itself.
+f+1..e, since S is downward closed, and one bisect on the sorted S finds
+e.  When bp weights none of them, m, n and k grow by fixed steps from
+point to point.  The order test against the cone's biggest rupture
+point q is the sign of k_p n_q - k_q n_p, linear along the run, so one
+floor division finds c, the last point on f+1's side of it.  On f+1..c,
+v is affine and the multiplicity constant after the first point, so
+their values, multiplicities and excesses are written as ranges
+(:func:`_visits`).  Every other point, the points after c and
+those of a prefix that bp weights among them, goes through the
+one-point rules above, so the first multiplicity below 1 is still the
+first in id order; on an arena without recorded runs the sweep visits
+the sorted set itself.
 
 Each rupture point's m/n equals its dicritical's invariant by
 construction, so no run checks it: the walk returns only at gap
@@ -142,7 +143,7 @@ A full run counts the excesses of ``bp`` once.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -204,13 +205,17 @@ class MorphismInvariants:
     each run it appends, so its table never falls behind.  Extension
     follows the exclusive-writer contract of the arena.  ``bp`` must be a
     virtual cluster, as in :func:`compute`, which also requires it to be
-    consistent.
+    consistent.  ``_excess`` holds the excesses of ``bp`` once they are
+    counted: :func:`compute` counts them, else the first
+    :func:`dicritical_invariant` on the table does, so a caller that asks
+    for every dicritical's invariant counts them once.
     """
 
     def __init__(self, bp: WeightedCluster):
         bp.require_kind(WeightKind.VIRTUAL)
         self.bp = bp
         self.m: list[int] = []
+        self._excess: Optional[dict[PointId, int]] = None
         self._grow()
 
     def _grow(self) -> None:
@@ -260,10 +265,12 @@ def compute(bp: WeightedCluster) -> MorphismInvariants:
 
     The cluster must be virtual, consistent, and give the origin weight at
     least 1 (the polar of a singular curve is itself a curve through the
-    origin).
+    origin).  The table keeps the excesses this counts.
     """
-    require_base_points(bp, excesses(bp))
-    return MorphismInvariants(bp)
+    inv = MorphismInvariants(bp)
+    inv._excess = excesses(bp)
+    require_base_points(bp, inv._excess)
+    return inv
 
 
 # -- part one: topology ------------------------------------------------------
@@ -284,12 +291,15 @@ def dicritical_invariant(
 
     The pairing equals m_d - m0_d (see :mod:`~enriques.recovery`), so the
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
-    and the arena's columns.  The check that d is dicritical reads
-    :func:`~enriques.cluster.excesses`, one pass over bp.
+    and the arena's columns.  The check that d is dicritical reads the
+    excesses the table keeps, counted, in one pass over bp, on the first
+    call that needs them.
     """
     _require_table(bp, inv)
     bp.tree._check(d)
-    if d not in bp or excesses(bp)[d] <= 0:
+    if inv._excess is None:
+        inv._excess = excesses(bp)
+    if d not in bp or inv._excess[d] <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
     n_d, m_d = inv.extend_to(d)
     return Fraction(m_d - bp.tree.m0s[d] + n_d, n_d)
@@ -611,101 +621,72 @@ def _visits(
     rho: dict[PointId, int], lows: list[PointId],
 ) -> Iterator[PointId]:
     """Yield the sorted points ``order`` of S for the sweep to visit, but
-    once the sweep has visited the first point f of a recorded run, take
-    the run's next points in S, f+1..e, by :func:`_sweep_run` and skip
-    them.  A taken point below multiplicity 1 goes to ``lows`` then, in
-    the sweep's order.
+    once the sweep has visited the first point f of a recorded run, write
+    the rules' answers on one piece b..c of the run, b = f+1, in closed
+    form and skip it; the points after c are yielded as usual.  A point
+    of the piece below multiplicity 1 goes to ``lows`` then, in the
+    sweep's order.
 
-    S holds a prefix f..e of the run, because it is downward closed, so
-    a bisection on membership finds e.  Only a prefix that bp leaves
-    unweighted is taken; the sweep visits the points of any other run.
-    With s the run's second proximity, m grows by m_s + w from point to
-    point of the run, w the bp weight, so m_e - m_f = (e - f) m_s holds
-    exactly when no point after f carries weight, since no virtual weight
-    is negative."""
-    seconds, i = tree.seconds, 0
+    The run's ids are the range f..last and S is downward closed, so S
+    holds a prefix f..e of the run, and e is the last point of ``order``
+    up to ``last``, one bisect.  Only a prefix that bp leaves unweighted
+    is taken; the sweep visits the points of any other run.  With s the
+    run's second proximity, m grows by m_s + w from point to point, w the
+    bp weight, so m_e - m_f = (e - f) m_s holds exactly when no point
+    after f carries weight, since no virtual weight is negative.
+
+    Every point of the run is a satellite proximate to its predecessor
+    and to s, in the cone of f's defining free point F, and n, m and k
+    grow by fixed steps along it.  The satellite rule gives v = m except
+    on the points bigger than the cone's biggest rupture point q, where
+    it gives n V_F / n_F once V_F n_q = n_F m_q; a rupture point of the
+    run is not bigger than q, so it takes m like its neighbours.  The
+    order test k_p n_q > k_q n_p reads the sign of g(p) = k_p n_q - k_q n_p,
+    which is linear along the run, so c, the last point of f+1..e on b's
+    side of the test, is one floor division.  On b..c, v is affine, the
+    multiplicity v_p - v_{p-1} - v_s is constant after b, and the excess
+    of a point inside the piece, its multiplicity less its successor's,
+    is 0."""
+    seconds, ns, ks, i = tree.seconds, tree.ns, tree.ks, 0
     for f, last in tree._runs.items():  # in ascending id, as appended
         if f not in singular:
             continue
-        e = last if last in singular else _last_alike(
-            singular.__contains__, f, last)
-        if e == f or m[e] - m[f] != (e - f) * m[seconds[f]]:
-            continue
         j = bisect_left(order, f, i) + 1
+        e, s = order[bisect_right(order, last, j) - 1], seconds[f]
+        if e == f or m[e] - m[f] != (e - f) * m[s]:
+            continue
         yield from order[i:j]
-        low = _sweep_run(tree, m, biggest_rupture, values, mults, rho, f, e)
-        if low is not None:
-            lows.append(low)
-        i = j + e - f
-    yield from order[i:]
-
-
-def _sweep_run(
-    tree: ArenaTree, m: list, biggest_rupture: dict[PointId, PointId],
-    values: dict[PointId, int], mults: dict[PointId, int],
-    rho: dict[PointId, int], f: PointId, e: PointId,
-) -> Optional[PointId]:
-    """The sweep's rules on the points f+1..e of a recorded run whose
-    first point is f, in a few closed-form steps, on a prefix that bp
-    leaves unweighted (see :func:`_visits`).  Returns the first of
-    them whose multiplicity is below 1, or None.
-
-    Every point of the run is a satellite proximate to its predecessor
-    and to one point s outside the run, in the cone of f's defining free
-    point F.  The sweep's rule gives v = m except on the points bigger
-    than the cone's biggest rupture point q, where it gives
-    n V_F / n_F once V_F n_q = n_F m_q.  A rupture point of the run is
-    not bigger than q, so it takes m like its neighbours and needs no
-    cut.  Along the run k/n moves one way, so the order test changes its
-    answer at most once, and a bisection finds where.  That cuts f+1..e
-    into at most two pieces, and on each v is affine: n grows by n_s and
-    m by m_s from point to point.  The multiplicity v_p - v_{p-1} - v_s
-    is then constant after a piece's first point, and the excess of a
-    point inside a piece, its multiplicity less its successor's, is 0.
-    """
-    ns, ks = tree.ns, tree.ks
-    s, free = tree.seconds[f], tree.free_points[f]
-    q = biggest_rupture.get(free)
-    v_free, n_free, v_s = values[free], ns[free], values[s]
-    b, c, scaled, low = f + 1, e, False, None  # the first piece is b..c
-    if q is not None and v_free * ns[q] == n_free * m[q]:
-        n_q, k_q = ns[q], ks[q]
-        scaled = ks[b] * n_q > k_q * ns[b]
-        if (ks[e] * n_q > k_q * ns[e]) != scaled:
-            c = _last_alike(lambda p: ks[p] * n_q > k_q * ns[p], b, e)
-    while b <= e:
+        free = tree.free_points[f]
+        q = biggest_rupture.get(free)
+        v_free, n_free, v_s = values[free], ns[free], values[s]
+        b, c, scaled = f + 1, e, False  # the piece is b..c
+        if q is not None and v_free * ns[q] == n_free * m[q]:
+            n_q, k_q = ns[q], ks[q]
+            g = ks[b] * n_q - k_q * ns[b]
+            step = (ks[b] - ks[f]) * n_q - k_q * ns[s]  # g's change per point
+            scaled = g > 0
+            if scaled and step < 0:
+                c = min(e, b + (g - 1) // -step)
+            elif not scaled and step > 0:
+                c = min(e, b + (-g) // step)
         if scaled:  # exact, as in the sweep's satellite rule
             v, d = ns[b] * v_free // n_free, ns[s] * v_free // n_free
         else:
             v, d = m[b], m[s]
-        head, rest = v - values[b - 1] - v_s, d - v_s
-        if low is None and (head < 1 or rest < 1 and c > b):
-            low = b if head < 1 else b + 1
+        head, rest = v - values[f] - v_s, d - v_s
+        if head < 1 or rest < 1 and c > b:
+            lows.append(b if head < 1 else b + 1)
         values.update(zip(range(b, c + 1), range(v, v + (c - b + 1) * d, d)))
         mults[b] = rho[b] = head
-        rho[b - 1] -= head
+        rho[f] -= head
         rho[s] -= head + (c - b) * rest
         if c > b:
             rho[b] -= rest
             mults.update(zip(range(b + 1, c + 1), repeat(rest)))
             rho.update(zip(range(b + 1, c), repeat(0)))
             rho[c] = rest
-        b, c, scaled = c + 1, e, not scaled
-    return low
-
-
-def _last_alike(test: Callable[[PointId], bool], lo: PointId,
-                hi: PointId) -> PointId:
-    """The last point of lo..hi on which ``test`` answers as on lo, by
-    bisection, for a test that changes its answer at most once there."""
-    want = test(lo)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if test(mid) == want:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+        i = j + c - f
+    yield from order[i:]
 
 
 # -- full runs ----------------------------------------------------------------

@@ -137,6 +137,21 @@ def test_validate_clean_on_example_arena():
     assert _columns(ArenaTree.from_records(triples(tree))) == _columns(tree)
 
 
+def test_from_records_reads_its_records_once():
+    # a one-shot iterator of records builds the arena their list builds,
+    # labels included, and the arena serializes
+    records = [(None, None, "O"), (0, None, "p"), (1, 0, "q")]
+    tree = ArenaTree.from_records(iter(records))
+    assert _columns(tree) == _columns(ArenaTree.from_records(records))
+    assert tree.labels == ["O", "p", "q"]
+    for builder in (fb.ex04_bp, fb.ex05_bp, fb.ex06_bp, fb.ex07_bp):
+        tree, bp, _ = builder()
+        again = ArenaTree.from_records(iter(triples(tree)))
+        assert _columns(again) == _columns(tree)
+        assert serialize(again, WeightedCluster(
+            again, bp.kind, bp.weight)) == serialize(tree, bp)
+
+
 ILLEGAL_PROXIMITY = [
     (None, None, "O"),
     (0, None, "p1"),

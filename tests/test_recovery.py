@@ -6,6 +6,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from enriques import (
     serialize,
     unibranch_chain,
 )
+from enriques import recovery
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.recovery import (
     _biggest_rupture_by_cone,
@@ -58,6 +60,7 @@ from enriques.errors import (
 
 import fixture_builders as fb
 import randgen
+from test_euclid import PAIRS, euclid_bp
 from arena_reference import proximities, triples
 from chain_reference import (
     PrecComparison, max_by_fraction, prec_compare_reference)
@@ -485,6 +488,33 @@ def test_recover_builds_one_fraction_per_distinct_invariant(k):
     invariants = [a.invariant for a in result.association.values()]
     assert len(set(invariants)) < len(invariants)  # fans repeat invariants
     assert len({id(i) for i in invariants}) == len(set(invariants))
+
+
+@pytest.mark.parametrize("k", [8, 23, 60])
+def test_excesses_are_counted_once_per_table(k, monkeypatch):
+    # compute and every dicritical's invariant count bp's excesses once
+    # between them, a table built directly counts them on its first
+    # invariant, and recover counts them once
+    bp = _fan_bp(k)
+    calls = []
+    count = recovery.excesses
+
+    def spy(cluster):
+        calls.append(cluster)
+        return count(cluster)
+
+    monkeypatch.setattr(recovery, "excesses", spy)
+    dicriticals = sorted(dicritical_points(bp))
+    inv = compute(bp)
+    invariants = [dicritical_invariant(bp, inv, d) for d in dicriticals]
+    assert len(dicriticals) > k and len(calls) == 1
+    direct = MorphismInvariants(bp)
+    assert [dicritical_invariant(bp, direct, d)
+            for d in dicriticals] == invariants
+    assert len(calls) == 2
+    result = recover(bp)
+    assert len(calls) == 3
+    assert [result.association[d].invariant for d in dicriticals] == invariants
 
 
 def _fresh_documents(fixture_dir):
@@ -987,8 +1017,8 @@ def _outcome(run, *args):
 
 def _sweep_inputs():
     """Factories of fresh base-point clusters: random ones, the
-    perturbations of the golden fixtures, then polar ones whose sweep
-    meets the runs that the walk records."""
+    perturbations of the golden fixtures, then polar and Euclid ones whose
+    sweep meets the runs that the walk records."""
     for max_points, seeds in ((8, 6000), (14, 1500)):
         for seed in range(seeds):
             yield partial(randgen.random_consistent_bp, seed, max_points)
@@ -1009,12 +1039,23 @@ def _sweep_inputs():
         yield partial(_weighted_polar, seed)
     for seed in range(100):
         yield partial(_polar_with_a_branching_proximity, seed)
+    for m, n in PAIRS:
+        yield lambda m=m, n=n: euclid_bp(m, n)[1]
 
 
 def _recovered_polar(n, j):
     """The base points of the polars of y^n = x^(1 + j(n-1)), recovered
     once, so that their arena holds the runs the walk wrote as ranges."""
     _, bp = parse(workloads.polar(n, j))
+    recover(bp)
+    return bp
+
+
+def _recovered_euclid(m, n):
+    """The base points of the polars of y^n = x^m, recovered once, so
+    that their arena holds the runs the walk wrote as ranges; their
+    satellite rule scales the first points of some runs."""
+    _, bp = euclid_bp(m, n)
     recover(bp)
     return bp
 
@@ -1055,18 +1096,23 @@ def _polar_with_a_branching_proximity(seed):
                            randgen.weights_from_excesses(tree, excess))
 
 
-def _run_cases(bp, rupture, singular, low=None):
+def _run_cases(bp, rupture, singular, low=None, values=None):
     """The cases of the sweep's run step that bp's arena meets.
 
     For each recorded run whose first point f lies in S, with f..e the
     run's points in S and e > f: "weighted" when bp weights a point of
     f+1..e, which the sweep then visits one by one, else "taken", and
-    then "rupture inside" for a rupture point strictly between f and e,
-    "flip inside" when the order test against the biggest rupture point
-    of the cone answers differently at f+1 and at e, and "low inside"
-    when ``low``, the point of the first multiplicity below 1, lies in
-    f+1..e."""
+    then "strict prefix" when e is not the run's last point, "rupture
+    inside" for a rupture point strictly between f and e, "flip inside"
+    when the order test against the biggest rupture point q of the cone
+    answers differently at f+1 and at e, and "low inside" when ``low``,
+    the point of the first multiplicity below 1, lies in f+1..e.  Given
+    the ``values`` of a result, "scaled from the first point" when the
+    satellite rule scales f+1 (the test holds there and V_F n_q = n_F v_q
+    at f's defining free point F), and then "flip back" when the test
+    fails at e and e is not q, so some point after the flip is not q."""
     tree, cases = bp.tree, set()
+    ns, ks = tree.ns, tree.ks
     biggest = _biggest_rupture_by_cone_reference(tree, rupture)
     for f, last in tree._runs.items():
         prefix = [p for p in range(f, last + 1) if p in singular]
@@ -1078,13 +1124,21 @@ def _run_cases(bp, rupture, singular, low=None):
             cases.add("weighted")
             continue
         cases.add("taken")
+        if e < last:
+            cases.add("strict prefix")
         if any(f < r < e for r in rupture):
             cases.add("rupture inside")
-        q = biggest.get(tree.free_points[f])
-        if q is not None and len({
-                tree.ks[p] * tree.ns[q] > tree.ks[q] * tree.ns[p]
-                for p in (f + 1, e)}) == 2:
-            cases.add("flip inside")
+        free = tree.free_points[f]
+        q = biggest.get(free)
+        if q is not None:
+            first, at_e = (ks[p] * ns[q] > ks[q] * ns[p] for p in (f + 1, e))
+            if first != at_e:
+                cases.add("flip inside")
+            if (values is not None and first
+                    and values[free] * ns[q] == ns[free] * values[q]):
+                cases.add("scaled from the first point")
+                if not at_e and e != q:
+                    cases.add("flip back")
         if low is not None and f < low <= e:
             cases.add("low inside")
     return cases
@@ -1099,9 +1153,11 @@ def _recover_run_cases(bp, outcome):
                             for a in (association or {}).values())
         low = (int(message.rsplit(" ", 1)[1])
                if error is NonPositiveMultiplicity else None)
+        values = None
     else:
-        rupture, low = outcome[0], None
-    return _run_cases(bp, rupture, _downward_closure(bp.tree, rupture), low)
+        rupture, low, values = outcome[0], None, outcome[3]
+    return _run_cases(bp, rupture, _downward_closure(bp.tree, rupture), low,
+                      values)
 
 
 def test_one_sweep_second_half_matches_pass_reference():
@@ -1120,6 +1176,8 @@ def test_one_sweep_second_half_matches_pass_reference():
     assert runs["taken"] > 400 and runs["weighted"] > 100
     assert runs["low inside"] > 30 and runs["rupture inside"] > 10
     assert runs["flip inside"] > 8
+    assert runs["scaled from the first point"] > 40
+    assert runs["strict prefix"] > 30
 
 
 def test_satellite_n_is_a_multiple_of_its_free_point_n():
@@ -1141,6 +1199,7 @@ def test_recover_values_matches_pass_reference():
     polar += [_walked_twice(n, j, {0: a, 1: b}) for n in (20, 33)
               for j in (2, 3) for a, b in ((7, 5), (13, 4), (29, 28))]
     polar += [_weighted_polar(seed) for seed in range(8)]
+    polar += [bp for bp in starmap(_recovered_euclid, PAIRS) if bp.tree._runs]
     for seed, bp in enumerate([_grown_bp(seed) for seed in range(1000)]
                               + polar):
         tree, inv = bp.tree, compute(bp)
@@ -1153,10 +1212,14 @@ def test_recover_values_matches_pass_reference():
             want = _outcome(_reference_values, bp, inv, rupture, singular)
             assert got == want, (seed, rupture)
             counts[got[0]] += 1
-            runs.update(_run_cases(bp, rupture, singular))
+            runs.update(_run_cases(
+                bp, rupture, singular,
+                values=got[1] if got[0] is WeightKind.VALUE else None))
     assert counts[WeightKind.VALUE] > 9000 and counts[EmptyRuptureSet] > 500
     assert runs["taken"] > 700 and runs["weighted"] > 250
     assert runs["rupture inside"] > 400 and runs["flip inside"] > 10
+    assert runs["strict prefix"] > 4000
+    assert runs["scaled from the first point"] > 60 and runs["flip back"] > 12
 
 
 
