@@ -23,7 +23,8 @@ a file that cannot be read as UTF-8 text or written (the diagnostics or
 one line on stderr; ``validate`` reports on stdout).  All numeric output
 is exact, written as an integer or ``numerator/denominator``; a number
 past Python's int-to-text digit limit is a domain error,
-:class:`~enriques.errors.NumberTooLong`, and exits 1.
+:class:`~enriques.errors.NumberTooLong`, and exits 1, as does a run out of
+memory, such as a recovery walk run of 10^8 points or more.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except EnriquesError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except MemoryError:
+        print("MemoryError: out of memory", file=sys.stderr)
         return EXIT_NEGATIVE
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .cluster import WeightedCluster, WeightKind
 from .documents import document_ids
 from .errors import WrongKind, write_number
-from .recovery import compute
+from .recovery import MorphismInvariants
 
 
 def _quote(*lines: str) -> str:
@@ -27,12 +27,12 @@ def render_dot(cluster: WeightedCluster, annotate: str = "none") -> str:
     """Render the cluster over its whole arena as DOT text.
 
     ``annotate`` is ``"none"``, ``"weights"`` (the cluster weight at each
-    member) or ``"mn"`` (height quotients m/n of a virtual cluster;
-    :class:`WrongKind` for any other kind).
+    member) or ``"mn"`` (height quotients m/n of any virtual cluster,
+    base-point cluster or not; :class:`WrongKind` for any other kind).
     """
     if annotate == "mn" and cluster.kind is not WeightKind.VIRTUAL:
         raise WrongKind("mn annotation needs a virtual cluster overlay")
-    inv = compute(cluster) if annotate == "mn" else None
+    inv = MorphismInvariants(cluster) if annotate == "mn" else None
 
     tree = cluster.tree
     ids = document_ids(tree)  # distinct, so distinct points are distinct nodes

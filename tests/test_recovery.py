@@ -52,6 +52,7 @@ from enriques.errors import (
     NoQualifyingPair,
     NotDicritical,
     NotDownwardClosed,
+    OriginHasNoSatellite,
     RecoveryError,
     SecondSatelliteOfFreePoint,
     UnknownPoint,
@@ -493,8 +494,8 @@ def test_recover_builds_one_fraction_per_distinct_invariant(k):
 @pytest.mark.parametrize("k", [8, 23, 60])
 def test_excesses_are_counted_once_per_table(k, monkeypatch):
     # compute and every dicritical's invariant count bp's excesses once
-    # between them, a table built directly counts them on its first
-    # invariant, and recover counts them once
+    # between them, a table built directly counts them when it is built,
+    # and recover counts them once
     bp = _fan_bp(k)
     calls = []
     count = recovery.excesses
@@ -1173,6 +1174,9 @@ def test_one_sweep_second_half_matches_pass_reference():
     assert counts["ok"] > 5000 and counts[NonPositiveMultiplicity] > 10000
     assert counts[InconsistentCluster] > 1000
     assert counts[EmptyRuptureSet] > 40
+    # the walk's guards never fire from recover (see _satellite_walk)
+    assert not counts.keys() & {
+        WalkDiverged, SecondSatelliteOfFreePoint, OriginHasNoSatellite}
     assert runs["taken"] > 400 and runs["weighted"] > 100
     assert runs["low inside"] > 30 and runs["rupture inside"] > 10
     assert runs["flip inside"] > 8
