@@ -320,11 +320,13 @@ class ArenaTree:
         the call.  :meth:`add_point` appends a satellite as a run of one,
         after :meth:`_violations` found no rule it breaks.
         ``recovery._satellite_walk`` appends the walk's runs: t >= 1
-        follows from its division, because it has checked gap * delta < 0;
-        (a, s) is not held, because its ``_satellite_index`` lookup missed;
-        and s is a proximity of a, because ``_satellite_proximity`` returns
-        one.  So every point of the run keeps the arena rules, and the
-        result equals t calls of :meth:`add_point`.
+        follows from its division, because the walk's bracket, checked
+        once at its start, gives gap and delta opposite signs at every
+        later point; (a, s) is not held, because its ``_satellite_index``
+        lookup missed; and s is a proximity of a, because it is a free
+        a's parent or a member of a satellite a's pair.  So every point
+        of the run keeps the arena rules, and the result equals t calls
+        of :meth:`add_point`.
 
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share, and its pair is

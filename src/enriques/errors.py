@@ -103,24 +103,6 @@ class InvalidWeight(ClusterError):
     pass
 
 
-# --- satellite navigation --------------------------------------------------
-
-class OrderingError(EnriquesError):
-    pass
-
-
-class OriginHasNoSatellite(OrderingError):
-    pass
-
-
-class SecondSatelliteOfFreePoint(OrderingError):
-    """A second satellite was requested below a free point.
-
-    This cannot happen while processing a cluster of base points of actual
-    polar curves; it signals malformed input.
-    """
-
-
 # --- base points -----------------------------------------------------------
 
 class InconsistentCluster(EnriquesError):

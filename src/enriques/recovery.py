@@ -62,6 +62,11 @@ contributes one rupture point:
    quotient m/n exceeds I_d and to the second satellite while it falls
    short, stopping at the unique point q_d with m/n = I_d, in at most
    numerator + denominator of I_d moves (see :func:`satellite_walk`).
+   The walk checks once, at p, that the proximity of its first move lies
+   strictly across I_d from p, and refuses a start that is not so
+   bracketed; each move then takes the mediant of two points on either
+   side of I_d, so every later point is bracketed too, and no later move
+   needs a check of its direction.
 
 Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
 builds a fraction.  A run builds one :class:`Fraction` per distinct
@@ -154,8 +159,7 @@ from .cluster import WeightedCluster, WeightKind, excesses
 from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
-    NotDownwardClosed, RecoveryError, OriginHasNoSatellite,
-    SecondSatelliteOfFreePoint, WalkDiverged, describe_number)
+    NotDownwardClosed, RecoveryError, WalkDiverged, describe_number)
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -346,17 +350,29 @@ def satellite_walk(
     numerator + denominator of the invariant; exceeding the cap means the
     input was not a genuine cluster of polar base points.
 
+    The start must be bracketed.  Unless m/n at ``p`` equals the
+    invariant, the point that the first move's satellite is also
+    proximate to must exist and have m/n strictly on the other side of
+    the invariant: ``p``'s parent when ``p`` is free and above it, the
+    first or the second of a satellite ``p``'s ordered proximities when
+    ``p`` is above or below it.  A free point below the invariant, the
+    origin and any other start that is not bracketed raise
+    :class:`WalkDiverged` before anything is traced or appended.  From a
+    bracketed start every later point is bracketed too (see the proof
+    in ``_satellite_walk``).  :func:`recover` walks through the same
+    check, and no input has yet reached it with an unbracketed start.
+
     Each pass names the proximity s of the next move.  A point the arena
     already holds may carry weight, so the walk moves there alone.  Where
     the arena holds no such point, the walk appends a run of weightless
     points: every point of a run shares s, so the gap m*b - a*n to
     I = a/b changes by the same delta = m_s*b - a*n_s at each move, and
     the run's length is the least t that makes the gap change sign or
-    vanish, one division.  A run whose delta cannot change the gap's
-    sign, whose end lies beyond the cap or that would take the arena past
-    ``sys.maxsize`` points raises :class:`WalkDiverged` before appending
-    anything.  ``trace`` still sees one entry per visited point.  A table
-    built over another arena raises :class:`~enriques.errors.ArenaMismatch`.
+    vanish, one division.  A run whose end lies beyond the cap or that
+    would take the arena past ``sys.maxsize`` points raises
+    :class:`WalkDiverged` before appending anything.  ``trace`` still
+    sees one entry per visited point.  A table built over another arena
+    raises :class:`~enriques.errors.ArenaMismatch`.
     """
     if inv.bp.tree is not tree:
         raise ArenaMismatch("the m table was built over another arena")
@@ -371,50 +387,68 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     """:func:`satellite_walk` for num/den, on an m table covering the
     arena.  Each run it creates goes in through
     :meth:`~enriques.arena.ArenaTree._append_run`, whose precondition the
-    checks before the call establish, and the next line extends the table
-    over the run: m grows by m_s from point to point, starting from the
-    run parent's m, since the new points lie outside the cluster.
+    bracket below proves, and the next line extends the table over the
+    run: m grows by m_s from point to point, starting from the run
+    parent's m, since the new points lie outside the cluster.
 
-    The bracket.  Suppose the start p is free and lies at or above
-    I = num/den, and its parent lies below I, as :func:`_base_free_point`
-    chose it.  Then at every visited point q with gap != 0, q's ordered
-    proximities (lo, hi), (parent, p) at the start, have m/n strictly
-    below I at lo and strictly above I at hi.  For the step, the walk goes
-    first (s = lo) from a q above I and second (s = hi) from a q below
-    it, and the new point's proximities are (lo, q) or (q, hi), each
-    side keeping its sign.  A held point's weight only raises its m, and
-    the point is tested before the next move, so the bracket still
-    holds.  Hence delta = m_s den - num n_s has the sign opposite to the
-    gap's, each created point is the mediant of q and s, a step of the
-    Stern-Brocot descent (Graham, Knuth and Patashnik, *Concrete
-    Mathematics*, 4.5), and no move asks a free point for its second
-    satellite or the origin for a satellite.  The assumption on the
-    start is proved only for p = d, the dicritical itself:
-    m_d/n_d - I_d = (m0_d - n_d)/n_d >= 0, since m0 >= n.  For p != d it
-    is not proved.  The sign guard ``gap * delta >= 0``, the cap and the
-    two :class:`~enriques.errors.OrderingError` raises of
-    :func:`_satellite_proximity` stay, since the public
-    :func:`satellite_walk` takes any start and invariant and reaches
-    them: in ``test_satellite_walk_matches_stepwise_reference`` the sign
-    guard fires 2,406 times, 1,192 of them after the walk has left its
-    start (a held point is entered without the delta test),
-    :class:`SecondSatelliteOfFreePoint` 79 times,
-    :class:`OriginHasNoSatellite` 27 times and the cap 4 times."""
-    index, ns, parents = tree._satellite_index, tree.ns, tree.parents
+    The bracket.  Write I = num/den and gap = m*den - num*n at a point.
+    The proximity s of a move from q is q's parent for a first move from
+    a free q, and the first or the second member of q's ordered
+    proximities (lo, hi) for a first or a second move from a satellite
+    q; a free point has no second satellite and the origin no satellite
+    at all.  The walk checks its start p once, before it traces or
+    appends anything: unless p's gap is 0, the s of its first move (first
+    above I, second below it) must exist and lie strictly across I from
+    p, that is delta = m_s*den - num*n_s must have the sign opposite to
+    the gap's; otherwise it raises :class:`WalkDiverged`.  Claim: every
+    point r that a move from q towards s reaches has proximities
+    (lo, hi) with m/n strictly below I at lo and strictly above I at hi.
+    r's pair is (s, q) after a first move and (q, s) after a second one
+    (:func:`~enriques.arena._satellite_pair` keeps s on its side, and a
+    free q's first satellite has the pair (parent, q)), and q lies above
+    I and s below it after a first move, q below and s above after a
+    second.  For the first move that is the start check; for a later
+    one, the claim at q and the direction rule.  A held point's weight
+    raises its m but leaves its pair, so the claim holds at held and
+    created points alike.  Hence, at every point after the start with
+    gap != 0, the walk moves first from above I towards lo, below it, or
+    second from below I towards hi, above it: s exists, since the point
+    is a satellite, and delta is not 0 and has the sign opposite to the
+    gap's.  Every point of a created run shares s, so the gap changes by
+    delta at each of its points, and t = -(gap // delta), the least t
+    that takes gap + t*delta to 0 or past it, is at least 1, since gap
+    and delta are nonzero integers of opposite signs.  Each created point
+    is the mediant of q and s, a step of the Stern-Brocot descent
+    (Graham, Knuth and Patashnik, *Concrete Mathematics*, 4.5), so its
+    gap is the sum of the gaps at its lo and hi; past the last held
+    point the walk runs the subtractive Euclidean algorithm on the two
+    gaps' sizes, so it ends.
+
+    The cap.  It bounds the moves by num + den, and so the points a walk
+    creates: a memory bound for the public :func:`satellite_walk` on an
+    inconsistent cluster, where a bracketed walk may need more moves.
+    ``test_satellite_walk_cap_cuts_a_closing_run`` (weight 7) reaches it
+    from a bracketed start.  :func:`recover` has never reached it, nor
+    been refused at a start, in 53,154 walks: 17,326 on seeds 1-3 of the
+    three benchmark pools and 35,828 on the inputs of
+    ``test_recovery._sweep_inputs``.  The ``sys.maxsize`` guard refuses a
+    run longer than a list holds."""
+    index, ns, parents, pairs = (
+        tree._satellite_index, tree.ns, tree.parents, tree.pairs)
     n, m = ns[p], table[p]
     cap = num + den
+    gap = m * den - num * n
+    if gap:  # the start's bracket, which every later point then keeps
+        s = (pairs[p] or (parents[p], None))[gap < 0]
+        if s is None or gap * (table[s] * den - num * ns[s]) >= 0:
+            raise _diverged(num, den, cap, p)
     q, moves = p, 0
-    while True:
-        gap = m * den - num * n
-        if gap == 0:
-            if trace:
-                trace((q, m, n, "stop"))
-            return q
+    while gap:
         second = gap < 0
         word = "second" if second else "first"
         if trace:
             trace((q, m, n, word))
-        s = _satellite_proximity(tree, q, second)
+        s = (pairs[q] or (parents[q], None))[second]
         found = index.get((q, s))
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
@@ -422,51 +456,27 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                 raise _diverged(num, den, cap, p)
             q = found
             n, m = ns[q], table[q]
-            continue
-        n_s, m_s = ns[s], table[s]
-        delta = m_s * den - num * n_s
-        if gap * delta >= 0:  # the run would never close the gap
-            raise _diverged(num, den, cap, p)
-        t = -(gap // delta)  # the least t with gap + t*delta at or past 0
-        moves += t
-        if moves > cap:
-            raise _diverged(num, den, cap, p)
-        if len(parents) + t > sys.maxsize:  # more points than a list holds
-            raise WalkDiverged(
-                f"the run below point {q} would take the arena past"
-                f" {sys.maxsize} points")
-        q = tree._append_run(q, s, t)
-        table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
-        if trace:
-            for i in range(1, t):
-                trace((q - t + i, m + i * m_s, n + i * n_s, word))
-        n += t * n_s
-        m += t * m_s
-
-
-def _satellite_proximity(tree: ArenaTree, q: PointId, second: bool) -> PointId:
-    """The point that the first (or second) satellite of ``q`` is also
-    proximate to, besides ``q``.
-
-    A free point p proximate to p' has one satellite in its first
-    neighbourhood, its first satellite, proximate to p and p'.  A satellite
-    q with ordered proximities (a, b) has two: the first, proximate to q
-    and a, and the second, proximate to q and b.  So this is a free point's
-    parent, a satellite's smaller proximity for the first satellite and
-    its bigger one for the second.  Every later satellite on the same side
-    keeps this proximity, so a run of equal moves in the satellite cone
-    shares it.
-    """
-    pair = tree.pairs[q]
-    if second:
-        if pair is None:
-            raise SecondSatelliteOfFreePoint(
-                f"point {q} is free; only satellites have a second satellite")
-        return pair[1]
-    s = tree.parents[q] if pair is None else pair[0]
-    if s is None:
-        raise OriginHasNoSatellite("the origin has no satellite points")
-    return s
+        else:  # a run of created points that share s
+            n_s, m_s = ns[s], table[s]
+            t = -(gap // (m_s * den - num * n_s))  # least t closing the gap
+            moves += t
+            if moves > cap:
+                raise _diverged(num, den, cap, p)
+            if len(parents) + t > sys.maxsize:  # more than a list holds
+                raise WalkDiverged(
+                    f"the run below point {q} would take the arena past"
+                    f" {sys.maxsize} points")
+            q = tree._append_run(q, s, t)
+            table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
+            if trace:
+                for i in range(1, t):
+                    trace((q - t + i, m + i * m_s, n + i * n_s, word))
+            n += t * n_s
+            m += t * m_s
+        gap = m * den - num * n
+    if trace:
+        trace((q, m, n, "stop"))
+    return q
 
 
 def _diverged(num: int, den: int, cap: int, p: PointId) -> WalkDiverged:

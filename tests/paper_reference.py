@@ -35,9 +35,7 @@ solved for the base-point weight at a point from m and n alone
 """
 
 from enriques import WeightKind, WeightedCluster, excesses
-from enriques.errors import (
-    Diagnostic, NegativeResidual, OriginHasNoSatellite,
-    SecondSatelliteOfFreePoint)
+from enriques.errors import Diagnostic, NegativeResidual
 
 from chain_reference import max_by_fraction
 
@@ -62,7 +60,7 @@ def first_satellite(tree, q):
     pair = tree.pairs[q]
     s = tree.parents[q] if pair is None else pair[0]
     if s is None:
-        raise OriginHasNoSatellite("the origin has no satellite points")
+        raise LookupError("the origin has no satellite points")
     return _find_or_create(tree, q, s)
 
 
@@ -71,7 +69,7 @@ def second_satellite(tree, q):
     proximate to q and to q's bigger proximity."""
     pair = tree.pairs[q]
     if pair is None:
-        raise SecondSatelliteOfFreePoint(
+        raise LookupError(
             f"point {q} is free; only satellites have a second satellite")
     return _find_or_create(tree, q, pair[1])
 

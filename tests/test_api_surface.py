@@ -175,11 +175,8 @@ ERROR_CLASSES = [
     ("NotDicritical", "RecoveryError"),
     ("NotDownwardClosed", "ClusterError"),
     ("NumberTooLong", "EnriquesError"),
-    ("OrderingError", "EnriquesError"),
-    ("OriginHasNoSatellite", "OrderingError"),
     ("PointNotInCluster", "ClusterError"),
     ("RecoveryError", "EnriquesError"),
-    ("SecondSatelliteOfFreePoint", "OrderingError"),
     ("SelfReference", "ArenaError"),
     ("UnknownParent", "ArenaError"),
     ("UnknownPoint", "ArenaError"),

@@ -14,8 +14,7 @@ from enriques import (
 )
 from enriques.errors import (
     ArenaValidationError,
-    OriginHasNoSatellite,
-    SecondSatelliteOfFreePoint,
+    WalkDiverged,
 )
 
 import fixture_builders as fb
@@ -109,18 +108,20 @@ def test_second_satellite_in_two_exponent_example():
 
 
 def test_satellite_navigation_errors():
-    # the walk from the origin asks for its first satellite (m/n = 3 is
-    # above 1/2), and from the free point p3 for its second (m/n is below
-    # m/n + 7); neither exists, and the walk appends nothing
+    # the walk from the origin would ask for its first satellite (m/n = 3
+    # is above 1/2), and from the free point p3 for its second (m/n is
+    # below m/n + 7); neither exists, so neither start is bracketed, and
+    # the walk refuses it before it traces or appends anything
     tree, bp, names = fb.ex04_bp()
     inv = compute(bp)
     size = len(tree)
-    with pytest.raises(OriginHasNoSatellite):
-        satellite_walk(tree, inv, names["O"], Fraction(1, 2))
     p3 = names["p3"]
-    with pytest.raises(SecondSatelliteOfFreePoint):
-        satellite_walk(tree, inv, p3, inv.height_quotient(p3) + 7)
-    assert len(tree) == size
+    for p, invariant in ((names["O"], Fraction(1, 2)),
+                         (p3, inv.height_quotient(p3) + 7)):
+        steps = []
+        with pytest.raises(WalkDiverged, match="^no height quotient equal"):
+            satellite_walk(tree, inv, p, invariant, steps.append)
+        assert steps == [] and len(tree) == size
 
 
 def test_max_under_prec():

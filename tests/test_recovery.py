@@ -52,9 +52,7 @@ from enriques.errors import (
     NoQualifyingPair,
     NotDicritical,
     NotDownwardClosed,
-    OriginHasNoSatellite,
     RecoveryError,
-    SecondSatelliteOfFreePoint,
     UnknownPoint,
     WalkDiverged,
 )
@@ -158,18 +156,18 @@ def test_satellite_walk_zero_iterations():
 def test_satellite_walk_diverges_with_cap():
     tree, bp, names = fb.ex04_bp()
     inv = compute(bp)
-    # quotients below p3 stay above 9, so 17/2 keeps the walk descending
-    # for ever.  It follows p3 -> p4, which exist; from p4 every first move
-    # adds the share of p2, whose quotient 9 is above 17/2, so the gap never
-    # closes, and the walk stops before it creates a point (_stepwise_walk
-    # below creates 19, up to the cap of 17 + 2 moves)
+    # quotients below p3 stay above 9, so 17/2 would keep the walk
+    # descending for ever: the first move from the free p3 adds the share
+    # of its parent p2, whose quotient 9 is above 17/2 as p3's 12 is, so
+    # the start is not bracketed, and the walk refuses it before it traces
+    # or creates anything (_stepwise_walk below creates 19, up to the cap
+    # of 17 + 2 moves)
     size = len(tree)
     steps = []
     with pytest.raises(WalkDiverged):
         satellite_walk(tree, inv, names["p3"], Fraction(17, 2), steps.append)
     assert len(tree) == size
-    assert steps == [(names["p3"], 12, 1, "first"),
-                     (names["p4"], 21, 2, "first")]
+    assert steps == []
 
 
 def test_scan_and_walk_errors_print_the_invariant_as_fraction_does():
@@ -790,7 +788,7 @@ def _walk_on_copy(walk, bp, p, invariant):
     steps = []
     try:
         outcome = walk(tree, inv, p, invariant, steps.append)
-    except EnriquesError as err:
+    except (EnriquesError, LookupError) as err:  # the reference's lookups
         outcome = type(err)
     return outcome, steps, tree, inv
 
@@ -842,16 +840,56 @@ def _walk_cases(bp, rng):
             if invariant.numerator + invariant.denominator <= 2000]
 
 
+def _start(tree, m, p, invariant):
+    """How a walk from p to the invariant starts, read with fractions from
+    the arena's columns and the m table: "bracketed" when m/n at p equals
+    the invariant, or when the point that the satellite of p's first move
+    is also proximate to has m/n strictly on the other side of it (p's
+    parent for a free p above it, p's first or second proximity for a
+    satellite p above or below it); "free second" for a free point below
+    it, the origin included, "origin first" for the origin above it, and
+    "same side" otherwise."""
+    side = Fraction(m[p], tree.ns[p]) - invariant
+    if side == 0:
+        return "bracketed"
+    pair = tree.pairs[p]
+    if pair is None and side < 0:
+        return "free second"
+    s = tree.parents[p] if pair is None else pair[side < 0]
+    if s is None:
+        return "origin first"
+    across = (Fraction(m[s], tree.ns[s]) - invariant) * side < 0
+    return "bracketed" if across else "same side"
+
+
 def test_satellite_walk_matches_stepwise_reference():
+    # a bracketed start walks as the reference does; any other is refused
+    # before the walk traces or appends anything, and the reference, which
+    # checks no start, finds no point from it either
     counts = Counter()
     long_runs = 0
     for seed in range(300):
         bp = _grown_bp(seed)
+        inv0 = compute(bp)
         for p, invariant in _walk_cases(bp, random.Random(seed)):
-            got, steps, tree, inv = _walk_on_copy(
-                satellite_walk, bp, p, invariant)
             want, ref_steps, ref, ref_inv = _walk_on_copy(
                 _stepwise_walk, bp, p, invariant)
+            start = _start(bp.tree, inv0.m, p, invariant)
+            if start != "bracketed":
+                size, steps = len(bp.tree), []
+                with pytest.raises(WalkDiverged) as info:
+                    satellite_walk(bp.tree, inv0, p, invariant, steps.append)
+                num, den = invariant.numerator, invariant.denominator
+                assert str(info.value) == str(
+                    recovery._diverged(num, den, num + den, p))
+                assert steps == [] and len(bp.tree) == size
+                assert want in (WalkDiverged, LookupError), (seed, p)
+                assert (want is LookupError) == (start != "same side")
+                counts[start] += 1
+                counts[WalkDiverged] += 1
+                continue
+            got, steps, tree, inv = _walk_on_copy(
+                satellite_walk, bp, p, invariant)
             assert got == want, (seed, p, invariant)
             if got is WalkDiverged:
                 # the walk stops before the run that overshoots the cap
@@ -867,7 +905,73 @@ def test_satellite_walk_matches_stepwise_reference():
                 long_runs += _longest_created_run(
                     steps, len(bp.tree)) >= CHAIN_CROSSOVER
     assert counts["ok"] > 1500 and counts[WalkDiverged] > 2000
-    assert counts[SecondSatelliteOfFreePoint] > 50 and long_runs > 150
+    assert counts["free second"] > 50 and counts["origin first"] > 20
+    assert long_runs > 150
+
+
+def _bracket_check(inv, walks, seen):
+    """A trace callback that asserts the bracket at each entry as the walk
+    traces it, so that a walk which loses it fails at once instead of
+    running on.  ``walks`` yields (start, invariant) for each walk in trace
+    order, and a "stop" entry ends one.  The start must be bracketed (see
+    :func:`_start`), and every later point must lie in the first
+    neighbourhood of the one before, so its id is bigger, and have ordered
+    proximities (lo, hi) with m/n strictly below the invariant at lo and
+    strictly above it at hi.  m comes from ``inv``, a table over the walked
+    arena that the callback extends itself; each entry goes to ``seen``."""
+    tree, walk, last = inv.bp.tree, None, None
+
+    def check(entry):
+        nonlocal walk, last
+        q, word = entry[0], entry[3]
+        inv.extend_to(q)
+        if walk is None:
+            walk = next(walks)
+            assert q == walk[0]
+            assert _start(tree, inv.m, q, walk[1]) == "bracketed", walk
+        else:
+            assert q > last, (q, walk)
+            lo, hi = (Fraction(inv.m[s], tree.ns[s]) for s in tree.pairs[q])
+            assert lo < walk[1] < hi, (q, walk)
+        walk, last = (None if word == "stop" else walk), q
+        seen.append(entry)
+    return check
+
+
+def test_walk_keeps_its_bracket_at_every_visited_point():
+    # the proof in _satellite_walk's docstring, at every point that the
+    # walks of recover over the sweep inputs visit, and at every point
+    # that the public walk visits from the cases of the stepwise test,
+    # whose starts that are not bracketed must trace nothing
+    seen = []
+    for make in _sweep_inputs():
+        bp = make()
+        try:
+            inv = compute(bp)
+        except InconsistentCluster:  # recover refuses it before any walk
+            continue
+        walks = {}  # recover's walks in its order, one per distinct pair
+        for d in sorted(dicritical_points(bp) - {bp.tree.origin}):
+            invariant = dicritical_invariant(bp, inv, d)
+            walks[base_free_point(bp, inv, d, invariant)[1], invariant] = None
+        walks = iter(walks)
+        try:
+            recover(bp, _bracket_check(inv, walks, seen))
+        except EnriquesError:
+            pass
+        assert next(walks, None) is None
+    assert sum(e[3] == "stop" for e in seen) > 30000 and len(seen) > 150000
+    seen = []
+
+    def walk(tree, inv, p, invariant, trace):
+        return satellite_walk(tree, inv, p, invariant, _bracket_check(
+            inv, iter([(p, invariant)]), seen))
+
+    for seed in range(300):
+        bp = _grown_bp(seed)
+        for p, invariant in _walk_cases(bp, random.Random(seed)):
+            _walk_on_copy(walk, bp, p, invariant)
+    assert len(seen) > 30000
 
 
 @pytest.mark.parametrize("w, created, prewalked", [
@@ -1174,9 +1278,9 @@ def test_one_sweep_second_half_matches_pass_reference():
     assert counts["ok"] > 5000 and counts[NonPositiveMultiplicity] > 10000
     assert counts[InconsistentCluster] > 1000
     assert counts[EmptyRuptureSet] > 40
-    # the walk's guards never fire from recover (see _satellite_walk)
-    assert not counts.keys() & {
-        WalkDiverged, SecondSatelliteOfFreePoint, OriginHasNoSatellite}
+    # no walk of recover is refused at its start or cut by its cap (see
+    # _satellite_walk)
+    assert WalkDiverged not in counts
     assert runs["taken"] > 400 and runs["weighted"] > 100
     assert runs["low inside"] > 30 and runs["rupture inside"] > 10
     assert runs["flip inside"] > 8
