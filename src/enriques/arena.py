@@ -51,7 +51,22 @@ The arena also records, in ``_runs``, each run that the run writer
 writes as ranges, its first point's id mapped to its last one's.  The
 record is append-only like the columns, so it needs no invalidation;
 the other writers record nothing, and an arena starts with it empty.
-The recovery's value sweep reads it to take a run's points at once.
+The recovery's value sweep and downward closure read it to take a run's
+points at once.
+
+The index rule.  The private pair index ``_satellite_index`` maps a
+satellite's (parent, second proximity) to its id, for every satellite
+but the points after the first of a recorded run: the range writer
+enters a run's first point alone, so a run costs one entry.  Each later
+point p + 1 of such a run is the child of p with p's second proximity
+s, so a lookup of (p, s) that misses the index answers p + 1 when
+``parents[p + 1] == p and seconds[p + 1] == s``; the arena rules make
+that point the only one with the pair.  :meth:`ArenaTree.find_satellite`
+states the lookup, :meth:`ArenaTree._violations` asks it for the
+duplicate rule, and ``recovery._satellite_walk`` inlines it.  It reads
+p + 1 only on an arena with recorded runs, whose index is full
+otherwise: :meth:`ArenaTree.from_records`' check loop holds records
+that break rules and never a run, so there the index alone answers.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -93,7 +108,11 @@ PointId = int
 #: on the largest fifth and 0.82 on the 50-80 % band, and left the
 #: smaller half, whose runs are 10-50 points long, at 1.01 (A/A 1.02);
 #: those figures are for a step that wrote up to two pieces per run, and
-#: the one-piece step reads the same within the A/A band.
+#: the one-piece step reads the same within the A/A band.  These figures
+#: were taken while the range writer entered every run point in the pair
+#: index; it now enters the first alone (see the module's index rule).
+#: With that lean index, ranges for every run (a crossover of 1) made
+#: wide_fan ``recover`` 1.55 times slower per input, so 10 stays.
 CHAIN_CROSSOVER = 10
 
 
@@ -322,11 +341,12 @@ class ArenaTree:
         ``recovery._satellite_walk`` appends the walk's runs: t >= 1
         follows from its division, because the walk's bracket, checked
         once at its start, gives gap and delta opposite signs at every
-        later point; (a, s) is not held, because its ``_satellite_index``
-        lookup missed; and s is a proximity of a, because it is a free
-        a's parent or a member of a satellite a's pair.  So every point
-        of the run keeps the arena rules, and the result equals t calls
-        of :meth:`add_point`.
+        later point; (a, s) is not held, because its lookup by the index
+        rule (see the module docstring) missed; and s is a proximity of
+        a, because it is a free a's parent or a member of a satellite a's
+        pair.  So every point of the run keeps the arena rules, and the
+        result equals t calls of :meth:`add_point` in every column and in
+        every :meth:`find_satellite` answer.
 
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share, and its pair is
@@ -334,8 +354,10 @@ class ArenaTree:
         takes at a: the whole run is written from a and s in closed form,
         by one of two writers, and ``CHAIN_CROSSOVER`` is the only switch
         between them.  A run of at least that many points goes in as
-        ranges, one ``extend`` per column, and into ``_runs``; a shorter
-        one as one ``append`` per column and point, unrecorded.
+        ranges, one ``extend`` per column, into ``_runs``, and into the
+        pair index by its first point alone, as the index rule allows; a
+        shorter one as one ``append`` per column and point, with an index
+        entry per point, unrecorded.
         """
         q = len(self.parents)
         free_points, index = self.free_points, self._satellite_index
@@ -373,7 +395,7 @@ class ArenaTree:
             self.pairs.extend(zip(repeat(s), prev))
         else:
             self.pairs.extend(zip(prev, repeat(s)))
-        index.update(zip(zip(prev, repeat(s)), range(q, last + 1)))
+        index[a, s] = q
         self._runs[q] = last
         return last
 
@@ -416,10 +438,19 @@ class ArenaTree:
         self, parent: PointId, second_proximity: PointId
     ) -> Optional[PointId]:
         """The point with exactly this proximity pair, if it exists; None
-        for anything that is not an ``int`` id."""
+        for anything that is not an ``int`` id.  The one statement of the
+        lookup by the index rule (see the module docstring): the pair
+        index, else, on an arena with recorded runs, ``parent + 1`` when
+        that point has this pair."""
         if type(parent) is not int or type(second_proximity) is not int:
             return None
-        return self._satellite_index.get((parent, second_proximity))
+        parents, seconds = self.parents, self.seconds
+        q = self._satellite_index.get((parent, second_proximity))
+        if q is None and self._runs and 0 <= parent < len(parents) - 1:
+            q = parent + 1
+            if parents[q] != parent or seconds[q] != second_proximity:
+                return None
+        return q
 
     def ancestors(self, p: PointId) -> tuple[PointId, ...]:
         """The chain from the origin up to and including ``p``."""
@@ -448,9 +479,11 @@ class ArenaTree:
         point that the parent is proximate to, and no other point may hold
         the same pair.  A label is None or a string; a bad one is reported
         last, after the first structural rule the point breaks.  Each check
-        reads only the point's references, its parent's, the pair index
-        and whether a point without parent came before, so it takes
-        constant time.
+        reads only the point's references, its parent's, the pair lookup
+        of :meth:`find_satellite` and whether a point without parent came
+        before, so it takes constant time.  The lookup reads the index
+        alone while the arena records no run, as in the check loop of
+        :meth:`from_records`, whose records may break rules.
         """
         q = len(self.parents)
         out: list[tuple[type[ArenaError], str]] = []
@@ -475,7 +508,7 @@ class ArenaTree:
             out.append((IllegalProximity,
                         f"second proximity {s} is not among the proximities"
                         f" of parent {a}"))
-        elif (a, s) in self._satellite_index:
+        elif self.find_satellite(a, s) is not None:
             out.append((DuplicateSatellite,
                         "another satellite already carries the proximity"
                         f" pair {(a, s)}"))

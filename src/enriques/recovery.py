@@ -81,7 +81,8 @@ hand a and b to the same bodies.  All four public steps, these two,
 :func:`dicritical_invariant` and :func:`recover_values`, raise
 :class:`~enriques.errors.ArenaMismatch` on an m table built for another
 cluster or arena.  The singular set S is the downward closure of the
-rupture set R.
+rupture set R, which adds the points of a recorded run (see below) under
+a rupture point as one range (:func:`_downward_closure`).
 
 Part two, values and multiplicities, in one sweep over S in ascending id.
 Ids are topological, so the parent, the second proximity and the defining
@@ -99,7 +100,9 @@ v = (n_p/n_{p'}) v_{p'} when p is bigger than the cone's biggest rupture
 point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  The
 multiplicity at p is v_p minus the values at the points p is proximate to,
 and the sweep subtracts it from their excesses at once; a negative excess
-makes the result inconsistent.  The sweep's two dicts then become the
+makes the result inconsistent.  The excesses are a zero-filled list
+indexed by point id, so an excess that stays 0 costs no write, and one
+``min`` over it finds a negative one.  The sweep's two dicts then become the
 result's clusters as they are: the sweep has established everything that
 :class:`~enriques.cluster.WeightedCluster` checks, so they are neither
 copied nor checked again.
@@ -116,8 +119,9 @@ point to point.  The order test against the cone's biggest rupture
 point q is the sign of k_p n_q - k_q n_p, linear along the run, so one
 floor division finds c, the last point on f+1's side of it.  On f+1..c,
 v is affine and the multiplicity constant after the first point, so
-their values, multiplicities and excesses are written as ranges
-(:func:`_visits`).  Every other point, the points after c and
+their values and multiplicities are written as ranges, and their
+excesses at the piece's two ends alone, since every point inside has
+excess 0 (:func:`_visits`).  Every other point, the points after c and
 those of a prefix that bp weights among them, goes through the
 one-point rules above, so the first multiplicity below 1 is still the
 first in id order; on an arena without recorded runs the sweep visits
@@ -139,9 +143,13 @@ same run and returns exactly the result of :func:`recover`.
 The invariant, the walk and the sweep read each point's facts from the
 arena's columns and m from the list table of :class:`MorphismInvariants`,
 so none of them rebuilds a unibranch chain or builds a per-point object.
-The walk appends each run it creates through the arena's private
-``ArenaTree._append_run``, whose precondition it has proved, and extends
-the table over the run itself, so the table keeps covering the arena.
+The walk finds a held satellite by the arena's index rule (see
+:mod:`~enriques.arena`), inlined: the pair index, else a recorded run's
+next point, read from the columns, so the run writer enters a run in the
+index by its first point alone.  It appends each run it creates through
+the arena's private ``ArenaTree._append_run``, whose precondition it has
+proved, and extends the table over the run itself, so the table keeps
+covering the arena.
 A full run counts the excesses of ``bp`` once.
 """
 
@@ -449,7 +457,10 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
         if trace:
             trace((q, m, n, word))
         s = (pairs[q] or (parents[q], None))[second]
-        found = index.get((q, s))
+        found = index.get((q, s))  # the arena's index rule, inlined
+        if found is None and tree._runs and q + 1 < len(parents) and (
+                parents[q + 1] == q and tree.seconds[q + 1] == s):
+            found = q + 1
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
             if moves > cap:
@@ -513,11 +524,24 @@ def _biggest_rupture_by_cone(
 
 
 def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
-    """The points with their ancestors; each chain stops at a closed point."""
-    parents = tree.parents
+    """The points with their ancestors; each chain stops at a closed point.
+
+    A point p after the first point f of a recorded run has f..p-1 below
+    it, the run's ids in order, so the chain adds f..p as one range and
+    goes on from f's parent; one bisect on the runs' first points finds
+    f.  On an arena without recorded runs the chain goes point by point
+    with no bisect."""
+    parents, runs = tree.parents, tree._runs
+    firsts = [*runs]  # ascending, as appended
     closed: set[PointId] = set()
     for p in points:
         while p is not None and p not in closed:
+            if firsts:
+                f = firsts[bisect_right(firsts, p) - 1]
+                if f < p <= runs[f]:
+                    closed.update(range(f, p + 1))
+                    p = parents[f]
+                    continue
             closed.add(p)
             p = parents[p]
     return frozenset(closed)
@@ -571,13 +595,16 @@ def _second_half(
     points are arena points, downward closed, in the m table ``m``.  On an
     arena with recorded runs the sweep visits S through :func:`_visits`,
     which takes most run points in closed form; on any other arena it
-    visits the sorted list itself."""
+    visits the sorted list itself.  The excesses ``rho`` are a list over
+    the whole arena, zero outside S and until a point's visit sets its
+    multiplicity there, so the consistency check is one ``min``."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
     # the points with a free point of S in their first neighbourhood
     branching = {parents[c] for c in singular if seconds[c] is None}
-    values, mults, rho = {}, {}, {}  # each by point id
+    values, mults = {}, {}  # each by point id
+    rho = [0] * len(parents)  # the excesses, a list indexed by point id
     failed: Optional[RecoveryError] = None  # a satellite rule's first error
     lows: list[PointId] = []  # the points of multiplicity below 1, in order
     points = sorted(singular)
@@ -628,7 +655,7 @@ def _second_half(
         rejected = NonPositiveMultiplicity(
             f"values force multiplicity {describe_number(mults[lows[0]])}"
             f" at point {lows[0]}")
-    elif rho and min(rho.values()) < 0:  # cheaper than min(..., default=0)
+    elif rho and min(rho) < 0:
         rejected = InconsistentCluster(
             "recovered multiplicities are not consistent; the input is"
             " not a cluster of polar base points")
@@ -639,7 +666,7 @@ def _visits(
     tree: ArenaTree, m: list, order: list[PointId],
     singular: frozenset[PointId], biggest_rupture: dict[PointId, PointId],
     values: dict[PointId, int], mults: dict[PointId, int],
-    rho: dict[PointId, int], lows: list[PointId],
+    rho: list[int], lows: list[PointId],
 ) -> Iterator[PointId]:
     """Yield the sorted points ``order`` of S for the sweep to visit, but
     once the sweep has visited the first point f of a recorded run, write
@@ -667,7 +694,8 @@ def _visits(
     side of the test, is one floor division.  On b..c, v is affine, the
     multiplicity v_p - v_{p-1} - v_s is constant after b, and the excess
     of a point inside the piece, its multiplicity less its successor's,
-    is 0."""
+    is 0, the zero-filled ``rho`` list's entry already: only b's and c's
+    excesses and f's and s's are written."""
     seconds, ns, ks, i = tree.seconds, tree.ns, tree.ks, 0
     for f, last in tree._runs.items():  # in ascending id, as appended
         if f not in singular:
@@ -704,7 +732,6 @@ def _visits(
         if c > b:
             rho[b] -= rest
             mults.update(zip(range(b + 1, c + 1), repeat(rest)))
-            rho.update(zip(range(b + 1, c), repeat(0)))
             rho[c] = rest
         i = j + c - f
     yield from order[i:]

@@ -8,10 +8,12 @@ compare the diagnostics that ``from_records`` refuses records with against
 it.
 
 ``triples`` and ``proximities`` read the records and a point's proximities
-off the columns.  ``reference_facts`` derives each record's facts as the
-arena did before it became columnar, one facts tuple per point, so the
-suites can check the columns that the library's fact writers derive
-against code they do not share.
+off the columns, and ``satellite_answers`` asks ``find_satellite`` for every
+(point, proximity) pair, the whole contract of the arena's pair index.
+``reference_facts`` derives each record's facts as the arena did before it
+became columnar, one facts tuple per point, so the suites can check the
+columns that the library's fact writers derive against code they do not
+share.
 """
 
 from typing import Optional
@@ -28,6 +30,12 @@ def triples(tree: ArenaTree) -> list[tuple]:
 def proximities(tree: ArenaTree, q: PointId) -> set[PointId]:
     """The one or two points ``q`` is proximate to."""
     return {r for r in (tree.parents[q], tree.seconds[q]) if r is not None}
+
+
+def satellite_answers(tree: ArenaTree) -> list[Optional[PointId]]:
+    """``find_satellite`` on every (point, proximity) pair, in id order."""
+    return [tree.find_satellite(p, s) for p in tree.points()
+            for s in sorted(proximities(tree, p))]
 
 
 def reference_facts(records) -> list[Optional[PointFacts]]:

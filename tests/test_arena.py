@@ -33,7 +33,8 @@ from enriques.errors import (
 import fixture_builders as fb
 import randgen
 from arena_reference import (
-    proximities, reference_facts, triples, validate_reference)
+    proximities, reference_facts, satellite_answers, triples,
+    validate_reference)
 from chain_reference import precedes
 from paper_reference import child_list
 
@@ -388,7 +389,11 @@ def test_append_run_matches_repeated_add_point(t):
                 for _ in range(t - 1):
                     q = steps.add_point(q, s)
                 assert last == q == len(tree) + t - 1
-                assert _columns(chain) == _columns(steps), (seed, a, s)
+                # the run writer enters a long run's first point alone in
+                # the pair index, so the index is compared by its answers
+                assert _columns(chain)[:-1] == _columns(steps)[:-1], (
+                    seed, a, s)
+                assert satellite_answers(chain) == satellite_answers(steps)
                 chains += 1
                 # a run of first moves keeps s first in every pair and a
                 # run of second moves keeps it second; k grows only when s

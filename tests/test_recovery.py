@@ -45,6 +45,7 @@ from enriques.errors import (
     ArenaMismatch,
     ArenaValidationError,
     Diagnostic,
+    DuplicateSatellite,
     EmptyRuptureSet,
     EnriquesError,
     InconsistentCluster,
@@ -60,7 +61,7 @@ from enriques.errors import (
 import fixture_builders as fb
 import randgen
 from test_euclid import PAIRS, euclid_bp
-from arena_reference import proximities, triples
+from arena_reference import proximities, satellite_answers, triples
 from chain_reference import (
     PrecComparison, max_by_fraction, prec_compare_reference)
 from paper_reference import (
@@ -771,8 +772,9 @@ def _assert_prefix(tree, inv, ref, ref_inv):
     ref_inv.extend_to(len(ref) - 1)
     for name in _COLUMNS:
         assert getattr(tree, name) == getattr(ref, name)[:size], name
-    assert tree._satellite_index == {
-        pair: q for pair, q in ref._satellite_index.items() if q < size}
+    got = satellite_answers(tree)  # the index's contract, not its entries
+    assert got == [q if q is not None and q < size else None
+                   for q in satellite_answers(ref)[:len(got)]]
     assert inv.m == ref_inv.m[:size]
 
 
@@ -780,14 +782,23 @@ def _walk_on_copy(walk, bp, p, invariant):
     """Walk on a copy of bp's arena; return (outcome, trace, arena, table).
 
     A free point appended after the m table was built leaves the table one
-    point behind the arena, as any growth outside the walk does.
+    point behind the arena, as any growth outside the walk does.  Both
+    walks trace at most numerator + denominator + 1 entries, one per move
+    up to the cap and the last, so the trace raises AssertionError past
+    that: a walk that loses its way fails instead of running on.
     """
     tree = ArenaTree.from_records(triples(bp.tree))
     inv = MorphismInvariants(WeightedCluster(tree, bp.kind, bp.weight))
     tree.add_point(tree.origin)
     steps = []
+    bound = invariant.numerator + invariant.denominator + 1
+
+    def trace(entry):
+        assert len(steps) < bound, f"more than {bound} trace entries"
+        steps.append(entry)
+
     try:
-        outcome = walk(tree, inv, p, invariant, steps.append)
+        outcome = walk(tree, inv, p, invariant, trace)
     except (EnriquesError, LookupError) as err:  # the reference's lookups
         outcome = type(err)
     return outcome, steps, tree, inv
@@ -1366,6 +1377,31 @@ def test_recover_values_rejects_singular_set_not_downward_closed():
     with pytest.raises(NotDownwardClosed, match=f"lacks point {middle}$"):
         recover_values(bp, compute(bp), result.rupture,
                        result.singular - {middle})
+
+
+def test_a_recorded_run_costs_one_pair_index_entry():
+    # counted work, no clock: the walk's runs on the polars of y^n = x^(2n-1)
+    # grow with n, but each run written as ranges enters the pair index by
+    # its first point alone, so the index does not grow; every lookup still
+    # answers as on the same records with a full index, and every run point
+    # before the last refuses a second satellite with the run's proximity
+    entries = set()
+    for n in (1000, 16000):
+        _, bp = parse(workloads.polar(n, 2))
+        recover(bp)
+        tree = bp.tree
+        assert max(last - f for f, last in tree._runs.items()) >= n // 2
+        full = ArenaTree.from_records(triples(tree))
+        assert satellite_answers(tree) == satellite_answers(full)
+        size = len(tree)
+        for f, last in tree._runs.items():
+            s = tree.seconds[f]
+            for x in range(f, last):
+                with pytest.raises(DuplicateSatellite):
+                    tree.add_point(x, s)
+                assert len(tree) == size
+        entries.add(len(tree._satellite_index))
+    assert len(entries) == 1
 
 
 def test_recover_values_rejects_a_rupture_point_outside_the_singular_set():
