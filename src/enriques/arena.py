@@ -35,24 +35,13 @@ its records break as a :class:`~enriques.errors.Diagnostic`, and returns
 no arena.
 
 Facts are derived by two private writers that share one pair rule,
-:func:`_satellite_pair`.  :meth:`ArenaTree._from_columns` builds a whole
-arena from resolved columns in one pass, point by point, and checks only
-the rules resolved references can still break: the parser hands it the
-columns of a clean document, and :meth:`ArenaTree.from_records` the
-records its check loop found clean.  :meth:`ArenaTree._append_run` writes
-a run of satellites that share a second proximity in closed form, every
-point from the run's parent and second proximity, and checks nothing: the
-recovery walk appends only runs it has proved legal, and
-:meth:`ArenaTree.add_point` appends a satellite as a run of one once
-:meth:`ArenaTree._violations` has found no rule it breaks (it writes the
-origin and a free point itself).
-
-The arena also records, in ``_runs``, each run that the run writer
-writes as ranges, its first point's id mapped to its last one's.  The
-record is append-only like the columns, so it needs no invalidation;
-the other writers record nothing, and an arena starts with it empty.
-The recovery's value sweep and downward closure read it to take a run's
-points at once.
+:func:`_satellite_pair`; each one's docstring says what it checks and
+what it trusts.  :meth:`ArenaTree._from_columns` builds a whole arena
+from resolved columns, and :meth:`ArenaTree._append_run` writes a run of
+satellites that share a second proximity.  The run writer records in
+``_runs`` each run it writes as ranges; the record is append-only like
+the columns, so it needs no invalidation, and the recovery's value sweep
+and downward closure read it to take a run's points at once.
 
 The index rule.  The private pair index ``_satellite_index`` maps a
 satellite's (parent, second proximity) to its id, for every satellite
@@ -62,11 +51,11 @@ point p + 1 of such a run is the child of p with p's second proximity
 s, so a lookup of (p, s) that misses the index answers p + 1 when
 ``parents[p + 1] == p and seconds[p + 1] == s``; the arena rules make
 that point the only one with the pair.  :meth:`ArenaTree.find_satellite`
-states the lookup, :meth:`ArenaTree._violations` asks it for the
-duplicate rule, and ``recovery._satellite_walk`` inlines it.  It reads
-p + 1 only on an arena with recorded runs, whose index is full
-otherwise: :meth:`ArenaTree.from_records`' check loop holds records
-that break rules and never a run, so there the index alone answers.
+is the lookup, for :meth:`ArenaTree._violations`' duplicate rule and the
+recovery walk alike.  It reads p + 1 only on an arena with recorded
+runs, whose index is full otherwise: :meth:`ArenaTree.from_records`'
+check loop holds records that break rules and never a run, so there the
+index alone answers.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -94,25 +83,14 @@ PointId = int
 
 #: Shortest run that :meth:`ArenaTree._append_run` writes as column
 #: ranges; a shorter one is cheaper as one ``append`` per column and point.
-#: Both writers stay, by measurement on the benchmark's seed-1 pools
-#: (Python 3.11, 2 vCPUs): wide_fan's 4,981 created runs are all 1-6
-#: points long, and at t <= 10 the range writer costs 1.7-3.9 times the
-#: per-point writer per run; polar_walk's 115 runs reach 520 points, and
-#: writing every run point by point makes polar ``recover`` 1.04-1.05
-#: times slower per input in the median (1.08-1.09 over the pool).
-#: The arena records exactly the runs written as ranges, and the value
-#: sweep takes exactly those in closed form, one affine piece per run up
-#: to where its order test flips, so this also decides which runs the
-#: sweep takes at once.  On the same pool, interleaved in one process,
-#: taking them made polar ``recover`` take 0.69 times as long per input
-#: on the largest fifth and 0.82 on the 50-80 % band, and left the
-#: smaller half, whose runs are 10-50 points long, at 1.01 (A/A 1.02);
-#: those figures are for a step that wrote up to two pieces per run, and
-#: the one-piece step reads the same within the A/A band.  These figures
-#: were taken while the range writer entered every run point in the pair
-#: index; it now enters the first alone (see the module's index rule).
-#: With that lean index, ranges for every run (a crossover of 1) made
-#: wide_fan ``recover`` 1.55 times slower per input, so 10 stays.
+#: The arena records exactly the runs written as ranges, so this also
+#: decides which runs the value sweep takes in closed form (the argument
+#: is in the docstring of ``recovery._visits``).  Both writers stay, by
+#: measurement on the benchmark's seed-1 pools in one process (Python
+#: 3.11, 2 vCPUs): wide_fan's created runs are all 1-6 points long, and
+#: ranges for every run (a crossover of 1) made its ``recover`` 1.55 times
+#: slower per input; every run point by point made polar_walk ``recover``
+#: 1.26 times slower per input in the median (1.52 over the pool).
 CHAIN_CROSSOVER = 10
 
 
@@ -163,13 +141,9 @@ class ArenaTree:
     """Append-only, columnar arena of infinitely near points.
 
     Points are topologically sorted: every referenced id comes before its
-    referrer, and every point keeps the arena rules: :meth:`add_point`
-    and :meth:`from_records` refuse a point that would break one,
-    :meth:`_from_columns` builds no arena from columns that break one, and
-    :meth:`_append_run` writes only runs its caller has proved legal.  The
-    facts are derived by those last two writers alone, and the run writer
-    alone records the runs it writes as ranges, in ``_runs``, which maps
-    each such run's first point to its last, in ascending id.
+    referrer, and every point keeps the arena rules (the module docstring
+    names the writers and what each checks).  ``_runs`` maps the first
+    point of each run written as ranges to its last, in ascending id.
 
     The columns are public for one-pass and hot readers, which must not
     modify them; ``xs[p]`` is point p's entry:
@@ -335,29 +309,20 @@ class ArenaTree:
 
         A trusted writer that checks nothing.  The precondition is that
         t >= 1, that s is a proximity of a and that the arena does not hold
-        the pair (a, s) yet, and both callers have proved all three before
-        the call.  :meth:`add_point` appends a satellite as a run of one,
-        after :meth:`_violations` found no rule it breaks.
-        ``recovery._satellite_walk`` appends the walk's runs: t >= 1
-        follows from its division, because the walk's bracket, checked
-        once at its start, gives gap and delta opposite signs at every
-        later point; (a, s) is not held, because its lookup by the index
-        rule (see the module docstring) missed; and s is a proximity of
-        a, because it is a free a's parent or a member of a satellite a's
-        pair.  So every point of the run keeps the arena rules, and the
+        the pair (a, s) yet: :meth:`add_point` calls it for a run of one
+        once :meth:`_violations` found no rule broken, and the docstring of
+        ``recovery._satellite_walk`` proves it for the walk's runs.  So the
         result equals t calls of :meth:`add_point` in every column and in
         every :meth:`find_satellite` answer.
 
         Every point of the run has second proximity s, so its n, m0 and k
-        are a's plus i times s's share, and its pair is
-        :func:`_satellite_pair` of its parent, which keeps s on the side it
-        takes at a: the whole run is written from a and s in closed form,
-        by one of two writers, and ``CHAIN_CROSSOVER`` is the only switch
-        between them.  A run of at least that many points goes in as
-        ranges, one ``extend`` per column, into ``_runs``, and into the
-        pair index by its first point alone, as the index rule allows; a
-        shorter one as one ``append`` per column and point, with an index
-        entry per point, unrecorded.
+        are a's plus i times s's share, and :func:`_satellite_pair` keeps s
+        on the side of its pair that s takes at a: the run is written from
+        a and s in closed form.  A run of at least ``CHAIN_CROSSOVER``
+        points goes in as ranges, one ``extend`` per column, into
+        ``_runs``, and into the pair index by its first point alone (the
+        module's index rule); a shorter one as one ``append`` per column
+        and point, with an index entry per point, unrecorded.
         """
         q = len(self.parents)
         free_points, index = self.free_points, self._satellite_index
@@ -438,17 +403,15 @@ class ArenaTree:
         self, parent: PointId, second_proximity: PointId
     ) -> Optional[PointId]:
         """The point with exactly this proximity pair, if it exists; None
-        for anything that is not an ``int`` id.  The one statement of the
-        lookup by the index rule (see the module docstring): the pair
-        index, else, on an arena with recorded runs, ``parent + 1`` when
-        that point has this pair."""
+        for anything that is not an ``int`` id.  The lookup by the index
+        rule, which the module docstring states."""
         if type(parent) is not int or type(second_proximity) is not int:
             return None
-        parents, seconds = self.parents, self.seconds
         q = self._satellite_index.get((parent, second_proximity))
-        if q is None and self._runs and 0 <= parent < len(parents) - 1:
+        if q is None and self._runs and 0 <= parent < len(self.parents) - 1:
             q = parent + 1
-            if parents[q] != parent or seconds[q] != second_proximity:
+            if (self.parents[q] != parent
+                    or self.seconds[q] != second_proximity):
                 return None
         return q
 
@@ -481,9 +444,7 @@ class ArenaTree:
         last, after the first structural rule the point breaks.  Each check
         reads only the point's references, its parent's, the pair lookup
         of :meth:`find_satellite` and whether a point without parent came
-        before, so it takes constant time.  The lookup reads the index
-        alone while the arena records no run, as in the check loop of
-        :meth:`from_records`, whose records may break rules.
+        before, so it takes constant time.
         """
         q = len(self.parents)
         out: list[tuple[type[ArenaError], str]] = []

@@ -7,12 +7,13 @@ invariant quotients.  Past the types, it shares with
 :mod:`~enriques.recovery` only the arena's columns, facts included, its
 point-id check and :func:`excesses`, so agreement between them is a
 meaningful check.  A function that counts a curve's points or branches
-raises :class:`WrongKind` on another kind of cluster.  Every cluster is
-sound by construction (see :class:`~enriques.cluster.WeightedCluster`):
-it is ancestor-closed, and its points, like every arena point, keep the
-arena rules, so the sweeps here read each point's links without a check
-of their own.  Only a point taken from the arena rather than the curve,
-as in :func:`invariant_quotient`, is checked where it enters.
+raises :class:`~enriques.errors.WrongKind` on another kind of cluster.
+Every cluster is sound by construction (see
+:class:`~enriques.cluster.WeightedCluster`): it is ancestor-closed, and
+its points, like every arena point, keep the arena rules, so the sweeps
+here read each point's links without a check of their own.  Only a
+point taken from the arena rather than the curve, as in
+:func:`invariant_quotient`, is checked where it enters.
 
 A multiplicity cluster describes an actual curve exactly when it is
 consistent (no negative excess) and *singular-saturated*: every point is
@@ -81,7 +82,7 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
     through a small dict of weights owed to points further down.
     :func:`~enriques.cluster.unibranch_chain` and
     :func:`~enriques.cluster.noether_pairing` are the definition.  A ``p``
-    that is no arena point raises :class:`UnknownPoint`.
+    that is no arena point raises :class:`~enriques.errors.UnknownPoint`.
     """
     tree = curve.tree
     tree._check(p)
@@ -118,7 +119,7 @@ def rupture_quotients(
     sharing no code with the conversions of :mod:`~enriques.cluster` or
     with :mod:`~enriques.recovery`, so that the oracle stays an
     independent check on them.  A ``base`` that is no arena point raises
-    :class:`UnknownPoint`, as in :func:`invariant_quotient`.
+    :class:`~enriques.errors.UnknownPoint`, as in :func:`invariant_quotient`.
     """
     curve.require_kind(WeightKind.MULTIPLICITY)
     tree, weight = curve.tree, curve.weight

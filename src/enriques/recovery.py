@@ -28,11 +28,8 @@ where w_p is the bp-weight of p, taken as 0 for points outside the cluster
 (a generic polar is non-singular away from its base points, which is also
 why created satellites never carry weight).  The n recursion depends on
 the arena alone, so n is read from the arena's ``ns`` column; m is
-tabulated here as a list indexed by point id, like the arena's columns.
-:class:`MorphismInvariants` fills it over the whole arena in id order,
-which is topological, and it grows over the points appended later (the
-satellites the recovery walk creates), so a lookup is a bounds check and
-two list reads.
+tabulated in id order, which is topological, as a list indexed by point
+id (:class:`MorphismInvariants`).
 
 The m recursion is linear in the weights.  With all weights 0 it gives
 ``m0``, which the arena caches next to n; the weights add to it, at p,
@@ -42,115 +39,25 @@ that chain, by Noether's formula), so
     m_p = m0_p + pairing(bp, chain cluster of p).
 
 ``m_p/n_p`` is the *height quotient*; its comparisons against dicritical
-invariants, made by integer cross-multiplication, drive the satellite walk
-of the recovery algorithm.
+invariants, made by integer cross-multiplication, drive the satellite walk.
 
-The run proceeds in two parts.
+The parts, each argued in its own docstring:
 
-Part one, topology.  Every dicritical point d of ``bp`` (positive excess)
-contributes one rupture point:
+* topology, per dicritical point d of ``bp`` (positive excess): d's
+  invariant I_d (:func:`dicritical_invariant`), the free point p whose
+  satellite cone holds d's rupture point (:func:`base_free_point`), and
+  the walk from p down to m/n = I_d (:func:`satellite_walk`; the proof
+  of its bracket is in ``_satellite_walk``'s docstring); the singular set
+  S is the downward closure of the rupture set (:func:`_downward_closure`);
+* values and multiplicities, in one sweep over S in ascending id
+  (:func:`_second_half`, with the value rules), which takes a recorded
+  run in closed form (argued in ``_visits``' docstring).
 
-1. its *dicritical invariant* is I_d = pairing(bp, chain cluster of d) / n_d
-   + 1, an exact rational.  The pairing is the part of m_d that the bp
-   weights add to m0_d, the height over the empty cluster that the arena
-   caches (see Heights, above), so I_d = (m_d - m0_d + n_d) / n_d
-   costs O(1) and builds no chain cluster;
-2. the last link (p', p) of d's chain with p free and m_{p'}/n_{p'} < I_d
-   names the free point p below the rupture point.  The scan runs from d
-   down to the origin and stops at the first qualifying link;
-3. from p, a bisection walk moves to the first satellite while the height
-   quotient m/n exceeds I_d and to the second satellite while it falls
-   short, stopping at the unique point q_d with m/n = I_d, in at most
-   numerator + denominator of I_d moves (see :func:`satellite_walk`).
-   The walk checks once, at p, that the proximity of its first move lies
-   strictly across I_d from p, and refuses a start that is not so
-   bracketed; each move then takes the mediant of two points on either
-   side of I_d, so every later point is bracketed too, and no later move
-   needs a check of its direction.
-
-Steps 2 and 3 compare m/n with I_d = a/b as m*b against a*n, so no step
-builds a fraction.  A run builds one :class:`Fraction` per distinct
-(m_d - m0_d + n_d, n_d), read from the m table and the arena's ``ns`` and
-``m0s`` columns, and every dicritical that repeats the pair shares it (a
-fan of chains repeats a few invariants over many dicriticals).  Each
-dicritical reads a and b from it once; the scan, the walk and the walk
-memo's key take them as integers.  Each dicritical's
-:class:`DicriticalAssociation` is a named tuple.  The public
-:func:`base_free_point` and :func:`satellite_walk` check their point and
-hand a and b to the same bodies.  All four public steps, these two,
-:func:`dicritical_invariant` and :func:`recover_values`, raise
-:class:`~enriques.errors.ArenaMismatch` on an m table built for another
-cluster or arena.  The singular set S is the downward closure of the
-rupture set R, which adds the points of a recorded run (see below) under
-a rupture point as one range (:func:`_downward_closure`).
-
-Part two, values and multiplicities, in one sweep over S in ascending id.
-Ids are topological, so the parent, the second proximity and the defining
-free point of a point come before it, and every value a rule reads is
-already set.  One pass over R first keeps, per defining free point, the
-biggest rupture point of its cone under the order ≺ that
-:func:`_biggest_rupture_by_cone` states, by k/n facts.  Rupture points take
-v = m.  A free non-rupture point p of S takes v = m when a free point of
-S lies in its first neighbourhood; otherwise v is the unique integer in
-[ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 ) for q the biggest rupture point at or
-above p's satellite cone; one pass over S before the sweep marks the
-points with a free point of S in their first neighbourhood.  A satellite
-non-rupture point p with defining free point p' takes
-v = (n_p/n_{p'}) v_{p'} when p is bigger than the cone's biggest rupture
-point q and v_{p'} n_q = n_{p'} m_q both hold, else v = m_p.  The
-multiplicity at p is v_p minus the values at the points p is proximate to,
-and the sweep subtracts it from their excesses at once; a negative excess
-makes the result inconsistent.  The excesses are a zero-filled list
-indexed by point id, so an excess that stays 0 costs no write, and one
-``min`` over it finds a negative one.  The sweep's two dicts then become the
-result's clusters as they are: the sweep has established everything that
-:class:`~enriques.cluster.WeightedCluster` checks, so they are neither
-copied nor checked again.
-
-The sweep takes most points of a long walk in one step per run.  A run
-of equal walk moves is a chain of satellites, each proximate to the one
-before and to one point s (Casas-Alvero, *Singularities of Plane
-Curves*, on proximity along satellite chains), and the arena records
-each run that it writes as ranges.  Once the sweep has visited a
-recorded run's first point f, the run's next points in S form a prefix
-f+1..e, since S is downward closed, and one bisect on the sorted S finds
-e.  When bp weights none of them, m, n and k grow by fixed steps from
-point to point.  The order test against the cone's biggest rupture
-point q is the sign of k_p n_q - k_q n_p, linear along the run, so one
-floor division finds c, the last point on f+1's side of it.  On f+1..c,
-v is affine and the multiplicity constant after the first point, so
-their values and multiplicities are written as ranges, and their
-excesses at the piece's two ends alone, since every point inside has
-excess 0 (:func:`_visits`).  Every other point, the points after c and
-those of a prefix that bp weights among them, goes through the
-one-point rules above, so the first multiplicity below 1 is still the
-first in id order; on an arena without recorded runs the sweep visits
-the sorted set itself.
-
-Each rupture point's m/n equals its dicritical's invariant by
-construction, so no run checks it: the walk returns only at gap
-m*b - a*n = 0, a memo hit returns the point an earlier walk found for the
-same (p, a, b), and the origin's invariant is m_O/1 with n_O = 1.
-
-A run visits the dicriticals in ascending id in one loop, each one's
-invariant and then its walk, and walks once per distinct (base free
-point, invariant) pair, reusing that walk's rupture point for
-every dicritical that repeats the pair.  The walk is deterministic and
-finds the points an earlier walk created, so the order of the visits
-carries no mathematics; :func:`recover_grouped` is another name for the
-same run and returns exactly the result of :func:`recover`.
-
-The invariant, the walk and the sweep read each point's facts from the
-arena's columns and m from the list table of :class:`MorphismInvariants`,
-so none of them rebuilds a unibranch chain or builds a per-point object.
-The walk finds a held satellite by the arena's index rule (see
-:mod:`~enriques.arena`), inlined: the pair index, else a recorded run's
-next point, read from the columns, so the run writer enters a run in the
-index by its first point alone.  It appends each run it creates through
-the arena's private ``ArenaTree._append_run``, whose precondition it has
-proved, and extends the table over the run itself, so the table keeps
-covering the arena.
-A full run counts the excesses of ``bp`` once.
+:func:`recover` runs both parts in one call.  No part rebuilds a
+unibranch chain or builds a per-point object: each reads a point's facts
+from the arena's columns and m from the table.  The four public steps
+raise :class:`~enriques.errors.ArenaMismatch` on an m table built for
+another cluster or arena.
 """
 
 from __future__ import annotations
@@ -354,33 +261,19 @@ def satellite_walk(
     """Bisect the satellite cone of ``p`` down to height quotient = invariant.
 
     Moves to the first satellite while m/n is too big, to the second while
-    too small, creating points as needed.  The number of moves is capped at
-    numerator + denominator of the invariant; exceeding the cap means the
-    input was not a genuine cluster of polar base points.
-
-    The start must be bracketed.  Unless m/n at ``p`` equals the
-    invariant, the point that the first move's satellite is also
-    proximate to must exist and have m/n strictly on the other side of
-    the invariant: ``p``'s parent when ``p`` is free and above it, the
-    first or the second of a satellite ``p``'s ordered proximities when
-    ``p`` is above or below it.  A free point below the invariant, the
-    origin and any other start that is not bracketed raise
-    :class:`WalkDiverged` before anything is traced or appended.  From a
-    bracketed start every later point is bracketed too (see the proof
-    in ``_satellite_walk``).  :func:`recover` walks through the same
-    check, and no input has yet reached it with an unbracketed start.
-
-    Each pass names the proximity s of the next move.  A point the arena
-    already holds may carry weight, so the walk moves there alone.  Where
-    the arena holds no such point, the walk appends a run of weightless
-    points: every point of a run shares s, so the gap m*b - a*n to
-    I = a/b changes by the same delta = m_s*b - a*n_s at each move, and
-    the run's length is the least t that makes the gap change sign or
-    vanish, one division.  A run whose end lies beyond the cap or that
-    would take the arena past ``sys.maxsize`` points raises
-    :class:`WalkDiverged` before appending anything.  ``trace`` still
-    sees one entry per visited point.  A table built over another arena
-    raises :class:`~enriques.errors.ArenaMismatch`.
+    too small, creating points as needed, in at most numerator +
+    denominator of the invariant moves; exceeding that cap means the input
+    was not a genuine cluster of polar base points.  The start must be
+    bracketed: unless m/n at ``p`` equals the invariant, the point that
+    the first move's satellite is also proximate to must exist and lie
+    strictly across the invariant; ``_satellite_walk``'s docstring proves
+    that every later point is then bracketed.  Any other start, such as a
+    free point below the invariant or the origin, raises
+    :class:`WalkDiverged` before anything is traced or appended, and a run
+    of created points that would end past the cap or take the arena past
+    ``sys.maxsize`` points raises it before the run is appended.
+    ``trace`` sees one entry per visited point.  A table built over
+    another arena raises :class:`~enriques.errors.ArenaMismatch`.
     """
     if inv.bp.tree is not tree:
         raise ArenaMismatch("the m table was built over another arena")
@@ -393,11 +286,13 @@ def satellite_walk(
 def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                     num: int, den: int, trace) -> PointId:
     """:func:`satellite_walk` for num/den, on an m table covering the
-    arena.  Each run it creates goes in through
-    :meth:`~enriques.arena.ArenaTree._append_run`, whose precondition the
-    bracket below proves, and the next line extends the table over the
-    run: m grows by m_s from point to point, starting from the run
-    parent's m, since the new points lie outside the cluster.
+    arena.  Each pass names the proximity s of its move and looks the
+    next point up with ``tree.find_satellite``, bound once per walk.  A
+    held point may carry weight, so the walk moves there alone; else it
+    appends a run of weightless points that share s through
+    ``tree._append_run``, whose precondition the bracket below proves, and
+    extends the table over the run: m grows by m_s from point to point,
+    from the run parent's m, since the new points lie outside the cluster.
 
     The bracket.  Write I = num/den and gap = m*den - num*n at a point.
     The proximity s of a move from q is q's parent for a first move from
@@ -425,7 +320,9 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     gap's.  Every point of a created run shares s, so the gap changes by
     delta at each of its points, and t = -(gap // delta), the least t
     that takes gap + t*delta to 0 or past it, is at least 1, since gap
-    and delta are nonzero integers of opposite signs.  Each created point
+    and delta are nonzero integers of opposite signs.  The run's pair
+    (q, s) is not held, since the lookup missed, and s is a proximity of
+    q, so the run keeps the writer's precondition.  Each created point
     is the mediant of q and s, a step of the Stern-Brocot descent
     (Graham, Knuth and Patashnik, *Concrete Mathematics*, 4.5), so its
     gap is the sum of the gaps at its lo and hi; past the last held
@@ -437,12 +334,11 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     inconsistent cluster, where a bracketed walk may need more moves.
     ``test_satellite_walk_cap_cuts_a_closing_run`` (weight 7) reaches it
     from a bracketed start.  :func:`recover` has never reached it, nor
-    been refused at a start, in 53,154 walks: 17,326 on seeds 1-3 of the
-    three benchmark pools and 35,828 on the inputs of
-    ``test_recovery._sweep_inputs``.  The ``sys.maxsize`` guard refuses a
-    run longer than a list holds."""
-    index, ns, parents, pairs = (
-        tree._satellite_index, tree.ns, tree.parents, tree.pairs)
+    been refused at a start, in 53,154 walks on seeds 1-3 of the three
+    benchmark pools and the inputs of ``test_recovery._sweep_inputs``.
+    The ``sys.maxsize`` guard refuses a run longer than a list holds."""
+    find, ns, parents, pairs = (
+        tree.find_satellite, tree.ns, tree.parents, tree.pairs)
     n, m = ns[p], table[p]
     cap = num + den
     gap = m * den - num * n
@@ -457,10 +353,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
         if trace:
             trace((q, m, n, word))
         s = (pairs[q] or (parents[q], None))[second]
-        found = index.get((q, s))  # the arena's index rule, inlined
-        if found is None and tree._runs and q + 1 < len(parents) and (
-                parents[q + 1] == q and tree.seconds[q + 1] == s):
-            found = q + 1
+        found = find(q, s)
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
             if moves > cap:
@@ -592,12 +485,23 @@ def _second_half(
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
     :class:`InconsistentCluster`, else None.  A value rule's error is
     raised, a satellite's only once every free point's rule has run.  The
-    points are arena points, downward closed, in the m table ``m``.  On an
-    arena with recorded runs the sweep visits S through :func:`_visits`,
-    which takes most run points in closed form; on any other arena it
-    visits the sorted list itself.  The excesses ``rho`` are a list over
-    the whole arena, zero outside S and until a point's visit sets its
-    multiplicity there, so the consistency check is one ``min``."""
+    points are arena points, downward closed, in the m table ``m``.
+
+    The value rules, read in id order, which is topological: a rupture
+    point takes v = m; a free point p, m when a free point of S lies in
+    its first neighbourhood, else the unique integer in
+    [ (n_p/n_q) m_q, (n_p/n_q) m_q + 1 ) for q the biggest rupture point
+    of its cone (:func:`_biggest_rupture_by_cone`); a satellite p of that
+    cone, (n_p/n_{p'}) v_{p'} when p is bigger than q and
+    v_{p'} n_q = n_{p'} m_q for p' the cone's free point, else m.
+    The multiplicity at p, v_p less the values at the points p is
+    proximate to, comes off their excesses at once.  The excesses ``rho``
+    are a list over the whole arena, zero outside S and until a point's
+    visit sets its multiplicity there, so the consistency check is one
+    ``min``.  On an arena with recorded runs the sweep visits S through
+    :func:`_visits`, whose docstring argues why it may write most run
+    points in closed form; on any other arena it visits the sorted list
+    itself."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
@@ -684,18 +588,20 @@ def _visits(
     after f carries weight, since no virtual weight is negative.
 
     Every point of the run is a satellite proximate to its predecessor
-    and to s, in the cone of f's defining free point F, and n, m and k
-    grow by fixed steps along it.  The satellite rule gives v = m except
-    on the points bigger than the cone's biggest rupture point q, where
-    it gives n V_F / n_F once V_F n_q = n_F m_q; a rupture point of the
-    run is not bigger than q, so it takes m like its neighbours.  The
-    order test k_p n_q > k_q n_p reads the sign of g(p) = k_p n_q - k_q n_p,
-    which is linear along the run, so c, the last point of f+1..e on b's
-    side of the test, is one floor division.  On b..c, v is affine, the
-    multiplicity v_p - v_{p-1} - v_s is constant after b, and the excess
-    of a point inside the piece, its multiplicity less its successor's,
-    is 0, the zero-filled ``rho`` list's entry already: only b's and c's
-    excesses and f's and s's are written."""
+    and to s (Casas-Alvero, *Singularities of Plane Curves*, on proximity
+    along satellite chains), in the cone of f's defining free point F,
+    and n, m and k grow by fixed steps along it.  The satellite rule
+    gives v = m except on the points bigger than the cone's biggest
+    rupture point q, where it gives n V_F / n_F once V_F n_q = n_F m_q; a
+    rupture point of the run is not bigger than q, so it takes m like its
+    neighbours.  The order test k_p n_q > k_q n_p reads the sign of
+    g(p) = k_p n_q - k_q n_p, which is linear along the run, so c, the
+    last point of f+1..e on b's side of the test, is one floor division.
+    On b..c, v is affine, the multiplicity v_p - v_{p-1} - v_s is
+    constant after b, and the excess of a point inside the piece, its
+    multiplicity less its successor's, is 0, the zero-filled ``rho``
+    list's entry already: only b's and c's excesses and f's and s's are
+    written."""
     seconds, ns, ks, i = tree.seconds, tree.ns, tree.ks, 0
     for f, last in tree._runs.items():  # in ascending id, as appended
         if f not in singular:
@@ -744,10 +650,21 @@ def recover(
     bp: WeightedCluster,
     trace: Optional[Callable[[TraceEntry], None]] = None,
 ) -> RecoveryResult:
-    """Full recovery: dicriticals in ascending id, one walk per distinct
-    (base free point, invariant) pair, so ``trace`` sees one ``stop`` entry
-    per walk rather than per dicritical.  An error raised once the input is
-    known to be base points carries the partial association."""
+    """Full recovery: dicriticals in ascending id, each one's invariant
+    and then its walk, one walk per distinct (base free point, invariant)
+    pair, so ``trace`` sees one ``stop`` entry per walk rather than per
+    dicritical.  The walk is deterministic and finds the points an earlier
+    walk created, so the order of the visits carries no mathematics.  An
+    error raised once the input is known to be base points carries the
+    partial association.
+
+    One :class:`Fraction` a/b is built per distinct (m_d - m0_d + n_d,
+    n_d), shared by the dicriticals that repeat it (a fan of chains
+    repeats a few invariants over many dicriticals).  No rupture point's
+    m/n is checked against its invariant, which it equals by
+    construction: the walk returns only at gap m*b - a*n = 0, a memo hit
+    returns the point an earlier walk found for the same (p, a, b), and
+    the origin's invariant is m_O/1 with n_O = 1."""
     tree = bp.tree
     before = len(tree)
     # the table covers every point of the arena, and the walk extends it

@@ -30,7 +30,7 @@ from enriques import (
     satellite_walk,
     unibranch_chain,
 )
-from enriques import errors
+from enriques import arena, errors
 from enriques.errors import (
     ArenaError,
     ArenaValidationError,
@@ -150,6 +150,88 @@ def test_readme_names_only_public_names_and_modules():
     unresolved = [name for name in sorted(mentioned - set(enriques.__all__))
                   if importlib.util.find_spec(f"enriques.{name}") is None]
     assert unresolved == []
+
+
+#: A Sphinx cross-reference in a docstring: its role and its target.
+DOC_REFERENCE = re.compile(r":(func|class|meth|mod):`~?([\w.]+)`")
+
+
+def _resolves(module: types.ModuleType, role: str, target: str) -> bool:
+    """Whether a reference in ``module``'s docstrings names an object: by
+    its ``enriques.`` path, in the module itself, or, for a bare
+    ``:meth:``, as a method of a class the module defines."""
+    def walk(obj, names):
+        for name in names:
+            if hasattr(obj, name):
+                obj = getattr(obj, name)
+            elif hasattr(obj, "__path__"):  # a package's unimported module
+                try:
+                    obj = importlib.import_module(f"{obj.__name__}.{name}")
+                except ImportError:
+                    return False
+            else:
+                return False
+        return True
+    names = target.split(".")
+    if names[0] == "enriques":
+        return walk(enriques, names[1:])
+    if walk(module, names):
+        return True
+    return role == "meth" and len(names) == 1 and any(
+        isinstance(cls, type) and cls.__module__ == module.__name__
+        and hasattr(cls, target) for cls in vars(module).values())
+
+
+def test_docstring_references_resolve():
+    # a reference to a name the module neither defines nor imports reads
+    # as a link in the source and resolves to nothing
+    checked, unresolved = 0, []
+    for path in sorted((ROOT / "src" / "enriques").glob("*.py")):
+        module = importlib.import_module(
+            "enriques" if path.stem == "__init__" else f"enriques.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for role, target in DOC_REFERENCE.findall(
+                    ast.get_docstring(node, clean=False) or ""):
+                checked += 1
+                if not _resolves(module, role, target):
+                    unresolved.append((path.stem, role, target))
+    assert checked > 50
+    assert unresolved == []
+
+
+#: The private names of ``enriques.arena`` that each other library module
+#: reads; every other module reads the arena through its public surface.
+ARENA_PRIVATE_READERS = {
+    "documents": {"_from_columns"},
+    "oracle": {"_check"},
+    "recovery": {"_append_run", "_check", "_runs"},
+}
+
+
+def test_only_pinned_modules_read_private_arena_names():
+    # the arena's private writers and records stay behind these readers,
+    # so a new reader of, say, the pair index is a deliberate edit here
+    private = {name for name in (*vars(arena), *vars(ArenaTree),
+                                 *vars(ArenaTree()))
+               if name.startswith("_") and not name.endswith("__")}
+    assert {"_satellite_index", "_satellite_pair", "_violations"} <= private
+    reads = {}
+    for path in sorted((ROOT / "src" / "enriques").glob("*.py")):
+        if path.stem in ("arena", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & private:
+                reads.setdefault(path.stem, set()).update(names & private)
+    assert reads == ARENA_PRIVATE_READERS
 
 
 #: Every exception class of ``enriques.errors`` with its direct base.
