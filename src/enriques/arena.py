@@ -27,7 +27,8 @@ index (a list would silently accept ``-1``, and ``True`` as ``1``), except
 :meth:`ArenaTree.find_satellite`, which answers None instead.
 
 Every point an arena holds keeps the arena rules, so every point has
-facts.  The rules are stated once, in :meth:`ArenaTree._violations`.
+facts.  The rules are stated once, in :func:`_violations`, over raw
+columns, so a point is checked before any arena holds it.
 :meth:`ArenaTree.add_point` raises the first rule a point would break and
 appends nothing; :meth:`ArenaTree.from_records` raises
 :class:`~enriques.errors.ArenaValidationError`, which carries every rule
@@ -45,17 +46,13 @@ and downward closure read it to take a run's points at once.
 
 The index rule.  The private pair index ``_satellite_index`` maps a
 satellite's (parent, second proximity) to its id, for every satellite
-but the points after the first of a recorded run: the range writer
-enters a run's first point alone, so a run costs one entry.  Each later
-point p + 1 of such a run is the child of p with p's second proximity
-s, so a lookup of (p, s) that misses the index answers p + 1 when
-``parents[p + 1] == p and seconds[p + 1] == s``; the arena rules make
-that point the only one with the pair.  :meth:`ArenaTree.find_satellite`
-is the lookup, for :meth:`ArenaTree._violations`' duplicate rule and the
-recovery walk alike.  It reads p + 1 only on an arena with recorded
-runs, whose index is full otherwise: :meth:`ArenaTree.from_records`'
-check loop holds records that break rules and never a run, so there the
-index alone answers.
+but the points after the first of a run: the run writer enters a run's
+first point alone, so every run costs one entry.  Each later point p + 1
+of a run is the child of p with p's second proximity s, so a lookup of
+(p, s) that misses the index answers p + 1 when ``parents[p + 1] == p
+and seconds[p + 1] == s``; the arena rules make that point the only one
+with the pair.  :meth:`ArenaTree.find_satellite` is the lookup, for
+:func:`_violations`' duplicate rule and the recovery walk alike.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -64,7 +61,7 @@ ids only.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ArenaError,
@@ -167,7 +164,6 @@ class ArenaTree:
         self.ks: list[int] = []
         self.pairs: list[Optional[tuple[PointId, PointId]]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
-        self._rootless = False  # whether any point so far has no parent
         self._runs: dict[PointId, PointId] = {}  # range-written runs
 
     # -- construction --------------------------------------------------
@@ -180,11 +176,13 @@ class ArenaTree:
     ) -> PointId:
         """Append a new point and return its id.
 
-        The point must keep every arena rule (see :meth:`_violations`); on
+        The point must keep every arena rule (see :func:`_violations`); on
         the first it would break this raises that rule's error and appends
         nothing.  With no ``parent`` the point becomes the origin.
         """
-        broken = self._violations(parent, second_proximity, label)
+        broken = _violations(self.parents, self.seconds, bool(self.parents),
+                             self.find_satellite, parent, second_proximity,
+                             label)
         if broken:
             error, message = broken[0]
             raise error(message)
@@ -193,7 +191,6 @@ class ArenaTree:
             self._append_run(parent, second_proximity, 1)
             self.labels[q] = label
             return q
-        self._rootless |= parent is None
         n, m0 = ((1, 1) if parent is None
                  else (self.ns[parent], self.m0s[parent] + 1))
         self.parents.append(parent)
@@ -218,29 +215,29 @@ class ArenaTree:
         :class:`ArenaValidationError`, whose ``diagnostics`` name every
         broken rule in record order, and returns no arena.
 
-        Each record is checked by :meth:`_violations` against the parents,
-        second proximities, pair index and rootless flag as the records
-        before it left them.  A record that breaks only the label rule
-        still holds its proximity pair, so a later record with the same
-        pair is reported as a duplicate.  Only records that break nothing
-        reach :meth:`_from_columns`, which trusts their references.  The
-        records are read once, so any iterable will do.
+        Each record is checked by :func:`_violations` against the parents
+        and second proximities of the records before it, whether one of
+        them had no parent, and a pair index of every satellite among them
+        that breaks no structural rule: a record that breaks only the label
+        rule still holds its proximity pair, so a later record with the
+        same pair is reported as a duplicate.  No arena holds a record
+        before the loop has found nothing; then :meth:`_from_columns`
+        adopts the lists and trusts their references.  The records are
+        read once, so any iterable will do.
         """
-        checked = cls()  # what the rules read of the records so far
-        parents, seconds, labels = checked.parents, checked.seconds, checked.labels
-        index = checked._satellite_index
-        out: list[Diagnostic] = []
+        parents, seconds, labels = [], [], []  # the records so far
+        index: dict[tuple[PointId, PointId], PointId] = {}
+        rootless, out = False, []
         for q, (a, s, label) in enumerate(records):
-            broken = checked._violations(a, s, label)
+            broken = _violations(parents, seconds, rootless,
+                                 lambda p, t: index.get((p, t)), a, s, label)
             out.extend(Diagnostic(error.__name__, q, message)
                        for error, message in broken)
             parents.append(a)
             seconds.append(s)
             labels.append(label)
-            if a is None:
-                checked._rootless = True
-            elif s is not None and (
-                    not broken or broken[0][0] is InvalidLabel):
+            rootless |= a is None
+            if s is not None and (not broken or broken[0][0] is InvalidLabel):
                 index[a, s] = q
         if out:
             raise ArenaValidationError(out)
@@ -254,17 +251,17 @@ class ArenaTree:
         """An arena that adopts the three lists as its columns, uncopied,
         or None when they break an arena rule.
 
-        A trusted writer, and the one point-by-point statement of the
-        facts: it derives them, the pair index and the rootless flag, but
-        checks only the rules that resolved references can still break, a
-        second origin, an illegal proximity or a repeated pair, and stops
-        at the first.  Its callers hand it only labels that are None or
-        strings and references to earlier points' ids, so point 0 has no
-        second proximity: :meth:`from_records`, whose labels may be None,
-        once its check loop found nothing, and ``documents.parse``, for
-        documents its own loop found clean, whose labels are all strings.
-        So only the parser's call can return None, and the parser then
-        reports the rules through :meth:`from_records`.
+        A trusted writer: it derives the facts and enters every satellite
+        in the pair index, but checks only the rules that resolved
+        references can still break, a second origin, an illegal proximity
+        or a repeated pair, and stops at the first.  Its callers hand it
+        only labels that are None or strings and references to earlier
+        points' ids, so point 0 has no second proximity:
+        :meth:`from_records`, whose labels may be None, once its check
+        loop found nothing, and ``documents.parse``, for documents its own
+        loop found clean, whose labels are all strings.  So only the
+        parser's call can return None, and the parser then reports the
+        rules through :meth:`from_records`.
 
         Let q be a satellite with parent a and second proximity s.  Its
         pair is :func:`_satellite_pair`; n and m0 add up over both
@@ -299,8 +296,7 @@ class ArenaTree:
         tree.parents, tree.seconds, tree.labels = parents, seconds, labels
         tree.free_points, tree.ns, tree.m0s = free_points, ns, m0s
         tree.ks, tree.pairs = ks, pairs
-        tree._satellite_index, tree._rootless = index, bool(parents)
-        tree._runs = {}
+        tree._satellite_index, tree._runs = index, {}
         return tree
 
     def _append_run(self, a: PointId, s: PointId, t: int) -> PointId:
@@ -310,7 +306,7 @@ class ArenaTree:
         A trusted writer that checks nothing.  The precondition is that
         t >= 1, that s is a proximity of a and that the arena does not hold
         the pair (a, s) yet: :meth:`add_point` calls it for a run of one
-        once :meth:`_violations` found no rule broken, and the docstring of
+        once :func:`_violations` found no rule broken, and the docstring of
         ``recovery._satellite_walk`` proves it for the walk's runs.  So the
         result equals t calls of :meth:`add_point` in every column and in
         every :meth:`find_satellite` answer.
@@ -318,14 +314,15 @@ class ArenaTree:
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share, and :func:`_satellite_pair` keeps s
         on the side of its pair that s takes at a: the run is written from
-        a and s in closed form.  A run of at least ``CHAIN_CROSSOVER``
-        points goes in as ranges, one ``extend`` per column, into
-        ``_runs``, and into the pair index by its first point alone (the
-        module's index rule); a shorter one as one ``append`` per column
-        and point, with an index entry per point, unrecorded.
+        a and s in closed form.  Every run goes into the pair index by its
+        first point alone (the module's index rule).  A run of at least
+        ``CHAIN_CROSSOVER`` points goes in as ranges, one ``extend`` per
+        column, and into ``_runs``; a shorter one as one ``append`` per
+        column and point, unrecorded.
         """
         q = len(self.parents)
-        free_points, index = self.free_points, self._satellite_index
+        free_points = self.free_points
+        self._satellite_index[a, s] = q
         s_first = _satellite_pair(a, self.parents[a], self.pairs[a], s)[0] == s
         free, n, m0, k = free_points[a], self.ns[a], self.m0s[a], self.ks[a]
         n_s, m0_s = self.ns[s], self.m0s[s]
@@ -343,7 +340,6 @@ class ArenaTree:
                 self.m0s.append(m0)
                 self.ks.append(k)
                 self.pairs.append((s, a) if s_first else (a, s))
-                index[a, s] = c
                 a = c
             return a
         last = q + t - 1
@@ -360,7 +356,6 @@ class ArenaTree:
             self.pairs.extend(zip(repeat(s), prev))
         else:
             self.pairs.extend(zip(prev, repeat(s)))
-        index[a, s] = q
         self._runs[q] = last
         return last
 
@@ -408,7 +403,7 @@ class ArenaTree:
         if type(parent) is not int or type(second_proximity) is not int:
             return None
         q = self._satellite_index.get((parent, second_proximity))
-        if q is None and self._runs and 0 <= parent < len(self.parents) - 1:
+        if q is None and 0 <= parent < len(self.parents) - 1:
             q = parent + 1
             if (self.parents[q] != parent
                     or self.seconds[q] != second_proximity):
@@ -427,56 +422,58 @@ class ArenaTree:
         chain.reverse()
         return tuple(chain)
 
-    # -- validation ------------------------------------------------------
-
-    def _violations(
-        self, a: Optional[PointId], s: Optional[PointId],
-        label: object = None,
-    ) -> list[tuple[type[ArenaError], str]]:
-        """The arena rules that a point (a, s) with ``label`` appended next
-        would break, as (error class, message) pairs in report order.
-
-        This is the one statement of the rules.  At most one point has no
-        parent, and it has no second proximity.  Every other point names
-        an earlier point as its parent; a satellite also names an earlier
-        point that the parent is proximate to, and no other point may hold
-        the same pair.  A label is None or a string; a bad one is reported
-        last, after the first structural rule the point breaks.  Each check
-        reads only the point's references, its parent's, the pair lookup
-        of :meth:`find_satellite` and whether a point without parent came
-        before, so it takes constant time.
-        """
-        q = len(self.parents)
-        out: list[tuple[type[ArenaError], str]] = []
-        if a is None:
-            if s is not None:
-                out.append((IllegalProximity,
-                            "origin cannot have a second proximity"))
-            if self._rootless:
-                out.append((DuplicateOrigin,
-                            "more than one point without a parent"))
-        elif a == q or s == q:
-            out.append((SelfReference, "point references itself"))
-        elif a not in self:
-            out.append((UnknownParent,
-                        f"parent {a} does not precede the point"))
-        elif s is None:
-            pass
-        elif s not in self:
-            out.append((UnknownPoint,
-                        f"second proximity {s} does not precede the point"))
-        elif s != self.parents[a] and s != self.seconds[a]:
-            out.append((IllegalProximity,
-                        f"second proximity {s} is not among the proximities"
-                        f" of parent {a}"))
-        elif self.find_satellite(a, s) is not None:
-            out.append((DuplicateSatellite,
-                        "another satellite already carries the proximity"
-                        f" pair {(a, s)}"))
-        if not (label is None or isinstance(label, str)):
-            out.append((InvalidLabel,
-                        f"label {label!r} is neither None nor a string"))
-        return out
-
     def __repr__(self) -> str:
         return f"ArenaTree({len(self.parents)} points)"
+
+
+def _violations(
+    parents: list[Optional[PointId]], seconds: list[Optional[PointId]],
+    rootless: bool, find: Callable[[PointId, PointId], Optional[PointId]],
+    a: Optional[PointId], s: Optional[PointId], label: object,
+) -> list[tuple[type[ArenaError], str]]:
+    """The arena rules that a point (a, s) with ``label`` would break,
+    appended next to points with these ``parents`` and ``seconds``, as
+    (error class, message) pairs in report order.  ``rootless`` says
+    whether a point without parent came before, and ``find`` is the pair
+    lookup of the points so far.
+
+    This is the one statement of the rules.  At most one point has no
+    parent, and it has no second proximity.  Every other point names
+    an earlier point as its parent; a satellite also names an earlier
+    point that the parent is proximate to, and no other point may hold
+    the same pair.  A label is None or a string; a bad one is reported
+    last, after the first structural rule the point breaks.  Each check
+    reads only the point's references, its parent's, the pair lookup
+    and ``rootless``, so it takes constant time.
+    """
+    q = len(parents)
+    out: list[tuple[type[ArenaError], str]] = []
+    if a is None:
+        if s is not None:
+            out.append((IllegalProximity,
+                        "origin cannot have a second proximity"))
+        if rootless:
+            out.append((DuplicateOrigin,
+                        "more than one point without a parent"))
+    elif a == q or s == q:
+        out.append((SelfReference, "point references itself"))
+    elif type(a) is not int or not 0 <= a < q:
+        out.append((UnknownParent,
+                    f"parent {a} does not precede the point"))
+    elif s is None:
+        pass
+    elif type(s) is not int or not 0 <= s < q:
+        out.append((UnknownPoint,
+                    f"second proximity {s} does not precede the point"))
+    elif s != parents[a] and s != seconds[a]:
+        out.append((IllegalProximity,
+                    f"second proximity {s} is not among the proximities"
+                    f" of parent {a}"))
+    elif find(a, s) is not None:
+        out.append((DuplicateSatellite,
+                    "another satellite already carries the proximity"
+                    f" pair {(a, s)}"))
+    if not (label is None or isinstance(label, str)):
+        out.append((InvalidLabel,
+                    f"label {label!r} is neither None nor a string"))
+    return out

@@ -22,16 +22,16 @@ Parsing aggregates every structural problem into one
 :class:`DocumentValidationError` instead of stopping at the first.  One
 loop checks every entry and resolves it into the parent, second
 proximity and label lists.  When it found nothing,
-:meth:`ArenaTree._from_columns`, the arena's one point-by-point fact
-writer, adopts the lists as the arena's columns and derives the facts in
-one trusted pass, which stops at the first arena rule they break.  Any
-other document, and one that pass stops at, goes to
-:meth:`ArenaTree.from_records`, which checks every point first and
-refuses the arena with every rule its points break.  A weight must be a JSON integer: ``true``/``false``
-are rejected even though Python's ``bool`` is an ``int``, and
-``format_version`` must be the integer 1 (not ``true`` or ``1.0``).  An
-integer with more digits than Python reads into an int
-(``sys.get_int_max_str_digits()``) makes the text invalid JSON.
+:meth:`ArenaTree._from_columns` adopts the lists as the arena's columns
+and derives the facts in one trusted pass, which stops at the first
+arena rule they break.  Any other document, and one that pass stops at,
+goes to :meth:`ArenaTree.from_records`, which checks every point first
+and refuses the arena with every rule its points break.  A weight must
+be a JSON integer: ``true``/``false`` are rejected even though Python's
+``bool`` is an ``int``, and ``format_version`` must be the integer 1
+(not ``true`` or ``1.0``).  An integer with more digits than Python
+reads into an int (``sys.get_int_max_str_digits()``) makes the text
+invalid JSON.
 
 A diagnostic names a point by its entry's index, which is its arena id:
 an entry without a string id, with a repeated id or with an unresolved
@@ -47,10 +47,11 @@ Serialization writes points in arena order under their names from
 :func:`document_ids`: the label, or ``q#1``, ``q#2``, ... for unlabeled
 points (the ones created during recovery) and repeated labels, so
 ``parse(serialize(...))`` round-trips and serializer output re-parses to
-an equal cluster.  The CLI and the DOT renderer name points by the same
-rule.  The writer is hand-rolled, one string per point, and its text is
-byte-identical to ``json.dumps(doc, indent=2)`` plus a final newline
-(``json.dumps`` takes its pure-Python encoder whenever ``indent`` is set).
+the cluster without its zero weights, which the format drops.  The CLI
+and the DOT renderer name points by the same rule.  The writer is
+hand-rolled, one string per point, and its text is byte-identical to
+``json.dumps(doc, indent=2)`` plus a final newline (``json.dumps`` takes
+its pure-Python encoder whenever ``indent`` is set).
 A weight with more digits than Python writes as text raises
 :class:`~enriques.errors.NumberTooLong`, as ``json.dumps`` would raise a
 bare ``ValueError``.
@@ -238,12 +239,19 @@ def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.
     A weight that Python would refuse to write as text raises
-    :class:`~enriques.errors.NumberTooLong`.
+    :class:`~enriques.errors.NumberTooLong`.  The text drops weight 0, so
+    a virtual cluster whose positive weights are no cluster on their own,
+    as when a zero-weight member is the parent of a weighted point,
+    raises the :class:`~enriques.errors.NotDownwardClosed` that ``parse``
+    would refuse the text with.
     """
     if cluster.tree is not tree:
         raise ArenaMismatch("cluster does not live over the given arena")
     names = [_quote(name) for name in document_ids(tree)]
     weight = cluster.weight
+    if cluster.kind is WeightKind.VIRTUAL and 0 in weight.values():
+        WeightedCluster(tree, cluster.kind,
+                        {p: w for p, w in weight.items() if w})
     entries = []
     try:
         for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):

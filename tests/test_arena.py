@@ -484,9 +484,8 @@ def test_recorded_rules_match_validate_reference():
 
 
 def _state(tree: ArenaTree) -> list:
-    """A copy of the columns, the pair index and the rootless flag."""
-    return [*map(list, _columns(tree)[:-1]), dict(tree._satellite_index),
-            tree._rootless]
+    """A copy of the columns and the pair index."""
+    return [*map(list, _columns(tree)[:-1]), dict(tree._satellite_index)]
 
 
 def _raw_record_lists() -> list:
@@ -528,9 +527,8 @@ def test_from_records_on_every_prefix_matches_add_point_replay():
 
 def test_add_point_and_from_records_agree():
     # the records built point by point through add_point and in one call
-    # through from_records give the same columns, pair index and rootless
-    # flag; a refused add_point raises from_records' first diagnostic and
-    # changes none of the three
+    # through from_records give the same columns and pair index; a refused
+    # add_point raises from_records' first diagnostic and changes neither
     accepted = refused = 0
     for records in _raw_record_lists():
         tree = ArenaTree()

@@ -460,6 +460,27 @@ def test_serialize_matches_json_dumps_reference():
     assert created > 1000
 
 
+def test_serialize_refuses_a_virtual_cluster_its_text_would_not_close():
+    # the text drops weight 0, so the cluster O:2 -> p1:0 -> p2:1 would be
+    # written as a document that parse refuses; serialize raises the same
+    # error instead, and still drops a zero weight with none after it
+    tree = ArenaTree()
+    o = tree.add_point(label="O")
+    p1 = tree.add_point(o, label="p1")
+    p2 = tree.add_point(p1, label="p2")
+    unclosed = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 2, p1: 0, p2: 1})
+    with pytest.raises(DocumentValidationError) as refused:
+        parse(_serialize_reference(tree, unclosed))
+    assert [d.code for d in refused.value.diagnostics] == \
+        ["NotDownwardClosed"]
+    with pytest.raises(NotDownwardClosed):
+        serialize(tree, unclosed)
+    closed = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 2, p1: 1, p2: 0})
+    text = serialize(tree, closed)
+    assert text == _serialize_reference(tree, closed)
+    assert parse(text)[1].weight == {o: 2, p1: 1}
+
+
 def _entry_ids(doc):
     return [e.get("id") if isinstance(e, dict) else None
             for e in doc["points"]]
@@ -526,7 +547,7 @@ def _outcome(parser, text):
         return type(err), detail
     facts = [tree.facts(p) for p in tree.points()]
     return (triples(tree), facts, tree._satellite_index,
-            tree._rootless, cluster.kind, dict(cluster.weight))
+            cluster.kind, dict(cluster.weight))
 
 
 def test_parse_matches_reference_on_valid_and_broken_documents(fixture_dir):
@@ -593,7 +614,7 @@ def test_trusted_pass_matches_reference_facts_on_benchmark_pools(
     # every document of the benchmark's seed-1 pools is clean, so parse
     # builds its arena in the trusted pass, without the checked writer;
     # the facts it derives equal the independent reference's, point by
-    # point, and so do the pair index and the rootless flag
+    # point, and so does the pair index; point 0 is the origin
     def refuse(records):
         raise AssertionError("a clean document took the checked writer")
 
@@ -610,7 +631,7 @@ def test_trusted_pass_matches_reference_facts_on_benchmark_pools(
             assert tree._satellite_index == {
                 (a, s): q for q, (a, s, _) in enumerate(records)
                 if s is not None}
-            assert tree._rootless
+            assert tree.parents[0] is None
             documents += 1
     assert documents == 1000 + 52 + 56
 

@@ -35,7 +35,7 @@ from enriques import (
     serialize,
     unibranch_chain,
 )
-from enriques import recovery
+from enriques import arena, recovery
 from enriques.arena import CHAIN_CROSSOVER
 from enriques.recovery import (
     _biggest_rupture_by_cone,
@@ -472,14 +472,53 @@ def test_legal_walk_runs_append_unchecked(k, monkeypatch):
     # closed form and no point it appends is checked against the arena rules
     bp = _fan_bp(k)
     calls = []
-    check = ArenaTree._violations
+    check = arena._violations
 
-    def spy(tree, *point):
+    def spy(*point):
         calls.append(point)
-        return check(tree, *point)
+        return check(*point)
 
-    monkeypatch.setattr(ArenaTree, "_violations", spy)
+    monkeypatch.setattr(arena, "_violations", spy)
     assert recover(bp).created and calls == []
+
+
+@pytest.mark.parametrize("k", [8, 23, 60])
+def test_a_short_run_costs_one_pair_index_entry(k, monkeypatch):
+    # a fan's walks write only runs shorter than CHAIN_CROSSOVER, so its
+    # arena records no run; the pair index still holds the parsed
+    # satellites and one entry per run, answers every lookup as a scan of
+    # the columns does, and a point inside a short run refuses a second
+    # satellite with the run's proximity, leaving the arena as it was
+    bp = _fan_bp(k)
+    tree = bp.tree
+    parsed = sum(s is not None for s in tree.seconds)
+    runs = []
+    append = ArenaTree._append_run
+
+    def spy(self, a, s, t):
+        last = append(self, a, s, t)
+        runs.append((last - t + 1, last, s))
+        return last
+
+    monkeypatch.setattr(ArenaTree, "_append_run", spy)
+    recover(bp)
+    monkeypatch.undo()
+    assert not tree._runs and any(first < last for first, last, _ in runs)
+    assert len(tree._satellite_index) == parsed + len(runs)
+    scan = {}
+    for q, pair in enumerate(zip(tree.parents, tree.seconds)):
+        if pair[1] is not None:
+            scan.setdefault(pair, q)
+    assert satellite_answers(tree) == [
+        scan.get((p, s)) for p in tree.points()
+        for s in sorted(proximities(tree, p))]
+    state = _state(tree)
+    for first, last, s in runs:
+        for x in range(first, last):
+            assert (x, s) not in tree._satellite_index
+            with pytest.raises(DuplicateSatellite):
+                tree.add_point(x, s)
+            assert _state(tree) == state and not tree._runs
 
 
 @pytest.mark.parametrize("k", [8, 23, 60])
