@@ -14,7 +14,9 @@ proximate to exactly two points; no other arrangement occurs.
 The arena is columnar: it stores no per-point object.  Parallel lists
 indexed by point id hold each point's parent, second proximity and label,
 and the facts its proximities fix (see :class:`PointFacts`), which are
-derived once, when the point is appended, because the arena only grows.
+derived once, when the point is appended, because the arena only grows;
+the ordered proximity pair, a function of those columns, is derived when
+read.
 Hot readers index the columns directly and trust the ids they index with.
 The checked readers stay for callers that read an arena without its
 columns: ``cluster.unibranch_chain`` takes a chain from
@@ -35,14 +37,14 @@ appends nothing; :meth:`ArenaTree.from_records` raises
 its records break as a :class:`~enriques.errors.Diagnostic`, and returns
 no arena.
 
-Facts are derived by two private writers that share one pair rule,
-:func:`_satellite_pair`; each one's docstring says what it checks and
-what it trusts.  :meth:`ArenaTree._from_columns` builds a whole arena
-from resolved columns, and :meth:`ArenaTree._append_run` writes a run of
-satellites that share a second proximity.  The run writer records in
-``_runs`` each run it writes as ranges; the record is append-only like
-the columns, so it needs no invalidation, and the recovery's value sweep
-and downward closure read it to take a run's points at once.
+Facts are derived by two private writers; each one's docstring says
+what it checks and what it trusts.  :meth:`ArenaTree._from_columns`
+builds a whole arena from resolved columns, and
+:meth:`ArenaTree._append_run` writes a run of satellites that share a
+second proximity.  The run writer records in ``_runs`` each run it
+writes as ranges; the record is append-only like the columns, so it
+needs no invalidation, and the recovery's value sweep and downward
+closure read it to take a run's points at once.
 
 The index rule.  The private pair index ``_satellite_index`` maps a
 satellite's (parent, second proximity) to its id, for every satellite
@@ -91,28 +93,6 @@ PointId = int
 CHAIN_CROSSOVER = 10
 
 
-def _satellite_pair(
-    a: PointId, a_parent: Optional[PointId],
-    a_pair: Optional[tuple[PointId, PointId]], s: PointId,
-) -> Optional[tuple[PointId, PointId]]:
-    """The ordered proximity pair of a new satellite with parent ``a`` and
-    second proximity ``s``, or None when ``a`` is not proximate to ``s``.
-
-    This is the one statement of the pair rule, for a parent with facts
-    and an ``int`` s.  The pair is (a's parent, a) when a is free; when a
-    is a satellite with pair (lo, hi) it is (lo, a) for s = lo and
-    (a, hi) for s = hi, so a run of moves that share s keeps s on the same
-    side of every pair it writes.
-    """
-    if a_pair is None:
-        return (a_parent, a) if s == a_parent else None
-    if s == a_pair[0]:
-        return (s, a)
-    if s == a_pair[1]:
-        return (a, s)
-    return None
-
-
 class PointFacts(NamedTuple):
     """View of what a point's proximities fix once and for all.
 
@@ -124,7 +104,14 @@ class PointFacts(NamedTuple):
     sum of both proximities' m0 at a satellite.  The m recursion is linear
     in the cluster weights, so m - m0 at a point is what the weights add.
     ``ordered_proximities`` is a satellite's proximity pair, smaller first,
-    and ``None`` for the origin and free points.
+    and ``None`` for the origin and free points.  It is derived when read:
+    the smaller proximity is the one with the smaller k/n in the point's
+    cone, where a proximity in another cone counts as 0.  By induction
+    over a cone: the first satellite of its free point f has the pair
+    (f's parent, f), at 0 and 1/n; a satellite with the pair (lo, hi) has
+    for k and n the sums of lo's and hi's, so its k/n is their mediant,
+    strictly between them, and its two satellites have the pairs
+    (lo, it) and (it, hi).
     """
 
     defining_free_point: PointId
@@ -146,8 +133,8 @@ class ArenaTree:
     modify them; ``xs[p]`` is point p's entry:
 
     * ``parents``, ``seconds``, ``labels``: parent, second proximity, label;
-    * ``free_points``, ``ns``, ``m0s``, ``ks``, ``pairs``: the point's
-      facts (see :class:`PointFacts`).
+    * ``free_points``, ``ns``, ``m0s``, ``ks``: the point's facts (see
+      :class:`PointFacts`), from which :meth:`facts` derives the rest.
 
     A fully built arena is safe to share read-only between threads; the
     operations that extend it (satellite creation during recovery) require
@@ -162,7 +149,6 @@ class ArenaTree:
         self.ns: list[int] = []
         self.m0s: list[int] = []
         self.ks: list[int] = []
-        self.pairs: list[Optional[tuple[PointId, PointId]]] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
         self._runs: dict[PointId, PointId] = {}  # range-written runs
 
@@ -200,7 +186,6 @@ class ArenaTree:
         self.ns.append(n)
         self.m0s.append(m0)
         self.ks.append(1)
-        self.pairs.append(None)
         return q
 
     @classmethod
@@ -254,25 +239,25 @@ class ArenaTree:
         A trusted writer: it derives the facts and enters every satellite
         in the pair index, but checks only the rules that resolved
         references can still break, a second origin, an illegal proximity
-        or a repeated pair, and stops at the first.  Its callers hand it
-        only labels that are None or strings and references to earlier
-        points' ids, so point 0 has no second proximity:
-        :meth:`from_records`, whose labels may be None, once its check
-        loop found nothing, and ``documents.parse``, for documents its own
-        loop found clean, whose labels are all strings.  So only the
-        parser's call can return None, and the parser then reports the
-        rules through :meth:`from_records`.
+        (by :func:`_violations`' test) or a repeated pair, and stops at the
+        first.  Its callers hand it only labels that are None or strings
+        and references to earlier points' ids, so point 0 has no second
+        proximity: :meth:`from_records`, whose labels may be None, once
+        its check loop found nothing, and ``documents.parse``, for
+        documents its own loop found clean, whose labels are all strings.
+        So only the parser's call can return None, and the parser then
+        reports the rules through :meth:`from_records`.
 
         Let q be a satellite with parent a and second proximity s.  Its
-        pair is :func:`_satellite_pair`; n and m0 add up over both
-        proximities; k adds s's share only when s lies in q's own cone.
-        Every column starts as a free point's entry, and the one pass
-        overwrites the entries that differ: n and m0 at every point after
-        the origin, all five facts at a satellite.
+        n and m0 add up over both proximities; k adds s's share only when
+        s lies in q's own cone.  Every column starts as a free point's
+        entry, and the one pass overwrites the entries that differ: n and
+        m0 at every point after the origin, all four columns at a
+        satellite.
         """
         size = len(parents)
         free_points, ns, m0s = list(range(size)), [1] * size, [1] * size
-        ks, pairs = [1] * size, [None] * size
+        ks = [1] * size
         index: dict[tuple[PointId, PointId], PointId] = {}
         for q, (a, s) in enumerate(zip(parents, seconds)):
             if a is None:  # the origin, or a second point without parent
@@ -282,11 +267,9 @@ class ArenaTree:
                 ns[q] = ns[a]
                 m0s[q] = m0s[a] + 1
             else:
-                pair = _satellite_pair(a, parents[a], pairs[a], s)
-                if pair is None or (a, s) in index:
+                if (s != parents[a] and s != seconds[a]) or (a, s) in index:
                     return None
                 index[a, s] = q
-                pairs[q] = pair
                 free = free_points[q] = free_points[a]
                 ks[q] = ks[a] + ks[s] if free_points[s] == free else ks[a]
                 ns[q] = ns[a] + ns[s]
@@ -295,8 +278,7 @@ class ArenaTree:
         tree = object.__new__(cls)
         tree.parents, tree.seconds, tree.labels = parents, seconds, labels
         tree.free_points, tree.ns, tree.m0s = free_points, ns, m0s
-        tree.ks, tree.pairs = ks, pairs
-        tree._satellite_index, tree._runs = index, {}
+        tree.ks, tree._satellite_index, tree._runs = ks, index, {}
         return tree
 
     def _append_run(self, a: PointId, s: PointId, t: int) -> PointId:
@@ -312,10 +294,9 @@ class ArenaTree:
         every :meth:`find_satellite` answer.
 
         Every point of the run has second proximity s, so its n, m0 and k
-        are a's plus i times s's share, and :func:`_satellite_pair` keeps s
-        on the side of its pair that s takes at a: the run is written from
-        a and s in closed form.  Every run goes into the pair index by its
-        first point alone (the module's index rule).  A run of at least
+        are a's plus i times s's share: the run is written from a and s in
+        closed form.  Every run goes into the pair index by its first point
+        alone (the module's index rule).  A run of at least
         ``CHAIN_CROSSOVER`` points goes in as ranges, one ``extend`` per
         column, and into ``_runs``; a shorter one as one ``append`` per
         column and point, unrecorded.
@@ -323,7 +304,6 @@ class ArenaTree:
         q = len(self.parents)
         free_points = self.free_points
         self._satellite_index[a, s] = q
-        s_first = _satellite_pair(a, self.parents[a], self.pairs[a], s)[0] == s
         free, n, m0, k = free_points[a], self.ns[a], self.m0s[a], self.ks[a]
         n_s, m0_s = self.ns[s], self.m0s[s]
         k_s = self.ks[s] if free_points[s] == free else 0
@@ -339,12 +319,10 @@ class ArenaTree:
                 self.ns.append(n)
                 self.m0s.append(m0)
                 self.ks.append(k)
-                self.pairs.append((s, a) if s_first else (a, s))
                 a = c
             return a
         last = q + t - 1
-        prev = (a, *range(q, last))
-        self.parents.extend(prev)
+        self.parents.extend((a, *range(q, last)))
         self.seconds.extend(repeat(s, t))
         self.labels.extend(repeat(None, t))
         free_points.extend(repeat(free, t))
@@ -352,10 +330,6 @@ class ArenaTree:
         self.m0s.extend(range(m0 + m0_s, m0 + (t + 1) * m0_s, m0_s))
         self.ks.extend(range(k + k_s, k + (t + 1) * k_s, k_s) if k_s
                        else repeat(k, t))
-        if s_first:
-            self.pairs.extend(zip(repeat(s), prev))
-        else:
-            self.pairs.extend(zip(prev, repeat(s)))
         self._runs[q] = last
         return last
 
@@ -391,8 +365,12 @@ class ArenaTree:
     def facts(self, p: PointId) -> PointFacts:
         """A view of the point's facts."""
         self._check(p)
-        return PointFacts(self.free_points[p], self.ns[p], self.m0s[p],
-                          self.ks[p], self.pairs[p])
+        ns, ks, free = self.ns, self.ks, self.free_points[p]
+        a, s, pair = self.parents[p], self.seconds[p], None
+        if s is not None:  # order the pair by k/n in p's cone
+            k_s = ks[s] if self.free_points[s] == free else 0
+            pair = (s, a) if k_s * ns[a] < ks[a] * ns[s] else (a, s)
+        return PointFacts(free, ns[p], self.m0s[p], ks[p], pair)
 
     def find_satellite(
         self, parent: PointId, second_proximity: PointId

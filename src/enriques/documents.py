@@ -72,6 +72,7 @@ from .errors import (
     Diagnostic,
     DocumentSyntaxError,
     DocumentValidationError,
+    NotDownwardClosed,
     NumberTooLong,
 )
 
@@ -240,18 +241,21 @@ def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\\n"``.
     A weight that Python would refuse to write as text raises
     :class:`~enriques.errors.NumberTooLong`.  The text drops weight 0, so
-    a virtual cluster whose positive weights are no cluster on their own,
-    as when a zero-weight member is the parent of a weighted point,
-    raises the :class:`~enriques.errors.NotDownwardClosed` that ``parse``
-    would refuse the text with.
+    a virtual cluster in which a zero-weight member is the parent of a
+    weighted point raises :class:`~enriques.errors.NotDownwardClosed`,
+    naming the lowest such point and its parent, where ``parse`` would
+    refuse the text.
     """
     if cluster.tree is not tree:
         raise ArenaMismatch("cluster does not live over the given arena")
     names = [_quote(name) for name in document_ids(tree)]
     weight = cluster.weight
     if cluster.kind is WeightKind.VIRTUAL and 0 in weight.values():
-        WeightedCluster(tree, cluster.kind,
-                        {p: w for p, w in weight.items() if w})
+        for p, a in enumerate(tree.parents):  # the lowest such point
+            if weight.get(p) and weight.get(a) == 0:
+                raise NotDownwardClosed(
+                    f"point {p} is weighted but its parent {a} has weight"
+                    " 0, which the document format drops")
     entries = []
     try:
         for p, (parent, second) in enumerate(zip(tree.parents, tree.seconds)):

@@ -295,39 +295,45 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     from the run parent's m, since the new points lie outside the cluster.
 
     The bracket.  Write I = num/den and gap = m*den - num*n at a point.
-    The proximity s of a move from q is q's parent for a first move from
-    a free q, and the first or the second member of q's ordered
-    proximities (lo, hi) for a first or a second move from a satellite
-    q; a free point has no second satellite and the origin no satellite
-    at all.  The walk checks its start p once, before it traces or
-    appends anything: unless p's gap is 0, the s of its first move (first
-    above I, second below it) must exist and lie strictly across I from
-    p, that is delta = m_s*den - num*n_s must have the sign opposite to
-    the gap's; otherwise it raises :class:`WalkDiverged`.  Claim: every
-    point r that a move from q towards s reaches has proximities
-    (lo, hi) with m/n strictly below I at lo and strictly above I at hi.
-    r's pair is (s, q) after a first move and (q, s) after a second one
-    (:func:`~enriques.arena._satellite_pair` keeps s on its side, and a
-    free q's first satellite has the pair (parent, q)), and q lies above
-    I and s below it after a first move, q below and s above after a
-    second.  For the first move that is the start check; for a later
-    one, the claim at q and the direction rule.  A held point's weight
-    raises its m but leaves its pair, so the claim holds at held and
-    created points alike.  Hence, at every point after the start with
-    gap != 0, the walk moves first from above I towards lo, below it, or
-    second from below I towards hi, above it: s exists, since the point
-    is a satellite, and delta is not 0 and has the sign opposite to the
-    gap's.  Every point of a created run shares s, so the gap changes by
-    delta at each of its points, and t = -(gap // delta), the least t
-    that takes gap + t*delta to 0 or past it, is at least 1, since gap
-    and delta are nonzero integers of opposite signs.  The run's pair
-    (q, s) is not held, since the lookup missed, and s is a proximity of
-    q, so the run keeps the writer's precondition.  Each created point
-    is the mediant of q and s, a step of the Stern-Brocot descent
-    (Graham, Knuth and Patashnik, *Concrete Mathematics*, 4.5), so its
-    gap is the sum of the gaps at its lo and hi; past the last held
-    point the walk runs the subtractive Euclidean algorithm on the two
-    gaps' sizes, so it ends.
+    The walk carries its point's ordered proximities (lo, hi), set at the
+    start p to (p's parent, None) for a free p and to p's
+    ``ordered_proximities`` for a satellite p (only the public walk
+    starts at one: :func:`recover` starts at a base free point).  A first
+    move goes towards s = lo and a second towards s = hi; hi is None at a
+    free point, which has no second satellite, and lo too at the origin,
+    which has none at all.  The walk checks its start p once, before it
+    traces or appends anything: unless p's gap is 0, the s of its first
+    move (first above I, second below it) must exist and lie strictly
+    across I from p, that is delta = m_s*den - num*n_s must have the sign
+    opposite to the gap's; otherwise it raises :class:`WalkDiverged`.  A
+    move from q towards s reaches a point r whose parent q' is the point
+    the move left: q for a held point or a run of one, the run's last
+    point but one for a longer run.  Each point of a run is the satellite
+    towards s of the one before, so by the induction in
+    :class:`~enriques.arena.PointFacts` r's pair is (s, q') after a first
+    move and (q', s) after a second one, and the walk carries it on,
+    reading q' from ``parents``.  Claim: at every point after the start,
+    m/n is strictly below I at lo and strictly above I at hi.  After a
+    first move q' lies above I and s below it, after a second q' below
+    and s above: for s by the start check at the first move and by the
+    claim at q at a later one, and for q' because the gap at q' is q's
+    plus fewer than t deltas, with t the least that closes the gap
+    (below).  A held point's weight raises its m but leaves its pair, so
+    the claim holds at held and created points alike.  Hence, at every
+    point after the start with gap != 0, the walk moves first from above
+    I towards lo, below it, or second from below I towards hi, above it:
+    s exists, since the point is a satellite, and delta is not 0 and has
+    the sign opposite to the gap's.  Every point of a created run shares
+    s, so the gap changes by delta at each of its points, and
+    t = -(gap // delta), the least t that takes gap + t*delta to 0 or
+    past it, is at least 1, since gap and delta are nonzero integers of
+    opposite signs.  The run's pair (q, s) is not held, since the lookup
+    missed, and s is a proximity of q, so the run keeps the writer's
+    precondition.  Each created point is the mediant of q and s, a step
+    of the Stern-Brocot descent (Graham, Knuth and Patashnik, *Concrete
+    Mathematics*, 4.5), so its gap is the sum of the gaps at its lo and
+    hi; past the last held point the walk runs the subtractive Euclidean
+    algorithm on the two gaps' sizes, so it ends.
 
     The cap.  It bounds the moves by num + den, and so the points a walk
     creates: a memory bound for the public :func:`satellite_walk` on an
@@ -337,13 +343,14 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     been refused at a start, in 53,154 walks on seeds 1-3 of the three
     benchmark pools and the inputs of ``test_recovery._sweep_inputs``.
     The ``sys.maxsize`` guard refuses a run longer than a list holds."""
-    find, ns, parents, pairs = (
-        tree.find_satellite, tree.ns, tree.parents, tree.pairs)
+    find, ns, parents = tree.find_satellite, tree.ns, tree.parents
     n, m = ns[p], table[p]
     cap = num + den
     gap = m * den - num * n
     if gap:  # the start's bracket, which every later point then keeps
-        s = (pairs[p] or (parents[p], None))[gap < 0]
+        lo, hi = ((parents[p], None) if tree.seconds[p] is None
+                  else tree.facts(p).ordered_proximities)
+        s = hi if gap < 0 else lo
         if s is None or gap * (table[s] * den - num * ns[s]) >= 0:
             raise _diverged(num, den, cap, p)
     q, moves = p, 0
@@ -352,7 +359,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
         word = "second" if second else "first"
         if trace:
             trace((q, m, n, word))
-        s = (pairs[q] or (parents[q], None))[second]
+        s = hi if second else lo
         found = find(q, s)
         if found is not None:  # a point the arena holds: a run of one
             moves += 1
@@ -377,6 +384,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                     trace((q - t + i, m + i * m_s, n + i * n_s, word))
             n += t * n_s
             m += t * m_s
+        lo, hi = (parents[q], s) if second else (s, parents[q])
         gap = m * den - num * n
     if trace:
         trace((q, m, n, "stop"))

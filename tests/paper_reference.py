@@ -9,9 +9,9 @@ a smaller than b, has exactly two satellites in its first neighbourhood:
 the first (proximate to q and a, below q) and the second (proximate to q
 and b, above q).  :func:`first_satellite` and :func:`second_satellite`
 find the requested neighbour in the arena and create it when the arena
-does not hold it yet.  They read the arena's ``pairs`` and ``parents``
-columns, not the recovery walk, and raise the walk's errors where a
-satellite does not exist.
+does not hold it yet.  They read the points' ``ordered_proximities`` and
+the arena's ``parents`` column, not the recovery walk, and raise the
+walk's errors where a satellite does not exist.
 
 Curve clusters.  A multiplicity cluster describes an actual curve exactly
 when it is consistent (no negative excess) and *singular-saturated*: every
@@ -57,7 +57,7 @@ def first_satellite(tree, q):
     """The smaller satellite in the first neighbourhood of ``q``, proximate
     to q and to q's parent (free q) or q's smaller proximity (satellite q).
     The point is created if the arena does not contain it yet."""
-    pair = tree.pairs[q]
+    pair = tree.facts(q).ordered_proximities
     s = tree.parents[q] if pair is None else pair[0]
     if s is None:
         raise LookupError("the origin has no satellite points")
@@ -67,7 +67,7 @@ def first_satellite(tree, q):
 def second_satellite(tree, q):
     """The bigger satellite in the first neighbourhood of a satellite ``q``,
     proximate to q and to q's bigger proximity."""
-    pair = tree.pairs[q]
+    pair = tree.facts(q).ordered_proximities
     if pair is None:
         raise LookupError(
             f"point {q} is free; only satellites have a second satellite")

@@ -217,7 +217,7 @@ def test_only_pinned_modules_read_private_arena_names():
     private = {name for name in (*vars(arena), *vars(ArenaTree),
                                  *vars(ArenaTree()))
                if name.startswith("_") and not name.endswith("__")}
-    assert {"_satellite_index", "_satellite_pair", "_violations"} <= private
+    assert {"_satellite_index", "_violations"} <= private
     reads = {}
     for path in sorted((ROOT / "src" / "enriques").glob("*.py")):
         if path.stem in ("arena", "__init__"):
@@ -360,7 +360,7 @@ def test_bad_point_ids_and_kinds_raise_typed_errors():
     # each with a parent at which the id, read as an int, would be a legal
     # second proximity (p2 is proximate to 1, p3 to 2)
     columns = (tree.parents, tree.seconds, tree.labels,
-               tree.free_points, tree.ns, tree.m0s, tree.ks, tree.pairs,
+               tree.free_points, tree.ns, tree.m0s, tree.ks,
                tree._satellite_index)
     before = copy.deepcopy(columns)
     records = list(zip(tree.parents, tree.seconds, tree.labels))

@@ -321,10 +321,9 @@ class _ReferenceHeights:
 def _assert_columns_match_reference(tree: ArenaTree) -> None:
     """Replay the arena into the reference, which gives every point facts."""
     for p, facts in enumerate(reference_facts(triples(tree))):
-        columns = (tree.free_points[p], tree.ns[p], tree.m0s[p],
-                   tree.ks[p], tree.pairs[p])
+        columns = (tree.free_points[p], tree.ns[p], tree.m0s[p], tree.ks[p])
         assert facts is not None
-        assert columns == tuple(facts)
+        assert columns == facts[:4]
         assert tree.facts(p) == facts
 
 
@@ -364,7 +363,7 @@ def _mutated_records(rng: random.Random, tree: ArenaTree):
 
 def _columns(tree: ArenaTree) -> list:
     return [tree.parents, tree.seconds, tree.labels,
-            tree.free_points, tree.ns, tree.m0s, tree.ks, tree.pairs,
+            tree.free_points, tree.ns, tree.m0s, tree.ks,
             tree._satellite_index]
 
 
@@ -399,7 +398,8 @@ def test_append_run_matches_repeated_add_point(t):
                 # run of second moves keeps it second; k grows only when s
                 # lies in the run's cone, which it always does for second
                 # moves
-                kinds |= 1 << (2 * (chain.pairs[last][0] == s)
+                first = chain.facts(last).ordered_proximities[0]
+                kinds |= 1 << (2 * (first == s)
                                + (chain.free_points[s] == chain.free_points[a]))
     assert chains > 1500 and kinds == 0b1110
 

@@ -61,7 +61,8 @@ from enriques.errors import (
 import fixture_builders as fb
 import randgen
 from test_euclid import PAIRS, euclid_bp
-from arena_reference import proximities, satellite_answers, triples
+from arena_reference import (
+    proximities, reference_facts, satellite_answers, triples)
 from chain_reference import (
     PrecComparison, max_by_fraction, prec_compare_reference)
 from paper_reference import (
@@ -574,7 +575,7 @@ def _fresh_documents(fixture_dir):
         yield f"fan {k}", workloads.fan(k, random.Random(k))
 
 
-_AGREEING_COLUMNS = ("parents", "seconds", "ns", "ks", "pairs")
+_AGREEING_COLUMNS = ("parents", "seconds", "ns", "ks")
 
 
 def test_grouped_matches_basic_on_fresh_arenas(fixture_dir):
@@ -799,8 +800,7 @@ def _stepwise_walk(tree, inv, p, invariant, trace=None):
     raise WalkDiverged(f"no height quotient equal to {invariant}")
 
 
-_COLUMNS = ("parents", "seconds", "labels", "free_points", "ns", "m0s", "ks",
-            "pairs")
+_COLUMNS = ("parents", "seconds", "labels", "free_points", "ns", "m0s", "ks")
 
 
 def _assert_prefix(tree, inv, ref, ref_inv):
@@ -902,7 +902,7 @@ def _start(tree, m, p, invariant):
     side = Fraction(m[p], tree.ns[p]) - invariant
     if side == 0:
         return "bracketed"
-    pair = tree.pairs[p]
+    pair = tree.facts(p).ordered_proximities
     if pair is None and side < 0:
         return "free second"
     s = tree.parents[p] if pair is None else pair[side < 0]
@@ -981,7 +981,8 @@ def _bracket_check(inv, walks, seen):
             assert _start(tree, inv.m, q, walk[1]) == "bracketed", walk
         else:
             assert q > last, (q, walk)
-            lo, hi = (Fraction(inv.m[s], tree.ns[s]) for s in tree.pairs[q])
+            lo, hi = (Fraction(inv.m[s], tree.ns[s])
+                      for s in tree.facts(q).ordered_proximities)
             assert lo < walk[1] < hi, (q, walk)
         walk, last = (None if word == "stop" else walk), q
         seen.append(entry)
@@ -1024,6 +1025,28 @@ def test_walk_keeps_its_bracket_at_every_visited_point():
     assert len(seen) > 30000
 
 
+def test_walk_written_points_match_reference_facts(fixture_dir):
+    # after recover, every point's facts, ordered proximities included,
+    # equal the reference's derivation from the records alone: points of
+    # both run writers, a long polar run and wide_fan's short ones, and
+    # points the walk reaches by held moves in the fixtures
+    texts = [workloads.polar(4000, 2)]
+    texts += [document.text for document in workloads.wide_fan(1)]
+    texts += [(fixture_dir / f"{name}_bp.json").read_text(encoding="utf-8")
+              for name in ("ex04", "ex05", "ex06", "ex07")]
+    ranged = short = held = 0
+    for text in texts:
+        tree, bp = parse(text)
+        size, visited = len(tree), []
+        created = recover(bp, visited.append).created
+        ranged += sum(last - first + 1 for first, last in tree._runs.items())
+        short += len(created)
+        held += sum(q < size and tree.seconds[q] is not None
+                    for q, *_ in visited)
+        assert [tree.facts(q) for q in tree.points()] == \
+            reference_facts(triples(tree))
+    short -= ranged
+    assert ranged > 3900 and short > 9000 and held > 30
 @pytest.mark.parametrize("w, created, prewalked", [
     pytest.param(5, 5, False, id="5-5"),
     pytest.param(6, 6, False, id="6-6"),
