@@ -84,7 +84,7 @@ PointId = int
 #: ranges; a shorter one is cheaper as one ``append`` per column and point.
 #: The arena records exactly the runs written as ranges, so this also
 #: decides which runs the value sweep takes in closed form (the argument
-#: is in the docstring of ``recovery._visits``).  Both writers stay, by
+#: is in the docstring of ``recovery._second_half``).  Both writers stay, by
 #: measurement on the benchmark's seed-1 pools in one process (Python
 #: 3.11, 2 vCPUs): wide_fan's created runs are all 1-6 points long, and
 #: ranges for every run (a crossover of 1) made its ``recover`` 1.55 times

@@ -50,8 +50,8 @@ The parts, each argued in its own docstring:
   of its bracket is in ``_satellite_walk``'s docstring); the singular set
   S is the downward closure of the rupture set (:func:`_downward_closure`);
 * values and multiplicities, in one sweep over S in ascending id
-  (:func:`_second_half`, with the value rules), which takes a recorded
-  run in closed form (argued in ``_visits``' docstring).
+  (:func:`_second_half`, with the value rules), which takes the piece of
+  a recorded run it meets in closed form, argued in the same docstring.
 
 :func:`recover` runs both parts in one call.  No part rebuilds a
 unibranch chain or builds a per-point object: each reads a point's facts
@@ -63,11 +63,11 @@ another cluster or arena.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional
+from itertools import islice, repeat
+from typing import Callable, NamedTuple, Optional
 
 from .arena import ArenaTree, PointId
 from .cluster import WeightedCluster, WeightKind, excesses
@@ -506,24 +506,50 @@ def _second_half(
     proximate to, comes off their excesses at once.  The excesses ``rho``
     are a list over the whole arena, zero outside S and until a point's
     visit sets its multiplicity there, so the consistency check is one
-    ``min``.  On an arena with recorded runs the sweep visits S through
-    :func:`_visits`, whose docstring argues why it may write most run
-    points in closed form; on any other arena it visits the sorted list
-    itself."""
+    ``min``.
+
+    Run pieces.  The sweep looks each point it visits up in the arena's
+    run record, and reads the record nowhere else.  Once it has visited
+    the first point f of a recorded run, it writes the rules' answers on
+    one piece b..c of the run, b = f+1, in closed form and skips it; the
+    points after c are visited as usual.  The run's ids are the range
+    f..last and S is downward closed, so S holds a prefix f..e of the
+    run, and e is the last point of the sorted S up to ``last``, one
+    bisect.  Only a prefix that bp leaves unweighted is taken; the sweep
+    visits the points of any other run.  With s the run's second proximity, m grows by m_s + w from
+    point to point, w the bp weight, so m_e - m_f = (e - f) m_s holds
+    exactly when no point after f carries weight, since no virtual weight
+    is negative.
+
+    Every point of the run is a satellite proximate to its predecessor
+    and to s (Casas-Alvero, *Singularities of Plane Curves*, on proximity
+    along satellite chains), in the cone of f's defining free point F,
+    and n, m and k grow by fixed steps along it.  The satellite rule
+    gives v = m except on the points bigger than the cone's biggest
+    rupture point q, where it gives n V_F / n_F once V_F n_q = n_F m_q; a
+    rupture point of the run is not bigger than q, so it takes m like its
+    neighbours.  The order test k_p n_q > k_q n_p reads the sign of
+    g(p) = k_p n_q - k_q n_p, which is linear along the run, so c, the
+    last point of f+1..e on b's side of the test, is one floor division.
+    On b..c, v is affine, the multiplicity v_p - v_{p-1} - v_s is
+    constant after b, and the excess of a point inside the piece, its
+    multiplicity less its successor's, is 0, the zero-filled ``rho``
+    list's entry already: only b's and c's excesses and f's and s's are
+    written.  So the piece's first multiplicity below 1, if any, is at b
+    or at b+1."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
+    runs = tree._runs  # last point by first point; often empty
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
     # the points with a free point of S in their first neighbourhood
     branching = {parents[c] for c in singular if seconds[c] is None}
     values, mults = {}, {}  # each by point id
     rho = [0] * len(parents)  # the excesses, a list indexed by point id
     failed: Optional[RecoveryError] = None  # a satellite rule's first error
-    lows: list[PointId] = []  # the points of multiplicity below 1, in order
+    low: Optional[PointId] = None  # the first point of multiplicity below 1
     points = sorted(singular)
-    if tree._runs:
-        points = _visits(tree, m, points, singular, biggest_rupture, values,
-                         mults, rho, lows)
-    for p in points:
+    visits = iter(points)
+    for p in visits:
         s = seconds[p]
         if p in rupture or (s is None and p in branching):
             v = m[p]
@@ -557,72 +583,19 @@ def _second_half(
                 v -= values[s]
                 rho[s] -= v
             rho[a] -= v
-        if v < 1:
-            lows.append(p)
+        if v < 1 and low is None:
+            low = p
         mults[p] = rho[p] = v
-    if failed is not None:
-        raise failed
-    rejected: Optional[EnriquesError] = None
-    if lows:
-        rejected = NonPositiveMultiplicity(
-            f"values force multiplicity {describe_number(mults[lows[0]])}"
-            f" at point {lows[0]}")
-    elif rho and min(rho) < 0:
-        rejected = InconsistentCluster(
-            "recovered multiplicities are not consistent; the input is"
-            " not a cluster of polar base points")
-    return values, mults, rejected
-
-
-def _visits(
-    tree: ArenaTree, m: list, order: list[PointId],
-    singular: frozenset[PointId], biggest_rupture: dict[PointId, PointId],
-    values: dict[PointId, int], mults: dict[PointId, int],
-    rho: list[int], lows: list[PointId],
-) -> Iterator[PointId]:
-    """Yield the sorted points ``order`` of S for the sweep to visit, but
-    once the sweep has visited the first point f of a recorded run, write
-    the rules' answers on one piece b..c of the run, b = f+1, in closed
-    form and skip it; the points after c are yielded as usual.  A point
-    of the piece below multiplicity 1 goes to ``lows`` then, in the
-    sweep's order.
-
-    The run's ids are the range f..last and S is downward closed, so S
-    holds a prefix f..e of the run, and e is the last point of ``order``
-    up to ``last``, one bisect.  Only a prefix that bp leaves unweighted
-    is taken; the sweep visits the points of any other run.  With s the
-    run's second proximity, m grows by m_s + w from point to point, w the
-    bp weight, so m_e - m_f = (e - f) m_s holds exactly when no point
-    after f carries weight, since no virtual weight is negative.
-
-    Every point of the run is a satellite proximate to its predecessor
-    and to s (Casas-Alvero, *Singularities of Plane Curves*, on proximity
-    along satellite chains), in the cone of f's defining free point F,
-    and n, m and k grow by fixed steps along it.  The satellite rule
-    gives v = m except on the points bigger than the cone's biggest
-    rupture point q, where it gives n V_F / n_F once V_F n_q = n_F m_q; a
-    rupture point of the run is not bigger than q, so it takes m like its
-    neighbours.  The order test k_p n_q > k_q n_p reads the sign of
-    g(p) = k_p n_q - k_q n_p, which is linear along the run, so c, the
-    last point of f+1..e on b's side of the test, is one floor division.
-    On b..c, v is affine, the multiplicity v_p - v_{p-1} - v_s is
-    constant after b, and the excess of a point inside the piece, its
-    multiplicity less its successor's, is 0, the zero-filled ``rho``
-    list's entry already: only b's and c's excesses and f's and s's are
-    written."""
-    seconds, ns, ks, i = tree.seconds, tree.ns, tree.ks, 0
-    for f, last in tree._runs.items():  # in ascending id, as appended
-        if f not in singular:
+        if p not in runs:
             continue
-        j = bisect_left(order, f, i) + 1
-        e, s = order[bisect_right(order, last, j) - 1], seconds[f]
+        # p is the first point f of a recorded run: take its piece b..c
+        f, e = p, points[bisect_right(points, runs[p]) - 1]
         if e == f or m[e] - m[f] != (e - f) * m[s]:
             continue
-        yield from order[i:j]
-        free = tree.free_points[f]
+        free = free_points[f]
         q = biggest_rupture.get(free)
         v_free, n_free, v_s = values[free], ns[free], values[s]
-        b, c, scaled = f + 1, e, False  # the piece is b..c
+        b, c, scaled = f + 1, e, False
         if q is not None and v_free * ns[q] == n_free * m[q]:
             n_q, k_q = ns[q], ks[q]
             g = ks[b] * n_q - k_q * ns[b]
@@ -632,13 +605,13 @@ def _visits(
                 c = min(e, b + (g - 1) // -step)
             elif not scaled and step > 0:
                 c = min(e, b + (-g) // step)
-        if scaled:  # exact, as in the sweep's satellite rule
+        if scaled:  # exact, as in the satellite rule above
             v, d = ns[b] * v_free // n_free, ns[s] * v_free // n_free
         else:
             v, d = m[b], m[s]
         head, rest = v - values[f] - v_s, d - v_s
-        if head < 1 or rest < 1 and c > b:
-            lows.append(b if head < 1 else b + 1)
+        if low is None and (head < 1 or rest < 1 and c > b):
+            low = b if head < 1 else b + 1
         values.update(zip(range(b, c + 1), range(v, v + (c - b + 1) * d, d)))
         mults[b] = rho[b] = head
         rho[f] -= head
@@ -647,8 +620,19 @@ def _visits(
             rho[b] -= rest
             mults.update(zip(range(b + 1, c + 1), repeat(rest)))
             rho[c] = rest
-        i = j + c - f
-    yield from order[i:]
+        next(islice(visits, c - f, c - f), None)  # skip b..c
+    if failed is not None:
+        raise failed
+    rejected: Optional[EnriquesError] = None
+    if low is not None:
+        rejected = NonPositiveMultiplicity(
+            f"values force multiplicity {describe_number(mults[low])}"
+            f" at point {low}")
+    elif rho and min(rho) < 0:
+        rejected = InconsistentCluster(
+            "recovered multiplicities are not consistent; the input is"
+            " not a cluster of polar base points")
+    return values, mults, rejected
 
 
 # -- full runs ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from enriques import (
     RecoveryResult,
     WeightKind,
     WeightedCluster,
+    are_similar,
     base_free_point,
     compute,
     dicritical_invariant,
@@ -40,6 +41,7 @@ from enriques.arena import CHAIN_CROSSOVER
 from enriques.recovery import (
     _biggest_rupture_by_cone,
     _downward_closure,
+    _second_half,
 )
 from enriques.errors import (
     ArenaMismatch,
@@ -1361,6 +1363,60 @@ def test_one_sweep_second_half_matches_pass_reference():
     assert runs["strict prefix"] > 30
 
 
+class _RunLookups(dict):
+    """A run record that keeps the points looked up in it and fails when
+    it is read whole."""
+
+    def __init__(self, runs):
+        super().__init__(runs)
+        self.looked = set()
+
+    def __contains__(self, p):
+        self.looked.add(p)
+        return super().__contains__(p)
+
+    def __getitem__(self, p):
+        self.looked.add(p)
+        return super().__getitem__(p)
+
+    def get(self, p, default=None):
+        self.looked.add(p)
+        return super().get(p, default)
+
+    def _whole(self, *args):
+        raise AssertionError("the sweep read the whole run record")
+
+    __iter__ = items = keys = values = _whole
+
+
+def test_sweep_reads_the_run_record_only_at_points_of_s(monkeypatch):
+    # the sweep looks a visited point up in the run record and reads
+    # nothing else of it, so a recorded run outside S costs it nothing
+    polar = _recovered_polar(40, 2)
+    twice = _walked_twice(33, 3, {0: 13, 1: 4})
+    cases = [(polar, frozenset({2})),  # below the run 3..40
+             (polar, frozenset({40})),  # the run's last point
+             (WeightedCluster(twice.tree, WeightKind.VIRTUAL, {0: 13, 1: 4}),
+              frozenset({0, 23}))]  # another path than the run 4..18
+    outside = taken = 0
+    for bp, rupture in cases:
+        tree, m = bp.tree, compute(bp).m
+        singular = _downward_closure(tree, rupture)
+        values, mults, rejected = _second_half(tree, m, rupture, singular)
+        assert rejected is None
+        runs = _RunLookups(tree._runs)
+        monkeypatch.setattr(tree, "_runs", runs)
+        assert _second_half(tree, m, rupture, singular) == (values, mults,
+                                                            None)
+        monkeypatch.undo()
+        assert runs.looked <= singular
+        starts = {f for f in dict.keys(runs) if f in singular}
+        assert starts <= runs.looked
+        taken += len(starts)
+        outside += len(dict.keys(runs) - singular)
+    assert taken == 1 and outside == 2
+
+
 def test_satellite_n_is_a_multiple_of_its_free_point_n():
     # so the satellite value rule's n_p v_p' / n_p' is always an integer,
     # which lets the sweep divide exactly and keeps no error for the rule
@@ -1598,6 +1654,12 @@ def test_deep_polar_walk(n, j, created):
     elapsed = time.perf_counter() - start
     assert len(result.created) == created
     assert elapsed < 2.0, f"recover took {elapsed:.2f} s"
+    # the known answer, the Euclid cluster of y^n = x^(1 + j(n-1)): it
+    # checks the run pieces the sweep writes in closed form against the
+    # curve itself, which the oracle's closure below does not
+    _, known = randgen.build_cluster(
+        randgen.euclid_rows(1 + j * (n - 1), n), WeightKind.MULTIPLICITY)
+    assert are_similar(result.multiplicities, known)
     curve = result.multiplicities
     assert rupture_points(curve) == result.rupture
     for assoc in result.association.values():
