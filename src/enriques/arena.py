@@ -53,8 +53,11 @@ first point alone, so every run costs one entry.  Each later point p + 1
 of a run is the child of p with p's second proximity s, so a lookup of
 (p, s) that misses the index answers p + 1 when ``parents[p + 1] == p
 and seconds[p + 1] == s``; the arena rules make that point the only one
-with the pair.  :meth:`ArenaTree.find_satellite` is the lookup, for
-:func:`_violations`' duplicate rule and the recovery walk alike.
+with the pair.  :meth:`ArenaTree._find` is the rule's one
+implementation, an unchecked lookup for :func:`_violations`' duplicate
+rule, which calls it only on checked ids, and for the recovery walk,
+which looks up only ids it holds; :meth:`ArenaTree.find_satellite` is its
+checked wrapper for every other caller.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -167,8 +170,7 @@ class ArenaTree:
         nothing.  With no ``parent`` the point becomes the origin.
         """
         broken = _violations(self.parents, self.seconds, bool(self.parents),
-                             self.find_satellite, parent, second_proximity,
-                             label)
+                             self._find, parent, second_proximity, label)
         if broken:
             error, message = broken[0]
             raise error(message)
@@ -376,15 +378,22 @@ class ArenaTree:
         self, parent: PointId, second_proximity: PointId
     ) -> Optional[PointId]:
         """The point with exactly this proximity pair, if it exists; None
-        for anything that is not an ``int`` id.  The lookup by the index
-        rule, which the module docstring states."""
-        if type(parent) is not int or type(second_proximity) is not int:
+        for anything that is not an ``int`` id and for a parent outside
+        the arena.  The checked wrapper of :meth:`_find`."""
+        if (type(parent) is not int or type(second_proximity) is not int
+                or not 0 <= parent < len(self.parents)):
             return None
-        q = self._satellite_index.get((parent, second_proximity))
-        if q is None and 0 <= parent < len(self.parents) - 1:
-            q = parent + 1
-            if (self.parents[q] != parent
-                    or self.seconds[q] != second_proximity):
+        return self._find(parent, second_proximity)
+
+    def _find(self, a: PointId, s: PointId) -> Optional[PointId]:
+        """:meth:`find_satellite` for an ``a`` that is an arena id and an
+        ``int`` ``s``, unchecked: the index rule, which the module
+        docstring states."""
+        q = self._satellite_index.get((a, s))
+        if q is None:
+            q = a + 1
+            if (q == len(self.parents) or self.parents[q] != a
+                    or self.seconds[q] != s):
                 return None
         return q
 

@@ -204,15 +204,18 @@ def multiplicities_from_values(cluster: WeightedCluster) -> WeightedCluster:
 
 
 def excesses(cluster: WeightedCluster) -> dict[PointId, int]:
-    """Excess at every cluster point in one pass."""
+    """Excess at every cluster point in one pass.  A cluster is
+    ancestor-closed, so a point's parent and second proximity, when it
+    has them, are cluster points."""
     parents, seconds = cluster.tree.parents, cluster.tree.seconds
     rho = dict(cluster.weight)
     for q, w in cluster.weight.items():
-        a, s = parents[q], seconds[q]
-        if a in rho:
+        a = parents[q]
+        if a is not None:
             rho[a] -= w
-        if s in rho:
-            rho[s] -= w
+            s = seconds[q]
+            if s is not None:
+                rho[s] -= w
     return rho
 
 

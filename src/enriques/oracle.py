@@ -4,8 +4,9 @@ Everything here starts from the answer -- a curve's weighted cluster of
 singular points with effective multiplicities -- and derives the quantities
 the recovery algorithm reconstructs from polar base points: rupture points,
 invariant quotients.  Past the types, it shares with
-:mod:`~enriques.recovery` only the arena's columns, facts included, its
-point-id check and :func:`excesses`, so agreement between them is a
+:mod:`~enriques.recovery` only the arena's columns, facts included, and
+its point-id check: recovery counts its excesses in its own height pass,
+while the oracle reads :func:`excesses`, so agreement between them is a
 meaningful check.  A function that counts a curve's points or branches
 raises :class:`~enriques.errors.WrongKind` on another kind of cluster.
 Every cluster is sound by construction (see

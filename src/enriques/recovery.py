@@ -70,7 +70,7 @@ from itertools import islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 from .arena import ArenaTree, PointId
-from .cluster import WeightedCluster, WeightKind, excesses
+from .cluster import WeightedCluster, WeightKind
 from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
@@ -125,29 +125,41 @@ class MorphismInvariants:
     follows the exclusive-writer contract of the arena.  ``bp`` must be a
     virtual cluster; any virtual cluster has heights, and :func:`compute`
     also requires the base points of polars.  The table counts the
-    excesses of ``bp`` once, when it is built, and keeps them in
-    ``_excess`` for :func:`dicritical_invariant` and :func:`recover`.
+    excesses of ``bp`` in its m pass, when it is built, and keeps them in
+    ``_excess`` for :func:`dicritical_invariant` and :func:`recover`:
+    they start as the weights, and the pass takes each weighted point's
+    weight off its parent and its second proximity, which are members of
+    ``bp`` since a cluster is ancestor-closed.  Every point of ``bp`` is
+    in the arena when the table is built, so later passes meet only
+    created points, which carry no weight.
     """
 
     def __init__(self, bp: WeightedCluster):
         bp.require_kind(WeightKind.VIRTUAL)
         self.bp = bp
         self.m: list[int] = []
-        self._excess = excesses(bp)
+        self._excess = dict(bp.weight)
         self._grow()
 
     def _grow(self) -> None:
-        """Tabulate m on the points appended since the last call."""
+        """Tabulate m on the points appended since the last call, and take
+        each weighted one's weight off the excesses of its proximities."""
         tree, weight, m = self.bp.tree, self.bp.weight, self.m
-        parents, seconds = tree.parents, tree.seconds
+        parents, seconds, excess = tree.parents, tree.seconds, self._excess
         for p in range(len(m), len(parents)):
             a, s = parents[p], seconds[p]
+            w = weight.get(p, 0)
             if a is None:
-                m.append(weight.get(p, 0) + 1)
+                m.append(w + 1)
             elif s is None:
-                m.append(m[a] + weight.get(p, 0) + 1)
+                m.append(m[a] + w + 1)
+                if w:
+                    excess[a] -= w
             else:
-                m.append(m[a] + m[s] + weight.get(p, 0))
+                m.append(m[a] + m[s] + w)
+                if w:
+                    excess[a] -= w
+                    excess[s] -= w
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
         """Ensure m is defined at ``p``; return its (n, m)."""
@@ -287,7 +299,8 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                     num: int, den: int, trace) -> PointId:
     """:func:`satellite_walk` for num/den, on an m table covering the
     arena.  Each pass names the proximity s of its move and looks the
-    next point up with ``tree.find_satellite``, bound once per walk.  A
+    next point up with ``tree._find``, bound once per walk, which trusts
+    its ids: q and s are arena points the walk holds.  A
     held point may carry weight, so the walk moves there alone; else it
     appends a run of weightless points that share s through
     ``tree._append_run``, whose precondition the bracket below proves, and
@@ -343,7 +356,7 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     been refused at a start, in 53,154 walks on seeds 1-3 of the three
     benchmark pools and the inputs of ``test_recovery._sweep_inputs``.
     The ``sys.maxsize`` guard refuses a run longer than a list holds."""
-    find, ns, parents = tree.find_satellite, tree.ns, tree.parents
+    find, ns, parents = tree._find, tree.ns, tree.parents
     n, m = ns[p], table[p]
     cap = num + den
     gap = m * den - num * n
@@ -356,8 +369,8 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     q, moves = p, 0
     while gap:
         second = gap < 0
-        word = "second" if second else "first"
         if trace:
+            word = "second" if second else "first"
             trace((q, m, n, word))
         s = hi if second else lo
         found = find(q, s)
@@ -424,17 +437,24 @@ def _biggest_rupture_by_cone(
     return biggest
 
 
-def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
-    """The points with their ancestors; each chain stops at a closed point.
+def _downward_closure(
+    tree: ArenaTree, points
+) -> tuple[frozenset[PointId], set[Optional[PointId]]]:
+    """The points with their ancestors, and the parents of the free points
+    among them: the points with a free point of the closure in their first
+    neighbourhood, and None when the closure holds the origin.  Each chain
+    stops at a closed point.
 
     A point p after the first point f of a recorded run has f..p-1 below
     it, the run's ids in order, so the chain adds f..p as one range and
     goes on from f's parent; one bisect on the runs' first points finds
     f.  On an arena without recorded runs the chain goes point by point
-    with no bisect."""
-    parents, runs = tree.parents, tree._runs
+    with no bisect.  Every point a range adds is a satellite, so every
+    free point is added on its own, and its parent is recorded there."""
+    parents, seconds, runs = tree.parents, tree.seconds, tree._runs
     firsts = [*runs]  # ascending, as appended
     closed: set[PointId] = set()
+    branching: set[Optional[PointId]] = set()
     for p in points:
         while p is not None and p not in closed:
             if firsts:
@@ -444,8 +464,11 @@ def _downward_closure(tree: ArenaTree, points) -> frozenset[PointId]:
                     p = parents[f]
                     continue
             closed.add(p)
-            p = parents[p]
-    return frozenset(closed)
+            a = parents[p]
+            if seconds[p] is None:
+                branching.add(a)
+            p = a
+    return frozenset(closed), branching
 
 
 # -- part two: values ---------------------------------------------------------
@@ -461,7 +484,9 @@ def recover_values(
     :func:`_second_half`.  ``singular`` must be downward closed and hold
     ``rupture``, as the topology's downward closure is.  ``recover`` never
     passes a bad point or a gap, so the checks live here, not in the sweep,
-    which trusts S to hold a prefix of every run it meets."""
+    which trusts S to hold a prefix of every run it meets.  The sweep's
+    branching points come from :func:`_downward_closure` of the checked
+    set, which is the set itself."""
     _require_table(bp, inv)
     tree = bp.tree
     for p in rupture | singular:
@@ -477,7 +502,8 @@ def recover_values(
             f"the singular set is not downward closed: it lacks point"
             f" {min(gaps)}")
     inv._grow()  # the sweep reads m at every point of the set
-    values, _, _ = _second_half(tree, inv.m, rupture, singular)
+    _, branching = _downward_closure(tree, singular)
+    values, _, _ = _second_half(tree, inv.m, rupture, singular, branching)
     return WeightedCluster(tree, WeightKind.VALUE, values)
 
 
@@ -486,6 +512,7 @@ def _second_half(
     m: list,
     rupture: frozenset[PointId],
     singular: frozenset[PointId],
+    branching: set[Optional[PointId]],
 ) -> tuple[dict[PointId, int], dict[PointId, int], Optional[EnriquesError]]:
     """Values, multiplicities and their excesses in one ascending sweep.
 
@@ -493,7 +520,9 @@ def _second_half(
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
     :class:`InconsistentCluster`, else None.  A value rule's error is
     raised, a satellite's only once every free point's rule has run.  The
-    points are arena points, downward closed, in the m table ``m``.
+    points are arena points, downward closed, in the m table ``m``, and
+    ``branching`` holds the points with a free point of S in their first
+    neighbourhood, as :func:`_downward_closure` returns them with S.
 
     The value rules, read in id order, which is topological: a rupture
     point takes v = m; a free point p, m when a free point of S lies in
@@ -505,8 +534,12 @@ def _second_half(
     The multiplicity at p, v_p less the values at the points p is
     proximate to, comes off their excesses at once.  The excesses ``rho``
     are a list over the whole arena, zero outside S and until a point's
-    visit sets its multiplicity there, so the consistency check is one
-    ``min``.
+    visit sets its multiplicity there.  Only later points are proximate
+    to p, so its excess is set before anything comes off it, and while
+    no multiplicity is below 1 it only decreases after that; a set
+    excess below 0 is a multiplicity below 1.  So, when no multiplicity
+    is below 1, an excess ends negative exactly when a write that takes
+    something off it makes it negative, and the sweep checks there.
 
     Run pieces.  The sweep looks each point it visits up in the arena's
     run record, and reads the record nowhere else.  Once it has visited
@@ -535,16 +568,15 @@ def _second_half(
     constant after b, and the excess of a point inside the piece, its
     multiplicity less its successor's, is 0, the zero-filled ``rho``
     list's entry already: only b's and c's excesses and f's and s's are
-    written.  So the piece's first multiplicity below 1, if any, is at b
-    or at b+1."""
+    written, and checked as the visits' writes are.  So the piece's first
+    multiplicity below 1, if any, is at b or at b+1."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     runs = tree._runs  # last point by first point; often empty
     biggest_rupture = _biggest_rupture_by_cone(tree, rupture)
-    # the points with a free point of S in their first neighbourhood
-    branching = {parents[c] for c in singular if seconds[c] is None}
     values, mults = {}, {}  # each by point id
     rho = [0] * len(parents)  # the excesses, a list indexed by point id
+    negative = False  # whether a write took an excess below 0
     failed: Optional[RecoveryError] = None  # a satellite rule's first error
     low: Optional[PointId] = None  # the first point of multiplicity below 1
     points = sorted(singular)
@@ -582,7 +614,11 @@ def _second_half(
             if s is not None:
                 v -= values[s]
                 rho[s] -= v
+                if rho[s] < 0:
+                    negative = True
             rho[a] -= v
+            if rho[a] < 0:
+                negative = True
         if v < 1 and low is None:
             low = p
         mults[p] = rho[p] = v
@@ -616,8 +652,12 @@ def _second_half(
         mults[b] = rho[b] = head
         rho[f] -= head
         rho[s] -= head + (c - b) * rest
+        if rho[f] < 0 or rho[s] < 0:
+            negative = True
         if c > b:
             rho[b] -= rest
+            if rho[b] < 0:
+                negative = True
             mults.update(zip(range(b + 1, c + 1), repeat(rest)))
             rho[c] = rest
         next(islice(visits, c - f, c - f), None)  # skip b..c
@@ -628,7 +668,7 @@ def _second_half(
         rejected = NonPositiveMultiplicity(
             f"values force multiplicity {describe_number(mults[low])}"
             f" at point {low}")
-    elif rho and min(rho) < 0:
+    elif negative:
         rejected = InconsistentCluster(
             "recovered multiplicities are not consistent; the input is"
             " not a cluster of polar base points")
@@ -685,8 +725,9 @@ def recover(
                         tree, m, p, num, den, trace)
             association[d] = DicriticalAssociation(invariant, p, q)
         rupture = frozenset(a.rupture_point for a in association.values())
-        singular = _downward_closure(tree, rupture)
-        values, mults, rejected = _second_half(tree, m, rupture, singular)
+        singular, branching = _downward_closure(tree, rupture)
+        values, mults, rejected = _second_half(tree, m, rupture, singular,
+                                               branching)
         if rejected is not None:
             raise rejected
         # the sweep established every property the constructor checks

@@ -8,8 +8,9 @@ compare the diagnostics that ``from_records`` refuses records with against
 it.
 
 ``triples`` and ``proximities`` read the records and a point's proximities
-off the columns, and ``satellite_answers`` asks ``find_satellite`` for every
-(point, proximity) pair, the whole contract of the arena's pair index.
+off the columns, and ``satellite_answers`` asks ``find_satellite``, or
+another lookup, for every (point, proximity) pair, the whole contract of
+the arena's pair index.
 ``reference_facts`` derives each record's facts as the arena did before it
 became columnar, one facts tuple per point, so the suites can check the
 columns that the library's fact writers derive against code they do not
@@ -32,9 +33,11 @@ def proximities(tree: ArenaTree, q: PointId) -> set[PointId]:
     return {r for r in (tree.parents[q], tree.seconds[q]) if r is not None}
 
 
-def satellite_answers(tree: ArenaTree) -> list[Optional[PointId]]:
-    """``find_satellite`` on every (point, proximity) pair, in id order."""
-    return [tree.find_satellite(p, s) for p in tree.points()
+def satellite_answers(tree: ArenaTree, find=None) -> list[Optional[PointId]]:
+    """``find_satellite``, or the lookup ``find`` given, on every (point,
+    proximity) pair, in id order."""
+    find = find or tree.find_satellite
+    return [find(p, s) for p in tree.points()
             for s in sorted(proximities(tree, p))]
 
 

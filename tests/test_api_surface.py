@@ -207,7 +207,7 @@ def test_docstring_references_resolve():
 ARENA_PRIVATE_READERS = {
     "documents": {"_from_columns"},
     "oracle": {"_check"},
-    "recovery": {"_append_run", "_check", "_runs"},
+    "recovery": {"_append_run", "_check", "_find", "_runs"},
 }
 
 
