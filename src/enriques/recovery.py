@@ -50,8 +50,9 @@ The parts, each argued in its own docstring:
   of its bracket is in ``_satellite_walk``'s docstring); the singular set
   S is the downward closure of the rupture set (:func:`_downward_closure`);
 * values and multiplicities, in one sweep over S in ascending id
-  (:func:`_second_half`, with the value rules), which takes the piece of
-  a recorded run it meets in closed form, argued in the same docstring.
+  (:func:`_second_half`, with the value rules), which extends the value
+  the rules gave a recorded run's second point over a piece of the run
+  by a constant step, argued in the same docstring.
 
 :func:`recover` runs both parts in one call.  No part rebuilds a
 unibranch chain or builds a per-point object: each reads a point's facts
@@ -298,14 +299,14 @@ def satellite_walk(
 def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                     num: int, den: int, trace) -> PointId:
     """:func:`satellite_walk` for num/den, on an m table covering the
-    arena.  Each pass names the proximity s of its move and looks the
-    next point up with ``tree._find``, bound once per walk, which trusts
-    its ids: q and s are arena points the walk holds.  A
-    held point may carry weight, so the walk moves there alone; else it
-    appends a run of weightless points that share s through
+    arena.  Every move is a run of t points that share the proximity s
+    it goes towards.  t = 1 when ``tree._find``, bound once per walk and
+    trusting its ids (q and s are arena points the walk holds), finds the
+    next point, which may carry weight.  Else t is the least that closes
+    the gap (below), and the walk appends the run through
     ``tree._append_run``, whose precondition the bracket below proves, and
-    extends the table over the run: m grows by m_s from point to point,
-    from the run parent's m, since the new points lie outside the cluster.
+    extends the table over it: m grows by m_s from point to point, from
+    the run parent's m, since the new points lie outside the cluster.
 
     The bracket.  Write I = num/den and gap = m*den - num*n at a point.
     The walk carries its point's ordered proximities (lo, hi), set at the
@@ -319,34 +320,31 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     move (first above I, second below it) must exist and lie strictly
     across I from p, that is delta = m_s*den - num*n_s must have the sign
     opposite to the gap's; otherwise it raises :class:`WalkDiverged`.  A
-    move from q towards s reaches a point r whose parent q' is the point
-    the move left: q for a held point or a run of one, the run's last
-    point but one for a longer run.  Each point of a run is the satellite
-    towards s of the one before, so by the induction in
+    move of t points from q towards s reaches a point r whose parent q'
+    is r - 1 for t > 1 and q for t = 1.  Each point of a run is the
+    satellite towards s of the one before, so by the induction in
     :class:`~enriques.arena.PointFacts` r's pair is (s, q') after a first
-    move and (q', s) after a second one, and the walk carries it on,
-    reading q' from ``parents``.  Claim: at every point after the start,
-    m/n is strictly below I at lo and strictly above I at hi.  After a
-    first move q' lies above I and s below it, after a second q' below
-    and s above: for s by the start check at the first move and by the
-    claim at q at a later one, and for q' because the gap at q' is q's
-    plus fewer than t deltas, with t the least that closes the gap
-    (below).  A held point's weight raises its m but leaves its pair, so
-    the claim holds at held and created points alike.  Hence, at every
-    point after the start with gap != 0, the walk moves first from above
-    I towards lo, below it, or second from below I towards hi, above it:
-    s exists, since the point is a satellite, and delta is not 0 and has
-    the sign opposite to the gap's.  Every point of a created run shares
-    s, so the gap changes by delta at each of its points, and
-    t = -(gap // delta), the least t that takes gap + t*delta to 0 or
-    past it, is at least 1, since gap and delta are nonzero integers of
-    opposite signs.  The run's pair (q, s) is not held, since the lookup
-    missed, and s is a proximity of q, so the run keeps the writer's
-    precondition.  Each created point is the mediant of q and s, a step
-    of the Stern-Brocot descent (Graham, Knuth and Patashnik, *Concrete
-    Mathematics*, 4.5), so its gap is the sum of the gaps at its lo and
-    hi; past the last held point the walk runs the subtractive Euclidean
-    algorithm on the two gaps' sizes, so it ends.
+    move and (q', s) after a second one, whatever r's weight, and the
+    walk carries it on, reading q' from ``parents``.  Claim: at every
+    point after the start, m/n is strictly below I at lo and strictly
+    above I at hi.  After a first move q' lies above I and s below it,
+    after a second q' below and s above: for s by the start check at the
+    first move and by the claim at q at a later one, and for q' because
+    the gap at q' is q's plus t - 1 deltas.  Hence, at every point after
+    the start with gap != 0, the walk moves first from above I towards
+    lo, below it, or second from below I towards hi, above it: s exists,
+    since the point is a satellite, and delta is not 0 and has the sign
+    opposite to the gap's.  A run the walk creates is weightless, so the
+    gap changes by delta at each of its points, and t = -(gap // delta),
+    the least t that takes gap + t*delta to 0 or past it, is at least 1,
+    since gap and delta are nonzero integers of opposite signs.  The
+    pair (q, s) is not held, since the lookup missed, and s is a
+    proximity of q, so the run keeps the writer's precondition.  Each
+    created point is the mediant of q and s, a step of the Stern-Brocot
+    descent (Graham, Knuth and Patashnik, *Concrete Mathematics*, 4.5),
+    so its gap is the sum of the gaps at its lo and hi; past the last
+    held point the walk runs the subtractive Euclidean algorithm on the
+    two gaps' sizes, so it ends.
 
     The cap.  It bounds the moves by num + den, and so the points a walk
     creates: a memory bound for the public :func:`satellite_walk` on an
@@ -373,30 +371,25 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
             word = "second" if second else "first"
             trace((q, m, n, word))
         s = hi if second else lo
-        found = find(q, s)
-        if found is not None:  # a point the arena holds: a run of one
-            moves += 1
-            if moves > cap:
-                raise _diverged(num, den, cap, p)
-            q = found
-            n, m = ns[q], table[q]
-        else:  # a run of created points that share s
-            n_s, m_s = ns[s], table[s]
-            t = -(gap // (m_s * den - num * n_s))  # least t closing the gap
-            moves += t
-            if moves > cap:
-                raise _diverged(num, den, cap, p)
+        last = find(q, s)  # a held point: a run of one
+        # else the least run that closes the gap
+        t = -(gap // (table[s] * den - num * ns[s])) if last is None else 1
+        moves += t
+        if moves > cap:
+            raise _diverged(num, den, cap, p)
+        if last is None:  # append the run of t new points
             if len(parents) + t > sys.maxsize:  # more than a list holds
                 raise WalkDiverged(
                     f"the run below point {q} would take the arena past"
                     f" {sys.maxsize} points")
-            q = tree._append_run(q, s, t)
+            last = tree._append_run(q, s, t)
+            m_s = table[s]
             table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
             if trace:
                 for i in range(1, t):
-                    trace((q - t + i, m + i * m_s, n + i * n_s, word))
-            n += t * n_s
-            m += t * m_s
+                    trace((last - t + i, m + i * m_s, n + i * ns[s], word))
+        q = last
+        n, m = ns[q], table[q]
         lo, hi = (parents[q], s) if second else (s, parents[q])
         gap = m * den - num * n
     if trace:
@@ -541,18 +534,19 @@ def _second_half(
     is below 1, an excess ends negative exactly when a write that takes
     something off it makes it negative, and the sweep checks there.
 
-    Run pieces.  The sweep looks each point it visits up in the arena's
-    run record, and reads the record nowhere else.  Once it has visited
-    the first point f of a recorded run, it writes the rules' answers on
-    one piece b..c of the run, b = f+1, in closed form and skips it; the
-    points after c are visited as usual.  The run's ids are the range
-    f..last and S is downward closed, so S holds a prefix f..e of the
-    run, and e is the last point of the sorted S up to ``last``, one
-    bisect.  Only a prefix that bp leaves unweighted is taken; the sweep
-    visits the points of any other run.  With s the run's second proximity, m grows by m_s + w from
-    point to point, w the bp weight, so m_e - m_f = (e - f) m_s holds
-    exactly when no point after f carries weight, since no virtual weight
-    is negative.
+    Run pieces.  The sweep looks the parent of each satellite it visits up
+    in the arena's run record, and reads the record nowhere else, so it
+    looks up points of S only.  Once the rules have given the second point
+    b = f+1 of a recorded run f..last its value, the sweep extends that
+    value over one piece b+1..c of the run by a constant step and skips
+    it; the points after c are visited as usual.  The run's ids are the
+    range f..last and S is downward closed, so S holds a prefix f..e of
+    the run, and e is the last point of the sorted S up to ``last``, one
+    bisect.  Only a prefix that bp leaves unweighted after b is taken; the
+    sweep visits the points of any other run.  With s the run's second
+    proximity, m grows by m_s + w from point to point, w the bp weight, so
+    m_e - m_b = (e - b) m_s holds exactly when no point after b carries
+    weight, since no virtual weight is negative.
 
     Every point of the run is a satellite proximate to its predecessor
     and to s (Casas-Alvero, *Singularities of Plane Curves*, on proximity
@@ -563,13 +557,14 @@ def _second_half(
     rupture point of the run is not bigger than q, so it takes m like its
     neighbours.  The order test k_p n_q > k_q n_p reads the sign of
     g(p) = k_p n_q - k_q n_p, which is linear along the run, so c, the
-    last point of f+1..e on b's side of the test, is one floor division.
-    On b..c, v is affine, the multiplicity v_p - v_{p-1} - v_s is
-    constant after b, and the excess of a point inside the piece, its
-    multiplicity less its successor's, is 0, the zero-filled ``rho``
-    list's entry already: only b's and c's excesses and f's and s's are
-    written, and checked as the visits' writes are.  So the piece's first
-    multiplicity below 1, if any, is at b or at b+1."""
+    last point of b..e on b's side of the test, is one floor division.
+    On b..c, v grows by d = m_s, or by n_s V_F / n_F when b took the
+    scaled value, so every multiplicity after b is rest = d - v_s, and
+    the excess of a point inside the piece, its multiplicity less its
+    successor's, is 0, the zero-filled ``rho`` list's entry already: only
+    b's, s's and c's excesses are written, and b's and s's checked as
+    the visits' writes are.  So the piece's first multiplicity below 1,
+    if any, is at b+1."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     runs = tree._runs  # last point by first point; often empty
@@ -622,45 +617,40 @@ def _second_half(
         if v < 1 and low is None:
             low = p
         mults[p] = rho[p] = v
-        if p not in runs:
+        if s is None or a not in runs or p - 1 != a:
             continue
-        # p is the first point f of a recorded run: take its piece b..c
-        f, e = p, points[bisect_right(points, runs[p]) - 1]
-        if e == f or m[e] - m[f] != (e - f) * m[s]:
+        # p is the second point b of a recorded run: extend its value
+        e = points[bisect_right(points, runs[a]) - 1]
+        if e == p or m[e] - m[p] != (e - p) * m[s]:
             continue
-        free = free_points[f]
+        free = free_points[p]
         q = biggest_rupture.get(free)
-        v_free, n_free, v_s = values[free], ns[free], values[s]
-        b, c, scaled = f + 1, e, False
-        if q is not None and v_free * ns[q] == n_free * m[q]:
+        c, d = e, m[s]
+        if q is not None and values[free] * ns[q] == ns[free] * m[q]:
             n_q, k_q = ns[q], ks[q]
-            g = ks[b] * n_q - k_q * ns[b]
-            step = (ks[b] - ks[f]) * n_q - k_q * ns[s]  # g's change per point
-            scaled = g > 0
-            if scaled and step < 0:
-                c = min(e, b + (g - 1) // -step)
-            elif not scaled and step > 0:
-                c = min(e, b + (-g) // step)
-        if scaled:  # exact, as in the satellite rule above
-            v, d = ns[b] * v_free // n_free, ns[s] * v_free // n_free
-        else:
-            v, d = m[b], m[s]
-        head, rest = v - values[f] - v_s, d - v_s
-        if low is None and (head < 1 or rest < 1 and c > b):
-            low = b if head < 1 else b + 1
-        values.update(zip(range(b, c + 1), range(v, v + (c - b + 1) * d, d)))
-        mults[b] = rho[b] = head
-        rho[f] -= head
-        rho[s] -= head + (c - b) * rest
-        if rho[f] < 0 or rho[s] < 0:
+            g = ks[p] * n_q - k_q * ns[p]
+            step = (ks[p] - ks[a]) * n_q - k_q * ns[s]  # g's change per point
+            if g > 0:  # p took the scaled value; exact, as in the rule
+                d = ns[s] * values[free] // ns[free]
+                if step < 0:
+                    c = min(e, p + (g - 1) // -step)
+            elif step > 0:
+                c = min(e, p + (-g) // step)
+        if c == p:
+            continue
+        rest = d - values[s]  # the multiplicity at each point of p+1..c
+        if low is None and rest < 1:
+            low = p + 1
+        v = values[p]
+        values.update(zip(range(p + 1, c + 1),
+                          range(v + d, v + (c - p + 1) * d, d)))
+        mults.update(zip(range(p + 1, c + 1), repeat(rest)))
+        rho[p] -= rest
+        rho[s] -= (c - p) * rest
+        if rho[p] < 0 or rho[s] < 0:
             negative = True
-        if c > b:
-            rho[b] -= rest
-            if rho[b] < 0:
-                negative = True
-            mults.update(zip(range(b + 1, c + 1), repeat(rest)))
-            rho[c] = rest
-        next(islice(visits, c - f, c - f), None)  # skip b..c
+        rho[c] = rest
+        next(islice(visits, c - p, c - p), None)  # skip p+1..c
     if failed is not None:
         raise failed
     rejected: Optional[EnriquesError] = None

@@ -1043,6 +1043,32 @@ def test_walk_written_points_match_reference_facts(fixture_dir):
             reference_facts(triples(tree))
     short -= ranged
     assert ranged > 3900 and short > 9000 and held > 30
+
+
+def test_every_move_over_held_points_is_a_run_of_one(fixture_dir):
+    # a document written after one recovery holds the points the walks
+    # created, with weight 0; recovering it again makes every move over a
+    # held point, a run of one, and traces and answers as the fresh run did
+    texts = [(fixture_dir / f"{name}_bp.json").read_text(encoding="utf-8")
+             for name in ("ex04", "ex05", "ex06", "ex07")]
+    for pool in (workloads.golden_perturbed, workloads.polar_walk,
+                 workloads.wide_fan):
+        texts += [document.text for document in pool(1)]
+    held = 0
+    for text in texts:
+        tree, bp = parse(text)
+        fresh, again = [], []
+        want = _outcome(recover, bp, fresh.append)
+        held_tree, held_bp = parse(serialize(tree, bp))
+        size = len(held_tree)
+        got = _outcome(recover, held_bp, again.append)
+        if len(want) > 3:  # a result, whose created points differ
+            want, got = want[:-1], got[:-1]
+        assert got == want and again == fresh and len(held_tree) == size
+        held += sum(decision != "stop" for *_, decision in again)
+    assert len(texts) == 1112 and held > 23000
+
+
 @pytest.mark.parametrize("w, created, prewalked", [
     pytest.param(5, 5, False, id="5-5"),
     pytest.param(6, 6, False, id="6-6"),
@@ -1387,8 +1413,9 @@ class _RunLookups(dict):
 
 
 def test_sweep_reads_the_run_record_only_at_points_of_s(monkeypatch):
-    # the sweep looks a visited point up in the run record and reads
-    # nothing else of it, so a recorded run outside S costs it nothing
+    # the sweep looks the parent of a visited satellite, a point of S, up
+    # in the run record and reads nothing else of it, so a recorded run
+    # outside S costs it nothing
     polar = _recovered_polar(40, 2)
     twice = _walked_twice(33, 3, {0: 13, 1: 4})
     cases = [(polar, frozenset({2})),  # below the run 3..40
@@ -1456,6 +1483,92 @@ def test_recover_values_matches_pass_reference():
     assert runs["strict prefix"] > 4000
     assert runs["scaled from the first point"] > 60 and runs["flip back"] > 12
 
+
+
+def _polar_with_a_weighted_second_point(seed):
+    """A recovered polar arena whose first run f.. has second proximity
+    p1, with a new free child of p1 and weights on it, on the run's second
+    point f+1 and below f.  The free child in S gives p1 the value m, so
+    every multiplicity after f+1's in the run is 0, while f+1's weight can
+    keep its own at 1 or more; the sweep takes the piece after f+1."""
+    rng = random.Random(seed)
+    tree = _recovered_polar(rng.choice((12, 20, 33)), 2).tree
+    f = next(iter(tree._runs))
+    child = tree.add_point(tree.seconds[f])
+    excess = {p: rng.randint(0, 4) for p in range(f) if rng.random() < 0.5}
+    excess.update({f + 1: rng.randint(1, 3), child: rng.randint(1, 3)})
+    return WeightedCluster(tree, WeightKind.VIRTUAL,
+                           randgen.weights_from_excesses(tree, excess))
+
+
+def _polar_with_a_free_child_on_its_run(seed):
+    """A recovered polar arena whose first run f.. gets a new free child of
+    its second point f+1 or of a later one, with weights below f.  A
+    rupture set that holds the child holds the run in S up to the child's
+    parent, past the run's other rupture points: the sweep's piece then
+    takes the run's share off the excess of its second proximity, and the
+    child takes its own off its parent's."""
+    rng = random.Random(seed)
+    tree = _recovered_polar(rng.choice((12, 20, 33)), 2).tree
+    f, last = next(iter(tree._runs.items()))
+    tree.add_point(rng.choice((f + 1, rng.randint(f + 2, last))))
+    excess = {p: rng.randint(0, 4) for p in range(f) if rng.random() < 0.5}
+    excess[f - 1] = rng.randint(1, 3)
+    return WeightedCluster(tree, WeightKind.VIRTUAL,
+                           randgen.weights_from_excesses(tree, excess))
+
+
+def _sweep_verdict(tree, m, rupture, singular, branching):
+    """The sweep's multiplicities, or the error it returns or raises."""
+    _, mults, rejected = _second_half(tree, m, rupture, singular, branching)
+    if rejected is not None:
+        raise rejected
+    return WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
+
+
+def _reference_verdict(bp, inv, rupture, singular):
+    """The same by the reference passes: values, conversion, consistency."""
+    multiplicities = multiplicities_from_values(
+        _reference_values(bp, inv, rupture, singular))
+    if not is_consistent(multiplicities):
+        raise InconsistentCluster(
+            "recovered multiplicities are not consistent; the input is"
+            " not a cluster of polar base points")
+    return multiplicities
+
+
+def test_sweep_verdict_matches_reference_on_random_rupture_sets():
+    # recover_values drops the sweep's verdict, and recover meets only the
+    # rupture sets its walks find: here the verdict meets random rupture
+    # sets over arenas with recorded runs, among them pieces that follow a
+    # weighted second point and hold multiplicities below 1
+    arenas = [_recovered_polar(n, j) for n in (12, 17, 25, 40)
+              for j in (2, 3)]
+    arenas += [_walked_twice(n, j, {0: a, 1: b}) for n in (20, 33)
+               for j in (2, 3) for a, b in ((7, 5), (13, 4), (29, 28))]
+    arenas += [_weighted_polar(seed) for seed in range(20)]
+    arenas += [_polar_with_a_branching_proximity(seed) for seed in range(20)]
+    arenas += [_polar_with_a_weighted_second_point(seed)
+               for seed in range(20)]
+    arenas += [_polar_with_a_free_child_on_its_run(seed)
+               for seed in range(60)]
+    verdicts = Counter()
+    for seed, bp in enumerate(arenas):
+        tree, inv, rng = bp.tree, compute(bp), random.Random(seed)
+        for _ in range(60):
+            rupture = frozenset(rng.sample(range(len(tree)),
+                                           rng.randint(1, 4)))
+            if rng.random() < 0.5:  # the last point: a child or a run's end
+                rupture |= {len(tree) - 1}
+            singular, branching = _downward_closure(tree, rupture)
+            got = _outcome(_sweep_verdict, tree, inv.m, rupture, singular,
+                           branching)
+            assert got == _outcome(_reference_verdict, bp, inv, rupture,
+                                   singular), (seed, rupture)
+            verdicts[got[0]] += 1
+    assert verdicts[WeightKind.MULTIPLICITY] > 2000
+    assert verdicts[NonPositiveMultiplicity] > 5000
+    assert verdicts[InconsistentCluster] > 10
 
 
 def test_recover_values_rejects_singular_set_not_downward_closed():
