@@ -38,13 +38,15 @@ its records break as a :class:`~enriques.errors.Diagnostic`, and returns
 no arena.
 
 Facts are derived by two private writers; each one's docstring says
-what it checks and what it trusts.  :meth:`ArenaTree._from_columns`
-builds a whole arena from resolved columns, and
-:meth:`ArenaTree._append_run` writes a run of satellites that share a
-second proximity.  The run writer records in ``_runs`` each run it
-writes as ranges; the record is append-only like the columns, so it
-needs no invalidation, and the recovery's value sweep and downward
-closure read it to take a run's points at once.
+what it checks and what it trusts.  The record pass
+:meth:`ArenaTree._derive` derives the facts of every record an arena
+takes, whole columns from ``documents.parse`` and
+:meth:`ArenaTree.from_records` and one point from
+:meth:`ArenaTree.add_point`.  The run writer :meth:`ArenaTree._append_run`
+writes the walk's runs of satellites that share a second proximity and
+records in ``_runs`` each run it writes as ranges, a record append-only
+like the columns, so the value sweep and the downward closure read it
+with no invalidation to take a run's points at once.
 
 The index rule.  The private pair index ``_satellite_index`` maps a
 satellite's (parent, second proximity) to its id, for every satellite
@@ -167,27 +169,19 @@ class ArenaTree:
 
         The point must keep every arena rule (see :func:`_violations`); on
         the first it would break this raises that rule's error and appends
-        nothing.  With no ``parent`` the point becomes the origin.
+        nothing; else the record pass :meth:`_derive` derives its facts.
+        With no ``parent`` the point becomes the origin.
         """
         broken = _violations(self.parents, self.seconds, bool(self.parents),
                              self._find, parent, second_proximity, label)
         if broken:
             error, message = broken[0]
             raise error(message)
-        q = len(self.parents)
-        if second_proximity is not None:
-            self._append_run(parent, second_proximity, 1)
-            self.labels[q] = label
-            return q
-        n, m0 = ((1, 1) if parent is None
-                 else (self.ns[parent], self.m0s[parent] + 1))
         self.parents.append(parent)
-        self.seconds.append(None)
+        self.seconds.append(second_proximity)
         self.labels.append(label)
-        self.free_points.append(q)
-        self.ns.append(n)
-        self.m0s.append(m0)
-        self.ks.append(1)
+        q = len(self.parents) - 1
+        self._derive(q)
         return q
 
     @classmethod
@@ -236,64 +230,71 @@ class ArenaTree:
         seconds: list[Optional[PointId]], labels: list[Optional[str]],
     ) -> Optional["ArenaTree"]:
         """An arena that adopts the three lists as its columns, uncopied,
-        or None when they break an arena rule.
+        with the facts of the record pass :meth:`_derive`, or None when the
+        pass finds a rule broken.  Its callers hand it labels that are None
+        or strings and references to earlier ids only, so point 0 has no
+        second proximity: :meth:`from_records` once its check loop found
+        nothing, and ``documents.parse`` for documents its own loop found
+        clean.  So only the parser's call can return None, and the parser
+        then reports the rules through :meth:`from_records`.
+        """
+        # the attributes __init__ sets, with the record columns adopted
+        tree = object.__new__(cls)
+        tree.parents, tree.seconds, tree.labels = parents, seconds, labels
+        tree.free_points, tree.ns, tree.m0s, tree.ks = [], [], [], []
+        tree._satellite_index, tree._runs = {}, {}
+        return tree if tree._derive(0) else None
 
-        A trusted writer: it derives the facts and enters every satellite
-        in the pair index, but checks only the rules that resolved
-        references can still break, a second origin, an illegal proximity
-        (by :func:`_violations`' test) or a repeated pair, and stops at the
-        first.  Its callers hand it only labels that are None or strings
-        and references to earlier points' ids, so point 0 has no second
-        proximity: :meth:`from_records`, whose labels may be None, once
-        its check loop found nothing, and ``documents.parse``, for
-        documents its own loop found clean, whose labels are all strings.
-        So only the parser's call can return None, and the parser then
-        reports the rules through :meth:`from_records`.
-
-        Let q be a satellite with parent a and second proximity s.  Its
-        n and m0 add up over both proximities; k adds s's share only when
-        s lies in q's own cone.  Every column starts as a free point's
-        entry, and the one pass overwrites the entries that differ: n and
-        m0 at every point after the origin, all four columns at a
+    def _derive(self, start: PointId) -> bool:
+        """The record pass: derive the facts of the records from id
+        ``start`` on and enter their satellites in the pair index.  It
+        checks only what resolved references can still break, a second
+        origin, an illegal proximity (by :func:`_violations`' test) or a
+        repeated pair, and answers False at the first, the columns half
+        written; :meth:`add_point` runs it once :func:`_violations` found
+        nothing, so there it cannot fail.  A satellite q with parent a and
+        second proximity s adds n and m0 over both proximities, and k adds
+        s's share only when s lies in q's own cone.  Each fact column first
+        takes a free point's entry per record, and the pass overwrites the
+        entries that differ: n and m0 after the origin, all four columns at a
         satellite.
         """
+        parents, seconds = self.parents, self.seconds
         size = len(parents)
-        free_points, ns, m0s = list(range(size)), [1] * size, [1] * size
-        ks = [1] * size
-        index: dict[tuple[PointId, PointId], PointId] = {}
-        for q, (a, s) in enumerate(zip(parents, seconds)):
+        free_points, ns, m0s, ks = self.free_points, self.ns, self.m0s, self.ks
+        free_points += range(start, size)
+        ones = [1] * (size - start)
+        ns += ones
+        m0s += ones
+        ks += ones
+        index = self._satellite_index
+        for q in range(start, size):
+            a, s = parents[q], seconds[q]
             if a is None:  # the origin, or a second point without parent
                 if q:
-                    return None
+                    return False
             elif s is None:
                 ns[q] = ns[a]
                 m0s[q] = m0s[a] + 1
             else:
                 if (s != parents[a] and s != seconds[a]) or (a, s) in index:
-                    return None
+                    return False
                 index[a, s] = q
                 free = free_points[q] = free_points[a]
                 ks[q] = ks[a] + ks[s] if free_points[s] == free else ks[a]
                 ns[q] = ns[a] + ns[s]
                 m0s[q] = m0s[a] + m0s[s]
-        # every attribute __init__ sets, without its empty lists
-        tree = object.__new__(cls)
-        tree.parents, tree.seconds, tree.labels = parents, seconds, labels
-        tree.free_points, tree.ns, tree.m0s = free_points, ns, m0s
-        tree.ks, tree._satellite_index, tree._runs = ks, index, {}
-        return tree
+        return True
 
     def _append_run(self, a: PointId, s: PointId, t: int) -> PointId:
         """Append t satellites proximate to s, each the child of the one
         before, the first a child of ``a``; return the last one's id.
 
-        A trusted writer that checks nothing.  The precondition is that
-        t >= 1, that s is a proximity of a and that the arena does not hold
-        the pair (a, s) yet: :meth:`add_point` calls it for a run of one
-        once :func:`_violations` found no rule broken, and the docstring of
-        ``recovery._satellite_walk`` proves it for the walk's runs.  So the
-        result equals t calls of :meth:`add_point` in every column and in
-        every :meth:`find_satellite` answer.
+        A trusted writer, for the recovery walk alone, that checks nothing:
+        its precondition, t >= 1, s a proximity of a and the pair (a, s)
+        not yet held, is proved in the docstring of
+        ``recovery._satellite_walk``.  So the result equals t calls of
+        :meth:`add_point` in every column and :meth:`find_satellite` answer.
 
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share: the run is written from a and s in

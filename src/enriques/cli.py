@@ -88,16 +88,12 @@ def _cmd_recover(args) -> int:
                     for d, assoc in sorted(result.association.items())]
             print("d\tI_d\tp_d\tq_d", *rows, sep="\n")
     if args.out:
-        emit = args.emit
         out = Path(args.out)
-        if emit in ("values", "both"):
-            target = out if emit == "values" else _suffixed(out, "values")
-            target.write_text(serialize(tree, result.values), encoding="utf-8")
-        if emit in ("multiplicities", "both"):
-            target = (out if emit == "multiplicities"
-                      else _suffixed(out, "multiplicities"))
-            target.write_text(
-                serialize(tree, result.multiplicities), encoding="utf-8")
+        for kind in ("values", "multiplicities"):
+            if args.emit in (kind, "both"):
+                target = out if args.emit == kind else _suffixed(out, kind)
+                target.write_text(serialize(tree, getattr(result, kind)),
+                                  encoding="utf-8")
     return EXIT_OK
 
 

@@ -179,7 +179,6 @@ def parse(text: str) -> tuple[ArenaTree, WeightedCluster]:
             diagnostics.append(Diagnostic(
                 "InvalidWeight", i,
                 f"weight must be a non-negative integer, got {weight!r}"))
-            weight = 0
         label = entry.get("label")
         if label is None:
             label = point_id

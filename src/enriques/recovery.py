@@ -75,7 +75,7 @@ from .cluster import WeightedCluster, WeightKind
 from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
-    NotDownwardClosed, RecoveryError, WalkDiverged, describe_number)
+    NotDownwardClosed, WalkDiverged, describe_number)
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -511,11 +511,11 @@ def _second_half(
 
     Returns the values, the multiplicities and, for the caller to raise,
     :class:`NonPositiveMultiplicity` at the first multiplicity below 1, else
-    :class:`InconsistentCluster`, else None.  A value rule's error is
-    raised, a satellite's only once every free point's rule has run.  The
-    points are arena points, downward closed, in the m table ``m``, and
-    ``branching`` holds the points with a free point of S in their first
-    neighbourhood, as :func:`_downward_closure` returns them with S.
+    :class:`InconsistentCluster`, else None.  It raises
+    :class:`EmptyRuptureSet` at the first point whose value rule meets it.
+    The points are arena points, downward closed, in the m table ``m``,
+    and ``branching`` holds the points with a free point of S in their
+    first neighbourhood, as :func:`_downward_closure` returns them with S.
 
     The value rules, read in id order, which is topological: a rupture
     point takes v = m; a free point p, m when a free point of S lies in
@@ -562,9 +562,16 @@ def _second_half(
     scaled value, so every multiplicity after b is rest = d - v_s, and
     the excess of a point inside the piece, its multiplicity less its
     successor's, is 0, the zero-filled ``rho`` list's entry already: only
-    b's, s's and c's excesses are written, and b's and s's checked as
-    the visits' writes are.  So the piece's first multiplicity below 1,
-    if any, is at b+1."""
+    b's, s's and c's excesses are written, and s's is checked as the
+    visits' writes are.  So the piece's first multiplicity below 1, if any,
+    is at b+1.  c = b when the test flips at b+1, and the empty piece is
+    skipped: its writes would set b's excess to rest.  b's excess needs no
+    check: the piece leaves it at b's multiplicity less rest, w_b >= 0 when
+    neither f nor b takes the scaled value and 0 when both do; when one
+    does, rest is 0 and a negative excess is a multiplicity below 1 at b,
+    unless s is the parent of F and a scaled satellite of its own cone, and
+    then s's multiplicity is 0, or s's satellite towards its smaller
+    proximity lies in S and s's excess ends negative."""
     parents, seconds = tree.parents, tree.seconds
     free_points, ns, ks = tree.free_points, tree.ns, tree.ks
     runs = tree._runs  # last point by first point; often empty
@@ -572,7 +579,6 @@ def _second_half(
     values, mults = {}, {}  # each by point id
     rho = [0] * len(parents)  # the excesses, a list indexed by point id
     negative = False  # whether a write took an excess below 0
-    failed: Optional[RecoveryError] = None  # a satellite rule's first error
     low: Optional[PointId] = None  # the first point of multiplicity below 1
     points = sorted(singular)
     visits = iter(points)
@@ -593,7 +599,7 @@ def _second_half(
             p_free = free_points[p]
             q = biggest_rupture.get(p_free)
             if q is None:
-                failed = failed or EmptyRuptureSet(
+                raise EmptyRuptureSet(
                     f"satellite point {p} has no rupture point in the cone"
                     f" of its defining free point {p_free}")
             # p and q share a cone, so p > q compares their k/n
@@ -647,12 +653,10 @@ def _second_half(
         mults.update(zip(range(p + 1, c + 1), repeat(rest)))
         rho[p] -= rest
         rho[s] -= (c - p) * rest
-        if rho[p] < 0 or rho[s] < 0:
+        if rho[s] < 0:
             negative = True
         rho[c] = rest
         next(islice(visits, c - p, c - p), None)  # skip p+1..c
-    if failed is not None:
-        raise failed
     rejected: Optional[EnriquesError] = None
     if low is not None:
         rejected = NonPositiveMultiplicity(

@@ -152,6 +152,19 @@ def test_equality_and_hash_read_arena_kind_and_weights():
     assert a.__eq__({o: 7}) is NotImplemented and a != {o: 7}
 
 
+def test_cluster_keeps_its_weights_when_the_mapping_changes():
+    # the constructor copies the mapping it is given, so a caller that
+    # changes its dict afterwards does not change the cluster
+    tree = ArenaTree()
+    o = tree.add_point()
+    weights = {o: 3}
+    cluster = WeightedCluster(tree, WeightKind.VIRTUAL, weights)
+    weights[o] = 5
+    weights[tree.add_point(o)] = 1
+    assert cluster.weight == {o: 3} and cluster[o] == 3
+    assert cluster == WeightedCluster(tree, WeightKind.VIRTUAL, {o: 3})
+
+
 def test_local_excess_matches_one_pass_definition():
     checked = 0
     for seed in range(2000):

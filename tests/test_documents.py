@@ -198,6 +198,21 @@ def test_parse_checks_no_pair_under_an_unresolved_parent():
                 "parent 'nope' does not resolve to an earlier point")]
 
 
+def test_parse_marks_the_child_of_a_placeholder_as_one():
+    # p1's parent does not resolve, so p1 is a placeholder that refers to
+    # itself; its free child p2 becomes one too, or the self-reference
+    # would show through p2 as a second diagnostic
+    text = _doc([{"id": "O", "weight": 1},
+                 {"id": "p1", "parent": "missing", "weight": 1},
+                 {"id": "p2", "parent": "p1", "weight": 1}])
+    for parser in (parse, _parse_reference):
+        with pytest.raises(DocumentValidationError) as info:
+            parser(text)
+        assert info.value.diagnostics == [Diagnostic(
+            "UnknownParent", 1,
+            "parent 'missing' does not resolve to an earlier point")]
+
+
 def _doc(points, version=1, kind="virtual"):
     return json.dumps({"format_version": version, "weight_kind": kind,
                        "points": points})

@@ -671,6 +671,29 @@ def test_invalid_input_diagnosed_with_partial_association(rows, error):
     assert info.value.association  # partial dicritical table for debugging
 
 
+def test_sweep_raises_the_first_empty_rupture_set_in_id_order():
+    # the rupture points p2 and J are free points alone in their cones, so
+    # the cone of p1 holds the satellite x = (p1, O) and no rupture point,
+    # and so does the cone of H, a free point of x's first neighbourhood;
+    # the sweep raises at x, the first of the two in id order
+    tree = ArenaTree()
+    o = tree.add_point()
+    p1 = tree.add_point(o)
+    p2 = tree.add_point(p1)
+    x = tree.add_point(p1, o)
+    h = tree.add_point(x)
+    j = tree.add_point(tree.add_point(h, x))
+    bp = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 1})
+    rupture = frozenset({p2, j})
+    singular, _ = _downward_closure(tree, rupture)
+    assert singular == frozenset(tree.points())
+    with pytest.raises(EmptyRuptureSet) as info:
+        recover_values(bp, compute(bp), rupture, singular)
+    assert str(info.value) == (
+        f"satellite point {x} has no rupture point in the cone of its"
+        f" defining free point {p1}")
+
+
 def test_values_on_recovered_cluster_match_forward_conversion():
     tree, bp, _ = fb.ex06_bp()
     result = recover(bp)
@@ -1301,7 +1324,8 @@ def _run_cases(bp, rupture, singular, low=None, values=None):
 
     For each recorded run whose first point f lies in S, with f..e the
     run's points in S and e > f: "weighted" when bp weights a point of
-    f+1..e, which the sweep then visits one by one, else "taken", and
+    f+1..e (the sweep then visits the run one by one, or, when f+1 is
+    the only one, takes the piece after f+1), else "taken", and
     then "strict prefix" when e is not the run's last point, "rupture
     inside" for a rupture point strictly between f and e, "flip inside"
     when the order test against the biggest rupture point q of the cone
@@ -1387,23 +1411,28 @@ def test_one_sweep_second_half_matches_pass_reference():
 
 
 class _RunLookups(dict):
-    """A run record that keeps the points looked up in it and fails when
-    it is read whole."""
+    """A run record that keeps the points looked up in it, counts the
+    lookups and fails when it is read whole."""
 
     def __init__(self, runs):
         super().__init__(runs)
         self.looked = set()
+        self.lookups = 0
+
+    def _look(self, p):
+        self.looked.add(p)
+        self.lookups += 1
 
     def __contains__(self, p):
-        self.looked.add(p)
+        self._look(p)
         return super().__contains__(p)
 
     def __getitem__(self, p):
-        self.looked.add(p)
+        self._look(p)
         return super().__getitem__(p)
 
     def get(self, p, default=None):
-        self.looked.add(p)
+        self._look(p)
         return super().get(p, default)
 
     def _whole(self, *args):
@@ -1440,6 +1469,44 @@ def test_sweep_reads_the_run_record_only_at_points_of_s(monkeypatch):
         taken += len(starts)
         outside += len(dict.keys(runs) - singular)
     assert taken == 1 and outside == 2
+
+
+class _CountedReads(list):
+    """A column that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, p):
+        self.reads += 1
+        return super().__getitem__(p)
+
+
+def test_run_shortcuts_keep_the_closure_and_sweep_work_constant(monkeypatch):
+    # counted work, no clock: the walk's runs on the polars of
+    # y^n = x^(1 + j(n-1)) grow with n, but the closure adds a recorded run
+    # as one range and the sweep takes its piece at once, so neither the
+    # closure's point-by-point steps nor the sweep's visits (one read of
+    # the seconds column each) nor its run-record lookups grow with n
+    for j in (2, 3):
+        counts = set()
+        for n in (4000, 40000):
+            _, bp = parse(workloads.polar(n, j))
+            rupture = recover(bp).rupture
+            tree, m = bp.tree, compute(bp).m
+            assert max(last - f for f, last in tree._runs.items()) >= n // 3
+            closure_reads = _CountedReads(tree.seconds)
+            monkeypatch.setattr(tree, "seconds", closure_reads)
+            singular, branching = _downward_closure(tree, rupture)
+            sweep_reads = _CountedReads(tree.seconds)
+            runs = _RunLookups(tree._runs)
+            monkeypatch.setattr(tree, "seconds", sweep_reads)
+            monkeypatch.setattr(tree, "_runs", runs)
+            _, _, rejected = _second_half(tree, m, rupture, singular,
+                                          branching)
+            monkeypatch.undo()
+            assert rejected is None
+            counts.add((closure_reads.reads, sweep_reads.reads, runs.lookups))
+        assert len(counts) == 1, (j, counts)
 
 
 def test_satellite_n_is_a_multiple_of_its_free_point_n():
@@ -1518,6 +1585,24 @@ def _polar_with_a_free_child_on_its_run(seed):
                            randgen.weights_from_excesses(tree, excess))
 
 
+def _polar_with_an_empty_piece(n, excess):
+    """A recovered polar(n, 2) arena, whose first run 3.. has the free
+    point 1 as its second proximity and rises towards it in its cone, with
+    two new points over the run's second point b = 4: the satellite
+    x = (b+1, b), whose k/n lies between b's and b+1's, and a free child
+    G of b; and weights from ``excess``, which must weight b and no point
+    after it.  With the rupture set {x, G}, x is its cone's biggest
+    rupture point, so the order test flips at b+1 from below x to above
+    it, and the piece after b is empty.  With ``excess`` 8 mod 9 at point
+    1, V_1 n_x = n_1 m_x, so the points above x take the scaled value."""
+    tree = _recovered_polar(n, 2).tree
+    assert next(iter(tree._runs)) == 3 and tree.seconds[3] == 1
+    g, x = tree.add_point(4), tree.add_point(5, 4)
+    return (WeightedCluster(tree, WeightKind.VIRTUAL,
+                            randgen.weights_from_excesses(tree, excess)),
+            frozenset({x, g}))
+
+
 def _sweep_verdict(tree, m, rupture, singular, branching):
     """The sweep's multiplicities, or the error it returns or raises."""
     _, mults, rejected = _second_half(tree, m, rupture, singular, branching)
@@ -1565,6 +1650,20 @@ def test_sweep_verdict_matches_reference_on_random_rupture_sets():
                            branching)
             assert got == _outcome(_reference_verdict, bp, inv, rupture,
                                    singular), (seed, rupture)
+            verdicts[got[0]] += 1
+    # an empty piece after a weighted b: b's excess ends at w_b - 1 >= 0,
+    # and would end at -1 if the empty piece's writes set it to rest, so
+    # the sweep would call a consistent result inconsistent
+    for n in (12, 20, 33):
+        for excess in ({1: 8, 4: 1}, {0: 2, 1: 17, 4: 3}):
+            bp, rupture = _polar_with_an_empty_piece(n, excess)
+            tree, inv = bp.tree, compute(bp)
+            singular, branching = _downward_closure(tree, rupture)
+            got = _outcome(_sweep_verdict, tree, inv.m, rupture, singular,
+                           branching)
+            assert got == _outcome(_reference_verdict, bp, inv, rupture,
+                                   singular)
+            assert got[0] is WeightKind.MULTIPLICITY, (n, excess, got)
             verdicts[got[0]] += 1
     assert verdicts[WeightKind.MULTIPLICITY] > 2000
     assert verdicts[NonPositiveMultiplicity] > 5000
