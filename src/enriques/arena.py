@@ -86,15 +86,20 @@ from .errors import (
 PointId = int
 
 #: Shortest run that :meth:`ArenaTree._append_run` writes as column
-#: ranges; a shorter one is cheaper as one ``append`` per column and point.
+#: ranges; a shorter one is cheaper as one ``append`` per column and point,
+#: and a run of one point, the commonest, takes those appends with no loop.
 #: The arena records exactly the runs written as ranges, so this also
 #: decides which runs the value sweep takes in closed form (the argument
-#: is in the docstring of ``recovery._second_half``).  Both writers stay, by
+#: is in the docstring of ``recovery._second_half``).  The sweep extends a
+#: recorded run from its second point, so it needs every recorded run to
+#: hold at least 2 points; the one-point write comes first, so no value
+#: of this constant records a shorter run.  Both writers stay, by
 #: measurement on the benchmark's seed-1 pools in one process (Python
 #: 3.11, 2 vCPUs): wide_fan's created runs are all 1-6 points long, and
-#: ranges for every run (a crossover of 1) made its ``recover`` 1.55 times
-#: slower per input; every run point by point made polar_walk ``recover``
-#: 1.26 times slower per input in the median (1.52 over the pool).
+#: a crossover of 2 made its ``recover`` 1.33 times slower per input (1.02
+#: between two copies of one tree); every run point by point made
+#: polar_walk ``recover`` 1.26 times slower per input in the median (1.52
+#: over the pool).
 CHAIN_CROSSOVER = 10
 
 
@@ -299,10 +304,11 @@ class ArenaTree:
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share: the run is written from a and s in
         closed form.  Every run goes into the pair index by its first point
-        alone (the module's index rule).  A run of at least
-        ``CHAIN_CROSSOVER`` points goes in as ranges, one ``extend`` per
-        column, and into ``_runs``; a shorter one as one ``append`` per
-        column and point, unrecorded.
+        alone (the module's index rule).  A run of one point, most of a
+        wide fan's, goes in as one ``append`` per column; a run of at
+        least ``CHAIN_CROSSOVER`` points as ranges, one ``extend`` per
+        column, and into ``_runs``; any other as one ``append`` per column
+        and point.  Only the runs written as ranges are recorded.
         """
         q = len(self.parents)
         free_points = self.free_points
@@ -310,6 +316,15 @@ class ArenaTree:
         free, n, m0, k = free_points[a], self.ns[a], self.m0s[a], self.ks[a]
         n_s, m0_s = self.ns[s], self.m0s[s]
         k_s = self.ks[s] if free_points[s] == free else 0
+        if t == 1:
+            self.parents.append(a)
+            self.seconds.append(s)
+            self.labels.append(None)
+            free_points.append(free)
+            self.ns.append(n + n_s)
+            self.m0s.append(m0 + m0_s)
+            self.ks.append(k + k_s)
+            return q
         if t < CHAIN_CROSSOVER:
             for c in range(q, q + t):
                 n += n_s

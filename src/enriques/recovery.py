@@ -307,15 +307,19 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     ``tree._append_run``, whose precondition the bracket below proves, and
     extends the table over it: m grows by m_s from point to point, from
     the run parent's m, since the new points lie outside the cluster.
+    After its first append the walk's point is the arena's last, which
+    has no satellite, so the walk looks nothing up from then on: only the
+    moves up to its first append pay a lookup.
 
     The bracket.  Write I = num/den and gap = m*den - num*n at a point.
     The walk carries its point's ordered proximities (lo, hi), set at the
     start p to (p's parent, None) for a free p and to p's
     ``ordered_proximities`` for a satellite p (only the public walk
-    starts at one: :func:`recover` starts at a base free point).  A first
-    move goes towards s = lo and a second towards s = hi; hi is None at a
-    free point, which has no second satellite, and lo too at the origin,
-    which has none at all.  The walk checks its start p once, before it
+    starts at one: :func:`recover` starts at a base free point), and
+    their gaps g_lo and g_hi (see the gaps, below).  A first move goes
+    towards s = lo and a second towards s = hi; hi is None at a free
+    point, which has no second satellite, and lo too at the origin, which
+    has none at all.  The walk checks its start p once, before it
     traces or appends anything: unless p's gap is 0, the s of its first
     move (first above I, second below it) must exist and lie strictly
     across I from p, that is delta = m_s*den - num*n_s must have the sign
@@ -338,13 +342,20 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
     gap changes by delta at each of its points, and t = -(gap // delta),
     the least t that takes gap + t*delta to 0 or past it, is at least 1,
     since gap and delta are nonzero integers of opposite signs.  The
-    pair (q, s) is not held, since the lookup missed, and s is a
-    proximity of q, so the run keeps the writer's precondition.  Each
-    created point is the mediant of q and s, a step of the Stern-Brocot
-    descent (Graham, Knuth and Patashnik, *Concrete Mathematics*, 4.5),
-    so its gap is the sum of the gaps at its lo and hi; past the last
-    held point the walk runs the subtractive Euclidean algorithm on the
-    two gaps' sizes, so it ends.
+    pair (q, s) is not held, since the lookup missed or q is the arena's
+    last point, and s is a proximity of q, so the run keeps the writer's
+    precondition.  Each created point is the mediant of q and s, a step
+    of the Stern-Brocot descent (Graham, Knuth and Patashnik, *Concrete
+    Mathematics*, 4.5), so its gap is the sum of the gaps at its lo and
+    hi; past the last held point the walk runs the subtractive Euclidean
+    algorithm on the two gaps' sizes, so it ends.
+
+    The gaps.  The start pays products for its gap and its delta, and
+    every later move takes delta from the gap it carries at s.  A created
+    run of t points is weightless, so r has the gap gap + t*delta and its
+    parent q' has gap + (t - 1)*delta.  A held r may carry weight, so its
+    gap takes products of its m and n, and q' = q keeps q's gap.  So
+    products are paid at the start and at held points only.
 
     The cap.  It bounds the moves by num + den, and so the points a walk
     creates: a memory bound for the public :func:`satellite_walk` on an
@@ -362,18 +373,25 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
         lo, hi = ((parents[p], None) if tree.seconds[p] is None
                   else tree.facts(p).ordered_proximities)
         s = hi if gap < 0 else lo
-        if s is None or gap * (table[s] * den - num * ns[s]) >= 0:
+        # the gap at s, 0 when there is no s; the other end's is read only
+        # after a move sets it
+        g_lo = g_hi = 0 if s is None else table[s] * den - num * ns[s]
+        if gap * g_lo >= 0:
             raise _diverged(num, den, cap, p)
-    q, moves = p, 0
+    q, moves, created = p, 0, False
     while gap:
         second = gap < 0
         if trace:
             word = "second" if second else "first"
             trace((q, m, n, word))
-        s = hi if second else lo
-        last = find(q, s)  # a held point: a run of one
-        # else the least run that closes the gap
-        t = -(gap // (table[s] * den - num * ns[s])) if last is None else 1
+        if second:
+            s, delta = hi, g_hi
+        else:
+            s, delta = lo, g_lo
+        # a held point, a run of one, or else the least run that closes
+        # the gap; past the walk's first append q is the arena's last point
+        last = None if created else find(q, s)
+        t = -(gap // delta) if last is None else 1
         moves += t
         if moves > cap:
             raise _diverged(num, den, cap, p)
@@ -383,15 +401,27 @@ def _satellite_walk(tree: ArenaTree, table: list, p: PointId,
                     f"the run below point {q} would take the arena past"
                     f" {sys.maxsize} points")
             last = tree._append_run(q, s, t)
+            created = True
             m_s = table[s]
-            table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
-            if trace:
-                for i in range(1, t):
-                    trace((last - t + i, m + i * m_s, n + i * ns[s], word))
+            if t == 1:
+                table.append(m + m_s)
+            else:
+                table.extend(range(m + m_s, m + (t + 1) * m_s, m_s))
+                if trace:
+                    for i in range(1, t):
+                        trace((last - t + i, m + i * m_s, n + i * ns[s],
+                               word))
+            g_parent = gap + (t - 1) * delta
+            gap = g_parent + delta
+            n, m = ns[last], table[last]
+        else:  # a held point may carry weight: its gap takes products
+            n, m = ns[last], table[last]
+            g_parent, gap = gap, m * den - num * n
         q = last
-        n, m = ns[q], table[q]
-        lo, hi = (parents[q], s) if second else (s, parents[q])
-        gap = m * den - num * n
+        if second:  # the move went towards hi, which stays
+            lo, g_lo = parents[q], g_parent
+        else:
+            hi, g_hi = parents[q], g_parent
     if trace:
         trace((q, m, n, "stop"))
     return q
@@ -702,7 +732,7 @@ def recover(
         ns, m0s, origin = tree.ns, tree.m0s, tree.origin
         walked: dict[tuple[PointId, int, int], PointId] = {}
         invariants: dict[tuple[int, int], Fraction] = {}  # by (m-m0+n, n)
-        for d in sorted(p for p, r in rho.items() if r > 0):
+        for d in sorted([p for p, r in rho.items() if r > 0]):
             n_d = ns[d]
             key = (m[d] - m0s[d] + n_d, n_d)
             invariant = invariants.get(key)
@@ -717,7 +747,9 @@ def recover(
                 if q is None:
                     q = walked[key] = _satellite_walk(
                         tree, m, p, num, den, trace)
-            association[d] = DicriticalAssociation(invariant, p, q)
+            # the named tuple's own __new__, without its Python frame
+            association[d] = tuple.__new__(
+                DicriticalAssociation, (invariant, p, q))
         rupture = frozenset(a.rupture_point for a in association.values())
         singular, branching = _downward_closure(tree, rupture)
         values, mults, rejected = _second_half(tree, m, rupture, singular,

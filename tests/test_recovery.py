@@ -1092,6 +1092,93 @@ def test_every_move_over_held_points_is_a_run_of_one(fixture_dir):
     assert len(texts) == 1112 and held > 23000
 
 
+def _lookups_and_run_writes(bp, monkeypatch):
+    """Recover bp; return its trace and the calls of the arena's pair
+    lookup and of its run writer that the recovery made."""
+    calls = Counter()
+    find, append = ArenaTree._find, ArenaTree._append_run
+
+    def spy_find(self, a, s):
+        calls["lookups"] += 1
+        return find(self, a, s)
+
+    def spy_append(self, a, s, t):
+        calls["run writes"] += 1
+        return append(self, a, s, t)
+
+    monkeypatch.setattr(ArenaTree, "_find", spy_find)
+    monkeypatch.setattr(ArenaTree, "_append_run", spy_append)
+    trace = []
+    recover(bp, trace.append)
+    monkeypatch.undo()
+    return trace, calls["lookups"], calls["run writes"]
+
+
+def test_walk_looks_up_points_only_before_its_first_append(monkeypatch):
+    # after a walk appends, its point is the arena's last and has no
+    # satellite, so a fresh fan pays one lookup per walk that moves; the
+    # document written back after one recovery holds every point, so
+    # each move pays one lookup and nothing is written
+    tree, bp = parse(workloads.fan(160, random.Random(160)))
+    trace, lookups, writes = _lookups_and_run_writes(bp, monkeypatch)
+    decisions = [decision for *_, decision in trace]
+    moving = sum(word != "stop" and (i == 0 or decisions[i - 1] == "stop")
+                 for i, word in enumerate(decisions))
+    assert (lookups, writes) == (moving, 288) and moving == 154
+    held_bp = parse(serialize(tree, bp))[1]
+    again, lookups, writes = _lookups_and_run_writes(held_bp, monkeypatch)
+    moves = sum(word != "stop" for word in decisions)
+    assert again == trace and (lookups, writes) == (moves, 0) == (535, 0)
+    _, lookups, writes = _lookups_and_run_writes(
+        parse(workloads.polar(4000, 2))[1], monkeypatch)
+    assert (lookups, writes) == (1, 2)
+
+
+def _pool_documents_that_create(pool, count):
+    """The first ``count`` documents of a seed-1 pool whose recovery
+    succeeds and creates at least 2 points."""
+    out = []
+    for document in pool(1):
+        try:
+            created = recover(parse(document.text)[1]).created
+        except EnriquesError:
+            continue
+        if len(created) > 1:
+            out.append(document.text)
+            if len(out) == count:
+                break
+    return out
+
+
+def test_partly_held_documents_trace_and_answer_as_fresh():
+    # a document written back after one recovery, cut to a prefix of the
+    # points its walks created: recovering it walks over the held ones,
+    # creates the rest, and traces and answers as the fresh document did
+    texts = [workloads.polar(4000, 2), workloads.polar(300, 3),
+             workloads.fan(160, random.Random(160))]
+    texts += _pool_documents_that_create(workloads.golden_perturbed, 7)
+    texts += _pool_documents_that_create(workloads.polar_walk, 7)
+    texts += _pool_documents_that_create(workloads.wide_fan, 6)
+    cuts = 0
+    for text in texts:
+        tree, bp = parse(text)
+        size, fresh = len(tree), []
+        want = _outcome(recover, bp, fresh.append)[:-1]
+        doc = json.loads(serialize(tree, bp))
+        points = doc["points"]
+        made = len(points) - size
+        for c in sorted({1, made // 4, made // 3, made // 2,
+                         2 * made // 3, made - 1}):
+            doc["points"] = points[:size + c]
+            cut_tree, cut_bp = parse(json.dumps(doc))
+            again = []
+            got = _outcome(recover, cut_bp, again.append)
+            assert got[:-1] == want and again == fresh
+            assert len(got[-1]) == made - c and len(cut_tree) == len(tree)
+            cuts += 1
+    assert len(texts) == 23 and cuts == 110
+
+
 @pytest.mark.parametrize("w, created, prewalked", [
     pytest.param(5, 5, False, id="5-5"),
     pytest.param(6, 6, False, id="6-6"),
@@ -1294,8 +1381,10 @@ def _walked_twice(n, j, weights):
 
 def _weighted_polar(seed):
     """Random consistent weights over a recovered polar arena.  They
-    weight the points of its runs, so the sweep visits those one by one,
-    and they move the walks, which may stop inside a run."""
+    weight the points of its runs, so the sweep visits one by one each
+    run that bp weights after its second point f + 1; a run whose only
+    weighted point after f is f + 1 still has its piece after f + 1
+    taken.  They also move the walks, which may stop inside a run."""
     rng = random.Random(seed)
     tree = _recovered_polar(rng.choice((12, 20, 33)), rng.choice((2, 3))).tree
     excess = {p: rng.randint(0, 1) for p in tree.points()}
