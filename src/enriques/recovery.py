@@ -183,8 +183,8 @@ def compute(bp: WeightedCluster) -> MorphismInvariants:
     origin); the checks read the excesses the table keeps.
     """
     inv = MorphismInvariants(bp)
-    origin = bp.tree.origin
-    if origin is None or bp.get(origin, 0) < 1:
+    # the origin is point 0 of any arena that has one
+    if bp.weight.get(0, 0) < 1:
         raise InconsistentCluster(
             "base-point cluster must weight the origin with at least 1")
     if min(inv._excess.values(), default=0) < 0:
@@ -211,14 +211,14 @@ def dicritical_invariant(
 
     The pairing equals m_d - m0_d (see :mod:`~enriques.recovery`), so the
     invariant is (m_d - m0_d + n_d) / n_d, read in O(1) from the m table
-    and the arena's columns.  The check that d is dicritical reads the
+    and the arena's columns.  Reading d's row is the check that d is an
+    arena point, and the check that d is dicritical then reads the
     excesses the table counted when it was built.
     """
     _require_table(bp, inv)
-    bp.tree._check(d)
+    n_d, m_d = inv.extend_to(d)  # checks d
     if d not in bp or inv._excess[d] <= 0:
         raise NotDicritical(f"point {d} has no positive excess")
-    n_d, m_d = inv.extend_to(d)
     return Fraction(m_d - bp.tree.m0s[d] + n_d, n_d)
 
 
@@ -507,9 +507,13 @@ def recover_values(
     :func:`_second_half`.  ``singular`` must be downward closed and hold
     ``rupture``, as the topology's downward closure is.  ``recover`` never
     passes a bad point or a gap, so the checks live here, not in the sweep,
-    which trusts S to hold a prefix of every run it meets.  The sweep's
-    branching points come from :func:`_downward_closure` of the checked
-    set, which is the set itself."""
+    which trusts S to hold a prefix of every run it meets.  Each is made
+    once: the ids, then that S holds R, then one :func:`_downward_closure`
+    of S.  The closure holds S, and equals it exactly when S is downward
+    closed; else the least point it added, the lowest ancestor S lacks,
+    is named.  The closure's branching points are the sweep's.  The values
+    are adopted unchecked, as :class:`~enriques.cluster.WeightedCluster`
+    argues."""
     _require_table(bp, inv)
     tree = bp.tree
     for p in rupture | singular:
@@ -518,16 +522,14 @@ def recover_values(
     if missing:
         raise NotDownwardClosed(
             f"rupture point {min(missing)} is not in the singular set")
-    parents = tree.parents
-    gaps = {parents[p] for p in singular} - singular - {None}
-    if gaps:
+    closed, branching = _downward_closure(tree, singular)
+    if len(closed) > len(singular):
         raise NotDownwardClosed(
             f"the singular set is not downward closed: it lacks point"
-            f" {min(gaps)}")
+            f" {min(closed - singular)}")
     inv._grow()  # the sweep reads m at every point of the set
-    _, branching = _downward_closure(tree, singular)
     values, _, _ = _second_half(tree, inv.m, rupture, singular, branching)
-    return WeightedCluster(tree, WeightKind.VALUE, values)
+    return WeightedCluster._adopt(tree, WeightKind.VALUE, values)
 
 
 def _second_half(

@@ -1575,9 +1575,15 @@ def test_run_shortcuts_keep_the_closure_and_sweep_work_constant(monkeypatch):
     # y^n = x^(1 + j(n-1)) grow with n, but the closure adds a recorded run
     # as one range and the sweep takes its piece at once, so neither the
     # closure's point-by-point steps nor the sweep's visits (one read of
-    # the seconds column each) nor its run-record lookups grow with n
+    # the seconds column each) nor its run-record lookups grow with n.  The
+    # counts are exact: below the run f.. lie the j free points and one
+    # satellite, f = j + 1, so the closure steps over those j + 1 points,
+    # the sweep visits them and f and f+1, and it looks the run record up
+    # at its three satellites and once more for the run's last point.
+    # From f itself the closure goes point by point: f is no point after
+    # a run's first, and is added with the points below it
+    expected = {2: (3, 5, 4), 3: (4, 6, 4)}
     for j in (2, 3):
-        counts = set()
         for n in (4000, 40000):
             _, bp = parse(workloads.polar(n, j))
             rupture = recover(bp).rupture
@@ -1594,8 +1600,16 @@ def test_run_shortcuts_keep_the_closure_and_sweep_work_constant(monkeypatch):
                                           branching)
             monkeypatch.undo()
             assert rejected is None
-            counts.add((closure_reads.reads, sweep_reads.reads, runs.lookups))
-        assert len(counts) == 1, (j, counts)
+            counts = (closure_reads.reads, sweep_reads.reads, runs.lookups)
+            assert counts == expected[j], (j, n, counts)
+            (f, _), = tree._runs.items()
+            assert f == j + 1
+            first_reads = _CountedReads(tree.seconds)
+            monkeypatch.setattr(tree, "seconds", first_reads)
+            closed, _ = _downward_closure(tree, {f})
+            monkeypatch.undo()
+            assert closed == frozenset(range(f + 1))
+            assert first_reads.reads == f + 1
 
 
 def test_satellite_n_is_a_multiple_of_its_free_point_n():
@@ -1740,6 +1754,20 @@ def test_sweep_verdict_matches_reference_on_random_rupture_sets():
             assert got == _outcome(_reference_verdict, bp, inv, rupture,
                                    singular), (seed, rupture)
             verdicts[got[0]] += 1
+    # a free child G of the point 5 inside the piece 5..7 of a polar(40,
+    # 2) arena's run, with R = {7, G}: 40 mod 7 != 0, so no point takes
+    # the scaled value, the multiplicity of each of 2..7 is floor(40 / 7)
+    # and G's is 1, and 5's excess, its multiplicity less 6's and G's, is
+    # -1.  The piece leaves 5's excess at the 0 of the zero-filled list,
+    # and G's visit takes it below 0
+    bp = _recovered_polar(40, 2)
+    tree = bp.tree
+    child = tree.add_point(5)
+    inv, rupture = compute(bp), frozenset({7, child})
+    singular, branching = _downward_closure(tree, rupture)
+    got = _outcome(_sweep_verdict, tree, inv.m, rupture, singular, branching)
+    assert got == _outcome(_reference_verdict, bp, inv, rupture, singular)
+    assert got[0] is InconsistentCluster
     # an empty piece after a weighted b: b's excess ends at w_b - 1 >= 0,
     # and would end at -1 if the empty piece's writes set it to rest, so
     # the sweep would call a consistent result inconsistent
@@ -1759,41 +1787,169 @@ def test_sweep_verdict_matches_reference_on_random_rupture_sets():
     assert verdicts[InconsistentCluster] > 10
 
 
+def _run_above_its_second_proximity():
+    """A hand-built arena whose recorded run 4..15 goes from point 3
+    towards point 2, a satellite in the cone of the free point 1.  3 lies
+    above 2 in the cone (k/n 2/3 against 1/2), and so does every point of
+    the run, whose k/n falls towards 2's.  With weights 2 and 1 on the
+    origin and on 1, m_2 = 8 is even, so V_1 = m_2 / 2 and V_1 n_2 =
+    n_1 m_2: with 2 the cone's biggest rupture point, every point above
+    it takes the scaled value."""
+    tree = ArenaTree()
+    origin = tree.add_point()
+    free = tree.add_point(origin)
+    s = tree.add_point(free, origin)
+    a = tree.add_point(s, free)
+    tree._append_run(a, s, CHAIN_CROSSOVER + 2)
+    return WeightedCluster(tree, WeightKind.VIRTUAL, {origin: 2, free: 1})
+
+
+def _order_test_terms(tree, q, b):
+    """The piece's order test at a run's second point b against q: g(b) =
+    k_b n_q - k_q n_b, and its step, g's change per point of the run."""
+    ns, ks, a, s = tree.ns, tree.ks, tree.parents[b], tree.seconds[b]
+    return (ks[b] * ns[q] - ks[q] * ns[b],
+            (ks[b] - ks[a]) * ns[q] - ks[q] * ns[s])
+
+
+def test_piece_on_a_run_towards_its_cones_biggest_rupture_point():
+    # the order test's step is 0 exactly when the run's second proximity s
+    # is the cone's biggest rupture point q, since distinct points of a
+    # cone have distinct fractions: the test then never flips along the
+    # run, and the piece runs to e, from below q (a polar arena's run
+    # rises towards its free point 1) and from above it (a hand-built run
+    # falls towards its satellite 2), each with V_F n_q = n_F m_q; S is
+    # the closure of the run's point 10
+    cases = [(_recovered_polar(40, 2), -1),
+             (_run_above_its_second_proximity(), 1)]
+    for bp, side in cases:
+        tree, inv = bp.tree, compute(bp)
+        f = next(iter(tree._runs))
+        s = tree.seconds[f]
+        rupture = frozenset({s})
+        g, step = _order_test_terms(tree, s, f + 1)
+        assert step == 0 and g * side > 0
+        singular, _ = _downward_closure(tree, {10})
+        got = recover_values(bp, inv, rupture, singular)
+        assert got == _reference_values(bp, inv, rupture, singular)
+        assert "taken" in _run_cases(bp, rupture, singular,
+                                     values=got.weight)
+        if side > 0:  # the points above q take the scaled value
+            assert "scaled from the first point" in _run_cases(
+                bp, rupture, singular, values=got.weight)
+
+
+def _run_in_the_cone_of_a_free_point_after_a_satellite():
+    """A hand-built arena: the satellite 2 = (1, O), its free child F = 3,
+    so n_F = 2, and a recorded run 4..15 from F towards its parent 2, so
+    n_s = 2.  The run lies in F's cone, where 2 is not, so k stays 1
+    along it while n grows by 2: its points fall in the cone.  Weights
+    8, 4, 4 and 4 on O, 1, 2 and F make bp consistent; with q = 7 in R,
+    q - 2 = 5 divides w_F + 1, which gives V_F n_q = n_F m_q."""
+    tree = ArenaTree()
+    origin = tree.add_point()
+    p1 = tree.add_point(origin)
+    s = tree.add_point(p1, origin)
+    free = tree.add_point(s)
+    tree._append_run(free, s, CHAIN_CROSSOVER + 2)
+    return WeightedCluster(tree, WeightKind.VIRTUAL,
+                           {origin: 8, p1: 4, s: 4, free: 4})
+
+
+def test_piece_flip_and_step_read_every_share_of_the_run():
+    # the order test's step is (s's k share) n_q - k_q n_s, and a scaled
+    # piece grows by d = n_s V_F / n_F.  On a polar(40, 2) arena the run
+    # 3..40 goes towards the free point 1, so every run point adds 1's k,
+    # 1, to k: with q = 5, which divides n = 40 and so gives V_1 n_q =
+    # n_1 m_q, the test flips from below q to above it at q, and the
+    # points after q take the scaled value.  A step that dropped the k
+    # share's product with n_q would miss the flip and give them m
+    bp = _recovered_polar(40, 2)
+    tree, inv = bp.tree, compute(bp)
+    rupture = frozenset({5})
+    singular, _ = _downward_closure(tree, {10})
+    g, step = _order_test_terms(tree, 5, 4)
+    assert tree.ks[4] - tree.ks[3] == 1 and (g, step) == (-1, 1)
+    got = recover_values(bp, inv, rupture, singular)
+    assert got == _reference_values(bp, inv, rupture, singular)
+    assert "flip inside" in _run_cases(bp, rupture, singular)
+    m = inv.m
+    assert [got[p] for p in range(4, 11)] == [
+        *m[4:6], *(tree.ns[p] * got[1] for p in range(6, 11))]
+    assert got[6] != m[6]
+    # in the cone of a free point F with n_F = 2, on a run towards s with
+    # n_s = 2, the test flips back from above q = 7 to below it: g = 4 at
+    # b = 5 and step = -2, so the piece is 6..6, the last point above q.
+    # Each of n_s, n_F and the division by -step decides a value there
+    bp = _run_in_the_cone_of_a_free_point_after_a_satellite()
+    tree, inv = bp.tree, compute(bp)
+    rupture = frozenset({1, 7})
+    singular, _ = _downward_closure(tree, {8})
+    assert tree.ns[3] == tree.ns[2] == 2
+    assert _order_test_terms(tree, 7, 5) == (4, -2)
+    got = recover_values(bp, inv, rupture, singular)
+    assert got == _reference_values(bp, inv, rupture, singular)
+    assert "flip back" in _run_cases(bp, rupture, singular,
+                                     values=got.weight)
+    m = inv.m
+    assert [got[p] for p in range(4, 9)] == [
+        *(tree.ns[p] * got[3] // 2 for p in range(4, 7)), m[7], m[8]]
+    assert got[6] != m[6]
+
+
 def test_recover_values_rejects_singular_set_not_downward_closed():
     # without one ancestor, the sweep would read a value that was never
     # set, or take a run whole across the gap; the check before the sweep
     # names the missing point, which has a child in the set, since every
-    # point of the closure outside R lies below a rupture point
-    raised = 0
+    # point of the closure outside R lies below a rupture point.  Without
+    # two consecutive ancestors x and its parent a, the closure of S adds
+    # both, and the message names the lower one, a, even where S holds no
+    # other child of a
+    def check(bp, inv, rupture, singular):
+        raised = pairs = 0
+        parents = bp.tree.parents
+        inner = singular - rupture
+        for x in inner:
+            with pytest.raises(NotDownwardClosed, match=f"lacks point {x}$"):
+                recover_values(bp, inv, rupture, singular - {x})
+            raised += 1
+            a = parents[x]
+            if a in inner:
+                with pytest.raises(NotDownwardClosed,
+                                   match=f"lacks point {a}$"):
+                    recover_values(bp, inv, rupture, singular - {x, a})
+                pairs += 1
+        return raised, pairs
+
+    raised = pairs = 0
     for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
         _, bp, _ = builder()
         result = recover(bp)
-        inv = compute(bp)
-        for x in result.singular - result.rupture:
-            with pytest.raises(NotDownwardClosed, match=f"lacks point {x}$"):
-                recover_values(bp, inv, result.rupture, result.singular - {x})
-            raised += 1
-    assert raised == 21
+        counts = check(bp, compute(bp), result.rupture, result.singular)
+        raised, pairs = raised + counts[0], pairs + counts[1]
+    assert raised == 21 and pairs == 17
     for seed in range(300):  # random rupture sets
         bp = _grown_bp(seed)
         tree, inv, rng = bp.tree, compute(bp), random.Random(seed)
         rupture = frozenset(rng.sample(range(len(tree)), min(3, len(tree))))
         singular, _ = _downward_closure(tree, rupture)
-        for x in singular - rupture:
-            with pytest.raises(NotDownwardClosed, match=f"lacks point {x}$"):
-                recover_values(bp, inv, rupture, singular - {x})
-            raised += 1
-    assert raised > 1000
+        counts = check(bp, inv, rupture, singular)
+        raised, pairs = raised + counts[0], pairs + counts[1]
+    assert raised > 1000 and pairs > 3000
     # a gap inside the run that the walk wrote: the sweep, trusting S to
     # hold a prefix of the run, would take the run whole
     bp = parse(workloads.polar(120, 2))[1]
     result = recover(bp)
     singular = sorted(result.singular)
     middle = singular[len(singular) // 2]
-    assert any(f < middle < last for f, last in bp.tree._runs.items())
+    assert any(f < middle - 1 < last for f, last in bp.tree._runs.items())
+    inv = compute(bp)
     with pytest.raises(NotDownwardClosed, match=f"lacks point {middle}$"):
-        recover_values(bp, compute(bp), result.rupture,
-                       result.singular - {middle})
+        recover_values(bp, inv, result.rupture, result.singular - {middle})
+    with pytest.raises(NotDownwardClosed,
+                       match=f"lacks point {middle - 1}$"):
+        recover_values(bp, inv, result.rupture,
+                       result.singular - {middle - 1, middle})
 
 
 def test_a_recorded_run_costs_one_pair_index_entry():
@@ -1893,13 +2049,19 @@ def test_closure_returns_the_branching_points_of_s():
     assert with_runs > 20 and without > 100
 
 
-def test_recover_values_rejects_a_rupture_point_outside_the_singular_set():
+def test_recover_values_rejects_a_rupture_point_outside_the_singular_set(
+        monkeypatch):
     # the sweep visits the singular set only, and a rupture point above it
-    # went unread
+    # went unread; the check comes before the closure of S is taken
+    def closure(*args):
+        raise AssertionError("the closure ran before R <= S was checked")
+
+    cases = []
     for builder in (fb.ex04_bp, fb.ex06_bp, fb.ex07_bp):
         _, bp, _ = builder()
-        result = recover(bp)
-        inv = compute(bp)
+        cases.append((bp, recover(bp), compute(bp)))
+    monkeypatch.setattr(recovery, "_downward_closure", closure)
+    for bp, result, inv in cases:
         for x in result.singular:
             with pytest.raises(NotDownwardClosed,
                                match=f"rupture point {x} is not in"):
