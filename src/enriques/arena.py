@@ -45,8 +45,10 @@ takes, whole columns from ``documents.parse`` and
 :meth:`ArenaTree.add_point`.  The run writer :meth:`ArenaTree._append_run`
 writes the walk's runs of satellites that share a second proximity and
 records in ``_runs`` each run it writes as ranges, a record append-only
-like the columns, so the value sweep and the downward closure read it
-with no invalidation to take a run's points at once.
+like the columns, so the value sweep, the downward closure, the oracle's
+chain walk and the canonical encoder read it with no invalidation to take
+a run's points at once.  :meth:`ArenaTree._run_of` is the record's one
+lookup of the run that holds a point.
 
 The index rule.  The private pair index ``_satellite_index`` maps a
 satellite's (parent, second proximity) to its id, for every satellite
@@ -67,6 +69,7 @@ ids only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -137,7 +140,8 @@ class ArenaTree:
     Points are topologically sorted: every referenced id comes before its
     referrer, and every point keeps the arena rules (the module docstring
     names the writers and what each checks).  ``_runs`` maps the first
-    point of each run written as ranges to its last, in ascending id.
+    point of each run written as ranges to its last, in ascending id, and
+    ``_firsts`` lists those first points, for :meth:`_run_of`'s bisect.
 
     The columns are public for one-pass and hot readers, which must not
     modify them; ``xs[p]`` is point p's entry:
@@ -161,6 +165,7 @@ class ArenaTree:
         self.ks: list[int] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
         self._runs: dict[PointId, PointId] = {}  # range-written runs
+        self._firsts: list[PointId] = []  # their first points, ascending
 
     # -- construction --------------------------------------------------
 
@@ -247,7 +252,7 @@ class ArenaTree:
         tree = object.__new__(cls)
         tree.parents, tree.seconds, tree.labels = parents, seconds, labels
         tree.free_points, tree.ns, tree.m0s, tree.ks = [], [], [], []
-        tree._satellite_index, tree._runs = {}, {}
+        tree._satellite_index, tree._runs, tree._firsts = {}, {}, []
         return tree if tree._derive(0) else None
 
     def _derive(self, start: PointId) -> bool:
@@ -349,7 +354,21 @@ class ArenaTree:
         self.ks.extend(range(k + k_s, k + (t + 1) * k_s, k_s) if k_s
                        else repeat(k, t))
         self._runs[q] = last
+        self._firsts.append(q)
         return last
+
+    def _run_of(self, q: PointId) -> Optional[PointId]:
+        """The first point f of the recorded run f..last that holds q after
+        its first point, f < q <= last, or None; one bisect on the runs'
+        first points, unchecked.  Every point of f+1..last is the child of
+        the one before, with f's second proximity, as
+        :meth:`_append_run` wrote them."""
+        firsts = self._firsts
+        if firsts:
+            f = firsts[bisect_right(firsts, q) - 1]
+            if f < q <= self._runs[f]:
+                return f
+        return None
 
     # -- basic queries --------------------------------------------------
 

@@ -4,10 +4,15 @@ Everything here starts from the answer -- a curve's weighted cluster of
 singular points with effective multiplicities -- and derives the quantities
 the recovery algorithm reconstructs from polar base points: rupture points,
 invariant quotients.  Past the types, it shares with
-:mod:`~enriques.recovery` only the arena's columns, facts included, and
-its point-id check: recovery counts its excesses in its own height pass,
-while the oracle reads :func:`excesses`, so agreement between them is a
-meaningful check.  A function that counts a curve's points or branches
+:mod:`~enriques.recovery` only what the arena records: its columns, facts
+included, its run record, read through
+:meth:`~enriques.arena.ArenaTree._run_of`, and its point-id check.
+Recovery counts its excesses in its own height pass, while the oracle
+reads :func:`excesses`, and the two take a recorded run by different
+arguments, so agreement between them is a meaningful check.  The run
+record is a fact about the arena like the columns: the run writer sets
+both, and the record only names ranges of points whose columns say they
+form a run.  A function that counts a curve's points or branches
 raises :class:`~enriques.errors.WrongKind` on another kind of cluster.
 Every cluster is sound by construction (see
 :class:`~enriques.cluster.WeightedCluster`): it is ancestor-closed, and
@@ -38,6 +43,7 @@ rupture points (with a base point, at those equal to or satellite of it).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .arena import PointId
 from .cluster import WeightedCluster, WeightKind, excesses
@@ -84,10 +90,26 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
     :func:`~enriques.cluster.unibranch_chain` and
     :func:`~enriques.cluster.noether_pairing` are the definition.  A ``p``
     that is no arena point raises :class:`~enriques.errors.UnknownPoint`.
+
+    The run step.  A point proximate to x makes every chain point between
+    x and it proximate to x, so when the sweep reaches a point q, the only
+    points owed a weight are q's parent and q's second proximity.  Let q
+    lie in a recorded run f..last, f < q <= last, with second proximity s.
+    Each point of f+1..q is the child of the one before, with second
+    proximity s < f, so when q's parent is owed nothing, no point of
+    f..q-1 is owed anything, and the chain weight w stays constant from q
+    down to f.  The sweep then adds w times the multiplicities of f..q in
+    one ``sum``, owes w once per point of f..q to s, and goes on from f's
+    parent: the point-by-point sweep's arithmetic, so the quotient is the
+    same ``Fraction``.  When q's parent is owed, the sweep takes one
+    ordinary step, and the next point owes nothing to its parent, so no
+    run costs more than two steps.  An arena that records no run takes no
+    lookup.
     """
     tree = curve.tree
     tree._check(p)
     parents, seconds, weight = tree.parents, tree.seconds, curve.weight
+    run_of = tree._run_of if tree._runs else None
     owed: dict[PointId, int] = {}
     pairing, w, q = 0, 1, p
     while True:
@@ -96,7 +118,12 @@ def invariant_quotient(curve: WeightedCluster, p: PointId) -> Fraction:
         if a is None:
             return Fraction(pairing, w)
         if s is not None:
-            owed[s] = owed.get(s, 0) + w
+            if run_of is None or a in owed or (f := run_of(q)) is None:
+                owed[s] = owed.get(s, 0) + w
+            else:  # w stays on f..q, a piece of a recorded run
+                pairing += w * sum(map(weight.get, range(f, q), repeat(0)))
+                owed[s] = owed.get(s, 0) + w * (q - f + 1)
+                a = parents[f]
         w += owed.pop(a, 0)
         q = a
 

@@ -470,19 +470,20 @@ def _downward_closure(
 
     A point p after the first point f of a recorded run has f..p-1 below
     it, the run's ids in order, so the chain adds f..p as one range and
-    goes on from f's parent; one bisect on the runs' first points finds
-    f.  On an arena without recorded runs the chain goes point by point
-    with no bisect.  Every point a range adds is a satellite, so every
-    free point is added on its own, and its parent is recorded there."""
-    parents, seconds, runs = tree.parents, tree.seconds, tree._runs
-    firsts = [*runs]  # ascending, as appended
+    goes on from f's parent; :meth:`~enriques.arena.ArenaTree._run_of`
+    finds f.  On an arena without recorded runs the chain goes point by
+    point with no lookup.  Every point a range adds is a satellite, so
+    every free point is added on its own, and its parent is recorded
+    there."""
+    parents, seconds = tree.parents, tree.seconds
+    run_of = tree._run_of if tree._runs else None
     closed: set[PointId] = set()
     branching: set[Optional[PointId]] = set()
     for p in points:
         while p is not None and p not in closed:
-            if firsts:
-                f = firsts[bisect_right(firsts, p) - 1]
-                if f < p <= runs[f]:
+            if run_of is not None:
+                f = run_of(p)
+                if f is not None:
                     closed.update(range(f, p + 1))
                     p = parents[f]
                     continue

@@ -35,11 +35,19 @@ a table per tag keyed by weight.  The last point's run is held until the
 next point, which takes it if it is the parent; else it enters a map
 keyed by parent, where a parent's entry is its one child's run until a
 second child makes it a list of sibling runs.
+
+A run of satellites that the arena records (see
+:meth:`~enriques.arena.ArenaTree._run_of`) is a chain whose heads all
+carry the tag ``s``, so the encoder appends a piece of it to a run in one
+step, with no visit per point.  The form reads only the arena's columns,
+its run record and the cluster's weights, so it stays an independent
+check on :mod:`~enriques.recovery`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 from typing import Optional
 
 from .arena import PointId
@@ -54,20 +62,32 @@ def _encode(cluster: WeightedCluster) -> bytes:
     first and the origin last.  Each point hands its encoding to its
     parent as a run ``[inner bytes, deepest head, ..., top head]`` (see
     the module docstring).
+
+    The run step.  The cluster is ancestor-closed, so it holds a prefix
+    f..e of a recorded run f..last, and these ids, being consecutive, are
+    visited in a row, e first.  Each point r of f+1..last is the child of
+    r - 1 with the run's second proximity s, which is neither r - 1 nor
+    r - 1's parent, so r's head is ``s:w(``.  Once a point p of f+1..e is
+    visited, every cluster child of p-1..f+1 but the next run point has a
+    larger id than e, so it is visited already, and its run waits in
+    ``pending`` under its parent.  Let lo be the highest point of f+1..p-1
+    with a pending run, or f.  Then each of p-1..lo+1 has one cluster
+    child, the next run point, and the point-by-point visits would append
+    its head to the held run in turn; the step appends them at once,
+    formatting each distinct weight once, skips their visits and goes on
+    at lo, which takes the held run as its child's.  So the bytes are the
+    same.  The search for lo stops at the first pending run it meets, and
+    the next step starts below it, so no step rescans the run.  An arena
+    that records no run takes no lookup.
     """
     tree, weight = cluster.tree, cluster.weight
     parents, seconds = tree.parents, tree.seconds
+    run_of = tree._run_of if tree._runs else None
     free, via_g, via_s = {}, {}, {}  # heads by weight, one table per tag
     pending: dict[Optional[PointId], list] = {}  # see _add
     held = held_by = None  # the last point's run and its parent
-    for p in sorted(weight, reverse=True):
-        s, a, w = seconds[p], parents[p], weight[p]
-        if s is None:
-            head = free.get(w) or free.setdefault(w, b"f:%d(" % w)
-        elif s == parents[a]:
-            head = via_g.get(w) or via_g.setdefault(w, b"g:%d(" % w)
-        else:
-            head = via_s.get(w) or via_s.setdefault(w, b"s:%d(" % w)
+    visits = iter(sorted(weight, reverse=True))
+    for p in visits:
         run = pending.pop(p, None)
         if held_by == p:
             run = held if run is None else _add(run, held)
@@ -76,11 +96,26 @@ def _encode(cluster: WeightedCluster) -> bytes:
             if kids is not held:
                 pending[held_by] = _add(kids, held)
         if run is None:
-            run = [b"", head]
+            run = [b""]
         elif run[0] is None:
-            run = [b"".join(sorted(map(_join, run[1:]))), head]
+            run = [b"".join(sorted(map(_join, run[1:])))]
+        s, a, w = seconds[p], parents[p], weight[p]
+        if s is None:
+            run.append(free.get(w) or free.setdefault(w, b"f:%d(" % w))
+        elif s == parents[a]:
+            run.append(via_g.get(w) or via_g.setdefault(w, b"g:%d(" % w))
         else:
-            run.append(head)
+            run.append(via_s.get(w) or via_s.setdefault(w, b"s:%d(" % w))
+            if run_of is not None and (f := run_of(p)) is not None:
+                # p follows f in a recorded run, and each of p-1..lo+1
+                # has one cluster child and an s: head
+                lo = next(filter(pending.__contains__, range(p - 1, f, -1)), f)
+                ws = [*map(weight.__getitem__, range(p - 1, lo, -1))]
+                for v in set(ws).difference(via_s):
+                    via_s[v] = b"s:%d(" % v
+                run += map(via_s.__getitem__, ws)
+                a = lo
+                next(islice(visits, p - 1 - lo, p - 1 - lo), None)
         held, held_by = run, a
     return _join(held)
 

@@ -206,8 +206,9 @@ def test_docstring_references_resolve():
 #: reads; every other module reads the arena through its public surface.
 ARENA_PRIVATE_READERS = {
     "documents": {"_from_columns"},
-    "oracle": {"_check"},
-    "recovery": {"_append_run", "_check", "_find", "_runs"},
+    "oracle": {"_check", "_run_of", "_runs"},
+    "recovery": {"_append_run", "_check", "_find", "_run_of", "_runs"},
+    "similarity": {"_run_of", "_runs"},
 }
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from enriques import (
     ArenaTree,
     WeightKind,
     WeightedCluster,
+    canonical_form,
     invariant_quotient,
     is_consistent,
     noether_pairing,
+    parse,
     recover,
     rupture_points,
     rupture_quotients,
@@ -30,6 +33,9 @@ from chain_reference import (
 from paper_reference import (
     first_satellite, free_count_first_neighbourhood, validate_curve_cluster)
 from randgen import random_curve
+from run_arenas import RUN_CASES, run_cases, run_curve
+
+import workloads  # noqa: E402  (on the path that run_arenas sets)
 
 
 def _outcome(f, *args):
@@ -126,9 +132,13 @@ def _quotient_by_chain(curve, p):
 
 
 def test_quotient_matches_chain_reference_at_every_arena_point():
+    # the random curves record no run; the run curves take the run step
+    # wherever the walk meets a recorded run, inside the curve or not
     inside = outside = 0
-    for seed in range(500):
-        curve = random_curve(seed)
+    cases, in_runs = Counter(), Counter()
+    curves = [(seed, random_curve(seed)) for seed in range(500)]
+    curves += [(seed, run_curve(seed)) for seed in range(150)]
+    for seed, curve in curves:
         for cluster in (curve, _perturbed(curve, random.Random(seed))):
             for p in cluster.tree.points():
                 got = invariant_quotient(cluster, p)
@@ -138,10 +148,15 @@ def test_quotient_matches_chain_reference_at_every_arena_point():
                     inside += 1
                 else:
                     outside += 1
+                if cluster.tree._run_of(p) is not None:
+                    in_runs[p in cluster] += 1
+        cases.update(run_cases(curve))
         for bad in (-1, len(curve.tree), True, None):
             with pytest.raises(UnknownPoint):
                 invariant_quotient(curve, bad)
     assert inside > 6000 and outside > 1500
+    assert in_runs[True] > 2000 and in_runs[False] > 5000, in_runs
+    assert min(cases[case] for case in RUN_CASES) > 10, cases
 
 
 def test_quotient_matches_chain_reference_on_recovered_fixtures():
@@ -207,8 +222,11 @@ def test_rupture_quotients_match_invariant_quotient():
     curves = [builder()[1] for builder in (
         fb.ex04_curve, fb.ex06_curve, fb.ex07_curve, fb.y5x8_curve)]
     curves += [random_curve(seed) for seed in range(1500)]
+    curves += [run_curve(seed) for seed in range(150)]
     checked = 0
+    cases = Counter()
     for curve in curves:
+        cases.update(run_cases(curve))
         got = rupture_quotients(curve)
         assert list(got) == sorted(rupture_points(curve))
         for q, quotient in got.items():
@@ -216,6 +234,7 @@ def test_rupture_quotients_match_invariant_quotient():
             assert quotient == invariant_quotient(curve, q), q
         checked += len(got)
     assert checked > 6000
+    assert min(cases[case] for case in RUN_CASES) > 10, cases
 
 
 def test_local_rupture_quotients_match_filter_reference():
@@ -423,6 +442,56 @@ def test_oracle_closes_the_loop_with_recovery():
         for assoc in result.association.values():
             assert invariant_quotient(curve, assoc.rupture_point) == \
                 assoc.invariant
+
+
+class _CountedReads(list):
+    """A column that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, p):
+        self.reads += 1
+        return super().__getitem__(p)
+
+
+def test_run_steps_keep_the_quotient_and_form_work_constant(monkeypatch):
+    # counted work, no clock: on the polars of y^n = x^(1 + j(n-1)) the
+    # walk records one run f..last, f = j + 1, of about n/(j-1) points;
+    # the curve holds it whole, and its last point is the rupture point.
+    # The quotient's walk and the encoder read the seconds column once per
+    # point they visit one at a time, and neither grows with n.  The
+    # quotient visits last, whose run step takes the piece f..last, then
+    # the j + 1 points below f: j free points and one satellite.  The
+    # encoder visits last, whose run step takes last-1..f+1, then f and
+    # the j + 1 points below it
+    expected = {2: (4, 5), 3: (5, 6)}
+    for j in (2, 3):
+        for n in (4000, 40000):
+            _, bp = parse(workloads.polar(n, j))
+            result = recover(bp)
+            tree, curve = bp.tree, result.multiplicities
+            (f, last), = tree._runs.items()
+            assert f == j + 1 and last - f >= n // 3
+            assert set(curve.weight) == set(range(last + 1))
+            (assoc,) = result.association.values()
+            assert assoc.rupture_point == last
+            quotient_reads = _CountedReads(tree.seconds)
+            monkeypatch.setattr(tree, "seconds", quotient_reads)
+            quotient = invariant_quotient(curve, last)
+            form_reads = _CountedReads(tree.seconds)
+            monkeypatch.setattr(tree, "seconds", form_reads)
+            form = canonical_form(curve)
+            monkeypatch.undo()
+            # the same curve on an arena that records no run
+            plain = WeightedCluster(
+                ArenaTree.from_records(
+                    zip(tree.parents, tree.seconds, tree.labels)),
+                curve.kind, curve.weight)
+            assert quotient == invariant_quotient(plain, last)
+            assert quotient == assoc.invariant
+            assert form == canonical_form(plain)
+            counts = (quotient_reads.reads, form_reads.reads)
+            assert counts == expected[j], (j, n, counts)
 
 
 def _timed_rupture_points(curve):

@@ -2049,6 +2049,46 @@ def test_closure_returns_the_branching_points_of_s():
     assert with_runs > 20 and without > 100
 
 
+def _recorded_runs(tree):
+    """The number of runs the arena records, once each is checked against
+    the columns: f+1..last are the children of f..last-1, f..last share
+    one second proximity, and ``_firsts`` lists the first points."""
+    parents, seconds = tree.parents, tree.seconds
+    assert tree._firsts == [*tree._runs]
+    for f, last in tree._runs.items():
+        assert f + CHAIN_CROSSOVER - 1 <= last < len(tree)
+        assert parents[f + 1:last + 1] == [*range(f, last)]
+        assert seconds[f] is not None
+        assert seconds[f:last + 1] == [seconds[f]] * (last - f + 1)
+    return len(tree._runs)
+
+
+def test_every_run_record_matches_the_columns():
+    # the oracle's chain walk and the canonical encoder trust the record
+    # as they trust the columns, so every run it names must be one
+    counts = Counter()
+    for make in _sweep_inputs():
+        bp = make()
+        try:
+            recover(bp)
+        except EnriquesError:
+            pass
+        counts["sweep"] += _recorded_runs(bp.tree)
+    for seed in (1, 2, 3):
+        for name, pool in workloads.WORKLOADS.items():
+            for document in pool(seed):
+                bp = parse(document.text)[1]
+                try:
+                    recover(bp)
+                except EnriquesError:
+                    pass
+                counts[name] += _recorded_runs(bp.tree)
+    # the selection of the run steps: polar arenas nearly all record a
+    # run, golden ones rarely, fan ones never
+    assert counts == {"sweep": 1263, "polar_walk": 148,
+                      "golden_perturbed": 3, "wide_fan": 0}
+
+
 def test_recover_values_rejects_a_rupture_point_outside_the_singular_set(
         monkeypatch):
     # the sweep visits the singular set only, and a rupture point above it

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from enriques.errors import NumberTooLong
 import fixture_builders as fb
 import randgen
 from paper_reference import child_list
+from run_arenas import RUN_CASES, run_cases, run_curve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -202,6 +204,15 @@ def test_form_matches_nesting_reference_on_random_clusters():
                 forms.add(form)
                 checked += 1
     assert checked > 6000 and len(forms) > 3000
+    # clusters over recorded runs, which the encoder takes as pieces, cut
+    # at every point: each cut holds a prefix of the run
+    cases = Counter()
+    for seed in range(150):
+        curve = run_curve(seed)
+        for cut in [curve, *_prefixes(curve)]:
+            assert canonical_form(cut) == _form_by_nesting(cut), seed
+            cases.update(run_cases(cut))
+    assert min(cases[case] for case in RUN_CASES) > 100, cases
 
 
 def test_form_matches_nesting_reference_on_recovered_fixtures():
@@ -217,11 +228,14 @@ def test_form_matches_nesting_reference_on_benchmark_workloads():
     # repeated weights on one origin, polars walk long satellite runs
     texts = ([workloads.fan(k, random.Random(k)) for k in (8, 23, 60)]
              + [workloads.polar(n, j) for j in (2, 3) for n in (16, 45, 130)])
+    runs = 0
     for text in texts:
         _, bp = parse(text)
         result = recover(bp)
         for cluster in (result.multiplicities, result.values, bp):
             assert canonical_form(cluster) == _form_by_nesting(cluster)
+        runs += len(bp.tree._runs)
+    assert runs == 5  # each polar but polar(16, 3) records one
 
 
 def _all_roles(weight):
