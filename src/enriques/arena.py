@@ -43,25 +43,34 @@ what it checks and what it trusts.  The record pass
 takes, whole columns from ``documents.parse`` and
 :meth:`ArenaTree.from_records` and one point from
 :meth:`ArenaTree.add_point`.  The run writer :meth:`ArenaTree._append_run`
-writes the walk's runs of satellites that share a second proximity and
-records in ``_runs`` each run it writes as ranges, a record append-only
-like the columns, so the value sweep, the downward closure, the oracle's
-chain walk and the canonical encoder read it with no invalidation to take
-a run's points at once.  :meth:`ArenaTree._run_of` is the record's one
-lookup of the run that holds a point.
+writes the walk's runs of satellites that share a second proximity in
+closed form.  Each call of either writer is one *write*, and what a write
+appends enters the pair index and the run record by the one rule below,
+so what the arena holds follows from its records and their writes, not
+from the writer.
 
-The index rule.  The private pair index ``_satellite_index`` maps a
-satellite's (parent, second proximity) to its id, for every satellite
-but the points after the first of a run: the run writer enters a run's
-first point alone, so every run costs one entry.  Each later point p + 1
-of a run is the child of p with p's second proximity s, so a lookup of
-(p, s) that misses the index answers p + 1 when ``parents[p + 1] == p
-and seconds[p + 1] == s``; the arena rules make that point the only one
-with the pair.  :meth:`ArenaTree._find` is the rule's one
-implementation, an unchecked lookup for :func:`_violations`' duplicate
-rule, which calls it only on checked ids, and for the recovery walk,
-which looks up only ids it holds; :meth:`ArenaTree.find_satellite` is its
-checked wrapper for every other caller.
+The index rule.  A *chain* of a write is a maximal stretch f..last of
+its satellites in which each point after f is the child of the one
+before, with f's second proximity.  The private pair index
+``_satellite_index`` maps a satellite's (parent, second proximity) to its
+id for the first point of each chain alone, so every chain costs one
+entry; :meth:`ArenaTree.add_point`, one record per write, keeps a full
+index.  Each later point p + 1 of a chain is the child of p with p's
+second proximity s, so a lookup of (p, s) that misses the index answers
+p + 1 when ``parents[p + 1] == p and seconds[p + 1] == s``; the arena
+rules make that point the only one with the pair.
+:meth:`ArenaTree._find` is the rule's one implementation, an unchecked
+lookup for :func:`_violations`' duplicate rule, which calls it only on
+checked ids, for the record pass and for the recovery walk, which looks
+up only ids it holds; :meth:`ArenaTree.find_satellite` is its checked
+wrapper for every other caller.  ``_runs`` records each chain of at
+least ``CHAIN_CROSSOVER`` points, its first point with its last, a record
+append-only like the columns, so the value sweep, the downward closure,
+the oracle's chain walk and the canonical encoder read it with no
+invalidation to take a chain's points at once, whichever writer wrote
+them: a document written back after ``recover`` and parsed again holds
+the walk's chains whole.  :meth:`ArenaTree._run_of` is the record's one
+lookup of the run that holds a point.
 
 Labels are decorative.  All structural queries and all equality notions use
 ids only.
@@ -88,15 +97,16 @@ from .errors import (
 
 PointId = int
 
-#: Shortest run that :meth:`ArenaTree._append_run` writes as column
-#: ranges; a shorter one is cheaper as one ``append`` per column and point,
-#: and a run of one point, the commonest, takes those appends with no loop.
-#: The arena records exactly the runs written as ranges, so this also
-#: decides which runs the value sweep takes in closed form (the argument
-#: is in the docstring of ``recovery._second_half``).  The sweep extends a
-#: recorded run from its second point, so it needs every recorded run to
-#: hold at least 2 points; the one-point write comes first, so no value
-#: of this constant records a shorter run.  Both writers stay, by
+#: Shortest chain of one write that the arena records (the module's
+#: index rule), and so the shortest run that :meth:`ArenaTree._append_run`
+#: writes as column ranges; a shorter one is cheaper as one ``append`` per
+#: column and point, and a run of one point, the commonest, takes those
+#: appends with no loop.  This also decides which runs the value sweep
+#: takes in closed form (the argument is in the docstring of
+#: ``recovery._second_half``).  The sweep extends a recorded run from its
+#: second point, so it needs every recorded run to hold at least 2
+#: points; the one-point write comes first, so no value of this constant
+#: records a shorter run.  Both ways of writing a run stay, by
 #: measurement on the benchmark's seed-1 pools in one process (Python
 #: 3.11, 2 vCPUs): wide_fan's created runs are all 1-6 points long, and
 #: a crossover of 2 made its ``recover`` 1.33 times slower per input (1.02
@@ -140,8 +150,9 @@ class ArenaTree:
     Points are topologically sorted: every referenced id comes before its
     referrer, and every point keeps the arena rules (the module docstring
     names the writers and what each checks).  ``_runs`` maps the first
-    point of each run written as ranges to its last, in ascending id, and
-    ``_firsts`` lists those first points, for :meth:`_run_of`'s bisect.
+    point of each recorded chain to its last, in ascending id, by the
+    module's index rule, and ``_firsts`` lists those first points, for
+    :meth:`_run_of`'s bisect.
 
     The columns are public for one-pass and hot readers, which must not
     modify them; ``xs[p]`` is point p's entry:
@@ -164,7 +175,7 @@ class ArenaTree:
         self.m0s: list[int] = []
         self.ks: list[int] = []
         self._satellite_index: dict[tuple[PointId, PointId], PointId] = {}
-        self._runs: dict[PointId, PointId] = {}  # range-written runs
+        self._runs: dict[PointId, PointId] = {}  # the recorded chains
         self._firsts: list[PointId] = []  # their first points, ascending
 
     # -- construction --------------------------------------------------
@@ -257,17 +268,20 @@ class ArenaTree:
 
     def _derive(self, start: PointId) -> bool:
         """The record pass: derive the facts of the records from id
-        ``start`` on and enter their satellites in the pair index.  It
-        checks only what resolved references can still break, a second
-        origin, an illegal proximity (by :func:`_violations`' test) or a
-        repeated pair, and answers False at the first, the columns half
-        written; :meth:`add_point` runs it once :func:`_violations` found
-        nothing, so there it cannot fail.  A satellite q with parent a and
-        second proximity s adds n and m0 over both proximities, and k adds
-        s's share only when s lies in q's own cone.  Each fact column first
+        ``start`` on, one write, and enter them in the pair index and the
+        run record by the module's index rule.  It checks only what
+        resolved references can still break, a second origin, an illegal
+        proximity (by :func:`_violations`' test) or a repeated pair, and
+        answers False at the first, the columns half written;
+        :meth:`add_point` runs it once :func:`_violations` found nothing,
+        so there it cannot fail.  A satellite q with parent a and second
+        proximity s adds n and m0 over both proximities, and k adds s's
+        share only when s lies in q's own cone.  Each fact column first
         takes a free point's entry per record, and the pass overwrites the
-        entries that differ: n and m0 after the origin, all four columns at a
-        satellite.
+        entries that differ: n and m0 after the origin, all four columns at
+        a satellite.  :meth:`_find` finds a repeated pair; a satellite whose
+        parent is the record before it needs no lookup, since no earlier
+        point can be a child of that parent.
         """
         parents, seconds = self.parents, self.seconds
         size = len(parents)
@@ -277,7 +291,8 @@ class ArenaTree:
         ns += ones
         m0s += ones
         ks += ones
-        index = self._satellite_index
+        index, find = self._satellite_index, self._find
+        first = last = start  # first..last: the write's latest chain
         for q in range(start, size):
             a, s = parents[q], seconds[q]
             if a is None:  # the origin, or a second point without parent
@@ -287,14 +302,28 @@ class ArenaTree:
                 ns[q] = ns[a]
                 m0s[q] = m0s[a] + 1
             else:
-                if (s != parents[a] and s != seconds[a]) or (a, s) in index:
+                if a == q - 1 >= start and s == seconds[a]:
+                    last = q  # the chain goes on, with no index entry
+                elif (s != parents[a] and s != seconds[a]
+                        or a != q - 1 and find(a, s) is not None):
                     return False
-                index[a, s] = q
+                else:
+                    index[a, s] = q
+                    self._record_run(first, last)
+                    first = last = q
                 free = free_points[q] = free_points[a]
                 ks[q] = ks[a] + ks[s] if free_points[s] == free else ks[a]
                 ns[q] = ns[a] + ns[s]
                 m0s[q] = m0s[a] + m0s[s]
+        self._record_run(first, last)
         return True
+
+    def _record_run(self, f: PointId, last: PointId) -> None:
+        """Record the chain f..last that one write appended, by the index
+        rule, when it holds at least ``CHAIN_CROSSOVER`` points."""
+        if last - f >= CHAIN_CROSSOVER - 1:
+            self._runs[f] = last
+            self._firsts.append(f)
 
     def _append_run(self, a: PointId, s: PointId, t: int) -> PointId:
         """Append t satellites proximate to s, each the child of the one
@@ -308,12 +337,13 @@ class ArenaTree:
 
         Every point of the run has second proximity s, so its n, m0 and k
         are a's plus i times s's share: the run is written from a and s in
-        closed form.  Every run goes into the pair index by its first point
-        alone (the module's index rule).  A run of one point, most of a
-        wide fan's, goes in as one ``append`` per column; a run of at
-        least ``CHAIN_CROSSOVER`` points as ranges, one ``extend`` per
-        column, and into ``_runs``; any other as one ``append`` per column
-        and point.  Only the runs written as ranges are recorded.
+        closed form.  The run is one write, one chain of the module's index
+        rule: its first point alone goes into the pair index, and
+        :meth:`_record_run` records it when it is long enough.  A run of
+        one point, most of a wide fan's, goes in as one ``append`` per
+        column; a run of at least ``CHAIN_CROSSOVER`` points as ranges, one
+        ``extend`` per column; any other as one ``append`` per column and
+        point.
         """
         q = len(self.parents)
         free_points = self.free_points
@@ -353,16 +383,15 @@ class ArenaTree:
         self.m0s.extend(range(m0 + m0_s, m0 + (t + 1) * m0_s, m0_s))
         self.ks.extend(range(k + k_s, k + (t + 1) * k_s, k_s) if k_s
                        else repeat(k, t))
-        self._runs[q] = last
-        self._firsts.append(q)
+        self._record_run(q, last)
         return last
 
     def _run_of(self, q: PointId) -> Optional[PointId]:
         """The first point f of the recorded run f..last that holds q after
         its first point, f < q <= last, or None; one bisect on the runs'
         first points, unchecked.  Every point of f+1..last is the child of
-        the one before, with f's second proximity, as
-        :meth:`_append_run` wrote them."""
+        the one before, with f's second proximity, by the module's index
+        rule."""
         firsts = self._firsts
         if firsts:
             f = firsts[bisect_right(firsts, q) - 1]

@@ -10,10 +10,11 @@ included, its run record, read through
 Recovery counts its excesses in its own height pass, while the oracle
 reads :func:`excesses`, and the two take a recorded run by different
 arguments, so agreement between them is a meaningful check.  The run
-record is a fact about the arena like the columns: the run writer sets
-both, and the record only names ranges of points whose columns say they
-form a run.  A function that counts a curve's points or branches
-raises :class:`~enriques.errors.WrongKind` on another kind of cluster.
+record is a fact about the arena like the columns: every write sets
+both, by the index rule of :mod:`~enriques.arena`, and the record only
+names ranges of points whose columns say they form a run.  A function
+that counts a curve's points or branches raises
+:class:`~enriques.errors.WrongKind` on another kind of cluster.
 Every cluster is sound by construction (see
 :class:`~enriques.cluster.WeightedCluster`): it is ancestor-closed, and
 its points, like every arena point, keep the arena rules, so the sweeps

@@ -481,12 +481,10 @@ def _downward_closure(
     branching: set[Optional[PointId]] = set()
     for p in points:
         while p is not None and p not in closed:
-            if run_of is not None:
-                f = run_of(p)
-                if f is not None:
-                    closed.update(range(f, p + 1))
-                    p = parents[f]
-                    continue
+            if run_of is not None and (f := run_of(p)) is not None:
+                closed.update(range(f, p + 1))
+                p = parents[f]
+                continue
             closed.add(p)
             a = parents[p]
             if seconds[p] is None:

@@ -36,7 +36,8 @@ next point, which takes it if it is the parent; else it enters a map
 keyed by parent, where a parent's entry is its one child's run until a
 second child makes it a list of sibling runs.
 
-A run of satellites that the arena records (see
+A run of satellites that the arena records (by the index rule of
+:mod:`~enriques.arena`, whoever wrote it; see
 :meth:`~enriques.arena.ArenaTree._run_of`) is a chain whose heads all
 carry the tag ``s``, so the encoder appends a piece of it to a run in one
 step, with no visit per point.  The form reads only the arena's columns,

@@ -10,7 +10,12 @@ it.
 ``triples`` and ``proximities`` read the records and a point's proximities
 off the columns, and ``satellite_answers`` asks ``find_satellite``, or
 another lookup, for every (point, proximity) pair, the whole contract of
-the arena's pair index.
+the arena's pair index; ``scan_answers`` gives the same answers from a
+scan of the columns.  ``index_rule`` reads off the columns the pair index
+and the run record that the arena's index rule gives records appended in
+given writes, ``check_index_rule`` asserts that an arena holds them, and
+``point_by_point`` rebuilds an arena one ``add_point``
+at a time, the index rule's point-by-point reference.
 ``reference_facts`` derives each record's facts as the arena did before it
 became columnar, one facts tuple per point, so the suites can check the
 columns that the library's fact writers derive against code they do not
@@ -20,6 +25,7 @@ share.
 from typing import Optional
 
 from enriques import ArenaTree, PointFacts, PointId
+from enriques.arena import CHAIN_CROSSOVER
 from enriques.errors import Diagnostic
 
 
@@ -39,6 +45,59 @@ def satellite_answers(tree: ArenaTree, find=None) -> list[Optional[PointId]]:
     find = find or tree.find_satellite
     return [find(p, s) for p in tree.points()
             for s in sorted(proximities(tree, p))]
+
+
+def point_by_point(tree: ArenaTree) -> ArenaTree:
+    """The arena's records appended again by one ``add_point`` each: one
+    write per record, so a full pair index and no recorded run."""
+    copy = ArenaTree()
+    for record in triples(tree):
+        copy.add_point(*record)
+    return copy
+
+
+def scan_answers(tree: ArenaTree) -> list[Optional[PointId]]:
+    """What ``satellite_answers`` must give: the satellite that holds each
+    (point, proximity) pair, found by a scan of the columns."""
+    held = {(a, s): q for q, (a, s) in enumerate(zip(tree.parents,
+                                                      tree.seconds))
+            if s is not None}
+    return [held.get((p, s)) for p in tree.points()
+            for s in sorted(proximities(tree, p))]
+
+
+def index_rule(tree: ArenaTree, starts=(0,)) -> tuple[dict, dict]:
+    """The pair index and the run record of the arena's records appended in
+    writes that begin at the ids ``starts``, by a scan of the columns.  A
+    satellite whose parent is the record before it, of the same write, with
+    the same second proximity, goes on a chain and has no entry; every
+    other satellite starts a chain and has one.  Each chain of at least
+    ``CHAIN_CROSSOVER`` points is recorded, its first point with its
+    last."""
+    seconds = tree.seconds
+    index: dict[tuple[PointId, PointId], PointId] = {}
+    chains: list[list[PointId]] = []
+    for q, (a, s) in enumerate(zip(tree.parents, seconds)):
+        if s is None:
+            continue
+        if q not in starts and a == q - 1 and s == seconds[a]:
+            chains[-1][1] = q
+        else:
+            index[a, s] = q
+            chains.append([q, q])
+    return index, {f: last for f, last in chains
+                   if last - f + 1 >= CHAIN_CROSSOVER}
+
+
+def check_index_rule(tree: ArenaTree, starts=(0,)) -> int:
+    """Assert that the arena's pair index and run record are
+    ``index_rule``'s for writes that begin at ``starts``, and that its
+    unchecked lookup answers as a scan; return the number of runs it
+    records."""
+    assert (tree._satellite_index, tree._runs) == index_rule(tree, starts)
+    assert tree._firsts == [*tree._runs]
+    assert satellite_answers(tree, tree._find) == scan_answers(tree)
+    return len(tree._runs)
 
 
 def reference_facts(records) -> list[Optional[PointFacts]]:

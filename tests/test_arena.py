@@ -33,7 +33,7 @@ from enriques.errors import (
 import fixture_builders as fb
 import randgen
 from arena_reference import (
-    proximities, reference_facts, satellite_answers, triples,
+    check_index_rule, proximities, reference_facts, satellite_answers, triples,
     validate_reference)
 from chain_reference import precedes
 from paper_reference import child_list
@@ -140,7 +140,8 @@ def test_validate_clean_on_example_arena():
 
 def test_from_records_reads_its_records_once():
     # a one-shot iterator of records builds the arena their list builds,
-    # labels included, and the arena serializes
+    # labels included, and the arena serializes; the fixtures, built by
+    # add_point, are rebuilt in one write
     records = [(None, None, "O"), (0, None, "p"), (1, 0, "q")]
     tree = ArenaTree.from_records(iter(records))
     assert _columns(tree) == _columns(ArenaTree.from_records(records))
@@ -148,7 +149,7 @@ def test_from_records_reads_its_records_once():
     for builder in (fb.ex04_bp, fb.ex05_bp, fb.ex06_bp, fb.ex07_bp):
         tree, bp, _ = builder()
         again = ArenaTree.from_records(iter(triples(tree)))
-        assert _columns(again) == _columns(tree)
+        assert _by_rule(again) == _by_rule(tree, range(len(tree)))
         assert serialize(again, WeightedCluster(
             again, bp.kind, bp.weight)) == serialize(tree, bp)
 
@@ -388,11 +389,12 @@ def test_append_run_matches_repeated_add_point(t):
                 for _ in range(t - 1):
                     q = steps.add_point(q, s)
                 assert last == q == len(tree) + t - 1
-                # the run writer enters a long run's first point alone in
-                # the pair index, so the index is compared by its answers
-                assert _columns(chain)[:-1] == _columns(steps)[:-1], (
-                    seed, a, s)
-                assert satellite_answers(chain) == satellite_answers(steps)
+                # the run is one write and each add_point another, so the
+                # index rule gives the two arenas different indexes, which
+                # are compared by their answers
+                size = len(tree)
+                assert _by_rule(chain, {0, size}) == _by_rule(
+                    steps, {0, *range(size, size + t)}), (seed, a, s)
                 chains += 1
                 # a run of first moves keeps s first in every pair and a
                 # run of second moves keeps it second; k grows only when s
@@ -484,8 +486,18 @@ def test_recorded_rules_match_validate_reference():
 
 
 def _state(tree: ArenaTree) -> list:
-    """A copy of the columns and the pair index."""
-    return [*map(list, _columns(tree)[:-1]), dict(tree._satellite_index)]
+    """A copy of the columns, the pair index and the run record."""
+    return [*map(list, _columns(tree)[:-1]), dict(tree._satellite_index),
+            dict(tree._runs)]
+
+
+def _by_rule(tree: ArenaTree, starts=(0,)) -> list:
+    """The columns and every pair lookup's answer, once the pair index and
+    the run record are checked against the index rule for records
+    appended in writes that begin at ``starts``: the state that arenas
+    built from the same records by different writes share."""
+    check_index_rule(tree, starts)
+    return [*map(list, _columns(tree)[:-1]), satellite_answers(tree)]
 
 
 def _raw_record_lists() -> list:
@@ -500,17 +512,17 @@ def test_from_records_on_every_prefix_matches_add_point_replay():
     # the arena length as the records before it left them, so a prefix of
     # the records is refused with the reference's diagnostics on the prefix
     # alone, whatever follows it, or builds the arena that add_point builds
-    # record by record
+    # record by record, but for the index rule's one write
     cuts = 0
     for records in _raw_record_lists():
         replay = ArenaTree()
-        states = [_state(ArenaTree())]  # the replay after each record
+        states = [_by_rule(ArenaTree())]  # the replay after each record
         for triple in records:
             try:
                 replay.add_point(*triple)
             except ArenaError:
                 break
-            states.append(_state(replay))
+            states.append(_by_rule(replay, range(len(replay))))
         first = len(replay)  # the first broken record, or len(records)
         assert (first < len(records)) == bool(validate_reference(records))
         for cut in range(len(records) + 1):
@@ -518,7 +530,7 @@ def test_from_records_on_every_prefix_matches_add_point_replay():
             diagnostics = validate_reference(head)
             if cut <= first:
                 assert diagnostics == []
-                assert _state(ArenaTree.from_records(head)) == states[cut]
+                assert _by_rule(ArenaTree.from_records(head)) == states[cut]
             else:
                 assert diagnostics and _refusal(head) == diagnostics
             cuts += 1
@@ -527,8 +539,10 @@ def test_from_records_on_every_prefix_matches_add_point_replay():
 
 def test_add_point_and_from_records_agree():
     # the records built point by point through add_point and in one call
-    # through from_records give the same columns and pair index; a refused
-    # add_point raises from_records' first diagnostic and changes neither
+    # through from_records give the same columns and lookups, and each its
+    # pair index and run record by the index rule, add_point a full index
+    # and no run; a refused add_point raises from_records' first
+    # diagnostic and changes nothing
     accepted = refused = 0
     for records in _raw_record_lists():
         tree = ArenaTree()
@@ -543,7 +557,8 @@ def test_add_point_and_from_records_agree():
                 refused += 1
                 break
         else:
-            assert _state(ArenaTree.from_records(records)) == _state(tree)
+            assert _by_rule(ArenaTree.from_records(records)) == _by_rule(
+                tree, range(len(tree)))
             accepted += 1
     assert accepted > 5000 and refused > 5000
 

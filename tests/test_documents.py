@@ -28,7 +28,8 @@ from enriques.errors import (
 )
 
 import fixture_builders as fb
-from arena_reference import reference_facts, triples, validate_reference
+from arena_reference import (
+    check_index_rule, reference_facts, triples, validate_reference)
 import make_fixtures
 import randgen
 from randgen import random_proximity_tree
@@ -631,7 +632,8 @@ def test_trusted_pass_matches_reference_facts_on_benchmark_pools(
     # every document of the benchmark's seed-1 pools is clean, so parse
     # builds its arena in the trusted pass, without the checked writer;
     # the facts it derives equal the independent reference's, point by
-    # point, and so does the pair index; point 0 is the origin
+    # point, the pair index and the run record are the index rule's for
+    # one write, and point 0 is the origin
     def refuse(records):
         raise AssertionError("a clean document took the checked writer")
 
@@ -645,9 +647,7 @@ def test_trusted_pass_matches_reference_facts_on_benchmark_pools(
             assert list(zip(tree.free_points, tree.ns, tree.m0s, tree.ks)) \
                 == [facts[:4] for facts in reference_facts(records)], \
                 document.name
-            assert tree._satellite_index == {
-                (a, s): q for q, (a, s, _) in enumerate(records)
-                if s is not None}
+            check_index_rule(tree)
             assert tree.parents[0] is None
             documents += 1
     assert documents == 1000 + 52 + 56

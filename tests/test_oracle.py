@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -17,12 +18,14 @@ from enriques import (
     recover,
     rupture_points,
     rupture_quotients,
+    serialize,
     unibranch_chain,
 )
 from enriques.errors import NegativeResidual, UnknownPoint
 
 import fixture_builders as fb
 import randgen
+from arena_reference import point_by_point
 from chain_reference import (
     branch_clusters,
     chain_inside,
@@ -454,6 +457,20 @@ class _CountedReads(list):
         return super().__getitem__(p)
 
 
+def _counted_quotient_and_form(curve, last, monkeypatch):
+    """The quotient at ``last`` and the canonical form of ``curve``, and
+    the reads of the seconds column that each makes."""
+    tree = curve.tree
+    quotient_reads = _CountedReads(tree.seconds)
+    monkeypatch.setattr(tree, "seconds", quotient_reads)
+    quotient = invariant_quotient(curve, last)
+    form_reads = _CountedReads(tree.seconds)
+    monkeypatch.setattr(tree, "seconds", form_reads)
+    form = canonical_form(curve)
+    monkeypatch.undo()
+    return quotient, form, (quotient_reads.reads, form_reads.reads)
+
+
 def test_run_steps_keep_the_quotient_and_form_work_constant(monkeypatch):
     # counted work, no clock: on the polars of y^n = x^(1 + j(n-1)) the
     # walk records one run f..last, f = j + 1, of about n/(j-1) points;
@@ -475,23 +492,48 @@ def test_run_steps_keep_the_quotient_and_form_work_constant(monkeypatch):
             assert set(curve.weight) == set(range(last + 1))
             (assoc,) = result.association.values()
             assert assoc.rupture_point == last
-            quotient_reads = _CountedReads(tree.seconds)
-            monkeypatch.setattr(tree, "seconds", quotient_reads)
-            quotient = invariant_quotient(curve, last)
-            form_reads = _CountedReads(tree.seconds)
-            monkeypatch.setattr(tree, "seconds", form_reads)
-            form = canonical_form(curve)
-            monkeypatch.undo()
-            # the same curve on an arena that records no run
+            quotient, form, counts = _counted_quotient_and_form(
+                curve, last, monkeypatch)
+            # the same curve on an arena built point by point, which
+            # records no run
             plain = WeightedCluster(
-                ArenaTree.from_records(
-                    zip(tree.parents, tree.seconds, tree.labels)),
-                curve.kind, curve.weight)
+                point_by_point(tree), curve.kind, curve.weight)
+            assert not plain.tree._runs
             assert quotient == invariant_quotient(plain, last)
             assert quotient == assoc.invariant
             assert form == canonical_form(plain)
-            counts = (quotient_reads.reads, form_reads.reads)
             assert counts == expected[j], (j, n, counts)
+
+
+def test_held_documents_take_their_runs_whole(monkeypatch):
+    # counted work, no clock: the polar document written back after recover
+    # holds the walk's run, and parse records it by the arena's index rule
+    # as the walk did, so it costs the pair index 2 entries at every n, the
+    # quotient and the form are the fresh curve's and read the seconds
+    # column as often, and recover on it gives the fresh result and trace
+    for n in (1000, 16000):
+        tree, bp = parse(workloads.polar(n, 2))
+        trace = []
+        result = recover(bp, trace.append)
+        (assoc,) = result.association.values()
+        last = assoc.rupture_point
+        held_tree, held_bp = parse(serialize(tree, bp))
+        assert (held_tree.parents, held_tree.seconds) == (
+            tree.parents, tree.seconds)
+        assert len(held_tree._satellite_index) == 2
+        assert held_tree._runs == tree._runs and tree._runs
+        held_trace = []
+        held = recover(held_bp, held_trace.append)
+        assert held_trace == trace
+        # the fresh result, its clusters on the held arena of equal records
+        assert held.same_result(dataclasses.replace(result, **{
+            name: WeightedCluster(held_tree, cluster.kind, cluster.weight)
+            for name, cluster in (("values", result.values),
+                                  ("multiplicities", result.multiplicities))}))
+        fresh = _counted_quotient_and_form(
+            result.multiplicities, last, monkeypatch)
+        assert fresh[2] == (4, 5) and fresh == _counted_quotient_and_form(
+            held.multiplicities, last, monkeypatch), n
 
 
 def _timed_rupture_points(curve):

@@ -65,7 +65,8 @@ import fixture_builders as fb
 import randgen
 from test_euclid import PAIRS, euclid_bp
 from arena_reference import (
-    proximities, reference_facts, satellite_answers, triples)
+    check_index_rule, point_by_point, proximities, reference_facts,
+    satellite_answers, scan_answers, triples)
 from chain_reference import (
     PrecComparison, max_by_fraction, prec_compare_reference)
 from paper_reference import (
@@ -509,13 +510,7 @@ def test_a_short_run_costs_one_pair_index_entry(k, monkeypatch):
     monkeypatch.undo()
     assert not tree._runs and any(first < last for first, last, _ in runs)
     assert len(tree._satellite_index) == parsed + len(runs)
-    scan = {}
-    for q, pair in enumerate(zip(tree.parents, tree.seconds)):
-        if pair[1] is not None:
-            scan.setdefault(pair, q)
-    assert satellite_answers(tree) == [
-        scan.get((p, s)) for p in tree.points()
-        for s in sorted(proximities(tree, p))]
+    assert satellite_answers(tree) == scan_answers(tree)
     state = _state(tree)
     for first, last, s in runs:
         for x in range(first, last):
@@ -1956,15 +1951,18 @@ def test_a_recorded_run_costs_one_pair_index_entry():
     # counted work, no clock: the walk's runs on the polars of y^n = x^(2n-1)
     # grow with n, but each run written as ranges enters the pair index by
     # its first point alone, so the index does not grow; every lookup still
-    # answers as on the same records with a full index, and every run point
-    # before the last refuses a second satellite with the run's proximity
+    # answers as on the same records appended point by point, with a full
+    # index, and every run point before the last refuses a second satellite
+    # with the run's proximity
     entries = set()
     for n in (1000, 16000):
         _, bp = parse(workloads.polar(n, 2))
         recover(bp)
         tree = bp.tree
         assert max(last - f for f, last in tree._runs.items()) >= n // 2
-        full = ArenaTree.from_records(triples(tree))
+        full = point_by_point(tree)
+        assert len(full._satellite_index) == sum(
+            s is not None for s in tree.seconds)
         assert satellite_answers(tree) == satellite_answers(full)
         size = len(tree)
         for f, last in tree._runs.items():
@@ -1975,6 +1973,52 @@ def test_a_recorded_run_costs_one_pair_index_entry():
                 assert len(tree) == size
         entries.add(len(tree._satellite_index))
     assert len(entries) == 1
+
+
+def test_every_writer_keeps_the_index_rule(monkeypatch):
+    # one rule, whoever writes: each arena's pair index and run record are
+    # what a scan of its columns names, given where each write began.  A
+    # parse or a from_records call is one write, and so is each add_point
+    # call and each run the walk appends; so an arena built by add_point
+    # (random grown trees and Euclid clusters) keeps a full index and no
+    # run, and from_records rebuilds it in one write
+    starts = []
+    append = ArenaTree._append_run
+
+    def spy(self, a, s, t):
+        starts.append(len(self))
+        return append(self, a, s, t)
+
+    monkeypatch.setattr(ArenaTree, "_append_run", spy)
+    counts = Counter()
+    for seed in (1, 2, 3):
+        for pool in workloads.WORKLOADS.values():
+            for document in pool(seed):
+                tree, bp = parse(document.text)
+                counts["parse"] += check_index_rule(tree)
+                starts[:] = [0]
+                try:
+                    recover(bp)
+                except EnriquesError:
+                    pass
+                counts["walk"] += check_index_rule(tree, set(starts))
+                held = parse(serialize(tree, bp))[0]
+                counts["held"] += check_index_rule(held)
+                assert held._satellite_index == tree._satellite_index
+                assert held._runs == tree._runs
+    built = [_grown_bp(seed).tree for seed in range(300)]
+    built += [randgen.build_cluster(randgen.euclid_rows(m, n),
+                                    WeightKind.MULTIPLICITY)[0]
+              for m, n in ((233, 144), (799, 400), (1001, 100))]
+    for tree in built:
+        assert check_index_rule(tree, range(len(tree))) == 0
+        copy = ArenaTree.from_records(triples(tree))
+        counts["from_records"] += check_index_rule(copy)
+    # the pools' documents hold no chain of CHAIN_CROSSOVER points; written
+    # back after recover, each holds the index and the runs of the arena
+    # that recover left
+    assert counts == {"parse": 0, "walk": 151, "held": 151,
+                      "from_records": 3}
 
 
 def test_unchecked_lookup_answers_as_find_satellite():
