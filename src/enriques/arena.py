@@ -100,19 +100,20 @@ PointId = int
 #: Shortest chain of one write that the arena records (the module's
 #: index rule), and so the shortest run that :meth:`ArenaTree._append_run`
 #: writes as column ranges; a shorter one is cheaper as one ``append`` per
-#: column and point, and a run of one point, the commonest, takes those
-#: appends with no loop.  This also decides which runs the value sweep
-#: takes in closed form (the argument is in the docstring of
+#: column and point, in one loop.  This also decides which runs the value
+#: sweep takes in closed form (the argument is in the docstring of
 #: ``recovery._second_half``).  The sweep extends a recorded run from its
 #: second point, so it needs every recorded run to hold at least 2
-#: points; the one-point write comes first, so no value of this constant
-#: records a shorter run.  Both ways of writing a run stay, by
-#: measurement on the benchmark's seed-1 pools in one process (Python
-#: 3.11, 2 vCPUs): wide_fan's created runs are all 1-6 points long, and
-#: a crossover of 2 made its ``recover`` 1.33 times slower per input (1.02
-#: between two copies of one tree); every run point by point made
-#: polar_walk ``recover`` 1.26 times slower per input in the median (1.52
-#: over the pool).
+#: points, and this constant to be at least 2.  The two ways of writing a
+#: run stay, by measurement on the benchmark's pools in one process
+#: (Python 3.11, 2 vCPUs), as median per-input ``recover`` ratios:
+#: wide_fan's created runs are all 1-6 points long, and a crossover of 2
+#: made its ``recover`` 1.33 times slower (1.02 between two copies of one
+#: tree); every run point by point made polar_walk's 1.26 times slower
+#: (1.52 over the pool).  The loop takes a run of one point, the
+#: commonest, as fast as a branch of its own did: without that branch,
+#: seeds 1-3 of all three pools read 0.99-1.02 against 0.98-1.02 between
+#: two copies of one tree.
 CHAIN_CROSSOVER = 10
 
 
@@ -339,11 +340,12 @@ class ArenaTree:
         are a's plus i times s's share: the run is written from a and s in
         closed form.  The run is one write, one chain of the module's index
         rule: its first point alone goes into the pair index, and
-        :meth:`_record_run` records it when it is long enough.  A run of
-        one point, most of a wide fan's, goes in as one ``append`` per
-        column; a run of at least ``CHAIN_CROSSOVER`` points as ranges, one
-        ``extend`` per column; any other as one ``append`` per column and
-        point.
+        :meth:`_record_run` records it when it is long enough.  A run
+        shorter than ``CHAIN_CROSSOVER`` points, as a wide fan's are, goes
+        in by one loop, one ``append`` per column and point, which counts t
+        down and returns at 0; a longer one, as a polar walk's is, as
+        ranges, one ``extend`` per column.  The constant's comment has the
+        measurements that keep both forms.
         """
         q = len(self.parents)
         free_points = self.free_points
@@ -351,17 +353,8 @@ class ArenaTree:
         free, n, m0, k = free_points[a], self.ns[a], self.m0s[a], self.ks[a]
         n_s, m0_s = self.ns[s], self.m0s[s]
         k_s = self.ks[s] if free_points[s] == free else 0
-        if t == 1:
-            self.parents.append(a)
-            self.seconds.append(s)
-            self.labels.append(None)
-            free_points.append(free)
-            self.ns.append(n + n_s)
-            self.m0s.append(m0 + m0_s)
-            self.ks.append(k + k_s)
-            return q
         if t < CHAIN_CROSSOVER:
-            for c in range(q, q + t):
+            while True:
                 n += n_s
                 m0 += m0_s
                 k += k_s
@@ -372,8 +365,10 @@ class ArenaTree:
                 self.ns.append(n)
                 self.m0s.append(m0)
                 self.ks.append(k)
-                a = c
-            return a
+                t -= 1
+                if not t:
+                    return q
+                a, q = q, q + 1
         last = q + t - 1
         self.parents.extend((a, *range(q, last)))
         self.seconds.extend(repeat(s, t))
@@ -434,7 +429,7 @@ class ArenaTree:
         ns, ks, free = self.ns, self.ks, self.free_points[p]
         a, s, pair = self.parents[p], self.seconds[p], None
         if s is not None:  # order the pair by k/n in p's cone
-            k_s = ks[s] if self.free_points[s] == free else 0
+            k_s = ks[p] - ks[a]  # s's share of k, as the writers store it
             pair = (s, a) if k_s * ns[a] < ks[a] * ns[s] else (a, s)
         return PointFacts(free, ns[p], self.m0s[p], ks[p], pair)
 

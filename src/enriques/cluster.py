@@ -84,13 +84,10 @@ class WeightedCluster:
       built.  Their keys are the ids it resolved; it stores only positive
       JSON integers; and its loop checked that each weighted point's
       parent is weighted.
-    * ``recovery.recover_values`` adopts the values of its sweep.  Their
-      keys are the points of S, whose ids it checked, and it checked S
-      downward closed.  Every value rule gives an int of at least 1: m,
-      which is at least m0 >= 1 since no virtual weight is negative; the
-      ceiling of a positive number; or n_p V_F / n_F, with n_p a multiple
-      of n_F and V_F >= 1.  A run piece only adds d >= 0 to its second
-      point's value from point to point.
+    * ``recovery.recover_values`` adopts the values of its sweep once the
+      sweep rejected nothing, by ``recover``'s argument: the values are
+      ints, each at least 1.  Their keys are the points of S, whose ids
+      it checked, and it checked S downward closed.
     """
 
     tree: ArenaTree

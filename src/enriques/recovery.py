@@ -510,8 +510,11 @@ def recover_values(
     once: the ids, then that S holds R, then one :func:`_downward_closure`
     of S.  The closure holds S, and equals it exactly when S is downward
     closed; else the least point it added, the lowest ancestor S lacks,
-    is named.  The closure's branching points are the sweep's.  The values
-    are adopted unchecked, as :class:`~enriques.cluster.WeightedCluster`
+    is named.  The closure's branching points are the sweep's.  It raises
+    the sweep's verdict as :func:`recover` does,
+    :class:`NonPositiveMultiplicity` or :class:`InconsistentCluster`, since
+    no curve has values that force either; a clean sweep's values are
+    adopted unchecked, as :class:`~enriques.cluster.WeightedCluster`
     argues."""
     _require_table(bp, inv)
     tree = bp.tree
@@ -527,7 +530,10 @@ def recover_values(
             f"the singular set is not downward closed: it lacks point"
             f" {min(closed - singular)}")
     inv._grow()  # the sweep reads m at every point of the set
-    values, _, _ = _second_half(tree, inv.m, rupture, singular, branching)
+    values, _, rejected = _second_half(tree, inv.m, rupture, singular,
+                                       branching)
+    if rejected is not None:
+        raise rejected
     return WeightedCluster._adopt(tree, WeightKind.VALUE, values)
 
 
@@ -582,13 +588,16 @@ def _second_half(
     Every point of the run is a satellite proximate to its predecessor
     and to s (Casas-Alvero, *Singularities of Plane Curves*, on proximity
     along satellite chains), in the cone of f's defining free point F,
-    and n, m and k grow by fixed steps along it.  The satellite rule
-    gives v = m except on the points bigger than the cone's biggest
-    rupture point q, where it gives n V_F / n_F once V_F n_q = n_F m_q; a
-    rupture point of the run is not bigger than q, so it takes m like its
-    neighbours.  The order test k_p n_q > k_q n_p reads the sign of
-    g(p) = k_p n_q - k_q n_p, which is linear along the run, so c, the
-    last point of b..e on b's side of the test, is one floor division.
+    and n, m and k grow by fixed steps along it.  The cone has a biggest
+    rupture point q: b is a visited satellite, so either b is in R or its
+    visit read q, since the satellite rule raises
+    :class:`EmptyRuptureSet` at a cone without one.  The satellite rule
+    gives v = m except on the points bigger than q, where it gives
+    n V_F / n_F once V_F n_q = n_F m_q; a rupture point of the run is not
+    bigger than q, so it takes m like its neighbours.  The order test
+    k_p n_q > k_q n_p reads the sign of g(p) = k_p n_q - k_q n_p, which is
+    linear along the run, so c, the last point of b..e on b's side of the
+    test, is one floor division.
     On b..c, v grows by d = m_s, or by n_s V_F / n_F when b took the
     scaled value, so every multiplicity after b is rest = d - v_s, and
     the excess of a point inside the piece, its multiplicity less its
@@ -661,9 +670,9 @@ def _second_half(
         if e == p or m[e] - m[p] != (e - p) * m[s]:
             continue
         free = free_points[p]
-        q = biggest_rupture.get(free)
+        q = biggest_rupture[free]
         c, d = e, m[s]
-        if q is not None and values[free] * ns[q] == ns[free] * m[q]:
+        if values[free] * ns[q] == ns[free] * m[q]:
             n_q, k_q = ns[q], ks[q]
             g = ks[p] * n_q - k_q * ns[p]
             step = (ks[p] - ks[a]) * n_q - k_q * ns[s]  # g's change per point

@@ -368,11 +368,12 @@ def _columns(tree: ArenaTree) -> list:
             tree._satellite_index]
 
 
-@pytest.mark.parametrize("t", [1, 2, CHAIN_CROSSOVER - 1, CHAIN_CROSSOVER,
-                               CHAIN_CROSSOVER + 1, 40])
+@pytest.mark.parametrize("t", [*range(1, CHAIN_CROSSOVER + 2), 40])
 def test_append_run_matches_repeated_add_point(t):
     # the run writer on every run a walk may append, (a, s) with s a
-    # proximity of a and the pair not held yet, against t add_point calls
+    # proximity of a and the pair not held yet, against t add_point calls:
+    # each trip count of its loop, below CHAIN_CROSSOVER, and ranges from
+    # the crossover on
     chains = kinds = 0
     for seed in range(100):
         rng = random.Random(seed)

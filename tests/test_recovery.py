@@ -1620,8 +1620,27 @@ def test_satellite_n_is_a_multiple_of_its_free_point_n():
     assert satellites > 20000
 
 
+def _sweep_values(bp, inv, rupture, singular):
+    """The sweep's values whatever its verdict, which ``recover_values``
+    raises: the value rules on rupture sets that no curve has.  S must be
+    a downward closure; the sweep still raises :class:`EmptyRuptureSet`."""
+    tree = bp.tree
+    inv._grow()
+    _, branching = _downward_closure(tree, singular)
+    values, _, _ = _second_half(tree, inv.m, rupture, singular, branching)
+    return WeightedCluster(tree, WeightKind.VALUE, values)
+
+
+def _reference_values_verdict(bp, inv, rupture, singular):
+    """The reference passes' values, once their verdict is clean."""
+    _reference_verdict(bp, inv, rupture, singular)
+    return _reference_values(bp, inv, rupture, singular)
+
+
 def test_recover_values_matches_pass_reference():
-    counts, runs = Counter(), Counter()
+    # the values of every rupture set, rejected or not, through the sweep,
+    # and recover_values' verdict on them, which raises the sweep's
+    counts, verdicts, runs = Counter(), Counter(), Counter()
     polar = [_recovered_polar(n, j) for n in (12, 17, 25, 40) for j in (2, 3)]
     polar += [_walked_twice(n, j, {0: a, 1: b}) for n in (20, 33)
               for j in (2, 3) for a, b in ((7, 5), (13, 4), (29, 28))]
@@ -1635,14 +1654,21 @@ def test_recover_values_matches_pass_reference():
             rupture = frozenset(rng.sample(
                 range(len(tree)), rng.randint(1, min(4, len(tree)))))
             singular, _ = _downward_closure(tree, rupture)
-            got = _outcome(recover_values, bp, inv, rupture, singular)
+            got = _outcome(_sweep_values, bp, inv, rupture, singular)
             want = _outcome(_reference_values, bp, inv, rupture, singular)
             assert got == want, (seed, rupture)
             counts[got[0]] += 1
+            verdict = _outcome(recover_values, bp, inv, rupture, singular)
+            assert verdict == _outcome(_reference_values_verdict, bp, inv,
+                                       rupture, singular), (seed, rupture)
+            verdicts[verdict[0]] += 1
             runs.update(_run_cases(
                 bp, rupture, singular,
                 values=got[1] if got[0] is WeightKind.VALUE else None))
     assert counts[WeightKind.VALUE] > 9000 and counts[EmptyRuptureSet] > 500
+    assert verdicts[NonPositiveMultiplicity] > 12000
+    assert verdicts[WeightKind.VALUE] > 4500
+    assert verdicts[InconsistentCluster] > 20
     assert runs["taken"] > 700 and runs["weighted"] > 250
     assert runs["rupture inside"] > 400 and runs["flip inside"] > 10
     assert runs["strict prefix"] > 4000
@@ -1721,10 +1747,11 @@ def _reference_verdict(bp, inv, rupture, singular):
 
 
 def test_sweep_verdict_matches_reference_on_random_rupture_sets():
-    # recover_values drops the sweep's verdict, and recover meets only the
-    # rupture sets its walks find: here the verdict meets random rupture
-    # sets over arenas with recorded runs, among them pieces that follow a
-    # weighted second point and hold multiplicities below 1
+    # recover meets only the rupture sets its walks find, and
+    # recover_values raises the sweep's verdict without its multiplicities:
+    # here the verdict and the multiplicities meet random rupture sets over
+    # arenas with recorded runs, among them pieces that follow a weighted
+    # second point and hold multiplicities below 1
     arenas = [_recovered_polar(n, j) for n in (12, 17, 25, 40)
               for j in (2, 3)]
     arenas += [_walked_twice(n, j, {0: a, 1: b}) for n in (20, 33)
@@ -1825,7 +1852,7 @@ def test_piece_on_a_run_towards_its_cones_biggest_rupture_point():
         g, step = _order_test_terms(tree, s, f + 1)
         assert step == 0 and g * side > 0
         singular, _ = _downward_closure(tree, {10})
-        got = recover_values(bp, inv, rupture, singular)
+        got = _sweep_values(bp, inv, rupture, singular)
         assert got == _reference_values(bp, inv, rupture, singular)
         assert "taken" in _run_cases(bp, rupture, singular,
                                      values=got.weight)
@@ -1865,7 +1892,7 @@ def test_piece_flip_and_step_read_every_share_of_the_run():
     singular, _ = _downward_closure(tree, {10})
     g, step = _order_test_terms(tree, 5, 4)
     assert tree.ks[4] - tree.ks[3] == 1 and (g, step) == (-1, 1)
-    got = recover_values(bp, inv, rupture, singular)
+    got = _sweep_values(bp, inv, rupture, singular)
     assert got == _reference_values(bp, inv, rupture, singular)
     assert "flip inside" in _run_cases(bp, rupture, singular)
     m = inv.m
@@ -1882,7 +1909,7 @@ def test_piece_flip_and_step_read_every_share_of_the_run():
     singular, _ = _downward_closure(tree, {8})
     assert tree.ns[3] == tree.ns[2] == 2
     assert _order_test_terms(tree, 7, 5) == (4, -2)
-    got = recover_values(bp, inv, rupture, singular)
+    got = _sweep_values(bp, inv, rupture, singular)
     assert got == _reference_values(bp, inv, rupture, singular)
     assert "flip back" in _run_cases(bp, rupture, singular,
                                      values=got.weight)
