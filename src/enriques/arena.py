@@ -260,11 +260,8 @@ class ArenaTree:
         clean.  So only the parser's call can return None, and the parser
         then reports the rules through :meth:`from_records`.
         """
-        # the attributes __init__ sets, with the record columns adopted
-        tree = object.__new__(cls)
+        tree = cls()
         tree.parents, tree.seconds, tree.labels = parents, seconds, labels
-        tree.free_points, tree.ns, tree.m0s, tree.ks = [], [], [], []
-        tree._satellite_index, tree._runs, tree._firsts = {}, {}, []
         return tree if tree._derive(0) else None
 
     def _derive(self, start: PointId) -> bool:

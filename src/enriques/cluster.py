@@ -88,6 +88,10 @@ class WeightedCluster:
       sweep rejected nothing, by ``recover``'s argument: the values are
       ints, each at least 1.  Their keys are the points of S, whose ids
       it checked, and it checked S downward closed.
+
+    Equality is the dataclass's own, field by field: kind and weights by
+    value, and the arena by identity, since :class:`ArenaTree` defines no
+    ``__eq__``; the hash agrees, taking the arena's ``id``.
     """
 
     tree: ArenaTree
@@ -164,12 +168,6 @@ class WeightedCluster:
     def _same_arena(self, other: "WeightedCluster") -> None:
         if self.tree is not other.tree:
             raise ArenaMismatch("clusters live over different arenas")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedCluster):
-            return NotImplemented
-        return (self.tree is other.tree and self.kind is other.kind
-                and self.weight == other.weight)
 
     def __hash__(self):
         return hash((id(self.tree), self.kind, frozenset(self.weight.items())))

@@ -138,6 +138,11 @@ class EmptyRuptureSet(RecoveryError):
     pass
 
 
+class NotPolarBasePoints(RecoveryError):
+    """The recovered multiplicities fail the identity that every curve
+    keeps with the base points of its polars, so the input is not them."""
+
+
 # --- oracle ----------------------------------------------------------------
 
 class NegativeResidual(EnriquesError):

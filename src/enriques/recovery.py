@@ -52,7 +52,10 @@ The parts, each argued in its own docstring:
 * values and multiplicities, in one sweep over S in ascending id
   (:func:`_second_half`, with the value rules), which extends the value
   the rules gave a recorded run's second point over a piece of the run
-  by a constant step, argued in the same docstring.
+  by a constant step, argued in the same docstring;
+* the polar identity (:func:`_check_polar`), which refuses multiplicities
+  that no curve with these polar base points has, once the sweep's own
+  verdict is clean.
 
 :func:`recover` runs both parts in one call.  No part rebuilds a
 unibranch chain or builds a per-point object: each reads a point's facts
@@ -75,7 +78,7 @@ from .cluster import WeightedCluster, WeightKind
 from .errors import (
     ArenaMismatch, EmptyRuptureSet, EnriquesError, InconsistentCluster,
     NoQualifyingPair, NonPositiveMultiplicity, NotDicritical,
-    NotDownwardClosed, WalkDiverged, describe_number)
+    NotDownwardClosed, NotPolarBasePoints, WalkDiverged, describe_number)
 
 #: One line of walk trace: (point, m, n, decision), decision in
 #: {"first", "second", "stop"}.
@@ -132,7 +135,8 @@ class MorphismInvariants:
     weight off its parent and its second proximity, which are members of
     ``bp`` since a cluster is ancestor-closed.  Every point of ``bp`` is
     in the arena when the table is built, so later passes meet only
-    created points, which carry no weight.
+    created points, which carry no weight.  The same pass sums the squares
+    of the weights into ``_squares``, for :func:`_check_polar`.
     """
 
     def __init__(self, bp: WeightedCluster):
@@ -140,27 +144,34 @@ class MorphismInvariants:
         self.bp = bp
         self.m: list[int] = []
         self._excess = dict(bp.weight)
+        self._squares = 0
         self._grow()
 
     def _grow(self) -> None:
-        """Tabulate m on the points appended since the last call, and take
-        each weighted one's weight off the excesses of its proximities."""
+        """Tabulate m on the points appended since the last call, take
+        each weighted one's weight off the excesses of its proximities and
+        add its square to ``_squares``."""
         tree, weight, m = self.bp.tree, self.bp.weight, self.m
         parents, seconds, excess = tree.parents, tree.seconds, self._excess
+        squares = self._squares
         for p in range(len(m), len(parents)):
             a, s = parents[p], seconds[p]
             w = weight.get(p, 0)
             if a is None:
                 m.append(w + 1)
+                squares += w * w
             elif s is None:
                 m.append(m[a] + w + 1)
                 if w:
                     excess[a] -= w
+                    squares += w * w
             else:
                 m.append(m[a] + m[s] + w)
                 if w:
                     excess[a] -= w
                     excess[s] -= w
+                    squares += w * w
+        self._squares = squares
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
         """Ensure m is defined at ``p``; return its (n, m)."""
@@ -513,8 +524,9 @@ def recover_values(
     is named.  The closure's branching points are the sweep's.  It raises
     the sweep's verdict as :func:`recover` does,
     :class:`NonPositiveMultiplicity` or :class:`InconsistentCluster`, since
-    no curve has values that force either; a clean sweep's values are
-    adopted unchecked, as :class:`~enriques.cluster.WeightedCluster`
+    no curve has values that force either, and then
+    :class:`NotPolarBasePoints` by :func:`_check_polar`; values that pass
+    are adopted unchecked, as :class:`~enriques.cluster.WeightedCluster`
     argues."""
     _require_table(bp, inv)
     tree = bp.tree
@@ -530,10 +542,11 @@ def recover_values(
             f"the singular set is not downward closed: it lacks point"
             f" {min(closed - singular)}")
     inv._grow()  # the sweep reads m at every point of the set
-    values, _, rejected = _second_half(tree, inv.m, rupture, singular,
-                                       branching)
+    values, mults, rejected = _second_half(tree, inv.m, rupture, singular,
+                                           branching)
     if rejected is not None:
         raise rejected
+    _check_polar(inv, mults)
     return WeightedCluster._adopt(tree, WeightKind.VALUE, values)
 
 
@@ -709,6 +722,45 @@ def _second_half(
     return values, mults, rejected
 
 
+def _check_polar(inv: MorphismInvariants, mults: dict[PointId, int]) -> None:
+    """Raise :class:`NotPolarBasePoints` unless the multiplicities e of a
+    sweep that rejected nothing keep, with the weights w of bp, the
+    identity
+
+        sum over p in bp of e_p w_p = sum over p in bp of w_p^2 + e_O - 1,
+
+    e_p taken as 0 at a point of bp outside S.  Both sides are the
+    intersection number (C.P) of the curve C with a generic polar P.  P
+    goes through bp with multiplicities w, and its other points are free
+    and generic, so Noether's formula gives the left side.  Teissier's
+    lemma gives (C.P) = mu + e_O - 1 (B. Teissier, *Cycles evanescents,
+    sections planes et conditions de Whitney*, Asterisque 7-8, 1973),
+    and mu = (P.P') = the sum of w^2 (Casas-Alvero, *Singularities of
+    Plane Curves*), the right side.  Reading e as 0 off S is not proven:
+    the tests check the pairing against each curve they know, the Euclid
+    curves, the equations of ``polynomial_reference`` and the fixtures.
+    The sweep's own verdict passes some inputs that no curve has, whose
+    rupture set the oracle does not find again; the identity refuses
+    them.  It costs no pass over bp of its own: the height pass sums the
+    squares, and the pairing runs over the smaller of S and bp, a few
+    points beside a polar's long S or a large bp's short one.  An empty S
+    has e_O = 0."""
+    a, b = inv.bp.weight, mults
+    if len(b) < len(a):
+        a, b = b, a
+    pairing = 0
+    for p, w in a.items():
+        if p in b:
+            pairing += w * b[p]
+    expected = inv._squares + mults.get(0, 0) - 1
+    if pairing != expected:
+        raise NotPolarBasePoints(
+            "recovered multiplicities pair with bp to"
+            f" {describe_number(pairing)}, not to sum w^2 + e_O - 1 ="
+            f" {describe_number(expected)}; the input is not a cluster of"
+            " polar base points")
+
+
 # -- full runs ----------------------------------------------------------------
 
 
@@ -730,7 +782,9 @@ def recover(
     m/n is checked against its invariant, which it equals by
     construction: the walk returns only at gap m*b - a*n = 0, a memo hit
     returns the point an earlier walk found for the same (p, a, b), and
-    the origin's invariant is m_O/1 with n_O = 1."""
+    the origin's invariant is m_O/1 with n_O = 1.  After the sweep's
+    verdict, :func:`_check_polar` refuses an answer that fails the polar
+    identity."""
     tree = bp.tree
     before = len(tree)
     # the table covers every point of the arena, and the walk extends it
@@ -766,6 +820,7 @@ def recover(
                                                branching)
         if rejected is not None:
             raise rejected
+        _check_polar(inv, mults)
         # the sweep established every property the constructor checks
         values = WeightedCluster._adopt(tree, WeightKind.VALUE, values)
         multiplicities = WeightedCluster._adopt(

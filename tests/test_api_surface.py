@@ -257,6 +257,7 @@ ERROR_CLASSES = [
     ("NonPositiveMultiplicity", "ClusterError"),
     ("NotDicritical", "RecoveryError"),
     ("NotDownwardClosed", "ClusterError"),
+    ("NotPolarBasePoints", "RecoveryError"),
     ("NumberTooLong", "EnriquesError"),
     ("PointNotInCluster", "ClusterError"),
     ("RecoveryError", "EnriquesError"),

@@ -13,6 +13,7 @@ from enriques import (
     base_free_point,
     compute,
     dicritical_invariant,
+    parse,
     serialize,
 )
 from enriques.dot import render_dot
@@ -543,7 +544,9 @@ def test_add_point_and_from_records_agree():
     # through from_records give the same columns and lookups, and each its
     # pair index and run record by the index rule, add_point a full index
     # and no run; a refused add_point raises from_records' first
-    # diagnostic and changes nothing
+    # diagnostic and changes nothing.  Every writer's arena, the parser's
+    # too, holds the attributes that ArenaTree() sets, and no other
+    keys = vars(ArenaTree()).keys()
     accepted = refused = 0
     for records in _raw_record_lists():
         tree = ArenaTree()
@@ -558,10 +561,13 @@ def test_add_point_and_from_records_agree():
                 refused += 1
                 break
         else:
-            assert _by_rule(ArenaTree.from_records(records)) == _by_rule(
-                tree, range(len(tree)))
+            built = ArenaTree.from_records(records)
+            assert _by_rule(built) == _by_rule(tree, range(len(tree)))
+            assert vars(built).keys() == vars(tree).keys() == keys
             accepted += 1
     assert accepted > 5000 and refused > 5000
+    parsed, _ = parse(serialize(*fb.ex07_bp()[:2]))
+    assert vars(parsed).keys() == keys
 
 
 def test_add_point_raises_self_reference_for_the_next_id():

@@ -147,9 +147,12 @@ def test_equality_and_hash_read_arena_kind_and_weights():
     same = WeightedCluster(tree, WeightKind.VIRTUAL, {o: 7})
     assert a == same and hash(a) == hash(same) and len({a, same}) == 1
     assert a != WeightedCluster(tree, WeightKind.VALUE, {o: 7})
+    # the arena compares by identity: ArenaTree defines no __eq__, so equal
+    # weights over a copy of the arena are another cluster
     copy = ArenaTree.from_records(triples(tree))
     assert a != WeightedCluster(copy, WeightKind.VIRTUAL, {o: 7})
     assert a.__eq__({o: 7}) is NotImplemented and a != {o: 7}
+    assert (a == object()) is False and (object() == a) is False
 
 
 def test_cluster_keeps_its_weights_when_the_mapping_changes():

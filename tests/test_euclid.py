@@ -14,6 +14,7 @@ from enriques import (
     are_similar,
     canonical_digest,
     invariant_quotient,
+    noether_pairing,
     parse,
     recover,
     recover_grouped,
@@ -57,6 +58,11 @@ def test_recover_finds_the_euclid_curve():
         result = recover(bp)
         assert are_similar(result.multiplicities, euclid_curve(m, n)), (m, n)
         _assert_closes(result)
+        # y^n = x^m meets its generic polar a x^(m-1) + b y^(n-1) m(n - 1)
+        # times, mu + e_O - 1 = (m - 1)(n - 1) + n - 1: the pairing of the
+        # recovered multiplicities with bp, which recover checks against
+        # mu + e_O - 1, so it never raises NotPolarBasePoints here
+        assert noether_pairing(bp, result.multiplicities) == m * (n - 1)
         # warm: the arena already holds every point the walks create
         assert recover_grouped(bp).same_result(result), (m, n)
         # negative control: a neighbouring curve is never similar

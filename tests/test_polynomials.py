@@ -26,6 +26,7 @@ from enriques import (
     are_similar,
     excesses,
     invariant_quotient,
+    noether_pairing,
     parse,
     recover,
     rupture_points,
@@ -82,10 +83,16 @@ def _milnor(curve):
 
 def _assert_recovers(bp, curve):
     """recover(bp) is similar to the curve, the oracle closes on it, and
-    Noether's count of the polars meets Milnor's count of the curve."""
+    Noether's count of the polars meets Milnor's count of the curve.
+    recover raises no NotPolarBasePoints: the recovered multiplicities,
+    read as 0 at the points of bp outside S, pair with bp to the curve's
+    own intersection number with a generic polar, mu + e_O - 1
+    (Teissier's lemma), with mu and e_O taken from the reference."""
     assert sum(w * w for w in bp.weight.values()) == _milnor(curve)
     result = recover(bp)
     recovered = result.multiplicities
+    assert noether_pairing(bp, recovered) == \
+        _milnor(curve) + curve.weight[0] - 1
     assert are_similar(recovered, curve)
     assert rupture_points(recovered) == set(result.rupture)
     quotients = rupture_quotients(recovered)

@@ -56,14 +56,17 @@ from enriques.errors import (
     NoQualifyingPair,
     NotDicritical,
     NotDownwardClosed,
+    NotPolarBasePoints,
     RecoveryError,
     UnknownPoint,
     WalkDiverged,
+    describe_number,
 )
 
 import fixture_builders as fb
 import randgen
 from test_euclid import PAIRS, euclid_bp
+from test_polynomials import _milnor
 from arena_reference import (
     check_index_rule, point_by_point, proximities, reference_facts,
     satellite_answers, scan_answers, triples)
@@ -1295,6 +1298,7 @@ def _reference_recover(bp):
             raise InconsistentCluster(
                 "recovered multiplicities are not consistent; the input is"
                 " not a cluster of polar base points")
+        _reference_polar_check(bp, multiplicities)
         for d, assoc in association.items():
             if inv.height_quotient(assoc.rupture_point) != assoc.invariant:
                 raise RecoveryError(
@@ -1305,6 +1309,20 @@ def _reference_recover(bp):
         raise
     return RecoveryResult(rupture, singular, values, multiplicities,
                           association, frozenset(range(before, len(tree))))
+
+
+def _reference_polar_check(bp, multiplicities):
+    """The intersection number of the curve with a generic polar counted
+    two ways: Noether's pairing of the multiplicities with bp, and
+    Teissier's mu + e_O - 1, mu the pairing of bp with itself."""
+    pairing = noether_pairing(bp, multiplicities)
+    expected = noether_pairing(bp, bp) + multiplicities.get(0) - 1
+    if pairing != expected:
+        raise NotPolarBasePoints(
+            "recovered multiplicities pair with bp to"
+            f" {describe_number(pairing)}, not to sum w^2 + e_O - 1 ="
+            f" {describe_number(expected)}; the input is not a cluster of"
+            " polar base points")
 
 
 def _outcome(run, *args):
@@ -1330,13 +1348,8 @@ def _sweep_inputs():
     plan = [(fb.ex04_bp, 350), (fb.ex05_bp, 250),
             (fb.ex06_bp, 250), (fb.ex07_bp, 150)]
     for builder, count in plan:
-        tree0, bp0, _ = builder()
         for i in range(count):
-            weights = randgen.perturb_weights(
-                tree0, dict(bp0.weight), random.Random(i * 7919 + count))
-            yield lambda tree0=tree0, weights=weights: WeightedCluster(
-                ArenaTree.from_records(triples(tree0)), WeightKind.VIRTUAL,
-                weights)
+            yield partial(_perturbed, builder, i, count)
     for n in (12, 17, 40):
         for j in (2, 3, 4):
             yield lambda n=n, j=j: parse(workloads.polar(n, j))[1]
@@ -1346,6 +1359,16 @@ def _sweep_inputs():
         yield partial(_polar_with_a_branching_proximity, seed)
     for m, n in PAIRS:
         yield lambda m=m, n=n: euclid_bp(m, n)[1]
+
+
+def _perturbed(builder, i, count):
+    """The perturbation i of a golden fixture's weights, of the ``count``
+    that :func:`_sweep_inputs` makes, over a fresh arena."""
+    tree0, bp0, _ = builder()
+    weights = randgen.perturb_weights(
+        tree0, dict(bp0.weight), random.Random(i * 7919 + count))
+    return WeightedCluster(ArenaTree.from_records(triples(tree0)),
+                           WeightKind.VIRTUAL, weights)
 
 
 def _recovered_polar(n, j):
@@ -1478,11 +1501,19 @@ def test_one_sweep_second_half_matches_pass_reference():
             assert got == want
             counts[got[0] if len(got) == 3 else "ok"] += 1
         runs.update(_recover_run_cases(bp, got))
+        # the identity recover checks over bp, cross-checked on every
+        # result it accepts by Milnor's count over S, mu = sum of w^2
+        if len(got) != 3:
+            curve = WeightedCluster(bp.tree, WeightKind.MULTIPLICITY, got[5])
+            assert _milnor(curve) == noether_pairing(bp, bp)
     assert counts["ok"] > 5000 and counts[NonPositiveMultiplicity] > 10000
     # the sweep sees a negative excess at the write that makes it one, on
     # each of the 589 inputs whose recovered multiplicities the reference
     # finds inconsistent, through both names
     assert counts[InconsistentCluster] == 2 * 589
+    # the 82 inputs whose sweep passes a result that the oracle does not
+    # close on fail the polar identity, through both names
+    assert counts[NotPolarBasePoints] == 2 * 82
     assert counts[EmptyRuptureSet] > 40
     # no walk of recover is refused at its start or cut by its cap (see
     # _satellite_walk)
@@ -1492,6 +1523,64 @@ def test_one_sweep_second_half_matches_pass_reference():
     assert runs["flip inside"] > 8
     assert runs["scaled from the first point"] > 40
     assert runs["strict prefix"] > 30
+
+
+def test_polar_identity_refuses_a_clean_sweep_the_oracle_rejects():
+    # _sweep_inputs' ex05 perturbation i = 2 weights the free chain O..p4
+    # with 2, 2, 2, 2, 1.  Dicritical p3 takes the base free point p2 as
+    # its rupture point, and p4's walk stops at 6, a satellite over p3, so
+    # S holds p3, a free point in p2's first neighbourhood.  The sweep
+    # rejects nothing, but its multiplicities 3, 3, 3, 1, 1, 1 leave p2
+    # excess 0, so the oracle finds the rupture set {6}, not {2, 6}.
+    # Noether's count of (C.P) is 20, and Teissier's, mu + e_O - 1 with
+    # mu = 17, the sum of the squared weights, is 19; Milnor's count of
+    # the swept multiplicities, 18, misses mu as well
+    bp = _perturbed(fb.ex05_bp, 2, 250)
+    assert bp.weight == {0: 2, 1: 2, 2: 2, 3: 2, 4: 1}
+    with pytest.raises(NotPolarBasePoints) as caught:
+        recover(bp)
+    assert str(caught.value) == (
+        "recovered multiplicities pair with bp to 20, not to sum w^2 + e_O"
+        " - 1 = 19; the input is not a cluster of polar base points")
+    rupture = frozenset(a.rupture_point
+                        for a in caught.value.association.values())
+    assert rupture == {2, 6}
+    tree, inv = bp.tree, compute(bp)
+    singular, branching = _downward_closure(tree, rupture)
+    _, mults, rejected = _second_half(tree, inv.m, rupture, singular,
+                                      branching)
+    assert rejected is None
+    assert mults == {0: 3, 1: 3, 2: 3, 3: 1, 5: 1, 6: 1}
+    curve = WeightedCluster(tree, WeightKind.MULTIPLICITY, mults)
+    assert rupture_points(curve) == {6}
+    assert noether_pairing(bp, curve) == 20
+    assert noether_pairing(bp, bp) + mults[0] - 1 == 19
+    assert _milnor(curve) == 18
+    # the decomposed pipeline refuses it in recover_values, alike
+    with pytest.raises(NotPolarBasePoints) as again:
+        recover_values(bp, inv, rupture, singular)
+    assert str(again.value) == str(caught.value)
+
+
+@pytest.mark.parametrize("bp_name, curve_name", [
+    ("ex04_bp", "ex04_S"), ("ex05_bp", "ex05_S"),
+    ("ex06_bp", "ex06_curve"), ("ex07_bp", "ex07_curve")])
+def test_fixtures_keep_the_polar_identity_with_their_curves(
+        fixture_dir, bp_name, curve_name):
+    # recover raises no NotPolarBasePoints on a fixture: its recovered
+    # multiplicities pair with bp to mu + e_O - 1, read off the committed
+    # curve by Milnor's formula, and mu is the sum of the squared weights
+    def read(name):
+        return parse((fixture_dir / f"{name}.json").read_text(
+            encoding="utf-8"))[1]
+
+    bp, curve = read(bp_name), read(curve_name)
+    result = recover(bp)
+    mu = _milnor(curve)
+    assert noether_pairing(bp, bp) == mu
+    assert noether_pairing(bp, result.multiplicities) == \
+        mu + curve.weight[curve.tree.origin] - 1
+    assert are_similar(result.multiplicities, curve)
 
 
 class _RunLookups(dict):
@@ -1632,14 +1721,17 @@ def _sweep_values(bp, inv, rupture, singular):
 
 
 def _reference_values_verdict(bp, inv, rupture, singular):
-    """The reference passes' values, once their verdict is clean."""
-    _reference_verdict(bp, inv, rupture, singular)
+    """The reference passes' values, once their verdict is clean and their
+    multiplicities keep the polar identity."""
+    _reference_polar_check(bp, _reference_verdict(bp, inv, rupture,
+                                                  singular))
     return _reference_values(bp, inv, rupture, singular)
 
 
 def test_recover_values_matches_pass_reference():
     # the values of every rupture set, rejected or not, through the sweep,
-    # and recover_values' verdict on them, which raises the sweep's
+    # and recover_values' verdict on them, which raises the sweep's and
+    # then refuses what fails the polar identity
     counts, verdicts, runs = Counter(), Counter(), Counter()
     polar = [_recovered_polar(n, j) for n in (12, 17, 25, 40) for j in (2, 3)]
     polar += [_walked_twice(n, j, {0: a, 1: b}) for n in (20, 33)
@@ -1667,7 +1759,11 @@ def test_recover_values_matches_pass_reference():
                 values=got[1] if got[0] is WeightKind.VALUE else None))
     assert counts[WeightKind.VALUE] > 9000 and counts[EmptyRuptureSet] > 500
     assert verdicts[NonPositiveMultiplicity] > 12000
-    assert verdicts[WeightKind.VALUE] > 4500
+    # the 4,605 clean sweeps: values, or a rupture set whose multiplicities
+    # fail the polar identity, as most random rupture sets do
+    assert verdicts[WeightKind.VALUE] + verdicts[NotPolarBasePoints] > 4500
+    assert verdicts[WeightKind.VALUE] > 1700
+    assert verdicts[NotPolarBasePoints] > 2700
     assert verdicts[InconsistentCluster] > 20
     assert runs["taken"] > 700 and runs["weighted"] > 250
     assert runs["rupture inside"] > 400 and runs["flip inside"] > 10
