@@ -270,7 +270,7 @@ def serialize(tree: ArenaTree, cluster: WeightedCluster) -> str:
             entries.append(f'{{\n      {fields},'
                            f'\n      "weight": {weight.get(p, 0)}\n    }}')
     except ValueError:  # a weight past Python's int-to-text digit limit
-        raise NumberTooLong(max(weight.values(), key=abs)) from None
+        raise NumberTooLong(max(weight.values())) from None
     points = ("[\n    " + ",\n    ".join(entries) + "\n  ]"
               if entries else "[]")
     return (f'{{\n  "format_version": {FORMAT_VERSION},'

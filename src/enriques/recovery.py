@@ -135,8 +135,10 @@ class MorphismInvariants:
     weight off its parent and its second proximity, which are members of
     ``bp`` since a cluster is ancestor-closed.  Every point of ``bp`` is
     in the arena when the table is built, so later passes meet only
-    created points, which carry no weight.  The same pass sums the squares
-    of the weights into ``_squares``, for :func:`_check_polar`.
+    created points, which carry no weight.  The table holds m and the
+    excesses and nothing else: every number it keeps has a reader among
+    the heights or the dicriticals, and the polar identity reads the
+    weights themselves (:func:`_check_polar`).
     """
 
     def __init__(self, bp: WeightedCluster):
@@ -144,34 +146,27 @@ class MorphismInvariants:
         self.bp = bp
         self.m: list[int] = []
         self._excess = dict(bp.weight)
-        self._squares = 0
         self._grow()
 
     def _grow(self) -> None:
-        """Tabulate m on the points appended since the last call, take
-        each weighted one's weight off the excesses of its proximities and
-        add its square to ``_squares``."""
+        """Tabulate m on the points appended since the last call, and take
+        each weighted one's weight off the excesses of its proximities."""
         tree, weight, m = self.bp.tree, self.bp.weight, self.m
         parents, seconds, excess = tree.parents, tree.seconds, self._excess
-        squares = self._squares
         for p in range(len(m), len(parents)):
             a, s = parents[p], seconds[p]
             w = weight.get(p, 0)
             if a is None:
                 m.append(w + 1)
-                squares += w * w
             elif s is None:
                 m.append(m[a] + w + 1)
                 if w:
                     excess[a] -= w
-                    squares += w * w
             else:
                 m.append(m[a] + m[s] + w)
                 if w:
                     excess[a] -= w
                     excess[s] -= w
-                    squares += w * w
-        self._squares = squares
 
     def extend_to(self, p: PointId) -> tuple[int, int]:
         """Ensure m is defined at ``p``; return its (n, m)."""
@@ -546,7 +541,7 @@ def recover_values(
                                            branching)
     if rejected is not None:
         raise rejected
-    _check_polar(inv, mults)
+    _check_polar(bp.weight, mults)
     return WeightedCluster._adopt(tree, WeightKind.VALUE, values)
 
 
@@ -722,7 +717,8 @@ def _second_half(
     return values, mults, rejected
 
 
-def _check_polar(inv: MorphismInvariants, mults: dict[PointId, int]) -> None:
+def _check_polar(weight: dict[PointId, int],
+                 mults: dict[PointId, int]) -> None:
     """Raise :class:`NotPolarBasePoints` unless the multiplicities e of a
     sweep that rejected nothing keep, with the weights w of bp, the
     identity
@@ -741,24 +737,29 @@ def _check_polar(inv: MorphismInvariants, mults: dict[PointId, int]) -> None:
     curves, the equations of ``polynomial_reference`` and the fixtures.
     The sweep's own verdict passes some inputs that no curve has, whose
     rupture set the oracle does not find again; the identity refuses
-    them.  It costs no pass over bp of its own: the height pass sums the
-    squares, and the pairing runs over the smaller of S and bp, a few
-    points beside a polar's long S or a large bp's short one.  An empty S
-    has e_O = 0."""
-    a, b = inv.bp.weight, mults
-    if len(b) < len(a):
-        a, b = b, a
-    pairing = 0
-    for p, w in a.items():
-        if p in b:
-            pairing += w * b[p]
-    expected = inv._squares + mults.get(0, 0) - 1
-    if pairing != expected:
+    them.
+
+    Both sums run over bp, since a point of S outside bp has w = 0 and
+    adds nothing to the pairing, so the check moves the squares to the
+    left, in exact integers:
+
+        sum over p in bp of w_p (e_p - w_p) = e_O - 1.
+
+    One pass over bp's weights, reading e where S has it, decides this
+    form; nothing is summed ahead of the check, and the sum of squares is
+    formed only to word the refusal in the first form.  An empty S has
+    e_O = 0."""
+    total = 0
+    for p, w in weight.items():  # add w (e - w), with e = 0 off S
+        total -= w * (w - mults[p] if p in mults else w)
+    e_origin = mults.get(0, 0)
+    if total != e_origin - 1:
+        squares = sum(w * w for w in weight.values())
         raise NotPolarBasePoints(
             "recovered multiplicities pair with bp to"
-            f" {describe_number(pairing)}, not to sum w^2 + e_O - 1 ="
-            f" {describe_number(expected)}; the input is not a cluster of"
-            " polar base points")
+            f" {describe_number(total + squares)}, not to sum w^2 + e_O - 1 ="
+            f" {describe_number(squares + e_origin - 1)}; the input is not a"
+            " cluster of polar base points")
 
 
 # -- full runs ----------------------------------------------------------------
@@ -820,7 +821,7 @@ def recover(
                                                branching)
         if rejected is not None:
             raise rejected
-        _check_polar(inv, mults)
+        _check_polar(bp.weight, mults)
         # the sweep established every property the constructor checks
         values = WeightedCluster._adopt(tree, WeightKind.VALUE, values)
         multiplicities = WeightedCluster._adopt(

@@ -144,7 +144,7 @@ def canonical_form(cluster: WeightedCluster) -> bytes:
     :class:`~enriques.errors.NumberTooLong`.
     """
     origin = cluster.tree.origin
-    if origin is None or origin not in cluster:
+    if origin not in cluster:
         return b""
     try:
         return _encode(cluster)

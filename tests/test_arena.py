@@ -42,10 +42,12 @@ from paper_reference import child_list
 
 def test_root_creation():
     tree = ArenaTree()
+    assert repr(tree) == "ArenaTree(0 points)"
     o = tree.add_point(label="O")
     assert tree.origin == o
     assert tree.parent(o) is None
     assert tree.ancestors(o) == (o,)
+    assert repr(tree) == "ArenaTree(1 points)"
 
 
 def test_free_child():

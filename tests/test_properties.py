@@ -2,10 +2,11 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from enriques import (
     WeightKind,
+    WeightedCluster,
     compute,
     excesses,
     is_consistent,
@@ -13,6 +14,8 @@ from enriques import (
     noether_pairing,
     recover,
     recover_grouped,
+    rupture_points,
+    rupture_quotients,
     unibranch_chain,
     canonical_form,
 )
@@ -43,8 +46,6 @@ def test_pairing_symmetric_and_matches_self_intersection(seed):
     a = randgen.random_multiplicity_cluster(seed)
     rng = random.Random(seed + 1)
     b_weights = {p: rng.randint(1, 9) for p in a.tree.points()}
-    from enriques import WeightedCluster
-
     b = WeightedCluster(a.tree, WeightKind.MULTIPLICITY, b_weights)
     assert noether_pairing(a, b) == noether_pairing(b, a)
     assert noether_pairing(a, a) == sum(w * w for w in a.weight.values())
@@ -143,3 +144,34 @@ def test_recovery_invariant_under_relabeling(seed):
     assert canonical_form(first.values) == canonical_form(second.values)
     assert canonical_form(first.multiplicities) == \
         canonical_form(second.multiplicities)
+
+
+def _random_bp_inputs(seed):
+    """Consistent random clusters of three sizes, and weights 1 to 5 on
+    every point of a random tree, which are often not consistent."""
+    for max_points in (6, 10, 14):
+        yield randgen.random_consistent_bp(seed, max_points=max_points)
+    rng = random.Random(seed)
+    tree = randgen.random_proximity_tree(rng, 10)
+    yield WeightedCluster(tree, WeightKind.VIRTUAL,
+                          {p: rng.randint(1, 5) for p in tree.points()})
+
+
+@given(seeds)
+@example(53)  # the consistent cluster of up to 6 points fails the identity
+@example(1009)  # those of up to 10 and 14 points fail it
+@settings(max_examples=500, deadline=None)
+def test_recover_raises_or_the_oracle_closes_on_its_answer(seed):
+    # recover either refuses an input or returns a cluster whose rupture
+    # points and invariant quotients, found again by the forward oracle,
+    # are the ones it recovered: the polar identity refuses the clean
+    # sweeps the oracle would not close on
+    for bp in _random_bp_inputs(seed):
+        try:
+            result = recover(bp)
+        except EnriquesError:
+            continue
+        assert rupture_points(result.multiplicities) == result.rupture
+        assert rupture_quotients(result.multiplicities) == {
+            a.rupture_point: a.invariant
+            for a in result.association.values()}
